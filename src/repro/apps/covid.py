@@ -135,28 +135,23 @@ def build_covid_program(
 
     program.add_udf("covid_predict", covid_predict)
 
-    # query transitive(p, p1): the recursive contact closure of Figure 3 lines 16-18.
-    def transitive(view, start_pid=None):
-        edges: set[tuple] = set()
-        for row in view.rows("people"):
-            for contact in row["contacts"]:
-                edges.add((row["pid"], contact))
-        closure = set(edges)
-        frontier = set(edges)
-        while frontier:
-            new_pairs = {
-                (a, d)
-                for (a, b) in frontier
-                for (c, d) in edges
-                if b == c and (a, d) not in closure
-            }
-            closure |= new_pairs
-            frontier = new_pairs
-        if start_pid is None:
-            return closure
-        return {pair for pair in closure if pair[0] == start_pid}
+    # The contact relation as adjacency: pid -> that person's contact set.
+    # A named view, so one tick builds it once however many traces it serves.
+    def contact_graph(view):
+        return {row["pid"]: row["contacts"] for row in view.scan("people")}
 
-    program.add_query("transitive", transitive, reads=["people"], monotone=True, recursive=True)
+    program.add_query("contact_graph", contact_graph, reads=["people"], monotone=True)
+
+    # query transitive(p, p1): the recursive contact closure of Figure 3 lines 16-18,
+    # i.e. every (p, p1) joined by a path of one or more contact edges.  Evaluated
+    # on demand: a search from each requested source, O(V + E) per source.
+    def transitive(view, start_pid=None):
+        graph = view.query("contact_graph")
+        sources = graph if start_pid is None else (start_pid,)
+        return {(source, dest) for source in sources for dest in _reachable(graph, source)}
+
+    program.add_query("transitive", transitive, reads=["people", "contact_graph"],
+                      monotone=True, recursive=True)
 
     # on add_person(pid): monotone merge into people.
     def add_person(ctx, pid, country=""):
@@ -277,6 +272,18 @@ def build_covid_program(
 
     program.validate()
     return program
+
+
+def _reachable(graph, source) -> set:
+    """Everything one or more edges away from ``source`` (itself only via a cycle)."""
+    seen: set = set()
+    frontier = list(graph.get(source, ()))
+    while frontier:
+        node = frontier.pop()
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(graph.get(node, ()))
+    return seen
 
 
 def _row_for_udf(ctx, pid):

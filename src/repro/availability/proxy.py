@@ -16,6 +16,7 @@ from typing import Any, Callable, Hashable, Optional
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Message
 from repro.cluster.node import Node
+from repro.cluster.simulator import Event
 
 
 @dataclass
@@ -25,9 +26,9 @@ class _PendingRequest:
     args: dict[str, Any]
     replicas_tried: list[Hashable] = field(default_factory=list)
     attempts: int = 0
-    completed: bool = False
     sent_at: float = 0.0
     on_reply: Optional[Callable[[dict], None]] = None
+    retry_timer: Optional[Event] = None
 
 
 class ReplicaProxy(Node):
@@ -95,18 +96,12 @@ class ReplicaProxy(Node):
         return pool[0]
 
     def _forward(self, pending: _PendingRequest) -> None:
-        if pending.completed:
-            return
         if pending.attempts >= self.max_attempts:
-            self.failed[pending.request_id] = "max attempts exceeded"
-            self.metrics.increment("proxy.failures")
-            pending.completed = True
+            self._fail(pending, "max attempts exceeded")
             return
         replica = self._choose_replica(pending)
         if replica is None:
-            self.failed[pending.request_id] = "no replicas registered"
-            self.metrics.increment("proxy.failures")
-            pending.completed = True
+            self._fail(pending, "no replicas registered")
             return
         pending.attempts += 1
         pending.replicas_tried.append(replica)
@@ -116,15 +111,20 @@ class ReplicaProxy(Node):
             "invoke",
             {"handler": pending.handler, "args": pending.args, "request_id": pending.request_id},
         )
-        self.set_timer(
+        pending.retry_timer = self.set_timer(
             self.retry_timeout,
             lambda: self._on_timeout(pending.request_id),
             label=f"proxy-retry-{pending.request_id}",
         )
 
+    def _fail(self, pending: _PendingRequest, reason: str) -> None:
+        del self._pending[pending.request_id]
+        self.failed[pending.request_id] = reason
+        self.metrics.increment("proxy.failures")
+
     def _on_timeout(self, request_id: int) -> None:
         pending = self._pending.get(request_id)
-        if pending is None or pending.completed:
+        if pending is None:
             return
         self.metrics.increment("proxy.retries")
         self._forward(pending)
@@ -132,10 +132,11 @@ class ReplicaProxy(Node):
     def _on_reply(self, message: Message) -> None:
         reply = message.payload
         request_id = reply["request_id"]
-        pending = self._pending.get(request_id)
-        if pending is None or pending.completed:
+        # In flight means in ``_pending``: a late or duplicate reply finds nothing.
+        pending = self._pending.pop(request_id, None)
+        if pending is None:
             return
-        pending.completed = True
+        pending.retry_timer.cancel()
         self.responses[request_id] = reply
         latency = self.simulator.now - pending.sent_at
         self.metrics.record_latency(f"proxy.{pending.handler}", latency)

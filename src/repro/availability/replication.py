@@ -77,7 +77,13 @@ class ReplicaNode(Node):
             self.set_timer(self.gossip_interval, self._gossip_tick, label=f"gossip@{self.node_id}")
 
     def push_gossip(self) -> None:
-        """Send a snapshot of local state to every peer for lattice merge."""
+        """Send a snapshot of local state to every peer for lattice merge.
+
+        One snapshot serves every peer: receivers only read it, and it shares
+        its lattice values with this replica's live rows (``ProgramState``
+        never mutates a stored value in place), so a push copies row dicts,
+        not contents.
+        """
         snapshot = self.interpreter.state.snapshot()
         # Size the payload by what it actually carries (rows + vars), so the
         # network simulator charges bandwidth honestly.
@@ -87,6 +93,7 @@ class ReplicaNode(Node):
             self.queue(peer, "gossip", snapshot, entries=entry_count)
 
     def _on_gossip(self, message: Message) -> None:
+        # The payload is shared with the sender's other peers: read-only here.
         self.interpreter.state.merge_from(message.payload)
 
     # -- failure hooks -----------------------------------------------------------------

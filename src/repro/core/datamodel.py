@@ -62,22 +62,30 @@ class EntityClass:
                 f"class {self.name!r} partition attribute {self.partition_by!r} "
                 f"is not one of its fields {names}"
             )
+        # Lookup tables derived from ``fields`` once (the class is frozen):
+        # every row build and field effect goes through them.
+        derived = object.__setattr__
+        derived(self, "_specs", {spec.name: spec for spec in self.fields})
+        derived(self, "lattice_fields",
+                tuple(spec.name for spec in self.fields if spec.is_lattice))
+        derived(self, "plain_fields",
+                tuple(spec.name for spec in self.fields if not spec.is_lattice))
 
     def field_spec(self, name: str) -> FieldSpec:
-        for spec in self.fields:
-            if spec.name == name:
-                return spec
-        raise SpecificationError(f"class {self.name!r} has no field {name!r}")
+        spec = self._specs.get(name)
+        if spec is None:
+            raise SpecificationError(f"class {self.name!r} has no field {name!r}")
+        return spec
 
     def field_names(self) -> list[str]:
-        return [spec.name for spec in self.fields]
+        return list(self._specs)
 
     def new_row(self, **values: Any) -> dict[str, Any]:
         """Build a row dict with defaults filled in and values validated."""
-        unknown = set(values) - set(self.field_names())
-        if unknown:
+        specs = self._specs
+        if not values.keys() <= specs.keys():
             raise SpecificationError(
-                f"class {self.name!r} has no fields {sorted(unknown)}"
+                f"class {self.name!r} has no fields {sorted(set(values) - specs.keys())}"
             )
         row: dict[str, Any] = {}
         for spec in self.fields:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.errors import EffectViolation, SpecificationError
 from repro.core.state import (
@@ -115,7 +116,12 @@ class Handler:
 
 
 class StateView:
-    """Read-only access to a tick snapshot, handed to queries and handlers."""
+    """Read-only access to program state, handed to queries and handlers.
+
+    During a tick it wraps the interpreter's live state, which no effect
+    touches until every body has run (see ``run_tick``); nothing it returns
+    lets a caller write through to a row.
+    """
 
     def __init__(
         self,
@@ -134,6 +140,14 @@ class StateView:
     def row(self, table: str, key: Hashable) -> Optional[dict[str, Any]]:
         found = self._state.table(table).get(key)
         return dict(found) if found is not None else None
+
+    def scan(self, table: str) -> Iterator[Mapping[str, Any]]:
+        """Iterate a table's rows read-only, without copying them.
+
+        For queries that read a column or two of every row; ``rows`` is for
+        callers that want dicts of their own.
+        """
+        return map(MappingProxyType, self._state.table(table))
 
     def has_key(self, table: str, key: Hashable) -> bool:
         return key in self._state.table(table)

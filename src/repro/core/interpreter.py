@@ -3,13 +3,14 @@
 This is the "single-node metaphor" of §3.1: a global view of state and one
 event loop.  Each tick
 
-1. snapshots the current state (handlers read the snapshot, never each
-   other's in-flight effects),
-2. runs every pending request's handler body, collecting deferred effects,
-3. at end of tick applies state effects atomically, enforcing any
-   application invariants (requests whose effects would violate an
-   invariant are rejected wholesale), and
-4. moves ``send`` payloads into their destination mailboxes so they become
+1. runs every pending request's handler body against the state as it stood
+   when the tick began, collecting deferred effects (bodies only *record*
+   effects, so no handler sees another's in-flight writes and no copy of
+   the state is needed to guarantee it),
+2. at end of tick applies state effects atomically, enforcing any
+   application invariants (a request whose effects would violate an
+   invariant is rolled back wholesale from an undo journal), and
+3. moves ``send`` payloads into their destination mailboxes so they become
    visible at a *later* tick (local sends) or into the outbox (remote
    mailboxes), modelling asynchronous delivery.
 
@@ -33,6 +34,7 @@ from repro.core.state import (
     ProgramState,
     ResponseEffect,
     SendEffect,
+    UndoJournal,
 )
 
 
@@ -135,7 +137,13 @@ class SingleNodeInterpreter:
         if not pending:
             return outcome
 
-        snapshot_view = StateView(self.state.snapshot(), self.program.queries)
+        # The pre-tick state *is* the tick's snapshot (§3.1: mutations are
+        # deferred to end of tick).  Bodies can only record effects through
+        # their context, every body runs before the first ``apply`` below,
+        # ``StateView`` hands out row copies, and state never mutates a
+        # lattice value in place — so reading ``self.state`` directly is
+        # indistinguishable from reading a copy of it.
+        tick_view = StateView(self.state, self.program.queries)
         udf_memo: dict = {}
 
         executed: list[tuple[Request, HandlerContext]] = []
@@ -143,7 +151,7 @@ class SingleNodeInterpreter:
             handler = self.program.handlers[request.handler]
             context = HandlerContext(
                 handler=handler,
-                view=snapshot_view,
+                view=tick_view,
                 request_id=request.request_id,
                 udfs=self.program.udfs,
                 udf_memo=udf_memo,
@@ -165,18 +173,27 @@ class SingleNodeInterpreter:
             spec = self.program.consistency_for(request.handler)
 
             if spec.invariants:
-                trial = self.state.snapshot()
-                trial.apply_all(state_effects)
-                trial_view = StateView(trial, self.program.queries)
-                violated = [inv for inv in spec.invariants if not inv.holds(trial_view)]
+                # Trial in place: journal what the effects touch, check the
+                # invariants on the result, undo on violation (or error) so a
+                # rejected request leaves no trace.
+                journal = UndoJournal(self.state)
+                accepted = False
+                try:
+                    self.state.apply_all(state_effects, journal)
+                    trial_view = StateView(self.state, self.program.queries)
+                    violated = [inv for inv in spec.invariants if not inv.holds(trial_view)]
+                    accepted = not violated
+                finally:
+                    if not accepted:
+                        journal.rollback()
                 if violated:
                     names = ", ".join(inv.name for inv in violated)
                     outcome.rejected[request.request_id] = (
                         f"handler {request.handler!r} rejected: invariant(s) {names} violated"
                     )
                     continue
-
-            self.state.apply_all(state_effects)
+            else:
+                self.state.apply_all(state_effects)
             outcome.effects_applied += len(state_effects)
             outcome.responses[request.request_id] = context.response
             for send in sends:

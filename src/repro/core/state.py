@@ -9,8 +9,7 @@ deferred until the end of a clock tick" semantics (§3.1).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional
 
 from repro.core.datamodel import DataModel, EntityClass, TableDecl
@@ -100,6 +99,64 @@ NON_MONOTONE_EFFECTS = (AssignFieldEffect, AssignVarEffect, DeleteRowEffect)
 
 
 # -- state -----------------------------------------------------------------------
+#
+# Ownership rule for everything below: a lattice value stored in a row or a
+# var is never mutated in place.  Fields and vars are only ever *rebound*, to
+# the result of the immutable ``merge`` (never ``merge_into``) or to a value a
+# peer or handler handed over.  That is what lets tick reads, snapshots and
+# gossip payloads share lattice objects instead of copying them.
+
+
+def _join(current: Lattice, incoming: Lattice) -> Lattice:
+    """Least upper bound of two replicas' values, reusing an operand if it can.
+
+    Converged replicas end up holding the *same* objects (a dominated side
+    adopts the other's value), so steady-state gossip costs an ``is`` test
+    per field; ``merge`` allocates only for genuinely concurrent values.
+    """
+    if incoming is current or incoming.leq(current):
+        return current
+    if current.leq(incoming):
+        return incoming
+    return current.merge(incoming)
+
+
+class UndoJournal:
+    """First-touch pre-images of the rows and vars a batch of effects changes.
+
+    ``ProgramState.apply`` records into it before each change; ``rollback``
+    puts the state back exactly (row order included), at a cost proportional
+    to the batch, not to the state.
+    """
+
+    _ABSENT = object()
+
+    def __init__(self, state: "ProgramState") -> None:
+        self._state = state
+        self._rows: dict[tuple["TableState", Hashable], Any] = {}
+        self._row_order: dict["TableState", list[Hashable]] = {}
+        self._vars: dict[str, Any] = {}
+
+    def note_row(self, table: "TableState", key: Hashable, deleting: bool = False) -> None:
+        row = table.rows.get(key)
+        if (table, key) not in self._rows:
+            self._rows[table, key] = self._ABSENT if row is None else dict(row)
+        if deleting and row is not None and table not in self._row_order:
+            # Putting a deleted row back would move it to the end of the table.
+            self._row_order[table] = list(table.rows)
+
+    def note_var(self, name: str) -> None:
+        self._vars.setdefault(name, self._state.vars[name])
+
+    def rollback(self) -> None:
+        for (table, key), before in self._rows.items():
+            if before is self._ABSENT:
+                table.rows.pop(key, None)
+            else:
+                table.rows[key] = before
+        for table, order in self._row_order.items():
+            table.rows = {key: table.rows[key] for key in order if key in table.rows}
+        self._state.vars.update(self._vars)
 
 
 class TableState:
@@ -129,7 +186,7 @@ class TableState:
         return self.rows.keys()
 
     def merge_row(self, row: Mapping[str, Any]) -> None:
-        """Monotone upsert used by MergeRowEffect and by replication."""
+        """Monotone upsert of a handler-supplied row (MergeRowEffect)."""
         entity = self.entity
         filled = entity.new_row(**dict(row))
         key = filled[entity.key]
@@ -137,12 +194,37 @@ class TableState:
         if existing is None:
             self.rows[key] = filled
             return
-        for spec in entity.fields:
-            incoming = filled[spec.name]
-            if spec.is_lattice:
-                existing[spec.name] = existing[spec.name].merge(incoming)
-            elif existing[spec.name] is None and incoming is not None:
-                existing[spec.name] = incoming
+        for name in entity.lattice_fields:
+            existing[name] = existing[name].merge(filled[name])
+        for name in entity.plain_fields:
+            if existing[name] is None and filled[name] is not None:
+                existing[name] = filled[name]
+
+    def merge_from(self, other: "TableState") -> None:
+        """Monotone upsert of every row of a peer replica's copy of this table.
+
+        Peer rows are complete, validated rows of this entity, so they are
+        not rebuilt, and their lattice values are shared, never copied (the
+        ownership rule above).  ``other`` is only read: it may be on its way
+        to further replicas, so an unseen row's dict is copied, not kept.
+        """
+        rows = self.rows
+        lattice_fields = self.entity.lattice_fields
+        plain_fields = self.entity.plain_fields
+        for key, row in other.rows.items():
+            existing = rows.get(key)
+            if existing is None:
+                rows[key] = dict(row)
+                continue
+            if existing == row:
+                # Nothing to learn.  For a converged row this is a pointer
+                # comparison per field: dict equality tests identity first.
+                continue
+            for name in lattice_fields:
+                existing[name] = _join(existing[name], row[name])
+            for name in plain_fields:
+                if existing[name] is None and row[name] is not None:
+                    existing[name] = row[name]
 
     def merge_field(self, key: Hashable, field_name: str, value: Lattice) -> None:
         spec = self.entity.field_spec(field_name)
@@ -169,8 +251,9 @@ class TableState:
         self.rows.pop(key, None)
 
     def snapshot(self) -> "TableState":
+        """Own row dicts, shared (immutable) field values."""
         clone = TableState(self.decl)
-        clone.rows = copy.deepcopy(self.rows)
+        clone.rows = {key: dict(row) for key, row in self.rows.items()}
         return clone
 
 
@@ -200,25 +283,45 @@ class ProgramState:
 
     # -- effect application -----------------------------------------------------
 
-    def apply(self, effect: Effect) -> None:
-        """Apply one deferred effect; sends/responses are not state changes."""
+    def apply(self, effect: Effect, journal: Optional[UndoJournal] = None) -> None:
+        """Apply one deferred effect; sends/responses are not state changes.
+
+        With a ``journal``, the pre-image of whatever the effect is about to
+        touch is recorded first, so the caller can roll the change back.
+        """
         if isinstance(effect, MergeRowEffect):
-            self.table(effect.table).merge_row(effect.row)
+            table = self.table(effect.table)
+            if journal is not None:
+                journal.note_row(table, effect.row.get(table.entity.key))
+            table.merge_row(effect.row)
         elif isinstance(effect, MergeFieldEffect):
-            self.table(effect.table).merge_field(effect.key, effect.field_name, effect.value)
+            table = self.table(effect.table)
+            if journal is not None:
+                journal.note_row(table, effect.key)
+            table.merge_field(effect.key, effect.field_name, effect.value)
         elif isinstance(effect, AssignFieldEffect):
-            self.table(effect.table).assign_field(effect.key, effect.field_name, effect.value)
+            table = self.table(effect.table)
+            if journal is not None:
+                journal.note_row(table, effect.key)
+            table.assign_field(effect.key, effect.field_name, effect.value)
         elif isinstance(effect, DeleteRowEffect):
-            self.table(effect.table).delete(effect.key)
+            table = self.table(effect.table)
+            if journal is not None:
+                journal.note_row(table, effect.key, deleting=True)
+            table.delete(effect.key)
         elif isinstance(effect, MergeVarEffect):
             decl = self.datamodel.var(effect.var)
             if not decl.is_lattice:
                 raise SpecificationError(
                     f"var {effect.var!r} is not lattice-typed; merge is undefined"
                 )
+            if journal is not None:
+                journal.note_var(effect.var)
             self.vars[effect.var] = self.vars[effect.var].merge(effect.value)
         elif isinstance(effect, AssignVarEffect):
             self.datamodel.var(effect.var)
+            if journal is not None:
+                journal.note_var(effect.var)
             self.vars[effect.var] = effect.value
         elif isinstance(effect, (SendEffect, ResponseEffect)):
             raise SpecificationError(
@@ -227,14 +330,21 @@ class ProgramState:
         else:  # pragma: no cover - future effect kinds
             raise SpecificationError(f"unknown effect type {type(effect).__name__}")
 
-    def apply_all(self, effects: Iterable[Effect]) -> None:
+    def apply_all(self, effects: Iterable[Effect],
+                  journal: Optional[UndoJournal] = None) -> None:
         for effect in effects:
-            self.apply(effect)
+            self.apply(effect, journal)
 
     def snapshot(self) -> "ProgramState":
+        """An isolated copy by structural sharing: O(rows), no value copies.
+
+        Applying effects to either side never shows on the other — rows are
+        separate dicts and lattice values are only ever rebound (the
+        ownership rule above) — so the copy can share every field value.
+        """
         clone = ProgramState(self.datamodel)
         clone.tables = {name: table.snapshot() for name, table in self.tables.items()}
-        clone.vars = copy.deepcopy(self.vars)
+        clone.vars = dict(self.vars)
         return clone
 
     def merge_from(self, other: "ProgramState") -> None:
@@ -242,15 +352,14 @@ class ProgramState:
 
         Lattice fields and vars merge; plain fields and vars keep the local
         value when present (last-writer wins is handled at a higher level by
-        consistency protocols, not by blind state merge).
+        consistency protocols, not by blind state merge).  ``other`` is only
+        read, and may go on to be merged into further replicas.
         """
         for name, other_table in other.tables.items():
-            local = self.table(name)
-            for row in other_table:
-                local.merge_row(row)
+            self.table(name).merge_from(other_table)
         for name, value in other.vars.items():
             decl = self.datamodel.var(name)
             if decl.is_lattice:
-                self.vars[name] = self.vars[name].merge(value)
+                self.vars[name] = _join(self.vars[name], value)
             elif self.vars[name] is None:
                 self.vars[name] = value

@@ -11,19 +11,28 @@ from repro.availability import (
     plan_placements,
 )
 from repro.availability.placement import placement_summary
-from repro.cluster import FailureDomain, Network, NetworkConfig, Simulator, Topology
+from repro.cluster import (
+    FailureDomain,
+    Network,
+    NetworkConfig,
+    Simulator,
+    Topology,
+    TransportConfig,
+)
 from repro.core.errors import NotDeployableError
 from repro.core.facets import AvailabilitySpec
 
 
-def build_replicated_deployment(replica_count=3, seed=7):
+def build_replicated_deployment(replica_count=3, seed=7, gossip_interval=10.0,
+                                sanitize=False):
     sim = Simulator(seed=seed)
-    net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5))
+    net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5),
+                  transport=TransportConfig(sanitize=sanitize))
     program = build_covid_program(vaccine_count=10)
     replica_ids = [f"replica-{i}" for i in range(replica_count)]
     replicas = {
         rid: ReplicaNode(rid, sim, net, program, domain=f"az-{i}",
-                         gossip_interval=10.0, peers=replica_ids)
+                         gossip_interval=gossip_interval, peers=replica_ids)
         for i, rid in enumerate(replica_ids)
     }
     for replica in replicas.values():
@@ -75,6 +84,100 @@ class TestReplicatedExecution:
         proxy.invoke("add_person", {"pid": 1})
         sim.run(until=200.0)
         assert proxy.metrics.latency("proxy.add_person").count == 1
+
+
+class TestProxyBookkeeping:
+    def test_replied_requests_leave_nothing_behind(self):
+        sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
+        requests = [proxy.invoke("add_person", {"pid": pid}) for pid in range(12)]
+        sim.run(until=10.0)
+        assert sorted(proxy.responses) == requests
+        assert proxy._pending == {}
+        # Every retry timer was cancelled with its reply: nothing live is queued,
+        # and running past the retry timeout fires nothing.
+        assert sim.pending_events == sim.cancelled_pending
+        sim.tracing = True
+        sim.run(until=100.0)
+        assert sim.trace == []
+        assert proxy.metrics.counter("proxy.retries") == 0
+
+    def test_failed_requests_leave_nothing_behind(self):
+        sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
+        for replica in replicas.values():
+            replica.crash()
+        request = proxy.invoke("add_person", {"pid": 1})
+        sim.run(until=500.0)
+        assert proxy.failed[request] == "max attempts exceeded"
+        assert proxy._pending == {}
+        assert sim.pending_events == sim.cancelled_pending
+
+    def test_late_duplicate_reply_is_ignored(self):
+        sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
+        replies = []
+        request = proxy.invoke("add_person", {"pid": 1}, on_reply=replies.append)
+        sim.run(until=10.0)
+        first = proxy.responses[request]
+        replicas["replica-2"].send(
+            "proxy", "reply",
+            {"request_id": request, "status": "ok", "value": "late", "replica": "replica-2"},
+            entries=1)
+        sim.run(until=20.0)
+        assert proxy.responses[request] is first
+        assert len(replies) == 1
+        assert proxy.metrics.counter("proxy.replies") == 1
+
+
+class TestSharedGossipPayloads:
+    """Gossip ships one structurally-shared snapshot to every peer, and a
+    receiver may adopt the sender's lattice objects.  Safe only while nobody
+    mutates a stored value in place — checked here with the sanitizer armed."""
+
+    def people(self, replica):
+        return replica.interpreter.state.table("people")
+
+    def test_interleaved_writes_and_gossip_converge_without_mutation(self):
+        sim, net, program, replicas, proxy = build_replicated_deployment(sanitize=True)
+        pid = 0
+        for round_number in range(8):
+            # Three writes per gossip round, one per replica (round-robin).
+            proxy.invoke("add_person", {"pid": pid, "country": "US"})
+            proxy.invoke("add_contact", {"id1": pid, "id2": max(0, pid - 1)})
+            proxy.invoke("add_contact", {"id1": 0, "id2": pid})
+            pid += 1
+            sim.run(until=10.0 * (round_number + 1) + 5.0)   # PayloadMutationError surfaces here
+        sim.run(until=150.0)
+        for replica in replicas.values():
+            assert replica.transport.mailbox_stats["gossip"]["messages"] >= 5 * 2
+        tables = [{key: (row["contacts"], row["covid"], row["vaccinated"])
+                   for key, row in self.people(replica).rows.items()}
+                  for replica in replicas.values()]
+        assert tables[0] == tables[1] == tables[2]
+        assert len(tables[0]) == 8
+        assert set(tables[0][0][0]) == set(range(8))     # round 0 pairs person 0 with itself
+
+    def test_adopted_values_survive_the_senders_later_merges(self):
+        sim, net, program, replicas, proxy = build_replicated_deployment(sanitize=True)
+        a, b = replicas["replica-0"], replicas["replica-1"]
+        only_a = ReplicaProxy("proxy-a", sim, net)
+        only_a.register_endpoint("add_contact", ["replica-0"])
+
+        only_a.invoke("add_contact", {"id1": 1, "id2": 2})
+        sim.run(until=15.0)                      # one gossip round: B learns row 1 from A
+        adopted = self.people(b).get(1)["contacts"]
+        assert adopted is self.people(a).get(1)["contacts"]      # shared, not copied
+        assert self.people(b).get(1) is not self.people(a).get(1)
+
+        only_a.invoke("add_contact", {"id1": 1, "id2": 3})
+        sim.run(until=19.0)                      # applied at A, not yet gossiped
+        assert set(self.people(a).get(1)["contacts"]) == {2, 3}
+        assert self.people(a).get(1)["contacts"] is not adopted
+        assert set(adopted) == {2}                                # never mutated in place
+        assert set(self.people(b).get(1)["contacts"]) == {2}
+
+        sim.run(until=60.0)
+        for replica in replicas.values():
+            assert set(self.people(replica).get(1)["contacts"]) == {2, 3}
+        assert set(adopted) == {2}
 
 
 class TestLogShipping:
