@@ -22,7 +22,7 @@ import itertools
 from typing import Any, Hashable, Optional
 
 from repro.availability.proxy import ReplicaProxy
-from repro.availability.replication import ReplicaNode
+from repro.availability.replication import RESULT_KEY, ReplicaNode
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Network
 from repro.cluster.simulator import Simulator
@@ -65,8 +65,6 @@ class HydroDeployment:
                                  gossip_interval=gossip_interval, peers=replica_ids)
             for node_id in replica_ids
         }
-        for replica in self.replicas.values():
-            replica.set_peers(replica_ids)
 
         # Client proxy for coordination-free endpoints.
         self.proxy = ReplicaProxy("proxy", simulator, network, metrics=self.metrics)
@@ -94,16 +92,10 @@ class HydroDeployment:
             replica = self.replicas[node_id]
             if not replica.alive:
                 return
-            request = replica.interpreter.call(value["handler"], **value["args"])
-            outcome = replica.interpreter.run_tick()
+            status, result = replica.apply(value["handler"], value["args"])
             if node_id == self.replica_ids[0]:
-                token = value["token"]
-                if request in outcome.rejected:
-                    self.responses[token] = {"status": "rejected",
-                                             "detail": outcome.rejected[request]}
-                else:
-                    self.responses[token] = {"status": "ok",
-                                             "value": outcome.responses.get(request)}
+                self.responses[value["token"]] = {"status": status,
+                                                  RESULT_KEY[status]: result}
         return apply_entry
 
     @property

@@ -194,6 +194,7 @@ class SingleNodeInterpreter:
                     continue
             else:
                 self.state.apply_all(state_effects)
+            self.state.log_effects(state_effects)
             outcome.effects_applied += len(state_effects)
             outcome.responses[request.request_id] = context.response
             for send in sends:

@@ -103,8 +103,8 @@ NON_MONOTONE_EFFECTS = (AssignFieldEffect, AssignVarEffect, DeleteRowEffect)
 # Ownership rule for everything below: a lattice value stored in a row or a
 # var is never mutated in place.  Fields and vars are only ever *rebound*, to
 # the result of the immutable ``merge`` (never ``merge_into``) or to a value a
-# peer or handler handed over.  That is what lets tick reads, snapshots and
-# gossip payloads share lattice objects instead of copying them.
+# peer or handler handed over.  That is what lets tick reads and gossip
+# payloads share lattice objects instead of copying them.
 
 
 def _join(current: Lattice, incoming: Lattice) -> Lattice:
@@ -119,6 +119,45 @@ def _join(current: Lattice, incoming: Lattice) -> Lattice:
     if current.leq(incoming):
         return incoming
     return current.merge(incoming)
+
+
+#: What a change log stamps and a gossip payload carries: ``(table, key)``
+#: names a row, ``(None, name)`` a var.
+Item = tuple[Optional[str], Hashable]
+
+
+class ChangeLog:
+    """Which rows and vars of one replica changed, in the order they did.
+
+    Every recorded change gets the next local sequence number; an item
+    changed again moves to the tail under its new number, so the log holds
+    one stamp per item and "everything after seq *n*" is a walk back from
+    the tail that costs what changed, not what is stored.  ``source`` is the
+    peer a change was adopted from unmodified (``None`` for a local commit
+    or a genuine merge): that peer holds the value already.
+    """
+
+    def __init__(self, seq: int = 0) -> None:
+        #: Stamp of the latest change.  A replica that loses its state starts
+        #: its next log here, never back at 0, so a stamp its peers may have
+        #: acknowledged is not handed out twice.
+        self.seq = seq
+        self._stamps: dict[Item, tuple[int, Optional[Hashable]]] = {}
+
+    def record(self, item: Item, source: Optional[Hashable] = None) -> None:
+        self.seq += 1
+        self._stamps.pop(item, None)
+        self._stamps[item] = (self.seq, source)
+
+    def since(self, seq: int) -> list[tuple[Item, int, Optional[Hashable]]]:
+        """``(item, stamp, source)`` of every change after ``seq``, oldest first."""
+        tail = []
+        for item, (stamp, source) in reversed(self._stamps.items()):
+            if stamp <= seq:
+                break
+            tail.append((item, stamp, source))
+        tail.reverse()
+        return tail
 
 
 class UndoJournal:
@@ -200,31 +239,35 @@ class TableState:
             if existing[name] is None and filled[name] is not None:
                 existing[name] = filled[name]
 
-    def merge_from(self, other: "TableState") -> None:
-        """Monotone upsert of every row of a peer replica's copy of this table.
+    def merge_peer_row(self, key: Hashable, row: Mapping[str, Any]) -> bool:
+        """Monotone upsert of a peer replica's copy of one row of this table.
 
-        Peer rows are complete, validated rows of this entity, so they are
-        not rebuilt, and their lattice values are shared, never copied (the
-        ownership rule above).  ``other`` is only read: it may be on its way
-        to further replicas, so an unseen row's dict is copied, not kept.
+        Returns whether the row taught this replica anything.  A peer row is
+        a complete, validated row of this entity, so it is not rebuilt, and
+        its lattice values are shared, never copied (the ownership rule
+        above).  ``row`` is only read: it belongs to a gossip payload, so an
+        unseen row's dict is copied, not kept.
         """
-        rows = self.rows
-        lattice_fields = self.entity.lattice_fields
-        plain_fields = self.entity.plain_fields
-        for key, row in other.rows.items():
-            existing = rows.get(key)
-            if existing is None:
-                rows[key] = dict(row)
-                continue
-            if existing == row:
-                # Nothing to learn.  For a converged row this is a pointer
-                # comparison per field: dict equality tests identity first.
-                continue
-            for name in lattice_fields:
-                existing[name] = _join(existing[name], row[name])
-            for name in plain_fields:
-                if existing[name] is None and row[name] is not None:
-                    existing[name] = row[name]
+        existing = self.rows.get(key)
+        if existing is None:
+            self.rows[key] = dict(row)
+            return True
+        if existing == row:
+            # Nothing to learn.  For a converged row this is a pointer
+            # comparison per field: dict equality tests identity first.
+            return False
+        inflated = False
+        for name in self.entity.lattice_fields:
+            current = existing[name]
+            joined = _join(current, row[name])
+            if joined is not current:
+                existing[name] = joined
+                inflated = True
+        for name in self.entity.plain_fields:
+            if existing[name] is None and row[name] is not None:
+                existing[name] = row[name]
+                inflated = True
+        return inflated
 
     def merge_field(self, key: Hashable, field_name: str, value: Lattice) -> None:
         spec = self.entity.field_spec(field_name)
@@ -250,12 +293,6 @@ class TableState:
     def delete(self, key: Hashable) -> None:
         self.rows.pop(key, None)
 
-    def snapshot(self) -> "TableState":
-        """Own row dicts, shared (immutable) field values."""
-        clone = TableState(self.decl)
-        clone.rows = {key: dict(row) for key, row in self.rows.items()}
-        return clone
-
 
 class ProgramState:
     """All tables and vars of one program replica."""
@@ -268,6 +305,8 @@ class ProgramState:
         self.vars: dict[str, Any] = {
             name: decl.initial_value() for name, decl in datamodel.vars.items()
         }
+        #: Attached by a replica that gossips deltas; ``None`` logs nothing.
+        self.change_log: Optional[ChangeLog] = None
 
     # -- reads ------------------------------------------------------------------
 
@@ -335,31 +374,95 @@ class ProgramState:
         for effect in effects:
             self.apply(effect, journal)
 
+    def log_effects(self, effects: Iterable[Effect]) -> None:
+        """Stamp what a committed request's state effects touched.
+
+        The interpreter calls this once a request's effects are final, so a
+        request rolled back through an :class:`UndoJournal` logs nothing.
+        """
+        log = self.change_log
+        if log is None:
+            return
+        for effect in effects:
+            if isinstance(effect, MergeRowEffect):
+                log.record((effect.table,
+                            effect.row.get(self.table(effect.table).entity.key)))
+            elif isinstance(effect, (MergeVarEffect, AssignVarEffect)):
+                log.record((None, effect.var))
+            else:
+                log.record((effect.table, effect.key))
+
     def snapshot(self) -> "ProgramState":
         """An isolated copy by structural sharing: O(rows), no value copies.
 
         Applying effects to either side never shows on the other — rows are
         separate dicts and lattice values are only ever rebound (the
         ownership rule above) — so the copy can share every field value.
+        Nothing in ``src/`` calls it since gossip ships deltas; the end-to-end
+        benchmark's traced roll-up still counts calls to it.
         """
         clone = ProgramState(self.datamodel)
-        clone.tables = {name: table.snapshot() for name, table in self.tables.items()}
+        for name, table in self.tables.items():
+            clone.tables[name].rows = {key: dict(row) for key, row in table.rows.items()}
         clone.vars = dict(self.vars)
         return clone
 
-    def merge_from(self, other: "ProgramState") -> None:
-        """Merge another replica's state into this one (anti-entropy/gossip).
+    # -- replica merge ----------------------------------------------------------
+
+    def export(self, items: Optional[Iterable[Item]] = None) -> dict[Item, Any]:
+        """The gossip entries for ``items`` (default: the whole state).
+
+        Rows are copied as dicts (a payload must not change once it is handed
+        to the transport), lattice values are shared; an item whose row has
+        since been deleted is left out.  Entries keep the order of ``items``.
+        """
+        if items is None:
+            items = [(name, key) for name, table in self.tables.items()
+                     for key in table.rows]
+            items += [(None, name) for name in self.vars]
+        entries = {}
+        for item in items:
+            name, key = item
+            if name is None:
+                entries[item] = self.vars[key]
+            else:
+                row = self.table(name).rows.get(key)
+                if row is not None:
+                    entries[item] = dict(row)
+        return entries
+
+    def merge_entries(self, entries: Mapping[Item, Any],
+                      source: Optional[Hashable] = None) -> None:
+        """Merge a peer replica's exported entries into this state.
 
         Lattice fields and vars merge; plain fields and vars keep the local
         value when present (last-writer wins is handled at a higher level by
-        consistency protocols, not by blind state merge).  ``other`` is only
-        read, and may go on to be merged into further replicas.
+        consistency protocols, not by blind state merge).  ``entries`` is
+        only read.  An entry that actually inflated this state is stamped in
+        the change log — under ``source`` when this replica now holds
+        exactly the peer's value, so it is not offered straight back.
         """
-        for name, other_table in other.tables.items():
-            self.table(name).merge_from(other_table)
-        for name, value in other.vars.items():
-            decl = self.datamodel.var(name)
-            if decl.is_lattice:
-                self.vars[name] = _join(self.vars[name], value)
-            elif self.vars[name] is None:
-                self.vars[name] = value
+        log = self.change_log
+        for item, value in entries.items():
+            name, key = item
+            if name is None:
+                current = self.vars[key]
+                if self.datamodel.var(key).is_lattice:
+                    merged = _join(current, value)
+                else:
+                    merged = value if current is None else current
+                if merged is current:
+                    continue
+                self.vars[key] = merged
+                adopted = merged is value
+            else:
+                table = self.table(name)
+                if not table.merge_peer_row(key, value):
+                    continue
+                adopted = table.rows[key] == value
+            if log is not None:
+                log.record(item, source if adopted else None)
+
+    def merge_from(self, other: "ProgramState") -> None:
+        """Merge another replica's whole state into this one."""
+        self.merge_entries(other.export())

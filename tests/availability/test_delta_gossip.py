@@ -1,0 +1,417 @@
+"""Delta gossip between program replicas: convergence, and what it may ship.
+
+The oracle is the protocol this one replaced: joining whole replica states
+with ``ProgramState.merge_from``.  Every cluster here runs with the
+transport's payload sanitizer armed, so a payload (or a lattice value it
+shares with a live row) mutated after queueing fails the run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from repro.apps.covid import build_covid_program
+from repro.availability import ReplicaNode
+from repro.availability.replication import (
+    FRESH_ENTRIES,
+    LOGGED_CHANGES,
+    REFILL_ENTRIES,
+    RETRANSMIT_ENTRIES,
+    WATERMARK_ENTRIES,
+)
+from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
+from repro.core.state import ProgramState
+
+ROUND = 10.0
+#: Rounds a healed cluster gets to converge: a lost ack is noticed after two,
+#: the re-shipment lands in the third, what it taught is forwarded in the
+#: fourth and confirmed in the fifth; a replica that lost its state adds the
+#: round in which it first reports 0.
+CONVERGE_ROUNDS = 8
+
+
+class Cluster:
+    """``count`` replicas of the COVID tracker, every gossip parcel recorded."""
+
+    def __init__(self, count=3, seed=3, vaccines=2):
+        self.sim = Simulator(seed=seed)
+        self.net = Network(self.sim, NetworkConfig(base_delay=1.0, jitter=0.5),
+                           transport=TransportConfig(sanitize=True))
+        self.program = build_covid_program(vaccine_count=vaccines)
+        ids = [f"r{index}" for index in range(count)]
+        self.replicas = [
+            ReplicaNode(rid, self.sim, self.net, self.program, domain=f"az-{index}",
+                        gossip_interval=ROUND, peers=ids)
+            for index, rid in enumerate(ids)]
+        #: (time, sender, destination, payload, declared entries)
+        self.parcels = []
+        for replica in self.replicas:
+            self._record_gossip(replica)
+
+    def _record_gossip(self, replica):
+        queue = replica.queue
+
+        def recording(destination, mailbox, payload, entries=0):
+            if mailbox == "gossip":
+                self.parcels.append((self.sim.now, replica.node_id, destination,
+                                     payload, entries))
+            queue(destination, mailbox, payload, entries)
+
+        replica.queue = recording
+
+    def run(self, rounds):
+        self.sim.run(until=self.sim.now + rounds * ROUND)
+
+    def counter(self, name):
+        return self.net.metrics.counter(name)
+
+    def states(self):
+        return [replica.interpreter.state for replica in self.replicas]
+
+    def join(self):
+        """The from-scratch join of every replica's state."""
+        joined = ProgramState(self.program.datamodel)
+        for state in self.states():
+            joined.merge_from(state)
+        return joined
+
+    def assert_ledger(self):
+        peers = len(self.replicas) - 1
+        assert self.counter(FRESH_ENTRIES) <= self.counter(LOGGED_CHANGES) * peers
+        shipped = sum(len(payload["entries"]) for _, _, _, payload, _ in self.parcels)
+        assert shipped == (self.counter(FRESH_ENTRIES) + self.counter(RETRANSMIT_ENTRIES)
+                           + self.counter(REFILL_ENTRIES))
+        assert all(entries == len(payload["entries"]) + WATERMARK_ENTRIES
+                   for _, _, _, payload, entries in self.parcels)
+
+
+def monotone(state):
+    """``{table: {key: lattice fields}}`` — what replicas must agree on
+    (plain fields and vars may legitimately differ between replicas)."""
+    return {name: {key: tuple(row[field] for field in table.entity.lattice_fields)
+                   for key, row in table.rows.items()}
+            for name, table in state.tables.items()}
+
+
+def dominates(larger, smaller):
+    return all(key in larger[name]
+               and all(mine.leq(theirs) for mine, theirs in zip(fields, larger[name][key]))
+               for name, rows in smaller.items() for key, fields in rows.items())
+
+
+def entry_keys(parcels):
+    return [(sender, destination, list(payload["entries"]))
+            for _, sender, destination, payload, _ in parcels]
+
+
+# -- (a) convergence to the merge_from oracle under generated faults ----------------------
+
+REPLICA = st.integers(0, 3)
+PID = st.integers(0, 5)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add_person"), REPLICA, PID),
+    st.tuples(st.just("add_contact"), REPLICA, PID, PID),
+    st.tuples(st.just("add_contact"), REPLICA, PID, PID),
+    st.tuples(st.just("vaccinate"), REPLICA, PID),
+    st.tuples(st.just("run"), st.integers(1, 9)),
+    st.tuples(st.just("run"), st.sampled_from([10, 25, 40])),      # whole rounds
+    st.tuples(st.just("drops"), st.sampled_from([0.0, 0.3, 0.7])),
+    st.tuples(st.just("partition"), REPLICA),
+    st.tuples(st.just("heal")),
+    st.tuples(st.just("crash"), REPLICA),
+    st.tuples(st.just("recover"), REPLICA, st.booleans()),
+), max_size=40)
+
+ARGS = {"add_person": lambda pid: {"pid": pid, "country": "US"},
+        "add_contact": lambda id1, id2: {"id1": id1, "id2": id2},
+        "vaccinate": lambda pid: {"pid": pid}}
+
+
+def play(cluster, steps):
+    """Run a generated schedule; returns the statuses of the applied ops."""
+    statuses = []
+    for kind, *args in steps:
+        if kind == "run":
+            cluster.sim.run(until=cluster.sim.now + args[0])
+        elif kind == "drops":
+            cluster.net.config.drop_rate = args[0]
+        elif kind == "heal":
+            cluster.net.heal_all()
+        else:
+            replica = cluster.replicas[args[0] % len(cluster.replicas)]
+            if kind == "partition":
+                cluster.net.partition(
+                    [replica.node_id],
+                    [other.node_id for other in cluster.replicas if other is not replica])
+            elif kind == "crash":
+                replica.crash()
+            elif kind == "recover":
+                replica.recover(lose_state=args[1])
+            elif replica.alive:
+                statuses.append(replica.apply(kind, ARGS[kind](*args[1:]))[0])
+    return statuses
+
+
+@given(st.integers(3, 4), st.integers(0, 50), STEPS, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_replicas_converge_to_the_join_of_their_states(count, seed, steps, lose_at_heal):
+    cluster = Cluster(count, seed=seed)
+    play(cluster, steps)
+
+    cluster.net.config.drop_rate = 0.0
+    cluster.net.heal_all()
+    for replica in cluster.replicas:
+        if not replica.alive:
+            replica.recover(lose_state=lose_at_heal)
+    held_at_heal = monotone(cluster.join())
+    cluster.run(CONVERGE_ROUNDS)
+
+    joined = monotone(cluster.join())
+    assert [monotone(state) for state in cluster.states()] == [joined] * count
+    assert dominates(joined, held_at_heal)      # nothing a live replica held was lost
+    cluster.assert_ledger()
+    # Converged and confirmed: the next rounds carry stamps only.
+    settled = len(cluster.parcels)
+    cluster.run(2)
+    assert len(cluster.parcels) == settled + 2 * count * (count - 1)
+    assert all(not payload["entries"] for _, _, _, payload, _ in cluster.parcels[settled:])
+
+
+# -- (b) a fault-free run ships each change to each peer exactly once ----------------------
+
+
+def scripted_writes(cluster):
+    """Writes at every replica, one batch per round; returns the statuses."""
+    statuses = []
+    for pid in range(9):
+        replica = cluster.replicas[pid % 3]
+        statuses.append(replica.apply("add_person", {"pid": pid, "country": "DE"})[0])
+        statuses.append(cluster.replicas[(pid + 1) % 3].apply(
+            "add_contact", {"id1": pid, "id2": max(0, pid - 1)})[0])
+        statuses.append(replica.apply("vaccinate", {"pid": pid})[0])
+        cluster.run(1)
+    return statuses
+
+
+def test_fault_free_run_ships_nothing_twice():
+    cluster = Cluster(3, vaccines=2)
+    statuses = scripted_writes(cluster)
+    assert statuses.count("rejected") == 3          # each replica ran out after two
+    cluster.run(3)
+
+    sent = [(sender, destination, item, repr(value))
+            for _, sender, destination, payload, _ in cluster.parcels
+            for item, value in payload["entries"].items()]
+    assert len(sent) == len(set(sent))
+    assert cluster.counter(RETRANSMIT_ENTRIES) == 0
+    assert cluster.counter(REFILL_ENTRIES) == 0
+    assert cluster.counter(FRESH_ENTRIES) == len(sent) > 0
+    cluster.assert_ledger()
+    joined = monotone(cluster.join())
+    assert [monotone(state) for state in cluster.states()] == [joined] * 3
+    assert len(joined["people"]) == 9
+
+
+def test_an_entry_is_not_offered_back_to_the_peer_it_came_from():
+    cluster = Cluster(3)
+    cluster.replicas[0].apply("add_person", {"pid": 1, "country": "IN"})
+    cluster.run(4)
+    # First contact: nobody has confirmed anything yet, so r1 and r2 cannot
+    # tell an r0 that still holds its write from one that lost it, and offer
+    # the row back.
+    carrying = [parcel for parcel in cluster.parcels if parcel[3]["entries"]]
+    assert sorted(entry_keys(carrying)) == [
+        (sender, destination, [("people", 1)])
+        for sender, destination in [("r0", "r1"), ("r0", "r2"), ("r1", "r0"),
+                                    ("r1", "r2"), ("r2", "r0"), ("r2", "r1")]]
+
+    # From then on r0 tells r1 and r2; each of them tells the other (it
+    # cannot know r0 already did); neither tells r0.
+    settled = len(cluster.parcels)
+    cluster.replicas[0].apply("add_person", {"pid": 2, "country": "IN"})
+    cluster.run(4)
+    carrying = [parcel for parcel in cluster.parcels[settled:] if parcel[3]["entries"]]
+    assert entry_keys(carrying) == [
+        ("r0", "r1", [("people", 2)]), ("r0", "r2", [("people", 2)]),
+        ("r1", "r2", [("people", 2)]), ("r2", "r1", [("people", 2)])]
+
+
+def test_rejected_request_ships_nothing_and_idle_rounds_carry_only_stamps():
+    cluster = Cluster(3, vaccines=0)
+    cluster.replicas[0].apply("add_person", {"pid": 1, "country": "BR"})
+    cluster.run(4)
+    settled, logged = len(cluster.parcels), cluster.counter(LOGGED_CHANGES)
+    sent = cluster.net.bytes_sent
+
+    assert cluster.replicas[0].apply("vaccinate", {"pid": 1})[0] == "rejected"
+    cluster.run(3)
+
+    idle = cluster.parcels[settled:]
+    assert len(idle) == 3 * 3 * 2
+    assert all(payload["entries"] == {} and entries == WATERMARK_ENTRIES
+               for _, _, _, payload, entries in idle)
+    assert cluster.counter(LOGGED_CHANGES) == logged
+    # On the wire: one envelope header and one entry's worth of stamps each.
+    assert cluster.net.bytes_sent - sent == len(idle) * (24 + 96)
+    assert not cluster.replicas[1].interpreter.state.table("people").get(1)["vaccinated"].value
+
+
+# -- (c) a replica that lost its state is refilled once per peer ---------------------------
+
+
+def test_lost_state_is_refilled_once_per_peer_including_the_victims_own_writes():
+    cluster = Cluster(3)
+    victim, *peers = cluster.replicas
+    for pid in range(6):
+        cluster.replicas[pid % 3].apply("add_person", {"pid": pid, "country": "US"})
+    victim.apply("add_contact", {"id1": 0, "id2": 3})       # pids 0 and 3 are the victim's
+    cluster.run(4)
+    assert cluster.counter(REFILL_ENTRIES) == 0
+    lost = len(victim.change_log.since(0))
+    assert lost == 6                                       # one stamp per row it holds
+
+    victim.crash()
+    cluster.run(1)
+    victim.recover(lose_state=True)
+    assert victim.interpreter.state.table("people").rows == {}
+    recovered_at = len(cluster.parcels)
+    peers[0].apply("add_person", {"pid": 6, "country": "US"})
+    peers[1].apply("add_contact", {"id1": 1, "id2": 2})
+    changed_since = 1 + 2
+    cluster.run(CONVERGE_ROUNDS)
+
+    joined = monotone(cluster.join())
+    assert [monotone(state) for state in cluster.states()] == [joined] * 3
+    assert set(joined["people"]) == set(range(7))
+    assert 3 in joined["people"][0][0]                      # the victim's own write is back
+    for peer in peers:
+        to_victim = [payload for _, sender, destination, payload, _
+                     in cluster.parcels[recovered_at:]
+                     if sender == peer.node_id and destination == victim.node_id]
+        refills = [payload for payload in to_victim
+                   if payload["since"] == 0 and payload["entries"]]
+        assert len(refills) == 1                           # once, not every round
+        assert {("people", 0), ("people", 3)} <= set(refills[0]["entries"])
+        assert sum(len(payload["entries"]) for payload in to_victim) <= lost + changed_since
+    assert 0 < cluster.counter(REFILL_ENTRIES) <= 2 * lost
+    assert cluster.counter(RETRANSMIT_ENTRIES) == 0
+    cluster.assert_ledger()
+
+
+def test_recovery_with_state_kept_only_retransmits_the_gap():
+    cluster = Cluster(3)
+    sleeper, *peers = cluster.replicas
+    for pid in range(4):
+        cluster.replicas[pid % 3].apply("add_person", {"pid": pid, "country": "US"})
+    cluster.run(4)
+    sleeper.crash()
+    crashed_at = len(cluster.parcels)
+    peers[0].apply("add_person", {"pid": 7, "country": "DE"})
+    cluster.run(3)
+    sleeper.recover(lose_state=False)
+    cluster.run(CONVERGE_ROUNDS)
+
+    joined = monotone(cluster.join())
+    assert [monotone(state) for state in cluster.states()] == [joined] * 3
+    assert cluster.counter(REFILL_ENTRIES) == 0
+    # Only the row written while it slept is sent to it, again and again
+    # until it is back to confirm it.
+    resent = {item for _, _, destination, payload, _ in cluster.parcels[crashed_at:]
+              if destination == sleeper.node_id for item in payload["entries"]}
+    assert resent == {("people", 7)}
+    assert cluster.counter(RETRANSMIT_ENTRIES) > 0
+
+
+# -- (d) the logical-message trace does not depend on PYTHONHASHSEED -----------------------
+
+
+def faulty_trace():
+    cluster = Cluster(4, seed=11)
+    play(cluster, [
+        ("add_person", 0, 1), ("add_person", 1, 2), ("add_contact", 2, 1, 2), ("run", 12),
+        ("drops", 0.3), ("add_contact", 3, 2, 4), ("vaccinate", 1, 2), ("run", 25),
+        ("partition", 2), ("add_person", 2, 5), ("add_contact", 0, 5, 1), ("run", 25),
+        ("crash", 1), ("run", 8), ("recover", 1, True), ("add_person", 1, 3),
+        ("heal",), ("drops", 0.0), ("run", 60),
+    ])
+    return [("gossip", destination, keys)
+            for _, destination, keys in entry_keys(cluster.parcels)]
+
+
+def test_trace_is_identical_under_two_hash_seeds():
+    root = Path(__file__).resolve().parents[2]
+    script = ("from availability.test_delta_gossip import faulty_trace\n"
+              "print(faulty_trace())\n")
+    outputs = []
+    for seed in ("1", "31337"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("('people', 5)") > 1        # the faults really bit
+
+
+# -- (e) recovery, peers and the one apply entry point ------------------------------------
+
+
+def test_recovered_replica_gossips_again():
+    cluster = Cluster(3)
+    victim = cluster.replicas[0]
+    cluster.sim.run(until=25.0)
+    victim.crash()
+    cluster.sim.run(until=40.0)
+    victim.recover(lose_state=True)
+    victim.apply("add_person", {"pid": 9, "country": "IN"})
+    before = victim.transport.mailbox_stats["gossip"]["messages"]
+    cluster.sim.run(until=200.0)
+
+    assert victim.transport.mailbox_stats["gossip"]["messages"] - before == 16 * 2
+    for replica in cluster.replicas:
+        assert 9 in replica.interpreter.state.table("people")
+
+
+def test_a_newly_added_peer_starts_fully_unsynced():
+    cluster = Cluster(3)
+    first, second, late = cluster.replicas
+    for replica in (first, second):
+        replica.set_peers([first.node_id, second.node_id])
+    late.set_peers([])
+    first.apply("add_person", {"pid": 1, "country": "US"})
+    second.apply("add_person", {"pid": 2, "country": "US"})
+    cluster.run(4)
+    assert late.interpreter.state.table("people").rows == {}
+    confirmed = first._sync[second.node_id].confirmed
+    assert confirmed > 0
+
+    for replica in cluster.replicas:
+        replica.set_peers([node.node_id for node in cluster.replicas])
+    assert first._sync[second.node_id].confirmed == confirmed    # known peers keep theirs
+    cluster.run(4)
+    assert set(late.interpreter.state.table("people").rows) == {1, 2}
+    cluster.assert_ledger()
+
+
+def test_every_entry_point_goes_through_apply():
+    cluster = Cluster(3, vaccines=1)
+    replica = cluster.replicas[0]
+    assert replica.apply("add_person", {"pid": 1, "country": "US"}) == ("ok", "OK")
+    assert replica.apply("vaccinate", {"pid": 1}) == ("ok", "OK")
+    status, detail = replica.apply("vaccinate", {"pid": 1})
+    assert status == "rejected" and "vaccine_count_non_negative" in detail
+
+    calls = []
+    apply = replica.apply
+    replica.apply = lambda handler, args: calls.append(handler) or apply(handler, args)
+    cluster.replicas[1].send(replica.node_id, "ordered",
+                             {"handler": "add_person", "args": {"pid": 2}}, entries=1)
+    cluster.replicas[1].send(replica.node_id, "invoke",
+                             {"handler": "trace", "args": {"pid": 1}, "request_id": 5},
+                             entries=1)
+    cluster.run(1)
+    assert calls == ["add_person", "trace"]
+    assert 2 in replica.interpreter.state.table("people")

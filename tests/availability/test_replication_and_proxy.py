@@ -35,8 +35,6 @@ def build_replicated_deployment(replica_count=3, seed=7, gossip_interval=10.0,
                          gossip_interval=gossip_interval, peers=replica_ids)
         for i, rid in enumerate(replica_ids)
     }
-    for replica in replicas.values():
-        replica.set_peers(replica_ids)
     proxy = ReplicaProxy("proxy", sim, net, retry_timeout=20.0)
     for handler in program.handlers:
         proxy.register_endpoint(handler, replica_ids)
@@ -128,9 +126,10 @@ class TestProxyBookkeeping:
 
 
 class TestSharedGossipPayloads:
-    """Gossip ships one structurally-shared snapshot to every peer, and a
-    receiver may adopt the sender's lattice objects.  Safe only while nobody
-    mutates a stored value in place — checked here with the sanitizer armed."""
+    """A gossip payload's row dicts are its own, but the lattice values in
+    them are the sender's live objects, and a receiver may adopt them.  Safe
+    only while neither side mutates a stored value in place — checked here
+    with the transport's payload sanitizer armed."""
 
     def people(self, replica):
         return replica.interpreter.state.table("people")

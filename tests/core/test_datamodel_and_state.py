@@ -7,6 +7,7 @@ from repro.core.errors import SpecificationError
 from repro.core.state import (
     AssignFieldEffect,
     AssignVarEffect,
+    ChangeLog,
     DeleteRowEffect,
     MergeFieldEffect,
     MergeRowEffect,
@@ -153,6 +154,50 @@ class TestProgramState:
         snap = state.snapshot()
         state.apply(MergeFieldEffect("people", 1, "contacts", SetUnion({3})))
         assert snap.table("people").get(1)["contacts"] == SetUnion({2})
+
+    def test_exported_entries_are_isolated(self):
+        state = ProgramState(model())
+        state.apply(MergeRowEffect("people", {"pid": 1, "contacts": SetUnion({2})}))
+        state.apply(MergeRowEffect("people", {"pid": 5}))
+        entries = state.export([("people", 1), (None, "vaccine_count"), ("people", 9)])
+        assert list(entries) == [("people", 1), (None, "vaccine_count")]   # 9 never existed
+        assert entries["people", 1]["contacts"] is state.table("people").get(1)["contacts"]
+        state.apply(MergeFieldEffect("people", 1, "contacts", SetUnion({3})))
+        state.apply(AssignVarEffect("vaccine_count", 3))
+        assert entries["people", 1]["contacts"] == SetUnion({2})
+        assert entries[None, "vaccine_count"] == 5
+        assert set(state.export()) == {("people", 1), ("people", 5),
+                                       (None, "vaccine_count"), (None, "total_diagnoses")}
+
+    def test_change_log_keeps_one_stamp_per_item_in_change_order(self):
+        log = ChangeLog()
+        for item in [("people", 1), ("people", 2), (None, "n"), ("people", 1)]:
+            log.record(item)
+        log.record(("people", 3), source="peer")
+        assert log.seq == 5
+        assert log.since(0) == [(("people", 2), 2, None), ((None, "n"), 3, None),
+                                (("people", 1), 4, None), (("people", 3), 5, "peer")]
+        assert log.since(3) == log.since(0)[2:]
+        assert log.since(5) == []
+        assert ChangeLog(seq=7).seq == 7
+
+    def test_merge_logs_inflations_with_their_source(self):
+        left, right = ProgramState(model()), ProgramState(model())
+        log = left.change_log = ChangeLog()
+        left.apply(MergeRowEffect("people", {"pid": 1, "contacts": SetUnion({2})}))
+        left.apply(MergeRowEffect("people", {"pid": 2, "contacts": SetUnion({7})}))
+        assert log.seq == 0                      # direct applies are not commits
+        right.apply(MergeRowEffect("people", {"pid": 1, "contacts": SetUnion({3})}))
+        right.apply(MergeRowEffect("people", {"pid": 2}))
+        right.apply(MergeRowEffect("people", {"pid": 4}))
+        right.apply(MergeVarEffect("total_diagnoses", GCounter().increment("n1", 2)))
+        left.merge_entries(right.export(), source="right")
+        # Row 1 merged beyond the peer's copy (it must go back to the peer),
+        # row 2 taught nothing, row 4 and the var were adopted as they came.
+        assert log.since(0) == [(("people", 1), 1, None), (("people", 4), 2, "right"),
+                                ((None, "total_diagnoses"), 3, "right")]
+        left.merge_entries(right.export(), source="right")
+        assert log.seq == 3
 
     def test_merge_from_other_replica_converges(self):
         left = ProgramState(model())

@@ -1,8 +1,9 @@
 """Property tests: the copy-free interpreter keeps the copying one's guarantees.
 
 ``run_tick`` reads the live state, trials invariants in place behind an undo
-journal, and ``ProgramState.snapshot`` shares values structurally.  The
-oracle for all three is ``copy.deepcopy`` — which lives only here.
+journal, and ``ProgramState.snapshot`` and the gossip payloads of
+``ProgramState.export`` share values structurally.  The oracle for all of
+them is ``copy.deepcopy`` — which lives only here.
 """
 
 import copy
@@ -23,6 +24,7 @@ from repro.core import (
 from repro.core.datamodel import FieldSpec
 from repro.core.errors import SpecificationError
 from repro.core.handlers import HandlerContext, StateView
+from repro.core.state import ChangeLog
 from repro.lattices import BoolOr, MaxInt, SetUnion
 
 KEYS = st.integers(min_value=0, max_value=5)
@@ -161,6 +163,7 @@ def test_every_handler_in_a_tick_observes_the_pre_tick_state(seed_ops, requests)
 def test_rejected_request_leaves_state_deep_equal(seed_ops, ops, violate_at):
     interp = seeded_interpreter(seed_ops)
     before = copy.deepcopy(interp.state)
+    log = interp.state.change_log = ChangeLog()
 
     ops = list(ops)
     ops.insert(min(violate_at, len(ops)), VIOLATE)
@@ -170,6 +173,7 @@ def test_rejected_request_leaves_state_deep_equal(seed_ops, ops, violate_at):
 
     assert request_id in outcome.rejected
     assert dump(interp.state) == dump(before)
+    assert (log.seq, log.since(0)) == (0, [])   # nothing to gossip either
 
 
 def test_rollback_covers_every_effect_kind():
@@ -217,12 +221,21 @@ def test_accepted_trial_equals_plain_application(seed_ops, ops):
     interp = seeded_interpreter(seed_ops)
     expected = copy.deepcopy(interp.state)
     expected.apply_all(effects_of(interp, ops))
+    log = interp.state.change_log = ChangeLog()
 
     request_id = interp.call("guarded", ops=ops)
     outcome = interp.run_tick()
 
     assert request_id in outcome.responses
     assert dump(interp.state) == dump(expected)
+    # The change log stamps exactly what the effects touched, one stamp per
+    # effect, and keeps each item once, at its latest stamp, oldest first.
+    touched = [(None, {"merge_var": "high", "assign_var": "budget"}[op[0]])
+               if op[0].endswith("_var") else ("items", op[1]) for op in ops]
+    latest = {item: stamp for stamp, item in enumerate(touched, start=1)}
+    logged = [(item, stamp) for item, stamp, _ in log.since(0)]
+    assert log.seq == len(ops)
+    assert logged == sorted(latest.items(), key=lambda pair: pair[1])
 
 
 # -- (iii) snapshots are isolated in both directions -----------------------------------
@@ -246,3 +259,56 @@ def test_snapshot_is_isolated_both_ways(seed_ops, live_ops, snapshot_ops):
     at_snapshot.apply_all(effects)
     assert dump(live) == dump(live_after)
     assert dump(snapshot) == dump(at_snapshot)
+
+
+# -- (iv) gossip payloads are isolated from sender and receivers ------------------------
+
+
+@given(BATCHES, BATCHES, BATCHES, BATCHES)
+@settings(max_examples=200, deadline=None)
+def test_gossip_payload_is_isolated_from_sender_and_receiver(
+        seed_ops, peer_ops, sender_ops, receiver_ops):
+    sender = seeded_interpreter(seed_ops)
+    receiver = seeded_interpreter(peer_ops)
+    payload = sender.state.export()
+    shipped = copy.deepcopy(payload)
+    for (table, key), value in payload.items():
+        if table is not None:       # row dicts are the payload's, values are shared
+            live = sender.state.table(table).get(key)
+            assert value is not live
+            assert all(value[name] is live[name] for name in value)
+
+    # The sender moves on; what it handed to the transport does not.
+    sender.state.apply_all(effects_of(sender, sender_ops))
+    assert payload == shipped
+
+    # A receiver merges it (adopting shared values) and moves on: neither the
+    # payload — another peer may still be reading it — nor the sender sees it.
+    sender_after = copy.deepcopy(sender.state)
+    receiver.state.merge_entries(payload, source="sender")
+    receiver.state.apply_all(effects_of(receiver, receiver_ops))
+    assert payload == shipped
+    assert dump(sender.state) == dump(sender_after)
+
+
+@given(BATCHES, BATCHES)
+@settings(max_examples=200, deadline=None)
+def test_merge_logs_only_what_inflated(seed_ops, peer_ops):
+    receiver = seeded_interpreter(seed_ops)
+    peer = seeded_interpreter(peer_ops)
+    log = receiver.state.change_log = ChangeLog()
+    before = copy.deepcopy(receiver.state)
+
+    receiver.state.merge_entries(peer.state.export(), source="peer")
+
+    changed = set()
+    for name, table in receiver.state.tables.items():
+        was = before.tables[name].rows
+        changed |= {(name, key) for key, row in table.rows.items() if row != was.get(key)}
+    changed |= {(None, name) for name, value in receiver.state.vars.items()
+                if value != before.vars[name]}
+    assert {item for item, _, _ in log.since(0)} == changed
+    # Merging the same entries again is a no-op and logs nothing.
+    stamp = log.seq
+    receiver.state.merge_entries(peer.state.export(), source="peer")
+    assert log.seq == stamp
