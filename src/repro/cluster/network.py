@@ -29,6 +29,7 @@ revisions, so existing traces stay byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.simulator import Simulator
@@ -55,9 +56,15 @@ def wire_size(entry_count: int) -> int:
     return WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * entry_count
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
-    """An addressed message travelling through the simulated network."""
+    """An addressed message travelling through the simulated network.
+
+    Immutable by convention, not ``frozen`` (which costs one
+    ``object.__setattr__`` call per field per message): only the network
+    and the transport write a field, the two riders below, on a message
+    they just built.
+    """
 
     source: Hashable
     destination: Hashable
@@ -68,13 +75,16 @@ class Message:
     #: Declared wire size; what the transmission model charges the link.
     size_bytes: int = 0
     #: Out-of-band (queue_wait, serialization, nic_wait) cost the network
-    #: stamps on the message it scheduled (via ``object.__setattr__`` — the
-    #: message stays frozen for senders).  Declared as a field so the class
-    #: can be slotted; excluded from equality/repr like any transport rider.
+    #: stamps on the message it scheduled; excluded from equality/repr like
+    #: any transport rider.
     transmission: tuple = field(default=_NO_COST, compare=False, repr=False)
     #: Out-of-band responder state for RPC requests (see
-    #: ``transport._InboundRequest``); same slotting rationale.
+    #: ``transport._InboundRequest``).
     rpc_state: Any = field(default=None, compare=False, repr=False)
+
+    def delivery_label(self) -> str:
+        """The delivery event's trace label (rendered only when traced)."""
+        return f"deliver {self.mailbox} {self.source}->{self.destination}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -509,89 +519,63 @@ class Network:
         sender's shared NIC, the link's FIFO backlog, the message's own
         serialization time, and the receiver's shared NIC.
         """
-        message = Message(
-            source=source,
-            destination=destination,
-            mailbox=mailbox,
-            payload=payload,
-            sent_at=self.simulator.now,
-            message_id=self._next_message_id,
-            size_bytes=size_bytes,
-        )
+        simulator = self.simulator
+        config = self.config
+        message = Message(source, destination, mailbox, payload,
+                          simulator.now, self._next_message_id, size_bytes)
         self._next_message_id += 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        self.last_transmission = _NO_COST
-        # Both gates are loop-invariant per send; computing them once here
-        # (instead of 2-4 times through the helper methods) is a measurable
-        # win with the link model on, where every message takes this path.
-        model_active = (self.config.bandwidth is not None
-                        or self.config.delay_matrix is not None
-                        or self.config.nic_bandwidth is not None
+        # The one gate of this send, handed down (never re-derived).
+        model_active = (config.bandwidth is not None
+                        or config.delay_matrix is not None
+                        or config.nic_bandwidth is not None
                         or bool(self._nic_bandwidth))
-        observing = model_active or self.record_delivery_latency
-
-        if not self.is_reachable(source, destination):
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat((source, destination))
-                stat["enqueued_bytes"] += size_bytes
-                stat["dropped_bytes"] += size_bytes
-            if observing:
-                self.observatory.on_sent((source, destination),
-                                         message.sent_at, size_bytes)
-                self.observatory.on_dropped((source, destination),
-                                            message.sent_at, size_bytes)
-            return message
-        if self.config.drop_rate and self.simulator.rng.random() < self.config.drop_rate:
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat((source, destination))
-                stat["enqueued_bytes"] += size_bytes
-                stat["dropped_bytes"] += size_bytes
-            if observing:
-                self.observatory.on_sent((source, destination),
-                                         message.sent_at, size_bytes)
-                self.observatory.on_dropped((source, destination),
-                                            message.sent_at, size_bytes)
-            return message
-
-        if observing:
+        if model_active or self.record_delivery_latency:
             self.observatory.on_sent((source, destination),
                                      message.sent_at, size_bytes)
-        timing = self._schedule_delivery(message)
+        if ((self._partitions and not self.is_reachable(source, destination))
+                or (config.drop_rate
+                    and simulator.rng.random() < config.drop_rate)):
+            self.last_transmission = _NO_COST
+            self._ledger_drop(message, model_active, in_flight=False)
+            return message
+
+        timing = self._schedule_delivery(message, model_active)
         self.last_transmission = timing
-        # Message is frozen; the transmission cost rides along out-of-band
-        # (like the transport's rpc_state) so callers holding the returned
-        # message can ledger it without racing a later send.
+        # The transmission cost rides along on the message so callers
+        # holding it can ledger the cost without racing a later send.
         if timing is not _NO_COST:
-            object.__setattr__(message, "transmission", timing)
+            message.transmission = timing
         if (
-            self.config.duplicate_rate
-            and self.simulator.rng.random() < self.config.duplicate_rate
+            config.duplicate_rate
+            and simulator.rng.random() < config.duplicate_rate
         ):
             # The duplicate is a real retransmission: it occupies the link
             # (and the byte ledger) a second time.
-            self._schedule_delivery(message)
+            self._schedule_delivery(message, model_active)
         return message
 
     # -- internals --------------------------------------------------------------
 
-    def _link_model_active(self) -> bool:
-        config = self.config
-        return (config.bandwidth is not None
-                or config.delay_matrix is not None
-                or config.nic_bandwidth is not None
-                or bool(self._nic_bandwidth))
-
-    def _observing(self) -> bool:
-        """Whether the windowed link observatory accumulates samples.
-
-        Same gate as the ``net.delivery`` recorder: always with the
-        transmission model on, opt-in otherwise — a model-off soak run
-        should not grow a per-link time series it never reads.
-        """
-        return self._link_model_active() or self.record_delivery_latency
+    def _ledger_drop(self, message: Message, model_active: bool,
+                     in_flight: bool) -> None:
+        """Account one dropped message: at send time (it never entered a
+        queue, so enqueued and dropped are charged together) or, ``in_flight``,
+        at its delivery event.  The observatory shares the ``net.delivery``
+        gate, so a model-off soak run grows no per-link series it never reads."""
+        self.messages_dropped += 1
+        link = (message.source, message.destination)
+        size = message.size_bytes
+        if model_active:
+            stat = self._link_stat(link)
+            stat["dropped_bytes"] += size
+            if in_flight:
+                stat["in_flight_bytes"] -= size
+            else:
+                stat["enqueued_bytes"] += size
+        if model_active or self.record_delivery_latency:
+            self.observatory.on_dropped(link, message.sent_at, size)
 
     def _link_stat(self, link: tuple[Hashable, Hashable]) -> dict[str, int]:
         stat = self._link_stats.get(link)
@@ -666,17 +650,14 @@ class Network:
         """Charge ``message`` through the three-stage transmission pipeline:
         sender uplink NIC → per-link pipe → receiver downlink NIC.
 
-        Returns ``(queue_wait, serialization, nic_wait)`` in ticks — all
-        0.0 while the model is off, so delivery times (and the event trace)
-        match the size-blind network exactly.  Each stage starts when both
-        the message's previous stage and the stage's own FIFO horizon have
-        cleared; a gray-failure node factor multiplies each serialization
-        the degraded endpoint touches exactly once (uplink: sender's; link:
-        both; downlink: receiver's) — never the accumulated pipeline time,
-        so stacking queue stages does not compound the factor.
+        Only called with the model on (``send``'s gate).  Returns
+        ``(queue_wait, serialization, nic_wait)`` in ticks.  Each stage
+        starts when both the message's previous stage and the stage's own
+        FIFO horizon have cleared; a gray-failure node factor multiplies
+        each serialization the degraded endpoint touches exactly once
+        (uplink: sender's; link: both; downlink: receiver's) — never the
+        accumulated pipeline time, so stacked stages do not compound it.
         """
-        if not self._link_model_active():
-            return _NO_COST
         link = (message.source, message.destination)
         stat = self._link_stat(link)
         size = message.size_bytes
@@ -730,57 +711,40 @@ class Network:
             self.max_transmission_delay = total
         return (queue_wait, serialization, nic_wait)
 
-    def _schedule_delivery(self, message: Message) -> tuple[float, float, float]:
-        timing = self._transmit(message)
+    def _schedule_delivery(self, message: Message,
+                           model_active: bool) -> tuple[float, float, float]:
+        # Model off: the shared ``_NO_COST`` identity ``send`` checks, and
+        # the bare propagation delay of the size-blind network.
+        timing = self._transmit(message) if model_active else _NO_COST
         delay = self._sample_delay(message.source, message.destination)
-        queue_wait, serialization, nic_wait = timing
-        self.simulator.schedule(
-            nic_wait + queue_wait + serialization + delay,
-            lambda: self._deliver(message),
-            label=f"deliver {message.mailbox} {message.source}->{message.destination}",
-        )
-        # Returned as-is so the model-off fast path keeps the shared
-        # ``_NO_COST`` identity ``send`` checks before stamping the message.
+        if timing is not _NO_COST:
+            queue_wait, serialization, nic_wait = timing
+            delay = nic_wait + queue_wait + serialization + delay
+        self.simulator.schedule(delay, partial(self._deliver, message),
+                                message.delivery_label)
         return timing
 
     def _deliver(self, message: Message) -> None:
-        link = (message.source, message.destination)
-        model_active = (self.config.bandwidth is not None
-                        or self.config.delay_matrix is not None
-                        or self.config.nic_bandwidth is not None
+        # The one gate of this delivery (the model may have been switched
+        # since the send; the ledger follows what is configured now).
+        config = self.config
+        model_active = (config.bandwidth is not None
+                        or config.delay_matrix is not None
+                        or config.nic_bandwidth is not None
                         or bool(self._nic_bandwidth))
-        observing = model_active or self.record_delivery_latency
-        if not self.is_reachable(message.source, message.destination):
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat(link)
-                stat["dropped_bytes"] += message.size_bytes
-                stat["in_flight_bytes"] -= message.size_bytes
-            if observing:
-                self.observatory.on_dropped(link, message.sent_at,
-                                            message.size_bytes)
-            return
         handler = self._handlers.get(message.destination)
-        if handler is None:
-            self.messages_dropped += 1
-            if model_active:
-                stat = self._link_stat(link)
-                stat["dropped_bytes"] += message.size_bytes
-                stat["in_flight_bytes"] -= message.size_bytes
-            if observing:
-                self.observatory.on_dropped(link, message.sent_at,
-                                            message.size_bytes)
+        if handler is None or (self._partitions and not self.is_reachable(
+                message.source, message.destination)):
+            self._ledger_drop(message, model_active, in_flight=True)
             return
         self.messages_delivered += 1
-        if model_active:
-            stat = self._link_stat(link)
-            stat["delivered_bytes"] += message.size_bytes
-            stat["in_flight_bytes"] -= message.size_bytes
-        if observing:
-            # Gated so a model-off soak run does not accumulate one sample
-            # per delivered message it never reads.
-            self.metrics.record_latency("net.delivery",
-                                        self.simulator.now - message.sent_at)
-            self.observatory.on_delivered(link, message.sent_at,
-                                          self.simulator.now - message.sent_at)
+        if model_active or self.record_delivery_latency:
+            link = (message.source, message.destination)
+            if model_active:
+                stat = self._link_stat(link)
+                stat["delivered_bytes"] += message.size_bytes
+                stat["in_flight_bytes"] -= message.size_bytes
+            latency = self.simulator.now - message.sent_at
+            self.metrics.record_latency("net.delivery", latency)
+            self.observatory.on_delivered(link, message.sent_at, latency)
         handler(message)

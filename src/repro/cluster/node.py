@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message, Network
-from repro.cluster.simulator import Event, Simulator
+from repro.cluster.simulator import Event, Label, Simulator
 from repro.cluster.transport import (
     TRANSPORT_MAILBOX,
     RpcPolicy,
@@ -65,25 +65,17 @@ class Node:
 
     # -- messaging --------------------------------------------------------------
 
-    def send(
-        self,
-        destination: Hashable,
-        mailbox: str,
-        payload: Any,
-        entries: int = 1,
-        *,
-        size_bytes: Optional[int] = None,
-    ) -> Optional[Message]:
+    def send(self, destination: Hashable, mailbox: str, payload: Any,
+             entries: int = 1) -> Optional[Message]:
         """Send one message immediately (unbatched); crashed nodes send nothing.
 
         ``entries`` declares the payload's key/value entry count; the wire
-        cost is ``wire_size(entries)``.  ``size_bytes`` is a deprecated raw
-        override kept only as a migration path.
+        cost is ``wire_size(entries)``.
         """
         if not self.alive:
             return None
         return self.transport.send_now(destination, mailbox, payload,
-                                       entries=entries, size_bytes=size_bytes)
+                                       entries=entries)
 
     def broadcast(self, destinations, mailbox: str, payload: Any,
                   entries: int = 1) -> None:
@@ -95,8 +87,9 @@ class Node:
 
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0) -> None:
-        """Queue a typed message; same-instant sends to one peer share an
-        envelope (one ``WIRE_HEADER_BYTES``).  Crashed nodes send nothing."""
+        """Queue a typed message; sends to one peer from the same event
+        share an envelope (one ``WIRE_HEADER_BYTES``).  Crashed nodes send
+        nothing."""
         if not self.alive:
             return
         self.transport.queue(destination, mailbox, payload, entries)
@@ -154,7 +147,8 @@ class Node:
 
     # -- timers -----------------------------------------------------------------
 
-    def set_timer(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
+    def set_timer(self, delay: float, callback: Callable[[], None],
+                  label: Label = "") -> Event:
         """Schedule a callback that only fires if the node is still alive.
 
         The delay is stretched by ``timer_drift``: a node with a slow local
@@ -167,7 +161,7 @@ class Node:
                 callback()
 
         event = self.simulator.schedule(delay * self.timer_drift, guarded,
-                                        label or f"timer@{self.node_id}")
+                                        label or self._default_timer_label)
         self._timers.append(event)
         if len(self._timers) > 256:
             # Prune spent timers (fired: time <= now; or cancelled) so a
@@ -176,6 +170,9 @@ class Node:
             self._timers = [timer for timer in self._timers
                             if not timer.cancelled and timer.time > now]
         return event
+
+    def _default_timer_label(self) -> str:
+        return f"timer@{self.node_id}"
 
     # -- failure ----------------------------------------------------------------
 

@@ -6,18 +6,25 @@ simulator pops events in (time, sequence) order and invokes their callbacks,
 so execution is fully deterministic for a given seed and schedule.
 
 This is the hot loop under every benchmark and chaos sweep, so the core is
-deliberately lean: events are ``__slots__`` objects with a hand-pinned
-``(time, sequence)`` total order (never payload comparison), the run loop
-pops the heap exactly once per event, and cancelled events are tombstones
-that are *compacted* once they dominate the heap instead of leaking until
-their (possibly far-future) fire time arrives.
+deliberately lean: heap entries are ``(time, sequence, event)`` tuples the
+heap compares in C (sequences are unique, so the event itself is never
+compared), the run loop pops the heap exactly once per event, labels are
+rendered only when someone reads them, work that merely follows the current
+event (a transport flush) is *deferred* instead of scheduled, and cancelled
+events are tombstones that are *compacted* once they dominate the heap
+instead of leaking until their (possibly far-future) fire time arrives.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Optional, Union
+
+#: An event label: the text, or a zero-argument callable rendering it (hot
+#: paths pass one so the string is only built when traced or printed).
+Label = Union[str, Callable[[], str]]
 
 #: Compaction trigger: once at least this many tombstones exist *and* they
 #: make up over half the heap, the queue is rebuilt without them.  Below the
@@ -31,30 +38,29 @@ class Event:
 
     Ordering is **pinned** to ``(time, sequence)``: the sequence number is
     assigned at scheduling time so simultaneous events fire in the order
-    they were scheduled, keeping runs reproducible.  Nothing else — not the
-    callback, not the label — may ever participate in the comparison, or
-    the event trace would depend on payload contents.
+    they were scheduled, keeping runs reproducible.  The simulator's heap
+    holds ``(time, sequence, event)`` tuples and sequences are unique, so
+    the comparison never reaches the event: neither the callback nor the
+    label can participate, and the trace cannot depend on payload contents.
     """
 
-    __slots__ = ("time", "sequence", "callback", "label", "cancelled", "_owner")
+    __slots__ = ("time", "sequence", "callback", "_label", "cancelled", "_owner")
 
     def __init__(self, time: float, sequence: int,
-                 callback: Callable[[], None], label: str = "",
+                 callback: Callable[[], None], label: Label = "",
                  owner: "Optional[Simulator]" = None) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
-        self.label = label
+        self._label = label
         self.cancelled = False
         self._owner = owner
 
-    def __lt__(self, other: "Event") -> bool:
-        # The explicit total order: time first, scheduling sequence breaks
-        # ties.  Sequences are unique per simulator, so two distinct events
-        # never compare equal and heap order is payload-independent.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
+    @property
+    def label(self) -> str:
+        """The label's text (rendered now if it was given as a callable)."""
+        label = self._label
+        return label if isinstance(label, str) else label()
 
     def cancel(self) -> None:
         """Mark the event so the run loop skips it when popped.
@@ -89,7 +95,8 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
         self.now: float = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
+        self._deferred: deque[Callable[[], None]] = deque()
         self._sequence = 0
         self._cancelled = 0
         self._events_processed = 0
@@ -98,19 +105,36 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None],
+                 label: Label = "") -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(self.now + delay, sequence, callback, label, self)
-        heapq.heappush(self._queue, event)
+        time = self.now + delay
+        event = Event(time, sequence, callback, label, self)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None],
+                    label: Label = "") -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
         return self.schedule(max(0.0, time - self.now), callback, label)
+
+    def defer(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` as soon as the current event's callback returns.
+
+        Deferred callbacks run FIFO before the next heap pop — so before
+        any event already scheduled for this same instant — and one that
+        defers again is drained in the same pass.  They are not events: no
+        :class:`Event`, label, heap entry or trace row, and no count in
+        :attr:`events_processed`.  Deferred from outside an event (or by an
+        event that then raised), a callback runs on entry to the next
+        :meth:`run` / :meth:`step`; :attr:`pending_events` counts it
+        meanwhile, so a ``while sim.pending_events`` loop cannot strand it.
+        """
+        self._deferred.append(callback)
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` (equivalent to ``event.cancel()``)."""
@@ -136,41 +160,50 @@ class Simulator:
             # strand every event scheduled after the compaction in a list
             # nobody drains.
             queue = self._queue
-            queue[:] = [event for event in queue if not event.cancelled]
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
             heapq.heapify(queue)
             self._cancelled = 0
 
     # -- running ----------------------------------------------------------------
 
+    def _drain_deferred(self) -> None:
+        deferred = self._deferred
+        while deferred:
+            deferred.popleft()()
+
     def step(self) -> bool:
         """Process the next event.  Returns False when the queue is empty."""
+        self._drain_deferred()
         queue = self._queue
         while queue:
-            event = heapq.heappop(queue)
+            time, _, event = heapq.heappop(queue)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self.now = event.time
+            self.now = time
             if self.tracing:
-                self._trace.append((self.now, event.label))
+                self._trace.append((time, event.label))
             event.callback()
             self._events_processed += 1
+            self._drain_deferred()
             return True
         return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire."""
         queue = self._queue
+        deferred = self._deferred
         pop = heapq.heappop
         fired = 0
         try:
+            self._drain_deferred()  # whatever was deferred outside an event
             while queue:
-                event = queue[0]
+                time, _, event = queue[0]
                 if event.cancelled:
                     pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     # Never move the clock backwards: a caller that already
                     # ran past ``until`` keeps its current time (matching
                     # the drained-queue path, which leaves ``now`` alone).
@@ -180,11 +213,13 @@ class Simulator:
                 if max_events is not None and fired >= max_events:
                     return
                 pop(queue)
-                self.now = event.time
+                self.now = time
                 if self.tracing:
-                    self._trace.append((event.time, event.label))
+                    self._trace.append((time, event.label))
                 event.callback()
                 fired += 1
+                while deferred:  # _drain_deferred, inlined: the hot loop
+                    deferred.popleft()()
         finally:
             self._events_processed += fired
 
@@ -202,9 +237,9 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (cancelled tombstones included,
-        until compaction reclaims them)."""
-        return len(self._queue)
+        """Work still queued: events (cancelled tombstones included, until
+        compaction reclaims them) plus deferred callbacks not yet run."""
+        return len(self._queue) + len(self._deferred)
 
     @property
     def cancelled_pending(self) -> int:

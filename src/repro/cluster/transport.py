@@ -8,12 +8,13 @@ module is the single seam between protocol code and the network:
   many key/value entries its payload carries; its cost on the wire always
   comes from :func:`~repro.cluster.network.wire_size`, never from a hardcoded
   byte constant.
-* **Per-destination batching** — parcels queued within one simulated instant
-  to the same peer ride a single :class:`Envelope`, paying
-  ``WIRE_HEADER_BYTES`` once.  A flush is scheduled automatically at the same
-  instant (so batching never delays delivery past the tick that produced the
-  sends), and protocol cadences (gossip ticks, the flow scheduler's
-  end-of-tick) can call :meth:`Transport.flush` explicitly.
+* **Per-destination batching** — parcels queued to the same peer within one
+  event (its callback and whatever that defers) ride a single
+  :class:`Envelope`, paying ``WIRE_HEADER_BYTES`` once.  The flush is a
+  *deferred callback* (:meth:`Simulator.defer`), never an event: it runs when
+  the event that queued the parcels returns, so batching never delays
+  delivery and **between two events nothing is queued unsent**.  Protocol
+  cadences (gossip ticks, end-of-tick) can also :meth:`Transport.flush`.
 * **RPC** — :meth:`Transport.request` gives request/reply with timeouts,
   capped retries and duplicate suppression on both sides; replies are
   dispatched to an ordinary reply mailbox, so protocol handlers keep their
@@ -32,10 +33,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import sys
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import (
@@ -71,29 +71,15 @@ def digest_entries(count: int) -> int:
     return max(1, -(-count * DIGEST_WIRE_BYTES // WIRE_ENTRY_BYTES))
 
 
-def _caller_site() -> str:
-    """``file:line`` of the frame the size_bytes deprecation attributes to.
-
-    Depth 3 mirrors the warning's ``stacklevel=3`` (this helper, then
-    ``send_now``, then ``Node.send``, then the caller) — the warning is
-    deduplicated per site, so the message must say *which* site or a
-    once-only warning from a 40-file run is unactionable.
-    """
-    try:
-        frame = sys._getframe(3)
-    except ValueError:  # pragma: no cover - shallower stacks than expected
-        return "<unknown>"
-    return f"{frame.f_code.co_filename}:{frame.f_lineno}"
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Parcel:
     """One typed logical message: a mailbox, a payload, and its entry count.
 
     ``entries`` is the number of key/value-sized units the payload carries
     (0 for pure control traffic — acks, votes, header-only requests).  It is
     the *only* size declaration a sender makes; bytes are always derived via
-    :func:`wire_size`.
+    :func:`wire_size`.  Nobody writes a field after construction (see
+    :class:`~repro.cluster.network.Message` for why it is not ``frozen``).
     """
 
     mailbox: str
@@ -108,7 +94,7 @@ class Parcel:
         return wire_size(self.entries)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Envelope:
     """The physical wire unit: one or more parcels to one destination.
 
@@ -311,9 +297,9 @@ class Transport:
     """One node's binding to the network: batching, sizing, RPC.
 
     ``owner`` is the hosting :class:`~repro.cluster.node.Node` (duck-typed:
-    ``alive``, ``set_timer``, ``dispatch``).  A transport can run standalone
-    (owner ``None``) for tests, in which case timers go straight to the
-    simulator and liveness gating is skipped.
+    ``alive``, ``timer_drift``, ``dispatch``).  A transport can run
+    standalone (owner ``None``) for tests, in which case timeouts are not
+    drift-stretched and liveness gating is skipped.
     """
 
     def __init__(self, network: Network, node_id: Hashable,
@@ -328,7 +314,6 @@ class Transport:
         #: Per-destination queue-time payload digests, parallel to
         #: ``_queues`` (only populated while ``config.sanitize`` is on).
         self._queue_digests: dict[Hashable, list[str]] = {}
-        self._flush_scheduled = False
         self._pending: dict[int, _PendingRequest] = {}
         self._served: OrderedDict[tuple, Optional[Parcel]] = OrderedDict()
         self._rpc_ids = itertools.count()
@@ -351,24 +336,14 @@ class Transport:
     # -- sending ------------------------------------------------------------------
 
     def send_now(self, destination: Hashable, mailbox: str, payload: Any,
-                 entries: int = 1,
-                 size_bytes: Optional[int] = None) -> Message:
+                 entries: int = 1) -> Message:
         """Ship one logical message immediately, unframed and unbatched.
 
-        This is the compatibility path behind :meth:`Node.send`: the message
-        travels under its own mailbox (no envelope), so raw
-        ``network.register`` handlers and tests observe it exactly as
-        before.  ``size_bytes`` is the deprecated raw escape hatch.
+        This is the path behind :meth:`Node.send`: the message travels under
+        its own mailbox (no envelope), so raw ``network.register`` handlers
+        and tests observe it directly.
         """
-        if size_bytes is None:
-            size = wire_size(entries)
-        else:
-            warnings.warn(
-                f"raw size_bytes is deprecated (call site {_caller_site()}); "
-                "declare an entry count and let wire_size() price the "
-                "payload",
-                DeprecationWarning, stacklevel=3)
-            size = size_bytes
+        size = wire_size(entries)
         self._account_logical(mailbox, entries)
         self._account_envelope(size, 1)
         message = self.network.send(self.node_id, destination, mailbox, payload,
@@ -378,28 +353,25 @@ class Transport:
 
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0, _parcel: Optional[Parcel] = None) -> None:
-        """Queue a parcel for ``destination``; it ships at this instant's flush.
+        """Queue a parcel for ``destination``; it ships when the current
+        event's callback returns (a deferred :meth:`flush`, not an event).
 
         Parcels queued to the same destination before the flush coalesce
         into one envelope.  The payload must not be mutated after queueing
         (ownership passes to the transport — the batch is the snapshot).
         """
         parcel = _parcel if _parcel is not None else Parcel(mailbox, payload, entries)
-        if not self.config.batching:
+        config = self.config
+        if not config.batching:
             self._ship(destination, [parcel])
             return
+        if not self._queues:
+            # First parcel since a flush emptied the queues: defer the next.
+            self.network.simulator.defer(self.flush)
         self._queues.setdefault(destination, []).append(parcel)
-        if self.config.sanitize:
+        if config.sanitize:
             self._queue_digests.setdefault(destination, []).append(
                 payload_digest(parcel.payload))
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.network.simulator.schedule(
-                0.0, self._auto_flush, label=f"transport-flush@{self.node_id}")
-
-    def _auto_flush(self) -> None:
-        self._flush_scheduled = False
-        self.flush()
 
     def flush(self, destination: Optional[Hashable] = None) -> None:
         """Ship queued parcels now (all destinations, or one).
@@ -424,9 +396,11 @@ class Transport:
         queues, self._queues = self._queues, {}
         digest_map, self._queue_digests = self._queue_digests, {}
         # Sorted, never hash order — and reversed under the perturb-order
-        # sanitizer, which any correct caller must be indifferent to.
-        for dest in sorted(queues, key=repr,
-                           reverse=self.config.perturb_order):
+        # sanitizer, which any correct caller must be indifferent to.  (One
+        # destination, the common flush, has only one order.)
+        order = queues if len(queues) == 1 else sorted(
+            queues, key=repr, reverse=self.config.perturb_order)
+        for dest in order:
             self._ship(dest, queues[dest], digest_map.get(dest))
 
     def _ship(self, destination: Hashable, parcels: list[Parcel],
@@ -519,15 +493,18 @@ class Transport:
         return rpc_id
 
     def _arm_timer(self, pending: _PendingRequest) -> None:
+        # Straight on the heap, drift-stretched like any node timer; no
+        # liveness guard, because ``on_crash`` cancels every pending timer.
+        # The lazy label holds the two ids, not ``pending``: the event is
+        # ``pending.timer``, and a cycle would park every finished request
+        # on the garbage collector.
         rpc_id = pending.parcel.rpc_id
-        label = f"rpc-timeout@{self.node_id}#{rpc_id}"
-        callback = lambda: self._on_rpc_timeout(rpc_id)  # noqa: E731
+        timeout = pending.policy.timeout
         if self.owner is not None:
-            pending.timer = self.owner.set_timer(pending.policy.timeout,
-                                                 callback, label=label)
-        else:
-            pending.timer = self.network.simulator.schedule(
-                pending.policy.timeout, callback, label=label)
+            timeout *= self.owner.timer_drift
+        pending.timer = self.network.simulator.schedule(
+            timeout, partial(self._on_rpc_timeout, rpc_id),
+            partial("rpc-timeout@{}#{}".format, self.node_id, rpc_id))
 
     def _on_rpc_timeout(self, rpc_id: int) -> None:
         pending = self._pending.get(rpc_id)
@@ -667,9 +644,9 @@ class Transport:
             return
         logical = self._logical_message(physical, parcel)
         inbound = _InboundRequest(parcel)
-        # Message is frozen; the responder state rides along out-of-band so
-        # deferred replies (handler answers after dispatch returns) work.
-        object.__setattr__(logical, "rpc_state", inbound)
+        # The responder state rides along out-of-band so deferred replies
+        # (handler answers after dispatch returns) work.
+        logical.rpc_state = inbound
         self._dispatch(logical)
         if not inbound.forwarded:
             # Memoize even when the reply is still None: the handler ran,
@@ -682,8 +659,8 @@ class Transport:
     # -- failure hooks ------------------------------------------------------------
 
     def on_crash(self) -> None:
-        """Fail-stop: queued parcels, pending requests and the dedup memo
-        die with the process (timers are cancelled by the node)."""
+        """Fail-stop: queued parcels, pending requests (and their timeout
+        events) and the dedup memo die with the process."""
         self._queues.clear()
         self._queue_digests.clear()
         for pending in self._pending.values():

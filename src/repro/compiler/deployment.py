@@ -149,7 +149,7 @@ class HydroDeployment:
         """Logical messages sent across the deployment.
 
         Counted at the transport layer, not the wire: per-destination
-        batching coalesces same-instant protocol messages into shared
+        batching coalesces one event's protocol messages into shared
         envelopes, so ``network.messages_sent`` measures the batcher, while
         protocol cost comparisons (e.g. the E2 coordination ablation) need
         the logical count.

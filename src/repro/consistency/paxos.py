@@ -21,7 +21,7 @@ All messaging rides the shared transport: ``accept`` and ``campaign`` are
 RPCs (the transport retries a lost request and the acceptor's memoized
 ``accept_ack``/``promise`` is re-served on a duplicate — Paxos is already
 idempotent under both, so at-least-once delivery is free robustness), and
-same-instant traffic to one peer — e.g. a burst of proposals, or the
+traffic one event queues to one peer — e.g. a burst of proposals, or the
 re-proposals after winning a campaign — coalesces into a single envelope.
 """
 

@@ -31,21 +31,30 @@ class LWWRegister(Lattice):
         self.value = value
         self.tiebreak = tiebreak
 
-    def _sort_key(self) -> tuple:
-        # The final repr(value) component makes the order total even when two
-        # writes collide on (timestamp, tiebreak), which keeps merge
-        # commutative in the degenerate case of duplicate tags.
-        return (self.timestamp, _tiebreak_key(self.tiebreak), repr(self.value))
+    def _at_least(self, other: "LWWRegister") -> bool:
+        """``self >= other`` in the total order (timestamp, tiebreak,
+        ``repr(value)``).  The last component only keeps merge commutative
+        when two writes collide on (timestamp, tiebreak), so it is formatted
+        only on such a tie between two different value objects (a register
+        merged with a copy of itself shares its value)."""
+        if self.timestamp != other.timestamp:
+            return self.timestamp > other.timestamp
+        # Tiebreaks are normalised to strings so heterogeneous ids compare.
+        mine, theirs = str(self.tiebreak), str(other.tiebreak)
+        if mine != theirs:
+            return mine > theirs
+        return (self.value is other.value
+                or repr(self.value) >= repr(other.value))
 
     def merge(self, other: "LWWRegister") -> "LWWRegister":
-        if self._sort_key() >= other._sort_key():
+        if self._at_least(other):
             return LWWRegister(self.timestamp, self.value, self.tiebreak)
         return LWWRegister(other.timestamp, other.value, other.tiebreak)
 
     def leq(self, other: "LWWRegister") -> bool:
         if not isinstance(other, LWWRegister):
             return super().leq(other)
-        return self._sort_key() <= other._sort_key()
+        return other._at_least(self)
 
     @classmethod
     def bottom(cls) -> "LWWRegister":
@@ -73,7 +82,3 @@ class LWWRegister(Lattice):
     def __repr__(self) -> str:
         return f"LWWRegister(t={self.timestamp}, value={self.value!r})"
 
-
-def _tiebreak_key(tiebreak: Hashable) -> str:
-    """Normalise tiebreaks to strings so heterogeneous ids stay comparable."""
-    return str(tiebreak)

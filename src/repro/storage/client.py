@@ -27,6 +27,7 @@ correctness risk.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message
@@ -44,8 +45,13 @@ class KVSClient(Node):
         self.session_writes = MapLattice()
         self.session_reads = MapLattice()
         self.pending_gets: dict[int, Callable[[Optional[Lattice]], None]] = {}
+        #: Completions: only the newest ``TransportConfig.dedup_window`` per
+        #: table, not one entry per op ever issued.  The oldest is evicted
+        #: *after* the insert, so a subclass reading ``completed_gets[id]``
+        #: right after the reply handler always finds it.
         self.completed_gets: dict[int, Optional[Lattice]] = {}
         self.acked_puts: set[int] = set()
+        self._acked_order: deque[int] = deque()
         #: Session epoch.  A crash+lose-state recovery is a *new* session
         #: under a reused node id, so the counter bumps in ``reset_state``
         #: and session-guarantee checkers judge each incarnation separately.
@@ -95,13 +101,20 @@ class KVSClient(Node):
             # Colliding cache entries are merged immutably by insert_into,
             # so results already returned to callers are never mutated.
             self.session_reads.insert_into(key, value)
-        self.completed_gets[request_id] = value
+        completed = self.completed_gets
+        completed[request_id] = value
+        while len(completed) > self.transport.config.dedup_window:
+            del completed[next(iter(completed))]
         callback = self.pending_gets.pop(request_id, None)
         if callback is not None:
             callback(value)
 
     def _on_put_ack(self, message: Message) -> None:
-        self.acked_puts.add(message.payload["request_id"])
+        request_id = message.payload["request_id"]
+        self.acked_puts.add(request_id)
+        self._acked_order.append(request_id)
+        while len(self._acked_order) > self.transport.config.dedup_window:
+            self.acked_puts.discard(self._acked_order.popleft())
 
     # -- failure ----------------------------------------------------------------------
 
@@ -120,12 +133,15 @@ class KVSClient(Node):
         self.pending_gets.clear()
         self.completed_gets.clear()
         self.acked_puts.clear()
+        self._acked_order.clear()
         self.incarnation += 1
 
     # -- introspection ----------------------------------------------------------------
 
     def result_of(self, request_id: int) -> Optional[Lattice]:
+        """The merged result of a recent get (``None`` once evicted)."""
         return self.completed_gets.get(request_id)
 
     def put_acknowledged(self, request_id: int) -> bool:
+        """Whether a recent put was acked (``False`` once evicted)."""
         return request_id in self.acked_puts

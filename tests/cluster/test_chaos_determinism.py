@@ -30,6 +30,46 @@ print(hashlib.sha256(payload.encode()).hexdigest())
 """
 
 
+#: A short traced KVS run touching every lazily rendered label: deliveries,
+#: the default ``timer@`` label, gossip cadences, and RPC timeouts (client
+#: c1 is cut off, so its requests time out and retry).  Prints the sha256
+#: of its ``(time, label)`` rows.
+LABEL_SCRIPT = """
+import hashlib
+from repro.cluster import Network, NetworkConfig, Simulator
+from repro.lattices import LWWRegister
+from repro.storage.client import KVSClient
+from repro.storage.kvs import LatticeKVS
+
+sim = Simulator(seed=5)
+sim.tracing = True
+net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5))
+kvs = LatticeKVS(sim, net, shard_count=2, replication_factor=3,
+                 gossip_interval=20.0)
+clients = [KVSClient(f"c{i}", sim, net, kvs) for i in range(2)]
+net.partition({"c1"}, {r.node_id for shard in kvs.shards for r in shard})
+clients[0].set_timer(3.3, lambda: None)
+for i in range(45):
+    client = clients[0 if i % 5 else 1]
+    if i % 3 == 0:
+        op = lambda c=client, i=i: c.put(f"k{i % 7}", LWWRegister(i, i))
+    else:
+        op = lambda c=client, i=i: c.get(f"k{i % 7}")
+    sim.schedule_at(0.11 + 0.37 * i, op, label="op")
+sim.run(until=90.0)
+kinds = {label.split("@")[0].split(" ")[0] for _, label in sim.trace}
+assert kinds == {"deliver", "kvs-gossip", "op", "rpc-timeout", "timer"}, kinds
+rows = "\\n".join(f"{t:.9f} {label}" for t, label in sim.trace)
+print(hashlib.sha256(rows.encode()).hexdigest())
+"""
+
+#: What LABEL_SCRIPT printed at the last commit whose flush was a heap event
+#: (6c31a54), with that commit's 106 ``transport-flush@…`` rows filtered out
+#: of its 310: making the flush a deferred callback and rendering labels
+#: lazily moved no other row's time or text.
+LABEL_DIGEST = "11462c1c304e1b506b643f4ce64c6e27ffd97bb616f4462eea94a3814821d6b3"
+
+
 def scenario_digest():
     from repro.chaos import fast_config, run_scenario, standard_schedule, state_digest
 
@@ -38,12 +78,12 @@ def scenario_digest():
     return hashlib.sha256((trace + "\n" + state_digest(result.env)).encode()).hexdigest()
 
 
-def digest_under_hashseed(hashseed: str) -> str:
+def digest_under_hashseed(hashseed: str, script: str = DIGEST_SCRIPT) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = SRC + os.pathsep * bool(env.get("PYTHONPATH")) \
         + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT],
+    result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True, env=env)
     return result.stdout.strip()
 
@@ -76,3 +116,10 @@ class TestChaosDeterminism:
         """The two CI jobs pin different hash seeds; the trace digest must
         agree between them (exercised here with two fresh interpreters)."""
         assert digest_under_hashseed("1") == digest_under_hashseed("31337")
+
+    def test_traced_labels_match_the_flush_event_era_minus_flush_rows(self):
+        """Lazily rendered labels (``deliver …``, ``rpc-timeout@…``,
+        ``timer@…``) spell exactly what the eager f-strings spelled, and no
+        event moved when the flush stopped being one."""
+        assert digest_under_hashseed("1", LABEL_SCRIPT) == LABEL_DIGEST
+        assert digest_under_hashseed("31337", LABEL_SCRIPT) == LABEL_DIGEST

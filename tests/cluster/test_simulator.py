@@ -227,3 +227,113 @@ class TestCancelCompaction:
         above = trace(4 * _COMPACT_MIN_TOMBSTONES)
         # The longer run's trace starts with exactly the shorter run's trace.
         assert above[:len(below) - 1] == below[:-1]
+
+
+class TestDefer:
+    """``Simulator.defer``: work that follows the current event without
+    being an event (the transport's flush)."""
+
+    def test_deferred_callbacks_run_fifo_after_the_event_returns(self):
+        sim = Simulator()
+        order = []
+
+        def event():
+            sim.defer(lambda: order.append("first"))
+            sim.defer(lambda: order.append("second"))
+            order.append("event-body")
+
+        sim.schedule(1.0, event)
+        sim.run_until_idle()
+        assert order == ["event-body", "first", "second"]
+
+    def test_runs_before_a_same_instant_event_already_scheduled(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, lambda: sim.defer(lambda: order.append("deferred")))
+        sim.schedule(1.0, lambda: order.append("same-instant event"))
+        sim.run_until_idle()
+        assert order == ["deferred", "same-instant event"]
+
+    def test_nested_defers_drain_in_the_same_pass(self):
+        sim = Simulator()
+        order = []
+
+        def outer():
+            order.append("outer")
+            sim.defer(lambda: order.append("nested"))
+
+        sim.schedule(1.0, lambda: sim.defer(outer))
+        sim.schedule(2.0, lambda: order.append("next event"))
+        sim.run(max_events=1)
+        assert order == ["outer", "nested"]
+        assert sim.now == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("drive", [
+        lambda sim: sim.run(until=0.0),
+        lambda sim: sim.step(),
+        lambda sim: sim.run_until_idle(),
+    ], ids=["run", "step", "run_until_idle"])
+    def test_deferred_outside_an_event_drains_on_entry(self, drive):
+        sim = Simulator()
+        ran = []
+        sim.defer(lambda: ran.append(sim.now))
+        assert sim.pending_events == 1  # a `while pending_events` loop sees it
+        drive(sim)
+        assert ran == [0.0]
+        assert sim.pending_events == 0
+
+    def test_step_runs_deferred_work_then_the_event_it_scheduled(self):
+        sim = Simulator()
+        fired = []
+        sim.defer(lambda: sim.schedule(1.0, lambda: fired.append(sim.now)))
+        assert sim.step() is True
+        assert fired == [1.0]
+        assert sim.step() is False
+
+    def test_deferred_work_is_neither_counted_nor_traced(self):
+        sim = Simulator()
+        sim.tracing = True
+        ran = []
+        sim.schedule(1.0, lambda: sim.defer(lambda: ran.append("x")),
+                     label="the-event")
+        sim.run_until_idle()
+        assert ran == ["x"]
+        assert sim.events_processed == 1
+        assert sim.trace == [(1.0, "the-event")]
+
+    def test_a_raising_event_does_not_lose_deferred_work(self):
+        sim = Simulator()
+        ran = []
+
+        def failing():
+            sim.defer(lambda: ran.append("deferred"))
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, failing)
+        sim.schedule(2.0, lambda: ran.append("later event"))
+        with pytest.raises(RuntimeError):
+            sim.run_until_idle()
+        assert ran == [] and sim.pending_events == 2
+        sim.run_until_idle()
+        assert ran == ["deferred", "later event"]
+
+
+class TestLazyLabels:
+    def test_callable_label_is_rendered_only_when_traced(self):
+        rendered = []
+
+        def label():
+            rendered.append(1)
+            return "lazy-label"
+
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None, label=label)
+        sim.run_until_idle()
+        assert rendered == [] and sim.trace == []
+
+        sim.tracing = True
+        event = sim.schedule(1.0, lambda: None, label=label)
+        sim.run_until_idle()
+        assert sim.trace == [(2.0, "lazy-label")]
+        assert event.label == "lazy-label"
+        assert "label='lazy-label'" in repr(event)

@@ -135,3 +135,13 @@ class TestLWWRegister:
 
     def test_bottom_loses_to_any_write(self):
         assert LWWRegister.bottom().merge(LWWRegister(0.0, "x")).value == "x"
+
+    def test_duplicate_tags_are_ordered_by_the_value(self):
+        """Two writes colliding on (timestamp, tiebreak) — the only case
+        that formats ``repr(value)`` — still merge commutatively."""
+        a = LWWRegister(1.0, "apple", "n1")
+        b = LWWRegister(1.0, "banana", "n1")
+        assert a.merge(b) == b.merge(a)
+        assert a.merge(b).value == "banana"  # larger repr wins
+        assert a.leq(b) and not b.leq(a)
+        assert a.leq(a.merge(a)) and a.merge(a).leq(a)  # shared value object

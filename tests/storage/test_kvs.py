@@ -282,3 +282,38 @@ class TestKVSClient:
         client.get("missing", callback=results.append)
         sim.run(until=200.0)
         assert results == [None]
+
+    def test_session_tables_keep_only_the_newest_dedup_window_completions(self):
+        """A long session must not hold one entry per op it ever issued:
+        each table keeps the newest ``dedup_window`` completions, evicting
+        the oldest *after* the insert so a subclass reading
+        ``completed_gets[request_id]`` right after the reply handler (the
+        bench and chaos clients do) always finds it."""
+        import dataclasses
+
+        sim, net, kvs = build_kvs(shards=1, replication=1)
+        window = 8
+        seen_at_reply = []
+
+        class ReadingClient(KVSClient):
+            def _on_get_reply(self, message):
+                super()._on_get_reply(message)
+                request_id = message.payload["request_id"]
+                seen_at_reply.append(request_id in self.completed_gets)
+
+        client = ReadingClient("client-1", sim, net, kvs)
+        client.transport.config = dataclasses.replace(
+            client.transport.config, dedup_window=window)
+        puts = [client.put(f"k{i}", SetUnion({i})) for i in range(20)]
+        sim.run(until=100.0)
+        gets = [client.get(f"k{i}") for i in range(20)]
+        sim.run(until=200.0)
+        assert seen_at_reply == [True] * 20
+        assert len(client.acked_puts) == len(client.completed_gets) == window
+        # Oldest first: the survivors are the last `window` completions.
+        assert not client.put_acknowledged(puts[0])
+        assert client.result_of(gets[0]) is None
+        assert list(client.completed_gets)[-1] in gets
+        assert sum(client.put_acknowledged(i) for i in puts) == window
+        client.reset_state()
+        assert client.completed_gets == {} and client.acked_puts == set()
