@@ -9,6 +9,7 @@ recorders that nodes and protocols write into and that benchmarks read out.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -55,7 +56,7 @@ class LatencyRecorder:
         return self.percentile(99)
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkWindowStats:
     """End-to-end observations for one directed link in one time bucket."""
 
@@ -101,36 +102,16 @@ class LinkObservatory:
         if bucket_width <= 0:
             raise ValueError(f"bucket_width must be positive, got {bucket_width}")
         self.bucket_width = bucket_width
-        self._stats: dict[tuple[Hashable, Hashable, int], LinkWindowStats] = {}
+        self._stats: defaultdict[tuple[Hashable, Hashable, int],
+                                 LinkWindowStats] = defaultdict(LinkWindowStats)
 
-    def bucket_of(self, at: float) -> int:
-        return int(at // self.bucket_width)
-
-    def _stat(self, link: tuple[Hashable, Hashable], at: float) -> LinkWindowStats:
-        key = (link[0], link[1], self.bucket_of(at))
-        stat = self._stats.get(key)
-        if stat is None:
-            stat = self._stats[key] = LinkWindowStats()
-        return stat
-
-    def on_sent(self, link: tuple[Hashable, Hashable], at: float,
-                size_bytes: int) -> None:
-        stat = self._stat(link, at)
-        stat.sent_messages += 1
-        stat.sent_bytes += size_bytes
-
-    def on_dropped(self, link: tuple[Hashable, Hashable], at: float,
-                   size_bytes: int) -> None:
-        stat = self._stat(link, at)
-        stat.dropped_messages += 1
-        stat.dropped_bytes += size_bytes
-
-    def on_delivered(self, link: tuple[Hashable, Hashable], sent_at: float,
-                     latency: float) -> None:
-        stat = self._stat(link, sent_at)
-        stat.delivered_messages += 1
-        stat.latency_total += latency
-        stat.latency_max = max(stat.latency_max, latency)
+    def window_of(self, source: Hashable, destination: Hashable,
+                  sent_at: float) -> LinkWindowStats:
+        """The window a message sent on this link at ``sent_at`` is counted
+        in, created on first use.  The network resolves it once per send and
+        updates it directly: at the send, then at the delivery or drop."""
+        return self._stats[
+            (source, destination, int(sent_at // self.bucket_width))]
 
     # -- views -------------------------------------------------------------------
 
@@ -159,18 +140,22 @@ class MetricsRegistry:
     """A named collection of counters, gauges and latency recorders."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, float] = {}
+        #: The live counter table: per-envelope paths add into it directly
+        #: (``counts[name] += n``); ``increment`` is the same add behind a
+        #: call.  Read through ``counter``/``counters``, which create nothing.
+        self.counts: defaultdict[str, float] = defaultdict(float)
         self._gauges: dict[str, float] = {}
-        self._latencies: dict[str, LatencyRecorder] = {}
+        self._latencies: defaultdict[str, LatencyRecorder] = defaultdict(
+            LatencyRecorder)
         self._keyed: dict[str, dict[Hashable, float]] = {}
 
     # -- counters ---------------------------------------------------------------
 
     def increment(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+        self.counts[name] += amount
 
     def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
+        return self.counts.get(name, 0.0)
 
     # -- keyed counters ----------------------------------------------------------
 
@@ -202,20 +187,20 @@ class MetricsRegistry:
     # -- latencies --------------------------------------------------------------
 
     def record_latency(self, name: str, latency: float) -> None:
-        self._latencies.setdefault(name, LatencyRecorder()).record(latency)
+        self._latencies[name].record(latency)
 
     def latency(self, name: str) -> LatencyRecorder:
-        return self._latencies.setdefault(name, LatencyRecorder())
+        return self._latencies[name]
 
     # -- reporting --------------------------------------------------------------
 
     def counters(self) -> dict[str, float]:
-        return dict(self._counters)
+        return dict(self.counts)
 
     def snapshot(self) -> dict[str, object]:
         """A flat dict summary suitable for printing in benchmark reports."""
         summary: dict[str, object] = {}
-        for name, value in sorted(self._counters.items()):
+        for name, value in sorted(self.counts.items()):
             summary[f"counter.{name}"] = value
         for name, value in sorted(self._gauges.items()):
             summary[f"gauge.{name}"] = value
@@ -227,7 +212,7 @@ class MetricsRegistry:
         return summary
 
     def reset(self) -> None:
-        self._counters.clear()
+        self.counts.clear()
         self._gauges.clear()
         self._latencies.clear()
         self._keyed.clear()

@@ -28,6 +28,7 @@ revisions, so existing traces stay byte-identical.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Hashable, Optional
@@ -254,6 +255,39 @@ class BandwidthSqueeze:
     factor: float
 
 
+@dataclass(slots=True, eq=False)
+class _Fifo:
+    """One FIFO server: when it finishes serializing everything queued."""
+
+    busy_until: float = 0.0
+
+
+@dataclass(slots=True, eq=False)
+class _Nic:
+    """One node's shared NIC: its two FIFOs and the per-node bandwidth
+    override (``None``: :attr:`NetworkConfig.nic_bandwidth` prices it)."""
+
+    uplink: _Fifo = field(default_factory=_Fifo)
+    downlink: _Fifo = field(default_factory=_Fifo)
+    bandwidth: Optional[float] = None
+
+
+@dataclass(slots=True, eq=False)
+class _Link:
+    """All the model keeps for one directed ``(source, destination)`` link:
+    its endpoints' NIC records, the pipe's own FIFO horizon, and the byte
+    ledger.  ``send`` looks it up once and hands it to the delivery, so a
+    delivery or drop resolves exactly the ledger its send charged."""
+
+    source_nic: _Nic
+    destination_nic: _Nic
+    busy_until: float = 0.0
+    enqueued_bytes: int = 0
+    delivered_bytes: int = 0
+    dropped_bytes: int = 0
+    in_flight_bytes: int = 0
+
+
 class Network:
     """Delivers messages between registered nodes with simulated asynchrony.
 
@@ -282,23 +316,17 @@ class Network:
         # Kept as lists so overlapping faults compose and restore
         # independently, mirroring the latency-spike contract.
         self._node_delay_factors: dict[Hashable, list[float]] = {}
-        # Transmission model state (inert while the model is off):
-        #   _link_busy_until   per-(src, dst) FIFO horizon — when the link
-        #                      finishes serializing everything enqueued so far
-        #   _nic_up_busy /     per-node shared NIC FIFO horizons (uplink at
-        #   _nic_down_busy     the sender, downlink at the receiver)
-        #   _nic_bandwidth     per-node NIC overrides on top of the config
-        #   _bandwidth_squeezes  active congestion handles; the effective
-        #                      bandwidth is the configured one divided by
-        #                      the product of their factors (identity-retired
-        #                      so overlapping faults restore independently)
-        #   _link_stats        per-link byte conservation ledger
-        self._link_busy_until: dict[tuple[Hashable, Hashable], float] = {}
-        self._nic_up_busy: dict[Hashable, float] = {}
-        self._nic_down_busy: dict[Hashable, float] = {}
-        self._nic_bandwidth: dict[Hashable, float] = {}
+        # Transmission model state, untouched while the model is off: one
+        # record per directed link a priced send used and one per node's
+        # NIC (``_nic_overrides`` counts the NIC records that carry a
+        # bandwidth override — any one of them turns the model on), plus
+        # the active congestion handles: the effective bandwidth is the
+        # configured one divided by the product of their factors
+        # (identity-retired so overlapping faults restore independently).
+        self._links: dict[tuple[Hashable, Hashable], _Link] = {}
+        self._nics: defaultdict[Hashable, _Nic] = defaultdict(_Nic)
+        self._nic_overrides = 0
         self._bandwidth_squeezes: list[BandwidthSqueeze] = []
-        self._link_stats: dict[tuple[Hashable, Hashable], dict[str, int]] = {}
         #: (queue_wait, serialization, nic_wait) of the most recent ``send``
         #: call: the primary transmission's cost when that send was priced
         #: and scheduled, and the zero tuple when it was dropped or unpriced
@@ -387,25 +415,20 @@ class Network:
         self._bandwidth_squeezes.append(squeeze)
         return squeeze
 
-    def remove_bandwidth_squeeze(self,
-                                 squeeze: BandwidthSqueeze | float) -> None:
+    def remove_bandwidth_squeeze(self, squeeze: BandwidthSqueeze) -> None:
         """Retire one active squeeze.
 
         Idempotent.  Pass the handle :meth:`add_bandwidth_squeeze` returned
         — removal is by handle identity, so a stale restore (a congestion
         window that was already cleared) can never un-squeeze a *different*
-        fault that happens to use the same factor.  A bare float retires
-        the first active squeeze with that factor (the pre-handle calling
-        convention, kept for direct-driving tests).
+        fault that happens to use the same factor.  Anything but a handle
+        (a bare factor, say) is a ``TypeError``.
         """
-        if isinstance(squeeze, BandwidthSqueeze):
-            self._bandwidth_squeezes = [
-                s for s in self._bandwidth_squeezes if s is not squeeze]
-            return
-        for handle in self._bandwidth_squeezes:
-            if handle.factor == squeeze:
-                self._bandwidth_squeezes.remove(handle)
-                return
+        if not isinstance(squeeze, BandwidthSqueeze):
+            raise TypeError("expected the handle add_bandwidth_squeeze "
+                            f"returned, got {squeeze!r}")
+        self._bandwidth_squeezes = [
+            s for s in self._bandwidth_squeezes if s is not squeeze]
 
     def clear_bandwidth_squeezes(self) -> None:
         self._bandwidth_squeezes.clear()
@@ -430,35 +453,32 @@ class Network:
         an infinitely fast NIC on one node would make fleet-wide contention
         results incomparable.
         """
-        if bandwidth is None:
-            self._nic_bandwidth.pop(node_id, None)
-            return
-        if bandwidth <= 0:
+        if bandwidth is not None and bandwidth <= 0:
             raise ValueError(f"nic bandwidth must be positive, got {bandwidth}")
-        self._nic_bandwidth[node_id] = bandwidth
+        nic = self._nics[node_id]
+        self._nic_overrides += (bandwidth is not None) - (nic.bandwidth is not None)
+        nic.bandwidth = bandwidth
 
     def nic_bandwidth_of(self, node_id: Hashable) -> Optional[float]:
         """The node's configured NIC bytes/tick before congestion squeezes;
         ``None`` when its NIC is unpriced (the stage is skipped)."""
-        override = self._nic_bandwidth.get(node_id)
-        if override is not None:
-            return override
-        return self.config.nic_bandwidth
+        return self._rates(None, self._nics.get(node_id), None)[1]
 
     def effective_nic_bandwidth(self, node_id: Hashable) -> Optional[float]:
         """The node's current NIC bytes/tick after congestion squeezes —
         congestion throttles shared NICs exactly like per-link pipes."""
-        bandwidth = self.nic_bandwidth_of(node_id)
-        if bandwidth is None:
-            return None
-        return bandwidth / self.bandwidth_squeeze
+        squeeze, bandwidth, _, _ = self._rates(None, self._nics.get(node_id), None)
+        return None if bandwidth is None else bandwidth / squeeze
 
     def nic_backlog(self, node_id: Hashable, *,
                     downlink: bool = False) -> float:
         """Ticks until the node's NIC finishes its queued serializations
         (uplink by default; ``downlink=True`` for the receive side)."""
-        horizon = self._nic_down_busy if downlink else self._nic_up_busy
-        return max(0.0, horizon.get(node_id, 0.0) - self.simulator.now)
+        nic = self._nics.get(node_id)
+        if nic is None:
+            return 0.0
+        fifo = nic.downlink if downlink else nic.uplink
+        return max(0.0, fifo.busy_until - self.simulator.now)
 
     # -- partitions -------------------------------------------------------------
 
@@ -526,182 +546,161 @@ class Network:
         self._next_message_id += 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        # The one gate of this send, handed down (never re-derived).
-        model_active = (config.bandwidth is not None
-                        or config.delay_matrix is not None
-                        or config.nic_bandwidth is not None
-                        or bool(self._nic_bandwidth))
-        if model_active or self.record_delivery_latency:
-            self.observatory.on_sent((source, destination),
-                                     message.sent_at, size_bytes)
+        # The one gate of this send.  A priced send fetches its link record
+        # here, once; the stage walk, the delivery and a drop are handed it
+        # (``None``: this send charged no ledger), never look it up again.
+        link = window = None
+        if (config.bandwidth is not None or config.delay_matrix is not None
+                or config.nic_bandwidth is not None or self._nic_overrides):
+            link = self._links.get((source, destination))
+            if link is None:
+                link = self._links[(source, destination)] = _Link(
+                    self._nics[source], self._nics[destination])
+        if link is not None or self.record_delivery_latency:
+            window = self.observatory.window_of(source, destination,
+                                                message.sent_at)
+            window.sent_messages += 1
+            window.sent_bytes += size_bytes
         if ((self._partitions and not self.is_reachable(source, destination))
                 or (config.drop_rate
                     and simulator.rng.random() < config.drop_rate)):
             self.last_transmission = _NO_COST
-            self._ledger_drop(message, model_active, in_flight=False)
+            self._ledger_drop(message, link, window, in_flight=False)
             return message
 
-        timing = self._schedule_delivery(message, model_active)
+        timing = self._schedule_delivery(message, link, window)
         self.last_transmission = timing
         # The transmission cost rides along on the message so callers
         # holding it can ledger the cost without racing a later send.
-        if timing is not _NO_COST:
-            message.transmission = timing
+        message.transmission = timing
         if (
             config.duplicate_rate
             and simulator.rng.random() < config.duplicate_rate
         ):
             # The duplicate is a real retransmission: it occupies the link
             # (and the byte ledger) a second time.
-            self._schedule_delivery(message, model_active)
+            self._schedule_delivery(message, link, window)
         return message
 
     # -- internals --------------------------------------------------------------
 
-    def _ledger_drop(self, message: Message, model_active: bool,
-                     in_flight: bool) -> None:
+    def _ledger_drop(self, message: Message, link: Optional[_Link],
+                     window, in_flight: bool) -> None:
         """Account one dropped message: at send time (it never entered a
         queue, so enqueued and dropped are charged together) or, ``in_flight``,
-        at its delivery event.  The observatory shares the ``net.delivery``
-        gate, so a model-off soak run grows no per-link series it never reads."""
+        at its delivery event — on the link record its send charged and in
+        the observatory window it is counted in (``None``: neither)."""
         self.messages_dropped += 1
-        link = (message.source, message.destination)
         size = message.size_bytes
-        if model_active:
-            stat = self._link_stat(link)
-            stat["dropped_bytes"] += size
+        if link is not None:
+            link.dropped_bytes += size
             if in_flight:
-                stat["in_flight_bytes"] -= size
+                link.in_flight_bytes -= size
             else:
-                stat["enqueued_bytes"] += size
-        if model_active or self.record_delivery_latency:
-            self.observatory.on_dropped(link, message.sent_at, size)
-
-    def _link_stat(self, link: tuple[Hashable, Hashable]) -> dict[str, int]:
-        stat = self._link_stats.get(link)
-        if stat is None:
-            stat = self._link_stats[link] = {
-                "enqueued_bytes": 0, "delivered_bytes": 0,
-                "dropped_bytes": 0, "in_flight_bytes": 0}
-        return stat
+                link.enqueued_bytes += size
+        if window is not None:
+            window.dropped_messages += 1
+            window.dropped_bytes += size
 
     def link_byte_stats(self) -> dict[tuple[Hashable, Hashable], dict[str, int]]:
-        """Per-link byte conservation ledger (copies; model-on links only).
+        """Per-link byte conservation ledger (copies; priced sends only).
 
         Invariant at *every* instant, idle or not: for each link,
         ``enqueued_bytes == delivered_bytes + dropped_bytes +
         in_flight_bytes`` and ``in_flight_bytes >= 0`` — a send-time drop
         charges enqueued and dropped atomically (the message never enters a
         queue), and a scheduled message stays in flight until its delivery
-        event resolves it one way or the other.  Once idle,
-        ``in_flight_bytes`` is 0 and the classic two-term form holds.
+        event resolves it one way or the other.  A delivery resolves only
+        the ledger its send charged, so switching the model while messages
+        are in flight neither credits bytes that were never enqueued nor
+        strands bytes that were.  Once idle, ``in_flight_bytes`` is 0 and
+        the classic two-term form holds.
         """
-        return {link: dict(stat) for link, stat in self._link_stats.items()}
+        return {key: {"enqueued_bytes": link.enqueued_bytes,
+                      "delivered_bytes": link.delivered_bytes,
+                      "dropped_bytes": link.dropped_bytes,
+                      "in_flight_bytes": link.in_flight_bytes}
+                for key, link in self._links.items()}
 
     def link_backlog(self, source: Hashable, destination: Hashable) -> float:
         """Ticks until the (src, dst) link finishes its queued transmissions."""
-        busy_until = self._link_busy_until.get((source, destination), 0.0)
-        return max(0.0, busy_until - self.simulator.now)
+        link = self._links.get((source, destination))
+        return max(0.0, link.busy_until - self.simulator.now) if link else 0.0
 
     def effective_bandwidth(self, source: Hashable,
                             destination: Hashable) -> Optional[float]:
         """The link's current bytes/tick after matrix overrides and
         congestion squeezes; ``None`` when the link is unpriced."""
+        squeeze, _, bandwidth, _ = self._rates(
+            self._matrix_entry(source, destination), None, None)
+        return None if bandwidth is None else bandwidth / squeeze
+
+    def _matrix_entry(self, source: Hashable,
+                      destination: Hashable) -> Optional[LinkSpec]:
+        """The :class:`DelayMatrix` entry for ``source`` → ``destination``
+        (it prices both the link's bandwidth and its delay), if any."""
+        matrix = self.config.delay_matrix
+        if matrix is None:
+            return None
+        domain_of = self._same_domain.get
+        return matrix.link(domain_of(source), domain_of(destination))
+
+    def _rates(self, spec: Optional[LinkSpec], source_nic: Optional[_Nic],
+               destination_nic: Optional[_Nic]) -> tuple:
+        """The bandwidth pricing rules, in one place: ``(squeeze, uplink,
+        link, downlink)`` — the congestion product dividing every stage's
+        bytes/tick, then each stage's configured bytes/tick (``None``:
+        unpriced).  A matrix entry overrides the config's ``bandwidth``,
+        a NIC record's override its ``nic_bandwidth``."""
         config = self.config
         bandwidth = config.bandwidth
-        if config.delay_matrix is not None:
-            spec = config.delay_matrix.link(self._same_domain.get(source),
-                                            self._same_domain.get(destination))
-            if spec is not None and spec.bandwidth is not None:
-                bandwidth = spec.bandwidth
-        if bandwidth is None:
-            return None
-        return bandwidth / self.bandwidth_squeeze
+        if spec is not None and spec.bandwidth is not None:
+            bandwidth = spec.bandwidth
+        uplink = downlink = config.nic_bandwidth
+        if source_nic is not None and source_nic.bandwidth is not None:
+            uplink = source_nic.bandwidth
+        if destination_nic is not None and destination_nic.bandwidth is not None:
+            downlink = destination_nic.bandwidth
+        squeeze = self.bandwidth_squeeze if self._bandwidth_squeezes else 1.0
+        return squeeze, uplink, bandwidth, downlink
 
-    def _sample_delay(self, source: Hashable, destination: Hashable) -> float:
-        config = self.config
-        base = config.base_delay
-        if config.same_domain_delay is not None or config.delay_matrix is not None:
-            # Domain lookups only matter when locality shapes the delay;
-            # skipping them on the default config keeps the per-send cost
-            # flat.  The RNG draw below is unconditional either way, so the
-            # sampled delay stream is unchanged.
-            source_domain = self._same_domain.get(source)
-            destination_domain = self._same_domain.get(destination)
-            if (
-                config.same_domain_delay is not None
-                and source_domain is not None
-                and destination_domain is not None
-                and source_domain == destination_domain
-            ):
-                base = config.same_domain_delay
-            if config.delay_matrix is not None:
-                spec = config.delay_matrix.link(source_domain, destination_domain)
-                if spec is not None and spec.delay is not None:
-                    base = spec.delay * config.delay_stretch
-        jitter = config.jitter * self.simulator.rng.random() if config.jitter else 0.0
-        delay = base + jitter
-        if self._node_delay_factors:
-            delay *= (self.node_delay_factor(source)
-                      * self.node_delay_factor(destination))
-        return delay
+    def _transmit(self, size: int, link: _Link, spec: Optional[LinkSpec],
+                  source_factor: float,
+                  destination_factor: float) -> tuple[float, float, float]:
+        """Charge ``size`` bytes through the transmission pipeline: sender
+        uplink NIC → per-link pipe → receiver downlink NIC, skipping every
+        unpriced stage.
 
-    def _transmit(self, message: Message) -> tuple[float, float, float]:
-        """Charge ``message`` through the three-stage transmission pipeline:
-        sender uplink NIC → per-link pipe → receiver downlink NIC.
-
-        Only called with the model on (``send``'s gate).  Returns
-        ``(queue_wait, serialization, nic_wait)`` in ticks.  Each stage
-        starts when both the message's previous stage and the stage's own
-        FIFO horizon have cleared; a gray-failure node factor multiplies
+        Returns ``(queue_wait, serialization, nic_wait)`` in ticks.  Each
+        stage starts when both the message's previous stage and the stage's
+        own FIFO horizon have cleared; a gray-failure node factor multiplies
         each serialization the degraded endpoint touches exactly once
         (uplink: sender's; link: both; downlink: receiver's) — never the
         accumulated pipeline time, so stacked stages do not compound it.
         """
-        link = (message.source, message.destination)
-        stat = self._link_stat(link)
-        size = message.size_bytes
-        stat["enqueued_bytes"] += size
-        stat["in_flight_bytes"] += size
-        source_factor = destination_factor = 1.0
-        if self._node_delay_factors:
-            # A slow node's endpoints serialize slowly too: the gray-failure
-            # factor composes multiplicatively with congestion squeezes.
-            source_factor = self.node_delay_factor(message.source)
-            destination_factor = self.node_delay_factor(message.destination)
-        now = self.simulator.now
-        finish = now
-        nic_wait = 0.0
-        serialization = 0.0
-
-        uplink = self.effective_nic_bandwidth(message.source)
-        if uplink is not None:
-            stage = size / uplink * source_factor
-            start = max(finish, self._nic_up_busy.get(message.source, 0.0))
-            nic_wait += start - finish
-            finish = start + stage
-            self._nic_up_busy[message.source] = finish
+        link.enqueued_bytes += size
+        link.in_flight_bytes += size
+        squeeze, uplink, bandwidth, downlink = self._rates(
+            spec, link.source_nic, link.destination_nic)
+        now = finish = self.simulator.now
+        queue_wait = nic_wait = serialization = 0.0
+        for fifo, rate, first_factor, second_factor in (
+                (link.source_nic.uplink, uplink, source_factor, 1.0),
+                (link, bandwidth, source_factor, destination_factor),
+                (link.destination_nic.downlink, downlink, 1.0,
+                 destination_factor)):
+            if rate is None:
+                continue
+            stage = size / (rate / squeeze) * first_factor * second_factor
+            start = fifo.busy_until
+            if start < finish:
+                start = finish
+            if fifo is link:
+                queue_wait = start - finish
+            else:
+                nic_wait += start - finish
+            fifo.busy_until = finish = start + stage
             serialization += stage
-
-        queue_wait = 0.0
-        bandwidth = self.effective_bandwidth(message.source, message.destination)
-        if bandwidth is not None:
-            stage = size / bandwidth * source_factor * destination_factor
-            start = max(finish, self._link_busy_until.get(link, 0.0))
-            queue_wait = start - finish
-            finish = start + stage
-            self._link_busy_until[link] = finish
-            serialization += stage
-
-        downlink = self.effective_nic_bandwidth(message.destination)
-        if downlink is not None:
-            stage = size / downlink * destination_factor
-            start = max(finish, self._nic_down_busy.get(message.destination, 0.0))
-            nic_wait += start - finish
-            finish = start + stage
-            self._nic_down_busy[message.destination] = finish
-            serialization += stage
-
         total = finish - now
         if total == 0.0:
             # Every stage was unpriced (e.g. a delay-only matrix): share the
@@ -711,40 +710,73 @@ class Network:
             self.max_transmission_delay = total
         return (queue_wait, serialization, nic_wait)
 
-    def _schedule_delivery(self, message: Message,
-                           model_active: bool) -> tuple[float, float, float]:
-        # Model off: the shared ``_NO_COST`` identity ``send`` checks, and
-        # the bare propagation delay of the size-blind network.
-        timing = self._transmit(message) if model_active else _NO_COST
-        delay = self._sample_delay(message.source, message.destination)
+    def _schedule_delivery(self, message: Message, link: Optional[_Link],
+                           window) -> tuple[float, float, float]:
+        """Price one transmission of ``message`` and schedule its delivery.
+        The matrix entry and the two node factors are resolved here, once,
+        for both the stage walk and the propagation delay."""
+        config = self.config
+        source = message.source
+        destination = message.destination
+        base = config.base_delay
+        if config.same_domain_delay is not None:
+            domain = self._same_domain.get(source)
+            if domain is not None and domain == self._same_domain.get(destination):
+                base = config.same_domain_delay
+        source_factor = destination_factor = 1.0
+        if self._node_delay_factors:
+            # A slow node's endpoints serialize slowly too: the gray-failure
+            # factor composes multiplicatively with congestion squeezes.
+            source_factor = self.node_delay_factor(source)
+            destination_factor = self.node_delay_factor(destination)
+        # Model off (no link record): the shared ``_NO_COST`` identity
+        # ``send`` checks, and the bare propagation delay below.
+        timing = _NO_COST
+        if link is not None:
+            spec = self._matrix_entry(source, destination)
+            if spec is not None and spec.delay is not None:
+                base = spec.delay * config.delay_stretch
+            timing = self._transmit(message.size_bytes, link, spec,
+                                    source_factor, destination_factor)
+        # The jitter draw is unconditional, so the sampled delay stream
+        # does not depend on what is priced.
+        jitter = config.jitter * self.simulator.rng.random() if config.jitter else 0.0
+        delay = (base + jitter) * (source_factor * destination_factor)
         if timing is not _NO_COST:
             queue_wait, serialization, nic_wait = timing
             delay = nic_wait + queue_wait + serialization + delay
-        self.simulator.schedule(delay, partial(self._deliver, message),
-                                message.delivery_label)
+        self.simulator.schedule(
+            delay, partial(self._deliver, message, link, window),
+            message.delivery_label)
         return timing
 
-    def _deliver(self, message: Message) -> None:
-        # The one gate of this delivery (the model may have been switched
-        # since the send; the ledger follows what is configured now).
+    def _deliver(self, message: Message, link: Optional[_Link],
+                 window) -> None:
+        # The byte ledger resolves what the send charged (``link``); the
+        # latency recorder and the observatory follow what is configured
+        # *now* — the model may have been switched since the send.
         config = self.config
-        model_active = (config.bandwidth is not None
-                        or config.delay_matrix is not None
-                        or config.nic_bandwidth is not None
-                        or bool(self._nic_bandwidth))
+        if not (config.bandwidth is not None or config.delay_matrix is not None
+                or config.nic_bandwidth is not None or self._nic_overrides
+                or self.record_delivery_latency):
+            window = None
+        elif window is None:
+            window = self.observatory.window_of(
+                message.source, message.destination, message.sent_at)
         handler = self._handlers.get(message.destination)
         if handler is None or (self._partitions and not self.is_reachable(
                 message.source, message.destination)):
-            self._ledger_drop(message, model_active, in_flight=True)
+            self._ledger_drop(message, link, window, in_flight=True)
             return
         self.messages_delivered += 1
-        if model_active or self.record_delivery_latency:
-            link = (message.source, message.destination)
-            if model_active:
-                stat = self._link_stat(link)
-                stat["delivered_bytes"] += message.size_bytes
-                stat["in_flight_bytes"] -= message.size_bytes
+        if link is not None:
+            link.delivered_bytes += message.size_bytes
+            link.in_flight_bytes -= message.size_bytes
+        if window is not None:
             latency = self.simulator.now - message.sent_at
             self.metrics.record_latency("net.delivery", latency)
-            self.observatory.on_delivered(link, message.sent_at, latency)
+            window.delivered_messages += 1
+            window.latency_total += latency
+            if latency > window.latency_max:
+                window.latency_max = latency
         handler(message)

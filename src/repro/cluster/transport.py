@@ -89,10 +89,6 @@ class Parcel:
     rpc_kind: Optional[str] = None  # "request" | "reply" | None
     reply_to: Optional[Hashable] = None  # requester node id (requests only)
 
-    def wire_size(self) -> int:
-        """The parcel's cost when it travels alone (header + entries)."""
-        return wire_size(self.entries)
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class Envelope:
@@ -103,11 +99,6 @@ class Envelope:
     """
 
     parcels: tuple[Parcel, ...]
-
-    def wire_size(self) -> int:
-        return WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * sum(
-            parcel.entries for parcel in self.parcels
-        )
 
     def __len__(self) -> int:
         return len(self.parcels)
@@ -343,13 +334,8 @@ class Transport:
         its own mailbox (no envelope), so raw ``network.register`` handlers
         and tests observe it directly.
         """
-        size = wire_size(entries)
-        self._account_logical(mailbox, entries)
-        self._account_envelope(size, 1)
-        message = self.network.send(self.node_id, destination, mailbox, payload,
-                                    size_bytes=size)
-        self._account_transmission(message)
-        return message
+        return self._send(self.node_id, destination, mailbox, payload,
+                          (Parcel(mailbox, payload, entries),))
 
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0, _parcel: Optional[Parcel] = None) -> None:
@@ -414,54 +400,53 @@ class Transport:
                         f"{parcel.entries}, rpc_id={parcel.rpc_id}) was "
                         "mutated after queue(); the transport owns queued "
                         "payloads — snapshot before queueing instead")
-        envelope = Envelope(tuple(parcels))
-        # Single pass: entries are summed while each parcel is accounted,
-        # instead of re-walking the tuple through Envelope.wire_size().
-        total_entries = 0
+        self._send(self.node_id, destination, TRANSPORT_MAILBOX,
+                   Envelope(tuple(parcels)), parcels)
+
+    def _send(self, source: Hashable, destination: Hashable, mailbox: str,
+              payload: Any, parcels) -> Message:
+        """Put ``parcels`` on the wire as one physical message and account
+        it in one pass: per-mailbox logical counts, the envelope (one header
+        however many parcels) and the transmission cost the network stamped
+        on it — with the bandwidth model on the batching economy shows up
+        as amortized serialization ticks, not just saved header bytes."""
+        mailbox_stats = self.mailbox_stats
+        entries = 0
         for parcel in parcels:
-            self._account_logical(parcel.mailbox, parcel.entries)
-            total_entries += parcel.entries
-        size = WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * total_entries
-        self._account_envelope(size, len(parcels))
-        message = self.network.send(self.node_id, destination, TRANSPORT_MAILBOX,
-                                    envelope, size_bytes=size)
-        self._account_transmission(message)
-
-    def _account_logical(self, mailbox: str, entries: int) -> None:
-        stats = self.mailbox_stats.setdefault(
-            mailbox, {"messages": 0, "entries": 0})
-        stats["messages"] += 1
-        stats["entries"] += entries
-        self.logical_messages_sent += 1
-        self.metrics.increment("transport.logical_messages_sent")
-
-    def _account_transmission(self, message: Message) -> None:
-        """Ledger the transmission cost the network stamped on ``message``:
-        with the bandwidth model on, bytes take wall-clock time, and the
-        batching economy shows up as amortized serialization ticks (one
-        header, one queue slot) rather than just saved header bytes."""
-        timing = message.transmission
-        if timing is _NO_COST:  # model off: nothing stamped, nothing to ledger
-            return
-        queue_wait, serialization, nic_wait = timing
-        if serialization:
-            self.serialization_ticks += serialization
-            self.metrics.increment("transport.serialization_ticks", serialization)
-        if queue_wait:
-            self.metrics.increment("transport.queue_wait_ticks", queue_wait)
-        if nic_wait:
-            self.nic_wait_ticks += nic_wait
-            self.metrics.increment("transport.nic_wait_ticks", nic_wait)
-
-    def _account_envelope(self, size: int, parcel_count: int) -> None:
+            stats = mailbox_stats.get(parcel.mailbox)
+            if stats is None:
+                stats = mailbox_stats[parcel.mailbox] = {
+                    "messages": 0, "entries": 0}
+            stats["messages"] += 1
+            stats["entries"] += parcel.entries
+            entries += parcel.entries
+        size = wire_size(entries)
+        message = self.network.send(source, destination, mailbox, payload,
+                                    size_bytes=size)
+        logical = len(parcels)
+        saved = (logical - 1) * WIRE_HEADER_BYTES
+        self.logical_messages_sent += logical
         self.envelopes_sent += 1
         self.bytes_sent += size
-        saved = (parcel_count - 1) * WIRE_HEADER_BYTES
         self.header_bytes_saved += saved
-        self.metrics.increment("transport.envelopes_sent")
-        self.metrics.increment("transport.bytes_sent", size)
+        counts = self.metrics.counts
+        counts["transport.logical_messages_sent"] += logical
+        counts["transport.envelopes_sent"] += 1
+        counts["transport.bytes_sent"] += size
         if saved:
-            self.metrics.increment("transport.header_bytes_saved", saved)
+            counts["transport.header_bytes_saved"] += saved
+        timing = message.transmission
+        if timing is not _NO_COST:  # model off: nothing stamped
+            queue_wait, serialization, nic_wait = timing
+            if serialization:
+                self.serialization_ticks += serialization
+                counts["transport.serialization_ticks"] += serialization
+            if queue_wait:
+                counts["transport.queue_wait_ticks"] += queue_wait
+            if nic_wait:
+                self.nic_wait_ticks += nic_wait
+                counts["transport.nic_wait_ticks"] += nic_wait
+        return message
 
     # -- RPC: requester side ------------------------------------------------------
 
@@ -574,13 +559,9 @@ class Transport:
             # reaches the originator (the pre-transport relay idiom — a
             # queued parcel cannot spoof its sender, so this leg ships raw
             # but is still accounted like any other logical message).
-            size = wire_size(entries)
-            self._account_logical(request.mailbox, entries)
-            self._account_envelope(size, 1)
-            relayed = self.network.send(request.source, destination,
-                                        request.mailbox, request.payload,
-                                        size_bytes=size)
-            self._account_transmission(relayed)
+            self._send(request.source, destination, request.mailbox,
+                       request.payload,
+                       (Parcel(request.mailbox, request.payload, entries),))
 
     # -- receiving ----------------------------------------------------------------
 

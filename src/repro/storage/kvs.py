@@ -735,9 +735,6 @@ class LatticeKVS:
                 return replica
         return replicas[0]
 
-    # Backwards-compatible alias; prefer :meth:`pick_replica`.
-    _pick_replica = pick_replica
-
     # -- synchronous-style API (drives the simulator internally) --------------------------
 
     def put(self, key: Hashable, value: Lattice) -> None:

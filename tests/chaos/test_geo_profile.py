@@ -210,16 +210,41 @@ class TestGeoByteConservation:
         assert any(stat["delivered_bytes"] > 0 for stat in stats.values())
         assert any(stat["dropped_bytes"] > 0 for stat in stats.values())
 
+    def test_pricing_the_links_mid_run_keeps_the_ledger_balanced(self):
+        """The e2e KVS workloads preload on the flat network and price the
+        links afterwards, with gossip on the wire: a message sent unpriced
+        and delivered priced must not be credited to a ledger it never
+        charged (regression: ``in_flight_bytes`` went negative)."""
+        env = build_env(2, dataclasses.replace(ChaosConfig(),
+                                               link_bandwidth=None))
+        replicas = [shard[0] for shard in env.kvs.shards]
+        for step in range(12):
+            sender, receiver = replicas[step % 2], replicas[(step + 1) % 2]
+            env.simulator.schedule(
+                0.5 * step,
+                lambda s=sender, r=receiver, i=step: s.send(
+                    r.node_id, "probe", i, entries=4),
+                label=f"switch-probe-{step}")
+        env.simulator.run(until=3.2)
+        assert env.network.link_byte_stats() == {}  # still the flat network
+        assert env.network.messages_sent > env.network.messages_delivered
+        config = env.network.config
+        config.delay_matrix = geo_delay_matrix()
+        config.nic_bandwidth = GEO_NIC_BANDWIDTH
+        env.simulator.run(until=60.0)
+        stats = env.network.link_byte_stats()
+        assert any(stat["delivered_bytes"] > 0 for stat in stats.values())
+        assert check_link_byte_conservation(env).ok
+
     def test_checker_flags_a_cooked_ledger(self):
         env = build_env(1, geo_config())
         replicas = env.kvs.shards[0]
         for i in range(5):
             replicas[0].send(replicas[1].node_id, "probe", i, entries=2)
         env.simulator.run(until=30.0)
-        stats = env.network._link_stats
-        assert stats
-        link = sorted(stats, key=repr)[0]
-        stats[link]["delivered_bytes"] += 7  # corrupt the ledger
+        links = env.network._links
+        assert links
+        links[sorted(links, key=repr)[0]].delivered_bytes += 7  # corrupt the ledger
         result = check_link_byte_conservation(env)
         assert not result.ok
         assert "enqueued" in result.failures[0]

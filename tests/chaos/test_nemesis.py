@@ -224,15 +224,16 @@ class TestCongestion:
         env.simulator.run(until=60.0)  # second window expired at 55
         assert env.network.bandwidth_squeeze == pytest.approx(1.0)
 
-    def test_pop_is_idempotent_and_legacy_floats_still_retire(self):
+    def test_pop_is_idempotent_and_a_bare_factor_is_rejected(self):
         env, _ = self.build_priced()
         handle = env.push_bandwidth_squeeze(3.0)
         env.pop_bandwidth_squeeze(handle)
         env.pop_bandwidth_squeeze(handle)  # stale second pop: no-op
         assert env.network.bandwidth_squeeze == pytest.approx(1.0)
         env.network.add_bandwidth_squeeze(5.0)
-        env.network.remove_bandwidth_squeeze(5.0)  # pre-handle convention
-        assert env.network.bandwidth_squeeze == pytest.approx(1.0)
+        with pytest.raises(TypeError):
+            env.network.remove_bandwidth_squeeze(5.0)  # pre-handle convention
+        assert env.network.bandwidth_squeeze == pytest.approx(5.0)
 
     def test_heal_everything_clears_squeezes(self):
         env, _ = self.build_priced()

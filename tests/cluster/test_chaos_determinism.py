@@ -70,6 +70,40 @@ print(hashlib.sha256(rows.encode()).hexdigest())
 LABEL_DIGEST = "11462c1c304e1b506b643f4ce64c6e27ffd97bb616f4462eea94a3814821d6b3"
 
 
+#: The geo chaos scenario (priced links, shared NICs, every nemesis
+#: primitive) folded into one digest of everything the link model produces:
+#: the event trace, the byte ledger, every observatory window, the
+#: ``net.delivery`` samples, all counters, the transmission high-water mark
+#: and the final stores.
+GEO_SCRIPT = """
+import hashlib
+from dataclasses import astuple
+from repro.chaos import geo_config, run_scenario, standard_schedule, state_digest
+
+result = run_scenario(11, standard_schedule(), config=geo_config(), trace=True)
+env = result.env
+network = env.network
+observatory = network.observatory
+parts = [f"{t:.9f} {label}" for t, label in env.simulator.trace]
+parts += [f"{link!r} {sorted(stat.items())!r}"
+          for link, stat in sorted(network.link_byte_stats().items(), key=repr)]
+for bucket in observatory.buckets():
+    parts += [f"{bucket} {link!r} {astuple(stat)!r}"
+              for link, stat in sorted(observatory.window(bucket).items(), key=repr)]
+parts.append(repr(network.metrics.latency("net.delivery").samples))
+parts.append(repr(sorted(network.metrics.counters().items())))
+parts.append(repr(network.max_transmission_delay))
+parts.append(state_digest(env))
+print(hashlib.sha256("\\n".join(parts).encode()).hexdigest())
+"""
+
+#: What GEO_SCRIPT printed at the last commit whose link state lived in five
+#: dicts (7e4177a): moving it onto per-link records, pricing a transmission
+#: in one pass and handing the observatory window to the delivery changed no
+#: delivery time, ledger entry, window, sample or counter.
+GEO_DIGEST = "a9900bcc1004ed5d0c10010e8001f51b919bd6651c123c7ff887cc678abb0412"
+
+
 def scenario_digest():
     from repro.chaos import fast_config, run_scenario, standard_schedule, state_digest
 
@@ -123,3 +157,10 @@ class TestChaosDeterminism:
         event moved when the flush stopped being one."""
         assert digest_under_hashseed("1", LABEL_SCRIPT) == LABEL_DIGEST
         assert digest_under_hashseed("31337", LABEL_SCRIPT) == LABEL_DIGEST
+
+    def test_priced_path_matches_the_five_dict_era(self):
+        """The priced path's commit-to-commit pin (``LABEL_DIGEST`` covers
+        only the unpriced one): trace, ledgers, windows, samples and
+        counters of a geo chaos run are the parent commit's, bit for bit."""
+        assert digest_under_hashseed("1", GEO_SCRIPT) == GEO_DIGEST
+        assert digest_under_hashseed("31337", GEO_SCRIPT) == GEO_DIGEST

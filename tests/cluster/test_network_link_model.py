@@ -121,10 +121,13 @@ class TestCongestionAndSlowNodes:
     def test_squeezes_compose_multiplicatively_and_restore(self):
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        net.add_bandwidth_squeeze(2.0)
+        halved = net.add_bandwidth_squeeze(2.0)
         net.add_bandwidth_squeeze(3.0)
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 6.0)
-        net.remove_bandwidth_squeeze(2.0)
+        net.remove_bandwidth_squeeze(halved)
+        assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 3.0)
+        with pytest.raises(TypeError):
+            net.remove_bandwidth_squeeze(3.0)  # a factor is not a handle
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 3.0)
         net.clear_bandwidth_squeezes()
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0)
@@ -290,6 +293,75 @@ class TestByteConservation:
         stat = net.link_byte_stats()[("a", "b")]
         assert stat["in_flight_bytes"] == 0
         assert stat["delivered_bytes"] == wire_size(3)
+
+
+def assert_conserved(net):
+    for link, stat in net.link_byte_stats().items():
+        assert stat["in_flight_bytes"] >= 0, (link, stat)
+        assert stat["enqueued_bytes"] == (
+            stat["delivered_bytes"] + stat["dropped_bytes"]
+            + stat["in_flight_bytes"]), (link, stat)
+
+
+class TestModelSwitchedMidFlight:
+    """A delivery (or in-flight drop) resolves the byte ledger iff its send
+    charged it.  Regression: ``_deliver`` re-derived the gate, so pricing
+    the links while a message was on the wire credited bytes that were
+    never enqueued (``in_flight_bytes`` -120 — the e2e KVS workloads price
+    their links after the preload, exactly this switch), and un-pricing
+    them stranded ``in_flight_bytes`` above zero forever."""
+
+    @staticmethod
+    def build(**config):
+        sim = Simulator(seed=1)
+        net = Network(sim, NetworkConfig(base_delay=5.0, jitter=0.0, **config))
+        arrivals = []
+        net.register("b", arrivals.append)
+        return sim, net, arrivals
+
+    def test_sent_unpriced_delivered_priced_charges_nothing(self):
+        sim, net, arrivals = self.build()
+        net.send("a", "b", "inbox", "x", size_bytes=120)
+        net.config.bandwidth = 1000.0  # priced while the message is in flight
+        sim.run_until_idle()
+        assert len(arrivals) == 1
+        assert_conserved(net)
+        assert all(not any(stat.values())
+                   for stat in net.link_byte_stats().values())
+        # The latency recorder and the observatory follow the delivery-time
+        # gate: the delivery is observed, in the window of its send time.
+        assert net.metrics.latency("net.delivery").samples == [5.0]
+        window = net.observatory.window(0)[("a", "b")]
+        assert (window.sent_messages, window.delivered_messages) == (0, 1)
+
+    def test_sent_priced_delivered_unpriced_resolves_its_bytes(self):
+        sim, net, arrivals = self.build(bandwidth=1000.0)
+        net.send("a", "b", "inbox", "x", size_bytes=120)
+        assert net.link_byte_stats()[("a", "b")]["in_flight_bytes"] == 120
+        net.config.bandwidth = None  # model off before the delivery
+        sim.run_until_idle()
+        assert len(arrivals) == 1
+        assert net.link_byte_stats()[("a", "b")] == {
+            "enqueued_bytes": 120, "delivered_bytes": 120,
+            "dropped_bytes": 0, "in_flight_bytes": 0}
+        assert net.metrics.latency("net.delivery").count == 0
+
+    def test_mid_flight_drop_resolves_only_what_its_send_charged(self):
+        sim, net, arrivals = self.build(bandwidth=1000.0)
+        net.send("a", "b", "inbox", "priced", size_bytes=120)
+        net.config.bandwidth = None
+        net.send("c", "b", "inbox", "unpriced", size_bytes=77)
+        net.config.nic_bandwidth = 500.0  # on again, by another knob
+        net.partition({"a", "c"}, {"b"})  # both are dropped at delivery
+        sim.run_until_idle()
+        assert arrivals == [] and net.messages_dropped == 2
+        assert_conserved(net)
+        assert net.link_byte_stats() == {("a", "b"): {
+            "enqueued_bytes": 120, "delivered_bytes": 0,
+            "dropped_bytes": 120, "in_flight_bytes": 0}}
+        dropped = {link: window.dropped_bytes
+                   for link, window in net.observatory.window(0).items()}
+        assert dropped == {("a", "b"): 120, ("c", "b"): 77}
 
 
 class TestLastTransmissionReadback:
