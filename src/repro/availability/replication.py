@@ -11,47 +11,93 @@ without coordination, the Anna/CALM execution model, by delta gossip:
 * the program state stamps every committed or merged-in change in a
   :class:`~repro.core.state.ChangeLog`;
 * each round a replica sends each peer one ``gossip`` parcel
-  ``{"entries", "since", "seq", "seen"}``: the rows and vars changed after
-  ``since`` (what it already shipped to that peer), its own latest stamp,
-  and the highest of *the peer's* stamps it holds without a gap;
+  ``{"entries", "relayed", "since", "seq", "seen", "floor", "confirmed"}``:
+  the rows and vars changed after ``since`` (what it already shipped to
+  that peer) and which of them it merely passes on, its own latest stamp,
+  the highest of *the peer's* stamps it holds without a gap, the stamp its
+  log started at, and what each of its peers confirmed of its log;
 * that ``seen`` is the acknowledgement, and it belongs to the receiver: a
   replica that loses its state reports 0 again and each peer ships it
   everything once.  There is no ack message and no periodic full round;
 * changes a peer leaves unconfirmed for ``RETRANSMIT_AFTER_ROUNDS`` rounds
   are shipped again from its confirmed stamp, with their current values.
 
-An entry adopted unchanged from a peer is not offered back to that peer the
-first time round, provided the peer has confirmed something before (a
-confirmation that falls back is how its loss of state shows); a re-shipment
-carries everything, which is what returns a state-losing replica's own
-writes to it.
+**A change is shipped by whoever is on the hook for it.**  A fresh window
+carries only what this replica *owns*: what it changed itself, genuinely
+merged, or took over.  An entry adopted unchanged from peer A that A owns
+becomes A's *ward* here, tagged with the ``seq`` of A's parcel, and is
+shipped to nobody — except back to A while A has confirmed nothing (only a
+confirmation that falls reveals that A lost its state, and 0 cannot fall).
+Once a round, before the parcels are built, every ward is reviewed:
+
+* *released* when A's latest ``confirmed`` shows each of this replica's
+  other peers at or past the tag (a peer A does not list counts as 0);
+* *taken over* — stamped again as this replica's own, so the ordinary
+  acked path ships it to every peer — after ``RELAY_AFTER_ROUNDS`` reviews
+  without release, when A is no longer a peer, or at once when the tag is
+  at or below A's ``floor``.
+
+Release is safe because a window always runs to the sender's current
+``seq`` and an entry the sender owns is in every window that covers its
+stamp: the first window from A that peer C accepts with ``seq >= tag`` was
+built no earlier than the tagged parcel and carried the item as of the tag
+or later (if A had meanwhile adopted a larger value from D, the item is D's
+ward at A and D, or A after it, is on the hook instead).  So "A says C
+confirmed the tag" means C holds it — unless A's log no longer does: a
+rebooted A sends an empty window over its old numbering, gets it confirmed,
+and would vouch for entries it lost.  Its ``floor`` says which those are.
+
+What A merely passes on (anything in a re-shipment or refill that it did
+not stamp as its own, and a ward offered back) its fresh windows to the
+others skipped, so A is not on the hook for it: ``relayed`` names those
+entries and their receiver owns them at once.  The mark is one bit of the
+entry it rides in and is not priced separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Optional
+from dataclasses import dataclass, field
+from math import inf
+from typing import Any, Hashable, Iterable, Mapping, Optional
 
 from repro.cluster.network import Message
 from repro.cluster.node import Node
+from repro.cluster.transport import digest_entries
 from repro.core.interpreter import SingleNodeInterpreter
 from repro.core.program import HydroProgram
 from repro.core.state import ChangeLog
 
-#: ``network.metrics`` counters of the gossip ledger: stamps handed out, and
-#: entries shipped for the first time, again after a missing ack, and again
-#: because the peer lost its state.  ``fresh <= logged x peers`` always.
+#: ``network.metrics`` counters of the gossip ledger: stamps handed out
+#: (take-overs included), and entries shipped for the first time, again after
+#: a missing ack, and again because the peer lost its state; wards taken
+#: over and wards released.  ``fresh <= logged x peers`` always, and a
+#: fault-free run has ``takeover = retransmit = refill = 0``.
 LOGGED_CHANGES = "replica.gossip.logged_changes"
 FRESH_ENTRIES = "replica.gossip.fresh_entries"
 RETRANSMIT_ENTRIES = "replica.gossip.retransmit_entries"
 REFILL_ENTRIES = "replica.gossip.refill_entries"
+TAKEOVER_ENTRIES = "replica.gossip.takeover_entries"
+RELEASED_WARDS = "replica.gossip.released_wards"
 
 #: Rounds a peer may leave shipped changes unconfirmed before they are
 #: shipped again.  An ack rides the peer's next parcel, so it is at least
 #: one round behind; two keeps a fault-free run free of retransmissions.
 RETRANSMIT_AFTER_ROUNDS = 2
-#: What a parcel's three stamps cost on the wire, in entries.
-WATERMARK_ENTRIES = 1
+#: Reviews a ward may wait for its release before it is taken over.  The
+#: peers' acks ride their next parcel to the origin and the origin's report
+#: of them the one after, so the release arrives for the third review; two
+#: would take every ward over just before that.
+RELAY_AFTER_ROUNDS = 3
+#: The scalar stamps of a parcel; ``confirmed`` adds one per peer.
+PARCEL_STAMPS = ("since", "seq", "seen", "floor")
+
+
+def parcel_entries(parcel: Mapping[str, Any]) -> int:
+    """What a gossip parcel costs on the wire, in entries: its rows and
+    vars, plus its stamps at the density of digests."""
+    return len(parcel["entries"]) + digest_entries(
+        len(PARCEL_STAMPS) + len(parcel["confirmed"]))
+
 
 #: The key an :meth:`ReplicaNode.apply` result travels under, by status.
 RESULT_KEY = {"ok": "value", "rejected": "detail"}
@@ -71,6 +117,15 @@ class _PeerSync:
     overdue: int = 0
     #: Stamps up to here were shipped before the peer lost its state.
     refill_upto: int = 0
+    #: The peer's latest report about its own log: what each of *its* peers
+    #: confirmed, and where the log starts.
+    reported: Mapping[Hashable, int] = field(default_factory=dict)
+    floor: int = 0
+
+    def refill(self) -> None:
+        """Next round, ship the peer everything again, from what it confirms."""
+        self.refill_upto = self.shipped
+        self.overdue = RETRANSMIT_AFTER_ROUNDS
 
 
 class ReplicaNode(Node):
@@ -100,10 +155,21 @@ class ReplicaNode(Node):
             peer: _PeerSync() for peer in self.peers}
 
     def set_peers(self, peers: Iterable[Hashable]) -> None:
-        """Replace the peer list; a peer not gossiped with before starts unsynced."""
+        """Replace the peer list.
+
+        A peer not gossiped with before is owed everything held here, wards
+        included (their origin may be gone), so it starts like one that
+        lost its state; the wards of a peer that left are taken over at the
+        next review.
+        """
         self.peers = [peer for peer in peers if peer != self.node_id]
-        self._sync = {peer: self._sync.get(peer) or _PeerSync()
-                      for peer in self.peers}
+        known, self._sync = self._sync, {}
+        for peer in self.peers:
+            sync = known.get(peer)
+            if sync is None:
+                sync = _PeerSync(shipped=self.change_log.seq)
+                sync.refill()
+            self._sync[peer] = sync
 
     # -- request handling -----------------------------------------------------------
 
@@ -143,17 +209,49 @@ class ReplicaNode(Node):
         self._arm_gossip()
 
     def push_gossip(self) -> None:
-        """One round: one parcel per peer, sized by what it carries.
+        """One round: settle who ships what, then one parcel per peer, sized
+        by what it carries.
 
         An idle round still sends the stamps — they are the acknowledgement
-        the peer is waiting for — and is charged ``WATERMARK_ENTRIES``.
+        the peer, and the report its wards' holders, are waiting for.
         """
+        self._review_wards()
+        confirmed = {peer: sync.confirmed for peer, sync in self._sync.items()}
         for peer in self.peers:
-            parcel = self._parcel_for(peer, self._sync[peer])
-            self.queue(peer, "gossip", parcel,
-                       entries=len(parcel["entries"]) + WATERMARK_ENTRIES)
+            parcel = self._parcel_for(peer, self._sync[peer], confirmed)
+            self.queue(peer, "gossip", parcel, entries=parcel_entries(parcel))
 
-    def _parcel_for(self, peer: Hashable, sync: _PeerSync) -> dict:
+    def _review_wards(self) -> None:
+        """Release the wards their origin delivered; take over those it cannot."""
+        log = self.change_log
+        if not log.wards:
+            return
+        # Per origin, the highest of its stamps that all our other peers
+        # hold, by its own account.
+        delivered = {
+            origin: min((sync.reported.get(peer, 0) for peer in self.peers
+                         if peer != origin), default=inf)
+            for origin, sync in self._sync.items()}
+        released = taken = 0
+        for item, (origin, tag, waited) in list(log.wards.items()):
+            sync = self._sync.get(origin)
+            # Still a peer, and its log still holds what it tagged.
+            liable = sync is not None and sync.floor < tag
+            if liable and tag <= delivered[origin]:
+                del log.wards[item]
+                released += 1
+            elif liable and waited + 1 < RELAY_AFTER_ROUNDS:
+                log.wards[item] = (origin, tag, waited + 1)
+            else:
+                log.record(item)
+                taken += 1
+        metrics = self.network.metrics
+        metrics.increment(RELEASED_WARDS, released)
+        metrics.increment(TAKEOVER_ENTRIES, taken)
+        metrics.increment(LOGGED_CHANGES, taken)
+
+    def _parcel_for(self, peer: Hashable, sync: _PeerSync,
+                    confirmed: Mapping[Hashable, int]) -> dict:
         since = sync.shipped
         if sync.confirmed < sync.shipped:
             sync.overdue += 1
@@ -163,28 +261,30 @@ class ReplicaNode(Node):
                 since, sync.overdue = sync.confirmed, 0
         else:
             sync.overdue = 0
-        # An entry adopted from this peer is not offered back to it — once it
-        # has confirmed something: only a confirmation that falls tells us it
-        # lost its state (and needs its own writes back), and 0 cannot fall.
-        echo = sync.confirmed == 0
         # Filled in log order, so the payload is the same under every
         # PYTHONHASHSEED.
         kinds: dict = {}
+        relayed = []
         for item, stamp, source in self.change_log.since(since):
             if stamp > sync.shipped:
-                if echo or source != peer:
-                    kinds[item] = FRESH_ENTRIES
+                if source is not None and (source != peer or sync.confirmed):
+                    continue    # a ward: its origin ships it, or already has
+                kinds[item] = FRESH_ENTRIES
             elif stamp <= sync.refill_upto:
                 kinds[item] = REFILL_ENTRIES
             else:
                 kinds[item] = RETRANSMIT_ENTRIES
+            if source is not None:
+                relayed.append(item)
         entries = self.interpreter.state.export(kinds)
         metrics = self.network.metrics
         for item in entries:
             metrics.increment(kinds[item])
         sync.shipped = self.change_log.seq
-        return {"entries": entries, "since": since, "seq": self.change_log.seq,
-                "seen": sync.seen}
+        return {"entries": entries,
+                "relayed": [item for item in relayed if item in entries],
+                "since": since, "seq": self.change_log.seq, "seen": sync.seen,
+                "floor": self.change_log.floor, "confirmed": confirmed}
 
     def _on_gossip(self, message: Message) -> None:
         payload = message.payload
@@ -198,13 +298,18 @@ class ReplicaNode(Node):
                 # The peer holds less than it did: it lost its state.  Next
                 # round, ship it everything again (reporting 0, it is also
                 # offered its own writes back).
-                sync.refill_upto = sync.shipped
-                sync.overdue = RETRANSMIT_AFTER_ROUNDS
+                sync.refill()
             elif confirmed > sync.confirmed:
                 sync.overdue = 0
             sync.confirmed = confirmed
+            sync.reported, sync.floor = payload["confirmed"], payload["floor"]
+        state, entries = self.interpreter.state, payload["entries"]
         before = self.change_log.seq
-        self.interpreter.state.merge_entries(payload["entries"], source=peer)
+        # What the sender merely passes on is ours at once; the rest is its
+        # ward — if it is a peer we can hold to account.
+        state.merge_entries({item: entries[item] for item in payload["relayed"]})
+        state.merge_entries(entries, source=peer if sync is not None else None,
+                            tag=payload["seq"])
         self.network.metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
 
     # -- failure hooks -----------------------------------------------------------------

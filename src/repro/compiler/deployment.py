@@ -93,9 +93,10 @@ class HydroDeployment:
             if not replica.alive:
                 return
             status, result = replica.apply(value["handler"], value["args"])
-            if node_id == self.replica_ids[0]:
-                self.responses[value["token"]] = {"status": status,
-                                                  RESULT_KEY[status]: result}
+            # The first replica to apply the entry answers: the leader's own
+            # whenever it is alive, any survivor when it is not.
+            self.responses.setdefault(
+                value["token"], {"status": status, RESULT_KEY[status]: result})
         return apply_entry
 
     @property

@@ -134,7 +134,11 @@ class ChangeLog:
     one stamp per item and "everything after seq *n*" is a walk back from
     the tail that costs what changed, not what is stored.  ``source`` is the
     peer a change was adopted from unmodified (``None`` for a local commit
-    or a genuine merge): that peer holds the value already.
+    or a genuine merge): that peer holds the value already.  An adoption
+    also opens a *ward*, ``wards[item] = (source, tag, reviews waited)``
+    with ``tag`` the stamp the peer's own log had reached: the peer, not
+    this replica, is on the hook for delivering the change elsewhere.  The
+    replication layer closes wards; stamping the item again closes one too.
     """
 
     def __init__(self, seq: int = 0) -> None:
@@ -142,12 +146,19 @@ class ChangeLog:
         #: its next log here, never back at 0, so a stamp its peers may have
         #: acknowledged is not handed out twice.
         self.seq = seq
+        #: Where the numbering started: no change stamped at or below it is
+        #: in this log (whatever a peer may remember of an earlier one).
+        self.floor = seq
         self._stamps: dict[Item, tuple[int, Optional[Hashable]]] = {}
+        self.wards: dict[Item, tuple[Hashable, int, int]] = {}
 
-    def record(self, item: Item, source: Optional[Hashable] = None) -> None:
+    def record(self, item: Item, source: Optional[Hashable] = None, tag: int = 0) -> None:
         self.seq += 1
         self._stamps.pop(item, None)
         self._stamps[item] = (self.seq, source)
+        self.wards.pop(item, None)
+        if source is not None:
+            self.wards[item] = (source, tag, 0)
 
     def since(self, seq: int) -> list[tuple[Item, int, Optional[Hashable]]]:
         """``(item, stamp, source)`` of every change after ``seq``, oldest first."""
@@ -432,15 +443,15 @@ class ProgramState:
         return entries
 
     def merge_entries(self, entries: Mapping[Item, Any],
-                      source: Optional[Hashable] = None) -> None:
+                      source: Optional[Hashable] = None, tag: int = 0) -> None:
         """Merge a peer replica's exported entries into this state.
 
         Lattice fields and vars merge; plain fields and vars keep the local
         value when present (last-writer wins is handled at a higher level by
         consistency protocols, not by blind state merge).  ``entries`` is
         only read.  An entry that actually inflated this state is stamped in
-        the change log — under ``source`` when this replica now holds
-        exactly the peer's value, so it is not offered straight back.
+        the change log — under ``source``, as its ward at ``tag``, when this
+        replica now holds exactly the peer's value.
         """
         log = self.change_log
         for item, value in entries.items():
@@ -461,7 +472,7 @@ class ProgramState:
                     continue
                 adopted = table.rows[key] == value
             if log is not None:
-                log.record(item, source if adopted else None)
+                log.record(item, source if adopted else None, tag)
 
     def merge_from(self, other: "ProgramState") -> None:
         """Merge another replica's whole state into this one."""

@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.covid import build_covid_program
 from repro.availability import ReplicaNode
@@ -19,8 +19,11 @@ from repro.availability.replication import (
     FRESH_ENTRIES,
     LOGGED_CHANGES,
     REFILL_ENTRIES,
+    RELAY_AFTER_ROUNDS,
+    RELEASED_WARDS,
     RETRANSMIT_ENTRIES,
-    WATERMARK_ENTRIES,
+    TAKEOVER_ENTRIES,
+    parcel_entries,
 )
 from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
 from repro.core.state import ProgramState
@@ -29,7 +32,9 @@ ROUND = 10.0
 #: Rounds a healed cluster gets to converge: a lost ack is noticed after two,
 #: the re-shipment lands in the third, what it taught is forwarded in the
 #: fourth and confirmed in the fifth; a replica that lost its state adds the
-#: round in which it first reports 0.
+#: round in which it first reports 0.  A ward waits no longer than a lost
+#: ack does (``RELAY_AFTER_ROUNDS`` reviews, then it is shipped and confirmed
+#: like any change), so the take-over path fits the same budget.
 CONVERGE_ROUNDS = 8
 
 
@@ -80,11 +85,12 @@ class Cluster:
 
     def assert_ledger(self):
         peers = len(self.replicas) - 1
+        assert self.counter(TAKEOVER_ENTRIES) <= self.counter(LOGGED_CHANGES)
         assert self.counter(FRESH_ENTRIES) <= self.counter(LOGGED_CHANGES) * peers
         shipped = sum(len(payload["entries"]) for _, _, _, payload, _ in self.parcels)
         assert shipped == (self.counter(FRESH_ENTRIES) + self.counter(RETRANSMIT_ENTRIES)
                            + self.counter(REFILL_ENTRIES))
-        assert all(entries == len(payload["entries"]) + WATERMARK_ENTRIES
+        assert all(entries == parcel_entries(payload)
                    for _, _, _, payload, entries in self.parcels)
 
 
@@ -107,9 +113,14 @@ def entry_keys(parcels):
             for _, sender, destination, payload, _ in parcels]
 
 
+def carrying(parcels):
+    """The parcels that ship at least one entry, as ``entry_keys``."""
+    return [sent for sent in entry_keys(parcels) if sent[2]]
+
+
 # -- (a) convergence to the merge_from oracle under generated faults ----------------------
 
-REPLICA = st.integers(0, 3)
+REPLICA = st.integers(0, 5)
 PID = st.integers(0, 5)
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("add_person"), REPLICA, PID),
@@ -120,10 +131,13 @@ STEPS = st.lists(st.one_of(
     st.tuples(st.just("run"), st.sampled_from([10, 25, 40])),      # whole rounds
     st.tuples(st.just("drops"), st.sampled_from([0.0, 0.3, 0.7])),
     st.tuples(st.just("partition"), REPLICA),
+    # One link, both ways or one: the origin of a change is alive but cannot
+    # reach one peer (or hear it) — no whole-node partition produces that.
+    st.tuples(st.just("cut"), REPLICA, REPLICA, st.booleans()),
     st.tuples(st.just("heal")),
     st.tuples(st.just("crash"), REPLICA),
     st.tuples(st.just("recover"), REPLICA, st.booleans()),
-), max_size=40)
+), max_size=60)
 
 ARGS = {"add_person": lambda pid: {"pid": pid, "country": "US"},
         "add_contact": lambda id1, id2: {"id1": id1, "id2": id2},
@@ -146,6 +160,9 @@ def play(cluster, steps):
                 cluster.net.partition(
                     [replica.node_id],
                     [other.node_id for other in cluster.replicas if other is not replica])
+            elif kind == "cut":
+                other = cluster.replicas[args[1] % len(cluster.replicas)]
+                cluster.net.partition([replica.node_id], [other.node_id], oneway=args[2])
             elif kind == "crash":
                 replica.crash()
             elif kind == "recover":
@@ -155,12 +172,9 @@ def play(cluster, steps):
     return statuses
 
 
-@given(st.integers(3, 4), st.integers(0, 50), STEPS, st.booleans())
-@settings(max_examples=400, deadline=None)
-def test_replicas_converge_to_the_join_of_their_states(count, seed, steps, lose_at_heal):
-    cluster = Cluster(count, seed=seed)
-    play(cluster, steps)
-
+def heal_and_check_convergence(cluster, lose_at_heal):
+    """Heal every fault, then hold the cluster to the ``merge_from`` oracle."""
+    count = len(cluster.replicas)
     cluster.net.config.drop_rate = 0.0
     cluster.net.heal_all()
     for replica in cluster.replicas:
@@ -178,6 +192,28 @@ def test_replicas_converge_to_the_join_of_their_states(count, seed, steps, lose_
     cluster.run(2)
     assert len(cluster.parcels) == settled + 2 * count * (count - 1)
     assert all(not payload["entries"] for _, _, _, payload, _ in cluster.parcels[settled:])
+    assert not any(replica.change_log.wards for replica in cluster.replicas)
+
+
+#: Schedules the widened property found on the way to the ward rules.  (i)
+#: The rebooted r2 sends an empty window over its old numbering, r0 confirms
+#: it, and r2 would vouch to r1 — the only holder — that r0 has the row.
+#: (ii) r0 is acknowledged a write, ships it and loses its state before it
+#: has confirmed anything: nobody's confirmation can fall to reveal the loss.
+TRAP_EMPTY_WINDOW = [("run", 2), ("crash", 0), ("add_person", 2, 1), ("run", 10),
+                     ("recover", 2, True)]
+TRAP_OWN_WRITE = [("run", 9), ("add_person", 0, 1), ("run", 1), ("crash", 0)]
+
+
+@given(st.integers(3, 6), st.integers(0, 50), STEPS, st.booleans())
+@example(3, 3, TRAP_EMPTY_WINDOW, False)
+@example(3, 3, TRAP_EMPTY_WINDOW, True)
+@example(3, 3, TRAP_OWN_WRITE, True)
+@settings(max_examples=400, deadline=None)
+def test_replicas_converge_to_the_join_of_their_states(count, seed, steps, lose_at_heal):
+    cluster = Cluster(count, seed=seed)
+    play(cluster, steps)
+    heal_and_check_convergence(cluster, lose_at_heal)
 
 
 # -- (b) a fault-free run ships each change to each peer exactly once ----------------------
@@ -206,9 +242,11 @@ def test_fault_free_run_ships_nothing_twice():
             for _, sender, destination, payload, _ in cluster.parcels
             for item, value in payload["entries"].items()]
     assert len(sent) == len(set(sent))
+    assert cluster.counter(TAKEOVER_ENTRIES) == 0
     assert cluster.counter(RETRANSMIT_ENTRIES) == 0
     assert cluster.counter(REFILL_ENTRIES) == 0
     assert cluster.counter(FRESH_ENTRIES) == len(sent) > 0
+    assert cluster.counter(RELEASED_WARDS) > 0
     cluster.assert_ledger()
     joined = monotone(cluster.join())
     assert [monotone(state) for state in cluster.states()] == [joined] * 3
@@ -221,22 +259,19 @@ def test_an_entry_is_not_offered_back_to_the_peer_it_came_from():
     cluster.run(4)
     # First contact: nobody has confirmed anything yet, so r1 and r2 cannot
     # tell an r0 that still holds its write from one that lost it, and offer
-    # the row back.
-    carrying = [parcel for parcel in cluster.parcels if parcel[3]["entries"]]
-    assert sorted(entry_keys(carrying)) == [
+    # the row back.  Neither tells the other: r0 is on the hook for that.
+    assert sorted(carrying(cluster.parcels)) == [
         (sender, destination, [("people", 1)])
-        for sender, destination in [("r0", "r1"), ("r0", "r2"), ("r1", "r0"),
-                                    ("r1", "r2"), ("r2", "r0"), ("r2", "r1")]]
+        for sender, destination in [("r0", "r1"), ("r0", "r2"), ("r1", "r0"), ("r2", "r0")]]
 
-    # From then on r0 tells r1 and r2; each of them tells the other (it
-    # cannot know r0 already did); neither tells r0.
+    # From then on a change is sent by its origin only.
     settled = len(cluster.parcels)
     cluster.replicas[0].apply("add_person", {"pid": 2, "country": "IN"})
     cluster.run(4)
-    carrying = [parcel for parcel in cluster.parcels[settled:] if parcel[3]["entries"]]
-    assert entry_keys(carrying) == [
-        ("r0", "r1", [("people", 2)]), ("r0", "r2", [("people", 2)]),
-        ("r1", "r2", [("people", 2)]), ("r2", "r1", [("people", 2)])]
+    assert carrying(cluster.parcels[settled:]) == [
+        ("r0", "r1", [("people", 2)]), ("r0", "r2", [("people", 2)])]
+    assert cluster.counter(RELEASED_WARDS) == 4
+    assert cluster.counter(TAKEOVER_ENTRIES) == 0
 
 
 def test_rejected_request_ships_nothing_and_idle_rounds_carry_only_stamps():
@@ -251,7 +286,7 @@ def test_rejected_request_ships_nothing_and_idle_rounds_carry_only_stamps():
 
     idle = cluster.parcels[settled:]
     assert len(idle) == 3 * 3 * 2
-    assert all(payload["entries"] == {} and entries == WATERMARK_ENTRIES
+    assert all(payload["entries"] == {} and entries == 1
                for _, _, _, payload, entries in idle)
     assert cluster.counter(LOGGED_CHANGES) == logged
     # On the wire: one envelope header and one entry's worth of stamps each.
@@ -298,6 +333,11 @@ def test_lost_state_is_refilled_once_per_peer_including_the_victims_own_writes()
         assert sum(len(payload["entries"]) for payload in to_victim) <= lost + changed_since
     assert 0 < cluster.counter(REFILL_ENTRIES) <= 2 * lost
     assert cluster.counter(RETRANSMIT_ENTRIES) == 0
+    # What a refill merely passes on — the victim's old writes among it — is
+    # the victim's own again at once: it ships it, because nobody else will.
+    reshipped = {item for _, sender, _, payload, _ in cluster.parcels[recovered_at:]
+                 if sender == victim.node_id for item in payload["entries"]}
+    assert {("people", 0), ("people", 3)} <= reshipped
     cluster.assert_ledger()
 
 
@@ -325,7 +365,146 @@ def test_recovery_with_state_kept_only_retransmits_the_gap():
     assert cluster.counter(RETRANSMIT_ENTRIES) > 0
 
 
-# -- (d) the logical-message trace does not depend on PYTHONHASHSEED -----------------------
+# -- (d) who is on the hook for a change: release, take-over, floor, hand-me-downs ----------
+
+
+def people(replica):
+    return set(replica.interpreter.state.table("people").rows)
+
+
+def warmed(count=3):
+    """A cluster past first contact: everyone has confirmed something to everyone."""
+    cluster = Cluster(count)
+    for index, replica in enumerate(cluster.replicas):
+        replica.apply("add_person", {"pid": 100 + index, "country": "US"})
+    cluster.run(4)
+    assert all(sync.confirmed for replica in cluster.replicas
+               for sync in replica._sync.values())
+    assert not any(replica.change_log.wards for replica in cluster.replicas)
+    return cluster
+
+
+def test_a_third_replica_takes_over_a_change_its_origin_cannot_deliver():
+    cluster = warmed()
+    r0, r1, r2 = cluster.replicas
+    cluster.net.partition(["r0"], ["r2"], oneway=True)      # r0 is alive, and hears r2
+    cut_at = len(cluster.parcels)
+    r0.apply("add_person", {"pid": 2, "country": "IN"})
+    cluster.run(1)                                          # r0 ships it; only r1 gets it
+    cluster.run(RELAY_AFTER_ROUNDS - 1)
+    assert r1.change_log.wards == {("people", 2): ("r0", r0.change_log.seq,
+                                                   RELAY_AFTER_ROUNDS - 1)}
+    assert cluster.counter(TAKEOVER_ENTRIES) == 0 and 2 not in people(r2)
+
+    cluster.run(2)                                          # RELAY_AFTER_ROUNDS + 1 in all
+    assert 2 in people(r2)
+    assert cluster.counter(TAKEOVER_ENTRIES) == 1 and not r1.change_log.wards
+    cluster.run(4)
+    # Shipped once, to every peer, as r1's own change — and acknowledged.
+    assert [sent for sent in carrying(cluster.parcels[cut_at:]) if sent[0] == "r1"] == [
+        ("r1", "r0", [("people", 2)]), ("r1", "r2", [("people", 2)])]
+    heal_and_check_convergence(cluster, lose_at_heal=False)
+    assert cluster.counter(TAKEOVER_ENTRIES) == 1
+
+
+def test_wards_of_an_origin_that_lost_its_state_are_taken_over_at_once():
+    cluster = warmed()
+    r0, r1, r2 = cluster.replicas
+    r0.apply("add_person", {"pid": 2, "country": "IN"})
+    cluster.run(1)
+    cluster.sim.run(until=cluster.sim.now + 2)              # r1 and r2 hold it, as r0's wards
+    tag = r0.change_log.seq
+    assert r1.change_log.wards == r2.change_log.wards == {("people", 2): ("r0", tag, 0)}
+    r0.recover(lose_state=True)                             # rebooted in place
+    assert r0.change_log.floor == tag and people(r0) == set()
+
+    # Review 1 comes before r0's next parcel; review 2 has read its floor.
+    # (Waiting for review RELAY_AFTER_ROUNDS would be the origin-is-slow rule.)
+    cluster.run(2)
+    assert cluster.counter(TAKEOVER_ENTRIES) == 2
+    assert not r1.change_log.wards and not r2.change_log.wards
+    cluster.run(1)
+    assert 2 in people(r0)
+    heal_and_check_convergence(cluster, lose_at_heal=False)
+
+
+def test_a_rebooted_origin_cannot_vouch_for_what_it_lost():
+    """The floor rule as a safety rule: without it, the row stays on r1 for good."""
+    cluster = Cluster(3)
+    r0, r1, r2 = cluster.replicas
+    cluster.sim.run(until=2)
+    r0.crash()
+    r2.apply("add_person", {"pid": 1, "country": "IN"})
+    cluster.sim.run(until=12)                               # shipped at 10; r0 was down
+    assert r1.change_log.wards == {("people", 1): ("r2", 1, 0)}
+    # r1 sleeps through its reviews (state kept) and cannot reach r2; r2
+    # forgets the row, r0 is back and confirms r2's empty window over (0, 1].
+    r1.crash()
+    cluster.net.partition(["r1"], ["r2"], oneway=True)
+    r2.recover(lose_state=True)
+    r0.recover()
+    cluster.sim.run(until=35)
+    r1.recover()
+    cluster.sim.run(until=42)                               # r2: "r0 confirmed 1", floor 1
+    assert r1._sync["r2"].reported["r0"] == 1 == r1._sync["r2"].floor
+    r2.crash()                                              # and is gone for good
+
+    cluster.run(2)
+    assert people(r0) == people(r1) == {1}
+    assert cluster.counter(RELEASED_WARDS) == 0 and cluster.counter(TAKEOVER_ENTRIES) >= 1
+
+
+def test_an_acknowledged_write_returns_to_a_lone_peer_that_lost_it_at_first_contact():
+    """The offer-back at ``confirmed == 0``: with one peer there is nobody
+    else to wait for, so the ward is released before r0 has confirmed
+    anything — and a report of 0 cannot fall."""
+    cluster = Cluster(2)
+    play(cluster, TRAP_OWN_WRITE)
+    heal_and_check_convergence(cluster, lose_at_heal=True)
+    assert all(people(replica) == {1} for replica in cluster.replicas)
+    assert cluster.counter(REFILL_ENTRIES) == 0 == cluster.counter(TAKEOVER_ENTRIES)
+
+
+def test_dropping_an_origin_from_the_peers_takes_its_wards_over():
+    cluster = warmed()
+    r0, r1, r2 = cluster.replicas
+    cluster.net.partition(["r0"], ["r2"], oneway=True)
+    r0.apply("add_person", {"pid": 2, "country": "IN"})
+    cluster.run(1)
+    cluster.sim.run(until=cluster.sim.now + 2)
+    assert ("people", 2) in r1.change_log.wards and 2 not in people(r2)
+    for replica in (r1, r2):
+        replica.set_peers(["r1", "r2"])
+
+    cluster.run(2)                                          # the very next review, + delivery
+    assert cluster.counter(TAKEOVER_ENTRIES) == 1
+    assert 2 in people(r2)
+
+
+def test_a_peer_added_after_an_origin_left_still_gets_what_it_wrote():
+    cluster = Cluster(3)
+    origin, holder, late = cluster.replicas
+    for replica in (origin, holder):
+        replica.set_peers(["r0", "r1"])
+    late.set_peers([])
+    origin.apply("add_person", {"pid": 1, "country": "US"})
+    holder.apply("add_person", {"pid": 2, "country": "US"})
+    cluster.run(4)
+    assert people(holder) == {1, 2} and not holder.change_log.wards     # released long ago
+
+    origin.crash()
+    for replica in (holder, late):
+        replica.set_peers(["r1", "r2"])
+    cluster.run(4)
+    assert people(late) == {1, 2}
+    # Sent once, as a refill: the new peer is owed the hand-me-downs too.
+    assert [sent for sent in carrying(cluster.parcels) if sent[1] == "r2"] == [
+        ("r1", "r2", [("people", 2), ("people", 1)])]
+    assert cluster.counter(REFILL_ENTRIES) == 2
+    cluster.assert_ledger()
+
+
+# -- (e) the logical-message trace does not depend on PYTHONHASHSEED -----------------------
 
 
 def faulty_trace():
@@ -356,7 +535,7 @@ def test_trace_is_identical_under_two_hash_seeds():
     assert outputs[0].count("('people', 5)") > 1        # the faults really bit
 
 
-# -- (e) recovery, peers and the one apply entry point ------------------------------------
+# -- (f) recovery, peers and the one apply entry point ------------------------------------
 
 
 def test_recovered_replica_gossips_again():

@@ -151,3 +151,18 @@ class TestDeployment:
         statuses = [deployment.response(token)["status"] for token in tokens]
         assert statuses.count("ok") == 5
         assert deployment.availability() == 1.0
+
+    def test_coordinated_op_is_answered_when_the_first_replicas_node_is_down(self):
+        program, plan, deployment = self.build_deployment()
+        deployment.invoke("add_person", pid=1)
+        deployment.settle()
+        first = deployment.replica_ids[0]
+        deployment.replicas[first].crash()      # the program replica, not the log
+        assert deployment.consensus_leader is deployment.consensus[first]
+        token = deployment.invoke("vaccinate", pid=1)
+        deployment.settle(100.0)
+        survivors = [replica for replica in deployment.replicas.values() if replica.alive]
+        assert len(survivors) == len(deployment.replica_ids) - 1
+        for replica in survivors:
+            assert replica.interpreter.state.table("people").get(1)["vaccinated"].value
+        assert deployment.response(token) == {"status": "ok", "value": "OK"}

@@ -179,7 +179,17 @@ class TestProgramState:
                                 (("people", 1), 4, None), (("people", 3), 5, "peer")]
         assert log.since(3) == log.since(0)[2:]
         assert log.since(5) == []
-        assert ChangeLog(seq=7).seq == 7
+        assert ChangeLog(seq=7).seq == 7 == ChangeLog(seq=7).floor and log.floor == 0
+
+    def test_change_log_opens_a_ward_per_adoption_and_any_new_stamp_closes_it(self):
+        log = ChangeLog()
+        log.record(("people", 1), source="a", tag=4)
+        log.record(("people", 2), source="a", tag=4)
+        log.record(("people", 3))
+        assert log.wards == {("people", 1): ("a", 4, 0), ("people", 2): ("a", 4, 0)}
+        log.record(("people", 1), source="b", tag=9)      # re-adopted from someone else
+        log.record(("people", 2))                         # changed locally
+        assert log.wards == {("people", 1): ("b", 9, 0)}
 
     def test_merge_logs_inflations_with_their_source(self):
         left, right = ProgramState(model()), ProgramState(model())
@@ -191,11 +201,14 @@ class TestProgramState:
         right.apply(MergeRowEffect("people", {"pid": 2}))
         right.apply(MergeRowEffect("people", {"pid": 4}))
         right.apply(MergeVarEffect("total_diagnoses", GCounter().increment("n1", 2)))
-        left.merge_entries(right.export(), source="right")
+        left.merge_entries(right.export(), source="right", tag=7)
         # Row 1 merged beyond the peer's copy (it must go back to the peer),
-        # row 2 taught nothing, row 4 and the var were adopted as they came.
+        # row 2 taught nothing, row 4 and the var were adopted as they came —
+        # and are the peer's wards, at the stamp its parcel carried.
         assert log.since(0) == [(("people", 1), 1, None), (("people", 4), 2, "right"),
                                 ((None, "total_diagnoses"), 3, "right")]
+        assert log.wards == {("people", 4): ("right", 7, 0),
+                             (None, "total_diagnoses"): ("right", 7, 0)}
         left.merge_entries(right.export(), source="right")
         assert log.seq == 3
 
