@@ -9,8 +9,8 @@ implementation and emits the numbers machine-readably to ``BENCH_kvs.json``
   in-place `ShardNode.merge_local` (O(changed entry) per put), like-for-like
   under pytest-benchmark at 1k- and 5k-key store sizes.
 * **Gossip bytes per round**: full-store snapshot gossip vs. delta gossip
-  (only entries changed since the peer's last acked round), measured via the
-  network simulator's honest entry-count byte accounting.
+  (only entries stamped since the last window shipped to the peer), measured
+  via the network simulator's honest entry-count byte accounting.
 * **Anti-entropy tier**: digest-tree reconciliation vs. the old periodic
   full-store sync — idle repair bytes at 5k/50k-key converged stores (the
   O(store) → O(1) cut), divergence-proportional repair bytes, and the
@@ -166,7 +166,7 @@ def converged_pair(store_size, seed=11):
     replica_a, replica_b = kvs.shards[0]
     for index in range(store_size):
         replica_a.merge_local(f"k-{index}", SetUnion({index}))
-    for _ in range(4):  # ship the delta backlog, drain dirty sets and acks
+    for _ in range(4):  # ship the stamped backlog, let its acks land
         replica_a._gossip_tick()
         replica_b._gossip_tick()
         simulator.run(until=simulator.now + 30.0)
@@ -221,9 +221,9 @@ def test_anti_entropy_repair_scales_with_divergence(diverged):
     replica_a, replica_b = kvs.shards[0]
     probe_keys = [f"k-{index}" for index in range(diverged)]
     for key in probe_keys:
-        replica_a.merge_local(key, SetUnion({f"fresh-{key}"}))
-    for dirty in replica_a._dirty.values():
-        dirty.clear()  # silence the delta machinery: only digests can heal
+        # Merged the way a peer's entry is — unstamped, so no window carries
+        # it and only digests can heal.
+        replica_a._merge_entry(key, SetUnion({f"fresh-{key}"}))
     before = network.bytes_sent
     ticks = ticks_until_healed(simulator, kvs, probe_keys)
     repair = network.bytes_sent - before

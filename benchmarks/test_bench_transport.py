@@ -1,25 +1,25 @@
-"""E14 — Unified transport: per-destination batching for gossip + Paxos.
+"""E14 — Unified transport: per-destination batching for Paxos (and, once, gossip).
 
 Measures what the envelope coalescing of :mod:`repro.cluster.transport`
-buys over the unbatched wire (one envelope per logical message) for the two
-chattiest protocols in the tree, and emits the numbers machine-readably to
-``BENCH_transport.json`` (repo root) so the perf trajectory is tracked
-across PRs:
+buys over the unbatched wire (one envelope per logical message), and emits
+the numbers machine-readably to ``BENCH_transport.json`` (repo root) so the
+perf trajectory is tracked across PRs:
 
-* **Gossip/replication burst**: a put burst against one fully-replicated
-  shard.  Every replica fans its replicate traffic out to every peer, so
-  the active (sender, peer) pair count grows quadratically with fan-out —
-  and with it the header bytes batching saves: superlinear in fan-out.
 * **Paxos proposal burst**: a leader appending a block of commands in one
   instant.  Accepts, acks and decides per peer each collapse into one
   envelope, cutting the envelope count by roughly the burst size.
+* **Gossip burst**: a put burst against one fully-replicated shard.  Until
+  PR 20 every put fanned one ``replicate`` parcel out to every peer and the
+  transport coalesced them (14x fewer envelopes; ``GOSSIP_HISTORY`` keeps
+  those numbers).  Now the KVS itself ships whatever one event stamped as one
+  window per peer, batching on *or* off, so the tier no longer measures the
+  transport: it pins that a burst costs one window per (replica, peer) pair
+  and one ack each, whatever its size.
 
 The bench asserts the floor the acceptance criteria pin: >= 2x envelope
-reduction for both workloads at fan-out 5, and — for the all-to-all gossip
-workload, whose active pair count is quadratic in fan-out — header-byte
-savings growing superlinearly between fan-out 2 and fan-out 5.  (The
-leader-centric Paxos pattern is inherently linear in fan-out; its growth is
-reported for the trajectory but not asserted superlinear.)
+reduction for the Paxos block at fan-out 5.  (The leader-centric Paxos
+pattern is linear in fan-out; its header-savings growth is reported for the
+trajectory.)
 """
 
 import json
@@ -46,7 +46,20 @@ PUTS_PER_REPLICA = 40
 #: Proposals in the Paxos burst.
 PROPOSALS = 50
 
-RESULTS: dict = {"gossip": [], "paxos": []}
+#: The gossip tier as last measured with the per-put ``replicate`` fan-out
+#: (PR 18, ff0bef4) — recorded history, no longer reproducible by design.
+GOSSIP_HISTORY = [
+    {"fan_out": 2, "unbatched_envelopes": 252, "batched_envelopes": 18,
+     "envelope_reduction": 14.0, "unbatched_bytes": 75168,
+     "batched_bytes": 69552, "header_bytes_saved": 5616,
+     "logical_messages": 252},
+    {"fan_out": 5, "unbatched_envelopes": 1260, "batched_envelopes": 90,
+     "envelope_reduction": 14.0, "unbatched_bytes": 721440,
+     "batched_bytes": 693360, "header_bytes_saved": 28080,
+     "logical_messages": 1260},
+]
+
+RESULTS: dict = {"gossip_history": GOSSIP_HISTORY, "gossip": [], "paxos": []}
 
 
 def _measure(net):
@@ -109,26 +122,23 @@ def test_transport_batching_cuts_envelopes_and_headers():
             reductions[(workload, fan_out)] = reduction
             savings[workload][fan_out] = batched["header_bytes_saved"]
 
-    # Acceptance floor: >= 2x fewer envelopes at fan-out 5, both workloads.
-    assert reductions[("gossip", 5)] >= 2.0, reductions
+    # Acceptance floor: >= 2x fewer envelopes at fan-out 5 for the Paxos block.
     assert reductions[("paxos", 5)] >= 2.0, reductions
 
-    # Superlinearity: scaling fan-out 2 -> 5 (2.5x) must grow the header
-    # bytes batching saves by strictly more than 2.5x — the pair count a
-    # burst activates grows quadratically with fan-out.
-    linear = FAN_OUTS[1] / FAN_OUTS[0]
-    gossip_growth = savings["gossip"][5] / savings["gossip"][2]
-    assert gossip_growth > linear, (
-        f"gossip header savings grew {gossip_growth:.2f}x for a {linear}x "
-        f"fan-out increase — not superlinear")
+    # The put burst — 40 puts at each replica, stamped outside any event —
+    # costs one window per (replica, peer) pair plus its ack, with the
+    # transport's batching on or off.
+    for row in RESULTS["gossip"]:
+        pairs = row["fan_out"] * (row["fan_out"] + 1)
+        assert row["unbatched_envelopes"] == row["batched_envelopes"] <= 2 * pairs, row
+
     RESULTS["envelope_reduction_at_fanout5"] = {
         "gossip": round(reductions[("gossip", 5)], 2),
         "paxos": round(reductions[("paxos", 5)], 2),
     }
     RESULTS["header_savings_growth_fanout2_to_5"] = {
-        "gossip": round(gossip_growth, 2),
         "paxos": round(savings["paxos"][5] / savings["paxos"][2], 2),
-        "linear_reference": linear,
+        "linear_reference": FAN_OUTS[1] / FAN_OUTS[0],
     }
 
     print_rows(

@@ -334,35 +334,28 @@ def _static_calm_failures() -> tuple[str, ...]:
 def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
     """Delta gossip stays O(Δ) — *during* partition storms, not just at rest.
 
-    Driven by the transport-layer metrics: :class:`~repro.storage.kvs.ShardNode`
-    ledgers every dirty-mark and every shipped gossip entry (fresh, retransmit,
-    full) into the shared :class:`~repro.cluster.metrics.MetricsRegistry`, and
-    each node's :class:`~repro.cluster.transport.Transport` tracks its queues
-    and unacked backlog.  The budget:
+    Driven by the shared :class:`~repro.cluster.metrics.MetricsRegistry`, in
+    which :class:`~repro.storage.kvs.ShardNode` ledgers every stamp (one
+    mark per peer) and every shipped gossip entry (fresh, retransmit), and by
+    each replica's per-peer watermarks.  The budget:
 
-    * **fresh delta entries ≤ dirty marks** — a non-full round may only ship
-      what actually changed; folding unacked backlog or untouched store keys
-      into fresh rounds (the cumulative-payload regression) breaks this
-      immediately, however brief the storm;
+    * **fresh entries ≤ marks** — a first shipment may only carry what was
+      stamped for that peer; folding unconfirmed backlog or untouched store
+      keys into fresh windows (the cumulative-payload regression) breaks
+      this immediately, however brief the storm;
     * **repair entries ≤ divergence** — digest-tree anti-entropy may only
       ship keys that actually diverged: every repaired entry is licensed
-      either by a dirty mark (a delta the machinery was still owed) or by a
+      either by a mark (a change the protocol was still owed) or by a
       state-losing recovery (each lost entry licenses a push and a pull per
       replica pair).  A repair path that ships converged ranges — the old
       periodic full-store sync in disguise — breaks this at any store size;
-    * **full-round provenance** — in delta mode a full-store round may only
-      come from the ``AckedChannel`` saturation escalation (a peer that
-      stopped acking); the counter pair pins that no other code path
-      regressed into shipping whole stores;
     * **digest-tree purity** — every live replica's incrementally-maintained
       tree must equal a from-scratch rebuild over its store: trees are pure
       functions of content, never of operation order or hash seed;
-    * **post-heal quiescence** — after the final heal + settle, no live
-      replica holds a *stale* unacked round (outstanding past the channel's
-      own retransmission grace, with nothing left to lose it) and no
-      transport still holds queued parcels: retransmission converged
-      instead of looping.  A round whose ack is legitimately in flight from
-      the final gossip tick is not stale and not flagged.
+    * **post-heal quiescence** — after the final heal + settle, every live
+      replica has ``confirmed == shipped`` toward every peer, holds no
+      window ``ahead`` of a gap, and has nothing queued in its transport:
+      retransmission converged instead of looping.
     """
     result = CheckResult("gossip-byte-budget")
     kvs = env.kvs
@@ -387,14 +380,6 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
             f"entries shipped against a divergence budget of "
             f"{repair_budget:.0f} ({marks:.0f} dirty marks, {lost:.0f} "
             f"state-loss entries) — repair is shipping converged ranges")
-    fulls = metrics.counter("kvs.gossip.full_rounds")
-    saturation = metrics.counter("kvs.gossip.saturation_fulls")
-    if fulls > saturation:
-        result.failures.append(
-            f"full-store provenance violated: {fulls:.0f} full rounds "
-            f"shipped but only {saturation:.0f} saturation escalations — "
-            f"something other than a saturated channel shipped a whole "
-            f"store")
     for replica in kvs.all_nodes():
         if not replica.alive:
             continue
@@ -409,16 +394,13 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
     for replica in kvs.all_nodes():
         if not replica.alive:
             continue
-        stale = {}
-        for peer, channel in sorted(replica._channels.items(),
-                                    key=lambda kv: str(kv[0])):
-            stale_rounds = channel.stale_rounds()
-            if stale_rounds:
-                stale[peer] = [round_no for round_no, _ in stale_rounds]
-        if stale:
+        open_peers = [str(peer) for peer, sync in replica._sync.items()
+                      if sync.confirmed != sync.shipped or sync.ahead]
+        if open_peers:
             result.failures.append(
-                f"{replica.node_id}: stale unacked gossip rounds never "
-                f"drained after heal: {stale}")
+                f"{replica.node_id}: gossip toward {open_peers} never "
+                f"drained after heal (unconfirmed shipments or an unfilled "
+                f"gap)")
         queued = replica.transport.queued_parcels()
         if queued:
             result.failures.append(

@@ -12,13 +12,17 @@ cluster's traffic patterns:
 
 * **node-silent** — a node that keeps *receiving* probe traffic while
   sending nothing for two consecutive buckets has crashed: every live
-  protocol endpoint here answers what it is sent (gossip deltas are acked,
+  protocol endpoint here answers what it is sent (gossip windows are acked,
   RPCs are replied to), so sustained one-way traffic isolates the common
-  endpoint of the failing paths.
+  endpoint of the failing paths.  An answer earns no answer, though: a
+  message arriving on ``src→node`` is presumed to *be* one, not a probe,
+  when ``node`` sent on ``node→src`` in the same or the previous bucket.
 * **node-slow** — a gray-failure straggler: most links touching one node
   show mean latency far above the bucket's cross-link median while the
   rest of the fabric is normal.  Paths through the node fail the latency
-  predicate; paths avoiding it pass; the intersection is the node.
+  predicate; paths avoiding it pass; the intersection is the node.  A
+  bucket already blamed for fabric-wide latency convicts no node: sampled
+  thinly, its leave-one-out baseline can read pristine by accident.
 * **fabric-loss / fabric-latency** — degradation spread across many links
   with no single common endpoint blames the shared fabric (partitions,
   drop spikes, congestion, latency spikes all land here).  Drops whose
@@ -42,8 +46,8 @@ from typing import Hashable, Optional, Sequence
 from repro.chaos.checkers import CheckResult
 from repro.chaos.history import History
 
-#: node-silent: minimum inbound messages in the silent bucket — one gossip
-#: delta or RPC is already a probe, since live receivers always answer.
+#: node-silent: minimum probes delivered in the silent bucket — one gossip
+#: window or RPC is already a probe, since live receivers always answer.
 SILENCE_MIN_INBOUND = 1
 #: node-silent: the node must have transmitted within this many buckets
 #: before the probed silence (crash *onset*, not ambient quiet).
@@ -163,18 +167,24 @@ class _Observations:
         self.observatory = observatory
         self.buckets = observatory.buckets()
         self.last_bucket = self.buckets[-1] if self.buckets else -1
-        # per (node, bucket): *delivered* messages toward the node (a probe
-        # that the fabric dropped proves nothing about the receiver) and
-        # *sent* messages away from it (attempting to send proves liveness,
-        # even if the fabric then ate the message).
-        self.inbound: dict[tuple[Hashable, int], int] = {}
+        # per (node, bucket): *delivered* probes toward the node (one the
+        # fabric dropped proves nothing about the receiver; one that answers
+        # what the node sent its source in this bucket or the previous one
+        # earns no answer itself) and *sent* messages away from it
+        # (attempting to send proves liveness, even if the fabric then ate
+        # the message).
+        self.probes: dict[tuple[Hashable, int], int] = {}
         self.outbound: dict[tuple[Hashable, int], int] = {}
         # per bucket: {link: mean latency} over links with deliveries
         # (normalized to the link's expected latency when one is priced)
         self.link_means: dict[int, dict[tuple, float]] = {}
         self.median_latency: dict[int, float] = {}
+        sent: dict[int, set[tuple]] = {}  # per bucket: links that sent
         for bucket in self.buckets:
             window = observatory.window(bucket)
+            sent_here = sent[bucket] = {link for link, stat in window.items()
+                                        if stat.sent_messages}
+            sent_before = sent.get(bucket - 1, ())
             means: dict[tuple, float] = {}
             for (src, dst), stat in window.items():
                 if stat.sent_messages:
@@ -182,16 +192,18 @@ class _Observations:
                     self.outbound[key_out] = (self.outbound.get(key_out, 0)
                                               + stat.sent_messages)
                 if stat.delivered_messages:
-                    key_in = (dst, bucket)
-                    self.inbound[key_in] = (self.inbound.get(key_in, 0)
-                                            + stat.delivered_messages)
+                    if ((dst, src) not in sent_here
+                            and (dst, src) not in sent_before):
+                        key_in = (dst, bucket)
+                        self.probes[key_in] = (self.probes.get(key_in, 0)
+                                               + stat.delivered_messages)
                     mean = stat.mean_latency
                     if expected is not None:
                         mean /= expected((src, dst))
                     means[(src, dst)] = mean
             self.link_means[bucket] = means
             self.median_latency[bucket] = _median(list(means.values()))
-        self.nodes = sorted({node for node, _ in self.inbound}
+        self.nodes = sorted({node for node, _ in self.probes}
                             | {node for node, _ in self.outbound}, key=str)
 
     def looks_dead(self, node: Hashable, bucket: int) -> bool:
@@ -216,7 +228,7 @@ def _silent_node_blames(obs: _Observations,
             if obs.outbound.get((node, bucket), 0):
                 last_outbound_bucket = bucket
                 continue
-            inbound_here = obs.inbound.get((node, bucket), 0)
+            inbound_here = obs.probes.get((node, bucket), 0)
             if inbound_here < SILENCE_MIN_INBOUND:
                 continue
             if not obs.looks_dead(node, bucket):
@@ -241,7 +253,7 @@ def _silent_node_blames(obs: _Observations,
             silent_spans.append((start, end + obs.observatory.bucket_width))
             evidence.append(
                 f"bucket [{start:.0f},{end:.0f}): {inbound_here} inbound "
-                "message(s), zero outbound here and next bucket")
+                "probe(s), zero outbound here and next bucket")
         if silent_spans:
             blames.append(Blame(subject=("node", node), kind="node-silent",
                                 windows=_merge_windows(silent_spans),
@@ -303,14 +315,16 @@ def _unanimity_holds(node, slow, means, threshold) -> bool:
             and any(link[1] == node for link in slow))
 
 
-def _slow_node_blames(obs: _Observations,
-                      pristine_latency: float) -> list[Blame]:
+def _slow_node_blames(obs: _Observations, pristine_latency: float,
+                      fabric_latency_buckets: set[int]) -> list[Blame]:
     blames = []
     for node in obs.nodes:
         qualifying = []
         unanimous = []
         evidence = []
         for bucket in obs.buckets:
+            if bucket in fabric_latency_buckets:
+                continue  # explained already; see the module docstring
             means = obs.link_means[bucket]
             touching = {link: mean for link, mean in means.items()
                         if node in link}
@@ -501,12 +515,13 @@ def diagnose(env, history: History,
     else:
         pristine_latency = (env.pristine_config.base_delay
                             + env.pristine_config.jitter / 2)
-    fabric, _latency_buckets = _fabric_blames(
+    fabric, fabric_latency_buckets = _fabric_blames(
         obs, pristine_latency, env.pristine_config.drop_rate)
     report = DiagnosisReport()
     report.blames.extend(fabric)
     report.blames.extend(_silent_node_blames(obs, client_ids))
-    report.blames.extend(_slow_node_blames(obs, pristine_latency))
+    report.blames.extend(_slow_node_blames(obs, pristine_latency,
+                                           fabric_latency_buckets))
     report.blames.extend(_client_blames(
         history, client_ids, env.network.observatory.bucket_width))
     # Enrich node blames with RPC-timeout corroboration where the keyed
@@ -581,7 +596,7 @@ def identifiable_truth(env, history: History) -> set[tuple]:
         # overlapping fault's recovery may have resurrected it early, and
         # a probed-but-answering node carries no trace of this fault.
         for bucket in inside:
-            if obs.inbound.get((node, bucket), 0) < SILENCE_MIN_INBOUND:
+            if obs.probes.get((node, bucket), 0) < SILENCE_MIN_INBOUND:
                 continue
             if obs.outbound.get((node, bucket), 0):
                 continue

@@ -34,7 +34,6 @@ from repro.cluster.network import (
 )
 from repro.cluster.transport import (
     TRANSPORT_MAILBOX,
-    AckedChannel,
     Envelope,
     Parcel,
     PayloadMutationError,
@@ -75,6 +74,5 @@ __all__ = [
     "Parcel",
     "Envelope",
     "RpcPolicy",
-    "AckedChannel",
     "TRANSPORT_MAILBOX",
 ]

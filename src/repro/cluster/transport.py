@@ -18,9 +18,7 @@ module is the single seam between protocol code and the network:
 * **RPC** — :meth:`Transport.request` gives request/reply with timeouts,
   capped retries and duplicate suppression on both sides; replies are
   dispatched to an ordinary reply mailbox, so protocol handlers keep their
-  shape.  :class:`AckedChannel` is the cadence-driven sibling used by delta
-  gossip: round-numbered at-least-once delivery whose retransmissions ride
-  the sender's own tick schedule instead of timers.
+  shape.
 
 Determinism contract (the chaos harness relies on it): queues are plain
 lists, flush iterates destinations in sorted-``repr`` order, and no code
@@ -227,61 +225,6 @@ class _InboundRequest:
     parcel: Parcel
     reply: Optional[Parcel] = None
     forwarded: bool = False
-
-
-class AckedChannel:
-    """Cadence-driven at-least-once delivery of keyed rounds to one peer.
-
-    The sender's own tick schedule drives retransmission (no timers): each
-    round of keys is tracked until acked; a round older than ``grace`` ticks
-    is eligible for retransmission *under its original round number*, so the
-    eventual ack always matches however slow the link is; once ``cap``
-    rounds pile up unacked, the caller is told to escalate (ship everything
-    and :meth:`clear` the backlog).  Extracted from the KVS delta-gossip
-    protocol so any cadence-based stream can reuse it.
-    """
-
-    def __init__(self, grace: int = 2, cap: int = 8) -> None:
-        self.grace = grace
-        self.cap = cap
-        self.ticks = 0
-        #: round number -> (tick it was last sent on, frozen key set)
-        self.pending: dict[int, tuple[int, frozenset]] = {}
-
-    def begin_tick(self) -> int:
-        """Advance the cadence; returns the tick ordinal (1-based)."""
-        self.ticks += 1
-        return self.ticks
-
-    @property
-    def saturated(self) -> bool:
-        """True when the unacked backlog hit the escalation cap."""
-        return len(self.pending) >= self.cap
-
-    def stale_rounds(self) -> list[tuple[int, frozenset]]:
-        """Rounds old enough to retransmit, in round order (deterministic)."""
-        pending = self.pending
-        if not pending:  # idle channels dominate most ticks; skip the sort
-            return []
-        return [
-            (round_no, keys)
-            for round_no, (sent_tick, keys) in sorted(pending.items())
-            if self.ticks - sent_tick >= self.grace
-        ]
-
-    def track(self, round_no: int, keys: frozenset) -> None:
-        """Record (or re-stamp, for a retransmission) an outstanding round."""
-        self.pending[round_no] = (self.ticks, keys)
-
-    def ack(self, round_no: int) -> None:
-        self.pending.pop(round_no, None)
-
-    def forget(self, round_no: int) -> None:
-        self.pending.pop(round_no, None)
-
-    def clear(self) -> None:
-        """Drop the whole backlog (an escalation superseded it)."""
-        self.pending.clear()
 
 
 class Transport:

@@ -3,10 +3,10 @@
 Keys are assigned to shards by a deterministic consistent-hash ring (see
 :mod:`repro.storage.ring`); each shard has a configurable number of
 replicas.  A ``put`` merges a lattice value into one replica (chosen round-
-robin) and is propagated to the shard's other replicas both eagerly (async
-replication messages) and periodically (gossip), so replicas converge
-without locks or consensus.  ``get`` reads any single replica — eventually
-consistent by construction, exactly Anna's model.
+robin), which ships it to the shard's other replicas at once and answers for
+its delivery (see "Replication" below), so replicas converge without locks
+or consensus.  ``get`` reads any single replica — eventually consistent by
+construction, exactly Anna's model.
 
 Because routing goes through the ring rather than Python's salted builtin
 ``hash``, every process agrees on key placement regardless of
@@ -15,38 +15,63 @@ shard count while moving only the keys whose ring ownership changed.
 
 Writes are O(delta), not O(store): each replica holds a plain mutable dict
 and merges arriving values entry-wise (in place once it owns the entry — see
-the README's mutation-protocol section for the ownership rules), and gossip
-ships *deltas* — only the entries that changed since the peer's last
-acknowledged round.  Background repair is O(divergence), not O(store): every
-``full_sync_every``-th gossip round runs a digest-tree (Merkle)
-reconciliation (:mod:`repro.storage.antientropy`) that exchanges the root
-digest — O(1) when replicas are already identical — recurses only into
-mismatching key ranges via the RPC runtime, and ships only the keys that
-actually differ, so dropped gossip or a state-losing recovery still
-converges without anyone ever shipping a whole store.  Full-store shipping
-survives in exactly two places: snapshot mode, and the
-:class:`~repro.cluster.transport.AckedChannel` saturation escalation (a
-peer that stopped acking entirely).
+the README's mutation-protocol section for the ownership rules).
+
+Replication
+-----------
+
+**A write crosses each replica link once.**  A change that *enters the
+replica group* at a replica — a client ``put``, :meth:`LatticeKVS.put`, a
+reshard landing, an entry a non-peer hands over — is stamped in a small
+ordered log (one stamp per key; a key changed again moves to the tail).
+When the event that stamped it returns, each peer gets one ``gossip`` window
+``{"since": shipped, "seq": log seq, "entries": {key: current value}}``; a
+burst stamped by one event rides one window per peer.  Per peer the replica
+keeps a handful of integers (:class:`_PeerSync`), whatever is in flight:
+
+* the receiver merges the entries — *without* stamping them, so nothing is
+  echoed: every origin delivers its own changes to every peer itself, both
+  operands of a genuine merge have an origin doing so, and the digest tree
+  is the third-party backstop for an origin that loses its state between two
+  deliveries.  A window with ``since <= seen`` advances ``seen`` (the highest
+  of the peer's stamps held without a gap) to ``seq``; a later one waits in
+  ``ahead``.  Either way it answers at once with
+  ``gossip_ack {"seen": n, "until": None}``;
+* loss is repaired by naming the gap: on its own gossip tick a receiver still
+  holding a window in ``ahead`` sends ``{"seen": n, "until": first gap's
+  end}`` and the sender ships exactly the stamps in ``(seen, until]`` again
+  (an empty window if they were superseded — the receiver still advances);
+* tail loss is repaired by the cadence: ``confirmed < shipped`` with no ack
+  progress for ``RETRANSMIT_AFTER_ROUNDS`` ticks ships again from
+  ``confirmed``.  An idle tick sends nothing;
+* the log is trimmed at ``min(confirmed)`` on every ack: it holds what is
+  unacknowledged, not the store.
+
+State loss and silent divergence are the digest tree's job
+(:mod:`repro.storage.antientropy`): every ``full_sync_every``-th tick toward
+a peer — and at once after a state-losing recovery — a replica exchanges the
+root digest (O(1) when identical), recurses only into mismatching key ranges
+via the RPC runtime, and ships only the keys that differ, as a one-shot
+unstamped parcel.  A whole store is shipped only in ``gossip_mode="snapshot"``,
+the reference the equivalence tests and bench baselines compare against.
 
 All traffic flows through the node's :class:`~repro.cluster.transport.Transport`:
 puts and gets are transport RPCs (timeouts, capped retries, duplicate
-suppression), replication and gossip are typed batched parcels (everything a
-replica sends one peer within a gossip tick rides a single envelope), and
-per-peer ack/retransmission bookkeeping lives in an
-:class:`~repro.cluster.transport.AckedChannel` driven by the gossip cadence.
+suppression); windows, acks and a client's ``put_ack`` queued by one event
+share an envelope per destination.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Message, Network
 from repro.cluster.node import Node
 from repro.cluster.simulator import Simulator
-from repro.cluster.transport import AckedChannel, digest_entries
+from repro.cluster.transport import digest_entries
 from repro.lattices.base import BOTTOM, Lattice, owns_merge_result
 from repro.storage.antientropy import (
     LEAF_LEVEL,
@@ -55,19 +80,35 @@ from repro.storage.antientropy import (
 )
 from repro.storage.ring import HashRing, stable_key_bytes
 
-#: Gossip rounds a delta stays outstanding before being retransmitted,
-#: giving its ack time to cross the network.  Retransmissions reuse the
-#: original round number, so an ack always matches no matter how many
-#: resends raced it — the round trip only delays quiescence, never defeats
-#: it.
+#: Gossip ticks a peer may leave shipped changes unconfirmed, with no ack
+#: progress, before they are shipped again from its confirmed stamp.  An ack
+#: answers its window at once, so two ticks cover a round trip of up to two
+#: gossip intervals and keep a fault-free run free of retransmissions.
 RETRANSMIT_AFTER_ROUNDS = 2
 
-#: Outstanding (unacked) gossip rounds a peer may accumulate before the
-#: sender escalates to a full-store sync, which supersedes and clears the
-#: whole backlog.  Bounds per-peer bookkeeping under total ack loss (a
-#: dead or partitioned peer) at one full store every ~cap rounds — still
-#: far below the old snapshot mode's full store every round.
-MAX_OUTSTANDING_ROUNDS = 8
+#: Windows a receiver remembers past a gap.  On overflow it forgets them all:
+#: they are merged already, and the sender's go-back covers them again.
+MAX_AHEAD_WINDOWS = 8
+
+
+@dataclass(slots=True)
+class _PeerSync:
+    """What a replica keeps about one peer: a few integers, whatever is in
+    flight.  ``shipped``/``confirmed``/``overdue`` are its sender side,
+    ``seen``/``ahead`` its receiver side."""
+
+    #: Highest local stamp already shipped to the peer.
+    shipped: int = 0
+    #: Highest local stamp the peer acknowledged holding without a gap.
+    confirmed: int = 0
+    #: Consecutive ticks that found shipped changes unconfirmed.
+    overdue: int = 0
+    #: Highest of the peer's stamps held here without a gap.
+    seen: int = 0
+    #: Windows that arrived before a gap closed: ``since -> seq``.
+    ahead: dict[int, int] = field(default_factory=dict)
+    #: Gossip ticks toward the peer; schedules the digest exchanges.
+    ticks: int = 0
 
 
 class ShardNode(Node):
@@ -96,25 +137,21 @@ class ShardNode(Node):
         self.full_sync_every = max(1, full_sync_every)
         # Routing-table hook, set by LatticeKVS: key -> current owner
         # replica ids.  After a reshard, traffic that still arrives here
-        # for a key this replica no longer owns (in-flight puts,
-        # replication, stale gossip) is forwarded instead of stored, so an
-        # acked write can never strand on a shard reads no longer visit.
+        # for a key this replica no longer owns (in-flight puts, stale
+        # gossip) is forwarded instead of stored, so an acked write can
+        # never strand on a shard reads no longer visit.
         self.ownership: Optional[Callable[[Hashable], list[Hashable]]] = None
         self.puts = 0
         self.gets = 0
         self._owned: set[Hashable] = set()
-        # Delta-gossip bookkeeping, all keyed by peer id:
-        #   _dirty     keys changed since the last gossip sent to the peer
-        #   _channels  one AckedChannel per peer: outstanding round numbers,
-        #              the grace period before a retransmission (under the
-        #              round's *original* number, so the ack always matches
-        #              whatever the link RTT) and the saturation cap at
-        #              which a full-store sync supersedes the backlog.  The
-        #              channel's tick count doubles as the per-peer round
-        #              counter for the periodic full-sync schedule.
-        self._dirty: dict[Hashable, set[Hashable]] = {}
-        self._channels: dict[Hashable, AckedChannel] = {}
-        self._gossip_round = 0
+        # The change log: key -> stamp of its latest change that entered the
+        # replica group here, in stamp order, trimmed to what some peer has
+        # yet to confirm.  ``_seq`` is the last stamp handed out; it only
+        # ever grows, so a stamp a peer confirmed is never reused.
+        self._log: dict[Hashable, int] = {}
+        self._seq = 0
+        self._sync: dict[Hashable, _PeerSync] = {}
+        self._push_bound = False
         # Anti-entropy state: the incremental digest tree over the store
         # (maintained in every gossip mode so mode flips never start from a
         # stale tree) and at most one in-flight reconciliation per peer.
@@ -129,41 +166,38 @@ class ShardNode(Node):
         self.on("gossip_ack", self._on_gossip_ack)
         self.on("ae_probe", self._on_ae_probe)
         self.on("ae_pull", self._on_ae_pull)
-        if gossip_interval:
-            self.set_timer(gossip_interval, self._gossip_tick, label=f"kvs-gossip@{node_id}")
+        self._arm_gossip()
+
+    def _arm_gossip(self) -> None:
+        if self.gossip_interval:
+            self.set_timer(self.gossip_interval, self._gossip_tick,
+                           label=f"kvs-gossip@{self.node_id}")
 
     def set_peers(self, peers: list[Hashable]) -> None:
+        """Replace the peer list.  A peer not gossiped with before is owed
+        nothing from the log: what the store already holds reaches it
+        through the digest exchange, like any state it lacks."""
         self.peers = [peer for peer in peers if peer != self.node_id]
-        current = set(self.peers)
+        known, self._sync = self._sync, {}
         for peer in self.peers:
-            if peer not in self._dirty:
-                # A new peer starts fully unsynced: everything we hold is
-                # dirty until gossip ships it.
-                self._dirty[peer] = set(self.store)
-                self._channels[peer] = AckedChannel(
-                    grace=RETRANSMIT_AFTER_ROUNDS, cap=MAX_OUTSTANDING_ROUNDS)
-                if self.store:
-                    self.network.metrics.increment("kvs.gossip.dirty_marks",
-                                                   len(self.store))
-        for peer in [p for p in self._dirty if p not in current]:
-            del self._dirty[peer]
-            self._channels.pop(peer, None)
+            self._sync[peer] = known.pop(peer, None) or _PeerSync(
+                shipped=self._seq, confirmed=self._seq)
+        for peer in known:
             self._ae_sessions.pop(peer, None)
-
-    @property
-    def _unacked(self) -> dict[Hashable, dict[int, tuple[int, frozenset]]]:
-        """Outstanding rounds per peer (a view over the acked channels)."""
-        return {peer: channel.pending
-                for peer, channel in self._channels.items()}
 
     # -- local operations ---------------------------------------------------------
 
     def merge_local(self, key: Hashable, value: Lattice) -> bool:
-        """Merge ``value`` into ``key``'s entry in place; True if it grew."""
-        return self._merge_entry(key, value)
+        """Merge a value that enters the replica group here; True if the
+        entry grew — in which case the change is stamped and ships to every
+        peer when the current event returns."""
+        grew = self._merge_entry(key, value)
+        if grew:
+            self._stamp(key)
+        return grew
 
-    def _merge_entry(self, key: Hashable, value: Lattice,
-                     exclude: Optional[Hashable] = None) -> bool:
+    def _merge_entry(self, key: Hashable, value: Lattice) -> bool:
+        """Merge ``value`` into ``key``'s entry in place; True if it grew."""
         store = self.store
         current = store.get(key)
         if current is None:
@@ -195,17 +229,23 @@ class ShardNode(Node):
             else:
                 self._owned.discard(key)
         self._tree.update(key, store[key])
-        if self._dirty:
-            marks = 0
-            for peer, dirty in self._dirty.items():
-                if peer != exclude:
-                    dirty.add(key)
-                    marks += 1
-            if marks:
-                # The byte-budget checker's O(Δ) ledger: fresh delta rounds
-                # may never ship more entries than were dirty-marked.
-                self.network.metrics.increment("kvs.gossip.dirty_marks", marks)
         return True
+
+    def _stamp(self, key: Hashable) -> None:
+        """Log ``key``'s change and bind one push to the current event."""
+        if not self._sync or self.gossip_mode == "snapshot":
+            return
+        self._seq += 1
+        log = self._log
+        if key in log:
+            del log[key]  # one stamp per key: changed again, it moves to the tail
+        log[key] = self._seq
+        # The byte-budget checker's O(Δ) ledger: one obligation per peer.
+        self.network.metrics.increment("kvs.gossip.dirty_marks",
+                                       len(self._sync))
+        if not self._push_bound:
+            self._push_bound = True
+            self.simulator.defer(self._push)
 
     def value_of(self, key: Hashable) -> Optional[Lattice]:
         value = self.store.get(key)
@@ -222,10 +262,7 @@ class ShardNode(Node):
             self.store.pop(key, None)
             self._owned.discard(key)
             self._tree.remove(key)
-        for dirty in self._dirty.values():
-            dirty.difference_update(keys)
-        # Unacked rounds may still name dropped keys; they are filtered
-        # against the live store at (re)send time.
+            self._log.pop(key, None)
 
     # -- message handlers ------------------------------------------------------------
 
@@ -235,6 +272,18 @@ class ShardNode(Node):
             return None
         owners = self.ownership(key)
         return None if self.node_id in owners else owners
+
+    def _take(self, key: Hashable, value: Lattice, merge) -> None:
+        """``merge`` an arriving entry — unless a reshard moved the key away:
+        then hand it to every current owner rather than resurrecting a
+        dropped copy on a shard reads no longer visit."""
+        owners = self._misrouted(key)
+        if owners is None:
+            merge(key, value)
+        else:
+            for owner in owners:
+                self.queue(owner, "replicate", {"key": key, "value": value},
+                           entries=1)
 
     def _on_put(self, message: Message) -> None:
         payload = message.payload
@@ -250,22 +299,14 @@ class ShardNode(Node):
             self.forward(message, owners[0])
             return
         self.merge_local(key, value)
-        for peer in self.peers:
-            self.queue(peer, "replicate", {"key": key, "value": value},
-                       entries=1)
         self.reply(message, "put_ack",
                    {"request_id": request_id, "replica": self.node_id})
 
     def _on_replicate(self, message: Message) -> None:
+        # Only a replica of another shard sends this (misrouted traffic after
+        # a reshard), never a peer: the entry enters the group here.
         payload = message.payload
-        key, value = payload["key"], payload["value"]
-        owners = self._misrouted(key)
-        if owners is not None:
-            for owner in owners:
-                self.queue(owner, "replicate", {"key": key, "value": value},
-                           entries=1)
-        else:
-            self._merge_entry(key, value, exclude=message.source)
+        self._take(payload["key"], payload["value"], self.merge_local)
 
     def _on_get(self, message: Message) -> None:
         payload = message.payload
@@ -282,134 +323,155 @@ class ShardNode(Node):
 
     # -- gossip ------------------------------------------------------------------------
     #
-    # Wire format (see README "Delta-state gossip"): a gossip message is
-    #   {"round": int, "kind": "delta" | "full", "entries": {key: lattice}}
-    # and is answered by a "gossip_ack" message {"round": int}.  Fresh
-    # dirty keys ship as a new delta round; an unacked round past the
-    # grace period is retransmitted under its original round number with
-    # the keys' current values.  Every ``full_sync_every``-th round to a
-    # peer starts a digest-tree anti-entropy exchange (the "ae_probe" /
-    # "ae_pull" RPCs below) that repairs divergence the delta machinery
-    # missed — dropped replication, a state-losing recovery — by shipping
-    # only the keys that actually differ.  A full-store round survives in
-    # exactly two cases: snapshot mode (every round) and a saturated
-    # channel (a peer that stopped acking), where it supersedes and
-    # clears the outstanding backlog.
+    # Wire format (see the module docstring and README "Delta-state gossip"):
+    #   "gossip"     {"since": int, "seq": int, "entries": {key: lattice}}   a window
+    #                {"entries": {key: lattice}}            a one-shot parcel
+    #   "gossip_ack" {"seen": int, "until": int | None}
+    # A window is priced by its entries; ``since``/``seq`` and an ack's
+    # ``seen``/``until`` ride the message header.  One-shot parcels (digest
+    # repair, snapshot mode) carry no stamps and earn no ack: if one is lost
+    # the next exchange, or round, finds the same divergence.
+
+    def _push(self) -> None:
+        """The first shipment: what the event that just returned stamped."""
+        self._push_bound = False
+        if not self.alive:
+            return  # the next tick after recovery ships since=shipped
+        for peer, sync in self._sync.items():
+            if sync.shipped < self._seq:
+                self._ship_window(peer, sync, sync.shipped)
+
+    def _ship_window(self, peer: Hashable, sync: _PeerSync, since: int,
+                     until: Optional[int] = None) -> None:
+        """Queue the changes stamped in ``(since, until]`` — to the log's
+        tail when ``until`` is None — with their current values."""
+        log = self._log
+        seq = self._seq if until is None else until
+        keys = []
+        fresh = 0
+        for key in reversed(log):
+            stamp = log[key]
+            if stamp <= since:
+                break
+            if stamp <= seq:
+                keys.append(key)
+                fresh += stamp > sync.shipped
+        # Change order, so the payload is the same under every PYTHONHASHSEED.
+        store = self.store
+        entries = {key: store[key] for key in reversed(keys)}
+        # Payload values alias live store entries; give up in-place
+        # ownership so they are copy-on-write from now on and the in-flight
+        # message keeps reflecting state at send time.
+        self._owned.difference_update(keys)
+        metrics = self.network.metrics
+        if fresh:
+            metrics.increment("kvs.gossip.fresh_entries", fresh)
+        if len(keys) > fresh:
+            metrics.increment("kvs.gossip.retransmit_entries",
+                              len(keys) - fresh)
+        if seq > sync.shipped:
+            sync.shipped = seq
+        self.queue(peer, "gossip",
+                   {"since": since, "seq": seq, "entries": entries},
+                   entries=len(entries))
 
     def _gossip_tick(self) -> None:
         if not self.alive:
             return
-        for peer in self.peers:
-            self._send_gossip(peer)
-        if self.gossip_interval:
-            self.set_timer(self.gossip_interval, self._gossip_tick,
-                           label=f"kvs-gossip@{self.node_id}")
-
-    def _send_gossip(self, peer: Hashable) -> None:
-        dirty = self._dirty.setdefault(peer, set())
-        channel = self._channels.setdefault(
-            peer, AckedChannel(grace=RETRANSMIT_AFTER_ROUNDS,
-                               cap=MAX_OUTSTANDING_ROUNDS))
-        sent = channel.begin_tick()
-        if self.gossip_mode == "snapshot" or channel.saturated:
-            # The whole store supersedes the outstanding backlog.  This is
-            # the only remaining full-store path: snapshot mode by design,
-            # and the saturation escalation for a peer that stopped acking
-            # (digest recursion needs replies, so a silent peer gets the
-            # blunt instrument).
-            metrics = self.network.metrics
-            if channel.saturated and self.gossip_mode != "snapshot":
-                metrics.increment("kvs.gossip.saturation_fulls")
-            channel.clear()
-            dirty.clear()
-            if self.store:  # an empty full sync ships (and counts) nothing
-                metrics.increment("kvs.gossip.full_rounds")
-                metrics.increment("kvs.gossip.full_entries", len(self.store))
-                self._ship(peer, channel, dict(self.store), "full")
-                self.transport.flush(peer)
-            return
-        if sent % self.full_sync_every == 0:
-            # The old full-store cadence, now a digest exchange: O(1) probe
-            # when converged, O(divergence) repair when not.  Additive — the
-            # delta/retransmission machinery below still runs this tick.
-            self._start_anti_entropy(peer)
-        if not channel.pending and not dirty:
-            # Idle delta tick: nothing unacked, nothing dirty.  The cadence
-            # already advanced (begin_tick above — full-sync rounds must keep
-            # their schedule so a state-lost replica is re-filled on time),
-            # and the flush still runs so anything *other* code queued for
-            # the peer this instant ships exactly as it always did.
+        for peer, sync in self._sync.items():
+            if self.gossip_mode == "snapshot":
+                self._ship_store(peer)
+            else:
+                self._tick_peer(peer, sync)
+            # The cadence flush: a tick called outside an event (tests do)
+            # still ships before it returns.
             self.transport.flush(peer)
-            return
-        metrics = self.network.metrics
-        # Retransmit stale unacked rounds under their original numbers with
-        # the keys' current values, so the eventual ack matches no matter
-        # how slow the link is.  Younger rounds just await their acks.
-        for round_no, keys in channel.stale_rounds():
-            # Sorted so payload iteration order (and any per-key forwarding
-            # a receiver does) is identical under every PYTHONHASHSEED —
-            # set iteration order is salted and would fork the event trace.
-            entries = {key: self.store[key]
-                       for key in sorted(keys, key=repr) if key in self.store}
-            if not entries:
-                # Every key this round carried was dropped from the store;
-                # nothing is left that needs acknowledging.
-                channel.forget(round_no)
-                continue
-            self._owned.difference_update(entries)
-            channel.track(round_no, keys)
-            metrics.increment("kvs.gossip.retransmit_entries", len(entries))
-            self.queue(peer, "gossip",
-                       {"round": round_no, "kind": "delta", "entries": entries},
-                       entries=len(entries))
-        # Fresh changes ship in their own new round.  Sorted for the same
-        # cross-PYTHONHASHSEED determinism reason as retransmissions above.
-        if dirty:
-            entries = {key: self.store[key]
-                       for key in sorted(dirty, key=repr) if key in self.store}
-            dirty.clear()
-            metrics.increment("kvs.gossip.fresh_entries", len(entries))
-            self._ship(peer, channel, entries, "delta")
-        # The cadence flush: everything this tick queued for the peer
-        # (retransmissions + the fresh round) rides one envelope.
-        self.transport.flush(peer)
+        self._arm_gossip()
 
-    def _ship(self, peer: Hashable, channel: AckedChannel,
-              entries: dict, kind: str) -> None:
-        if not entries:
-            return
-        self._gossip_round += 1
-        round_no = self._gossip_round
-        # Payload values alias live store entries; give up in-place
-        # ownership so they are copy-on-write from now on and the in-flight
-        # message keeps reflecting state at send time.
-        self._owned.difference_update(entries)
-        channel.track(round_no, frozenset(entries))
-        self.queue(peer, "gossip",
-                   {"round": round_no, "kind": kind, "entries": entries},
-                   entries=len(entries))
+    def _tick_peer(self, peer: Hashable, sync: _PeerSync) -> None:
+        """One delta-mode tick toward ``peer``; idle, it sends nothing."""
+        sync.ticks += 1
+        if sync.ticks % self.full_sync_every == 0:
+            # O(1) probe when converged, O(divergence) repair when not.
+            self._start_anti_entropy(peer)
+        if sync.ahead:
+            # A gap that outlived a round is a loss, not a reordering.
+            self.queue(peer, "gossip_ack",
+                       {"seen": sync.seen, "until": min(sync.ahead)})
+        since = sync.shipped
+        if sync.confirmed < sync.shipped:
+            sync.overdue += 1
+            if sync.overdue >= RETRANSMIT_AFTER_ROUNDS:
+                # The ack is overdue (lost window or lost ack): go back to
+                # what the peer confirmed.
+                since, sync.overdue = sync.confirmed, 0
+        if since < self._seq:
+            self._ship_window(peer, sync, since)
+
+    def _ship_store(self, peer: Hashable) -> None:
+        """Snapshot mode's round: the whole store, every time."""
+        if self.store:  # an empty full sync ships (and counts) nothing
+            metrics = self.network.metrics
+            metrics.increment("kvs.gossip.full_rounds")
+            metrics.increment("kvs.gossip.full_entries", len(self.store))
+            self._owned.clear()
+            self.queue(peer, "gossip", {"entries": dict(self.store)},
+                       entries=len(self.store))
 
     def _on_gossip(self, message: Message) -> None:
         payload = message.payload
+        # Merged, never stamped: the origin answers for delivering its
+        # changes to every peer, so nothing a peer sent is passed on.
         for key, value in payload["entries"].items():
-            owners = self._misrouted(key)
-            if owners is not None:
-                # Stale gossip may carry keys this shard handed off during a
-                # reshard; forward them onward rather than resurrecting a
-                # dropped copy on a shard reads no longer visit.
-                for owner in owners:
-                    self.queue(owner, "replicate", {"key": key, "value": value},
-                               entries=1)
-            else:
-                self._merge_entry(key, value, exclude=message.source)
-        self.queue(message.source, "gossip_ack", {"round": payload["round"]})
+            self._take(key, value, self._merge_entry)
+        sync = self._sync.get(message.source)
+        since = payload.get("since")
+        if sync is None or since is None:
+            return
+        if since <= sync.seen:
+            sync.seen = max(sync.seen, payload["seq"])
+            ahead = sync.ahead
+            while ahead and (first := min(ahead)) <= sync.seen:
+                sync.seen = max(sync.seen, ahead.pop(first))
+        else:
+            if len(sync.ahead) >= MAX_AHEAD_WINDOWS:
+                sync.ahead.clear()
+            sync.ahead[since] = max(payload["seq"], sync.ahead.get(since, 0))
+        self.queue(message.source, "gossip_ack",
+                   {"seen": sync.seen, "until": None})
 
     def _on_gossip_ack(self, message: Message) -> None:
-        channel = self._channels.get(message.source)
-        if channel is not None:
-            channel.ack(message.payload["round"])
-        # An ack for a superseded round is ignored: its keys were folded
-        # into a later outstanding round, which still awaits its own ack.
+        sync = self._sync.get(message.source)
+        if sync is None:
+            return
+        seen, until = message.payload["seen"], message.payload["until"]
+        if seen > sync.confirmed:
+            sync.confirmed, sync.overdue = seen, 0
+            self._trim_log()
+        if until is not None:
+            # The peer holds a later window but not (seen, until]: fill
+            # exactly that — empty if every stamp in it was superseded or
+            # lost with our state, so the peer advances all the same.
+            self._ship_window(message.source, sync, seen, until)
+
+    def _trim_log(self) -> None:
+        """Forget what every peer confirmed: the log holds what is
+        unacknowledged, not the store."""
+        log = self._log
+        floor = min([sync.confirmed for sync in self._sync.values()])
+        if floor >= self._seq:
+            # ``clear`` also releases the table: a dict keeps the slots of
+            # deleted keys until its next resize, and every walk of a log
+            # drained key by key (a preload's, say) would cross them all.
+            log.clear()
+            return
+        confirmed = []
+        for key, stamp in log.items():
+            if stamp > floor:
+                break
+            confirmed.append(key)
+        for key in confirmed:
+            del log[key]
 
     # -- anti-entropy ------------------------------------------------------------------
     #
@@ -426,8 +488,8 @@ class ShardNode(Node):
     #
     # The initiator probes level by level, recursing only into buckets whose
     # digests differ; at the leaves it ships keys the peer is missing or
-    # holds differently as a normal delta round (acked, retransmitted like
-    # any other), and pulls keys it lacks with "ae_pull".  Digest payloads
+    # holds differently as a one-shot gossip parcel, and pulls keys it lacks
+    # with "ae_pull".  Digest payloads
     # are priced honestly via ``digest_entries`` (16 bytes per digest on the
     # wire).  All payload maps are built in sorted order — bucket order for
     # digests, repr order for keys — so the event trace is identical under
@@ -506,16 +568,11 @@ class ShardNode(Node):
                 if mine.get(key) != digest:
                     to_pull.append(key)
         if to_send:
-            channel = self._channels.setdefault(
-                peer, AckedChannel(grace=RETRANSMIT_AFTER_ROUNDS,
-                                   cap=MAX_OUTSTANDING_ROUNDS))
             self.network.metrics.increment("kvs.antientropy.repair_entries",
                                            len(to_send))
-            # Repairs ride the normal delta machinery: tracked in the acked
-            # channel, retransmitted if the ack is lost.
-            self._ship(peer, channel, to_send, "delta")
-            self._dirty.get(peer, set()).difference_update(to_send)
-            self.transport.flush(peer)
+            self._owned.difference_update(to_send)
+            self.queue(peer, "gossip", {"entries": to_send},
+                       entries=len(to_send))
         if to_pull:
             self.request(
                 peer, "ae_pull", {"keys": to_pull},
@@ -533,15 +590,7 @@ class ShardNode(Node):
         self.network.metrics.increment("kvs.antientropy.repair_entries",
                                        len(entries))
         for key, value in entries.items():
-            owners = self._misrouted(key)
-            if owners is not None:
-                # Same reshard guard as gossip: a pulled key this replica
-                # handed off mid-exchange is forwarded, not resurrected.
-                for owner in owners:
-                    self.queue(owner, "replicate", {"key": key, "value": value},
-                               entries=1)
-            else:
-                self._merge_entry(key, value, exclude=session.peer)
+            self._take(key, value, self._merge_entry)
         self._ae_finish(session)
 
     def _ae_finish(self, session: AntiEntropySession) -> None:
@@ -590,9 +639,11 @@ class ShardNode(Node):
     def recover(self, lose_state: bool = False) -> None:
         """Recover and re-arm the gossip timer that :meth:`Node.crash` cancelled.
 
-        Gossip is the loss backstop of the delta protocol — a recovered
-        replica that never gossips again could diverge permanently once a
-        replicate message to it or from it is dropped.
+        The tick is the loss backstop — a recovered replica that never
+        ticks again could diverge permanently once a window to it or from it
+        is dropped.  A replica that comes back empty says so at once: it
+        opens a digest exchange with its first peer instead of serving
+        nothing until the cadence's next one.
         """
         was_down = not self.alive
         super().recover(lose_state)
@@ -601,9 +652,9 @@ class ShardNode(Node):
             # timers were cancelled); drop the sessions so the next cadence
             # tick can start fresh instead of waiting on a ghost.
             self._ae_sessions.clear()
-        if was_down and self.gossip_interval:
-            self.set_timer(self.gossip_interval, self._gossip_tick,
-                           label=f"kvs-gossip@{self.node_id}")
+            self._arm_gossip()
+        if lose_state and self.peers and self.gossip_mode == "delta":
+            self._start_anti_entropy(self.peers[0])
 
     def reset_state(self) -> None:
         if self.store:
@@ -615,12 +666,15 @@ class ShardNode(Node):
         self._owned.clear()
         self._tree.clear()
         self._ae_sessions.clear()
-        for peer in self._dirty:
-            self._dirty[peer] = set()
-            self._channels[peer].clear()
-        # Channel tick counts are preserved: the periodic anti-entropy
-        # schedule keeps running, and digest recursion against a now-empty
-        # tree is exactly what re-fills a state-losing recovery.
+        # The log's entries are lost and nothing is owed from it: refilling
+        # is the digest tree's job.  Its numbering and each ``seen`` carry
+        # on, so no stamp is reused and no peer has to start over; so do the
+        # tick counts, which keep the digest exchanges on schedule.
+        self._log.clear()
+        for sync in self._sync.values():
+            sync.confirmed = sync.shipped = self._seq
+            sync.overdue = 0
+            sync.ahead.clear()
 
 
 @dataclass(frozen=True)
@@ -738,13 +792,9 @@ class LatticeKVS:
     # -- synchronous-style API (drives the simulator internally) --------------------------
 
     def put(self, key: Hashable, value: Lattice) -> None:
-        """Merge ``value`` into ``key`` at one replica and replicate asynchronously."""
-        replica = self.pick_replica(key)
-        replica.merge_local(key, value)
+        """Merge ``value`` into ``key`` at one replica, which ships it to its peers."""
+        self.pick_replica(key).merge_local(key, value)
         self.metrics.increment("kvs.puts")
-        for peer_id in replica.peers:
-            replica.queue(peer_id, "replicate", {"key": key, "value": value},
-                          entries=1)
 
     def get(self, key: Hashable) -> Optional[Lattice]:
         """Read ``key`` from one (possibly stale) replica."""
@@ -781,12 +831,11 @@ class LatticeKVS:
         Consistent hashing keeps movement minimal: only keys whose ring
         ownership changed are migrated.  Each moved key's locally-merged
         value lands synchronously on one replica of its new shard (so a
-        dropped network message cannot lose it) and fans out to the other
-        replicas asynchronously; every replica checks its routing table on
-        arriving traffic, so in-flight or stale messages for a moved key
-        (puts, replication, gossip) are redirected to the new owners
-        instead of stranding on a shard reads no longer visit.  Lattice
-        merge makes
+        dropped network message cannot lose it), which ships it to the
+        other replicas like any write; every replica checks its routing
+        table on arriving traffic, so in-flight or stale messages for a
+        moved key (puts, gossip) are redirected to the new owners instead
+        of stranding on a shard reads no longer visit.  Lattice merge makes
         all of this safe to interleave with live writes; call
         :meth:`settle` before expecting :meth:`get_merged` to observe
         every moved key on every replica.
@@ -826,16 +875,11 @@ class LatticeKVS:
                         merged = merged.merge(value)
                 target_replicas = self.shards[target]
                 # Land one durable copy synchronously (mirroring put());
-                # only then drop the source and fan out asynchronously, so
-                # a dropped migration message can never lose the key.
+                # only then drop the source, so a dropped migration message
+                # can never lose the key.  The landing replica ships it on.
                 landing = next((r for r in target_replicas if r.alive),
                                target_replicas[0])
                 landing.merge_local(key, merged)
-                for target_replica in target_replicas:
-                    if target_replica is landing:
-                        continue
-                    landing.queue(target_replica.node_id, "replicate",
-                                  {"key": key, "value": merged}, entries=1)
             if moved_keys:
                 for replica in replicas:
                     replica.drop_keys(moved_keys)

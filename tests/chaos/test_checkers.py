@@ -378,8 +378,8 @@ class TestGossipByteBudgetChecker:
         assert check_gossip_byte_budget(env).ok
 
     def test_survives_partition_storm(self):
-        """Retransmissions during a storm stay O(Δ) and the backlog drains
-        after the heal — the roadmap's storm-time byte budget."""
+        """Retransmissions during a storm stay O(Δ) and every watermark
+        drains after the heal — the roadmap's storm-time byte budget."""
         from repro.chaos import Nemesis, PartitionStorm
 
         env = env_with()
@@ -394,8 +394,8 @@ class TestGossipByteBudgetChecker:
         assert result.ok, result.failures
 
     def test_flags_delta_rounds_exceeding_dirty_marks(self):
-        """The O(Δ) ledger: fresh entries shipped beyond what was dirty-marked
-        means a delta round is smuggling extra store state."""
+        """The O(Δ) ledger: fresh entries shipped beyond what was stamped
+        means a window is smuggling extra store state."""
         env = env_with()
         env.kvs.put("k", SetUnion({1}))
         env.kvs.settle(100.0)
@@ -406,16 +406,19 @@ class TestGossipByteBudgetChecker:
 
     def test_flags_stale_undrained_backlog(self):
         env = env_with()
-        replica = env.kvs.shards[0][0]
-        peer = replica.peers[0]
+        replica, peer = env.kvs.shards[0][:2]
         replica.merge_local("k", SetUnion({1}))
-        replica._send_gossip(peer)  # round in flight, ack never processed
-        # A just-sent round is not stale (its ack may be in flight)...
-        assert check_gossip_byte_budget(env).ok
-        # ...but one aged past the retransmission grace without an ack is.
-        replica._channels[peer].ticks += 5
+        replica._gossip_tick()  # shipped; the ack has not come back
         result = check_gossip_byte_budget(env)
-        assert any("stale unacked" in f for f in result.failures)
+        assert any("never drained" in f and replica.node_id in f
+                   for f in result.failures)
+        env.kvs.settle(50.0)  # the ack lands: confirmed meets shipped
+        assert check_gossip_byte_budget(env).ok
+        # A window still held ahead of a gap nobody filled is flagged too.
+        peer._sync[replica.node_id].ahead[5] = 6
+        result = check_gossip_byte_budget(env)
+        assert any("never drained" in f and peer.node_id in f
+                   for f in result.failures)
 
     def test_snapshot_mode_is_exempt(self):
         env = env_with(seed=2)

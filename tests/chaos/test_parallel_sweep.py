@@ -24,8 +24,8 @@ from repro.storage.kvs import ShardNode
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
-#: Same injected bug as test_sweep.py: local merges stop marking dirty
-#: keys, so delta gossip ships nothing fresh and replicas diverge.
+#: Same injected bug as test_sweep.py: a replica's own changes are not
+#: stamped, so delta gossip ships nothing fresh and replicas diverge.
 BUG_DEMO_CONFIG = dataclasses.replace(ChaosConfig(), full_sync_every=10 ** 6)
 BUG_DEMO_SCHEDULE = [
     LatencySpike(at=10.0, duration=30.0, factor=4.0),
@@ -36,17 +36,9 @@ BUG_DEMO_SCHEDULE = [
 
 @pytest.fixture
 def skip_dirty_marking(monkeypatch):
-    original = ShardNode._merge_entry
-
-    def skipping(self, key, value, exclude=None):
-        dirty = self._dirty
-        self._dirty = {}
-        try:
-            return original(self, key, value, exclude)
-        finally:
-            self._dirty = dirty
-
-    monkeypatch.setattr(ShardNode, "_merge_entry", skipping)
+    """Simulate the bug the delta protocol must never regress into: a
+    replica's own changes are not stamped, so no window ever carries them."""
+    monkeypatch.setattr(ShardNode, "_stamp", lambda self, key: None)
 
 
 def outcome_dicts(report):

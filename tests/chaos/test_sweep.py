@@ -6,8 +6,8 @@ Three properties are pinned here:
    domain outage, drop/latency spikes, reshard-under-fire) passes all
    checkers — convergence, session guarantees, causal and Paxos safety,
    CALM coordination-freeness — across 25 seeds;
-2. a deliberately injected protocol bug (skipping dirty-key marking, so
-   delta gossip stops carrying local merges) is *caught* by the sweep and
+2. a deliberately injected protocol bug (a replica's own changes are not
+   stamped, so no gossip window carries them) is *caught* by the sweep and
    *shrunk* to a minimal (<= 5 faults) copy-pasteable repro;
 3. replaying a failing seed reproduces the identical verdict — the
    "replay any failing seed exactly" contract.
@@ -36,24 +36,14 @@ from repro.storage.kvs import ShardNode
 
 @pytest.fixture
 def skip_dirty_marking(monkeypatch):
-    """Simulate the bug the delta protocol must never regress into:
-    local merges stop marking dirty keys, so gossip ships nothing fresh."""
-    original = ShardNode._merge_entry
-
-    def skipping(self, key, value, exclude=None):
-        dirty = self._dirty
-        self._dirty = {}
-        try:
-            return original(self, key, value, exclude)
-        finally:
-            self._dirty = dirty
-
-    monkeypatch.setattr(ShardNode, "_merge_entry", skipping)
+    """Simulate the bug the delta protocol must never regress into: a
+    replica's own changes are not stamped, so no window ever carries them."""
+    monkeypatch.setattr(ShardNode, "_stamp", lambda self, key: None)
 
 
 #: Schedule + config for the bug demo: anti-entropy disabled so only the
-#: dirty-key path can heal the drop-spike losses — exactly what the
-#: injected bug breaks.
+#: stamped windows can carry a write to the other replicas — exactly what
+#: the injected bug breaks.
 BUG_DEMO_CONFIG = dataclasses.replace(ChaosConfig(), full_sync_every=10 ** 6)
 BUG_DEMO_SCHEDULE = [
     LatencySpike(at=10.0, duration=30.0, factor=4.0),

@@ -63,11 +63,14 @@ rows = "\\n".join(f"{t:.9f} {label}" for t, label in sim.trace)
 print(hashlib.sha256(rows.encode()).hexdigest())
 """
 
-#: What LABEL_SCRIPT printed at the last commit whose flush was a heap event
-#: (6c31a54), with that commit's 106 ``transport-flush@…`` rows filtered out
-#: of its 310: making the flush a deferred callback and rendering labels
-#: lazily moved no other row's time or text.
-LABEL_DIGEST = "11462c1c304e1b506b643f4ce64c6e27ffd97bb616f4462eea94a3814821d6b3"
+#: What LABEL_SCRIPT prints, identically under both hash seeds.  Pinned at
+#: 11462c1c… from the last commit whose flush was a heap event (6c31a54, its
+#: ``transport-flush@…`` rows filtered out) until PR 20 changed the traffic
+#: itself: a put ships to each peer as one acked ``gossip`` window instead of
+#: a ``replicate`` plus two rounds of gossip, so the run's 204 rows became
+#: 208 (120 deliveries for 116; same ops, cadences and timeouts) while its
+#: wire bytes fell from 11,376 to 8,784.
+LABEL_DIGEST = "9be22ec44a36479602b34dc1c3168d113f50063d51a2e62c05390e96ac228954"
 
 
 #: The geo chaos scenario (priced links, shared NICs, every nemesis
@@ -97,11 +100,13 @@ parts.append(state_digest(env))
 print(hashlib.sha256("\\n".join(parts).encode()).hexdigest())
 """
 
-#: What GEO_SCRIPT printed at the last commit whose link state lived in five
-#: dicts (7e4177a): moving it onto per-link records, pricing a transmission
-#: in one pass and handing the observatory window to the delivery changed no
-#: delivery time, ledger entry, window, sample or counter.
-GEO_DIGEST = "a9900bcc1004ed5d0c10010e8001f51b919bd6651c123c7ff887cc678abb0412"
+#: What GEO_SCRIPT prints, identically under both hash seeds.  Pinned at
+#: a9900bcc… from the last commit whose link state lived in five dicts
+#: (7e4177a) until PR 20 replaced the shard's replication protocol (one
+#: acked window per put and peer; see ``LABEL_DIGEST``), which moves every
+#: ledger this digest folds in.  It stays the priced path's commit-to-commit
+#: pin: a change that claims to leave traffic alone must leave it alone.
+GEO_DIGEST = "b509ca1653430870aa3c459afe0dff80dc8b5866fb23d4b8917aa8cca080c61d"
 
 
 def scenario_digest():
@@ -152,15 +157,17 @@ class TestChaosDeterminism:
         assert digest_under_hashseed("1") == digest_under_hashseed("31337")
 
     def test_traced_labels_match_the_flush_event_era_minus_flush_rows(self):
-        """Lazily rendered labels (``deliver …``, ``rpc-timeout@…``,
-        ``timer@…``) spell exactly what the eager f-strings spelled, and no
-        event moved when the flush stopped being one."""
+        """Every lazily rendered label (``deliver …``, ``rpc-timeout@…``,
+        ``timer@…``) and every event time of a short KVS run is the pinned
+        one — the name recalls the era the pin was first taken in; see
+        ``LABEL_DIGEST`` for what re-pinned it since."""
         assert digest_under_hashseed("1", LABEL_SCRIPT) == LABEL_DIGEST
         assert digest_under_hashseed("31337", LABEL_SCRIPT) == LABEL_DIGEST
 
     def test_priced_path_matches_the_five_dict_era(self):
         """The priced path's commit-to-commit pin (``LABEL_DIGEST`` covers
         only the unpriced one): trace, ledgers, windows, samples and
-        counters of a geo chaos run are the parent commit's, bit for bit."""
+        counters of a geo chaos run are the pinned ones, bit for bit — see
+        ``GEO_DIGEST`` for what re-pinned it since the five-dict era."""
         assert digest_under_hashseed("1", GEO_SCRIPT) == GEO_DIGEST
         assert digest_under_hashseed("31337", GEO_SCRIPT) == GEO_DIGEST

@@ -17,7 +17,6 @@ Three contract families:
 import pytest
 
 from repro.cluster import (
-    AckedChannel,
     Network,
     NetworkConfig,
     Node,
@@ -426,38 +425,6 @@ class TestRpc:
         transport.flush()
         sim.run_until_idle()
         assert len(received) == 1  # the envelope arrived
-
-
-class TestAckedChannel:
-    def test_stale_rounds_respect_grace(self):
-        channel = AckedChannel(grace=2, cap=4)
-        channel.begin_tick()
-        channel.track(1, frozenset({"k"}))
-        assert channel.stale_rounds() == []
-        channel.begin_tick()
-        assert channel.stale_rounds() == []
-        channel.begin_tick()
-        assert channel.stale_rounds() == [(1, frozenset({"k"}))]
-
-    def test_ack_and_saturation(self):
-        channel = AckedChannel(grace=1, cap=3)
-        for round_no in range(1, 4):
-            channel.begin_tick()
-            channel.track(round_no, frozenset({round_no}))
-        assert channel.saturated
-        channel.ack(1)
-        assert not channel.saturated
-        channel.clear()
-        assert channel.pending == {}
-
-    def test_retransmission_restamps_round(self):
-        channel = AckedChannel(grace=1, cap=8)
-        channel.begin_tick()
-        channel.track(1, frozenset({"k"}))
-        channel.begin_tick()
-        (round_no, keys), = channel.stale_rounds()
-        channel.track(round_no, keys)  # re-stamp at current tick
-        assert channel.stale_rounds() == []
 
 
 class TestObservationEquivalence:

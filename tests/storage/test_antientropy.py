@@ -15,7 +15,7 @@ import pytest
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
 from repro.lattices import GCounter, SetUnion
 from repro.storage import LatticeKVS
-from repro.storage.antientropy import LEAF_LEVEL, DigestTree
+from repro.storage.antientropy import LEAF_LEVEL, PROBE_ROUNDS, DigestTree
 from repro.storage.ring import stable_digest
 
 
@@ -123,8 +123,8 @@ class TestAntiEntropyLifecycle:
         replica_a, replica_b = kvs.shards[0]
         for index in range(store_size):
             kvs.put(f"k-{index}", SetUnion({index}))
-        kvs.settle(100.0)  # eager replication converges the stores
-        # Drain the dirty sets and in-flight acks with a few manual rounds.
+        kvs.settle(100.0)  # the first shipments converge the stores
+        # Let the acks land and the logs drain over a few manual rounds.
         for _ in range(4):
             replica_a._gossip_tick()
             replica_b._gossip_tick()
@@ -148,12 +148,10 @@ class TestAntiEntropyLifecycle:
             kvs.put(f"k-{index}", SetUnion({index}))
         kvs.settle(600.0)
         assert_replicas_converged(kvs)
-        # Diverge A silently: merge locally, then unmark the dirtiness so
-        # the delta machinery cannot repair it — only digests can.
+        # Diverge A silently: merge the way a peer's entry is merged —
+        # unstamped, so no window carries it — and only digests can repair.
         for index in range(12):
-            replica_a.merge_local(f"k-{index}", SetUnion({f"fresh-{index}"}))
-        for dirty in replica_a._dirty.values():
-            dirty.clear()
+            replica_a._merge_entry(f"k-{index}", SetUnion({f"fresh-{index}"}))
         before = net.metrics.counter("kvs.antientropy.repair_entries")
         kvs.settle(200.0)
         repaired = net.metrics.counter("kvs.antientropy.repair_entries") - before
@@ -186,6 +184,27 @@ class TestAntiEntropyLifecycle:
         lost = net.metrics.counter("kvs.antientropy.lost_entries")
         assert lost == 60
         assert repaired <= 2 * kvs.replication_factor * lost
+
+    def test_empty_replica_says_so_at_once(self):
+        """A state-losing recovery opens a digest exchange with the first
+        peer right there instead of serving nothing until the cadence's next
+        one: the probe leaves in the same instant and the store is back
+        within ``PROBE_ROUNDS`` round trips, cadence or no cadence."""
+        sim, net, kvs = build_kvs(full_sync_every=10 ** 6)
+        replica_a, replica_b = kvs.shards[0]
+        for index in range(60):
+            kvs.put(f"k-{index}", SetUnion({index}))
+        kvs.settle(100.0)
+        assert net.metrics.counter("kvs.antientropy.rounds") == 0
+        replica_b.crash()
+        replica_b.recover(lose_state=True)
+        sim.run(until=sim.now)  # no time passes: the probe is already out
+        assert replica_b.transport.mailbox_stats["ae_probe"]["messages"] == 1
+        assert net.metrics.counter("kvs.antientropy.rounds") == 1
+        round_trip = 2 * (net.config.base_delay + net.config.jitter)
+        sim.run(until=sim.now + PROBE_ROUNDS * round_trip)
+        assert replica_b.store == replica_a.store and len(replica_b.store) == 60
+        assert net.metrics.counter("kvs.antientropy.repair_entries") == 60
 
     def test_reshard_rebuilds_only_moved_ranges(self):
         """Growing the ring drops moved keys from the source shard's trees

@@ -86,22 +86,33 @@ class TestLatticeKVS:
         assert kvs.total_keys() == 1
 
     def test_gossip_sends_snapshot_not_live_store(self):
-        """Regression: an in-flight gossip message must not observe writes
-        made after it was sent.  The gossip payload aliases the stored value
+        """Regression: an in-flight gossip window must not observe writes
+        made after it was sent.  The payload aliases the stored value
         object, so the later local merge must copy-on-write rather than
         mutate it in place."""
         sim, net, kvs = build_kvs(shards=1, replication=2, seed=11)
         replica_a, replica_b = kvs.shards[0]
+        windows = []
+        deliver = replica_b.handler_for("gossip")
+
+        def recording(message):
+            windows.append(dict(message.payload["entries"]))
+            deliver(message)
+
+        replica_b.on("gossip", recording)
         # Two merges so the stored value is replica-owned (in-place eligible).
         replica_a.merge_local("k", SetUnion({"before"}))
         replica_a.merge_local("k", SetUnion({"before", "also-before"}))
-        # Fire a gossip round explicitly; the message is now in flight.
+        # Fire a gossip round explicitly; the window is now in flight.
         replica_a._gossip_tick()
-        # Grow the sender's entry after the send but before delivery.
+        # Grow the sender's entry after the send but before delivery; the
+        # new change ships in a window of its own.
         replica_a.merge_local("k", SetUnion({"leaked"}))
         assert replica_a.value_of("k") == SetUnion({"before", "also-before", "leaked"})
         sim.run(until=sim.now + 10.0)
-        assert replica_b.value_of("k") == SetUnion({"before", "also-before"})
+        assert windows == [{"k": SetUnion({"before", "also-before"})},
+                           {"k": SetUnion({"before", "also-before", "leaked"})}]
+        assert replica_b.value_of("k") == replica_a.value_of("k")
 
 
 class TestResharding:
