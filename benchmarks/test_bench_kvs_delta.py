@@ -1,8 +1,8 @@
 """E13 — O(delta) KVS writes: in-place lattice merges + delta-state gossip.
 
 Quantifies the two halves of the mutation protocol against the seed
-implementation and emits the numbers machine-readably to ``BENCH_kvs.json``
-(repo root) so the perf trajectory is tracked across PRs:
+implementation and emits the numbers machine-readably to
+``benchmarks/out/BENCH_kvs.json`` so the perf trajectory is tracked across PRs:
 
 * **Put throughput**: the seed's immutable put (`MapLattice.insert` — full
   dict copy plus re-validation of every value, O(store) per put) vs. the
@@ -18,18 +18,15 @@ implementation and emits the numbers machine-readably to ``BENCH_kvs.json``
 """
 
 import itertools
-import json
-from pathlib import Path
 
 import pytest
 
-from conftest import print_rows
+from conftest import emit_bench, print_rows
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
 from repro.lattices import GCounter, MapLattice, SetUnion
 from repro.storage import LatticeKVS
 from repro.storage.kvs import ShardNode
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kvs.json"
 PUTS_PER_ROUND = 100
 RESULTS: dict = {"put_throughput": [], "gossip_bytes_per_round": [],
                  "anti_entropy": []}
@@ -271,7 +268,7 @@ def test_anti_entropy_lose_state_repair():
 
 
 def test_zz_acceptance_and_emit_json():
-    """Checks the PR's acceptance numbers and writes ``BENCH_kvs.json``.
+    """Checks the PR's acceptance numbers and writes ``benchmarks/out/BENCH_kvs.json``.
 
     Named to sort after the measurement tests (pytest runs files in
     definition order, so this is belt-and-braces for external runners).
@@ -293,7 +290,7 @@ def test_zz_acceptance_and_emit_json():
         "gossip_bytes_per_round": RESULTS["gossip_bytes_per_round"],
         "anti_entropy": RESULTS["anti_entropy"],
     }
-    BENCH_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+    emit_bench("kvs", summary)
 
     print_rows(
         "E13: in-place put speedup over seed immutable path",

@@ -12,7 +12,8 @@ keys, then a steady put trickle while gossip runs for several intervals.
 Measured at three bandwidth tiers (unconstrained = model off, mid,
 constrained), in both gossip modes, reporting the p50/p99 of per-message
 delivery latency (``net.delivery``, stamped by the network on every
-delivered message) to ``BENCH_network.json`` for the CI artifact trail.
+delivered message) to ``benchmarks/out/BENCH_network.json`` for the CI
+artifact trail.
 
 Asserted floors:
 
@@ -24,27 +25,12 @@ Asserted floors:
   pricing bytes, not from the delta protocol being magically faster.
 """
 
-import json
-from pathlib import Path
-
-from conftest import print_rows
+from conftest import emit_bench, print_rows
 from repro.cluster import Network, NetworkConfig, Simulator
 from repro.lattices import SetUnion
 from repro.placement import locality_aware_domain, naive_domain
 from repro.placement.geo import GEO_NIC_BANDWIDTH, geo_delay_matrix
 from repro.storage import LatticeKVS
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_network.json"
-
-
-def merge_into_bench(payload: dict) -> None:
-    """Read-modify-write ``BENCH_network.json``: the flat-tier test and the
-    geo-tier test each own their keys, whichever order (or subset) runs."""
-    existing = {}
-    if BENCH_PATH.exists():
-        existing = json.loads(BENCH_PATH.read_text())
-    existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 #: Bandwidth tiers in bytes/tick (None = model off; the pre-model network).
 TIERS = (("unconstrained", None), ("mid", 4096.0), ("constrained", 512.0))
@@ -128,7 +114,7 @@ def test_delta_gossip_wins_delivery_latency_under_constrained_bandwidth():
         f"comparison is not isolating bandwidth")
 
     RESULTS["p99_snapshot_over_delta_constrained"] = round(ratio, 2)
-    merge_into_bench(RESULTS)
+    emit_bench("network", RESULTS)
 
     print_rows(
         "E15: delivery latency, delta vs snapshot gossip x bandwidth tier",
@@ -209,7 +195,7 @@ def test_locality_aware_placement_beats_naive_on_geo_p99():
         f"locality p99 {geo['locality']['p99']} vs naive p99 "
         f"{geo['naive']['p99']} — only {ratio:.2f}x, floor {GEO_P99_FLOOR}x")
     geo["p99_naive_over_locality"] = round(ratio, 2)
-    merge_into_bench({"geo": geo})
+    emit_bench("network", {"geo": geo})
 
     print_rows(
         "E15-geo: delivery latency by replica placement (geo matrix + NICs)",

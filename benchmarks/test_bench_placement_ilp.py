@@ -49,7 +49,7 @@ def test_ilp_vs_greedy(benchmark, rate_scale):
         f"E5: deployment sizing at {rate_scale}x the baseline request rates",
         ["allocator", "instances", "hourly cost ($)", "all constraints met"],
         [
-            ["MILP (Hydrolysis)", ilp_solution.total_instances,
+            ["ILP (Hydrolysis)", ilp_solution.total_instances,
              f"{ilp_solution.total_hourly_cost:.3f}", ilp_solution.satisfies(problem(rate_scale))],
             ["greedy (fastest machine @70% util)", greedy_solution.total_instances,
              f"{greedy_solution.total_hourly_cost:.3f}", True],

@@ -2,7 +2,7 @@
 
 Every other benchmark in this directory bottoms out in the same
 ``Simulator``/``Network``/``Transport`` hot loop, so this bench pins the
-loop itself and emits ``BENCH_sim.json`` (repo root) so regressions are
+loop itself and emits ``benchmarks/out/BENCH_sim.json`` so regressions are
 visible across PRs:
 
 * **Raw events/s** — a standing population of self-rescheduling timers;
@@ -27,18 +27,14 @@ the pre-optimization numbers measured on the same container when PR 8
 landed — the before/after table CI prints comes straight from there.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import print_rows
+from conftest import emit_bench, print_rows
 from repro.chaos.scenario import fast_config
 from repro.chaos.sweep import standard_schedule, sweep
 from repro.cluster import Network, NetworkConfig, Simulator
 from repro.cluster.node import Node
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 #: Raw-loop population and volume: 100 concurrent timers, 200k firings.
 RAW_TIMERS = 100
@@ -253,4 +249,4 @@ def test_simulator_core_throughput_floors():
              f"{BASELINE['sweep_serial_seconds']}s serial"],
         ],
     )
-    BENCH_PATH.write_text(json.dumps(RESULTS, indent=2) + "\n")
+    emit_bench("sim", RESULTS)

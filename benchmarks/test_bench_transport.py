@@ -2,8 +2,8 @@
 
 Measures what the envelope coalescing of :mod:`repro.cluster.transport`
 buys over the unbatched wire (one envelope per logical message), and emits
-the numbers machine-readably to ``BENCH_transport.json`` (repo root) so the
-perf trajectory is tracked across PRs:
+the numbers machine-readably to ``benchmarks/out/BENCH_transport.json`` so
+the perf trajectory is tracked across PRs:
 
 * **Paxos proposal burst**: a leader appending a block of commands in one
   instant.  Accepts, acks and decides per peer each collapse into one
@@ -22,10 +22,7 @@ pattern is linear in fan-out; its header-savings growth is reported for the
 trajectory.)
 """
 
-import json
-from pathlib import Path
-
-from conftest import print_rows
+from conftest import emit_bench, print_rows
 from repro.cluster import (
     Network,
     NetworkConfig,
@@ -36,7 +33,6 @@ from repro.consistency import ConsensusLog
 from repro.lattices import SetUnion
 from repro.storage import LatticeKVS
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
 
 #: Fan-outs measured (peers per node).  5 is the acceptance floor.
 FAN_OUTS = (2, 5)
@@ -150,4 +146,4 @@ def test_transport_batching_cuts_envelopes_and_headers():
           row["header_bytes_saved"]]
          for workload in ("gossip", "paxos") for row in RESULTS[workload]],
     )
-    BENCH_PATH.write_text(json.dumps(RESULTS, indent=2) + "\n")
+    emit_bench("transport", RESULTS)

@@ -117,6 +117,13 @@ class ReplicaProxy(Node):
             label=f"proxy-retry-{pending.request_id}",
         )
 
+    def crash(self) -> None:
+        """Fail what was in flight: its retry timers die with the node, so
+        nothing would ever answer or fail those requests otherwise."""
+        super().crash()
+        for pending in list(self._pending.values()):
+            self._fail(pending, "proxy crashed")
+
     def _fail(self, pending: _PendingRequest, reason: str) -> None:
         del self._pending[pending.request_id]
         self.failed[pending.request_id] = reason

@@ -53,6 +53,7 @@ from repro.chaos.linearizability import (
     find_linearization,
 )
 from repro.chaos.nemesis import (
+    Applied,
     ChaosEnv,
     ClockSkew,
     Congestion,
@@ -100,9 +101,9 @@ __all__ = [
     # histories
     "History", "Op", "INVOKED", "OK", "FAIL", "PENDING",
     # nemesis
-    "ChaosEnv", "Nemesis", "Fault", "PartitionStorm", "CrashReplica",
-    "CrashClient", "DomainOutage", "LatencySpike", "DropSpike", "Congestion",
-    "SlowNode", "ClockSkew", "ReshardUnderFire",
+    "ChaosEnv", "Nemesis", "Fault", "Applied", "PartitionStorm",
+    "CrashReplica", "CrashClient", "DomainOutage", "LatencySpike", "DropSpike",
+    "Congestion", "SlowNode", "ClockSkew", "ReshardUnderFire",
     "schedule_to_dicts", "schedule_from_dicts",
     # linearizability & diagnosis
     "SequentialLogModel", "check_linearizable", "find_linearization",

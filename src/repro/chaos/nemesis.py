@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from functools import partial
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from repro.cluster import (
     FailureDomain,
@@ -148,8 +149,9 @@ class ChaosEnv:
 
     # -- bookkeeping used by faults ----------------------------------------------
 
-    def log_fault(self, text: str) -> None:
-        self.fault_log.append((self.simulator.now, text))
+    def log_fault(self, text: Optional[str]) -> None:
+        if text is not None:  # a retirement whose target is gone says nothing
+            self.fault_log.append((self.simulator.now, text))
 
     def record_ground_truth(self, kind: str, subject: tuple,
                             start: float, end: float) -> None:
@@ -214,6 +216,17 @@ class ChaosEnv:
         if node is not None:  # a reshard may have retired the node
             node.clock_offset -= offset
             node.timer_drift /= drift
+
+    def recover_node(self, node_id: Hashable, lose_state: bool,
+                     detail: str) -> Optional[str]:
+        """Retire a crash: the line to log, or ``None`` for a node a reshard
+        retired while it was down (it stays down rather than turn ghost)."""
+        if node_id not in self.injector.nodes:
+            return None
+        self.injector.recover_now(node_id, lose_state=lose_state)
+        if lose_state:
+            self.lose_state_events.append((self.simulator.now, node_id))
+        return f"recover {node_id} ({detail})"
 
     def rpc_retry_allowance(self) -> float:
         """Worst extra latency transport RPC retries can add to an op.
@@ -292,18 +305,81 @@ class ChaosEnv:
         self.log_fault("heal_everything")
 
 
+class Applied(NamedTuple):
+    """One degradation a firing applied, and the closure that retires it.
+
+    ``text`` is the fault-log line (``None`` logs nothing); ``subject`` the
+    ground-truth footprint a diagnosis must rediscover (``None`` when an
+    end-to-end observer could not be asked to see it); ``retire()`` undoes
+    exactly this degradation and returns the line to log, or ``None`` when
+    its target is gone — ``retire=None`` marks a one-way change with nothing
+    to undo.  ``retire_label`` names the retirement's simulator event.
+    """
+
+    text: Optional[str]
+    subject: Optional[tuple] = None
+    retire: Optional[Callable[[], Optional[str]]] = None
+    retire_label: str = ""
+
+
+def _pick(targets: Sequence[Hashable], index: int) -> Optional[Hashable]:
+    """The fire-time target: ``index`` wraps over a sorted pool (``None`` if empty)."""
+    return targets[index % len(targets)] if targets else None
+
+
 @dataclass(frozen=True)
 class Fault:
-    """Base class: one adversity anchored at simulated time ``at``."""
+    """Base class: one adversity anchored at simulated time ``at``.
+
+    A fault is declarative: :meth:`firings` says when it fires,
+    :meth:`apply` what one firing degrades (one :class:`Applied` per
+    degradation) and :attr:`span` how long that lasts.  :meth:`inject` is
+    the only scheduler — it logs every ``Applied``, records its footprint
+    and schedules its retirement ``span`` later — so a degradation that is
+    applied but never retired cannot be written; no subclass overrides
+    :meth:`inject` or :meth:`window`.
+    """
 
     at: float
 
-    def inject(self, env: ChaosEnv) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    #: The firing's event label, formatted with the fault's own fields.
+    label = "fault"
+    #: How long one firing's degradations last: the subclass's own
+    #: ``duration`` / ``downtime`` field (0.0 for a one-way change).
+    span = 0.0
+
+    def firings(self) -> list[tuple[float, str]]:
+        """``(time, event label)`` of each firing; by default one, at ``at``."""
+        return [(self.at, self.label.format(**vars(self)))]
+
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
+        """Apply firing number ``firing`` now; ``()`` when it finds no target."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def inject(self, env: ChaosEnv) -> None:
+        for firing, (time, label) in enumerate(self.firings()):
+            env.simulator.schedule_at(
+                time, lambda firing=firing: self._fire(env, firing),
+                label=f"nemesis {label}")
+
+    def _fire(self, env: ChaosEnv, firing: int) -> None:
+        applied = self.apply(env, firing)
+        now = env.simulator.now
+        for item in applied:
+            env.log_fault(item.text)
+            if item.subject is not None:
+                env.record_ground_truth(type(self).__name__, item.subject,
+                                        now, now + self.span)
+        for item in applied:
+            if item.retire is not None:
+                env.simulator.schedule(
+                    self.span, lambda undo=item.retire: env.log_fault(undo()),
+                    label=f"nemesis {item.retire_label}")
 
     def window(self) -> tuple[float, float]:
         """The (start, end) interval during which this fault is active."""
-        return (self.at, self.at)
+        last = max((time for time, _ in self.firings()), default=self.at)
+        return (self.at, last + self.span)
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -344,25 +420,24 @@ class PartitionStorm(Fault):
     pivot: int = 0
     flavor: str = "striped"
 
+    span = property(lambda self: self.duration)
+
     def __post_init__(self) -> None:
         if self.flavor not in STORM_FLAVORS:
             raise ValueError(
                 f"flavor must be one of {STORM_FLAVORS}, got {self.flavor!r}")
 
-    def inject(self, env: ChaosEnv) -> None:
-        for wave in range(self.waves):
-            start = self.at + wave * (self.duration + self.gap)
-            env.simulator.schedule_at(
-                start, lambda wave=wave: self._start_wave(env, wave),
-                label=f"nemesis partition-wave-{wave}")
+    def firings(self) -> list[tuple[float, str]]:
+        return [(self.at + wave * (self.duration + self.gap),
+                 f"partition-wave-{wave}") for wave in range(self.waves)]
 
-    def _start_wave(self, env: ChaosEnv, wave: int) -> None:
+    def apply(self, env: ChaosEnv, wave: int) -> Sequence[Applied]:
         ids = env.partitionable_ids()
         offset = (wave + self.pivot) % 2
         group_a = [node_id for i, node_id in enumerate(ids) if i % 2 == offset]
         group_b = [node_id for i, node_id in enumerate(ids) if i % 2 != offset]
         if not group_a or not group_b:
-            return
+            return ()
         bridge = None
         if self.flavor == "bridge" and len(ids) >= 3:
             # Rotates deterministically over the sorted ids, so successive
@@ -375,23 +450,14 @@ class PartitionStorm(Fault):
         partition = env.network.partition(
             group_a, group_b, oneway=self.flavor == "asymmetric")
         detail = f" bridge={bridge}" if bridge is not None else ""
-        env.log_fault(f"partition wave {wave} ({self.flavor}): "
-                      f"{len(group_a)}|{len(group_b)} nodes{detail}")
-        env.record_ground_truth("PartitionStorm", ("fabric",),
-                                env.simulator.now,
-                                env.simulator.now + self.duration)
 
-        def heal() -> None:
+        def heal() -> str:
             env.network.heal(partition)
-            env.log_fault(f"heal wave {wave}")
+            return f"heal wave {wave}"
 
-        env.simulator.schedule(self.duration, heal,
-                               label=f"nemesis heal-wave-{wave}")
-
-    def window(self) -> tuple[float, float]:
-        # The last wave heals after its duration; no trailing gap follows.
-        return (self.at, self.at + self.waves * self.duration
-                + (self.waves - 1) * self.gap)
+        return [Applied(f"partition wave {wave} ({self.flavor}): "
+                        f"{len(group_a)}|{len(group_b)} nodes{detail}",
+                        ("fabric",), heal, f"heal-wave-{wave}")]
 
 
 @dataclass(frozen=True)
@@ -411,41 +477,25 @@ class CrashReplica(Fault):
     lose_state: bool = False
     pool: str = "kvs"
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._crash(env),
-                                  label=f"nemesis crash-{self.index}")
+    label = "crash-{index}"
+    span = property(lambda self: self.downtime)
 
     def _targets(self, env: ChaosEnv) -> list[Hashable]:
         if self.pool == "kvs" and env.kvs is not None:
             return sorted((n.node_id for n in env.kvs.all_nodes()), key=str)
         return env.crashable_ids()
 
-    def _crash(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         env.refresh_injector()
-        targets = self._targets(env)
-        if not targets:
-            return
-        node_id = targets[self.index % len(targets)]
+        node_id = _pick(self._targets(env), self.index)
+        if node_id is None:
+            return ()
         lose_state = self.lose_state and self.pool == "kvs"
+        detail = f"lose_state={lose_state}"
         env.injector.crash_now(node_id)
-        env.log_fault(f"crash {node_id} (lose_state={lose_state})")
-        env.record_ground_truth("CrashReplica", ("node", node_id),
-                                env.simulator.now,
-                                env.simulator.now + self.downtime)
-        env.simulator.schedule(
-            self.downtime, lambda: self._recover(env, node_id, lose_state),
-            label=f"nemesis recover-{node_id}")
-
-    def _recover(self, env: ChaosEnv, node_id: Hashable, lose_state: bool) -> None:
-        if node_id not in env.injector.nodes:
-            return  # the node was retired by a reshard while down
-        env.injector.recover_now(node_id, lose_state=lose_state)
-        if lose_state:
-            env.lose_state_events.append((env.simulator.now, node_id))
-        env.log_fault(f"recover {node_id} (lose_state={lose_state})")
-
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.downtime)
+        return [Applied(f"crash {node_id} ({detail})", ("node", node_id),
+                        partial(env.recover_node, node_id, lose_state, detail),
+                        f"recover-{node_id}")]
 
 
 @dataclass(frozen=True)
@@ -466,37 +516,25 @@ class CrashClient(Fault):
     index: int = 0
     downtime: float = 40.0
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._crash(env),
-                                  label=f"nemesis crash-client-{self.index}")
+    label = "crash-client-{index}"
+    span = property(lambda self: self.downtime)
 
-    def _crash(self, env: ChaosEnv) -> None:
-        targets = env.client_ids()
-        if not targets:
-            return
-        node_id = targets[self.index % len(targets)]
-        client = env.clients[node_id]
-        if not client.alive:
-            return  # already down (overlapping client crashes)
-        client.crash()
-        env.log_fault(f"crash-client {node_id}")
-        env.record_ground_truth("CrashClient", ("client", node_id),
-                                env.simulator.now,
-                                env.simulator.now + self.downtime)
-        env.simulator.schedule(
-            self.downtime, lambda: self._recover(env, node_id),
-            label=f"nemesis recover-client-{node_id}")
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
+        node_id = _pick(env.client_ids(), self.index)
+        if node_id is None or not env.clients[node_id].alive:
+            return ()  # no client, or already down (overlapping client crashes)
+        env.clients[node_id].crash()
 
-    def _recover(self, env: ChaosEnv, node_id: Hashable) -> None:
-        client = env.clients.get(node_id)
-        if client is None or client.alive:
-            return
-        client.recover(lose_state=True)
-        env.lose_state_events.append((env.simulator.now, node_id))
-        env.log_fault(f"recover-client {node_id} (new session)")
+        def recover() -> Optional[str]:
+            client = env.clients.get(node_id)
+            if client is None or client.alive:
+                return None
+            client.recover(lose_state=True)
+            env.lose_state_events.append((env.simulator.now, node_id))
+            return f"recover-client {node_id} (new session)"
 
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.downtime)
+        return [Applied(f"crash-client {node_id}", ("client", node_id),
+                        recover, f"recover-client-{node_id}")]
 
 
 @dataclass(frozen=True)
@@ -512,33 +550,21 @@ class DomainOutage(Fault):
     domain: str = "az-1"
     downtime: float = 60.0
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._outage(env),
-                                  label=f"nemesis outage-{self.domain}")
+    label = "outage-{domain}"
+    span = property(lambda self: self.downtime)
 
-    def _outage(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         env.refresh_injector()
         plans = env.injector.crash_domain(
             FailureDomain.AVAILABILITY_ZONE, self.domain, at=env.simulator.now)
-        env.log_fault(f"outage {self.domain}: {len(plans)} nodes")
-        for plan in plans:
-            env.record_ground_truth("DomainOutage", ("node", plan.node_id),
-                                    env.simulator.now,
-                                    env.simulator.now + self.downtime)
-        for plan in plans:
-            env.simulator.schedule(
-                self.downtime,
-                lambda node_id=plan.node_id: self._recover(env, node_id),
-                label=f"nemesis outage-recover-{plan.node_id}")
-
-    def _recover(self, env: ChaosEnv, node_id: Hashable) -> None:
-        if node_id not in env.injector.nodes:
-            return  # retired by a reshard while the domain was down
-        env.injector.recover_now(node_id, lose_state=False)
-        env.log_fault(f"recover {node_id} (outage {self.domain})")
-
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.downtime)
+        detail = f"outage {self.domain}"
+        # One log line for the domain, then one footprint and one
+        # retirement per node it took down.
+        return [Applied(f"{detail}: {len(plans)} nodes")] + [
+            Applied(None, ("node", plan.node_id),
+                    partial(env.recover_node, plan.node_id, False, detail),
+                    f"outage-recover-{plan.node_id}")
+            for plan in plans]
 
 
 @dataclass(frozen=True)
@@ -562,25 +588,18 @@ class LatencySpike(Fault):
     duration: float = 40.0
     factor: float = 6.0
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._start(env),
-                                  label="nemesis latency-spike")
+    label = "latency-spike"
+    span = property(lambda self: self.duration)
 
-    def _start(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         env.push_latency_factor(self.factor)
-        env.log_fault(f"latency x{self.factor}")
-        env.record_ground_truth("LatencySpike", ("fabric",),
-                                env.simulator.now,
-                                env.simulator.now + self.duration)
-        env.simulator.schedule(self.duration, lambda: self._restore(env),
-                               label="nemesis latency-restore")
 
-    def _restore(self, env: ChaosEnv) -> None:
-        env.pop_latency_factor(self.factor)
-        env.log_fault("latency restored")
+        def restore() -> str:
+            env.pop_latency_factor(self.factor)
+            return "latency restored"
 
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.duration)
+        return [Applied(f"latency x{self.factor}", ("fabric",),
+                        restore, "latency-restore")]
 
 
 @dataclass(frozen=True)
@@ -594,25 +613,18 @@ class DropSpike(Fault):
     duration: float = 40.0
     drop_rate: float = 0.4
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._start(env),
-                                  label="nemesis drop-spike")
+    label = "drop-spike"
+    span = property(lambda self: self.duration)
 
-    def _start(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         env.push_drop_rate(self.drop_rate)
-        env.log_fault(f"drop_rate -> {env.network.config.drop_rate}")
-        env.record_ground_truth("DropSpike", ("fabric",),
-                                env.simulator.now,
-                                env.simulator.now + self.duration)
-        env.simulator.schedule(self.duration, lambda: self._restore(env),
-                               label="nemesis drop-restore")
 
-    def _restore(self, env: ChaosEnv) -> None:
-        env.pop_drop_rate(self.drop_rate)
-        env.log_fault("drop_rate restored")
+        def restore() -> str:
+            env.pop_drop_rate(self.drop_rate)
+            return "drop_rate restored"
 
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.duration)
+        return [Applied(f"drop_rate -> {env.network.config.drop_rate}",
+                        ("fabric",), restore, "drop-restore")]
 
 
 @dataclass(frozen=True)
@@ -634,30 +646,22 @@ class Congestion(Fault):
     duration: float = 40.0
     factor: float = 8.0
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._start(env),
-                                  label="nemesis congestion")
+    label = "congestion"
+    span = property(lambda self: self.duration)
 
-    def _start(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         # The handle travels through the restore closure (a frozen fault
         # can't store it): retiring by identity means this window expiring
         # can never un-squeeze a *different* congestion that reused the
         # same factor after ``heal_everything`` cleared this one.
         squeeze = env.push_bandwidth_squeeze(self.factor)
-        env.log_fault(f"congestion /{self.factor}")
-        env.record_ground_truth("Congestion", ("fabric",),
-                                env.simulator.now,
-                                env.simulator.now + self.duration)
-        env.simulator.schedule(self.duration,
-                               lambda: self._restore(env, squeeze),
-                               label="nemesis congestion-restore")
 
-    def _restore(self, env: ChaosEnv, squeeze) -> None:
-        env.pop_bandwidth_squeeze(squeeze)
-        env.log_fault("congestion restored")
+        def restore() -> str:
+            env.pop_bandwidth_squeeze(squeeze)
+            return "congestion restored"
 
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.duration)
+        return [Applied(f"congestion /{self.factor}", ("fabric",),
+                        restore, "congestion-restore")]
 
 
 @dataclass(frozen=True)
@@ -678,30 +682,22 @@ class SlowNode(Fault):
     duration: float = 40.0
     factor: float = 4.0
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._start(env),
-                                  label=f"nemesis slow-node-{self.index}")
+    label = "slow-node-{index}"
+    span = property(lambda self: self.duration)
 
-    def _start(self, env: ChaosEnv) -> None:
-        targets = env.partitionable_ids()
-        if not targets:
-            return
-        node_id = targets[self.index % len(targets)]
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
+        node_id = _pick(env.partitionable_ids(), self.index)
+        if node_id is None:
+            return ()
         env.push_node_slowdown(node_id, self.factor)
-        env.log_fault(f"slow-node {node_id} x{self.factor}")
-        env.record_ground_truth("SlowNode", ("node", node_id),
-                                env.simulator.now,
-                                env.simulator.now + self.duration)
-        env.simulator.schedule(self.duration,
-                               lambda: self._restore(env, node_id),
-                               label=f"nemesis slow-node-restore-{self.index}")
 
-    def _restore(self, env: ChaosEnv, node_id: Hashable) -> None:
-        env.pop_node_slowdown(node_id, self.factor)
-        env.log_fault(f"slow-node {node_id} restored")
+        def restore() -> str:
+            env.pop_node_slowdown(node_id, self.factor)
+            return f"slow-node {node_id} restored"
 
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.duration)
+        return [Applied(f"slow-node {node_id} x{self.factor}",
+                        ("node", node_id), restore,
+                        f"slow-node-restore-{self.index}")]
 
 
 @dataclass(frozen=True)
@@ -721,29 +717,26 @@ class ClockSkew(Fault):
     offset: float = 15.0
     drift: float = 1.25
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._start(env),
-                                  label=f"nemesis clock-skew-{self.index}")
+    label = "clock-skew-{index}"
+    span = property(lambda self: self.duration)
 
-    def _start(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         env.refresh_injector()
-        targets = env.crashable_ids()
-        if not targets:
-            return
-        node_id = targets[self.index % len(targets)]
+        node_id = _pick(env.crashable_ids(), self.index)
+        if node_id is None:
+            return ()
         env.apply_clock_skew(env.injector.nodes[node_id], self.offset, self.drift)
-        env.log_fault(f"clock-skew {node_id} offset={self.offset} drift={self.drift}")
-        env.simulator.schedule(self.duration,
-                               lambda: self._restore(env, node_id),
-                               label=f"nemesis clock-skew-restore-{self.index}")
 
-    def _restore(self, env: ChaosEnv, node_id: Hashable) -> None:
-        env.refresh_injector()
-        env.remove_clock_skew(node_id, self.offset, self.drift)
-        env.log_fault(f"clock-skew {node_id} restored")
+        def restore() -> str:
+            env.refresh_injector()
+            env.remove_clock_skew(node_id, self.offset, self.drift)
+            return f"clock-skew {node_id} restored"
 
-    def window(self) -> tuple[float, float]:
-        return (self.at, self.at + self.duration)
+        # No footprint: a skewed clock is not a path degradation an
+        # end-to-end observer could be asked to see.
+        return [Applied(f"clock-skew {node_id} offset={self.offset} "
+                        f"drift={self.drift}", subject=None, retire=restore,
+                        retire_label=f"clock-skew-restore-{self.index}")]
 
 
 @dataclass(frozen=True)
@@ -752,16 +745,15 @@ class ReshardUnderFire(Fault):
 
     new_shard_count: int = 4
 
-    def inject(self, env: ChaosEnv) -> None:
-        env.simulator.schedule_at(self.at, lambda: self._reshard(env),
-                                  label=f"nemesis reshard-{self.new_shard_count}")
+    label = "reshard-{new_shard_count}"
 
-    def _reshard(self, env: ChaosEnv) -> None:
+    def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
         if env.kvs is None:
-            return
+            return ()
         report = env.kvs.reshard(self.new_shard_count)
         env.refresh_injector()
-        env.log_fault(f"reshard {report!r}")
+        # Nothing to retire: a reshard is growth, not a degradation.
+        return [Applied(f"reshard {report!r}", subject=None, retire=None)]
 
 
 #: Fault kinds recognised by :func:`schedule_from_dicts`.

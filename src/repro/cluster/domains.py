@@ -107,35 +107,3 @@ class Placement:
             for replica in self.replicas
             if self.topology.domain_of(replica, granularity) not in failed
         ]
-
-
-def spread_across_domains(
-    topology: Topology,
-    candidates: Iterable[Hashable],
-    count: int,
-    granularity: FailureDomain,
-) -> list[Hashable]:
-    """Pick ``count`` nodes maximising the number of distinct domains covered.
-
-    Greedy round-robin over domains: deterministic given the iteration order
-    of ``candidates``, which keeps compilation reproducible.  Raises
-    :class:`ValueError` when there are not enough candidate nodes.
-    """
-    pool = list(candidates)
-    if count > len(pool):
-        raise ValueError(f"cannot place {count} replicas on {len(pool)} nodes")
-    by_domain: dict[Hashable, list[Hashable]] = {}
-    for node_id in pool:
-        by_domain.setdefault(topology.domain_of(node_id, granularity), []).append(node_id)
-    chosen: list[Hashable] = []
-    domain_cycle = sorted(by_domain, key=repr)
-    while len(chosen) < count:
-        progressed = False
-        for domain in domain_cycle:
-            bucket = by_domain[domain]
-            if bucket and len(chosen) < count:
-                chosen.append(bucket.pop(0))
-                progressed = True
-        if not progressed:
-            break
-    return chosen

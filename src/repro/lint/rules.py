@@ -18,7 +18,6 @@ miss is still backstopped by the runtime sanitizers and the chaos sweep.
 | RL006 | no wall-clock/RNG module imports inside ``repro.chaos``         |
 | RL007 | no mutable default arguments (lattice/operator aliasing hazard) |
 | RL008 | cadence operators that ``queue()`` must bind a flush (heuristic)|
-| RL009 | nemesis faults that apply a degradation must also retire it     |
 """
 
 from __future__ import annotations
@@ -444,73 +443,6 @@ class UnflushedCadenceQueue(Rule):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "flush"):
-                return True
-        return False
-
-
-@register
-class NemesisWithoutRetire(Rule):
-    """RL009: a ``Fault`` subclass that applies a degradation but never
-    retires it.
-
-    Every nemesis fault must be a *window*: whatever ``inject`` schedules
-    on (apply methods named ``_start*``/``_crash*``/``_outage*``) must be
-    undone by a paired restore hook (``_restore*``/``_recover*``/
-    ``_heal*``, or a nested ``heal``/``restore``/``recover`` closure the
-    apply method schedules).  A fault without one leaks its degradation
-    past its declared ``window()`` — the scenario's final-read phase then
-    only passes because ``heal_everything`` papers over it, and shrinking
-    (which reasons about fault windows) silently loses soundness.
-    One-way *topology* changes (``_reshard*``) are exempt: a reshard is
-    growth, not a degradation, and has nothing to retire.
-    """
-
-    code = "RL009"
-    name = "nemesis-without-retire"
-    summary = ("Fault subclasses that apply a degradation (_start/_crash/"
-               "_outage) must also retire it (_restore/_recover/_heal or "
-               "a nested heal closure); resharding is exempt")
-
-    _APPLY_PREFIXES = ("_start", "_crash", "_outage")
-    _RESTORE_PREFIXES = ("_restore", "_recover", "_heal")
-    _NESTED_RESTORES = {"heal", "restore", "recover"}
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(_terminal_name(base) == "Fault"
-                       for base in node.bases):
-                continue
-            methods = [stmt for stmt in node.body
-                       if isinstance(stmt, (ast.FunctionDef,
-                                            ast.AsyncFunctionDef))]
-            names = {method.name for method in methods}
-            applies = [method for method in methods
-                       if method.name.startswith(self._APPLY_PREFIXES)]
-            if not applies:
-                continue
-            if any(name.startswith("_reshard") for name in names):
-                continue
-            if any(name.startswith(self._RESTORE_PREFIXES)
-                   for name in names):
-                continue
-            if self._has_nested_restore(node):
-                continue
-            yield self.finding(
-                ctx, applies[0],
-                f"fault {node.name!r} applies a degradation "
-                f"({applies[0].name}) but defines no restore hook "
-                "(_restore*/_recover*/_heal* or a nested heal/restore/"
-                "recover closure); the degradation outlives the fault's "
-                "window")
-
-    def _has_nested_restore(self, classdef: ast.ClassDef) -> bool:
-        for descendant in ast.walk(classdef):
-            if (isinstance(descendant, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))
-                    and descendant.name in self._NESTED_RESTORES
-                    and descendant not in classdef.body):
                 return True
         return False
 

@@ -6,11 +6,10 @@ price models, and a predicted workload, choose how many instances of each
 machine type to allocate per handler so that every latency and cost
 constraint is met while minimising total machine count (or total cost).
 
-Two solvers are provided — scipy's MILP when available, and a pure-Python
-branch-and-bound fallback — plus a greedy baseline for the E5 ablation and
-an :class:`~repro.placement.autoscaler.Autoscaler` that re-solves the
-program as the observed workload drifts (the adaptive reoptimization loop
-of §9.2).
+The program is solved exactly by a pure-Python branch and bound; a greedy
+baseline serves the E5 ablation, and an
+:class:`~repro.placement.autoscaler.Autoscaler` re-solves the program as
+the observed workload drifts (the adaptive reoptimization loop of §9.2).
 """
 
 from repro.placement.geo import (

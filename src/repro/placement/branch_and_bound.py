@@ -1,7 +1,7 @@
 """A pure-Python branch-and-bound solver for the deployment assignment problem.
 
-Provides the same answers as the scipy MILP on this problem class (choose
-one configuration per handler minimising a separable objective) and doubles
+Exact on this problem class (choose one configuration per handler
+minimising a separable objective — no MILP library needed) and doubles
 as the "formal methods-based algorithms can generate another satisfiable
 solution" hook of §9.2: ``enumerate_solutions`` yields solutions in
 increasing objective order, which the compiler's backtracking uses when an
@@ -30,7 +30,8 @@ def branch_and_bound_solve(problem: DeploymentProblem) -> DeploymentSolution:
     infeasible = [handler for handler, opts in options.items() if not opts]
     if infeasible:
         raise NotDeployableError(
-            f"no machine configuration satisfies the targets of handlers {sorted(infeasible)}"
+            f"no machine configuration satisfies the targets of handlers {sorted(infeasible)}; "
+            "relax the latency/cost targets or extend the machine catalogue"
         )
 
     handlers = sorted(options)

@@ -1,12 +1,12 @@
-"""The deployment integer program and its scipy MILP solver.
+"""The deployment integer program and its exact solver.
 
 Following §9.1, the decision is which machine configuration serves each
 handler and with how many instances.  The nonlinear queueing model is
 handled by precomputing, per (handler, machine type), the minimum feasible
 instance count; the remaining choice — exactly one machine type per handler,
 minimising total instances or total hourly cost — is a pure assignment
-problem solved as a MILP (scipy) or by branch and bound
-(:mod:`repro.placement.branch_and_bound`) when scipy is unavailable.
+problem, solved exactly by branch and bound
+(:mod:`repro.placement.branch_and_bound`).
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
-import numpy as np
-
-from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
 from repro.placement.cost_models import HandlerLoadModel, PerformanceModel
 from repro.placement.machines import DEFAULT_CATALOG, MachineType
@@ -76,7 +73,7 @@ class DeploymentSolution:
     """One assignment of a configuration per handler."""
 
     assignments: dict[str, ConfigurationOption]
-    solver: str = "milp"
+    solver: str = "branch-and-bound"
 
     @property
     def total_instances(self) -> int:
@@ -109,56 +106,7 @@ class DeploymentSolution:
 
 
 def solve_deployment(problem: DeploymentProblem) -> DeploymentSolution:
-    """Solve the assignment MILP with scipy; fall back to branch and bound."""
-    options = problem.options()
-    infeasible = [handler for handler, opts in options.items() if not opts]
-    if infeasible:
-        raise NotDeployableError(
-            f"no machine configuration satisfies the targets of handlers {sorted(infeasible)}; "
-            "relax the latency/cost targets or extend the machine catalogue"
-        )
-    try:
-        return _solve_with_scipy(problem, options)
-    except ImportError:  # pragma: no cover - scipy is a hard dependency in this repo
-        from repro.placement.branch_and_bound import branch_and_bound_solve
+    """Solve the assignment program exactly (branch and bound)."""
+    from repro.placement.branch_and_bound import branch_and_bound_solve
 
-        return branch_and_bound_solve(problem)
-
-
-def _solve_with_scipy(problem: DeploymentProblem,
-                      options: dict[str, list[ConfigurationOption]]) -> DeploymentSolution:
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    flat: list[ConfigurationOption] = []
-    handler_slices: dict[str, tuple[int, int]] = {}
-    for handler, handler_options in options.items():
-        start = len(flat)
-        flat.extend(handler_options)
-        handler_slices[handler] = (start, len(flat))
-
-    n = len(flat)
-    if problem.objective == "cost":
-        coefficients = np.array([option.hourly_cost for option in flat])
-    else:
-        coefficients = np.array([float(option.instances) for option in flat])
-
-    # Exactly one configuration per handler.
-    constraint_matrix = np.zeros((len(options), n))
-    for row, (handler, (start, end)) in enumerate(handler_slices.items()):
-        constraint_matrix[row, start:end] = 1.0
-    constraints = LinearConstraint(constraint_matrix, lb=1.0, ub=1.0)
-
-    result = milp(
-        c=coefficients,
-        constraints=constraints,
-        integrality=np.ones(n),
-        bounds=Bounds(0, 1),
-    )
-    if not result.success:  # pragma: no cover - defensive; assignment is always feasible here
-        raise NotDeployableError(f"MILP solver failed: {result.message}")
-
-    assignments: dict[str, ConfigurationOption] = {}
-    for handler, (start, end) in handler_slices.items():
-        chosen_index = max(range(start, end), key=lambda i: result.x[i])
-        assignments[handler] = flat[chosen_index]
-    return DeploymentSolution(assignments=assignments, solver="milp")
+    return branch_and_bound_solve(problem)

@@ -109,6 +109,20 @@ class TestProxyBookkeeping:
         assert proxy._pending == {}
         assert sim.pending_events == sim.cancelled_pending
 
+    def test_requests_in_flight_when_the_proxy_crashes_are_failed(self):
+        """``Node.crash`` cancels the retry timers; without a verdict the
+        request would stay pending for good — never answered, never failed."""
+        sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
+        request = proxy.invoke("add_person", {"pid": 1})
+        proxy.crash()
+        proxy.recover()
+        sim.run(until=500.0)
+        assert proxy._pending == {}
+        assert proxy.failed == {request: "proxy crashed"}
+        assert proxy.responses == {}  # the late reply finds nothing in flight
+        assert proxy.metrics.counter("proxy.failures") == 1
+        assert proxy.availability() == 0.0
+
     def test_late_duplicate_reply_is_ignored(self):
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
         replies = []

@@ -11,6 +11,7 @@ never made.
 import dataclasses
 
 from repro.chaos import (
+    Applied,
     ChaosConfig,
     CrashClient,
     Fault,
@@ -162,18 +163,15 @@ class StealthSlowdown(Fault):
     duration: float = 60.0
     factor: float = 4.0
 
-    def _start(self, env):
+    span = property(lambda self: self.duration)
+
+    def apply(self, env, firing):
         env.push_node_slowdown(self.node_id, self.factor)
-        env.simulator.schedule(self.duration, lambda: self._restore(env))
-
-    def _restore(self, env):
-        env.pop_node_slowdown(self.node_id, self.factor)
-
-    def inject(self, env):
-        env.simulator.schedule_at(self.at, lambda: self._start(env))
-
-    def window(self):
-        return (self.at, self.at + self.duration)
+        # text=None, subject=None: neither logged nor announced; the pop
+        # returns None, so the retirement is silent too.
+        return [Applied(None, subject=None, retire_label="stealth-restore",
+                        retire=lambda: env.pop_node_slowdown(self.node_id,
+                                                             self.factor))]
 
 
 class TestStealthFaultLocalization:

@@ -1,5 +1,7 @@
 """Unit tests for the chaos environment and fault primitives."""
 
+import json
+
 import pytest
 
 from repro.chaos import (
@@ -9,9 +11,11 @@ from repro.chaos import (
     CrashReplica,
     DomainOutage,
     DropSpike,
+    History,
     LatencySpike,
     Nemesis,
     PartitionStorm,
+    RecordingKVSClient,
     ReshardUnderFire,
     SlowNode,
     build_env,
@@ -19,6 +23,7 @@ from repro.chaos import (
     schedule_to_dicts,
     standard_schedule,
 )
+from repro.chaos.nemesis import FAULT_KINDS
 from repro.lattices import SetUnion
 
 
@@ -26,6 +31,79 @@ def build(seed=1, **overrides):
     import dataclasses
     config = dataclasses.replace(ChaosConfig(), **overrides)
     return build_env(seed, config), config
+
+
+def assert_pristine(env):
+    """Nothing a fault can degrade is degraded — without ``heal_everything``."""
+    config, pristine = env.network.config, env.pristine_config
+    for knob in ("base_delay", "jitter", "delay_stretch", "drop_rate"):
+        assert getattr(config, knob) == getattr(pristine, knob), knob
+    assert env.network._partitions == []
+    assert env.network.slowed_nodes() == {}
+    assert env.network.bandwidth_squeeze == 1.0
+    nodes = ([env.injector.nodes[node_id] for node_id in env.crashable_ids()]
+             + [env.clients[node_id] for node_id in env.client_ids()])
+    assert all(node.alive for node in nodes)
+    assert all(node.timer_drift == pytest.approx(1.0) for node in nodes)
+    assert all(node.clock_offset == pytest.approx(0.0) for node in nodes)
+
+
+class TestOneDriverRetiresEveryFault:
+    """What a lint rule used to guess from method names, checked as
+    behaviour: ``Fault.inject`` is the only scheduler, and it retires what
+    it applies."""
+
+    @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
+    def test_armed_alone_it_restores_to_pristine_by_itself(self, kind):
+        cls = FAULT_KINDS[kind]
+        assert "inject" not in vars(cls) and "window" not in vars(cls)
+        env, _ = build()
+        env.register_clients([RecordingKVSClient(
+            "kv-client-under-test", env.simulator, env.network, env.kvs,
+            History())])
+        fault = cls(at=5.0)
+        Nemesis(env, [fault]).start()
+        env.simulator.run(until=fault.window()[1] + 1.0)
+        assert env.fault_log, "the fault found no target: the test is vacuous"
+        assert_pristine(env)
+        # Only a clock skew and a reshard leave no footprint to localize.
+        assert bool(env.ground_truth) == (
+            kind not in ("ClockSkew", "ReshardUnderFire"))
+        for entry in env.ground_truth:
+            assert entry["kind"] == kind
+            assert entry["end"] - entry["start"] == fault.span
+
+    def test_overlapping_same_factor_spikes_each_retire_their_own(self):
+        env, _ = build()
+        schedule = [LatencySpike(at=10.0, duration=40.0, factor=6.0),
+                    LatencySpike(at=20.0, duration=10.0, factor=6.0)]
+        Nemesis(env, schedule).start()
+        env.simulator.run(until=35.0)  # the inner spike is over, the outer not
+        assert env.network.config.base_delay == pytest.approx(
+            env.pristine_config.base_delay * 6)
+        env.simulator.run(until=51.0)
+        assert_pristine(env)
+        assert [text for _, text in env.fault_log] == [
+            "latency x6.0", "latency x6.0",
+            "latency restored", "latency restored"]
+        assert [(e["start"], e["end"]) for e in env.ground_truth] == [
+            (10.0, 50.0), (20.0, 30.0)]
+
+    def test_crash_whose_node_is_resharded_away_retires_silently(self):
+        env, _ = build(shards=3)
+        victim = sorted((n.node_id for n in env.kvs.all_nodes()), key=str)[5]
+        schedule = [CrashReplica(at=5.0, index=5, downtime=30.0),
+                    ReshardUnderFire(at=10.0, new_shard_count=1)]
+        Nemesis(env, schedule).start()
+        env.simulator.run(until=40.0)
+        assert victim not in env.injector.nodes
+        assert_pristine(env)
+        # The retirement ran and found its target gone: nothing logged.
+        assert not any(text.startswith("recover")
+                       for _, text in env.fault_log)
+        assert env.ground_truth == [{"kind": "CrashReplica",
+                                     "subject": ("node", victim),
+                                     "start": 5.0, "end": 35.0}]
 
 
 class TestPartitionStorm:
@@ -529,6 +607,43 @@ class TestDomainOutage:
         assert all(not node.alive for node in retired_nodes)
 
 
+STANDARD_REPRS = [
+    "PartitionStorm(at=20.0, duration=40.0, waves=2, gap=15.0, pivot=0, "
+    "flavor='striped')",
+    "DropSpike(at=30.0, duration=50.0, drop_rate=0.25)",
+    "CrashReplica(at=45.0, index=1, downtime=70.0, lose_state=True, "
+    "pool='kvs')",
+    "SlowNode(at=42.0, index=5, duration=58.0, factor=4.0)",
+    "CrashClient(at=55.0, index=1, downtime=50.0)",
+    "ReshardUnderFire(at=60.0, new_shard_count=4)",
+    "ClockSkew(at=65.0, index=1, duration=50.0, offset=20.0, drift=1.25)",
+    "CrashReplica(at=75.0, index=0, downtime=40.0, lose_state=False, "
+    "pool='all')",
+    "DomainOutage(at=90.0, domain='az-1', downtime=50.0)",
+    "Congestion(at=100.0, duration=45.0, factor=8.0)",
+    "LatencySpike(at=110.0, duration=40.0, factor=6.0)",
+]
+
+STANDARD_JSON = (
+    '[{"at": 20.0, "duration": 40.0, "waves": 2, "gap": 15.0, "pivot": 0, '
+    '"flavor": "striped", "kind": "PartitionStorm"}, '
+    '{"at": 30.0, "duration": 50.0, "drop_rate": 0.25, "kind": "DropSpike"}, '
+    '{"at": 45.0, "index": 1, "downtime": 70.0, "lose_state": true, '
+    '"pool": "kvs", "kind": "CrashReplica"}, '
+    '{"at": 42.0, "index": 5, "duration": 58.0, "factor": 4.0, '
+    '"kind": "SlowNode"}, '
+    '{"at": 55.0, "index": 1, "downtime": 50.0, "kind": "CrashClient"}, '
+    '{"at": 60.0, "new_shard_count": 4, "kind": "ReshardUnderFire"}, '
+    '{"at": 65.0, "index": 1, "duration": 50.0, "offset": 20.0, '
+    '"drift": 1.25, "kind": "ClockSkew"}, '
+    '{"at": 75.0, "index": 0, "downtime": 40.0, "lose_state": false, '
+    '"pool": "all", "kind": "CrashReplica"}, '
+    '{"at": 90.0, "domain": "az-1", "downtime": 50.0, '
+    '"kind": "DomainOutage"}, '
+    '{"at": 100.0, "duration": 45.0, "factor": 8.0, "kind": "Congestion"}, '
+    '{"at": 110.0, "duration": 40.0, "factor": 6.0, "kind": "LatencySpike"}]')
+
+
 class TestScheduleSerialization:
     def test_round_trip_through_dicts(self):
         schedule = standard_schedule()
@@ -540,6 +655,18 @@ class TestScheduleSerialization:
         namespace = {name: getattr(chaos, name) for name in chaos.__all__}
         for fault in standard_schedule():
             assert eval(repr(fault), namespace) == fault
+
+    def test_reprs_and_json_are_the_ones_old_artifacts_hold(self):
+        """A ``CHAOS_failures.json`` written before faults became
+        declarative still replays: field names, order and defaults are the
+        schema."""
+        schedule = standard_schedule()
+        assert [repr(fault) for fault in schedule] == STANDARD_REPRS
+        payload = json.dumps(schedule_to_dicts(schedule))
+        assert payload == STANDARD_JSON
+        assert schedule_from_dicts(json.loads(payload)) == schedule
+        assert set(FAULT_KINDS) >= {type(fault).__name__
+                                    for fault in schedule}
 
     def test_standard_schedule_covers_acceptance_matrix(self):
         schedule = standard_schedule()

@@ -13,7 +13,6 @@ from repro.cluster import (
     Simulator,
     Topology,
 )
-from repro.cluster.domains import spread_across_domains
 
 
 def build_pair(config=None):
@@ -215,19 +214,6 @@ class TestTopologyAndPlacement:
         placement = Placement("ep", ["n1", "n3", "n4"], topo)
         survivors = placement.surviving_replicas(["az-a"], FailureDomain.AVAILABILITY_ZONE)
         assert survivors == ["n3", "n4"]
-
-    def test_spread_across_domains_maximises_coverage(self):
-        topo = self.build_topology()
-        chosen = spread_across_domains(
-            topo, ["n1", "n2", "n3", "n4"], 3, FailureDomain.AVAILABILITY_ZONE
-        )
-        covered = topo.distinct_domains(chosen, FailureDomain.AVAILABILITY_ZONE)
-        assert len(covered) == 3
-
-    def test_spread_rejects_impossible_count(self):
-        topo = self.build_topology()
-        with pytest.raises(ValueError):
-            spread_across_domains(topo, ["n1"], 2, FailureDomain.VM)
 
     def test_unplaced_node_gets_singleton_domain(self):
         topo = self.build_topology()

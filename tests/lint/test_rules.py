@@ -280,69 +280,6 @@ class TestRL008UnflushedCadenceQueue:
         assert findings == []
 
 
-class TestRL009NemesisWithoutRetire:
-    def test_fault_applying_without_restore_is_flagged(self):
-        findings = run_rule("RL009", """\
-            class LeakySpike(Fault):
-                def inject(self, env):
-                    env.simulator.schedule(self.at, lambda: self._start(env))
-
-                def _start(self, env):
-                    env.push_latency_factor(self.factor)
-            """, path="src/repro/chaos/mynemesis.py")
-        assert locations(findings) == [("RL009", 5)]
-
-    def test_fault_with_paired_restore_is_clean(self):
-        findings = run_rule("RL009", """\
-            class BoundedSpike(Fault):
-                def inject(self, env):
-                    env.simulator.schedule(self.at, lambda: self._start(env))
-
-                def _start(self, env):
-                    env.push_latency_factor(self.factor)
-                    env.simulator.schedule(self.duration,
-                                           lambda: self._restore(env))
-
-                def _restore(self, env):
-                    env.pop_latency_factor(self.factor)
-            """, path="src/repro/chaos/mynemesis.py")
-        assert findings == []
-
-    def test_nested_heal_closure_is_clean(self):
-        findings = run_rule("RL009", """\
-            class WavePartition(Fault):
-                def inject(self, env):
-                    env.simulator.schedule(self.at, lambda: self._start(env))
-
-                def _start(self, env):
-                    env.network.partition([self.left, self.right])
-
-                    def heal():
-                        env.network.heal()
-                    env.simulator.schedule(self.duration, heal)
-            """, path="src/repro/chaos/mynemesis.py")
-        assert findings == []
-
-    def test_one_way_reshard_is_exempt(self):
-        findings = run_rule("RL009", """\
-            class GrowOnly(Fault):
-                def inject(self, env):
-                    env.simulator.schedule(self.at, lambda: self._reshard(env))
-
-                def _reshard(self, env):
-                    env.kvs.reshard(self.new_shard_count)
-            """, path="src/repro/chaos/mynemesis.py")
-        assert findings == []
-
-    def test_non_fault_class_is_ignored(self):
-        findings = run_rule("RL009", """\
-            class Telemetry:
-                def _start(self, env):
-                    env.log_fault("observing")
-            """, path="src/repro/chaos/mynemesis.py")
-        assert findings == []
-
-
 class TestCombined:
     def test_one_snippet_can_violate_several_rules(self):
         report = lint_source(textwrap.dedent("""\

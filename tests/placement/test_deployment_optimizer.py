@@ -1,5 +1,11 @@
 """Tests for the target-facet deployment optimizer (E5's correctness half)."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.errors import NotDeployableError
@@ -83,12 +89,24 @@ class TestSolvers:
         assert solution.satisfies(problem)
         assert solution.assignments["likelihood"].machine.processor == "gpu"
 
-    def test_milp_and_branch_and_bound_agree_on_objective(self):
-        problem = covid_like_problem()
-        milp = solve_deployment(problem)
-        bnb = branch_and_bound_solve(problem)
-        assert milp.total_instances == bnb.total_instances
-        assert bnb.satisfies(problem)
+    @pytest.mark.parametrize("objective", ["machines", "cost"])
+    @pytest.mark.parametrize("rate_scale", [0.5, 1.0, 4.0])
+    def test_solution_is_the_minimum_over_every_assignment(self, objective,
+                                                           rate_scale):
+        """From-scratch oracle: the whole cross product of the options."""
+        problem = covid_like_problem(objective, rate_scale)
+
+        def value(options):
+            if objective == "cost":
+                return sum(option.hourly_cost for option in options)
+            return sum(option.instances for option in options)
+
+        oracle = min(value(choice) for choice in
+                     itertools.product(*problem.options().values()))
+        for solution in (solve_deployment(problem),
+                         branch_and_bound_solve(problem)):
+            assert solution.satisfies(problem)
+            assert value(solution.assignments.values()) == pytest.approx(oracle)
 
     def test_cost_objective_never_costs_more_than_machines_objective(self):
         machines_solution = solve_deployment(covid_like_problem(objective="machines"))
@@ -119,6 +137,18 @@ class TestSolvers:
         text = solution.describe()
         for handler in covid_like_problem().loads:
             assert handler in text
+
+
+def test_src_imports_nothing_outside_the_standard_library():
+    """``numpy``/``scipy`` were never declared and CI installs neither; the
+    exact solver needs neither, and the import cost every compile 0.5 s."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    script = ("import sys; import repro.compiler, repro.storage, repro.chaos; "
+              "print([m for m in ('numpy', 'scipy') if m in sys.modules])")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "[]"
 
 
 class TestAutoscaler:
