@@ -16,16 +16,12 @@ design patterns the paper names:
 """
 
 from repro.availability.proxy import ReplicaProxy
-from repro.availability.replication import ReplicatedEndpoint, ReplicaNode
+from repro.availability.replication import ReplicaNode
 from repro.availability.log_shipping import LogShippingPrimary, LogShippingStandby
-from repro.availability.placement import plan_placements, ring_spread
 
 __all__ = [
     "ReplicaProxy",
-    "ReplicatedEndpoint",
     "ReplicaNode",
     "LogShippingPrimary",
     "LogShippingStandby",
-    "plan_placements",
-    "ring_spread",
 ]

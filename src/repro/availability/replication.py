@@ -329,15 +329,3 @@ class ReplicaNode(Node):
         before the crash is never reused for a different change.
         """
         self._boot(first_stamp=self.change_log.seq)
-
-
-@dataclass
-class ReplicatedEndpoint:
-    """Book-keeping for one endpoint's replica set (used by the deployment)."""
-
-    handler: str
-    replicas: list[Hashable]
-    coordination: str = "none"
-
-    def replica_count(self) -> int:
-        return len(self.replicas)

@@ -271,7 +271,7 @@ def calm_latency_bound(env: ChaosEnv, hops: int = 6, slack: float = 2.0) -> floa
     allowance = 0.0
     if env.network.metrics.counter("transport.rpc_retries"):
         allowance = env.rpc_retry_allowance()
-    per_hop = env.max_link_delay + env.network.max_transmission_delay
+    per_hop = env.network.max_link_delay + env.network.max_transmission_delay
     return hops * per_hop + slack + allowance
 
 
@@ -387,7 +387,7 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
             result.failures.append(
                 f"{replica.node_id}: digest tree diverged from its store — "
                 f"the incremental maintenance missed an update")
-    if env.pristine_config.drop_rate:
+    if env.network.config.drop_rate:
         # With baseline loss the final acks may legitimately be in flight
         # or lost at measure time; only the O(Δ) ledger applies.
         return result
@@ -477,7 +477,7 @@ def staleness_bound(env: ChaosEnv, full_sync_every: int,
     round-trip delivery leg covers the repair round's ack.
     """
     sync_horizon = full_sync_every * gossip_interval * env.max_timer_drift
-    leg = env.max_link_delay + env.network.max_transmission_delay
+    leg = env.network.max_link_delay + env.network.max_transmission_delay
     recursion = (2 * PROBE_ROUNDS + 1) * leg
     delivery = 2 * leg
     return sync_horizon + env.rpc_retry_allowance() + recursion + delivery + slack

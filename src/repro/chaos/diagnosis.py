@@ -470,7 +470,7 @@ def _expected_link_latency(env):
     """Per-link expected pristine latency under a :class:`DelayMatrix`.
 
     Returns ``None`` (no normalization, the homogeneous-fabric fast path)
-    unless the pristine config prices links per domain pair.  The
+    unless the config prices links per domain pair.  The
     expectation is propagation only — matrix delay (or base delay for
     unmatched pairs, e.g. workload clients in the ``default`` domain) plus
     mean jitter.  Serialization is deliberately *not* folded in: healthy
@@ -479,7 +479,7 @@ def _expected_link_latency(env):
     itself, this reads only deployment knowledge (who is placed where),
     never fault state.
     """
-    config = env.pristine_config
+    config = env.network.config
     matrix = config.delay_matrix
     if matrix is None:
         return None
@@ -508,15 +508,15 @@ def diagnose(env, history: History,
         client_ids = set(env.client_ids())
     expected = _expected_link_latency(env)
     obs = _Observations(env.network.observatory, expected=expected)
+    config = env.network.config  # never written by a fault
     if expected is not None:
         # Link means are normalized to each link's own expectation, so the
         # pristine fabric reads ~1.0 by construction.
         pristine_latency = 1.0
     else:
-        pristine_latency = (env.pristine_config.base_delay
-                            + env.pristine_config.jitter / 2)
+        pristine_latency = config.base_delay + config.jitter / 2
     fabric, fabric_latency_buckets = _fabric_blames(
-        obs, pristine_latency, env.pristine_config.drop_rate)
+        obs, pristine_latency, config.drop_rate)
     report = DiagnosisReport()
     report.blames.extend(fabric)
     report.blames.extend(_silent_node_blames(obs, client_ids))

@@ -41,15 +41,25 @@ from repro.cluster.node import Node
 from repro.storage import LatticeKVS
 
 
+@dataclass(slots=True, eq=False)
+class _ActiveSkew:
+    """Handle for one applied clock skew, retired by identity."""
+
+    node_id: Hashable
+    offset: float
+    drift: float
+
+
 class ChaosEnv:
     """Everything a fault can touch: simulator, network, KVS, injector.
 
     Also the scenario's black box recorder: fault activations
-    (:attr:`fault_log`), state-losing recoveries
-    (:attr:`lose_state_events`) and the worst link delay induced
-    (:attr:`max_link_delay`) are logged so checkers can reason about what
+    (:attr:`fault_log`) and state-losing recoveries
+    (:attr:`lose_state_events`) are logged so checkers can reason about what
     the nemesis did — e.g. exempting an acked write from the durability
-    check when the acking replica later lost its state.
+    check when the acking replica later lost its state.  Link degradations
+    are handles on the network's one list (``Network.degrade``): a fault
+    never writes :class:`NetworkConfig`.
     """
 
     def __init__(self, seed: int, network_config: NetworkConfig,
@@ -59,7 +69,6 @@ class ChaosEnv:
         self.seed = seed
         self.simulator = simulator or Simulator(seed=seed)
         self.network = network or Network(self.simulator, network_config)
-        self.pristine_config = dataclasses.replace(self.network.config)
         self.kvs = kvs
         self.topology = Topology()
         self.injector = FailureInjector(self.simulator, {}, self.topology)
@@ -74,27 +83,9 @@ class ChaosEnv:
         #: crashes.  Clock skews and reshards record nothing: neither is a
         #: path degradation an end-to-end observer could be asked to see.
         self.ground_truth: list[dict] = []
-        # Active link degradations.  Spikes register/unregister here and the
-        # effective config is always *recomputed from pristine*, so
-        # overlapping spikes compose (product of factors, max of drop
-        # rates) and removing any one fault from a schedule cannot change
-        # what the others do — the shrinker's soundness contract.
-        self._latency_factors: list[float] = []
-        self._drop_rates: list[float] = []
-        # Active clock skews: (node_id, offset, drift), same compose/restore
-        # discipline as the link spikes.  Slow-node factors live in the
-        # Network itself (the single owner of per-node delay state); the
-        # checker bound reads them back via ``Network.slowed_nodes``.
-        self._clock_skews: list[tuple[Hashable, float, float]] = []
-        #: Worst link delay (base + jitter, times the worst pair of
-        #: slow-node factors) seen at any point of the run — latency spikes
-        #: and slow-node faults raise it.  The CALM checker's latency bound
-        #: must scale with it, not with the pristine config.  A
-        #: :class:`~repro.cluster.DelayMatrix` may pin per-domain delays
-        #: above ``base_delay`` (cross-region links), so the worst matrix
-        #: entry joins the baseline.
-        self.max_link_delay = (self._worst_base_delay(self.network.config)
-                               + self.network.config.jitter)
+        # Active clock skews, retired by handle identity like the network's
+        # link degradations.
+        self._clock_skews: list[_ActiveSkew] = []
         #: High-water mark of any node's timer drift — skewed local clocks
         #: stretch cadences and RPC retry timers, so latency bounds scale
         #: with it.
@@ -159,63 +150,26 @@ class ChaosEnv:
         self.ground_truth.append({
             "kind": kind, "subject": subject, "start": start, "end": end})
 
-    def push_latency_factor(self, factor: float) -> None:
-        self._latency_factors.append(factor)
-        self._apply_link_degradations()
-
-    def pop_latency_factor(self, factor: float) -> None:
-        self._latency_factors.remove(factor)
-        self._apply_link_degradations()
-
-    def push_drop_rate(self, drop_rate: float) -> None:
-        self._drop_rates.append(drop_rate)
-        self._apply_link_degradations()
-
-    def pop_drop_rate(self, drop_rate: float) -> None:
-        self._drop_rates.remove(drop_rate)
-        self._apply_link_degradations()
-
-    def push_node_slowdown(self, node_id: Hashable, factor: float) -> None:
-        """Degrade every link touching ``node_id`` (the slow-node fault)."""
-        self.network.add_node_delay_factor(node_id, factor)
-        self._apply_link_degradations()
-
-    def pop_node_slowdown(self, node_id: Hashable, factor: float) -> None:
-        self.network.remove_node_delay_factor(node_id, factor)
-        self._apply_link_degradations()
-
-    def push_bandwidth_squeeze(self, factor: float):
-        """Squeeze every link's bandwidth (the congestion fault).
-
-        The squeeze state lives in the Network (the single owner of link
-        transmission state); overlapping squeezes compose multiplicatively
-        and restore independently, like the other link degradations.  A
-        config without a bandwidth model is unaffected — bytes only take
-        time when the model prices them.  Returns the squeeze handle; pass
-        it back to :meth:`pop_bandwidth_squeeze` so an expiring window can
-        only ever retire *its own* squeeze (``heal_everything`` may have
-        cleared it already, and a same-factor fault may be active).
-        """
-        return self.network.add_bandwidth_squeeze(factor)
-
-    def pop_bandwidth_squeeze(self, squeeze) -> None:
-        self.network.remove_bandwidth_squeeze(squeeze)
-
-    def apply_clock_skew(self, node: Node, offset: float, drift: float) -> None:
+    def apply_clock_skew(self, node: Node, offset: float,
+                         drift: float) -> _ActiveSkew:
         """Skew ``node``'s local clock: shift its reading, stretch its timers."""
         node.clock_offset += offset
         node.timer_drift *= drift
-        self._clock_skews.append((node.node_id, offset, drift))
+        skew = _ActiveSkew(node.node_id, offset, drift)
+        self._clock_skews.append(skew)
         self.max_timer_drift = max(self.max_timer_drift, node.timer_drift)
+        return skew
 
-    def remove_clock_skew(self, node_id: Hashable, offset: float, drift: float) -> None:
-        if (node_id, offset, drift) not in self._clock_skews:
+    def remove_clock_skew(self, skew: _ActiveSkew) -> None:
+        """Undo exactly what :meth:`apply_clock_skew` applied; idempotent."""
+        active = [other for other in self._clock_skews if other is not skew]
+        if len(active) == len(self._clock_skews):
             return
-        self._clock_skews.remove((node_id, offset, drift))
-        node = self.injector.nodes.get(node_id)
+        self._clock_skews = active
+        node = self.injector.nodes.get(skew.node_id)
         if node is not None:  # a reshard may have retired the node
-            node.clock_offset -= offset
-            node.timer_drift /= drift
+            node.clock_offset -= skew.offset
+            node.timer_drift /= skew.drift
 
     def recover_node(self, node_id: Hashable, lose_state: bool,
                      detail: str) -> Optional[str]:
@@ -237,41 +191,6 @@ class ChaosEnv:
         return (self.network.transport_config.rpc.retry_allowance
                 * self.max_timer_drift)
 
-    @staticmethod
-    def _worst_base_delay(config: NetworkConfig) -> float:
-        """The worst pre-jitter delay any link can sample under ``config``.
-
-        Matrix-pinned delays replace ``base_delay`` in ``_sample_delay``
-        and carry the spike stretch through ``delay_stretch``, so the worst
-        (already-stretched) entry competes with the spiked base.
-        """
-        worst = config.base_delay
-        if config.delay_matrix is not None:
-            worst = max(worst,
-                        config.delay_matrix.max_delay() * config.delay_stretch)
-        return worst
-
-    def _apply_link_degradations(self) -> None:
-        config = self.network.config
-        factor = 1.0
-        for spike in self._latency_factors:
-            factor *= spike
-        config.base_delay = self.pristine_config.base_delay * factor
-        config.jitter = self.pristine_config.jitter * factor
-        # Matrix-pinned (geo) links scale through the stretch knob instead
-        # of base_delay; outside spike windows it is exactly 1.0.
-        config.delay_stretch = self.pristine_config.delay_stretch * factor
-        config.drop_rate = max([self.pristine_config.drop_rate] + self._drop_rates)
-        # A link's delay is multiplied by the factor product of *both*
-        # endpoints; the worst pair is the two largest per-node products.
-        worst_pair = 1.0
-        for node_factor in sorted(self.network.slowed_nodes().values(),
-                                  reverse=True)[:2]:
-            worst_pair *= node_factor
-        self.max_link_delay = max(
-            self.max_link_delay,
-            (self._worst_base_delay(config) + config.jitter) * worst_pair)
-
     # -- global heal (the Jepsen "final reads" phase) ------------------------------
 
     def heal_everything(self) -> None:
@@ -282,15 +201,10 @@ class ChaosEnv:
         more loss.
         """
         self.network.heal_all()
-        self._latency_factors.clear()
-        self._drop_rates.clear()
-        self.network.clear_node_delay_factors()
-        self.network.clear_bandwidth_squeezes()
-        self._apply_link_degradations()
-        self.network.config.duplicate_rate = self.pristine_config.duplicate_rate
+        self.network.restore_all()
         self.refresh_injector()
-        for node_id, offset, drift in list(self._clock_skews):
-            self.remove_clock_skew(node_id, offset, drift)
+        for skew in self._clock_skews:  # each removal rebinds the list
+            self.remove_clock_skew(skew)
         for node_id in self.crashable_ids():
             node = self.injector.nodes[node_id]
             if not node.alive:
@@ -320,6 +234,15 @@ class Applied(NamedTuple):
     subject: Optional[tuple] = None
     retire: Optional[Callable[[], Optional[str]]] = None
     retire_label: str = ""
+
+
+def _restore(env: ChaosEnv, handle, text: str) -> str:
+    """Retire one link degradation by the handle ``Network.degrade``
+    returned — a frozen fault can't store it, so the retirement carries it:
+    a window outliving ``heal_everything`` can then never retire a *later*
+    fault of equal value."""
+    env.network.restore(handle)
+    return text
 
 
 def _pick(targets: Sequence[Hashable], index: int) -> Optional[Hashable]:
@@ -572,17 +495,16 @@ class LatencySpike(Fault):
     """Multiply link delay by ``factor`` for ``duration``, then restore.
 
     Overlapping spikes compose multiplicatively and restore independently:
-    the effective delay is always recomputed from the pristine config and
-    the set of *currently active* spikes, never from saved-at-start values
+    the effective delay is always refolded from the config and the handles
+    *currently active* on the network, never from saved-at-start values
     (which would let one spike's restore re-impose another's degradation).
 
     Delays pinned by a :class:`~repro.cluster.DelayMatrix` stretch by the
-    same factor (via ``NetworkConfig.delay_stretch``): a spike models
-    fabric-wide RTT inflation — bufferbloat, routing flaps — which hits
-    long-haul paths too.  Degrading every link by one factor is also what
-    keeps the spike *fabric*-shaped for the tomography rules; bandwidth
-    squeezes (:class:`Congestion`) remain the mechanism that loads the
-    thin inter-region pipes specifically.
+    same factor: a spike models fabric-wide RTT inflation — bufferbloat,
+    routing flaps — which hits long-haul paths too.  Degrading every link
+    by one factor is also what keeps the spike *fabric*-shaped for the
+    tomography rules; bandwidth squeezes (:class:`Congestion`) remain the
+    mechanism that loads the thin inter-region pipes specifically.
     """
 
     duration: float = 40.0
@@ -592,14 +514,10 @@ class LatencySpike(Fault):
     span = property(lambda self: self.duration)
 
     def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
-        env.push_latency_factor(self.factor)
-
-        def restore() -> str:
-            env.pop_latency_factor(self.factor)
-            return "latency restored"
-
+        handle = env.network.degrade(delay_factor=self.factor)
         return [Applied(f"latency x{self.factor}", ("fabric",),
-                        restore, "latency-restore")]
+                        partial(_restore, env, handle, "latency restored"),
+                        "latency-restore")]
 
 
 @dataclass(frozen=True)
@@ -607,7 +525,7 @@ class DropSpike(Fault):
     """Raise the message drop probability for ``duration``, then restore.
 
     Overlapping spikes compose as the max of the active rates (see
-    :class:`LatencySpike` for why restore is recompute-from-pristine).
+    :class:`LatencySpike` for why restore is refold-from-active).
     """
 
     duration: float = 40.0
@@ -617,14 +535,10 @@ class DropSpike(Fault):
     span = property(lambda self: self.duration)
 
     def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
-        env.push_drop_rate(self.drop_rate)
-
-        def restore() -> str:
-            env.pop_drop_rate(self.drop_rate)
-            return "drop_rate restored"
-
-        return [Applied(f"drop_rate -> {env.network.config.drop_rate}",
-                        ("fabric",), restore, "drop-restore")]
+        handle = env.network.degrade(drop_rate=self.drop_rate)
+        return [Applied(f"drop_rate -> {env.network.drop_rate}", ("fabric",),
+                        partial(_restore, env, handle, "drop_rate restored"),
+                        "drop-restore")]
 
 
 @dataclass(frozen=True)
@@ -636,7 +550,7 @@ class Congestion(Fault):
     so large envelopes (full-store gossip syncs, fan-out bursts) serialize
     slowly and queue behind each other while small control traffic barely
     notices — exactly the failure mode that distinguishes delta gossip from
-    snapshot gossip.  RNG-free and recompute-from-active like the other
+    snapshot gossip.  RNG-free and refold-from-active like the other
     spikes: overlapping congestions compose multiplicatively and restore
     independently, and :class:`SlowNode` factors compose multiplicatively
     on top (a slow node's links serialize slower still).  On a config with
@@ -650,18 +564,10 @@ class Congestion(Fault):
     span = property(lambda self: self.duration)
 
     def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
-        # The handle travels through the restore closure (a frozen fault
-        # can't store it): retiring by identity means this window expiring
-        # can never un-squeeze a *different* congestion that reused the
-        # same factor after ``heal_everything`` cleared this one.
-        squeeze = env.push_bandwidth_squeeze(self.factor)
-
-        def restore() -> str:
-            env.pop_bandwidth_squeeze(squeeze)
-            return "congestion restored"
-
+        handle = env.network.degrade(squeeze=self.factor)
         return [Applied(f"congestion /{self.factor}", ("fabric",),
-                        restore, "congestion-restore")]
+                        partial(_restore, env, handle, "congestion restored"),
+                        "congestion-restore")]
 
 
 @dataclass(frozen=True)
@@ -689,14 +595,10 @@ class SlowNode(Fault):
         node_id = _pick(env.partitionable_ids(), self.index)
         if node_id is None:
             return ()
-        env.push_node_slowdown(node_id, self.factor)
-
-        def restore() -> str:
-            env.pop_node_slowdown(node_id, self.factor)
-            return f"slow-node {node_id} restored"
-
-        return [Applied(f"slow-node {node_id} x{self.factor}",
-                        ("node", node_id), restore,
+        handle = env.network.degrade(delay_factor=self.factor, node=node_id)
+        return [Applied(f"slow-node {node_id} x{self.factor}", ("node", node_id),
+                        partial(_restore, env, handle,
+                                f"slow-node {node_id} restored"),
                         f"slow-node-restore-{self.index}")]
 
 
@@ -725,11 +627,12 @@ class ClockSkew(Fault):
         node_id = _pick(env.crashable_ids(), self.index)
         if node_id is None:
             return ()
-        env.apply_clock_skew(env.injector.nodes[node_id], self.offset, self.drift)
+        skew = env.apply_clock_skew(env.injector.nodes[node_id],
+                                    self.offset, self.drift)
 
         def restore() -> str:
             env.refresh_injector()
-            env.remove_clock_skew(node_id, self.offset, self.drift)
+            env.remove_clock_skew(skew)
             return f"clock-skew {node_id} restored"
 
         # No footprint: a skewed clock is not a path degradation an

@@ -192,12 +192,6 @@ class NetworkConfig:
     bandwidth: Optional[float] = None
     #: Per-domain-pair delay/bandwidth overrides; ``None`` means none.
     delay_matrix: Optional[DelayMatrix] = None
-    #: Multiplier on matrix-pinned delays (``base_delay`` links are already
-    #: covered by fault code scaling ``base_delay`` itself).  The chaos
-    #: harness's latency spikes set this so fabric-wide RTT inflation
-    #: (bufferbloat, routing flaps) degrades locality-priced long-haul
-    #: links too, not only the base-priced ones.
-    delay_stretch: float = 1.0
     #: Bytes per tick a node's shared NIC transmits.  Unlike ``bandwidth``
     #: (per ``(src, dst)`` pair), this queue is shared by *all* of a node's
     #: links: outbound messages serialize through the sender's uplink
@@ -242,17 +236,24 @@ class Partition:
 
 
 @dataclass(slots=True, eq=False)
-class BandwidthSqueeze:
-    """Handle for one active congestion squeeze.
+class Degradation:
+    """Handle for one active link degradation (:meth:`Network.degrade`).
 
     Retired by **identity**, like :class:`Partition` handles: two
-    overlapping ``Congestion`` faults with the same factor hold distinct
-    handles, so one window expiring never un-squeezes the other (a
-    value-based ``list.remove`` would conflate them — see
-    :meth:`Network.remove_bandwidth_squeeze`).
+    overlapping faults of equal value hold distinct handles, so one window
+    expiring — or a stale restore after :meth:`Network.restore_all` — never
+    retires the other (a value-based ``list.remove`` would conflate them).
     """
 
-    factor: float
+    #: Multiplier on propagation delay: of every link when ``node`` is
+    #: ``None`` (a fabric-wide latency spike), else of every link touching
+    #: ``node`` and of each serialization it takes part in (a slow node).
+    delay_factor: float = 1.0
+    node: Optional[Hashable] = None
+    #: Floor under :attr:`NetworkConfig.drop_rate`.
+    drop_rate: float = 0.0
+    #: Divisor of every link's and NIC's bandwidth (congestion).
+    squeeze: float = 1.0
 
 
 @dataclass(slots=True, eq=False)
@@ -311,22 +312,17 @@ class Network:
         self._partitions: list[Partition] = []
         self._next_message_id = 0
         self._same_domain: dict[Hashable, Hashable] = {}
-        # Per-node delay multipliers (the slow-node fault): every active
-        # factor on either endpoint multiplies the sampled link delay.
-        # Kept as lists so overlapping faults compose and restore
-        # independently, mirroring the latency-spike contract.
-        self._node_delay_factors: dict[Hashable, list[float]] = {}
         # Transmission model state, untouched while the model is off: one
         # record per directed link a priced send used and one per node's
         # NIC (``_nic_overrides`` counts the NIC records that carry a
-        # bandwidth override — any one of them turns the model on), plus
-        # the active congestion handles: the effective bandwidth is the
-        # configured one divided by the product of their factors
-        # (identity-retired so overlapping faults restore independently).
+        # bandwidth override — any one of them turns the model on).
         self._links: dict[tuple[Hashable, Hashable], _Link] = {}
         self._nics: defaultdict[Hashable, _Nic] = defaultdict(_Nic)
         self._nic_overrides = 0
-        self._bandwidth_squeezes: list[BandwidthSqueeze] = []
+        # Every active link degradation, in arming order.  The send path
+        # never walks it: ``_refold`` folds it into a few floats whenever
+        # it changes.
+        self._degradations: list[Degradation] = []
         #: (queue_wait, serialization, nic_wait) of the most recent ``send``
         #: call: the primary transmission's cost when that send was priced
         #: and scheduled, and the zero tuple when it was dropped or unpriced
@@ -337,6 +333,12 @@ class Network:
         #: on any link — the CALM latency bound consumes this instead of
         #: assuming transmission is free.
         self.max_transmission_delay = 0.0
+        #: High-water mark of the worst propagation delay the network could
+        #: sample (base or worst matrix entry, plus jitter, times the fabric
+        #: factor and the worst pair of slow-node factors) — the same bound
+        #: scales with it, not with the config alone.
+        self.max_link_delay = 0.0
+        self._refold()
         #: Opt-in for the ``net.delivery`` latency recorder while the model
         #: is off (with the model on, every delivery is recorded).
         self.record_delivery_latency = False
@@ -373,73 +375,103 @@ class Network:
         price each link's expected latency under a :class:`DelayMatrix`)."""
         return dict(self._same_domain)
 
-    # -- per-node link degradation (slow-node faults) ----------------------------
+    # -- link degradations ---------------------------------------------------------
 
-    def add_node_delay_factor(self, node_id: Hashable, factor: float) -> None:
-        """Multiply every link touching ``node_id`` by ``factor`` until removed."""
-        self._node_delay_factors.setdefault(node_id, []).append(factor)
+    def degrade(self, *, delay_factor: float = 1.0,
+                node: Optional[Hashable] = None, drop_rate: float = 0.0,
+                squeeze: float = 1.0) -> Degradation:
+        """Degrade the links until the returned handle is restored.
 
-    def remove_node_delay_factor(self, node_id: Hashable, factor: float) -> None:
-        factors = self._node_delay_factors.get(node_id)
-        if factors and factor in factors:
-            factors.remove(factor)
-            if not factors:
-                del self._node_delay_factors[node_id]
+        ``delay_factor`` multiplies propagation delay — of the whole fabric,
+        or with ``node`` of every link touching that node (whose
+        serializations slow down with it); ``drop_rate`` is a floor under
+        the configured drop rate; ``squeeze`` divides every link's and NIC's
+        bandwidth (only meaningful while the transmission model is on: with
+        no bandwidth configured anywhere, bytes cost no time to squeeze).
+        Overlapping degradations compose — factors and squeezes multiply in
+        arming order, the highest floor wins — and restore independently.
+        :attr:`config` is never written.
+        """
+        if delay_factor <= 0 or squeeze <= 0:
+            raise ValueError("degradation factors must be positive, got "
+                             f"delay_factor={delay_factor} squeeze={squeeze}")
+        handle = Degradation(delay_factor, node, drop_rate, squeeze)
+        self._degradations.append(handle)
+        self._refold()
+        return handle
 
-    def clear_node_delay_factors(self) -> None:
-        self._node_delay_factors.clear()
+    def restore(self, handle: Degradation) -> None:
+        """Retire one active degradation.
+
+        Idempotent, and removal is by handle identity: a stale restore (a
+        fault window outliving a :meth:`restore_all`) can never retire a
+        *different* degradation of equal value.  Anything but a handle (a
+        bare factor, say) is a ``TypeError``.
+        """
+        if not isinstance(handle, Degradation):
+            raise TypeError(f"expected the handle degrade returned, got {handle!r}")
+        self._degradations = [d for d in self._degradations if d is not handle]
+        self._refold()
+
+    def restore_all(self) -> None:
+        self._degradations = []
+        self._refold()
+
+    # The end-to-end benchmark (``benchmarks/e2e/bench_e2e/kvs.py``) squeezes
+    # through these two names and may not be edited alongside the code it
+    # measures; they go when a benchmark change re-points it (ROADMAP item 1).
+    def add_bandwidth_squeeze(self, factor: float) -> Degradation:
+        return self.degrade(squeeze=factor)
+
+    def remove_bandwidth_squeeze(self, handle: Degradation) -> None:
+        self.restore(handle)
+
+    def _refold(self) -> None:
+        """Fold the active handles, in arming order, into what a send reads."""
+        delay_factor = squeeze = 1.0
+        drop_floor = 0.0
+        node_factors: dict[Hashable, float] = {}
+        for handle in self._degradations:
+            if handle.node is None:
+                delay_factor *= handle.delay_factor
+            else:
+                node_factors[handle.node] = (
+                    node_factors.get(handle.node, 1.0) * handle.delay_factor)
+            if handle.drop_rate > drop_floor:
+                drop_floor = handle.drop_rate
+            squeeze *= handle.squeeze
+        # Products of the active fabric-wide delay factors and of the
+        # congestion squeezes, the highest drop floor, per-node products.
+        self.delay_factor = delay_factor
+        self.drop_floor = drop_floor
+        self.bandwidth_squeeze = squeeze
+        self._node_factors = node_factors
+        config = self.config
+        worst = config.base_delay
+        if config.delay_matrix is not None:
+            worst = max(worst, config.delay_matrix.max_delay())
+        # A link's delay is multiplied by the factor product of *both*
+        # endpoints; the worst pair is the two largest per-node products.
+        worst_pair = 1.0
+        for factor in sorted(node_factors.values(), reverse=True)[:2]:
+            worst_pair *= factor
+        self.max_link_delay = max(
+            self.max_link_delay,
+            (worst * delay_factor + config.jitter * delay_factor) * worst_pair)
+
+    @property
+    def drop_rate(self) -> float:
+        """The drop probability in force: the configured rate or the
+        highest active floor, whichever is larger."""
+        return max(self.config.drop_rate, self.drop_floor)
 
     def node_delay_factor(self, node_id: Hashable) -> float:
-        product = 1.0
-        for factor in self._node_delay_factors.get(node_id, ()):
-            product *= factor
-        return product
+        """The composed product of ``node_id``'s active delay factors."""
+        return self._node_factors.get(node_id, 1.0)
 
     def slowed_nodes(self) -> dict[Hashable, float]:
         """Every node with an active delay factor, with its composed product."""
-        return {node_id: self.node_delay_factor(node_id)
-                for node_id in self._node_delay_factors}
-
-    # -- congestion (bandwidth squeezes) -----------------------------------------
-
-    def add_bandwidth_squeeze(self, factor: float) -> BandwidthSqueeze:
-        """Divide every link's (and NIC's) bandwidth by ``factor`` until the
-        returned handle is removed.
-
-        Only meaningful while the transmission model is on; with no
-        bandwidth configured anywhere, bytes cost no time to squeeze.
-        """
-        if factor <= 0:
-            raise ValueError(f"squeeze factor must be positive, got {factor}")
-        squeeze = BandwidthSqueeze(factor)
-        self._bandwidth_squeezes.append(squeeze)
-        return squeeze
-
-    def remove_bandwidth_squeeze(self, squeeze: BandwidthSqueeze) -> None:
-        """Retire one active squeeze.
-
-        Idempotent.  Pass the handle :meth:`add_bandwidth_squeeze` returned
-        — removal is by handle identity, so a stale restore (a congestion
-        window that was already cleared) can never un-squeeze a *different*
-        fault that happens to use the same factor.  Anything but a handle
-        (a bare factor, say) is a ``TypeError``.
-        """
-        if not isinstance(squeeze, BandwidthSqueeze):
-            raise TypeError("expected the handle add_bandwidth_squeeze "
-                            f"returned, got {squeeze!r}")
-        self._bandwidth_squeezes = [
-            s for s in self._bandwidth_squeezes if s is not squeeze]
-
-    def clear_bandwidth_squeezes(self) -> None:
-        self._bandwidth_squeezes.clear()
-
-    @property
-    def bandwidth_squeeze(self) -> float:
-        """The composed product of all active congestion factors."""
-        product = 1.0
-        for squeeze in self._bandwidth_squeezes:
-            product *= squeeze.factor
-        return product
+        return dict(self._node_factors)
 
     # -- shared NIC queues -------------------------------------------------------
 
@@ -561,9 +593,9 @@ class Network:
                                                 message.sent_at)
             window.sent_messages += 1
             window.sent_bytes += size_bytes
+        drop_rate = self.drop_rate if self._degradations else config.drop_rate
         if ((self._partitions and not self.is_reachable(source, destination))
-                or (config.drop_rate
-                    and simulator.rng.random() < config.drop_rate)):
+                or (drop_rate and simulator.rng.random() < drop_rate)):
             self.last_transmission = _NO_COST
             self._ledger_drop(message, link, window, in_flight=False)
             return message
@@ -661,8 +693,7 @@ class Network:
             uplink = source_nic.bandwidth
         if destination_nic is not None and destination_nic.bandwidth is not None:
             downlink = destination_nic.bandwidth
-        squeeze = self.bandwidth_squeeze if self._bandwidth_squeezes else 1.0
-        return squeeze, uplink, bandwidth, downlink
+        return self.bandwidth_squeeze, uplink, bandwidth, downlink
 
     def _transmit(self, size: int, link: _Link, spec: Optional[LinkSpec],
                   source_factor: float,
@@ -723,25 +754,28 @@ class Network:
             domain = self._same_domain.get(source)
             if domain is not None and domain == self._same_domain.get(destination):
                 base = config.same_domain_delay
-        source_factor = destination_factor = 1.0
-        if self._node_delay_factors:
-            # A slow node's endpoints serialize slowly too: the gray-failure
-            # factor composes multiplicatively with congestion squeezes.
-            source_factor = self.node_delay_factor(source)
-            destination_factor = self.node_delay_factor(destination)
+        stretch = source_factor = destination_factor = 1.0
+        if self._degradations:
+            # A fabric factor stretches whichever delay prices the link and
+            # its jitter; a slow node's endpoints serialize slowly too (the
+            # gray-failure factor composes with congestion squeezes).
+            stretch = self.delay_factor
+            source_factor = self._node_factors.get(source, 1.0)
+            destination_factor = self._node_factors.get(destination, 1.0)
         # Model off (no link record): the shared ``_NO_COST`` identity
         # ``send`` checks, and the bare propagation delay below.
         timing = _NO_COST
         if link is not None:
             spec = self._matrix_entry(source, destination)
             if spec is not None and spec.delay is not None:
-                base = spec.delay * config.delay_stretch
+                base = spec.delay
             timing = self._transmit(message.size_bytes, link, spec,
                                     source_factor, destination_factor)
         # The jitter draw is unconditional, so the sampled delay stream
-        # does not depend on what is priced.
-        jitter = config.jitter * self.simulator.rng.random() if config.jitter else 0.0
-        delay = (base + jitter) * (source_factor * destination_factor)
+        # does not depend on what is priced.  ``x * 1.0`` is exact.
+        jitter = (config.jitter * stretch * self.simulator.rng.random()
+                  if config.jitter else 0.0)
+        delay = (base * stretch + jitter) * (source_factor * destination_factor)
         if timing is not _NO_COST:
             queue_wait, serialization, nic_wait = timing
             delay = nic_wait + queue_wait + serialization + delay

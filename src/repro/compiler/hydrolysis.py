@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
-from repro.availability.placement import plan_placements
 from repro.cluster.domains import Topology
 from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.simulator import Simulator
@@ -30,6 +29,7 @@ from repro.core.program import HydroProgram
 from repro.placement.cost_models import HandlerLoadModel
 from repro.placement.ilp import DeploymentProblem, solve_deployment
 from repro.placement.machines import DEFAULT_CATALOG, MachineType
+from repro.placement.replicas import plan_placements
 
 
 class Hydrolysis:

@@ -25,6 +25,7 @@ from repro.placement.ilp import DeploymentProblem, DeploymentSolution, solve_dep
 from repro.placement.branch_and_bound import branch_and_bound_solve
 from repro.placement.greedy import greedy_solve
 from repro.placement.autoscaler import Autoscaler
+from repro.placement.replicas import placement_summary, plan_placements, ring_spread
 
 __all__ = [
     "GEO_AZS",
@@ -42,4 +43,7 @@ __all__ = [
     "branch_and_bound_solve",
     "greedy_solve",
     "Autoscaler",
+    "plan_placements",
+    "ring_spread",
+    "placement_summary",
 ]

@@ -207,9 +207,9 @@ class TestCalmChecker:
     def test_bound_scales_with_nemesis_induced_delay(self):
         env = env_with()
         pristine = calm_latency_bound(env)
-        env.push_latency_factor(8.0)
+        spike = env.network.degrade(delay_factor=8.0)
         assert calm_latency_bound(env) > pristine * 4
-        env.pop_latency_factor(8.0)
+        env.network.restore(spike)
         # The bound keeps covering the worst delay ever induced, so ops
         # completed *during* the spike are still judged fairly.
         assert calm_latency_bound(env) > pristine * 4

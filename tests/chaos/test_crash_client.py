@@ -166,12 +166,12 @@ class StealthSlowdown(Fault):
     span = property(lambda self: self.duration)
 
     def apply(self, env, firing):
-        env.push_node_slowdown(self.node_id, self.factor)
-        # text=None, subject=None: neither logged nor announced; the pop
+        handle = env.network.degrade(delay_factor=self.factor,
+                                     node=self.node_id)
+        # text=None, subject=None: neither logged nor announced; the restore
         # returns None, so the retirement is silent too.
         return [Applied(None, subject=None, retire_label="stealth-restore",
-                        retire=lambda: env.pop_node_slowdown(self.node_id,
-                                                             self.factor))]
+                        retire=lambda: env.network.restore(handle))]
 
 
 class TestStealthFaultLocalization:

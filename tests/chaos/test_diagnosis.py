@@ -36,8 +36,8 @@ def env_for(observatory, ground_truth=()):
     """The slice of a ``ChaosEnv`` the localizer reads."""
     return SimpleNamespace(
         network=SimpleNamespace(observatory=observatory, metrics=MetricsRegistry(),
-                                domains=dict),
-        pristine_config=NetworkConfig(base_delay=1.0, jitter=0.5),
+                                domains=dict,
+                                config=NetworkConfig(base_delay=1.0, jitter=0.5)),
         client_ids=list, ground_truth=list(ground_truth))
 
 

@@ -4,8 +4,8 @@ Pins the geo tier end to end: the delay/bandwidth matrix, the two
 placement policies (locality-aware vs the naive strawman), the wiring
 through ``ChaosConfig`` into a built environment (replica domains, NIC
 pricing, client fallback), DomainOutage interop with the placement, the
-byte-conservation invariant under geo chaos — including mid-flight
-``clear_bandwidth_squeezes`` — and a full scenario smoke run.
+byte-conservation invariant under geo chaos — including a mid-flight
+``restore_all`` — and a full scenario smoke run.
 """
 
 import dataclasses
@@ -130,8 +130,8 @@ class TestGeoEnvironment:
         env = build_env(1, geo_config())
         replicas = env.kvs.shards[0]
         sender, receiver = replicas[0], replicas[1]
-        env.push_bandwidth_squeeze(2.0)
-        env.push_node_slowdown(receiver.node_id, 3.0)
+        env.network.degrade(squeeze=2.0)
+        env.network.degrade(delay_factor=3.0, node=receiver.node_id)
         env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             sender.node_id, receiver.node_id, "probe", "x",
             size_bytes=8192)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
@@ -147,7 +147,7 @@ class TestGeoEnvironment:
         Nemesis(env, [LatencySpike(at=5.0, duration=10.0,
                                    factor=4.0)]).start()
         env.simulator.run(until=6.0)
-        assert env.network.config.delay_stretch == pytest.approx(4.0)
+        assert env.network.delay_factor == 4.0
         replicas = env.kvs.shards[0]
         arrivals = []
         replicas[1].on("probe", lambda msg: arrivals.append(
@@ -161,14 +161,14 @@ class TestGeoEnvironment:
         assert arrivals
         assert arrivals[0] - start >= 4.0 * INTRA_REGION_DELAY
         env.simulator.run(until=40.0)
-        assert env.network.config.delay_stretch == pytest.approx(1.0)
+        assert env.network.delay_factor == 1.0
 
 
 class TestGeoByteConservation:
     def test_conservation_holds_under_partitions_drops_and_squeeze_clears(self):
         """The per-link ledger balances under the geo profile's full fault
-        mix — including an operator-style ``clear_bandwidth_squeezes``
-        landing *mid* congestion window, which retires the squeeze while
+        mix — including an operator-style ``restore_all`` landing *mid*
+        congestion and drop-spike windows, which retires the squeeze while
         messages priced under it are still in flight."""
         env = build_env(3, geo_config())
         schedule = [
@@ -178,11 +178,11 @@ class TestGeoByteConservation:
         ]
         Nemesis(env, schedule).start()
         env.simulator.schedule(
-            30.0, env.network.clear_bandwidth_squeezes,
+            30.0, env.network.restore_all,
             label="operator clears congestion mid-window")
         # Cross-shard probe traffic through every fault window: sends land
         # before, during and after the partitions, the drop spike, the
-        # congestion window and the mid-window squeeze clear.
+        # congestion window and the mid-window restore.
         replicas = [shard[0] for shard in env.kvs.shards]
         for step in range(30):
             sender = replicas[step % len(replicas)]

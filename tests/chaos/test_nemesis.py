@@ -35,12 +35,14 @@ def build(seed=1, **overrides):
 
 def assert_pristine(env):
     """Nothing a fault can degrade is degraded — without ``heal_everything``."""
-    config, pristine = env.network.config, env.pristine_config
-    for knob in ("base_delay", "jitter", "delay_stretch", "drop_rate"):
-        assert getattr(config, knob) == getattr(pristine, knob), knob
-    assert env.network._partitions == []
-    assert env.network.slowed_nodes() == {}
-    assert env.network.bandwidth_squeeze == 1.0
+    network = env.network
+    assert network.config == ChaosConfig().network_config()  # never written
+    assert network._degradations == []
+    assert network.delay_factor == 1.0
+    assert network.drop_rate == network.config.drop_rate
+    assert network._partitions == []
+    assert network.slowed_nodes() == {}
+    assert network.bandwidth_squeeze == 1.0
     nodes = ([env.injector.nodes[node_id] for node_id in env.crashable_ids()]
              + [env.clients[node_id] for node_id in env.client_ids()])
     assert all(node.alive for node in nodes)
@@ -79,8 +81,7 @@ class TestOneDriverRetiresEveryFault:
                     LatencySpike(at=20.0, duration=10.0, factor=6.0)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=35.0)  # the inner spike is over, the outer not
-        assert env.network.config.base_delay == pytest.approx(
-            env.pristine_config.base_delay * 6)
+        assert env.network.delay_factor == 6.0
         env.simulator.run(until=51.0)
         assert_pristine(env)
         assert [text for _, text in env.fault_log] == [
@@ -88,6 +89,50 @@ class TestOneDriverRetiresEveryFault:
             "latency restored", "latency restored"]
         assert [(e["start"], e["end"]) for e in env.ground_truth] == [
             (10.0, 50.0), (20.0, 30.0)]
+
+    @staticmethod
+    def in_force(env, kind):
+        """What ``kind``'s default fault degrades, read off the live system."""
+        network = env.network
+        return {
+            "LatencySpike": lambda: network.delay_factor,
+            "DropSpike": lambda: network.drop_rate,
+            "Congestion": lambda: network.bandwidth_squeeze,
+            "SlowNode": lambda: network.node_delay_factor(
+                env.partitionable_ids()[0]),
+            "ClockSkew": lambda: env.injector.nodes[
+                env.crashable_ids()[0]].timer_drift,
+        }[kind]()
+
+    @pytest.mark.parametrize("kind, degraded", [
+        ("LatencySpike", 6.0), ("DropSpike", 0.4), ("Congestion", 8.0),
+        ("SlowNode", 4.0), ("ClockSkew", 1.25)])
+    def test_window_outliving_a_heal_never_retires_an_equal_valued_successor(
+            self, kind, degraded):
+        """Retire-by-value after a heal: fault A (10→50) is cleared by a
+        mid-run ``heal_everything`` at 30; an equal-valued B arms at 35.
+        A's stale retirement at 50 must find nothing to do — not raise
+        (``list.remove`` of a value the heal already dropped), and not
+        retire B, whose recorded footprint says 35→75."""
+        env, _ = build()
+        cls = FAULT_KINDS[kind]
+        pristine = self.in_force(env, kind)
+        Nemesis(env, [cls(at=10.0, duration=40.0),
+                      cls(at=35.0, duration=40.0)]).start()
+        env.simulator.schedule_at(30.0, env.heal_everything,
+                                  label="mid-run heal")
+        for until, expected in ((29.0, degraded), (31.0, pristine),
+                                (36.0, degraded), (51.0, degraded),
+                                (76.0, pristine)):
+            env.simulator.run(until=until)
+            assert self.in_force(env, kind) == pytest.approx(expected), until
+        assert_pristine(env)
+        times, texts = zip(*env.fault_log)
+        assert times == (10.0, 30.0, 35.0, 50.0, 75.0)
+        assert texts[1] == "heal_everything"
+        assert texts[0] == texts[2] and texts[3] == texts[4] != texts[0]
+        assert [(e["start"], e["end"]) for e in env.ground_truth] == (
+            [] if kind == "ClockSkew" else [(10.0, 50.0), (35.0, 75.0)])
 
     def test_crash_whose_node_is_resharded_away_retires_silently(self):
         env, _ = build(shards=3)
@@ -271,8 +316,8 @@ class TestCongestion:
         env, _ = self.build_priced(bandwidth=200.0)
         replicas = env.kvs.shards[0]
         sender, receiver = replicas[0], replicas[1]
-        env.push_bandwidth_squeeze(5.0)
-        env.push_node_slowdown(receiver.node_id, 3.0)
+        env.network.degrade(squeeze=5.0)
+        env.network.degrade(delay_factor=3.0, node=receiver.node_id)
         env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             sender.node_id, receiver.node_id, "probe", "x",
             size_bytes=400)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
@@ -302,15 +347,15 @@ class TestCongestion:
         env.simulator.run(until=60.0)  # second window expired at 55
         assert env.network.bandwidth_squeeze == pytest.approx(1.0)
 
-    def test_pop_is_idempotent_and_a_bare_factor_is_rejected(self):
+    def test_restore_is_idempotent_and_a_bare_factor_is_rejected(self):
         env, _ = self.build_priced()
-        handle = env.push_bandwidth_squeeze(3.0)
-        env.pop_bandwidth_squeeze(handle)
-        env.pop_bandwidth_squeeze(handle)  # stale second pop: no-op
+        handle = env.network.degrade(squeeze=3.0)
+        env.network.restore(handle)
+        env.network.restore(handle)  # stale second restore: no-op
         assert env.network.bandwidth_squeeze == pytest.approx(1.0)
-        env.network.add_bandwidth_squeeze(5.0)
+        env.network.degrade(squeeze=5.0)
         with pytest.raises(TypeError):
-            env.network.remove_bandwidth_squeeze(5.0)  # pre-handle convention
+            env.network.restore(5.0)  # pre-handle convention
         assert env.network.bandwidth_squeeze == pytest.approx(5.0)
 
     def test_heal_everything_clears_squeezes(self):
@@ -383,36 +428,35 @@ class TestSpikes:
         env, config = build()
         Nemesis(env, [LatencySpike(at=5.0, duration=10.0, factor=4.0)]).start()
         env.simulator.run(until=7.0)
-        assert env.network.config.base_delay == pytest.approx(config.base_delay * 4)
+        assert env.network.delay_factor == 4.0
         env.simulator.run(until=20.0)
-        assert env.network.config.base_delay == pytest.approx(config.base_delay)
-        assert env.max_link_delay == pytest.approx(
+        assert env.network.delay_factor == 1.0
+        assert env.network.max_link_delay == pytest.approx(
             (config.base_delay + config.jitter) * 4)
 
     def test_drop_spike_restores(self):
         env, config = build()
         Nemesis(env, [DropSpike(at=5.0, duration=10.0, drop_rate=0.9)]).start()
         env.simulator.run(until=7.0)
-        assert env.network.config.drop_rate == 0.9
+        assert env.network.drop_rate == 0.9
         env.simulator.run(until=20.0)
-        assert env.network.config.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.drop_rate
 
     def test_overlapping_latency_spikes_compose_and_fully_restore(self):
         """A spike's restore must not re-impose another spike's degraded
-        values: effective delay is recomputed from pristine + active set."""
+        values: effective delay is refolded from config + active handles."""
         env, config = build()
         schedule = [LatencySpike(at=10.0, duration=40.0, factor=6.0),
                     LatencySpike(at=30.0, duration=40.0, factor=6.0)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=35.0)  # both active: factors multiply
-        assert env.network.config.base_delay == pytest.approx(
-            config.base_delay * 36)
+        assert env.network.delay_factor == 36.0
         env.simulator.run(until=55.0)  # first ended, second still active
-        assert env.network.config.base_delay == pytest.approx(
-            config.base_delay * 6)
+        assert env.network.delay_factor == 6.0
         env.simulator.run(until=80.0)  # both ended: pristine again
-        assert env.network.config.base_delay == pytest.approx(config.base_delay)
-        assert env.network.config.jitter == pytest.approx(config.jitter)
+        assert env.network.delay_factor == 1.0
+        assert env.network.config.base_delay == config.base_delay
+        assert env.network.config.jitter == config.jitter
 
     def test_overlapping_drop_spikes_take_max_and_fully_restore(self):
         env, config = build()
@@ -420,11 +464,11 @@ class TestSpikes:
                     DropSpike(at=30.0, duration=40.0, drop_rate=0.6)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=35.0)
-        assert env.network.config.drop_rate == 0.6
+        assert env.network.drop_rate == 0.6
         env.simulator.run(until=55.0)
-        assert env.network.config.drop_rate == 0.6  # 0.3-spike gone, max holds
+        assert env.network.drop_rate == 0.6  # 0.3-spike gone, max holds
         env.simulator.run(until=80.0)
-        assert env.network.config.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.drop_rate
 
 
 class TestSlowNode:
@@ -440,17 +484,17 @@ class TestSlowNode:
         assert env.network.node_delay_factor(target) == pytest.approx(4.0)
         others = [n for n in env.partitionable_ids() if n != target]
         assert all(env.network.node_delay_factor(n) == 1.0 for n in others)
-        # The fabric-wide config is untouched — this is a gray failure.
-        assert env.network.config.base_delay == pytest.approx(config.base_delay)
+        # The fabric-wide factor is untouched — this is a gray failure.
+        assert env.network.delay_factor == 1.0
         env.simulator.run(until=20.0)
         assert env.network.node_delay_factor(target) == 1.0
 
     def test_raises_calm_bound_via_max_link_delay(self):
         env, config = build()
-        pristine = env.max_link_delay
+        pristine = env.network.max_link_delay
         Nemesis(env, [SlowNode(at=5.0, index=0, duration=10.0, factor=4.0)]).start()
         env.simulator.run(until=7.0)
-        assert env.max_link_delay == pytest.approx(pristine * 4)
+        assert env.network.max_link_delay == pytest.approx(pristine * 4)
 
     def test_overlapping_slowdowns_compose_and_fully_restore(self):
         env, _ = build()
@@ -468,18 +512,18 @@ class TestSlowNode:
     def test_worst_pair_of_slow_nodes_drives_the_bound(self):
         """Both endpoints slowed: their factors multiply on the shared link."""
         env, config = build()
-        pristine = env.max_link_delay
+        pristine = env.network.max_link_delay
         schedule = [SlowNode(at=5.0, index=0, duration=20.0, factor=2.0),
                     SlowNode(at=5.0, index=1, duration=20.0, factor=3.0)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=7.0)
-        assert env.max_link_delay == pytest.approx(pristine * 6)
+        assert env.network.max_link_delay == pytest.approx(pristine * 6)
 
     def test_slowed_link_actually_delays_delivery(self):
         env, _ = build()
         replicas = env.kvs.shards[0]
         sender, receiver = replicas[0], replicas[1]
-        env.push_node_slowdown(receiver.node_id, 50.0)
+        env.network.degrade(delay_factor=50.0, node=receiver.node_id)
         arrived = []
         receiver.on("probe", lambda msg: arrived.append(env.simulator.now))
         start = env.simulator.now
@@ -697,5 +741,5 @@ class TestHealEverything:
         assert any(not node.alive for node in env.kvs.all_nodes())
         env.heal_everything()
         assert env.network._partitions == []
-        assert env.network.config.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.drop_rate
         assert all(node.alive for node in env.kvs.all_nodes())

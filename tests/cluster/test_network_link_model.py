@@ -78,7 +78,7 @@ class TestSerializationTime:
         the queue never reorders, whatever the sizes."""
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=50.0))
-        net.add_bandwidth_squeeze(4.0)  # effective 12.5 B/tick
+        net.degrade(squeeze=4.0)  # effective 12.5 B/tick
         nodes["a"].send("b", "inbox", "big", entries=20)
         nodes["a"].send("b", "inbox", "tiny", entries=0)
         nodes["a"].send("b", "inbox", "mid", entries=3)
@@ -121,23 +121,30 @@ class TestCongestionAndSlowNodes:
     def test_squeezes_compose_multiplicatively_and_restore(self):
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        halved = net.add_bandwidth_squeeze(2.0)
-        net.add_bandwidth_squeeze(3.0)
+        halved = net.degrade(squeeze=2.0)
+        net.degrade(squeeze=3.0)
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 6.0)
-        net.remove_bandwidth_squeeze(halved)
+        net.restore(halved)
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 3.0)
         with pytest.raises(TypeError):
-            net.remove_bandwidth_squeeze(3.0)  # a factor is not a handle
+            net.restore(3.0)  # a factor is not a handle
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0 / 3.0)
-        net.clear_bandwidth_squeezes()
+        net.restore_all()
         assert net.effective_bandwidth("a", "b") == pytest.approx(100.0)
+
+    def test_the_names_the_benchmark_squeezes_through_are_degrade_and_restore(self):
+        sim, net, nodes, _ = build(NetworkConfig(bandwidth=100.0))
+        squeeze = net.add_bandwidth_squeeze(4.0)
+        assert net.bandwidth_squeeze == 4.0
+        net.remove_bandwidth_squeeze(squeeze)
+        assert net.bandwidth_squeeze == 1.0
 
     def test_slow_node_multiplies_serialization_too(self):
         """A gray-failure node's NIC serializes slowly: SlowNode factors
         compose multiplicatively with the bandwidth model."""
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        net.add_node_delay_factor("b", 4.0)
+        net.degrade(delay_factor=4.0, node="b")
         nodes["a"].send("b", "inbox", "x", entries=1)
         sim.run_until_idle()
         # Propagation 1.0 x 4 plus serialization 1.2 x 4.
@@ -146,7 +153,9 @@ class TestCongestionAndSlowNodes:
     def test_invalid_squeeze_rejected(self):
         sim, net, nodes, _ = build(NetworkConfig(bandwidth=100.0))
         with pytest.raises(ValueError):
-            net.add_bandwidth_squeeze(0.0)
+            net.degrade(squeeze=0.0)
+        with pytest.raises(ValueError):
+            net.degrade(delay_factor=-1.0)
 
 
 class TestDelayMatrix:

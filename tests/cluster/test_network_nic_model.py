@@ -166,13 +166,13 @@ class TestNicConfiguration:
     def test_congestion_squeezes_throttle_nics_too(self):
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
-        squeeze = net.add_bandwidth_squeeze(4.0)
+        squeeze = net.degrade(squeeze=4.0)
         assert net.effective_nic_bandwidth("a") == pytest.approx(25.0)
-        net.remove_bandwidth_squeeze(squeeze)
+        net.restore(squeeze)
         assert net.effective_nic_bandwidth("a") == pytest.approx(100.0)
         # A node with no NIC price anywhere stays unpriced under squeezes.
         only_link = Network(Simulator(seed=1), NetworkConfig(bandwidth=10.0))
-        only_link.add_bandwidth_squeeze(4.0)
+        only_link.degrade(squeeze=4.0)
         assert only_link.effective_nic_bandwidth("a") is None
 
 
@@ -197,8 +197,8 @@ class TestExactlyOnceComposition:
 
     def test_slow_sender_times_squeeze_compose_once_per_stage(self):
         sim, net, a, b, arrivals = self.geo_net()
-        net.add_node_delay_factor("a", 3.0)
-        net.add_bandwidth_squeeze(2.0)
+        net.degrade(delay_factor=3.0, node="a")
+        net.degrade(squeeze=2.0)
         message = a.send("b", "inbox", "x", entries=1)
         sim.run_until_idle()
         # uplink:   120 / (120/2) * 3         = 6   (sender factor once)
@@ -212,7 +212,7 @@ class TestExactlyOnceComposition:
 
     def test_slow_receiver_skips_the_uplink_factor(self):
         sim, net, a, b, arrivals = self.geo_net()
-        net.add_node_delay_factor("b", 3.0)
+        net.degrade(delay_factor=3.0, node="b")
         message = a.send("b", "inbox", "x", entries=1)
         sim.run_until_idle()
         # uplink: 120/120 = 1; link: 120/60 * 3 = 6; downlink: 120/120 * 3 = 3
@@ -224,7 +224,7 @@ class TestExactlyOnceComposition:
         *waits* are the first message's factored serializations — the
         factor shows up in the stage costs it inherits, not squared."""
         sim, net, a, b, arrivals = self.geo_net()
-        net.add_node_delay_factor("a", 2.0)
+        net.degrade(delay_factor=2.0, node="a")
         first = a.send("b", "inbox", "x", entries=1)
         second = a.send("b", "inbox", "y", entries=1)
         sim.run_until_idle()

@@ -6,13 +6,15 @@ below keeps none of it: it logs every send, drop and delivery as plain
 tuples, re-derives each delivery time from the five-term formula with its
 own dicts and a twin of the simulator's RNG, and folds every ledger out of
 that log on demand.  After every step of a random sequence — sends and
-same-instant fan-outs, squeezes added and retired by handle, slow-node
-factors, NIC overrides, matrix entries, partitions, drop rates, nodes
+same-instant fan-outs, degradations (squeezes, fabric spikes, slow-node
+factors, drop floors) armed and retired by handle, stale and wholesale
+restores, NIC overrides, matrix entries, partitions, drop rates, nodes
 leaving and rejoining — the two must agree *exactly* (``==`` on floats: the
 model's float operation order is part of its contract).
 """
 
 import random
+from collections import namedtuple
 from dataclasses import astuple
 
 from hypothesis import given, settings, strategies as st
@@ -36,7 +38,6 @@ CONFIGS = st.fixed_dictionaries({
     "jitter": st.sampled_from([0.0, 0.5]),
     "duplicate_rate": st.sampled_from([0.0, 0.3]),
     "same_domain_delay": st.sampled_from([None, 0.2]),
-    "delay_stretch": st.sampled_from([1.0, 3.0]),
     "bandwidth": RATES,
     "nic_bandwidth": RATES,
 })
@@ -48,9 +49,12 @@ STEPS = st.one_of(
     st.tuples(st.just("advance"),
               st.floats(0.0, 45.0, allow_nan=False, allow_infinity=False)),
     st.tuples(st.just("squeeze"), FACTORS),
-    st.tuples(st.just("unsqueeze"), INDEX),
+    st.tuples(st.just("spike"), FACTORS),
     st.tuples(st.just("slow"), NODE, FACTORS),
-    st.tuples(st.just("unslow"), NODE),
+    st.tuples(st.just("dropfloor"), st.sampled_from([0.2, 0.6])),
+    st.tuples(st.just("restore"), INDEX),
+    st.tuples(st.just("restore_again"), INDEX),
+    st.tuples(st.just("restore_all")),
     st.tuples(st.just("nic"), NODE, RATES),
     st.tuples(st.just("matrix"), DOMAIN, DOMAIN,
               st.sampled_from([None, 0.1, 4.0]), RATES),
@@ -78,8 +82,7 @@ class Oracle:
         self.config = dict(config)
         self.rng = random.Random(config["seed"])  # the simulator's twin
         self.matrix = {}       # (source domain, destination domain) -> (delay, bw)
-        self.squeezes = []     # factors, in handle order
-        self.slow = {}         # node -> [factor, ...]
+        self.degradations = []   # active ``Degraded`` records, in arming order
         self.nic = {}          # node -> override
         self.cuts = []         # (group_a, group_b, oneway)
         self.present = set(NODES)
@@ -105,8 +108,10 @@ class Oracle:
         config = self.config
         link = (source, destination)
         self.log.append(("sent", link, now, size, False, None))
+        drop_rate = max([self.drop_rate]
+                        + [d.drop_rate for d in self.degradations])
         if self.separated(source, destination) or (
-                self.drop_rate and self.rng.random() < self.drop_rate):
+                drop_rate and self.rng.random() < drop_rate):
             self.log.append(("dropped", link, now, size, False, None))
             return (0.0, 0.0, 0.0)
         rider = self.transmit(message_id, source, destination, size, now)
@@ -122,9 +127,11 @@ class Oracle:
         config = self.config
         link = (source, destination)
         self.log.append(("enqueued", link, now, size, True, None))
-        squeeze = product(self.squeezes)
-        source_factor = product(self.slow.get(source, ()))
-        destination_factor = product(self.slow.get(destination, ()))
+        squeeze = product(d.squeeze for d in self.degradations)
+        stretch, source_factor, destination_factor = (
+            product(d.delay_factor for d in self.degradations
+                    if d.node == scope)
+            for scope in (None, source, destination))
         source_domain = DOMAINS.get(source)
         destination_domain = DOMAINS.get(destination)
         entry_delay, entry_bandwidth = self.matrix.get(
@@ -163,9 +170,10 @@ class Oracle:
                 and source_domain == destination_domain):
             base = config["same_domain_delay"]
         if entry_delay is not None:
-            base = entry_delay * config["delay_stretch"]
-        jitter = config["jitter"] * self.rng.random() if config["jitter"] else 0.0
-        delay = (base + jitter) * (source_factor * destination_factor)
+            base = entry_delay
+        jitter = (config["jitter"] * stretch * self.rng.random()
+                  if config["jitter"] else 0.0)
+        delay = (base * stretch + jitter) * (source_factor * destination_factor)
         self.on_the_wire.append(
             (now + (nic_wait + queue_wait + serialization + delay),
              message_id, source, destination, size, now))
@@ -234,6 +242,19 @@ class Oracle:
         return sum(entry[0] == "dropped" for entry in self.log)
 
 
+#: What the oracle keeps per handle: ``Network.degrade``'s arguments.
+Degraded = namedtuple("Degraded", "delay_factor node drop_rate squeeze",
+                      defaults=(1.0, None, 0.0, 1.0))
+
+#: Degrading step -> the keyword arguments ``Network.degrade`` takes.
+DEGRADE = {
+    "squeeze": lambda factor: {"squeeze": factor},
+    "spike": lambda factor: {"delay_factor": factor},
+    "slow": lambda node, factor: {"delay_factor": factor, "node": node},
+    "dropfloor": lambda rate: {"drop_rate": rate},
+}
+
+
 class World:
     """The real network and the oracle, driven by the same steps."""
 
@@ -247,7 +268,8 @@ class World:
         self.oracle = Oracle(config)
         self.arrivals = []
         self.link_of = {}      # message id -> (source, destination)
-        self.squeezes = []
+        self.handles = []      # the network's, parallel to oracle.degradations
+        self.retired = []
         self.cuts = []
         for node in NODES:
             self.network.register(node, self.on_message)
@@ -280,20 +302,25 @@ class World:
             until = self.simulator.now + args[0]
             self.simulator.run(until=until)
             oracle.advance(until)
-        elif kind == "squeeze":
-            self.squeezes.append(network.add_bandwidth_squeeze(args[0]))
-            oracle.squeezes.append(args[0])
-        elif kind == "unsqueeze":
-            if args[0] < len(self.squeezes):
-                network.remove_bandwidth_squeeze(self.squeezes.pop(args[0]))
-                oracle.squeezes.pop(args[0])
-        elif kind == "slow":
-            network.add_node_delay_factor(*args)
-            oracle.slow.setdefault(args[0], []).append(args[1])
-        elif kind == "unslow":
-            factors = oracle.slow.get(args[0])
-            if factors:
-                network.remove_node_delay_factor(args[0], factors.pop(0))
+        elif kind in DEGRADE:
+            spec = DEGRADE[kind](*args)
+            self.handles.append(network.degrade(**spec))
+            oracle.degradations.append(Degraded(**spec))
+        elif kind == "restore":
+            if args[0] < len(self.handles):
+                self.retired.append(self.handles.pop(args[0]))
+                network.restore(self.retired[-1])
+                oracle.degradations.pop(args[0])
+        elif kind == "restore_again":
+            # A stale restore retires nothing, whatever equal-valued
+            # handles are active: the oracle does not hear of it.
+            if args[0] < len(self.retired):
+                network.restore(self.retired[args[0]])
+        elif kind == "restore_all":
+            network.restore_all()
+            self.retired += self.handles
+            self.handles = []
+            oracle.degradations = []
         elif kind == "nic":
             network.set_nic_bandwidth(*args)
             if args[1] is None:
@@ -331,6 +358,16 @@ class World:
         assert network.messages_delivered == len(oracle.arrivals)
         assert network.messages_dropped == oracle.dropped()
         assert network.max_transmission_delay == oracle.high_water
+        # The read-side views are the same folds over the active handles.
+        active = oracle.degradations
+        assert network.bandwidth_squeeze == product(d.squeeze for d in active)
+        assert network.delay_factor == product(
+            d.delay_factor for d in active if d.node is None)
+        assert network.drop_rate == max(
+            [oracle.drop_rate] + [d.drop_rate for d in active])
+        assert network.slowed_nodes() == {
+            node: product(d.delay_factor for d in active if d.node == node)
+            for node in NODES if any(d.node == node for d in active)}
         # The byte ledger is the fold of the log, and conserves bytes.
         ledger = network.link_byte_stats()
         assert ledger == oracle.ledger()
@@ -369,7 +406,7 @@ FIFO_STEPS = st.one_of(
     st.tuples(st.just("fanout"), NODE, st.integers(1, 5000)),
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 3.0, 30.0])),
     st.tuples(st.just("squeeze"), FACTORS),
-    st.tuples(st.just("unsqueeze"), INDEX),
+    st.tuples(st.just("restore"), INDEX),
     st.tuples(st.just("nic"), NODE, st.sampled_from([64.0, 500.0])),
     st.tuples(st.just("partition"), st.sets(NODE, min_size=1, max_size=2),
               st.booleans()),
