@@ -2,16 +2,16 @@
 
 Each :class:`ReplicaNode` hosts a full
 :class:`~repro.core.interpreter.SingleNodeInterpreter` for the program.
-Every operation — forwarded by the proxy, delivered by the coordination
-layer (consensus log or 2PC, chosen by the compiler for non-monotone
-endpoints) or applied by the deployment — enters through
-:meth:`ReplicaNode.apply`.  Replicas converge for monotone (lattice) state
-without coordination, the Anna/CALM execution model, by delta gossip:
+Every operation enters through :meth:`ReplicaNode.apply`: a coordination-free
+one as the proxy forwards it, a coordinated one (a consensus-log slot, for
+the endpoints the compiler found non-monotone) by :meth:`~ReplicaNode.apply_ordered`.
+Replicas converge for monotone (lattice) state without coordination, the
+Anna/CALM execution model, by delta gossip:
 
 * the program state stamps every committed or merged-in change in a
   :class:`~repro.core.state.ChangeLog`;
-* each round a replica sends each peer one ``gossip`` parcel
-  ``{"entries", "relayed", "since", "seq", "seen", "floor", "confirmed"}``:
+* each round a replica sends each peer one ``gossip`` parcel ``{"entries",
+  "relayed", "since", "seq", "seen", "floor", "confirmed"[, "ordered"]}``:
   the rows and vars changed after ``since`` (what it already shipped to
   that peer) and which of them it merely passes on, its own latest stamp,
   the highest of *the peer's* stamps it holds without a gap, the stamp its
@@ -52,6 +52,16 @@ not stamp as its own, and a ward offered back) its fresh windows to the
 others skipped, so A is not on the hook for it: ``relayed`` names those
 entries and their receiver owns them at once.  The mark is one bit of the
 entry it rides in and is not priced separately.
+
+**An ordered op is delivered by the log that ordered it.**  Its effects are
+never stamped: the log feeds every replica the same slots.  A parcel's
+``ordered`` stamp (absent before the first) is the last slot its sender
+applied; a peer's *previous* report still above ``ordered_upto`` calls
+``catch_up``: replay what the co-located log holds, then have it ``learn``
+from that peer's.  That report is a full round older than the parcel that
+displaced it and the ``decide`` it reflects older still, so the ``decide``
+is lost, not in flight or reordered.  A replica that lost its state replays
+from slot 0: rows only ordered ops touched are in nobody's change log.
 """
 
 from __future__ import annotations
@@ -78,6 +88,8 @@ RETRANSMIT_ENTRIES = "replica.gossip.retransmit_entries"
 REFILL_ENTRIES = "replica.gossip.refill_entries"
 TAKEOVER_ENTRIES = "replica.gossip.takeover_entries"
 RELEASED_WARDS = "replica.gossip.released_wards"
+#: Log slots fed to a replica outside the log's own apply call; 0 fault-free.
+ORDERED_REPLAYED = "replica.ordered.replayed"
 
 #: Rounds a peer may leave shipped changes unconfirmed before they are
 #: shipped again.  An ack rides the peer's next parcel, so it is at least
@@ -96,7 +108,7 @@ def parcel_entries(parcel: Mapping[str, Any]) -> int:
     """What a gossip parcel costs on the wire, in entries: its rows and
     vars, plus its stamps at the density of digests."""
     return len(parcel["entries"]) + digest_entries(
-        len(PARCEL_STAMPS) + len(parcel["confirmed"]))
+        len(PARCEL_STAMPS) + len(parcel["confirmed"]) + ("ordered" in parcel))
 
 
 #: The key an :meth:`ReplicaNode.apply` result travels under, by status.
@@ -121,6 +133,8 @@ class _PeerSync:
     #: confirmed, and where the log starts.
     reported: Mapping[Hashable, int] = field(default_factory=dict)
     floor: int = 0
+    #: The last log slot the peer reported applying (``ordered``).
+    ordered: int = -1
 
     def refill(self) -> None:
         """Next round, ship the peer everything again, from what it confirms."""
@@ -142,7 +156,8 @@ class ReplicaNode(Node):
         self._boot(first_stamp=0)
         self.on("invoke", self._on_invoke)
         self.on("gossip", self._on_gossip)
-        self.on("ordered", self._on_ordered)
+        #: ``catch_up(peer, slot)``: wired by a deployment that orders ops.
+        self.catch_up = None
         self._arm_gossip()
 
     def _boot(self, first_stamp: int) -> None:
@@ -151,6 +166,7 @@ class ReplicaNode(Node):
         self.interpreter = SingleNodeInterpreter(self.program, node_id=self.node_id)
         self.change_log = ChangeLog(first_stamp)
         self.interpreter.state.change_log = self.change_log
+        self.ordered_upto = -1
         self._sync: dict[Hashable, _PeerSync] = {
             peer: _PeerSync() for peer in self.peers}
 
@@ -173,12 +189,12 @@ class ReplicaNode(Node):
 
     # -- request handling -----------------------------------------------------------
 
-    def apply(self, handler: str, args: dict) -> tuple[str, Any]:
+    def apply(self, handler: str, args: dict, log_effects: bool = True) -> tuple[str, Any]:
         """Run one invocation as its own tick: ``("ok", value)`` or
         ``("rejected", detail)``."""
         request = self.interpreter.call(handler, **args)
         before = self.change_log.seq
-        outcome = self.interpreter.run_tick()
+        outcome = self.interpreter.run_tick(log_effects)
         self.network.metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
         if request in outcome.rejected:
             return "rejected", outcome.rejected[request]
@@ -193,9 +209,13 @@ class ReplicaNode(Node):
                  RESULT_KEY[status]: result, "replica": self.node_id}
         self.send(message.source, "reply", reply, entries=1)
 
-    def _on_ordered(self, message: Message) -> None:
-        """Apply an operation delivered through the coordination layer (no reply)."""
-        self.apply(message.payload["handler"], message.payload["args"])
+    def apply_ordered(self, slot: int, handler: str, args: dict):
+        """Apply a consensus-log slot, unstamped.  Any slot but the next is
+        ignored (``None``); a rejected op still consumes its slot."""
+        if slot != self.ordered_upto + 1:
+            return None
+        self.ordered_upto = slot
+        return self.apply(handler, args, log_effects=False)
 
     # -- anti-entropy -----------------------------------------------------------------
 
@@ -281,10 +301,13 @@ class ReplicaNode(Node):
         for item in entries:
             metrics.increment(kinds[item])
         sync.shipped = self.change_log.seq
-        return {"entries": entries,
-                "relayed": [item for item in relayed if item in entries],
-                "since": since, "seq": self.change_log.seq, "seen": sync.seen,
-                "floor": self.change_log.floor, "confirmed": confirmed}
+        parcel = {"entries": entries,
+                  "relayed": [item for item in relayed if item in entries],
+                  "since": since, "seq": self.change_log.seq, "seen": sync.seen,
+                  "floor": self.change_log.floor, "confirmed": confirmed}
+        if self.ordered_upto >= 0:
+            parcel["ordered"] = self.ordered_upto
+        return parcel
 
     def _on_gossip(self, message: Message) -> None:
         payload = message.payload
@@ -303,6 +326,9 @@ class ReplicaNode(Node):
                 sync.overdue = 0
             sync.confirmed = confirmed
             sync.reported, sync.floor = payload["confirmed"], payload["floor"]
+            stale, sync.ordered = sync.ordered, payload.get("ordered", -1)
+            if stale > self.ordered_upto and self.catch_up is not None:
+                self.catch_up(peer, stale)
         state, entries = self.interpreter.state, payload["entries"]
         before = self.change_log.seq
         # What the sender merely passes on is ours at once; the rest is its

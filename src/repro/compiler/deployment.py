@@ -8,8 +8,8 @@ into running simulated infrastructure:
   through gossip;
 * a :class:`~repro.availability.proxy.ReplicaProxy` fronting every endpoint;
 * for endpoints whose plan demands coordination, a consensus log whose
-  entries are handler invocations applied in the same order at every
-  replica (state machine replication).
+  entries are handler invocations fed to every replica in slot order (state
+  machine replication), and replayed to a replica that missed some.
 
 The deployment exposes ``invoke`` for clients and enough metrics (message
 counts, latencies, availability) for the E2/E6/E11 benchmarks to compare
@@ -19,10 +19,11 @@ coordination-free against coordinated execution and Hydro against FaaS.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Hashable, Optional
 
 from repro.availability.proxy import ReplicaProxy
-from repro.availability.replication import RESULT_KEY, ReplicaNode
+from repro.availability.replication import ORDERED_REPLAYED, RESULT_KEY, ReplicaNode
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Network
 from repro.cluster.simulator import Simulator
@@ -81,23 +82,33 @@ class HydroDeployment:
                     paxos_id, simulator, network,
                     peers=[f"{peer}-log" for peer in replica_ids],
                     domain=domains[node_id],
-                    apply_entry=self._make_apply(node_id),
+                    apply_entry=partial(self._feed, node_id),
                     is_leader=(index == 0),
                 )
+                self.replicas[node_id].catch_up = partial(self._catch_up, node_id)
 
     # -- coordinated application -------------------------------------------------------
 
-    def _make_apply(self, node_id: Hashable):
-        def apply_entry(slot: int, value: dict) -> None:
-            replica = self.replicas[node_id]
-            if not replica.alive:
-                return
-            status, result = replica.apply(value["handler"], value["args"])
+    def _feed(self, node_id: Hashable, applying: int = -1, _value: Any = None) -> None:
+        """Feed a replica, in order, every slot its log has applied and it
+        has not — the log's apply hook (for slot ``applying``), and its replay."""
+        replica, log = self.replicas[node_id], self.consensus[node_id]
+        while replica.alive and replica.ordered_upto < log.applied_up_to:
+            slot = replica.ordered_upto + 1
+            value = log.chosen[slot]
+            status, result = replica.apply_ordered(slot, value["handler"], value["args"])
+            self.network.metrics.increment(ORDERED_REPLAYED, slot != applying)
             # The first replica to apply the entry answers: the leader's own
             # whenever it is alive, any survivor when it is not.
             self.responses.setdefault(
                 value["token"], {"status": status, RESULT_KEY[status]: result})
-        return apply_entry
+
+    def _catch_up(self, node_id: Hashable, peer: Hashable, slot: int) -> None:
+        """Replay to a replica what its own log holds; up to ``slot``, have
+        the log learn from ``peer``'s what it is missing itself."""
+        self._feed(node_id)
+        if self.replicas[node_id].ordered_upto < slot:
+            self.consensus[node_id].learn(f"{peer}-log")
 
     @property
     def consensus_leader(self) -> Optional[PaxosReplica]:

@@ -10,7 +10,9 @@ implementation is leader-based multi-Paxos in the common case:
 * replicas ack unless they have promised a higher ballot;
 * once a majority (including the leader itself) acks, the entry is *chosen*,
   the leader broadcasts ``decide`` and every replica applies entries in slot
-  order.
+  order;
+* ``decide`` is sent once: a learner that missed one is told to ``learn``
+  a peer's chosen slots from the first one it has not applied.
 
 Leader failover is supported through an explicit ``campaign`` phase (phase
 1 / prepare): a replica proposes a higher ballot, collects promises carrying
@@ -32,6 +34,9 @@ from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message
 from repro.cluster.node import Node
+
+#: ``network.metrics`` counter of ``learn`` requests sent; 0 fault-free.
+LEARN_REQUESTS = "paxos.learn_requests"
 
 
 @dataclass
@@ -59,10 +64,12 @@ class PaxosReplica(Node):
         self.next_slot = 0
         self._ack_counts: dict[int, set[Hashable]] = {}
         self._pending_callbacks: dict[int, Callable[[int, Any], None]] = {}
-        self.messages_per_commit: list[int] = []
+        self._learning = False
         self.on("accept", self._on_accept)
         self.on("accept_ack", self._on_accept_ack)
         self.on("decide", self._on_decide)
+        self.on("learn", self._on_learn)
+        self.on("learned", self._on_learned)
         self.on("campaign", self._on_campaign)
         self.on("promise", self._on_promise)
         self._campaign_promises: dict[tuple[int, str], list[dict[int, LogEntry]]] = {}
@@ -140,6 +147,32 @@ class PaxosReplica(Node):
         while self.applied_up_to + 1 in self.chosen:
             self.applied_up_to += 1
             self.apply_entry(self.applied_up_to, self.chosen[self.applied_up_to])
+
+    def learn(self, peer: Hashable) -> None:
+        """Ask ``peer`` for the chosen slots past the last one applied here;
+        one request in flight at a time."""
+        if self.alive and not self._learning:
+            self._learning = True
+            self.network.metrics.increment(LEARN_REQUESTS)
+            self.request(peer, "learn", self.applied_up_to + 1,
+                         on_timeout=self._learn_done)
+
+    def _learn_done(self) -> None:
+        self._learning = False
+
+    def _on_learn(self, message: Message) -> None:
+        slots = sorted(slot for slot in self.chosen if slot >= message.payload)
+        self.reply(message, "learned", [(slot, self.chosen[slot]) for slot in slots],
+                   entries=len(slots))
+
+    def _on_learned(self, message: Message) -> None:
+        self._learn_done()
+        for slot, value in message.payload:
+            self._record_chosen(slot, value)
+
+    def crash(self) -> None:
+        super().crash()
+        self._learn_done()      # the request died with the transport
 
     # -- leader election (phase 1) -------------------------------------------------------
 

@@ -116,8 +116,13 @@ class SingleNodeInterpreter:
 
     # -- tick execution ---------------------------------------------------------------
 
-    def run_tick(self) -> TickOutcome:
-        """Run one tick of the transducer loop."""
+    def run_tick(self, log_effects: bool = True) -> TickOutcome:
+        """Run one tick of the transducer loop.
+
+        ``log_effects=False`` keeps the tick's effects out of the state's
+        change log: a replica applying a consensus-log slot, which the log
+        itself delivers to every replica.
+        """
         self.tick_number += 1
         outcome = TickOutcome(tick=self.tick_number)
 
@@ -194,7 +199,8 @@ class SingleNodeInterpreter:
                     continue
             else:
                 self.state.apply_all(state_effects)
-            self.state.log_effects(state_effects)
+            if log_effects:
+                self.state.log_effects(state_effects)
             outcome.effects_applied += len(state_effects)
             outcome.responses[request.request_id] = context.response
             for send in sends:

@@ -585,12 +585,48 @@ def test_every_entry_point_goes_through_apply():
 
     calls = []
     apply = replica.apply
-    replica.apply = lambda handler, args: calls.append(handler) or apply(handler, args)
-    cluster.replicas[1].send(replica.node_id, "ordered",
-                             {"handler": "add_person", "args": {"pid": 2}}, entries=1)
+    replica.apply = lambda handler, args, **how: (calls.append((handler, how))
+                                                  or apply(handler, args, **how))
+    logged = replica.change_log.seq
+    assert replica.apply_ordered(0, "add_person", {"pid": 2}) == ("ok", "OK")
+    assert replica.apply_ordered(0, "add_person", {"pid": 3}) is None       # applied already
+    assert replica.apply_ordered(2, "add_person", {"pid": 3}) is None       # not the next one
+    assert replica.apply_ordered(1, "vaccinate", {"pid": 2})[0] == "rejected"
+    assert replica.ordered_upto == 1                    # a rejected op consumed its slot
+    assert replica.change_log.seq == logged             # and an ordered op stamps nothing
     cluster.replicas[1].send(replica.node_id, "invoke",
                              {"handler": "trace", "args": {"pid": 1}, "request_id": 5},
                              entries=1)
     cluster.run(1)
-    assert calls == ["add_person", "trace"]
-    assert 2 in replica.interpreter.state.table("people")
+    assert calls == [("add_person", {"log_effects": False}),
+                     ("vaccinate", {"log_effects": False}), ("trace", {})]
+    assert set(replica.interpreter.state.table("people").rows) == {1, 2}
+    assert replica.handler_for("ordered") is None       # the log is the only way in
+    replica.recover(lose_state=True)
+    assert replica.ordered_upto == -1                   # volatile: a replay starts at slot 0
+
+
+def idle_parcel_bytes(cluster):
+    """What one settled round costs per parcel on the wire."""
+    cluster.run(4)
+    sent, parcels = cluster.net.bytes_sent, len(cluster.parcels)
+    cluster.run(1)
+    count = len(cluster.replicas)
+    assert len(cluster.parcels) - parcels == count * (count - 1)
+    assert all(not payload["entries"] for _, _, _, payload, _ in cluster.parcels[parcels:])
+    return (cluster.net.bytes_sent - sent) / (count * (count - 1))
+
+
+def test_the_ordered_stamp_is_priced_with_the_others_and_absent_until_there_is_one():
+    small, large = Cluster(3), Cluster(6)
+    assert idle_parcel_bytes(small) == 24 + 96          # six stamps: one entry
+    assert idle_parcel_bytes(large) == 24 + 192         # nine: two
+    assert not any("ordered" in payload for _, _, _, payload, _ in small.parcels)
+    for cluster in (small, large):
+        for replica in cluster.replicas:
+            replica.apply_ordered(0, "add_person", {"pid": 1})
+    assert idle_parcel_bytes(small) == 24 + 192         # the seventh stamp starts a second
+    assert idle_parcel_bytes(large) == 24 + 192         # the tenth still fits it
+    assert all(payload["ordered"] == 0 for _, _, _, payload, _ in large.parcels[-30:])
+    small.assert_ledger()
+    large.assert_ledger()

@@ -10,6 +10,7 @@ from repro.consistency import (
     TransactionOutcome,
     TransactionParticipant,
 )
+from repro.consistency.paxos import LEARN_REQUESTS
 
 
 def make_cluster(seed=3, drop_rate=0.0):
@@ -122,6 +123,52 @@ class TestConsensusLog:
         log.append("x", on_chosen=lambda slot, value: chosen.append((slot, value)))
         sim.run_until_idle()
         assert chosen == [(0, "x")]
+
+
+    def missed_two(self):
+        """r2 slept through slots 1 and 2 of four and cannot apply the last."""
+        sim, log, applied = self.build()
+        log.append("a")
+        sim.run_until_idle()
+        sleeper = log.replicas["r2"]
+        sleeper.crash()
+        log.append("b")
+        log.append("c")
+        sim.run_until_idle()
+        sleeper.recover()
+        log.append("d")
+        sim.run_until_idle()
+        assert applied["r2"] == [(0, "a")] and sorted(sleeper.chosen) == [0, 3]
+        return sim, log, applied, sleeper
+
+    def test_learner_fetches_the_slots_it_missed_from_a_peer(self):
+        sim, log, applied, sleeper = self.missed_two()
+        replies = []
+        sleeper.on("learned", lambda message: (replies.append(message.payload),
+                                               sleeper._on_learned(message)))
+        sleeper.learn("r1")
+        sleeper.learn("r0")                 # one request in flight: not sent
+        sim.run_until_idle()
+        assert replies == [[(1, "b"), (2, "c"), (3, "d")]]      # from the hole on, in order
+        assert applied["r2"] == applied["r0"] == [(0, "a"), (1, "b"), (2, "c"), (3, "d")]
+        assert sleeper.network.metrics.counter(LEARN_REQUESTS) == 1
+        assert sleeper.transport.mailbox_stats["learn"]["messages"] == 1
+        assert log.replicas["r1"].transport.mailbox_stats["learned"]["entries"] == 3
+
+    def test_learner_asks_again_after_a_timeout_and_after_its_own_crash(self):
+        sim, log, applied, sleeper = self.missed_two()
+        log.replicas["r1"].crash()
+        sleeper.learn("r1")                 # nobody home: both attempts time out
+        sim.run_until_idle()
+        assert applied["r2"] == [(0, "a")]
+        sleeper.learn("r0")
+        sleeper.crash()                     # the request dies with its sender
+        sim.run_until_idle()
+        sleeper.recover()
+        sleeper.learn("r0")
+        sim.run_until_idle()
+        assert [value for _, value in applied["r2"]] == ["a", "b", "c", "d"]
+        assert sleeper.network.metrics.counter(LEARN_REQUESTS) == 3
 
 
 class TestCausalBroadcast:
