@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.metrics import MetricsRegistry
@@ -111,11 +112,13 @@ class ReplicaProxy(Node):
             "invoke",
             {"handler": pending.handler, "args": pending.args, "request_id": pending.request_id},
         )
+        # The callback and the lazy label hold the request id, not
+        # ``pending``: the event is ``pending.retry_timer``, and a cycle would
+        # park every finished request on the garbage collector.
+        request_id = pending.request_id
         pending.retry_timer = self.set_timer(
-            self.retry_timeout,
-            lambda: self._on_timeout(pending.request_id),
-            label=f"proxy-retry-{pending.request_id}",
-        )
+            self.retry_timeout, partial(self._on_timeout, request_id),
+            label=partial("proxy-retry-{}".format, request_id))
 
     def crash(self) -> None:
         """Fail what was in flight: its retry timers die with the node, so

@@ -8,14 +8,16 @@ the endpoints the compiler found non-monotone) by :meth:`~ReplicaNode.apply_orde
 Replicas converge for monotone (lattice) state without coordination, the
 Anna/CALM execution model, by delta gossip:
 
-* the program state stamps every committed or merged-in change in a
-  :class:`~repro.core.state.ChangeLog`;
+* the program state stamps every committed change, and every merged-in one
+  no peer answers for, in a :class:`~repro.core.state.ChangeLog`;
 * each round a replica sends each peer one ``gossip`` parcel ``{"entries",
-  "relayed", "since", "seq", "seen", "floor", "confirmed"[, "ordered"]}``:
-  the rows and vars changed after ``since`` (what it already shipped to
-  that peer) and which of them it merely passes on, its own latest stamp,
-  the highest of *the peer's* stamps it holds without a gap, the stamp its
-  log started at, and what each of its peers confirmed of its log;
+  "relayed", "since", "seq", "seen", "delivered", "members"[, "floor"]
+  [, "ordered"]}``: the rows and vars changed after ``since`` (what it
+  already shipped to that peer) and which of them it merely passes on, its
+  own latest stamp, the highest of *the peer's* stamps it holds without a
+  gap, the lowest stamp all its *other* peers confirmed of its log, a
+  fingerprint of its peer group, and the stamp its log started at (absent
+  while 0).  Each stamp is one digest item, whatever the replica count;
 * that ``seen`` is the acknowledgement, and it belongs to the receiver: a
   replica that loses its state reports 0 again and each peer ships it
   everything once.  There is no ack message and no periodic full round;
@@ -23,29 +25,39 @@ Anna/CALM execution model, by delta gossip:
   are shipped again from its confirmed stamp, with their current values.
 
 **A change is shipped by whoever is on the hook for it.**  A fresh window
-carries only what this replica *owns*: what it changed itself, genuinely
-merged, or took over.  An entry adopted unchanged from peer A that A owns
-becomes A's *ward* here, tagged with the ``seq`` of A's parcel, and is
-shipped to nobody — except back to A while A has confirmed nothing (only a
-confirmation that falls reveals that A lost its state, and 0 cannot fall).
-Once a round, before the parcels are built, every ward is reviewed:
+carries only what this replica *owns*: what it changed itself, merged into
+an item its log did not hold, or took over.  An entry adopted unchanged
+from peer A that A owns becomes A's *ward* here, tagged with the ``seq`` of
+A's parcel, and is shipped to nobody — except back to A while A has
+confirmed nothing (only a confirmation that falls reveals that A lost its
+state, and 0 cannot fall).  An entry of A's that *genuinely* merges into an
+item the log holds — an own change, or another origin's ward, open or
+released — is not stamped either: it becomes A's ward too, at A's tag, as
+every part of the join already has an owner who ships it.  Once a round,
+before the parcels are built, every origin's wards are reviewed:
 
-* *released* when A's latest ``confirmed`` shows each of this replica's
-  other peers at or past the tag (a peer A does not list counts as 0);
-* *taken over* — stamped again as this replica's own, so the ordinary
-  acked path ships it to every peer — after ``RELAY_AFTER_ROUNDS`` reviews
-  without release, when A is no longer a peer, or at once when the tag is
-  at or below A's ``floor``.
+* *released* when A's latest ``delivered`` is at or past the tag; a shared
+  item stays warded until its last origin is released;
+* *taken over* — the item stamped again as this replica's own, which
+  closes every ward on it, so the ordinary acked path ships it to every
+  peer — after ``RELAY_AFTER_ROUNDS`` reviews without release, when A is no
+  longer a peer, or at once when the tag is at or below A's ``floor``.
 
 Release is safe because a window always runs to the sender's current
 ``seq`` and an entry the sender owns is in every window that covers its
 stamp: the first window from A that peer C accepts with ``seq >= tag`` was
-built no earlier than the tagged parcel and carried the item as of the tag
+built no earlier than the tagged parcel and carried A's part as of the tag
 or later (if A had meanwhile adopted a larger value from D, the item is D's
 ward at A and D, or A after it, is on the hook instead).  So "A says C
-confirmed the tag" means C holds it — unless A's log no longer does: a
+confirmed the tag" means C holds A's part — unless A's log no longer does: a
 rebooted A sends an empty window over its old numbering, gets it confirmed,
 and would vouch for entries it lost.  Its ``floor`` says which those are.
+A shared item is released only once *each* origin vouched for its part, so
+the join is held everywhere; a genuine merge into an item the log does not
+hold has nobody else on the hook and is stamped.  ``delivered`` covers the
+sender's peers but the receiver — the receiver's other peers only if both
+list one group.  A sender that lists fewer vouches for none it omits, so a
+``members`` unlike ours reads as 0: its wards are taken over, not released.
 
 What A merely passes on (anything in a re-shipment or refill that it did
 not stamp as its own, and a ward offered back) its fresh windows to the
@@ -66,8 +78,8 @@ from slot 0: rows only ordered ops touched are in nobody's change log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import inf
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Hashable, Iterable, Mapping, Optional
 
 from repro.cluster.network import Message
@@ -76,6 +88,7 @@ from repro.cluster.transport import digest_entries
 from repro.core.interpreter import SingleNodeInterpreter
 from repro.core.program import HydroProgram
 from repro.core.state import ChangeLog
+from repro.storage.ring import stable_digest
 
 #: ``network.metrics`` counters of the gossip ledger: stamps handed out
 #: (take-overs included), and entries shipped for the first time, again after
@@ -100,15 +113,19 @@ RETRANSMIT_AFTER_ROUNDS = 2
 #: of them the one after, so the release arrives for the third review; two
 #: would take every ward over just before that.
 RELAY_AFTER_ROUNDS = 3
-#: The scalar stamps of a parcel; ``confirmed`` adds one per peer.
-PARCEL_STAMPS = ("since", "seq", "seen", "floor")
+#: The keys of a parcel that are not stamps.
+PARCEL_PAYLOAD = ("entries", "relayed")
 
 
 def parcel_entries(parcel: Mapping[str, Any]) -> int:
     """What a gossip parcel costs on the wire, in entries: its rows and
-    vars, plus its stamps at the density of digests."""
-    return len(parcel["entries"]) + digest_entries(
-        len(PARCEL_STAMPS) + len(parcel["confirmed"]) + ("ordered" in parcel))
+    vars, plus however many stamps it carries at the density of digests."""
+    return len(parcel["entries"]) + digest_entries(len(parcel) - len(PARCEL_PAYLOAD))
+
+
+def group_fingerprint(node_id: Hashable, peers: Iterable[Hashable]) -> int:
+    """The ``members`` stamp: equal wherever the same group is listed."""
+    return stable_digest(frozenset(peers).union((node_id,)))
 
 
 #: The key an :meth:`ReplicaNode.apply` result travels under, by status.
@@ -129,9 +146,9 @@ class _PeerSync:
     overdue: int = 0
     #: Stamps up to here were shipped before the peer lost its state.
     refill_upto: int = 0
-    #: The peer's latest report about its own log: what each of *its* peers
-    #: confirmed, and where the log starts.
-    reported: Mapping[Hashable, int] = field(default_factory=dict)
+    #: The peer's latest report about its own log: what all its peers but
+    #: this replica confirmed (0 unless it lists our group), where it starts.
+    delivered: int = 0
     floor: int = 0
     #: The last log slot the peer reported applying (``ordered``).
     ordered: int = -1
@@ -153,6 +170,7 @@ class ReplicaNode(Node):
         self.gossip_interval = gossip_interval
         self.requests_served = 0
         self.peers = [peer for peer in peers if peer != node_id]
+        self.members = group_fingerprint(node_id, self.peers)
         self._boot(first_stamp=0)
         self.on("invoke", self._on_invoke)
         self.on("gossip", self._on_gossip)
@@ -179,6 +197,7 @@ class ReplicaNode(Node):
         next review.
         """
         self.peers = [peer for peer in peers if peer != self.node_id]
+        self.members = group_fingerprint(self.node_id, self.peers)
         known, self._sync = self._sync, {}
         for peer in self.peers:
             sync = known.get(peer)
@@ -222,7 +241,7 @@ class ReplicaNode(Node):
     def _arm_gossip(self) -> None:
         if self.gossip_interval:
             self.set_timer(self.gossip_interval, self._gossip_tick,
-                           label=f"gossip@{self.node_id}")
+                           label=partial("gossip@{}".format, self.node_id))
 
     def _gossip_tick(self) -> None:
         self.push_gossip()
@@ -236,42 +255,48 @@ class ReplicaNode(Node):
         the peer, and the report its wards' holders, are waiting for.
         """
         self._review_wards()
-        confirmed = {peer: sync.confirmed for peer, sync in self._sync.items()}
+        # What all peers but the receiver confirmed: the round's minimum, or
+        # the runner-up for the peer that holds it; ``seq`` if there is none.
+        low = runner_up = self.change_log.seq
+        lowest = None
+        for peer, sync in self._sync.items():
+            if sync.confirmed < runner_up:
+                if sync.confirmed < low:
+                    low, runner_up, lowest = sync.confirmed, low, peer
+                else:
+                    runner_up = sync.confirmed
         for peer in self.peers:
-            parcel = self._parcel_for(peer, self._sync[peer], confirmed)
+            parcel = self._parcel_for(peer, self._sync[peer],
+                                      runner_up if peer == lowest else low)
             self.queue(peer, "gossip", parcel, entries=parcel_entries(parcel))
 
     def _review_wards(self) -> None:
-        """Release the wards their origin delivered; take over those it cannot."""
+        """Release the origins that delivered; take over what one cannot."""
         log = self.change_log
         if not log.wards:
             return
-        # Per origin, the highest of its stamps that all our other peers
-        # hold, by its own account.
-        delivered = {
-            origin: min((sync.reported.get(peer, 0) for peer in self.peers
-                         if peer != origin), default=inf)
-            for origin, sync in self._sync.items()}
         released = taken = 0
-        for item, (origin, tag, waited) in list(log.wards.items()):
+        for origin, wards in list(log.wards.items()):
             sync = self._sync.get(origin)
-            # Still a peer, and its log still holds what it tagged.
-            liable = sync is not None and sync.floor < tag
-            if liable and tag <= delivered[origin]:
-                del log.wards[item]
-                released += 1
-            elif liable and waited + 1 < RELAY_AFTER_ROUNDS:
-                log.wards[item] = (origin, tag, waited + 1)
-            else:
-                log.record(item)
-                taken += 1
+            for item, (tag, waited) in list(wards.items()):
+                # Still a peer, and its log still holds what it tagged.
+                liable = sync is not None and sync.floor < tag
+                if liable and tag <= sync.delivered:
+                    del wards[item]
+                    released += 1
+                elif liable and waited + 1 < RELAY_AFTER_ROUNDS:
+                    wards[item] = (tag, waited + 1)
+                else:
+                    log.record(item)        # closes every ward on it
+                    taken += 1
+            if not wards:
+                log.wards.pop(origin, None)
         metrics = self.network.metrics
         metrics.increment(RELEASED_WARDS, released)
         metrics.increment(TAKEOVER_ENTRIES, taken)
         metrics.increment(LOGGED_CHANGES, taken)
 
-    def _parcel_for(self, peer: Hashable, sync: _PeerSync,
-                    confirmed: Mapping[Hashable, int]) -> dict:
+    def _parcel_for(self, peer: Hashable, sync: _PeerSync, delivered: int) -> dict:
         since = sync.shipped
         if sync.confirmed < sync.shipped:
             sync.overdue += 1
@@ -283,12 +308,15 @@ class ReplicaNode(Node):
             sync.overdue = 0
         # Filled in log order, so the payload is the same under every
         # PYTHONHASHSEED.
+        log = self.change_log
+        theirs = log.wards.get(peer, ())
         kinds: dict = {}
         relayed = []
-        for item, stamp, source in self.change_log.since(since):
+        for item, stamp, source in log.since(since):
             if stamp > sync.shipped:
-                if source is not None and (source != peer or sync.confirmed):
-                    continue    # a ward: its origin ships it, or already has
+                if source is not None and (sync.confirmed or source != peer
+                                           and item not in theirs):
+                    continue    # a ward: its origins ship it, or already have
                 kinds[item] = FRESH_ENTRIES
             elif stamp <= sync.refill_upto:
                 kinds[item] = REFILL_ENTRIES
@@ -300,11 +328,13 @@ class ReplicaNode(Node):
         metrics = self.network.metrics
         for item in entries:
             metrics.increment(kinds[item])
-        sync.shipped = self.change_log.seq
+        sync.shipped = log.seq
         parcel = {"entries": entries,
                   "relayed": [item for item in relayed if item in entries],
-                  "since": since, "seq": self.change_log.seq, "seen": sync.seen,
-                  "floor": self.change_log.floor, "confirmed": confirmed}
+                  "since": since, "seq": log.seq, "seen": sync.seen,
+                  "delivered": delivered, "members": self.members}
+        if log.floor:
+            parcel["floor"] = log.floor
         if self.ordered_upto >= 0:
             parcel["ordered"] = self.ordered_upto
         return parcel
@@ -325,7 +355,10 @@ class ReplicaNode(Node):
             elif confirmed > sync.confirmed:
                 sync.overdue = 0
             sync.confirmed = confirmed
-            sync.reported, sync.floor = payload["confirmed"], payload["floor"]
+            # A sender that lists another group vouches for nobody here.
+            sync.delivered = (payload["delivered"]
+                              if payload["members"] == self.members else 0)
+            sync.floor = payload.get("floor", 0)
             stale, sync.ordered = sync.ordered, payload.get("ordered", -1)
             if stale > self.ordered_upto and self.catch_up is not None:
                 self.catch_up(peer, stale)

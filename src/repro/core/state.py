@@ -135,10 +135,13 @@ class ChangeLog:
     the tail that costs what changed, not what is stored.  ``source`` is the
     peer a change was adopted from unmodified (``None`` for a local commit
     or a genuine merge): that peer holds the value already.  An adoption
-    also opens a *ward*, ``wards[item] = (source, tag, reviews waited)``
+    also opens a *ward*, ``wards[source][item] = (tag, reviews waited)``
     with ``tag`` the stamp the peer's own log had reached: the peer, not
-    this replica, is on the hook for delivering the change elsewhere.  The
-    replication layer closes wards; stamping the item again closes one too.
+    this replica, is on the hook for delivering the change elsewhere.  A
+    peer's genuine merge into an item already logged here is no new stamp:
+    the item becomes that peer's ward too (:meth:`share`), the peer on the
+    hook for its part as the stamp's owner is for the rest.  The replication
+    layer closes wards; stamping the item again closes every one on it.
     """
 
     def __init__(self, seq: int = 0) -> None:
@@ -150,15 +153,26 @@ class ChangeLog:
         #: in this log (whatever a peer may remember of an earlier one).
         self.floor = seq
         self._stamps: dict[Item, tuple[int, Optional[Hashable]]] = {}
-        self.wards: dict[Item, tuple[Hashable, int, int]] = {}
+        #: Per origin, its open wards; an origin with none is not listed.
+        self.wards: dict[Hashable, dict[Item, tuple[int, int]]] = {}
 
     def record(self, item: Item, source: Optional[Hashable] = None, tag: int = 0) -> None:
         self.seq += 1
-        self._stamps.pop(item, None)
+        if self._stamps.pop(item, None) is not None and self.wards:
+            for origin in [origin for origin, wards in self.wards.items()
+                           if wards.pop(item, None) is not None and not wards]:
+                del self.wards[origin]
         self._stamps[item] = (self.seq, source)
-        self.wards.pop(item, None)
         if source is not None:
-            self.wards[item] = (source, tag, 0)
+            self.wards.setdefault(source, {})[item] = (tag, 0)
+
+    def share(self, item: Item, source: Hashable, tag: int) -> bool:
+        """Put ``source`` on the hook for its part of a logged item, at
+        ``tag``; ``False``, and nothing done, if the item is not logged."""
+        if item not in self._stamps:
+            return False
+        self.wards.setdefault(source, {})[item] = (tag, 0)
+        return True
 
     def since(self, seq: int) -> list[tuple[Item, int, Optional[Hashable]]]:
         """``(item, stamp, source)`` of every change after ``seq``, oldest first."""
@@ -451,7 +465,8 @@ class ProgramState:
         consistency protocols, not by blind state merge).  ``entries`` is
         only read.  An entry that actually inflated this state is stamped in
         the change log — under ``source``, as its ward at ``tag``, when this
-        replica now holds exactly the peer's value.
+        replica now holds exactly the peer's value.  A genuine merge from
+        ``source`` into an item the log holds is ``source``'s ward instead.
         """
         log = self.change_log
         for item, value in entries.items():
@@ -471,7 +486,8 @@ class ProgramState:
                 if not table.merge_peer_row(key, value):
                     continue
                 adopted = table.rows[key] == value
-            if log is not None:
+            if log is not None and (adopted or source is None
+                                    or not log.share(item, source, tag)):
                 log.record(item, source if adopted else None, tag)
 
     def merge_from(self, other: "ProgramState") -> None:

@@ -25,7 +25,7 @@ from repro.availability.replication import (
     TAKEOVER_ENTRIES,
     parcel_entries,
 )
-from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
+from repro.cluster import DelayMatrix, Network, NetworkConfig, Simulator, TransportConfig
 from repro.core.state import ProgramState
 
 ROUND = 10.0
@@ -137,6 +137,9 @@ STEPS = st.lists(st.one_of(
     st.tuples(st.just("heal")),
     st.tuples(st.just("crash"), REPLICA),
     st.tuples(st.just("recover"), REPLICA, st.booleans()),
+    # One replica's peer list replaced by a subset: two replicas may then
+    # disagree on the group, and an origin may list fewer peers than a holder.
+    st.tuples(st.just("peers"), REPLICA, st.frozensets(REPLICA)),
 ), max_size=60)
 
 ARGS = {"add_person": lambda pid: {"pid": pid, "country": "US"},
@@ -167,6 +170,9 @@ def play(cluster, steps):
                 replica.crash()
             elif kind == "recover":
                 replica.recover(lose_state=args[1])
+            elif kind == "peers":
+                replica.set_peers(sorted(cluster.replicas[index % len(cluster.replicas)].node_id
+                                         for index in args[1]))
             elif replica.alive:
                 statuses.append(replica.apply(kind, ARGS[kind](*args[1:]))[0])
     return statuses
@@ -177,6 +183,8 @@ def heal_and_check_convergence(cluster, lose_at_heal):
     count = len(cluster.replicas)
     cluster.net.config.drop_rate = 0.0
     cluster.net.heal_all()
+    for replica in cluster.replicas:
+        replica.set_peers([other.node_id for other in cluster.replicas])
     for replica in cluster.replicas:
         if not replica.alive:
             replica.recover(lose_state=lose_at_heal)
@@ -392,8 +400,8 @@ def test_a_third_replica_takes_over_a_change_its_origin_cannot_deliver():
     r0.apply("add_person", {"pid": 2, "country": "IN"})
     cluster.run(1)                                          # r0 ships it; only r1 gets it
     cluster.run(RELAY_AFTER_ROUNDS - 1)
-    assert r1.change_log.wards == {("people", 2): ("r0", r0.change_log.seq,
-                                                   RELAY_AFTER_ROUNDS - 1)}
+    assert r1.change_log.wards == {"r0": {("people", 2): (r0.change_log.seq,
+                                                          RELAY_AFTER_ROUNDS - 1)}}
     assert cluster.counter(TAKEOVER_ENTRIES) == 0 and 2 not in people(r2)
 
     cluster.run(2)                                          # RELAY_AFTER_ROUNDS + 1 in all
@@ -414,7 +422,7 @@ def test_wards_of_an_origin_that_lost_its_state_are_taken_over_at_once():
     cluster.run(1)
     cluster.sim.run(until=cluster.sim.now + 2)              # r1 and r2 hold it, as r0's wards
     tag = r0.change_log.seq
-    assert r1.change_log.wards == r2.change_log.wards == {("people", 2): ("r0", tag, 0)}
+    assert r1.change_log.wards == r2.change_log.wards == {"r0": {("people", 2): (tag, 0)}}
     r0.recover(lose_state=True)                             # rebooted in place
     assert r0.change_log.floor == tag and people(r0) == set()
 
@@ -436,7 +444,7 @@ def test_a_rebooted_origin_cannot_vouch_for_what_it_lost():
     r0.crash()
     r2.apply("add_person", {"pid": 1, "country": "IN"})
     cluster.sim.run(until=12)                               # shipped at 10; r0 was down
-    assert r1.change_log.wards == {("people", 1): ("r2", 1, 0)}
+    assert r1.change_log.wards == {"r2": {("people", 1): (1, 0)}}
     # r1 sleeps through its reviews (state kept) and cannot reach r2; r2
     # forgets the row, r0 is back and confirms r2's empty window over (0, 1].
     r1.crash()
@@ -446,7 +454,7 @@ def test_a_rebooted_origin_cannot_vouch_for_what_it_lost():
     cluster.sim.run(until=35)
     r1.recover()
     cluster.sim.run(until=42)                               # r2: "r0 confirmed 1", floor 1
-    assert r1._sync["r2"].reported["r0"] == 1 == r1._sync["r2"].floor
+    assert r1._sync["r2"].delivered == 1 == r1._sync["r2"].floor
     r2.crash()                                              # and is gone for good
 
     cluster.run(2)
@@ -472,7 +480,7 @@ def test_dropping_an_origin_from_the_peers_takes_its_wards_over():
     r0.apply("add_person", {"pid": 2, "country": "IN"})
     cluster.run(1)
     cluster.sim.run(until=cluster.sim.now + 2)
-    assert ("people", 2) in r1.change_log.wards and 2 not in people(r2)
+    assert ("people", 2) in r1.change_log.wards["r0"] and 2 not in people(r2)
     for replica in (r1, r2):
         replica.set_peers(["r1", "r2"])
 
@@ -504,7 +512,130 @@ def test_a_peer_added_after_an_origin_left_still_gets_what_it_wrote():
     cluster.assert_ledger()
 
 
-# -- (e) the logical-message trace does not depend on PYTHONHASHSEED -----------------------
+def test_an_origin_that_lists_fewer_peers_vouches_for_none_it_omits():
+    """r0 no longer gossips with r2, so no other peer of its own is left to
+    wait for.  Its ``delivered`` is then its whole log — true of its group,
+    not of r1's: only the ``members`` fingerprint tells r1 not to release."""
+    cluster = warmed()
+    r0, r1, r2 = cluster.replicas
+    r0.set_peers(["r0", "r1"])
+    released = cluster.counter(RELEASED_WARDS)
+    r0.apply("add_person", {"pid": 2, "country": "IN"})
+    cluster.run(1)
+    cluster.sim.run(until=cluster.sim.now + 2)
+    assert r1.change_log.wards == {"r0": {("people", 2): (r0.change_log.seq, 0)}}
+    assert r1._sync["r0"].delivered == 0 < r0.change_log.seq
+
+    cluster.run(RELAY_AFTER_ROUNDS)                         # taken over, and shipped
+    assert cluster.counter(TAKEOVER_ENTRIES) == 1
+    assert cluster.counter(RELEASED_WARDS) == released
+    assert 2 in people(r2)
+
+
+# -- (e) shared wards: a join of two owners' concurrent changes ships with its owners ------
+
+ROW = ("people", 100)
+
+
+def concurrent_changes(cluster):
+    """r0 and r1 change row 100 inside one round, one field each; returns
+    the tags their parcels will carry."""
+    r0, r1 = cluster.replicas[:2]
+    r0.apply("diagnosed", {"pid": 100})
+    r1.apply("add_contact", {"id1": 100, "id2": 100})
+    return r0.change_log.seq, r1.change_log.seq
+
+
+def joined_row(replica):
+    row = replica.interpreter.state.table("people").get(100)
+    return row["covid"].value and 100 in row["contacts"]
+
+
+def test_a_join_of_concurrent_changes_is_shipped_by_their_owners_only():
+    cluster = warmed(4)
+    r0, r1, r2, r3 = cluster.replicas
+    settled, fresh = len(cluster.parcels), cluster.counter(FRESH_ENTRIES)
+    tag0, tag1 = concurrent_changes(cluster)
+    cluster.run(1)
+    cluster.sim.run(until=cluster.sim.now + 2)
+    # Each holder joined both parts and stamped nothing: every part has an
+    # owner already, the origin that changed it.
+    assert r2.change_log.wards == r3.change_log.wards == {"r0": {ROW: (tag0, 0)},
+                                                          "r1": {ROW: (tag1, 0)}}
+    assert r0.change_log.wards == {"r1": {ROW: (tag1, 0)}}
+    assert r1.change_log.wards == {"r0": {ROW: (tag0, 0)}}
+    assert all(joined_row(replica) for replica in cluster.replicas)
+
+    cluster.run(4)
+    assert sorted(carrying(cluster.parcels[settled:])) == [
+        (owner, peer, [ROW]) for owner in ("r0", "r1")
+        for peer in ("r0", "r1", "r2", "r3") if peer != owner]
+    assert cluster.counter(FRESH_ENTRIES) - fresh == 2 * 3
+    assert cluster.counter(TAKEOVER_ENTRIES) == 0
+    assert not any(replica.change_log.wards for replica in cluster.replicas)
+    cluster.assert_ledger()
+
+
+def test_a_shared_ward_is_taken_over_when_one_origin_cannot_deliver_its_part():
+    cluster = warmed(4)
+    r0, r1, r2, r3 = cluster.replicas
+    cluster.net.partition(["r1"], ["r3"], oneway=True)      # r1 is alive, and hears r3
+    tag0, tag1 = concurrent_changes(cluster)
+    cluster.run(1)
+    cluster.run(RELAY_AFTER_ROUNDS - 1)
+    assert r2.change_log.wards == {"r0": {ROW: (tag0, RELAY_AFTER_ROUNDS - 1)},
+                                   "r1": {ROW: (tag1, RELAY_AFTER_ROUNDS - 1)}}
+    assert not joined_row(r3) and cluster.counter(TAKEOVER_ENTRIES) == 0
+
+    # Review RELAY_AFTER_ROUNDS: r0's part is released, r1's taken over —
+    # by r2, and by r0, whose own change r1's part joined.
+    cluster.run(1)
+    assert cluster.counter(TAKEOVER_ENTRIES) == 2
+    assert not r0.change_log.wards and not r2.change_log.wards
+    cluster.run(1)
+    assert joined_row(r3)
+    heal_and_check_convergence(cluster, lose_at_heal=False)
+
+
+def test_a_shared_ward_is_taken_over_at_once_when_one_origin_lost_its_state():
+    cluster = warmed(4)
+    r0, r1, r2, r3 = cluster.replicas
+    concurrent_changes(cluster)
+    cluster.run(1)
+    cluster.sim.run(until=cluster.sim.now + 2)
+    assert r2.change_log.wards.keys() == {"r0", "r1"}
+    r1.recover(lose_state=True)                             # rebooted in place
+
+    # Review 1 comes before r1's next parcel; review 2 has read its floor
+    # and takes the item over at r0, r2 and r3 — before r0's part is due.
+    cluster.run(2)
+    assert cluster.counter(TAKEOVER_ENTRIES) == 3
+    assert not any(replica.change_log.wards for replica in (r0, r2, r3))
+    cluster.run(1)
+    assert joined_row(r1)
+    heal_and_check_convergence(cluster, lose_at_heal=False)
+
+
+def test_a_shared_ward_closes_only_once_each_origin_has_delivered():
+    """r1's parcels reach r2 a round late, so r2 hears r0's report first."""
+    cluster = warmed(4)
+    r0, r1, r2, r3 = cluster.replicas
+    cluster.sim.run(until=cluster.sim.now + ROUND / 2)      # nothing in flight
+    late = cluster.net.config.delay_matrix = DelayMatrix()
+    late.set_link("az-1", "az-2", delay=ROUND + 2, symmetric=False)
+    tag0, tag1 = concurrent_changes(cluster)
+    cluster.run(2)                                          # r1's part lands after review 1
+    assert r2.change_log.wards == {"r0": {ROW: (tag0, 1)}, "r1": {ROW: (tag1, 0)}}
+    cluster.run(RELAY_AFTER_ROUNDS - 1)                     # r0's report is in, r1's is not
+    assert r2.change_log.wards == {"r1": {ROW: (tag1, RELAY_AFTER_ROUNDS - 1)}}
+    cluster.run(1)                                          # and now r1's
+    assert not r2.change_log.wards
+    # Released, not taken over: r2's stamp is still the adoption from r0.
+    # (r2's own acks of r1's part were late too, so r0 and r3 took it over.)
+    assert [source for item, _, source in r2.change_log.since(0) if item == ROW] == ["r0"]
+
+
+# -- (f) the logical-message trace does not depend on PYTHONHASHSEED -----------------------
 
 
 def faulty_trace():
@@ -535,7 +666,7 @@ def test_trace_is_identical_under_two_hash_seeds():
     assert outputs[0].count("('people', 5)") > 1        # the faults really bit
 
 
-# -- (f) recovery, peers and the one apply entry point ------------------------------------
+# -- (g) recovery, peers and the one apply entry point ------------------------------------
 
 
 def test_recovered_replica_gossips_again():
@@ -617,16 +748,48 @@ def idle_parcel_bytes(cluster):
     return (cluster.net.bytes_sent - sent) / (count * (count - 1))
 
 
+def round_stamps(cluster):
+    """One more round's parcels: ``{sender: {(stamps carried, entries declared)}}``."""
+    start = len(cluster.parcels)
+    cluster.run(1)
+    carried = {}
+    for _, sender, _, payload, entries in cluster.parcels[start:]:
+        stamps = tuple(sorted(set(payload) - {"entries", "relayed"}))
+        carried.setdefault(sender, set()).add((stamps, entries))
+    return carried
+
+
+STAMPS = ("delivered", "members", "seen", "seq", "since")
+
+
 def test_the_ordered_stamp_is_priced_with_the_others_and_absent_until_there_is_one():
-    small, large = Cluster(3), Cluster(6)
-    assert idle_parcel_bytes(small) == 24 + 96          # six stamps: one entry
-    assert idle_parcel_bytes(large) == 24 + 192         # nine: two
-    assert not any("ordered" in payload for _, _, _, payload, _ in small.parcels)
-    for cluster in (small, large):
+    """Five stamps, and ``ordered`` once there is one: six stamps of 16 B
+    fill one 96 B entry, whatever the replica count."""
+    clusters = [Cluster(count) for count in (3, 6, 10)]
+    for cluster in clusters:
+        assert idle_parcel_bytes(cluster) == 24 + 96
+        assert not any("ordered" in payload or "floor" in payload
+                       for _, _, _, payload, _ in cluster.parcels)
         for replica in cluster.replicas:
             replica.apply_ordered(0, "add_person", {"pid": 1})
-    assert idle_parcel_bytes(small) == 24 + 192         # the seventh stamp starts a second
-    assert idle_parcel_bytes(large) == 24 + 192         # the tenth still fits it
-    assert all(payload["ordered"] == 0 for _, _, _, payload, _ in large.parcels[-30:])
+        assert idle_parcel_bytes(cluster) == 24 + 96
+        assert all(payload["ordered"] == 0 for _, _, _, payload, _ in cluster.parcels[-3:])
+        cluster.assert_ledger()
+
+    # A rebooted replica's log goes on from its old numbering and its parcels
+    # say where (``floor``, absent while 0): a sixth stamp, and with
+    # ``ordered`` back a seventh, which starts a second entry.
+    small = clusters[0]
+    rebooted = small.replicas[0]
+    rebooted.apply("add_person", {"pid": 2, "country": "US"})
+    small.run(4)
+    rebooted.recover(lose_state=True)
+    small.run(4)
+    with_ordered = tuple(sorted(STAMPS + ("ordered",)))
+    with_floor = tuple(sorted(STAMPS + ("floor",)))
+    assert rebooted.change_log.floor > 0 and rebooted.ordered_upto == -1
+    assert round_stamps(small) == {"r0": {(with_floor, 1)},
+                                   "r1": {(with_ordered, 1)}, "r2": {(with_ordered, 1)}}
+    rebooted.apply_ordered(0, "add_person", {"pid": 1})
+    assert round_stamps(small)["r0"] == {(tuple(sorted(with_floor + ("ordered",))), 2)}
     small.assert_ledger()
-    large.assert_ledger()

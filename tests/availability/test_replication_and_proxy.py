@@ -9,6 +9,7 @@ from repro.availability import (
     ReplicaNode,
     ReplicaProxy,
 )
+from repro.availability.proxy import _PendingRequest
 from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
 
 
@@ -87,6 +88,24 @@ class TestProxyBookkeeping:
         sim.run(until=100.0)
         assert sim.trace == []
         assert proxy.metrics.counter("proxy.retries") == 0
+
+    def test_replied_requests_are_freed_by_reference_count(self):
+        """A request's retry timer is ``pending.retry_timer``; a callback or
+        lazy label that held ``pending`` back kept every answered request
+        alive — in the node's timer list, and after that in a cycle only the
+        garbage collector could break."""
+        import gc
+
+        sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
+        gc.collect()
+        gc.disable()
+        try:
+            requests = [proxy.invoke("add_person", {"pid": pid}) for pid in range(12)]
+            sim.run(until=100.0)                # answered, and past every retry timeout
+            assert sorted(proxy.responses) == requests
+            assert not any(isinstance(obj, _PendingRequest) for obj in gc.get_objects())
+        finally:
+            gc.enable()
 
     def test_failed_requests_leave_nothing_behind(self):
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)

@@ -186,10 +186,10 @@ class TestProgramState:
         log.record(("people", 1), source="a", tag=4)
         log.record(("people", 2), source="a", tag=4)
         log.record(("people", 3))
-        assert log.wards == {("people", 1): ("a", 4, 0), ("people", 2): ("a", 4, 0)}
+        assert log.wards == {"a": {("people", 1): (4, 0), ("people", 2): (4, 0)}}
         log.record(("people", 1), source="b", tag=9)      # re-adopted from someone else
         log.record(("people", 2))                         # changed locally
-        assert log.wards == {("people", 1): ("b", 9, 0)}
+        assert log.wards == {"b": {("people", 1): (9, 0)}}
 
     def test_merge_logs_inflations_with_their_source(self):
         left, right = ProgramState(model()), ProgramState(model())
@@ -207,10 +207,42 @@ class TestProgramState:
         # and are the peer's wards, at the stamp its parcel carried.
         assert log.since(0) == [(("people", 1), 1, None), (("people", 4), 2, "right"),
                                 ((None, "total_diagnoses"), 3, "right")]
-        assert log.wards == {("people", 4): ("right", 7, 0),
-                             (None, "total_diagnoses"): ("right", 7, 0)}
+        assert log.wards == {"right": {("people", 4): (7, 0),
+                                       (None, "total_diagnoses"): (7, 0)}}
         left.merge_entries(right.export(), source="right")
         assert log.seq == 3
+
+    def test_a_peers_genuine_merge_into_a_logged_item_shares_its_ward(self):
+        """Every part of the join has an owner already: no stamp, the peer's
+        ward instead — beside the stamp's owner, or beside another origin."""
+        left = ProgramState(model())
+        log = left.change_log = ChangeLog()
+        own = MergeRowEffect("people", {"pid": 1, "contacts": SetUnion({2})})
+        left.apply(own)
+        left.log_effects([own])
+        peer = ProgramState(model())
+        peer.apply(MergeRowEffect("people", {"pid": 1, "contacts": SetUnion({3})}))
+        peer.apply(MergeRowEffect("people", {"pid": 4, "contacts": SetUnion({5})}))
+        left.merge_entries(peer.export(), source="a", tag=3)
+        assert log.since(0) == [(("people", 1), 1, None), (("people", 4), 2, "a")]
+        assert log.wards == {"a": {("people", 1): (3, 0), ("people", 4): (3, 0)}}
+
+        other = ProgramState(model())
+        other.apply(MergeRowEffect("people", {"pid": 4, "contacts": SetUnion({6})}))
+        left.merge_entries(other.export(), source="b", tag=8)
+        assert log.seq == 2
+        assert log.wards == {"a": {("people", 1): (3, 0), ("people", 4): (3, 0)},
+                             "b": {("people", 4): (8, 0)}}
+        # What nobody is on the hook for is stamped: a passed-on entry, and
+        # anything merged into an item the log does not hold.
+        other.apply(MergeRowEffect("people", {"pid": 4, "contacts": SetUnion({7})}))
+        left.merge_entries(other.export())
+        assert log.since(2) == [(("people", 4), 3, None)]
+        assert log.wards == {"a": {("people", 1): (3, 0)}}      # the new stamp closed both
+        left.apply(MergeRowEffect("people", {"pid": 9, "contacts": SetUnion({1})}))
+        other.apply(MergeRowEffect("people", {"pid": 9, "contacts": SetUnion({2})}))
+        left.merge_entries({("people", 9): other.export()[("people", 9)]}, source="b", tag=9)
+        assert log.since(3) == [(("people", 9), 4, None)]
 
     def test_merge_from_other_replica_converges(self):
         left = ProgramState(model())
