@@ -158,13 +158,57 @@ def payload_digest(payload: Any) -> str:
     any in-place mutation of a folded container or attribute changes it.
     """
     hasher = hashlib.blake2b(digest_size=16)
-    _fold_payload(payload, hasher, seen=set())
+    fold_payload(payload, hasher)
     return hasher.hexdigest()
 
 
+def fold_payload(payload: Any, hasher: Any) -> None:
+    """Feed ``payload``'s structural encoding (what :func:`payload_digest`
+    hashes) into ``hasher``, for a caller that hashes more than the payload."""
+    _fold_payload(payload, hasher, set())
+
+
+# How a value folds is a function of its type alone — except whether a
+# plain object has a ``__dict__`` — so each type is classified once.
+_LEAF, _DICT, _SET, _SEQUENCE, _DATACLASS, _OBJECT, _REPR = range(7)
+_LEAF_TYPES = (type(None), bool, int, float, str, bytes)
+#: type -> (kind, header bytes, a dataclass's (field name, header) pairs).
+_FOLD_PLANS: dict[type, tuple[int, bytes, tuple]] = {}
+
+
+def _fold_plan(cls: type) -> tuple[int, bytes, tuple]:
+    name = cls.__name__
+    fields: tuple = ()
+    if issubclass(cls, _LEAF_TYPES):
+        kind, header = _LEAF, f"L{name}:".encode()
+    elif issubclass(cls, dict):
+        kind, header = _DICT, b"dict{"
+    elif issubclass(cls, (set, frozenset)):
+        kind, header = _SET, b"set{"
+    elif issubclass(cls, (list, tuple)):
+        kind, header = _SEQUENCE, f"{name}[".encode()
+    elif dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        kind, header = _DATACLASS, f"dc:{name}(".encode()
+        fields = tuple((info.name, f"{info.name}=".encode())
+                       for info in dataclasses.fields(cls))
+    elif (any("__dict__" in vars(klass) for klass in cls.__mro__)
+          or hasattr(cls, "__getattr__")
+          or cls.__getattribute__ is not object.__getattribute__):
+        # Instances may have a ``__dict__``: asked per instance.
+        kind, header = _OBJECT, f"obj:{name}(".encode()
+    else:
+        # No instance can have a ``__dict__`` (a slotted lattice, say).
+        kind, header = _REPR, b"repr:"
+    plan = _FOLD_PLANS[cls] = (kind, header, fields)
+    return plan
+
+
 def _fold_payload(value: Any, hasher: Any, seen: set) -> None:
-    if isinstance(value, (type(None), bool, int, float, str, bytes)):
-        hasher.update(f"L{type(value).__name__}:{value!r};".encode())
+    cls = type(value)
+    kind, header, fields = _FOLD_PLANS.get(cls) or _fold_plan(cls)
+    if kind == _LEAF or kind == _REPR:
+        # Neither recurses, so neither can close a cycle.
+        hasher.update(header + f"{value!r};".encode())
         return
     marker = id(value)
     if marker in seen:
@@ -172,30 +216,30 @@ def _fold_payload(value: Any, hasher: Any, seen: set) -> None:
         return
     seen.add(marker)
     try:
-        if isinstance(value, dict):
-            hasher.update(b"dict{")
+        if kind == _DICT:
+            hasher.update(header)
             for key in sorted(value, key=repr):
                 _fold_payload(key, hasher, seen)
                 _fold_payload(value[key], hasher, seen)
             hasher.update(b"}")
-        elif isinstance(value, (set, frozenset)):
-            hasher.update(b"set{")
+        elif kind == _SET:
+            hasher.update(header)
             for element in sorted(value, key=repr):
                 _fold_payload(element, hasher, seen)
             hasher.update(b"}")
-        elif isinstance(value, (list, tuple)):
-            hasher.update(f"{type(value).__name__}[".encode())
+        elif kind == _SEQUENCE:
+            hasher.update(header)
             for element in value:
                 _fold_payload(element, hasher, seen)
             hasher.update(b"]")
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            hasher.update(f"dc:{type(value).__name__}(".encode())
-            for field_info in dataclasses.fields(value):
-                hasher.update(f"{field_info.name}=".encode())
-                _fold_payload(getattr(value, field_info.name), hasher, seen)
+        elif kind == _DATACLASS:
+            hasher.update(header)
+            for name, field_header in fields:
+                hasher.update(field_header)
+                _fold_payload(getattr(value, name), hasher, seen)
             hasher.update(b")")
         elif hasattr(value, "__dict__"):
-            hasher.update(f"obj:{type(value).__name__}(".encode())
+            hasher.update(header)
             _fold_payload(vars(value), hasher, seen)
             hasher.update(b")")
         else:

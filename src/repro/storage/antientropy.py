@@ -17,8 +17,8 @@ Tree shape
 A key lands in the leaf bucket named by the top ``TREE_FANOUT_BITS x
 LEAF_LEVEL`` bits of its 64-bit ``stable_digest``; every interior level
 keeps one bucket per ``TREE_FANOUT_BITS``-bit prefix.  Bucket digests are
-the XOR of their members' entry digests (an entry digest folds the key's
-canonical bytes with a structural digest of its lattice value), which makes
+the XOR of their members' entry digests (an entry digest hashes the key's
+canonical bytes with a structural fold of its lattice value), which makes
 every update O(tree depth): XOR the old entry digest out of, and the new one
 into, each ancestor bucket.  XOR is commutative and content-pure, so a
 bucket digest is a pure function of the store's contents — never of
@@ -28,16 +28,32 @@ harness's determinism contract for anything that feeds network payloads.
 Empty buckets are *absent* (digest 0): a bucket whose members cancel out of
 the dict entirely, so "no keys in range" and "range never touched" are the
 same observable state on both sides of an exchange.
+
+What one update costs
+---------------------
+
+Every replica of every shard feeds every store write through
+:meth:`DigestTree.update`, so an 80k-key preload at replication 3 is 240k
+calls and the tree is most of a KVS's set-up.  One update therefore does
+each piece of work once: it encodes the key once (``stable_key_bytes``);
+hashes the entry once, one 8-byte ``blake2b`` over those bytes and the
+value's structural fold (the fold ``payload_digest`` hashes, never its hex
+digest); and — only when the entry changed — takes the key's 64-bit digest
+from the ``stable_digest`` memo once and XORs through the five levels by
+precomputed shifts.  A leaf keeps its keys in a plain list: at ~1 key per
+leaf a one-element list is a quarter of a one-element set, and
+``leaf_summary`` sorts its members anyway.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
 
-from repro.cluster.transport import payload_digest
-from repro.storage.ring import stable_digest, stable_key_bytes
+from repro.cluster.transport import fold_payload
+from repro.storage.ring import encoded_digest, stable_digest, stable_key_bytes
 
 __all__ = [
     "AntiEntropySession",
@@ -45,7 +61,6 @@ __all__ = [
     "LEAF_LEVEL",
     "PROBE_ROUNDS",
     "TREE_FANOUT",
-    "entry_digest",
 ]
 
 #: Children per interior bucket (2**TREE_FANOUT_BITS).
@@ -63,29 +78,25 @@ LEAF_LEVEL = 4
 PROBE_ROUNDS = LEAF_LEVEL + 2
 
 _KEY_DIGEST_BITS = 64
-
-
-def entry_digest(key: Hashable, value: Any) -> int:
-    """A 64-bit content digest of one store entry, stable across processes.
-
-    Folds the key's canonical byte encoding with a structural digest of the
-    lattice value (:func:`~repro.cluster.transport.payload_digest`, which
-    walks containers in sorted order), so two replicas holding equal values
-    under any ``PYTHONHASHSEED`` produce the same digest — and any lattice
-    growth changes it.
-    """
-    payload = stable_key_bytes(key) + b"\x00" + payload_digest(value).encode("ascii")
-    return int.from_bytes(
-        hashlib.blake2b(payload, digest_size=8).digest(), "big")
+#: ``key_digest >> _LEVEL_SHIFTS[level]`` is the key's bucket at ``level``.
+_LEVEL_SHIFTS = tuple(_KEY_DIGEST_BITS - TREE_FANOUT_BITS * level
+                      for level in range(LEAF_LEVEL + 1))
+_LEAF_SHIFT = _LEVEL_SHIFTS[LEAF_LEVEL]
 
 
 class DigestTree:
     """An incrementally-maintained hash tree over one replica's store.
 
-    ``update``/``remove`` cost O(``LEAF_LEVEL``) dict operations per call;
-    the tree is always an exact function of the entries it was fed, so two
-    trees built from equal stores — in any order, under any hash seed — are
-    identical level by level.
+    ``update``/``remove`` cost one key encoding, at most one memo lookup
+    and O(``LEAF_LEVEL``) dict operations per call, plus — for ``update`` —
+    one hash over the key and the value's fold.  A key's *entry digest* is
+    that 64-bit hash: a pure function of the key's canonical bytes and the
+    value's content, equal under every ``PYTHONHASHSEED`` and changed by
+    any lattice growth.  Each leaf bucket maps to a list of its keys in
+    arrival order (``leaf_summary`` sorts it).  The tree is always an exact
+    function of the entries it was fed, so two trees built from equal
+    stores — in any order, under any hash seed — are identical level by
+    level and hold the same keys in every leaf.
     """
 
     __slots__ = ("_levels", "_entries", "_leaf_members")
@@ -98,28 +109,27 @@ class DigestTree:
         #: key -> its current entry digest (needed to XOR an update's old
         #: contribution back out of every ancestor).
         self._entries: dict[Hashable, int] = {}
-        #: leaf bucket -> the keys it holds (to enumerate a leaf's summary).
-        self._leaf_members: dict[int, set[Hashable]] = {}
+        #: leaf bucket -> the keys it holds (to enumerate a leaf's summary);
+        #: a bucket with no keys is absent.
+        self._leaf_members: dict[int, list[Hashable]] = {}
 
     # -- bucket arithmetic -------------------------------------------------------
 
     @staticmethod
     def bucket_of(key_digest: int, level: int) -> int:
         """The bucket holding ``key_digest`` at ``level`` (root: always 0)."""
-        return key_digest >> (_KEY_DIGEST_BITS - TREE_FANOUT_BITS * level)
+        return key_digest >> _LEVEL_SHIFTS[level]
 
     @staticmethod
     def leaf_bucket(key: Hashable) -> int:
-        return DigestTree.bucket_of(stable_digest(key), LEAF_LEVEL)
+        return stable_digest(key) >> _LEAF_SHIFT
 
     # -- maintenance -------------------------------------------------------------
 
-    def _apply(self, key: Hashable, delta: int) -> None:
-        """XOR ``delta`` through every ancestor bucket of ``key``."""
-        key_digest = stable_digest(key)
-        for level in range(LEAF_LEVEL + 1):
-            bucket = self.bucket_of(key_digest, level)
-            buckets = self._levels[level]
+    def _apply(self, key_digest: int, delta: int) -> None:
+        """XOR ``delta`` through every ancestor bucket of ``key_digest``."""
+        for buckets, shift in zip(self._levels, _LEVEL_SHIFTS):
+            bucket = key_digest >> shift
             digest = buckets.get(bucket, 0) ^ delta
             if digest:
                 buckets[bucket] = digest
@@ -127,27 +137,36 @@ class DigestTree:
                 buckets.pop(bucket, None)
 
     def update(self, key: Hashable, value: Any) -> None:
-        """Record ``key``'s (new) value; O(depth) on top of one value digest."""
-        new = entry_digest(key, value)
+        """Record ``key``'s (new) value; O(depth) on top of one entry hash."""
+        key_bytes = stable_key_bytes(key)
+        hasher = hashlib.blake2b(key_bytes, digest_size=8)
+        fold_payload(value, hasher)
+        new = int.from_bytes(hasher.digest(), "big")
         old = self._entries.get(key)
         if old == new:
             return
         self._entries[key] = new
-        self._apply(key, new if old is None else old ^ new)
+        key_digest = encoded_digest(key_bytes)
+        self._apply(key_digest, new if old is None else old ^ new)
         if old is None:
-            self._leaf_members.setdefault(self.leaf_bucket(key), set()).add(key)
+            leaf = key_digest >> _LEAF_SHIFT
+            members = self._leaf_members.get(leaf)
+            if members is None:
+                self._leaf_members[leaf] = [key]
+            else:
+                members.append(key)
 
     def remove(self, key: Hashable) -> None:
         old = self._entries.pop(key, None)
         if old is None:
             return
-        self._apply(key, old)
-        leaf = self.leaf_bucket(key)
-        members = self._leaf_members.get(leaf)
-        if members is not None:
-            members.discard(key)
-            if not members:
-                del self._leaf_members[leaf]
+        key_digest = stable_digest(key)
+        self._apply(key_digest, old)
+        leaf = key_digest >> _LEAF_SHIFT
+        members = self._leaf_members[leaf]
+        members.remove(key)
+        if not members:
+            del self._leaf_members[leaf]
 
     def clear(self) -> None:
         for level in self._levels:
@@ -197,9 +216,17 @@ class DigestTree:
         return tree
 
     def __eq__(self, other: object) -> bool:
+        """Equal levels, entries and leaf membership — each leaf's keys as
+        a multiset, so arrival order is ignored but a stale, missing or
+        doubled member is not."""
         if not isinstance(other, DigestTree):
             return NotImplemented
-        return self._levels == other._levels and self._entries == other._entries
+        return (self._levels == other._levels
+                and self._entries == other._entries
+                and self._membership() == other._membership())
+
+    def _membership(self) -> dict[int, Counter]:
+        return {leaf: Counter(keys) for leaf, keys in self._leaf_members.items()}
 
     def __repr__(self) -> str:
         return (f"DigestTree(entries={len(self._entries)}, "

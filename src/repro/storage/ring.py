@@ -22,7 +22,13 @@ import hashlib
 from collections import OrderedDict
 from typing import Hashable, Iterable, Sequence
 
-__all__ = ["HashRing", "digest_cache_stats", "stable_digest", "stable_key_bytes"]
+__all__ = [
+    "HashRing",
+    "digest_cache_stats",
+    "encoded_digest",
+    "stable_digest",
+    "stable_key_bytes",
+]
 
 _DIGEST_BYTES = 8  # 64-bit tokens: collision-free in practice, cheap to compare
 
@@ -36,6 +42,8 @@ def stable_key_bytes(key: Hashable) -> bytes:
     ring positions.  Raises :class:`TypeError` for types whose ``repr`` is
     process-dependent (arbitrary objects embed memory addresses).
     """
+    if type(key) is str:  # the common key, ahead of the isinstance ladder
+        return b"s" + key.encode("utf-8")
     if isinstance(key, bool):  # bool is an int subclass; tag it first
         return b"t" if key else b"f"
     if isinstance(key, bytes):
@@ -82,7 +90,13 @@ def digest_cache_stats() -> dict[str, int]:
 
 def stable_digest(key: Hashable, salt: bytes = b"") -> int:
     """A 64-bit digest of ``key`` that is identical across processes."""
-    payload = salt + stable_key_bytes(key)
+    return encoded_digest(salt + stable_key_bytes(key))
+
+
+def encoded_digest(payload: bytes) -> int:
+    """:func:`stable_digest` of an already-encoded key (``salt +
+    stable_key_bytes(key)``), through the same memo — for a caller that
+    needs the key's bytes as well and should not encode it twice."""
     digest = _digest_cache.get(payload)
     if digest is None:
         _digest_cache_stats["misses"] += 1

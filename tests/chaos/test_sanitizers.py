@@ -26,8 +26,58 @@ from repro.cluster import (
     TransportConfig,
     payload_digest,
 )
+from repro.lattices import LWWRegister, MapLattice, SetUnion
 
 SEED = 11
+
+
+@dataclass
+class Pinned:
+    key: str
+    versions: list
+
+
+class Plain:
+    def __init__(self):
+        self.name = "plain"
+        self.items = [1, 2]
+
+
+def pinned_payloads():
+    loop = {"name": "loop"}
+    loop["self"] = loop
+    return {
+        "None": None, "True": True, "int": 7, "float": 1.5, "str": "s",
+        "bytes": b"b", "dict": {"b": 2, "a": [1]}, "set": {3, 1, 2},
+        "frozenset": frozenset({"y", "x"}), "list": [1, "two", None],
+        "tuple": (1, (2, 3)), "dataclass": Pinned("k", [1, 2]),
+        "plain": Plain(), "lww": LWWRegister(3, "v", "w1"),
+        "setunion": SetUnion({"b", "a"}),
+        "map": MapLattice({"b": SetUnion({1}), "a": LWWRegister(2, "v")}),
+        "cycle": loop,
+    }
+
+
+#: ``payload_digest`` of each of ``pinned_payloads()``.
+PINNED_DIGESTS = {
+    "None": "63a0348e2d1fa52b743efa58097285ce",
+    "True": "df10fa9db79cfd151d41d77d30af654e",
+    "int": "65c520c79830ab999c085c5e94b755b1",
+    "float": "3fa9beac2c1a49d250f4099062ef8e38",
+    "str": "be4b336efadfdbb05b24b68e06f60242",
+    "bytes": "6d02106a31645cee00cee53b7085c0e6",
+    "dict": "74bbc9265ea1631b491c48486aa9bc09",
+    "set": "c68daa4b8de489870833435c9b893f28",
+    "frozenset": "cd78f5bd2368f38dd6a29b29a8464de6",
+    "list": "de6b5833114a45739448776ea2839bf5",
+    "tuple": "42b72e0875cce588389f7e17e5b6b309",
+    "dataclass": "d8df265ccf5b5a84d8df7764a6f21b55",
+    "plain": "015f378b12a352347354a4818bac786d",
+    "lww": "74f208ef435ce27c4552f0f18f1fe454",
+    "setunion": "f5562b3cce95cc354cdb53b44fc27e42",
+    "map": "26f55dd94fa348a65a13ccdd3ce0ad84",
+    "cycle": "9187009bf0033467ba0865addb8645e2",
+}
 
 
 def build_pair(sanitize=True):
@@ -107,6 +157,13 @@ class TestPayloadDigest:
         loop = {"name": "loop"}
         loop["self"] = loop
         assert payload_digest(loop) == payload_digest(loop)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_fold_is_pinned(self, name):
+        """The fold's exact bytes, one pin per kind of value: the per-type
+        fold plans must reproduce them under every hash seed.  (No class
+        object is pinned — its ``repr`` embeds an address.)"""
+        assert payload_digest(pinned_payloads()[name]) == PINNED_DIGESTS[name]
 
 
 def run_standard(**overrides):

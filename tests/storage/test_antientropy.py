@@ -9,11 +9,20 @@ repair round ships O(differing keys).
 """
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
-from repro.lattices import GCounter, SetUnion
+from repro.lattices import GCounter, LWWRegister, SetUnion
 from repro.storage import LatticeKVS
 from repro.storage.antientropy import LEAF_LEVEL, PROBE_ROUNDS, DigestTree
 from repro.storage.ring import stable_digest
@@ -109,6 +118,147 @@ class TestDigestTree:
             assert list(summary) == sorted(summary, key=repr)
             seen.extend(summary)
         assert sorted(seen) == sorted(keys)
+
+    def test_equality_sees_leaf_membership(self):
+        """The purity oracle compares each leaf's keys, ignoring their
+        order: a stale, missing or doubled member fails ``==`` even though
+        every digest and entry still matches."""
+        store = {f"k-{i}": SetUnion({i}) for i in range(40)}
+        tree = DigestTree.from_store(store)
+        shuffled = DigestTree()
+        for key in reversed(list(store)):
+            shuffled.update(key, store[key])
+        assert tree == shuffled
+        leaf = DigestTree.leaf_bucket("k-0")
+        for corrupt in (lambda keys: keys.append("ghost"),
+                        lambda keys: keys.append(keys[0]),
+                        lambda keys: keys.remove("k-0")):
+            broken = DigestTree.from_store(store)
+            corrupt(broken._leaf_members[leaf])
+            assert broken._levels == tree._levels
+            assert broken._entries == tree._entries
+            assert broken != tree
+
+    def test_memory_per_key_ceiling(self):
+        """A leaf holds its keys in a list and an entry is one 64-bit
+        digest: a 20k-key register tree stays under 320 traced bytes per
+        key (408 with set-valued leaves).  Counts bytes, reads no clock."""
+        keys = [f"k{i:06d}" for i in range(20_000)]
+        values = [LWWRegister(i, i) for i in range(len(keys))]
+        for key in keys:
+            stable_digest(key)  # the memo is the ring's, not the tree's
+        tracemalloc.start()
+        try:
+            tree = DigestTree()
+            for key, value in zip(keys, values):
+                tree.update(key, value)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == len(keys)
+        assert held / len(keys) <= 320, held / len(keys)
+
+
+# Keys mix str, int, tuple and bool — but no int, bare or in a tuple, equals
+# a bool (``1 == True``): a store is a dict, so two such keys are one entry,
+# yet their canonical encodings route them to different buckets.
+_KEYS = st.one_of(
+    st.sampled_from(["a", "b", "cart-1", "cart-2", ""]),
+    st.integers(min_value=2, max_value=40),
+    st.tuples(st.sampled_from(["user", "item"]),
+              st.integers(min_value=2, max_value=6)),
+    st.booleans(),
+)
+
+
+class DigestTreeMachine(RuleBasedStateMachine):
+    """Any interleaving of updates, removals, re-inserts and clears leaves
+    the tree equal to a from-scratch rebuild of a shadow store, with exact
+    leaf summaries and every parent the XOR of its children."""
+
+    def __init__(self):
+        super().__init__()
+        self.tree = DigestTree()
+        self.store = {}
+        self.removed = []
+
+    @rule(key=_KEYS, kind=st.sampled_from(["register", "set", "counter"]),
+          seed=st.integers(min_value=0, max_value=5))
+    def put_new_value(self, key, kind, seed):
+        value = {"register": LWWRegister(seed, f"v{seed}"),
+                 "set": SetUnion({seed}),
+                 "counter": GCounter({"w": seed + 1})}[kind]
+        self.store[key] = value
+        self.tree.update(key, value)
+
+    @precondition(lambda self: self.store)
+    @rule(data=st.data(), element=st.integers(min_value=0, max_value=9))
+    def grow_value(self, data, element):
+        key = data.draw(st.sampled_from(sorted(self.store, key=repr)))
+        value = self.store[key]
+        if isinstance(value, LWWRegister):
+            grown = LWWRegister(value.timestamp + 1, f"v{element}")
+        elif isinstance(value, SetUnion):
+            grown = value.merge(SetUnion({element}))
+        else:
+            grown = value.increment(f"w{element}")
+        self.store[key] = grown
+        self.tree.update(key, grown)
+
+    @precondition(lambda self: self.store)
+    @rule(data=st.data())
+    def rewrite_same_value(self, data):
+        key = data.draw(st.sampled_from(sorted(self.store, key=repr)))
+        self.tree.update(key, self.store[key])
+
+    @rule(key=_KEYS)
+    def remove(self, key):
+        if key in self.store:
+            self.removed.append((key, self.store.pop(key)))
+        self.tree.remove(key)
+
+    @precondition(lambda self: self.removed)
+    @rule()
+    def reinsert_removed(self):
+        key, value = self.removed.pop()
+        self.store[key] = value
+        self.tree.update(key, value)
+
+    @rule()
+    def clear(self):
+        self.store.clear()
+        self.tree.clear()
+
+    @invariant()
+    def equals_rebuild(self):
+        assert self.tree == DigestTree.from_store(self.store)
+        assert len(self.tree) == len(self.store)
+
+    @invariant()
+    def leaf_summaries_are_brute_force_groupings(self):
+        rebuilt = DigestTree.from_store(self.store)
+        grouped = {}
+        for key in self.store:
+            grouped.setdefault(stable_digest(key) >> 48, set()).add(key)
+        assert set(self.tree._leaf_members) == set(grouped)
+        for bucket, keys in grouped.items():
+            summary = self.tree.leaf_summary(bucket)
+            assert list(summary) == sorted(keys, key=repr)
+            assert summary == rebuilt.leaf_summary(bucket)
+
+    @invariant()
+    def parents_are_xor_of_children(self):
+        for level in range(LEAF_LEVEL):
+            for bucket, digest in self.tree._levels[level].items():
+                folded = 0
+                for child in self.tree.child_digests(level, bucket).values():
+                    folded ^= child
+                assert folded == digest, (level, bucket)
+
+
+DigestTreeMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None)
+TestDigestTreeMachine = DigestTreeMachine.TestCase
 
 
 class TestAntiEntropyLifecycle:

@@ -33,6 +33,22 @@ class TestStableDigest:
         # bool would collide with int without its tag.
         assert stable_key_bytes(True) != stable_key_bytes(1)
 
+    def test_key_encodings_locked(self):
+        """The canonical bytes behind every digest: four lookalikes encode
+        four ways, and a ``str`` subclass encodes exactly as its ``str``
+        (the ``type(key) is str`` fast path must not change that)."""
+
+        class Name(str):
+            pass
+
+        assert stable_key_bytes(True) == b"t"
+        assert stable_key_bytes(1) == b"i1"
+        assert stable_key_bytes(1.0) == b"d1.0"
+        assert stable_key_bytes("1") == b"s1"
+        assert stable_key_bytes(Name("key-1")) == b"skey-1"
+        assert stable_key_bytes("key-1") == b"skey-1"
+        assert stable_digest(Name("key-1")) == stable_digest("key-1")
+
     def test_memo_survives_50k_key_churn(self):
         """LRU eviction keeps the memo warm at 50k-key working sets.
 
