@@ -2,27 +2,24 @@
 
 The E2 ablation argues coordination cost in messages and bytes; this bench
 makes the bytes argument *temporal*.  With the per-link transmission model
-on, a full-store snapshot gossip round serializes for ``store/bandwidth``
-ticks and queues every later envelope on the link behind it, while delta
-gossip ships only the dirty keys — so the O(Δ) byte win of PR 2 becomes a
-delivery-latency win the moment bandwidth is finite.
+on, an envelope serializes for ``bytes/bandwidth`` ticks and queues every
+later one on the link behind it; delta gossip ships only the changed keys,
+so its windows stay small enough that a finite pipe barely delays them.
 
 The workload: one fully-replicated shard pre-loaded with ``STORE_KEYS``
 keys, then a steady put trickle while gossip runs for several intervals.
 Measured at three bandwidth tiers (unconstrained = model off, mid,
-constrained), in both gossip modes, reporting the p50/p99 of per-message
-delivery latency (``net.delivery``, stamped by the network on every
-delivered message) to ``benchmarks/out/BENCH_network.json`` for the CI
-artifact trail.
+constrained), reporting the p50/p99 of per-message delivery latency
+(``net.delivery``, stamped by the network on every delivered message) to
+``benchmarks/out/BENCH_network.json`` for the CI artifact trail.
 
-Asserted floors:
+Asserted floor: at the **constrained** tier (512 B/tick) the p99 delivery
+latency is at most half a tick above the unconstrained tier's — the write
+stream's bytes fit the pipe (deterministic at seed 11: 1.234 vs 1.0).
 
-* at the **constrained** tier, delta gossip's p99 delivery latency beats
-  snapshot gossip's by >= 2x (it is orders of magnitude in practice: the
-  snapshot link never drains its backlog);
-* at the **unconstrained** tier the two modes are within noise of each
-  other — the model off is the pre-model network, so the win is from
-  pricing bytes, not from the delta protocol being magically faster.
+Full-store snapshot gossip, the baseline this bench once measured against,
+is frozen in the repo-root ``BENCH_network.json``: its constrained-tier p99
+was 155.6 ticks, 126.1x delta's, because its link never drained its backlog.
 """
 
 from conftest import emit_bench, print_rows
@@ -34,25 +31,26 @@ from repro.storage import LatticeKVS
 
 #: Bandwidth tiers in bytes/tick (None = model off; the pre-model network).
 TIERS = (("unconstrained", None), ("mid", 4096.0), ("constrained", 512.0))
-#: Keys pre-loaded into the shard — what a snapshot round has to ship.
+#: Keys pre-loaded into the shard before the measurement window.
 STORE_KEYS = 250
 #: Puts trickled during the measurement window.
 MEASURED_PUTS = 40
 #: Gossip cadence and the number of intervals measured.
 GOSSIP_INTERVAL = 20.0
 MEASURED_INTERVALS = 15
+#: Ticks the constrained tier's p99 may sit above the unconstrained tier's.
+CONSTRAINED_P99_SLACK = 0.5
 
 RESULTS: dict = {"tiers": []}
 
 
-def run_tier(gossip_mode: str, bandwidth) -> dict:
+def run_tier(bandwidth) -> dict:
     sim = Simulator(seed=11)
-    # Seed phase runs with the model off so both modes start from an
-    # identical converged store, whatever the tier under test.
+    # Seed phase runs with the model off so every tier starts from an
+    # identical converged store.
     net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
     kvs = LatticeKVS(sim, net, shard_count=1, replication_factor=3,
-                     gossip_interval=GOSSIP_INTERVAL,
-                     gossip_mode=gossip_mode, full_sync_every=50)
+                     gossip_interval=GOSSIP_INTERVAL, full_sync_every=50)
     for index in range(STORE_KEYS):
         kvs.put(f"key-{index}", SetUnion({f"seed-{index}"}))
     kvs.settle(200.0)
@@ -86,41 +84,28 @@ def run_tier(gossip_mode: str, bandwidth) -> dict:
     }
 
 
-def test_delta_gossip_wins_delivery_latency_under_constrained_bandwidth():
+def test_constrained_bandwidth_barely_delays_delta_gossip():
     p99 = {}
     for tier_name, bandwidth in TIERS:
-        for mode in ("snapshot", "delta"):
-            measured = run_tier(mode, bandwidth)
-            measured.update({"tier": tier_name, "bandwidth": bandwidth,
-                             "mode": mode})
-            RESULTS["tiers"].append(measured)
-            p99[(tier_name, mode)] = measured["p99"]
+        measured = run_tier(bandwidth)
+        measured.update({"tier": tier_name, "bandwidth": bandwidth})
+        RESULTS["tiers"].append(measured)
+        p99[tier_name] = measured["p99"]
 
-    # The acceptance floor: constrained bandwidth turns the O(Δ) byte win
-    # into a p99 delivery-latency win.
-    ratio = p99[("constrained", "snapshot")] / p99[("constrained", "delta")]
-    assert ratio >= 2.0, (
-        f"delta p99 {p99[('constrained', 'delta')]} vs snapshot p99 "
-        f"{p99[('constrained', 'snapshot')]} — only {ratio:.2f}x at the "
-        f"constrained tier")
+    gap = round(p99["constrained"] - p99["unconstrained"], 3)
+    assert gap <= CONSTRAINED_P99_SLACK, (
+        f"constrained p99 {p99['constrained']} vs unconstrained p99 "
+        f"{p99['unconstrained']} — {gap} ticks above, slack "
+        f"{CONSTRAINED_P99_SLACK}")
 
-    # Control: with the model off the protocols' delivery latency is the
-    # same network (bytes are free), so any delta advantage there would
-    # mean the comparison is rigged.
-    unconstrained_gap = abs(p99[("unconstrained", "snapshot")]
-                            - p99[("unconstrained", "delta")])
-    assert unconstrained_gap <= 0.5, (
-        f"model-off p99s diverge by {unconstrained_gap}: the tier "
-        f"comparison is not isolating bandwidth")
-
-    RESULTS["p99_snapshot_over_delta_constrained"] = round(ratio, 2)
+    RESULTS["p99_constrained_minus_unconstrained"] = gap
     emit_bench("network", RESULTS)
 
     print_rows(
-        "E15: delivery latency, delta vs snapshot gossip x bandwidth tier",
-        ["tier", "bandwidth B/tick", "mode", "p50", "p99", "bytes"],
-        [[row["tier"], row["bandwidth"] or "inf", row["mode"], row["p50"],
-          row["p99"], f"{row['bytes_sent']:,}"]
+        "E15: delta gossip delivery latency x bandwidth tier",
+        ["tier", "bandwidth B/tick", "p50", "p99", "bytes"],
+        [[row["tier"], row["bandwidth"] or "inf", row["p50"], row["p99"],
+          f"{row['bytes_sent']:,}"]
          for row in RESULTS["tiers"]],
     )
 
@@ -145,7 +130,7 @@ def run_geo_placement(policy) -> dict:
     # identical converged store (placement does not change convergence).
     net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
     kvs = LatticeKVS(sim, net, shard_count=3, replication_factor=2,
-                     gossip_interval=GOSSIP_INTERVAL, gossip_mode="delta",
+                     gossip_interval=GOSSIP_INTERVAL,
                      full_sync_every=50, placement=policy)
     for index in range(STORE_KEYS):
         kvs.put(f"key-{index}", SetUnion({f"seed-{index}"}))

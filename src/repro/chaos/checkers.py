@@ -359,7 +359,7 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
     """
     result = CheckResult("gossip-byte-budget")
     kvs = env.kvs
-    if kvs is None or kvs.gossip_mode != "delta":
+    if kvs is None:
         return result
     metrics = env.network.metrics
     fresh = metrics.counter("kvs.gossip.fresh_entries")

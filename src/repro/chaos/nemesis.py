@@ -547,11 +547,10 @@ class Congestion(Fault):
 
     The transmission-model sibling of :class:`LatencySpike`: instead of
     stretching propagation delay, it divides the configured link bandwidth,
-    so large envelopes (full-store gossip syncs, fan-out bursts) serialize
+    so large envelopes (digest-repair parcels, fan-out bursts) serialize
     slowly and queue behind each other while small control traffic barely
-    notices — exactly the failure mode that distinguishes delta gossip from
-    snapshot gossip.  RNG-free and refold-from-active like the other
-    spikes: overlapping congestions compose multiplicatively and restore
+    notices.  RNG-free and refold-from-active like the other spikes:
+    overlapping congestions compose multiplicatively and restore
     independently, and :class:`SlowNode` factors compose multiplicatively
     on top (a slow node's links serialize slower still).  On a config with
     the bandwidth model off it is a logged no-op.

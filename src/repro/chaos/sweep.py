@@ -153,9 +153,6 @@ class SweepReport:
     """The aggregate outcome of one multi-seed sweep."""
 
     schedule: list[Fault]
-    #: Live per-seed results; populated by serial sweeps only (worker
-    #: processes cannot ship a simulated cluster back — see SeedOutcome).
-    results: list[ScenarioResult] = field(default_factory=list)
     failures: list[SeedFailure] = field(default_factory=list)
     #: Per-seed verdicts, identical in serial and parallel runs; the
     #: summary and artifacts are derived exclusively from these.
@@ -258,11 +255,11 @@ def repro_snippet(seed: int, schedule: Sequence[Fault],
 
 def _run_seed(seed: int, schedule: tuple, config: Optional[ChaosConfig],
               workloads: tuple, shrink_failures: bool,
-              checker: Optional[str]) -> tuple[SeedOutcome, ScenarioResult]:
+              checker: Optional[str]) -> SeedOutcome:
     """Run one seed end to end: scenario, shrink on failure, diagnosis score.
 
-    The single per-seed code path both sweep modes share — serial callers
-    keep the live :class:`ScenarioResult`, workers ship only the outcome.
+    The single per-seed code path both sweep modes share; only the
+    picklable outcome leaves it, never the live environment.
     """
     result = run_scenario(seed, schedule, config=config, workloads=workloads,
                           checker=checker)
@@ -290,7 +287,7 @@ def _run_seed(seed: int, schedule: tuple, config: Optional[ChaosConfig],
             "truth": [list(map(str, s)) for s in score["truth"]],
             "misses": [list(map(str, s)) for s in score["misses"]],
         }
-    outcome = SeedOutcome(
+    return SeedOutcome(
         seed=seed,
         passed=result.passed,
         failures=list(result.failures),
@@ -301,12 +298,6 @@ def _run_seed(seed: int, schedule: tuple, config: Optional[ChaosConfig],
         diagnosis_render=diagnosis_render,
         score=score_entry,
     )
-    return outcome, result
-
-
-def _run_seed_task(task: tuple) -> SeedOutcome:
-    """Pool worker entry point: run a seed, return only the picklable part."""
-    return _run_seed(*task)[0]
 
 
 def sweep(seeds: Sequence[int], schedule: Sequence[Fault],
@@ -320,8 +311,7 @@ def sweep(seeds: Sequence[int], schedule: Sequence[Fault],
     ``jobs > 1`` fans seeds out to that many worker processes.  Each seed
     is already a sealed deterministic universe (its own simulator, its own
     RNG), so parallel outcomes — verdicts, shrunk schedules, diagnosis
-    scores — are byte-identical to a serial run; only ``report.results``
-    (the live environments) is serial-only.
+    scores — are byte-identical to a serial run.
     """
     report = SweepReport(schedule=list(schedule))
     tasks = [(seed, tuple(schedule), config, tuple(workloads),
@@ -342,12 +332,9 @@ def sweep(seeds: Sequence[int], schedule: Sequence[Fault],
             # seed shrinks by re-running the scenario a dozen times), so
             # fine-grained dealing beats pre-chunking.  map preserves
             # input order, which is all aggregation relies on.
-            report.outcomes = pool.map(_run_seed_task, tasks, chunksize=1)
+            report.outcomes = pool.starmap(_run_seed, tasks, chunksize=1)
     else:
-        for task in tasks:
-            outcome, result = _run_seed(*task)
-            report.outcomes.append(outcome)
-            report.results.append(result)
+        report.outcomes = [_run_seed(*task) for task in tasks]
     for outcome in report.outcomes:
         if outcome.passed:
             continue

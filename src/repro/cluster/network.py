@@ -51,8 +51,8 @@ def wire_size(entry_count: int) -> int:
 
     The simulator does not serialize payloads, so bandwidth accounting has
     to be declared by senders.  Sizing by entry count (instead of a flat
-    constant) is what lets ``Network.bytes_sent`` distinguish a delta gossip
-    of 3 changed keys from a full-store snapshot of 5000.
+    constant) is what lets ``Network.bytes_sent`` distinguish a gossip
+    window of 3 changed keys from a digest repair of 5000.
     """
     return WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * entry_count
 

@@ -52,8 +52,7 @@ State loss and silent divergence are the digest tree's job
 a peer — and at once after a state-losing recovery — a replica exchanges the
 root digest (O(1) when identical), recurses only into mismatching key ranges
 via the RPC runtime, and ships only the keys that differ, as a one-shot
-unstamped parcel.  A whole store is shipped only in ``gossip_mode="snapshot"``,
-the reference the equivalence tests and bench baselines compare against.
+unstamped parcel.  No path ships a whole store.
 
 All traffic flows through the node's :class:`~repro.cluster.transport.Transport`:
 puts and gets are transport RPCs (timeouts, capped retries, duplicate
@@ -126,14 +125,10 @@ class ShardNode(Node):
     def __init__(self, node_id, simulator, network, domain="default",
                  peers: list[Hashable] | None = None,
                  gossip_interval: Optional[float] = None,
-                 gossip_mode: str = "delta",
                  full_sync_every: int = 10) -> None:
         super().__init__(node_id, simulator, network, domain)
-        if gossip_mode not in ("delta", "snapshot"):
-            raise ValueError(f"gossip_mode must be 'delta' or 'snapshot', got {gossip_mode!r}")
         self.store: dict[Hashable, Lattice] = {}
         self.gossip_interval = gossip_interval
-        self.gossip_mode = gossip_mode
         self.full_sync_every = max(1, full_sync_every)
         # Routing-table hook, set by LatticeKVS: key -> current owner
         # replica ids.  After a reshard, traffic that still arrives here
@@ -152,9 +147,8 @@ class ShardNode(Node):
         self._seq = 0
         self._sync: dict[Hashable, _PeerSync] = {}
         self._push_bound = False
-        # Anti-entropy state: the incremental digest tree over the store
-        # (maintained in every gossip mode so mode flips never start from a
-        # stale tree) and at most one in-flight reconciliation per peer.
+        # Anti-entropy state: the incremental digest tree over the store and
+        # at most one in-flight reconciliation per peer.
         self._tree = DigestTree()
         self._ae_sessions: dict[Hashable, AntiEntropySession] = {}
         self.peers: list[Hashable] = []
@@ -233,7 +227,7 @@ class ShardNode(Node):
 
     def _stamp(self, key: Hashable) -> None:
         """Log ``key``'s change and bind one push to the current event."""
-        if not self._sync or self.gossip_mode == "snapshot":
+        if not self._sync:
             return
         self._seq += 1
         log = self._log
@@ -328,9 +322,9 @@ class ShardNode(Node):
     #                {"entries": {key: lattice}}            a one-shot parcel
     #   "gossip_ack" {"seen": int, "until": int | None}
     # A window is priced by its entries; ``since``/``seq`` and an ack's
-    # ``seen``/``until`` ride the message header.  One-shot parcels (digest
-    # repair, snapshot mode) carry no stamps and earn no ack: if one is lost
-    # the next exchange, or round, finds the same divergence.
+    # ``seen``/``until`` ride the message header.  A one-shot parcel (digest
+    # repair) carries no stamps and earns no ack: if one is lost the next
+    # exchange finds the same divergence.
 
     def _push(self) -> None:
         """The first shipment: what the event that just returned stamped."""
@@ -379,17 +373,14 @@ class ShardNode(Node):
         if not self.alive:
             return
         for peer, sync in self._sync.items():
-            if self.gossip_mode == "snapshot":
-                self._ship_store(peer)
-            else:
-                self._tick_peer(peer, sync)
+            self._tick_peer(peer, sync)
             # The cadence flush: a tick called outside an event (tests do)
             # still ships before it returns.
             self.transport.flush(peer)
         self._arm_gossip()
 
     def _tick_peer(self, peer: Hashable, sync: _PeerSync) -> None:
-        """One delta-mode tick toward ``peer``; idle, it sends nothing."""
+        """One gossip tick toward ``peer``; idle, it sends nothing."""
         sync.ticks += 1
         if sync.ticks % self.full_sync_every == 0:
             # O(1) probe when converged, O(divergence) repair when not.
@@ -407,16 +398,6 @@ class ShardNode(Node):
                 since, sync.overdue = sync.confirmed, 0
         if since < self._seq:
             self._ship_window(peer, sync, since)
-
-    def _ship_store(self, peer: Hashable) -> None:
-        """Snapshot mode's round: the whole store, every time."""
-        if self.store:  # an empty full sync ships (and counts) nothing
-            metrics = self.network.metrics
-            metrics.increment("kvs.gossip.full_rounds")
-            metrics.increment("kvs.gossip.full_entries", len(self.store))
-            self._owned.clear()
-            self.queue(peer, "gossip", {"entries": dict(self.store)},
-                       entries=len(self.store))
 
     def _on_gossip(self, message: Message) -> None:
         payload = message.payload
@@ -653,7 +634,7 @@ class ShardNode(Node):
             # tick can start fresh instead of waiting on a ghost.
             self._ae_sessions.clear()
             self._arm_gossip()
-        if lose_state and self.peers and self.gossip_mode == "delta":
+        if lose_state and self.peers:
             self._start_anti_entropy(self.peers[0])
 
     def reset_state(self) -> None:
@@ -705,7 +686,6 @@ class LatticeKVS:
                  gossip_interval: Optional[float] = 25.0,
                  metrics: MetricsRegistry | None = None,
                  vnodes: int = 64,
-                 gossip_mode: str = "delta",
                  full_sync_every: int = 10,
                  placement=None) -> None:
         if shard_count < 1 or replication_factor < 1:
@@ -720,7 +700,6 @@ class LatticeKVS:
         #: consulted for shards a live reshard creates.
         self.placement = placement
         self.gossip_interval = gossip_interval
-        self.gossip_mode = gossip_mode
         self.full_sync_every = full_sync_every
         self.metrics = metrics or MetricsRegistry()
         self.ring = HashRing(vnodes=vnodes)
@@ -750,7 +729,6 @@ class LatticeKVS:
                 ShardNode(node_id, self.simulator, self.network,
                           domain=domain,
                           gossip_interval=self.gossip_interval,
-                          gossip_mode=self.gossip_mode,
                           full_sync_every=self.full_sync_every)
             )
         replica_ids = [replica.node_id for replica in replicas]

@@ -404,6 +404,17 @@ class TestGossipByteBudgetChecker:
         assert any("O(\u0394) violated" in f or "violated" in f
                    for f in result.failures)
 
+    def test_flags_repair_beyond_divergence(self):
+        """Every replica is held to the budget: repair that ships a whole
+        converged store (a full-store round) is flagged, not exempted."""
+        env = env_with(seed=2)
+        env.kvs.put("k", SetUnion({1}))
+        env.kvs.settle(100.0)
+        env.network.metrics.increment("kvs.antientropy.repair_entries",
+                                      10_000)
+        result = check_gossip_byte_budget(env)
+        assert any("O(divergence) violated" in f for f in result.failures)
+
     def test_flags_stale_undrained_backlog(self):
         env = env_with()
         replica, peer = env.kvs.shards[0][:2]
@@ -419,9 +430,3 @@ class TestGossipByteBudgetChecker:
         result = check_gossip_byte_budget(env)
         assert any("never drained" in f and peer.node_id in f
                    for f in result.failures)
-
-    def test_snapshot_mode_is_exempt(self):
-        env = env_with(seed=2)
-        env.kvs.gossip_mode = "snapshot"
-        env.network.metrics.increment("kvs.gossip.fresh_entries", 10_000)
-        assert check_gossip_byte_budget(env).ok

@@ -56,13 +56,14 @@ class TestStandardSweep:
     def test_25_seed_sweep_passes_all_four_checkers(self):
         report = sweep(range(25), standard_schedule(), config=fast_config())
         assert report.passed, report.summary()
-        # Every scenario ran every checker family the issue names.
-        for result in report.results:
+        # A report holds verdicts only; the live runs are re-created here.
+        for seed in range(25):
+            result = run_scenario(seed, standard_schedule(), config=fast_config())
+            # Every scenario ran every checker family.
             names = {check.name for check in result.checks}
             assert {"convergence", "session-guarantees", "causal-safety",
                     "paxos-safety", "calm-coordination-free"} <= names
-        # And the workloads actually exercised the cluster under fire.
-        for result in report.results:
+            # And the workloads actually exercised the cluster under fire.
             assert len(result.history.completed()) > 20
             assert result.env.network.messages_dropped > 0
 

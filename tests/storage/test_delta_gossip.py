@@ -1,10 +1,10 @@
-"""Delta-state gossip: equivalence with snapshot gossip, and the protocol.
+"""Delta-state gossip: the fixpoint it reaches, and the protocol.
 
-The delta protocol must be an *optimization only*: replicas reach exactly
-the fixpoint snapshot gossip reaches — under concurrent conflicting writes,
-across a live reshard, under heavy message loss (gap fills and go-backs),
-and after a state-losing recovery (digest-tree anti-entropy) — while a write
-crosses each replica link once and an idle round ships nothing.
+Replicas must reach exactly the per-key lattice join of every value written
+— under concurrent conflicting writes, across a live reshard, under heavy
+message loss (gap fills and go-backs), and after a state-losing recovery
+(digest-tree anti-entropy) — while a write crosses each replica link once
+and an idle round ships nothing.
 """
 
 import sys
@@ -26,18 +26,18 @@ from repro.storage.antientropy import DigestTree
 from repro.storage.kvs import RETRANSMIT_AFTER_ROUNDS, ShardNode
 
 
-def build_kvs(mode, shards=2, replication=3, seed=7, drop_rate=0.0,
+def build_kvs(shards=2, replication=3, seed=7, drop_rate=0.0,
               full_sync_every=10):
     sim = Simulator(seed=seed)
     net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5, drop_rate=drop_rate))
     kvs = LatticeKVS(sim, net, shard_count=shards, replication_factor=replication,
-                     gossip_interval=20.0, gossip_mode=mode,
-                     full_sync_every=full_sync_every)
+                     gossip_interval=20.0, full_sync_every=full_sync_every)
     return sim, net, kvs
 
 
-def conflicting_workload(kvs, keys=12, writers=3):
-    """Concurrent conflicting writes applied directly at different replicas."""
+def conflicting_workload(kvs, written, keys=12, writers=3):
+    """Concurrent conflicting writes applied directly at different replicas;
+    each is also folded into ``written``, the oracle."""
     for index in range(keys * writers):
         for key, value in (
             (f"cart-{index % keys}", SetUnion({f"item-{index}"})),
@@ -46,12 +46,21 @@ def conflicting_workload(kvs, keys=12, writers=3):
         ):
             replicas = kvs.replicas_for(key)
             replicas[index % len(replicas)].merge_local(key, value)
+            fold(written, key, value)
 
 
-def merged_view(kvs, keys=12):
-    return {key: kvs.get_merged(key)
-            for i in range(keys)
-            for key in (f"cart-{i}", f"count-{i}")}
+def fold(written, key, value):
+    """The spec: a key's value is the lattice join of every value written."""
+    written[key] = written[key].merge(value) if key in written else value
+
+
+def put(kvs, written, key, value):
+    kvs.put(key, value)
+    fold(written, key, value)
+
+
+def merged_view(kvs, keys):
+    return {key: kvs.get_merged(key) for key in keys}
 
 
 def assert_replicas_converged(kvs):
@@ -63,39 +72,32 @@ def assert_replicas_converged(kvs):
             )
 
 
-class TestDeltaSnapshotEquivalence:
-    def test_same_fixpoint_as_snapshot_gossip(self):
-        views = {}
-        for mode in ("delta", "snapshot"):
-            sim, net, kvs = build_kvs(mode)
-            conflicting_workload(kvs)
-            kvs.settle(600.0)
-            assert_replicas_converged(kvs)
-            views[mode] = merged_view(kvs)
-        assert views["delta"] == views["snapshot"]
+class TestDeltaFixpoint:
+    def test_fixpoint_is_the_join_of_every_write(self):
+        sim, net, kvs = build_kvs()
+        written = {}
+        conflicting_workload(kvs, written)
+        kvs.settle(600.0)
+        assert_replicas_converged(kvs)
+        assert merged_view(kvs, written) == written
 
-    def test_same_fixpoint_across_live_reshard(self):
-        views = {}
-        for mode in ("delta", "snapshot"):
-            sim, net, kvs = build_kvs(mode, shards=3, replication=2)
-            for i in range(120):
-                kvs.put(f"key-{i}", SetUnion({i}))
-            conflicting_workload(kvs)
-            # Reshard while puts and their gossip windows are in flight.
-            kvs.reshard(5)
-            for i in range(120, 150):
-                kvs.put(f"key-{i}", SetUnion({i}))
-            kvs.settle(800.0)
-            assert_replicas_converged(kvs)
-            views[mode] = {
-                **merged_view(kvs),
-                **{f"key-{i}": kvs.get_merged(f"key-{i}") for i in range(150)},
-            }
-        assert views["delta"] == views["snapshot"]
-        assert all(value is not None for value in views["delta"].values())
+    def test_fixpoint_is_the_join_across_live_reshard(self):
+        sim, net, kvs = build_kvs(shards=3, replication=2)
+        written = {}
+        for i in range(120):
+            put(kvs, written, f"key-{i}", SetUnion({i}))
+        conflicting_workload(kvs, written)
+        # Reshard while puts and their gossip windows are in flight.
+        kvs.reshard(5)
+        for i in range(120, 150):
+            put(kvs, written, f"key-{i}", SetUnion({i}))
+        kvs.settle(800.0)
+        assert_replicas_converged(kvs)
+        assert len(written) == 150 + 24
+        assert merged_view(kvs, written) == written
 
     def test_no_resurrection_after_reshard_with_dirty_deltas_in_flight(self):
-        sim, net, kvs = build_kvs("delta", shards=2, replication=2)
+        sim, net, kvs = build_kvs(shards=2, replication=2)
         for i in range(60):
             kvs.put(f"key-{i}", SetUnion({i}))
         # Stamped keys are now pending; fire the gossip tick explicitly so
@@ -120,7 +122,7 @@ class TestDeltaGossipRobustness:
         """With half of all messages dropped, gaps are filled and unconfirmed
         windows shipped again (and anti-entropy backstops them) until every
         replica converges."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=3, seed=23,
+        sim, net, kvs = build_kvs(shards=1, replication=3, seed=23,
                                   drop_rate=0.5)
         replicas = kvs.shards[0]
         for index in range(30):
@@ -134,9 +136,8 @@ class TestDeltaGossipRobustness:
     def test_anti_entropy_heals_state_losing_recovery(self):
         """A replica that recovers with lost state is repopulated by
         digest-tree anti-entropy, not by windows (its peers' logs are empty
-        once converged) — and never by a full-store round, which only
-        snapshot mode ships."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        once converged)."""
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=5)
         replica_a, replica_b = kvs.shards[0]
         for index in range(40):
@@ -149,14 +150,13 @@ class TestDeltaGossipRobustness:
         kvs.settle(400.0)
         assert len(replica_b.store) == 40
         assert_replicas_converged(kvs)
-        assert net.metrics.counter("kvs.gossip.full_rounds") == 0
         assert net.metrics.counter("kvs.antientropy.repair_entries") >= 40
 
     def test_recovered_replica_resumes_gossiping(self):
         """Crash cancels the gossip timer; recover must re-arm it, or a
         write a recovered replica ships into a cut can never reach its peers
         (the tick is the loss backstop)."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=10 ** 6)
         replica_a, replica_b = kvs.shards[0]
         replica_b.crash()
@@ -172,7 +172,7 @@ class TestDeltaGossipRobustness:
         """A window whose ack is lost is shipped again only once the grace
         has run out, and one ack that does land quiesces the peer: the
         watermarks meet, the log drains and further ticks ship nothing."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=1000)
         replica_a, replica_b = kvs.shards[0]
         sync = replica_a._sync[replica_b.node_id]
@@ -203,7 +203,7 @@ class TestDeltaGossipRobustness:
         sim = Simulator(seed=19)
         net = Network(sim, NetworkConfig(base_delay=15.0, jitter=1.0))  # RTT ~30
         kvs = LatticeKVS(sim, net, shard_count=1, replication_factor=2,
-                         gossip_interval=25.0, gossip_mode="delta",
+                         gossip_interval=25.0,
                          full_sync_every=10 ** 6)
         for index in range(200):
             kvs.put(f"k-{index}", SetUnion({index}))
@@ -223,7 +223,7 @@ class TestDeltaGossipRobustness:
         sim = Simulator(seed=37)
         net = Network(sim, NetworkConfig(base_delay=60.0, jitter=2.0))  # RTT ~120
         kvs = LatticeKVS(sim, net, shard_count=1, replication_factor=2,
-                         gossip_interval=25.0, gossip_mode="delta",
+                         gossip_interval=25.0,
                          full_sync_every=10 ** 6)
         for index in range(100):
             kvs.put(f"k-{index}", SetUnion({index}))
@@ -241,7 +241,7 @@ class TestDeltaGossipRobustness:
         """A dead peer must not grow the sender's bookkeeping without bound:
         per peer it is the same few integers whatever is in flight, and the
         log holds one stamp per distinct key changed, however often."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=10 ** 6)
         replica_a, replica_b = kvs.shards[0]
         sync = replica_a._sync[replica_b.node_id]
@@ -264,7 +264,7 @@ class TestDeltaGossipRobustness:
         sim = Simulator(seed=29)
         net = Network(sim, NetworkConfig(base_delay=15.0, jitter=1.0))  # RTT ~30
         kvs = LatticeKVS(sim, net, shard_count=1, replication_factor=2,
-                         gossip_interval=25.0, gossip_mode="delta",
+                         gossip_interval=25.0,
                          full_sync_every=10 ** 6)
         for index in range(500):
             kvs.put(f"k-{index}", SetUnion({index}))
@@ -275,16 +275,15 @@ class TestDeltaGossipRobustness:
             kvs.put(f"fresh-{index}", SetUnion({index}))
             kvs.settle(25.0)
         churn = net.bytes_sent - before
-        # O(delta): each write costs one one-entry window and its ack.  A
-        # single full-store snapshot round would already exceed this; 20
-        # rounds of snapshots would be ~40x it.
+        # O(delta): each write costs one one-entry window and its ack, far
+        # below what shipping the 500-key store even once would cost.
         assert churn < wire_size(500), f"{churn} bytes for 20 single-key writes"
         assert_replicas_converged(kvs)
 
     def test_gossip_quiesces_to_deltas_after_convergence(self):
         """Once converged, a tick ships nothing; only the periodic
         anti-entropy round still exchanges (O(1)) digests."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=1000)
         replica_a, replica_b = kvs.shards[0]
         for index in range(50):
@@ -311,7 +310,7 @@ class TestRecoverDuringPartition:
     def test_lose_state_recovery_during_unhealed_partition_heals_after(self):
         from repro.cluster import FailureInjector
 
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=5)
         replica_a, replica_b = kvs.shards[0]
         injector = FailureInjector(
@@ -343,7 +342,7 @@ class TestRecoverDuringPartition:
     def test_lose_state_recovery_keeps_gossiping_new_writes(self):
         """The recovered replica's log carries on from its old numbering, so
         post-recovery writes are accepted by peers that remember it."""
-        sim, net, kvs = build_kvs("delta", shards=1, replication=2,
+        sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=1000)
         replica_a, replica_b = kvs.shards[0]
         replica_b.crash()
@@ -354,25 +353,26 @@ class TestRecoverDuringPartition:
 
 
 class TestDeltaGossipBytes:
+    @staticmethod
+    def round_bytes(store_size, writes):
+        sim, net, kvs = build_kvs(shards=1, replication=2, seed=31,
+                                  full_sync_every=10 ** 6)
+        replica_a, replica_b = kvs.shards[0]
+        for index in range(store_size):
+            replica_a.merge_local(f"k-{index}", SetUnion({index}))
+        kvs.settle(600.0)
+        for index in range(writes):
+            replica_a.merge_local(f"k-{index}", SetUnion({f"fresh-{index}"}))
+        before = net.bytes_sent
+        replica_a._gossip_tick()
+        return net.bytes_sent - before
+
     @pytest.mark.parametrize("store_size", [200, 1000])
     def test_round_bytes_scale_with_delta_not_store(self, store_size):
+        """A round ships what a store holding only the written keys ships."""
         writes = 10
-        round_bytes = {}
-        for mode in ("delta", "snapshot"):
-            sim, net, kvs = build_kvs(mode, shards=1, replication=2, seed=31,
-                                      full_sync_every=10 ** 6)
-            replica_a, replica_b = kvs.shards[0]
-            for index in range(store_size):
-                replica_a.merge_local(f"k-{index}", SetUnion({index}))
-            kvs.settle(600.0)
-            for index in range(writes):
-                replica_a.merge_local(f"k-{index}", SetUnion({f"fresh-{index}"}))
-            before = net.bytes_sent
-            replica_a._gossip_tick()
-            round_bytes[mode] = net.bytes_sent - before
-        assert round_bytes["snapshot"] >= wire_size(store_size)
-        assert round_bytes["delta"] <= wire_size(writes)
-        assert round_bytes["delta"] < round_bytes["snapshot"] / 10
+        shipped = self.round_bytes(store_size, writes)
+        assert shipped == self.round_bytes(writes, writes) <= wire_size(writes)
 
 
 # -- the watermark protocol, one shard at a time -------------------------------------------

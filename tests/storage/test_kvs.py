@@ -205,11 +205,15 @@ class TestResharding:
         on the old shard; the old shard forwards them to the new owners."""
         sim, net, kvs = build_kvs(shards=2, replication=2, seed=13)
         self.populate(kvs, 60)
-        # Force full-store payloads so every key is in flight...
+        # Put every key in flight: one unstamped full-store parcel per peer,
+        # the shape of a digest-repair parcel...
         for shard in kvs.shards:
             for replica in shard:
-                replica.gossip_mode = "snapshot"
-                replica._gossip_tick()
+                for peer in replica.peers:
+                    replica.queue(peer, "gossip",
+                                  {"entries": dict(replica.store)},
+                                  entries=len(replica.store))
+                    replica.transport.flush(peer)
         # ...then move keys away and deliver the stale gossip.
         kvs.reshard(6)
         kvs.settle()
