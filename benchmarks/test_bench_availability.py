@@ -79,9 +79,10 @@ def test_log_shipping_failover(benchmark):
         replayed = standby.promote()
         for handler in program.handlers:
             proxy.register_endpoint(handler, ["standby"])
-        request = proxy.invoke("trace", {"pid": 0})
+        replies = []
+        proxy.invoke("trace", {"pid": 0}, on_reply=replies.append)
         simulator.run(until=2000.0)
-        served_after_failover = proxy.responses.get(request, {}).get("status") == "ok"
+        served_after_failover = [reply["status"] for reply in replies] == ["ok"]
         return replayed, served_after_failover, standby.interpreter.view().count("people")
 
     replayed, served, people = benchmark(run)

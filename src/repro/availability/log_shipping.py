@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional
 
+from repro.availability.replication import answer_invoke, run_call
 from repro.cluster.network import Message
 from repro.cluster.node import Node
 from repro.core.interpreter import SingleNodeInterpreter
@@ -41,21 +42,12 @@ class LogShippingPrimary(Node):
         self.on("invoke", self._on_invoke)
 
     def _on_invoke(self, message: Message) -> None:
-        payload = message.payload
-        handler, args = payload["handler"], payload["args"]
+        handler, args = message.payload["handler"], message.payload["args"]
         record = LogRecord(len(self.log), handler, dict(args))
         self.log.append(record)
         for standby in self.standbys:
             self.queue(standby, "log_record", record, entries=1)
-        request = self.interpreter.call(handler, **args)
-        outcome = self.interpreter.run_tick()
-        reply = {
-            "request_id": payload["request_id"],
-            "status": "rejected" if request in outcome.rejected else "ok",
-            "value": outcome.responses.get(request),
-            "replica": self.node_id,
-        }
-        self.send(message.source, "reply", reply, entries=1)
+        answer_invoke(self, message, *run_call(self.interpreter, handler, args))
 
 
 class LogShippingStandby(Node):
@@ -91,8 +83,7 @@ class LogShippingStandby(Node):
         replayed = 0
         for index in sorted(self.records):
             record = self.records[index]
-            self.interpreter.call(record.handler, **record.args)
-            self.interpreter.run_tick()
+            run_call(self.interpreter, record.handler, record.args)
             replayed += 1
         return replayed
 
@@ -100,12 +91,5 @@ class LogShippingStandby(Node):
         if not self.promoted or self.interpreter is None:
             return  # not serving yet; the proxy will retry elsewhere
         payload = message.payload
-        request = self.interpreter.call(payload["handler"], **payload["args"])
-        outcome = self.interpreter.run_tick()
-        reply = {
-            "request_id": payload["request_id"],
-            "status": "rejected" if request in outcome.rejected else "ok",
-            "value": outcome.responses.get(request),
-            "replica": self.node_id,
-        }
-        self.send(message.source, "reply", reply, entries=1)
+        answer_invoke(self, message,
+                      *run_call(self.interpreter, payload["handler"], payload["args"]))

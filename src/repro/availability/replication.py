@@ -132,6 +132,24 @@ def group_fingerprint(node_id: Hashable, peers: Iterable[Hashable]) -> int:
 RESULT_KEY = {"ok": "value", "rejected": "detail"}
 
 
+def run_call(interpreter: SingleNodeInterpreter, handler: str, args: dict,
+             log_effects: bool = True) -> tuple[str, Any]:
+    """Run one invocation as its own tick: ``("ok", value)`` or
+    ``("rejected", detail)``."""
+    request = interpreter.call(handler, **args)
+    outcome = interpreter.run_tick(log_effects)
+    if request in outcome.rejected:
+        return "rejected", outcome.rejected[request]
+    return "ok", outcome.responses.get(request)
+
+
+def answer_invoke(node: Node, message: Message, status: str, result: Any) -> None:
+    """Answer a proxy's ``invoke`` over RPC: ``{"status", RESULT_KEY[status]:
+    result, "replica"}``."""
+    node.reply(message, "reply", {"status": status, RESULT_KEY[status]: result,
+                                  "replica": node.node_id}, entries=1)
+
+
 @dataclass
 class _PeerSync:
     """Gossip stamps kept about one peer; all zero is "fully unsynced"."""
@@ -168,7 +186,6 @@ class ReplicaNode(Node):
         super().__init__(node_id, simulator, network, domain)
         self.program = program
         self.gossip_interval = gossip_interval
-        self.requests_served = 0
         self.peers = [peer for peer in peers if peer != node_id]
         self.members = group_fingerprint(node_id, self.peers)
         self._boot(first_stamp=0)
@@ -209,24 +226,17 @@ class ReplicaNode(Node):
     # -- request handling -----------------------------------------------------------
 
     def apply(self, handler: str, args: dict, log_effects: bool = True) -> tuple[str, Any]:
-        """Run one invocation as its own tick: ``("ok", value)`` or
-        ``("rejected", detail)``."""
-        request = self.interpreter.call(handler, **args)
+        """Run one invocation as its own tick (:func:`run_call`), counting
+        what it logged."""
         before = self.change_log.seq
-        outcome = self.interpreter.run_tick(log_effects)
+        result = run_call(self.interpreter, handler, args, log_effects)
         self.network.metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
-        if request in outcome.rejected:
-            return "rejected", outcome.rejected[request]
-        return "ok", outcome.responses.get(request)
+        return result
 
     def _on_invoke(self, message: Message) -> None:
         """Apply a client operation locally and reply to the proxy."""
         payload = message.payload
-        self.requests_served += 1
-        status, result = self.apply(payload["handler"], payload["args"])
-        reply = {"request_id": payload["request_id"], "status": status,
-                 RESULT_KEY[status]: result, "replica": self.node_id}
-        self.send(message.source, "reply", reply, entries=1)
+        answer_invoke(self, message, *self.apply(payload["handler"], payload["args"]))
 
     def apply_ordered(self, slot: int, handler: str, args: dict):
         """Apply a consensus-log slot, unstamped.  Any slot but the next is

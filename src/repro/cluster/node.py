@@ -77,14 +77,6 @@ class Node:
         return self.transport.send_now(destination, mailbox, payload,
                                        entries=entries)
 
-    def broadcast(self, destinations, mailbox: str, payload: Any,
-                  entries: int = 1) -> None:
-        if not self.alive:
-            return
-        for destination in destinations:
-            self.transport.send_now(destination, mailbox, payload,
-                                    entries=entries)
-
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0) -> None:
         """Queue a typed message; sends to one peer from the same event

@@ -131,7 +131,7 @@ class HydroDeployment:
         if endpoint_plan.coordination.mechanism in (
             CoordinationMechanism.NONE, CoordinationMechanism.SEALING
         ) or not self.consensus:
-            request_id = self.proxy.invoke(
+            self.proxy.invoke(
                 handler, args,
                 on_reply=lambda reply, t=token: self.responses.__setitem__(t, reply),
             )

@@ -9,8 +9,8 @@ from repro.availability import (
     ReplicaNode,
     ReplicaProxy,
 )
-from repro.availability.proxy import _PendingRequest
 from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
+from repro.cluster.transport import _PendingRequest
 
 
 def build_replicated_deployment(replica_count=3, seed=7, gossip_interval=10.0,
@@ -34,9 +34,10 @@ def build_replicated_deployment(replica_count=3, seed=7, gossip_interval=10.0,
 class TestReplicatedExecution:
     def test_request_routed_and_answered(self):
         sim, net, program, replicas, proxy = build_replicated_deployment()
-        request = proxy.invoke("add_person", {"pid": 1, "country": "US"})
+        replies = []
+        proxy.invoke("add_person", {"pid": 1, "country": "US"}, on_reply=replies.append)
         sim.run(until=200.0)
-        assert proxy.responses[request]["status"] == "ok"
+        assert replies == [{"status": "ok", "value": "OK", "replica": "replica-0"}]
         assert proxy.availability() == 1.0
 
     def test_replicas_converge_via_gossip(self):
@@ -54,12 +55,13 @@ class TestReplicatedExecution:
     def test_requests_survive_replica_failure(self):
         sim, net, program, replicas, proxy = build_replicated_deployment()
         replicas["replica-0"].crash()
-        request_ids = [
-            proxy.invoke("add_person", {"pid": pid}) for pid in range(10)
-        ]
+        replies = []
+        for pid in range(10):
+            proxy.invoke("add_person", {"pid": pid}, on_reply=replies.append)
         sim.run(until=1000.0)
-        statuses = [proxy.responses.get(rid, {}).get("status") for rid in request_ids]
-        assert statuses.count("ok") == 10
+        assert [reply["status"] for reply in replies] == ["ok"] * 10
+        assert "replica-0" not in {reply["replica"] for reply in replies}
+        assert proxy.metrics.counter("proxy.retries") == 4     # the four sent to replica-0
         assert proxy.availability() == 1.0
 
     def test_unregistered_endpoint_rejected(self):
@@ -77,11 +79,13 @@ class TestReplicatedExecution:
 class TestProxyBookkeeping:
     def test_replied_requests_leave_nothing_behind(self):
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
-        requests = [proxy.invoke("add_person", {"pid": pid}) for pid in range(12)]
+        replies = []
+        for pid in range(12):
+            proxy.invoke("add_person", {"pid": pid}, on_reply=replies.append)
         sim.run(until=10.0)
-        assert sorted(proxy.responses) == requests
-        assert proxy._pending == {}
-        # Every retry timer was cancelled with its reply: nothing live is queued,
+        assert len(replies) == 12
+        assert proxy.transport.pending_requests == 0
+        # Every timeout was cancelled with its reply: nothing live is queued,
         # and running past the retry timeout fires nothing.
         assert sim.pending_events == sim.cancelled_pending
         sim.tracing = True
@@ -90,19 +94,20 @@ class TestProxyBookkeeping:
         assert proxy.metrics.counter("proxy.retries") == 0
 
     def test_replied_requests_are_freed_by_reference_count(self):
-        """A request's retry timer is ``pending.retry_timer``; a callback or
-        lazy label that held ``pending`` back kept every answered request
-        alive — in the node's timer list, and after that in a cycle only the
-        garbage collector could break."""
+        """A request's timeout is ``pending.timer``; a callback or lazy label
+        that held ``pending`` back kept every answered request alive, in a
+        cycle only the garbage collector could break."""
         import gc
 
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
         gc.collect()
         gc.disable()
         try:
-            requests = [proxy.invoke("add_person", {"pid": pid}) for pid in range(12)]
+            replies = []
+            for pid in range(12):
+                proxy.invoke("add_person", {"pid": pid}, on_reply=replies.append)
             sim.run(until=100.0)                # answered, and past every retry timeout
-            assert sorted(proxy.responses) == requests
+            assert len(replies) == 12
             assert not any(isinstance(obj, _PendingRequest) for obj in gc.get_objects())
         finally:
             gc.enable()
@@ -111,39 +116,48 @@ class TestProxyBookkeeping:
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
         for replica in replicas.values():
             replica.crash()
-        request = proxy.invoke("add_person", {"pid": 1})
+        replies = []
+        proxy.invoke("add_person", {"pid": 1}, on_reply=replies.append)
         sim.run(until=500.0)
-        assert proxy.failed[request] == "max attempts exceeded"
-        assert proxy._pending == {}
+        assert replies == []
+        assert proxy.metrics.counter("proxy.forwarded") == proxy.max_attempts
+        assert proxy.metrics.counter("proxy.failures") == 1
+        assert net.metrics.keyed_counters("transport.rpc_timeouts_to") == {
+            "replica-0": 2, "replica-1": 1, "replica-2": 1}
+        assert proxy.transport.pending_requests == 0
         assert sim.pending_events == sim.cancelled_pending
 
     def test_requests_in_flight_when_the_proxy_crashes_are_failed(self):
-        """``Node.crash`` cancels the retry timers; without a verdict the
-        request would stay pending for good — never answered, never failed."""
+        """``Node.crash`` drops the transport's requests and their timeouts;
+        without a verdict they would be neither answered nor failed."""
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
-        request = proxy.invoke("add_person", {"pid": 1})
+        replies = []
+        for pid in range(3):
+            proxy.invoke("add_person", {"pid": pid}, on_reply=replies.append)
+        sim.run(until=0.1)                      # on the wire, not yet answered
         proxy.crash()
+        assert proxy.metrics.counter("proxy.failures") == 3
         proxy.recover()
+        assert proxy.transport.pending_requests == 0
         sim.run(until=500.0)
-        assert proxy._pending == {}
-        assert proxy.failed == {request: "proxy crashed"}
-        assert proxy.responses == {}  # the late reply finds nothing in flight
-        assert proxy.metrics.counter("proxy.failures") == 1
+        assert replies == []                    # the late replies find nothing in flight
+        assert net.metrics.counter("transport.rpc_duplicate_replies") == 3
+        assert proxy.metrics.counter("proxy.failures") == 3
         assert proxy.availability() == 0.0
 
     def test_late_duplicate_reply_is_ignored(self):
+        """A replica slowed past ``retry_timeout`` is failed over; its late
+        reply is a duplicate to the transport, so the client hears once."""
         sim, net, program, replicas, proxy = build_replicated_deployment(gossip_interval=None)
+        net.degrade(delay_factor=30.0, node="replica-0")   # a round trip takes >= 30 ticks
         replies = []
-        request = proxy.invoke("add_person", {"pid": 1}, on_reply=replies.append)
-        sim.run(until=10.0)
-        first = proxy.responses[request]
-        replicas["replica-2"].send(
-            "proxy", "reply",
-            {"request_id": request, "status": "ok", "value": "late", "replica": "replica-2"},
-            entries=1)
-        sim.run(until=20.0)
-        assert proxy.responses[request] is first
-        assert len(replies) == 1
+        proxy.invoke("add_person", {"pid": 1}, on_reply=replies.append)
+        sim.run(until=200.0)
+        assert [reply["replica"] for reply in replies] == ["replica-1"]
+        assert replicas["replica-0"].interpreter.view().count("people") == 1   # it served, late
+        assert net.metrics.counter("transport.rpc_duplicate_replies") == 1
+        assert net.metrics.keyed_counters("transport.rpc_timeouts_to") == {"replica-0": 1}
+        assert proxy.metrics.counter("proxy.retries") == 1
         assert proxy.metrics.counter("proxy.replies") == 1
 
 
@@ -235,6 +249,20 @@ class TestLogShipping:
         # Redirect traffic to the standby and keep serving.
         for handler in program.handlers:
             proxy.register_endpoint(handler, ["standby"])
-        request = proxy.invoke("trace", {"pid": 0})
+        replies = []
+        proxy.invoke("trace", {"pid": 0}, on_reply=replies.append)
         sim.run(until=600.0)
-        assert proxy.responses[request]["value"] == [1]
+        assert replies == [{"status": "ok", "value": [1], "replica": "standby"}]
+
+    def test_a_rejected_op_answers_the_invariants_detail(self):
+        sim, program, primary, standby, proxy = self.build()
+        replies = []
+        for pid in range(6):
+            proxy.invoke("add_person", {"pid": pid})
+        sim.run(until=100.0)
+        for pid in range(6):                    # one more than the five vaccines
+            proxy.invoke("vaccinate", {"pid": pid}, on_reply=replies.append)
+        sim.run(until=200.0)
+        assert [reply["status"] for reply in replies] == ["ok"] * 5 + ["rejected"]
+        assert "value" not in replies[-1]
+        assert "vaccine_count_non_negative" in replies[-1]["detail"]

@@ -75,7 +75,8 @@ class TestNetworkDelivery:
         for name in ("b", "c"):
             node = Node(name, sim, net)
             node.on("inbox", lambda msg, name=name: got[name].append(msg.payload))
-        a.broadcast(["b", "c"], "inbox", "hi")
+        a.send("b", "inbox", "hi")
+        a.send("c", "inbox", "hi")
         sim.run_until_idle()
         assert got == {"b": ["hi"], "c": ["hi"]}
 
