@@ -6,7 +6,8 @@ X completed before op Y was invoked, X precedes Y — and (b) is legal for
 a sequential specification of the object?  Wing & Gong's algorithm
 searches that order directly: repeatedly pick a *minimal* operation (one
 not real-time-preceded by any other remaining op), apply it to the
-sequential model, and recurse; backtrack when the model rejects.
+sequential model, and recurse; undo the step and try the next candidate
+when the model rejects.
 
 Indeterminate operations are first-class here, exactly as in Jepsen:
 

@@ -75,9 +75,11 @@ class Message:
     message_id: int
     #: Declared wire size; what the transmission model charges the link.
     size_bytes: int = 0
-    #: Out-of-band (queue_wait, serialization, nic_wait) cost the network
-    #: stamps on the message it scheduled; excluded from equality/repr like
-    #: any transport rider.
+    #: Out-of-band (queue_wait, serialization, nic_wait) cost of the primary
+    #: transmission, stamped by the network when it schedules delivery (the
+    #: zero tuple when the send was dropped or unpriced; a fabric-injected
+    #: duplicate's second transmission is not reflected); excluded from
+    #: equality/repr like any transport rider.
     transmission: tuple = field(default=_NO_COST, compare=False, repr=False)
     #: Out-of-band responder state for RPC requests (see
     #: ``transport._InboundRequest``).
@@ -323,12 +325,6 @@ class Network:
         # never walks it: ``_refold`` folds it into a few floats whenever
         # it changes.
         self._degradations: list[Degradation] = []
-        #: (queue_wait, serialization, nic_wait) of the most recent ``send``
-        #: call: the primary transmission's cost when that send was priced
-        #: and scheduled, and the zero tuple when it was dropped or unpriced
-        #: (a fabric-injected duplicate's second transmission is *not*
-        #: reflected — the sender only ledgers what it asked for).
-        self.last_transmission: tuple[float, float, float] = _NO_COST
         #: High-water mark of nic_wait + queue_wait + serialization observed
         #: on any link — the CALM latency bound consumes this instead of
         #: assuming transmission is free.
@@ -596,15 +592,12 @@ class Network:
         drop_rate = self.drop_rate if self._degradations else config.drop_rate
         if ((self._partitions and not self.is_reachable(source, destination))
                 or (drop_rate and simulator.rng.random() < drop_rate)):
-            self.last_transmission = _NO_COST
             self._ledger_drop(message, link, window, in_flight=False)
             return message
 
-        timing = self._schedule_delivery(message, link, window)
-        self.last_transmission = timing
         # The transmission cost rides along on the message so callers
         # holding it can ledger the cost without racing a later send.
-        message.transmission = timing
+        message.transmission = self._schedule_delivery(message, link, window)
         if (
             config.duplicate_rate
             and simulator.rng.random() < config.duplicate_rate

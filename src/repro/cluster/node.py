@@ -49,7 +49,6 @@ class Node:
         self.timer_drift = 1.0
         self._handlers: dict[str, Callable[[Message], None]] = {}
         self._timers: list[Event] = []
-        self._undelivered: list[Message] = []
         self.transport = Transport(network, node_id, owner=self)
         network.register(node_id, self._on_message)
         network.set_domain(node_id, domain)
@@ -124,7 +123,6 @@ class Node:
 
     def _on_message(self, message: Message) -> None:
         if not self.alive:
-            self._undelivered.append(message)
             return
         if message.mailbox == TRANSPORT_MAILBOX:
             self.transport.deliver(message)
@@ -186,7 +184,6 @@ class Node:
         semantics.
         """
         self.alive = True
-        self._undelivered.clear()
         if lose_state:
             self.reset_state()
 

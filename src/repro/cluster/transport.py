@@ -556,17 +556,12 @@ class Transport:
         """Unpack an envelope and dispatch each parcel (called by the node).
 
         The owner's liveness is re-checked between parcels: if an earlier
-        parcel's handler crashed the node, the remaining parcels are stashed
-        as undelivered — exactly what unbatched delivery would have done to
-        the equivalent stand-alone messages.
+        parcel's handler crashed the node, the remaining parcels are lost —
+        exactly what fail-stop delivery would have done to the equivalent
+        stand-alone messages.
         """
-        parcels = message.payload.parcels
-        for index, parcel in enumerate(parcels):
+        for parcel in message.payload.parcels:
             if self.owner is not None and not self.owner.alive:
-                undelivered = getattr(self.owner, "_undelivered", None)
-                if undelivered is not None:
-                    undelivered.extend(self._logical_message(message, rest)
-                                       for rest in parcels[index:])
                 return
             if parcel.rpc_kind == "reply":
                 self._deliver_reply(message, parcel)

@@ -12,10 +12,11 @@ The compiler has three stages, mirroring the paper's pipeline:
 3. **Deployment planning** (:mod:`repro.compiler.plan` and
    :mod:`repro.compiler.deployment`) — combine the monotonicity/CALM report,
    the consistency and availability facets, and the target-facet optimizer
-   into a :class:`~repro.compiler.plan.DeploymentPlan`, then instantiate it
-   on the simulated cluster as a :class:`~repro.compiler.deployment.HydroDeployment`
+   (the cheapest machine configuration per handler) into a
+   :class:`~repro.compiler.plan.DeploymentPlan`, then instantiate it on the
+   simulated cluster as a :class:`~repro.compiler.deployment.HydroDeployment`
    (replica nodes, client proxy, and a consensus log for the endpoints that
-   need coordination), with backtracking when a plan turns out infeasible.
+   need coordination).
 
 :class:`~repro.compiler.hydrolysis.Hydrolysis` is the facade tying the
 stages together.

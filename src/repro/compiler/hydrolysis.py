@@ -1,14 +1,14 @@
-"""The Hydrolysis facade: analyze, plan, size, deploy — with backtracking.
+"""The Hydrolysis facade: analyze, plan, size, deploy.
 
 ``compile`` runs the full pipeline over a program:
 
 1. monotonicity / CALM analysis (program semantics + consistency facets);
 2. coordination decisions per endpoint;
 3. replica placement against the availability facet and a cluster topology;
-4. machine sizing against the target facet via the deployment optimizer,
-   with a backtracking fallback (§9.2): if the cost-minimal formulation is
-   infeasible, retry minimising machines, and if that also fails, report
-   which targets to relax instead of silently producing a broken plan.
+4. machine sizing against the target facet: the cheapest option per
+   handler under the chosen objective; a handler no configuration can serve
+   fails the compile with a :class:`~repro.core.errors.NotDeployableError`
+   naming it, instead of silently producing a broken plan.
 
 ``deploy`` instantiates a compiled plan on a simulated cluster.
 """
@@ -23,20 +23,15 @@ from repro.cluster.simulator import Simulator
 from repro.compiler.deployment import HydroDeployment
 from repro.compiler.plan import DeploymentPlan, EndpointPlan
 from repro.consistency.calm import decide_coordination
-from repro.core.errors import NotDeployableError
 from repro.core.monotonicity import analyze_program
 from repro.core.program import HydroProgram
 from repro.placement.cost_models import HandlerLoadModel
 from repro.placement.ilp import DeploymentProblem, solve_deployment
-from repro.placement.machines import DEFAULT_CATALOG, MachineType
 from repro.placement.replicas import plan_placements
 
 
 class Hydrolysis:
     """The compiler driver."""
-
-    def __init__(self, catalog: Optional[list[MachineType]] = None) -> None:
-        self.catalog = list(catalog) if catalog is not None else list(DEFAULT_CATALOG)
 
     # -- compilation -------------------------------------------------------------------
 
@@ -60,29 +55,12 @@ class Hydrolysis:
             placements = plan_placements(program, topology, candidates)
 
         machine_configurations = {}
-        notes: list[str] = []
         if loads:
             targets = {name: program.target_for(name) for name in loads}
-            problem = DeploymentProblem(
-                loads=loads, targets=targets, catalog=self.catalog, objective=objective
-            )
-            try:
-                solution = solve_deployment(problem)
-            except NotDeployableError:
-                # Backtracking (§9.2): retry with the alternative objective before
-                # reporting infeasibility to the developer.
-                fallback_objective = "machines" if objective == "cost" else "cost"
-                notes.append(
-                    f"objective {objective!r} infeasible; backtracked to {fallback_objective!r}"
-                )
-                problem = DeploymentProblem(
-                    loads=loads, targets=targets, catalog=self.catalog,
-                    objective=fallback_objective,
-                )
-                solution = solve_deployment(problem)
-            machine_configurations = solution.assignments
+            problem = DeploymentProblem(loads=loads, targets=targets, objective=objective)
+            machine_configurations = solve_deployment(problem).assignments
 
-        plan = DeploymentPlan(program_name=program.name, notes=notes)
+        plan = DeploymentPlan(program_name=program.name)
         for name in program.handlers:
             plan.endpoints[name] = EndpointPlan(
                 handler=name,

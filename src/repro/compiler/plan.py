@@ -3,9 +3,9 @@
 A :class:`DeploymentPlan` records, per endpoint, everything later stages
 need: the monotonicity verdict, the coordination mechanism chosen by the
 CALM analysis, the replica placement chosen for the availability facet, and
-the machine configuration chosen by the target-facet optimizer.  Plans are
-plain data so they can be explained to developers, compared in tests and
-re-generated during backtracking.
+the machine configuration chosen by the target-facet optimizer (the
+cheapest option per handler).  Plans are plain data so they can be
+explained to developers and compared in tests.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class DeploymentPlan:
     program_name: str
     endpoints: dict[str, EndpointPlan] = field(default_factory=dict)
     table_partitioning: dict[str, str] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def endpoint(self, handler: str) -> EndpointPlan:
         return self.endpoints[handler]
@@ -98,6 +97,4 @@ class DeploymentPlan:
             lines.append("  table partitioning:")
             for table, attribute in sorted(self.table_partitioning.items()):
                 lines.append(f"      {table} sharded by {attribute}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
         return "\n".join(lines)

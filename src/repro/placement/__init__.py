@@ -6,7 +6,8 @@ price models, and a predicted workload, choose how many instances of each
 machine type to allocate per handler so that every latency and cost
 constraint is met while minimising total machine count (or total cost).
 
-The program is solved exactly by a pure-Python branch and bound; a greedy
+No constraint or objective term spans two handlers, so the program is
+solved exactly by taking the cheapest option per handler; a greedy
 baseline serves the E5 ablation, and an
 :class:`~repro.placement.autoscaler.Autoscaler` re-solves the program as
 the observed workload drifts (the adaptive reoptimization loop of §9.2).
@@ -22,7 +23,6 @@ from repro.placement.geo import (
 from repro.placement.machines import MachineType, DEFAULT_CATALOG
 from repro.placement.cost_models import HandlerLoadModel, PerformanceModel
 from repro.placement.ilp import DeploymentProblem, DeploymentSolution, solve_deployment
-from repro.placement.branch_and_bound import branch_and_bound_solve
 from repro.placement.greedy import greedy_solve
 from repro.placement.autoscaler import Autoscaler
 from repro.placement.replicas import placement_summary, plan_placements, ring_spread
@@ -40,7 +40,6 @@ __all__ = [
     "DeploymentProblem",
     "DeploymentSolution",
     "solve_deployment",
-    "branch_and_bound_solve",
     "greedy_solve",
     "Autoscaler",
     "plan_placements",

@@ -12,7 +12,7 @@ report how allocation tracked the workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.placement.cost_models import HandlerLoadModel
 from repro.placement.ilp import DeploymentProblem, DeploymentSolution, solve_deployment
@@ -30,14 +30,12 @@ class ScalingEvent:
 class Autoscaler:
     """Re-solves a deployment problem when observed load drifts."""
 
-    def __init__(self, problem: DeploymentProblem, drift_tolerance: float = 0.5,
-                 solver: Callable[[DeploymentProblem], DeploymentSolution] = solve_deployment) -> None:
+    def __init__(self, problem: DeploymentProblem, drift_tolerance: float = 0.5) -> None:
         if not 0.0 < drift_tolerance:
             raise ValueError("drift_tolerance must be positive")
         self.problem = problem
         self.drift_tolerance = drift_tolerance
-        self.solver = solver
-        self.current_solution = solver(problem)
+        self.current_solution = solve_deployment(problem)
         self.sized_for = {name: load.request_rate_rps for name, load in problem.loads.items()}
         self.events: list[ScalingEvent] = [
             ScalingEvent(dict(self.sized_for), self.current_solution, "initial deployment")
@@ -78,9 +76,8 @@ class Autoscaler:
             targets=self.problem.targets,
             catalog=self.problem.catalog,
             objective=self.problem.objective,
-            performance_model=self.problem.performance_model,
         )
-        self.current_solution = self.solver(self.problem)
+        self.current_solution = solve_deployment(self.problem)
         self.sized_for = {name: load.request_rate_rps for name, load in new_loads.items()}
         self.events.append(ScalingEvent(dict(self.sized_for), self.current_solution, reason))
         return self.current_solution

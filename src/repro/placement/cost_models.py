@@ -42,9 +42,6 @@ class HandlerLoadModel:
 class PerformanceModel:
     """Analytic latency/cost estimates for handler-on-machine configurations."""
 
-    def __init__(self, queueing_factor: float = 1.0) -> None:
-        self.queueing_factor = queueing_factor
-
     # -- latency -------------------------------------------------------------------
 
     def utilization(self, load: HandlerLoadModel, machine: MachineType, instances: int) -> float:
@@ -66,7 +63,7 @@ class PerformanceModel:
         if rho >= 1.0:
             return math.inf
         service = load.base_service_ms / machine.speed_factor
-        return service * (1.0 + self.queueing_factor * rho / (1.0 - rho))
+        return service * (1.0 + rho / (1.0 - rho))
 
     # -- cost ---------------------------------------------------------------------------
 

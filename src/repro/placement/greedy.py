@@ -12,12 +12,17 @@ import math
 
 from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
-from repro.placement.ilp import ConfigurationOption, DeploymentProblem, DeploymentSolution
+from repro.placement.ilp import (
+    PERFORMANCE_MODEL,
+    ConfigurationOption,
+    DeploymentProblem,
+    DeploymentSolution,
+)
 
 
-def greedy_solve(problem: DeploymentProblem, target_utilization: float = 0.7) -> DeploymentSolution:
+def greedy_solve(problem: DeploymentProblem) -> DeploymentSolution:
     """Pick, per handler, the fastest feasible machine at ~70% utilisation."""
-    model = problem.performance_model
+    model = PERFORMANCE_MODEL
     assignments: dict[str, ConfigurationOption] = {}
     for handler, load in problem.loads.items():
         target = problem.targets.get(handler, TargetSpec())
@@ -27,7 +32,7 @@ def greedy_solve(problem: DeploymentProblem, target_utilization: float = 0.7) ->
             if not model.satisfies_processor(load, target, machine):
                 continue
             instances = max(
-                1, math.ceil(load.request_rate_rps / (machine.capacity_rps * target_utilization))
+                1, math.ceil(load.request_rate_rps / (machine.capacity_rps * 0.7))
             )
             instances = min(instances, machine.max_instances)
             latency = model.expected_latency_ms(load, machine, instances)

@@ -4,16 +4,18 @@ Following §9.1, the decision is which machine configuration serves each
 handler and with how many instances.  The nonlinear queueing model is
 handled by precomputing, per (handler, machine type), the minimum feasible
 instance count; the remaining choice — exactly one machine type per handler,
-minimising total instances or total hourly cost — is a pure assignment
-problem, solved exactly by branch and bound
-(:mod:`repro.placement.branch_and_bound`).
+minimising total instances or total hourly cost — couples no two handlers:
+the objective is a sum of one term per handler and every constraint names
+one handler, so the exact optimum is the cheapest option per handler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from operator import attrgetter
+from typing import Literal
 
+from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
 from repro.placement.cost_models import HandlerLoadModel, PerformanceModel
 from repro.placement.machines import DEFAULT_CATALOG, MachineType
@@ -31,6 +33,10 @@ class ConfigurationOption:
     hourly_cost: float
 
 
+#: The one performance model every sizing decision shares.
+PERFORMANCE_MODEL = PerformanceModel()
+
+
 @dataclass
 class DeploymentProblem:
     """The full optimization input: loads, targets, catalogue, objective."""
@@ -39,11 +45,10 @@ class DeploymentProblem:
     targets: dict[str, TargetSpec]
     catalog: list[MachineType] = field(default_factory=lambda: list(DEFAULT_CATALOG))
     objective: Literal["machines", "cost"] = "machines"
-    performance_model: PerformanceModel = field(default_factory=PerformanceModel)
 
     def options(self) -> dict[str, list[ConfigurationOption]]:
-        """Enumerate feasible configurations per handler."""
-        model = self.performance_model
+        """Enumerate feasible configurations per handler, in catalogue order."""
+        model = PERFORMANCE_MODEL
         all_options: dict[str, list[ConfigurationOption]] = {}
         for handler, load in self.loads.items():
             target = self.targets.get(handler, TargetSpec())
@@ -73,7 +78,7 @@ class DeploymentSolution:
     """One assignment of a configuration per handler."""
 
     assignments: dict[str, ConfigurationOption]
-    solver: str = "branch-and-bound"
+    solver: str = "exact"
 
     @property
     def total_instances(self) -> int:
@@ -106,7 +111,18 @@ class DeploymentSolution:
 
 
 def solve_deployment(problem: DeploymentProblem) -> DeploymentSolution:
-    """Solve the assignment program exactly (branch and bound)."""
-    from repro.placement.branch_and_bound import branch_and_bound_solve
+    """Solve the assignment program exactly: the cheapest option per handler.
 
-    return branch_and_bound_solve(problem)
+    Ties keep the first option in catalogue order; the assignment is keyed
+    in sorted handler order.
+    """
+    options = problem.options()
+    infeasible = [handler for handler, opts in options.items() if not opts]
+    if infeasible:
+        raise NotDeployableError(
+            f"no machine configuration satisfies the targets of handlers {sorted(infeasible)}; "
+            "relax the latency/cost targets or extend the machine catalogue"
+        )
+    objective = attrgetter("hourly_cost" if problem.objective == "cost" else "instances")
+    return DeploymentSolution(
+        {handler: min(options[handler], key=objective) for handler in sorted(options)})

@@ -132,10 +132,10 @@ class TestGeoEnvironment:
         sender, receiver = replicas[0], replicas[1]
         env.network.degrade(squeeze=2.0)
         env.network.degrade(delay_factor=3.0, node=receiver.node_id)
-        env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
+        probe = env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             sender.node_id, receiver.node_id, "probe", "x",
             size_bytes=8192)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
-        queue_wait, serialization, nic_wait = env.network.last_transmission
+        queue_wait, serialization, nic_wait = probe.transmission
         # uplink:   8192 / (8192/2)     = 2
         # link:     8192 / (8192/2) * 3 = 6   (intra-region pipe, slow dst)
         # downlink: 8192 / (8192/2) * 3 = 6

@@ -318,10 +318,10 @@ class TestCongestion:
         sender, receiver = replicas[0], replicas[1]
         env.network.degrade(squeeze=5.0)
         env.network.degrade(delay_factor=3.0, node=receiver.node_id)
-        env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
+        probe = env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             sender.node_id, receiver.node_id, "probe", "x",
             size_bytes=400)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
-        queue_wait, serialization, nic_wait = env.network.last_transmission
+        queue_wait, serialization, nic_wait = probe.transmission
         # 400 B at (200/5) B/tick, times the endpoint factor 3.
         assert serialization == pytest.approx(400 / 40.0 * 3.0)
 

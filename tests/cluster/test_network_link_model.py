@@ -373,35 +373,33 @@ class TestModelSwitchedMidFlight:
         assert dropped == {("a", "b"): 120, ("c", "b"): 77}
 
 
-class TestLastTransmissionReadback:
-    def test_dropped_send_resets_last_transmission(self):
-        """``last_transmission`` reflects the *most recent* send: after a
-        priced send it carries that send's cost, and a same-instant send
-        that the partition (or the drop lottery) eats resets it to the
-        zero tuple.  Regression: the dropped-send paths used to leave the
-        previous send's cost behind, so callers ledgered phantom ticks."""
+class TestTransmissionReadback:
+    def test_dropped_send_carries_no_transmission_cost(self):
+        """A sent message carries its own cost: a priced send's message
+        carries that send's cost, and a same-instant send that the
+        partition eats carries the zero tuple — never the previous send's
+        cost, which callers would ledger as phantom ticks."""
         sim = Simulator(seed=1)
         net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0,
                                          bandwidth=100.0))
         a = Node("a", sim, net)
         b = Node("b", sim, net)
         b.on("inbox", lambda msg: None)
-        a.send("b", "inbox", "x", entries=1)
-        assert net.last_transmission == (
+        sent = a.send("b", "inbox", "x", entries=1)
+        assert sent.transmission == (
             0.0, pytest.approx(wire_size(1) / 100.0), 0.0)
         net.partition({"a"}, {"b"})
-        a.send("b", "inbox", "y", entries=1)  # same instant, dropped
-        assert net.last_transmission == (0.0, 0.0, 0.0)
+        dropped = a.send("b", "inbox", "y", entries=1)  # same instant
+        assert dropped.transmission == (0.0, 0.0, 0.0)
 
-    def test_drop_lottery_send_also_resets(self):
+    def test_drop_lottery_send_carries_no_transmission_cost(self):
         sim = Simulator(seed=1)
         net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0,
                                          drop_rate=1.0, bandwidth=100.0))
         a = Node("a", sim, net)
         Node("b", sim, net).on("inbox", lambda msg: None)
-        net.last_transmission = (9.0, 9.0, 9.0)  # poison: must be cleared
-        a.send("b", "inbox", "x", entries=1)
-        assert net.last_transmission == (0.0, 0.0, 0.0)
+        assert a.send("b", "inbox", "x", entries=1).transmission == (
+            0.0, 0.0, 0.0)
 
 
 class TestModelOffEquivalence:
@@ -410,11 +408,11 @@ class TestModelOffEquivalence:
     def test_no_ledger_no_transmission_state(self):
         sim, net, nodes, arrivals = build(NetworkConfig(base_delay=1.0,
                                                         jitter=0.0))
-        nodes["a"].send("b", "inbox", "x", entries=500)
+        sent = nodes["a"].send("b", "inbox", "x", entries=500)
         sim.run_until_idle()
         assert arrivals[0][2] == pytest.approx(1.0)  # size cost no time
         assert net.link_byte_stats() == {}
-        assert net.last_transmission == (0.0, 0.0, 0.0)
+        assert sent.transmission == (0.0, 0.0, 0.0)
         assert net.max_transmission_delay == 0.0
 
     def test_rng_consumption_matches_pre_model_formula(self):

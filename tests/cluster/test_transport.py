@@ -386,8 +386,8 @@ class TestRpc:
 
     def test_crash_mid_envelope_stops_delivery_of_later_parcels(self):
         """Fail-stop parity with unbatched delivery: if an earlier parcel's
-        handler crashes the node, the rest of the envelope is stashed as
-        undelivered, not processed by a dead node."""
+        handler crashes the node, the rest of the envelope is lost, not
+        processed by a dead node — nor replayed once it recovers."""
         sim, net, a, b = build_pair()
         got = []
 
@@ -400,7 +400,9 @@ class TestRpc:
             a.queue("b", "inbox", payload, entries=1)
         sim.run_until_idle()
         assert got == ["ok", "boom"]
-        assert [m.payload for m in b._undelivered] == ["after-1", "after-2"]
+        b.recover()
+        sim.run_until_idle()
+        assert got == ["ok", "boom"]
 
     def test_forward_of_plain_message_bills_declared_entries(self):
         sim, net, a, b = build_pair()

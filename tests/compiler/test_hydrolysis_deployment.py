@@ -11,6 +11,7 @@ from repro.cluster import Network, NetworkConfig, Simulator, Topology
 from repro.compiler import Hydrolysis
 from repro.consistency.calm import CoordinationMechanism
 from repro.consistency.paxos import LEARN_REQUESTS
+from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
 from repro.placement import HandlerLoadModel
 
@@ -72,15 +73,12 @@ class TestCompile:
         plan = Hydrolysis().compile(program)
         assert plan.table_partitioning["people"] == "country"
 
-    def test_backtracking_note_recorded_when_objective_infeasible(self):
+    @pytest.mark.parametrize("objective", ["machines", "cost"])
+    def test_unmeetable_target_fails_compile_naming_the_handler(self, objective):
         program = build_covid_program()
-        # Make the per-request cost target impossible so 'cost' backtracks... the
-        # fallback also fails if truly impossible, so instead force a feasible
-        # fallback by providing workable targets but an unreachable default
-        # cost ceiling only under the 'cost' objective formulation: use the
-        # same targets and just assert the compile runs without notes here.
-        plan = Hydrolysis().compile(program, loads=loads(), objective="cost")
-        assert isinstance(plan.notes, list)
+        program.targets.override("trace", TargetSpec(latency_ms=0.001))
+        with pytest.raises(NotDeployableError, match=r"\['trace'\]"):
+            Hydrolysis().compile(program, loads=loads(), objective=objective)
 
     def test_explain_mentions_every_endpoint_and_reasons(self):
         program = build_covid_program()

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
@@ -16,11 +17,9 @@ from repro.placement import (
     HandlerLoadModel,
     MachineType,
     PerformanceModel,
-    branch_and_bound_solve,
     greedy_solve,
     solve_deployment,
 )
-from repro.placement.branch_and_bound import enumerate_solutions
 from repro.placement.machines import DEFAULT_CATALOG
 
 
@@ -103,10 +102,9 @@ class TestSolvers:
 
         oracle = min(value(choice) for choice in
                      itertools.product(*problem.options().values()))
-        for solution in (solve_deployment(problem),
-                         branch_and_bound_solve(problem)):
-            assert solution.satisfies(problem)
-            assert value(solution.assignments.values()) == pytest.approx(oracle)
+        solution = solve_deployment(problem)
+        assert solution.satisfies(problem)
+        assert value(solution.assignments.values()) == pytest.approx(oracle)
 
     def test_cost_objective_never_costs_more_than_machines_objective(self):
         machines_solution = solve_deployment(covid_like_problem(objective="machines"))
@@ -125,18 +123,68 @@ class TestSolvers:
         with pytest.raises(NotDeployableError):
             solve_deployment(problem)
 
-    def test_enumeration_yields_increasing_objective(self):
-        problem = covid_like_problem()
-        solutions = list(enumerate_solutions(problem, limit=5))
-        assert len(solutions) == 5
-        values = [s.total_instances for s in solutions]
-        assert values == sorted(values)
-
     def test_describe_lists_every_handler(self):
         solution = solve_deployment(covid_like_problem())
         text = solution.describe()
         for handler in covid_like_problem().loads:
             assert handler in text
+
+
+@st.composite
+def sizing_problems(draw):
+    """Random loads, targets and catalogues: machine prices come from a
+    three-value set, so equal-priced machines are common; a handler's rate
+    may be zero; handlers are declared out of sorted order."""
+    prices = st.sampled_from([0.05, 0.2, 0.9])
+    catalog = [
+        MachineType(f"m{index}", hourly_cost=draw(prices),
+                    speed_factor=draw(st.sampled_from([1.0, 2.5, 6.0])),
+                    capacity_rps=draw(st.sampled_from([50.0, 100.0, 400.0])),
+                    processor=draw(st.sampled_from(["cpu", "cpu", "gpu"])),
+                    max_instances=draw(st.integers(1, 8)))
+        for index in range(draw(st.integers(1, 4)))
+    ]
+    loads, targets = {}, {}
+    for handler in ("trace", "add", "likelihood")[:draw(st.integers(1, 3))]:
+        loads[handler] = HandlerLoadModel(
+            handler, draw(st.sampled_from([0.0, 10.0, 90.0, 300.0])),
+            draw(st.sampled_from([2.0, 10.0, 40.0])),
+            requires_processor=draw(st.sampled_from(["cpu", "cpu", "cpu", "gpu"])))
+        targets[handler] = TargetSpec(
+            latency_ms=draw(st.sampled_from([None, 5.0, 20.0, 100.0, 500.0])),
+            cost_units=draw(st.sampled_from([None, None, 1e-6, 1e-4, 0.01])),
+            max_machines=draw(st.sampled_from([None, None, 1, 3])))
+    return DeploymentProblem(loads=loads, targets=targets, catalog=catalog)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizing_problems(), st.sampled_from(["machines", "cost"]))
+def test_solution_is_the_first_cheapest_option_per_handler(problem, objective):
+    """No constraint spans two handlers, so the cross-product minimum is
+    each handler's cheapest option (ties: first in catalogue order), and
+    the program is infeasible exactly when some handler has no option —
+    re-solving under the other objective can never rescue it."""
+    problem.objective = objective
+    options = problem.options()
+
+    def key(option):
+        return option.hourly_cost if objective == "cost" else option.instances
+
+    if any(not handler_options for handler_options in options.values()):
+        for either in ("machines", "cost"):
+            problem.objective = either
+            with pytest.raises(NotDeployableError):
+                solve_deployment(problem)
+        return
+    solution = solve_deployment(problem)
+    assert list(solution.assignments) == sorted(options)
+    oracle = min(sum(key(option) for option in choice)
+                 for choice in itertools.product(*options.values()))
+    assert sum(key(solution.assignments[handler]) for handler in options) == oracle
+    for handler, handler_options in options.items():
+        cheapest = min(key(option) for option in handler_options)
+        first = next(option for option in handler_options if key(option) == cheapest)
+        assert solution.assignments[handler] == first
 
 
 def test_src_imports_nothing_outside_the_standard_library():
