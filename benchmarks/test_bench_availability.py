@@ -24,8 +24,6 @@ def build(replica_count: int, seed: int = 5):
                          gossip_interval=10.0, peers=replica_ids)
         for i, rid in enumerate(replica_ids)
     }
-    for replica in replicas.values():
-        replica.set_peers(replica_ids)
     proxy = ReplicaProxy("proxy", simulator, network, retry_timeout=20.0)
     for handler in program.handlers:
         proxy.register_endpoint(handler, replica_ids)

@@ -11,13 +11,13 @@ Anna/CALM execution model, by delta gossip:
 * the program state stamps every committed change, and every merged-in one
   no peer answers for, in a :class:`~repro.core.state.ChangeLog`;
 * each round a replica sends each peer one ``gossip`` parcel ``{"entries",
-  "relayed", "since", "seq", "seen", "delivered", "members"[, "floor"]
-  [, "ordered"]}``: the rows and vars changed after ``since`` (what it
-  already shipped to that peer) and which of them it merely passes on, its
-  own latest stamp, the highest of *the peer's* stamps it holds without a
-  gap, the lowest stamp all its *other* peers confirmed of its log, a
-  fingerprint of its peer group, and the stamp its log started at (absent
-  while 0).  Each stamp is one digest item, whatever the replica count;
+  "relayed", "since", "seq", "seen", "delivered"[, "floor"][, "ordered"]}``:
+  the rows and vars changed after ``since`` (what it already shipped to that
+  peer) and which of them it merely passes on, its own latest stamp, the
+  highest of *the peer's* stamps it holds without a gap, the lowest stamp
+  all its *other* peers confirmed of its log, and the stamp its log started
+  at (absent while 0).  Each stamp is one digest item, whatever the replica
+  count;
 * that ``seen`` is the acknowledgement, and it belongs to the receiver: a
   replica that loses its state reports 0 again and each peer ships it
   everything once.  There is no ack message and no periodic full round;
@@ -40,8 +40,8 @@ before the parcels are built, every origin's wards are reviewed:
   item stays warded until its last origin is released;
 * *taken over* — the item stamped again as this replica's own, which
   closes every ward on it, so the ordinary acked path ships it to every
-  peer — after ``RELAY_AFTER_ROUNDS`` reviews without release, when A is no
-  longer a peer, or at once when the tag is at or below A's ``floor``.
+  peer — after ``RELAY_AFTER_ROUNDS`` reviews without release, or at once
+  when the tag is at or below A's ``floor``.
 
 Release is safe because a window always runs to the sender's current
 ``seq`` and an entry the sender owns is in every window that covers its
@@ -55,9 +55,8 @@ and would vouch for entries it lost.  Its ``floor`` says which those are.
 A shared item is released only once *each* origin vouched for its part, so
 the join is held everywhere; a genuine merge into an item the log does not
 hold has nobody else on the hook and is stamped.  ``delivered`` covers the
-sender's peers but the receiver — the receiver's other peers only if both
-list one group.  A sender that lists fewer vouches for none it omits, so a
-``members`` unlike ours reads as 0: its wards are taken over, not released.
+sender's peers but the receiver, which are the receiver's other peers: the
+group is fixed when it is built, and every replica lists all of it.
 
 What A merely passes on (anything in a re-shipment or refill that it did
 not stamp as its own, and a ward offered back) its fresh windows to the
@@ -88,7 +87,6 @@ from repro.cluster.transport import digest_entries
 from repro.core.interpreter import SingleNodeInterpreter
 from repro.core.program import HydroProgram
 from repro.core.state import ChangeLog
-from repro.storage.ring import stable_digest
 
 #: ``network.metrics`` counters of the gossip ledger: stamps handed out
 #: (take-overs included), and entries shipped for the first time, again after
@@ -121,11 +119,6 @@ def parcel_entries(parcel: Mapping[str, Any]) -> int:
     """What a gossip parcel costs on the wire, in entries: its rows and
     vars, plus however many stamps it carries at the density of digests."""
     return len(parcel["entries"]) + digest_entries(len(parcel) - len(PARCEL_PAYLOAD))
-
-
-def group_fingerprint(node_id: Hashable, peers: Iterable[Hashable]) -> int:
-    """The ``members`` stamp: equal wherever the same group is listed."""
-    return stable_digest(frozenset(peers).union((node_id,)))
 
 
 #: The key an :meth:`ReplicaNode.apply` result travels under, by status.
@@ -165,7 +158,7 @@ class _PeerSync:
     #: Stamps up to here were shipped before the peer lost its state.
     refill_upto: int = 0
     #: The peer's latest report about its own log: what all its peers but
-    #: this replica confirmed (0 unless it lists our group), where it starts.
+    #: this replica confirmed, where it starts.
     delivered: int = 0
     floor: int = 0
     #: The last log slot the peer reported applying (``ordered``).
@@ -178,7 +171,11 @@ class _PeerSync:
 
 
 class ReplicaNode(Node):
-    """A node hosting one replica of the program."""
+    """A node hosting one replica of the program.
+
+    ``peers`` is the whole replica group, fixed here: every replica of a
+    group is built with the same list, and no replica's list changes later.
+    """
 
     def __init__(self, node_id, simulator, network, program: HydroProgram,
                  domain="default", gossip_interval: Optional[float] = 10.0,
@@ -187,7 +184,6 @@ class ReplicaNode(Node):
         self.program = program
         self.gossip_interval = gossip_interval
         self.peers = [peer for peer in peers if peer != node_id]
-        self.members = group_fingerprint(node_id, self.peers)
         self._boot(first_stamp=0)
         self.on("invoke", self._on_invoke)
         self.on("gossip", self._on_gossip)
@@ -204,24 +200,6 @@ class ReplicaNode(Node):
         self.ordered_upto = -1
         self._sync: dict[Hashable, _PeerSync] = {
             peer: _PeerSync() for peer in self.peers}
-
-    def set_peers(self, peers: Iterable[Hashable]) -> None:
-        """Replace the peer list.
-
-        A peer not gossiped with before is owed everything held here, wards
-        included (their origin may be gone), so it starts like one that
-        lost its state; the wards of a peer that left are taken over at the
-        next review.
-        """
-        self.peers = [peer for peer in peers if peer != self.node_id]
-        self.members = group_fingerprint(self.node_id, self.peers)
-        known, self._sync = self._sync, {}
-        for peer in self.peers:
-            sync = known.get(peer)
-            if sync is None:
-                sync = _PeerSync(shipped=self.change_log.seq)
-                sync.refill()
-            self._sync[peer] = sync
 
     # -- request handling -----------------------------------------------------------
 
@@ -287,10 +265,10 @@ class ReplicaNode(Node):
             return
         released = taken = 0
         for origin, wards in list(log.wards.items()):
-            sync = self._sync.get(origin)
+            sync = self._sync[origin]
             for item, (tag, waited) in list(wards.items()):
-                # Still a peer, and its log still holds what it tagged.
-                liable = sync is not None and sync.floor < tag
+                # Its log still holds what it tagged.
+                liable = sync.floor < tag
                 if liable and tag <= sync.delivered:
                     del wards[item]
                     released += 1
@@ -342,7 +320,7 @@ class ReplicaNode(Node):
         parcel = {"entries": entries,
                   "relayed": [item for item in relayed if item in entries],
                   "since": since, "seq": log.seq, "seen": sync.seen,
-                  "delivered": delivered, "members": self.members}
+                  "delivered": delivered}
         if log.floor:
             parcel["floor"] = log.floor
         if self.ordered_upto >= 0:
@@ -352,33 +330,29 @@ class ReplicaNode(Node):
     def _on_gossip(self, message: Message) -> None:
         payload = message.payload
         peer = message.source
-        sync = self._sync.get(peer)
-        if sync is not None:
-            if payload["since"] <= sync.seen:
-                sync.seen = max(sync.seen, payload["seq"])
-            confirmed = payload["seen"]
-            if confirmed < sync.confirmed:
-                # The peer holds less than it did: it lost its state.  Next
-                # round, ship it everything again (reporting 0, it is also
-                # offered its own writes back).
-                sync.refill()
-            elif confirmed > sync.confirmed:
-                sync.overdue = 0
-            sync.confirmed = confirmed
-            # A sender that lists another group vouches for nobody here.
-            sync.delivered = (payload["delivered"]
-                              if payload["members"] == self.members else 0)
-            sync.floor = payload.get("floor", 0)
-            stale, sync.ordered = sync.ordered, payload.get("ordered", -1)
-            if stale > self.ordered_upto and self.catch_up is not None:
-                self.catch_up(peer, stale)
+        sync = self._sync[peer]
+        if payload["since"] <= sync.seen:
+            sync.seen = max(sync.seen, payload["seq"])
+        confirmed = payload["seen"]
+        if confirmed < sync.confirmed:
+            # The peer holds less than it did: it lost its state.  Next
+            # round, ship it everything again (reporting 0, it is also
+            # offered its own writes back).
+            sync.refill()
+        elif confirmed > sync.confirmed:
+            sync.overdue = 0
+        sync.confirmed = confirmed
+        sync.delivered = payload["delivered"]
+        sync.floor = payload.get("floor", 0)
+        stale, sync.ordered = sync.ordered, payload.get("ordered", -1)
+        if stale > self.ordered_upto and self.catch_up is not None:
+            self.catch_up(peer, stale)
         state, entries = self.interpreter.state, payload["entries"]
         before = self.change_log.seq
         # What the sender merely passes on is ours at once; the rest is its
-        # ward — if it is a peer we can hold to account.
+        # ward.
         state.merge_entries({item: entries[item] for item in payload["relayed"]})
-        state.merge_entries(entries, source=peer if sync is not None else None,
-                            tag=payload["seq"])
+        state.merge_entries(entries, source=peer, tag=payload["seq"])
         self.network.metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
 
     # -- failure hooks -----------------------------------------------------------------

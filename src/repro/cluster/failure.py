@@ -39,13 +39,13 @@ class FailureInjector:
         self.recoveries_injected = 0
 
     def apply(self, plan: CrashPlan) -> None:
-        """Schedule one crash plan."""
+        """Schedule one crash plan; a rejected plan schedules nothing."""
+        if plan.recover_at is not None and plan.recover_at <= plan.crash_at:
+            raise ValueError("recover_at must be after crash_at")
         node = self.nodes[plan.node_id]
         self.simulator.schedule_at(plan.crash_at, node.crash, label=f"crash {plan.node_id}")
         self.crashes_injected += 1
         if plan.recover_at is not None:
-            if plan.recover_at <= plan.crash_at:
-                raise ValueError("recover_at must be after crash_at")
             self.simulator.schedule_at(
                 plan.recover_at,
                 lambda: node.recover(lose_state=plan.lose_state),

@@ -38,11 +38,12 @@ class LatencyRecorder:
         return max(self.samples) if self.samples else 0.0
 
     def percentile(self, p: float) -> float:
-        """Return the ``p``-th percentile (0-100) by nearest-rank."""
-        if not self.samples:
-            return 0.0
+        """Return the ``p``-th percentile (0-100) by nearest-rank; 0.0 while
+        there are no samples."""
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if not self.samples:
+            return 0.0
         ordered = sorted(self.samples)
         rank = max(0, math.ceil(p / 100 * len(ordered)) - 1)
         return ordered[rank]

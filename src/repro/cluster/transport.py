@@ -296,19 +296,10 @@ class Transport:
         self._served: OrderedDict[tuple, Optional[Parcel]] = OrderedDict()
         self._rpc_ids = itertools.count()
         self._logical_ids = itertools.count()
-        # Local counters (the shared registry aggregates across nodes).
-        self.envelopes_sent = 0
+        # This node's share of what the registry's ``transport.*`` counters
+        # aggregate across nodes; everything else is counted there only.
         self.logical_messages_sent = 0
-        self.bytes_sent = 0
-        self.header_bytes_saved = 0
-        #: Ticks this node's envelopes spent serializing onto their links
-        #: (0.0 while the network's transmission model is off).
-        self.serialization_ticks = 0.0
-        #: Ticks this node's envelopes spent waiting behind *other links'*
-        #: traffic in shared NIC queues (uplink + downlink; 0.0 unless
-        #: ``nic_bandwidth`` prices the NIC stage).
-        self.nic_wait_ticks = 0.0
-        #: mailbox -> {"messages": n, "entries": n, "bytes": n}
+        #: mailbox -> {"messages": n, "entries": n}
         self.mailbox_stats: dict[str, dict[str, int]] = {}
 
     # -- sending ------------------------------------------------------------------
@@ -411,27 +402,20 @@ class Transport:
         message = self.network.send(source, destination, mailbox, payload,
                                     size_bytes=size)
         logical = len(parcels)
-        saved = (logical - 1) * WIRE_HEADER_BYTES
         self.logical_messages_sent += logical
-        self.envelopes_sent += 1
-        self.bytes_sent += size
-        self.header_bytes_saved += saved
         counts = self.metrics.counts
         counts["transport.logical_messages_sent"] += logical
         counts["transport.envelopes_sent"] += 1
-        counts["transport.bytes_sent"] += size
-        if saved:
-            counts["transport.header_bytes_saved"] += saved
+        if logical > 1:
+            counts["transport.header_bytes_saved"] += (logical - 1) * WIRE_HEADER_BYTES
         timing = message.transmission
         if timing is not _NO_COST:  # model off: nothing stamped
             queue_wait, serialization, nic_wait = timing
             if serialization:
-                self.serialization_ticks += serialization
                 counts["transport.serialization_ticks"] += serialization
             if queue_wait:
                 counts["transport.queue_wait_ticks"] += queue_wait
             if nic_wait:
-                self.nic_wait_ticks += nic_wait
                 counts["transport.nic_wait_ticks"] += nic_wait
         return message
 
@@ -644,6 +628,5 @@ class Transport:
         return sum(len(parcels) for parcels in self._queues.values())
 
     def __repr__(self) -> str:
-        return (f"Transport({self.node_id!r}, envelopes={self.envelopes_sent}, "
-                f"logical={self.logical_messages_sent}, "
-                f"saved={self.header_bytes_saved}B)")
+        return (f"Transport({self.node_id!r}, "
+                f"logical={self.logical_messages_sent})")

@@ -17,7 +17,6 @@ miss is still backstopped by the runtime sanitizers and the chaos sweep.
 | RL005 | always rebind the result of ``merge_into``                      |
 | RL006 | no wall-clock/RNG module imports inside ``repro.chaos``         |
 | RL007 | no mutable default arguments (lattice/operator aliasing hazard) |
-| RL008 | cadence operators that ``queue()`` must bind a flush (heuristic)|
 """
 
 from __future__ import annotations
@@ -386,65 +385,6 @@ class MutableDefaultArgument(Rule):
         return (isinstance(expr, ast.Call)
                 and isinstance(expr.func, ast.Name)
                 and expr.func.id in self._FACTORIES)
-
-
-@register
-class UnflushedCadenceQueue(Rule):
-    """RL008 (heuristic): a cadence operator queues parcels but nothing in
-    its module binds a flush.
-
-    ``Transport.queue`` auto-flushes at the same instant for event-driven
-    code, but *cadence* operators (tick-driven: gossip rounds, flow
-    egress) run inside a tick loop where the auto-flush race is exactly
-    the bug PR 4's ``end_of_tick_hooks`` contract closed.  Heuristic: a
-    class with a tick-shaped method that calls ``.queue(...)``, in a
-    module that never references ``end_of_tick_hooks`` or
-    ``bind_egress_to_node`` and never calls ``.flush(...)``, is flagged at
-    the queue site.
-    """
-
-    code = "RL008"
-    name = "unflushed-cadence-queue"
-    summary = ("cadence (tick-driven) operators that queue() must bind a "
-               "flush: end_of_tick_hooks, bind_egress_to_node, or an "
-               "explicit flush() call in the module")
-
-    _CADENCE_METHODS = {"tick", "on_tick", "end_of_tick", "run_tick",
-                        "gossip_tick"}
-    _FLUSH_MARKERS = {"end_of_tick_hooks", "bind_egress_to_node"}
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if self._module_binds_flush(ctx.tree):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            method_names = {stmt.name for stmt in node.body
-                            if isinstance(stmt, (ast.FunctionDef,
-                                                 ast.AsyncFunctionDef))}
-            if not method_names & self._CADENCE_METHODS:
-                continue
-            for descendant in ast.walk(node):
-                if (isinstance(descendant, ast.Call)
-                        and isinstance(descendant.func, ast.Attribute)
-                        and descendant.func.attr == "queue"):
-                    yield self.finding(
-                        ctx, descendant,
-                        "cadence operator queues parcels but this module "
-                        "never binds a flush (end_of_tick_hooks / "
-                        "bind_egress_to_node / explicit flush()); queued "
-                        "parcels can straddle the tick boundary")
-
-    def _module_binds_flush(self, tree: ast.Module) -> bool:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                if _terminal_name(node) in self._FLUSH_MARKERS:
-                    return True
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "flush"):
-                return True
-        return False
 
 
 def rule_table() -> Iterator[tuple[str, str, str]]:

@@ -26,8 +26,10 @@ reshard landing, an entry a non-peer hands over — is stamped in a small
 ordered log (one stamp per key; a key changed again moves to the tail).
 When the event that stamped it returns, each peer gets one ``gossip`` window
 ``{"since": shipped, "seq": log seq, "entries": {key: current value}}``; a
-burst stamped by one event rides one window per peer.  Per peer the replica
-keeps a handful of integers (:class:`_PeerSync`), whatever is in flight:
+burst stamped by one event rides one window per peer.  A shard's replica
+group is fixed when :class:`LatticeKVS` builds it (a reshard builds and
+retires whole groups), and per peer the replica keeps a handful of integers
+(:class:`_PeerSync`), whatever is in flight:
 
 * the receiver merges the entries — *without* stamping them, so nothing is
   echoed: every origin delivers its own changes to every peer itself, both
@@ -145,14 +147,15 @@ class ShardNode(Node):
         # ever grows, so a stamp a peer confirmed is never reused.
         self._log: dict[Hashable, int] = {}
         self._seq = 0
-        self._sync: dict[Hashable, _PeerSync] = {}
+        # The shard's replica group, fixed here: every replica of a shard is
+        # built with the same list, and no replica's list changes later.
+        self.peers = [peer for peer in peers or () if peer != node_id]
+        self._sync = {peer: _PeerSync() for peer in self.peers}
         self._push_bound = False
         # Anti-entropy state: the incremental digest tree over the store and
         # at most one in-flight reconciliation per peer.
         self._tree = DigestTree()
         self._ae_sessions: dict[Hashable, AntiEntropySession] = {}
-        self.peers: list[Hashable] = []
-        self.set_peers(list(peers or []))
         self.on("put", self._on_put)
         self.on("get", self._on_get)
         self.on("replicate", self._on_replicate)
@@ -166,18 +169,6 @@ class ShardNode(Node):
         if self.gossip_interval:
             self.set_timer(self.gossip_interval, self._gossip_tick,
                            label=f"kvs-gossip@{self.node_id}")
-
-    def set_peers(self, peers: list[Hashable]) -> None:
-        """Replace the peer list.  A peer not gossiped with before is owed
-        nothing from the log: what the store already holds reaches it
-        through the digest exchange, like any state it lacks."""
-        self.peers = [peer for peer in peers if peer != self.node_id]
-        known, self._sync = self._sync, {}
-        for peer in self.peers:
-            self._sync[peer] = known.pop(peer, None) or _PeerSync(
-                shipped=self._seq, confirmed=self._seq)
-        for peer in known:
-            self._ae_sessions.pop(peer, None)
 
     # -- local operations ---------------------------------------------------------
 
@@ -405,10 +396,10 @@ class ShardNode(Node):
         # changes to every peer, so nothing a peer sent is passed on.
         for key, value in payload["entries"].items():
             self._take(key, value, self._merge_entry)
-        sync = self._sync.get(message.source)
         since = payload.get("since")
-        if sync is None or since is None:
-            return
+        if since is None:
+            return  # a one-shot parcel
+        sync = self._sync[message.source]
         if since <= sync.seen:
             sync.seen = max(sync.seen, payload["seq"])
             ahead = sync.ahead
@@ -422,9 +413,7 @@ class ShardNode(Node):
                    {"seen": sync.seen, "until": None})
 
     def _on_gossip_ack(self, message: Message) -> None:
-        sync = self._sync.get(message.source)
-        if sync is None:
-            return
+        sync = self._sync[message.source]
         seen, until = message.payload["seen"], message.payload["until"]
         if seen > sync.confirmed:
             sync.confirmed, sync.overdue = seen, 0
@@ -716,25 +705,23 @@ class LatticeKVS:
             self.ring.add_node(shard_index)
 
     def _build_shard(self, shard_index: int) -> None:
-        """Create the replica group for ``shard_index`` and register its peers."""
+        """Create the replica group for ``shard_index``, each replica built
+        knowing all of it."""
         generation = next(self._generation)
+        replica_ids = [f"kvs-g{generation}-s{shard_index}-r{replica_index}"
+                       for replica_index in range(self.replication_factor)]
         replicas = []
-        for replica_index in range(self.replication_factor):
-            node_id = f"kvs-g{generation}-s{shard_index}-r{replica_index}"
+        for replica_index, node_id in enumerate(replica_ids):
             if self.placement is not None:
                 domain = self.placement(shard_index, replica_index)
             else:
                 domain = f"az-{replica_index}"
-            replicas.append(
-                ShardNode(node_id, self.simulator, self.network,
-                          domain=domain,
-                          gossip_interval=self.gossip_interval,
-                          full_sync_every=self.full_sync_every)
-            )
-        replica_ids = [replica.node_id for replica in replicas]
-        for replica in replicas:
-            replica.set_peers(replica_ids)
+            replica = ShardNode(node_id, self.simulator, self.network,
+                                domain=domain, peers=replica_ids,
+                                gossip_interval=self.gossip_interval,
+                                full_sync_every=self.full_sync_every)
             replica.ownership = self._owners_of
+            replicas.append(replica)
         self.shards.append(replicas)
         self._replica_cycle.append(itertools.cycle(range(self.replication_factor)))
 

@@ -137,9 +137,6 @@ STEPS = st.lists(st.one_of(
     st.tuples(st.just("heal")),
     st.tuples(st.just("crash"), REPLICA),
     st.tuples(st.just("recover"), REPLICA, st.booleans()),
-    # One replica's peer list replaced by a subset: two replicas may then
-    # disagree on the group, and an origin may list fewer peers than a holder.
-    st.tuples(st.just("peers"), REPLICA, st.frozensets(REPLICA)),
 ), max_size=60)
 
 ARGS = {"add_person": lambda pid: {"pid": pid, "country": "US"},
@@ -170,9 +167,6 @@ def play(cluster, steps):
                 replica.crash()
             elif kind == "recover":
                 replica.recover(lose_state=args[1])
-            elif kind == "peers":
-                replica.set_peers(sorted(cluster.replicas[index % len(cluster.replicas)].node_id
-                                         for index in args[1]))
             elif replica.alive:
                 statuses.append(replica.apply(kind, ARGS[kind](*args[1:]))[0])
     return statuses
@@ -183,8 +177,6 @@ def heal_and_check_convergence(cluster, lose_at_heal):
     count = len(cluster.replicas)
     cluster.net.config.drop_rate = 0.0
     cluster.net.heal_all()
-    for replica in cluster.replicas:
-        replica.set_peers([other.node_id for other in cluster.replicas])
     for replica in cluster.replicas:
         if not replica.alive:
             replica.recover(lose_state=lose_at_heal)
@@ -473,65 +465,6 @@ def test_an_acknowledged_write_returns_to_a_lone_peer_that_lost_it_at_first_cont
     assert cluster.counter(REFILL_ENTRIES) == 0 == cluster.counter(TAKEOVER_ENTRIES)
 
 
-def test_dropping_an_origin_from_the_peers_takes_its_wards_over():
-    cluster = warmed()
-    r0, r1, r2 = cluster.replicas
-    cluster.net.partition(["r0"], ["r2"], oneway=True)
-    r0.apply("add_person", {"pid": 2, "country": "IN"})
-    cluster.run(1)
-    cluster.sim.run(until=cluster.sim.now + 2)
-    assert ("people", 2) in r1.change_log.wards["r0"] and 2 not in people(r2)
-    for replica in (r1, r2):
-        replica.set_peers(["r1", "r2"])
-
-    cluster.run(2)                                          # the very next review, + delivery
-    assert cluster.counter(TAKEOVER_ENTRIES) == 1
-    assert 2 in people(r2)
-
-
-def test_a_peer_added_after_an_origin_left_still_gets_what_it_wrote():
-    cluster = Cluster(3)
-    origin, holder, late = cluster.replicas
-    for replica in (origin, holder):
-        replica.set_peers(["r0", "r1"])
-    late.set_peers([])
-    origin.apply("add_person", {"pid": 1, "country": "US"})
-    holder.apply("add_person", {"pid": 2, "country": "US"})
-    cluster.run(4)
-    assert people(holder) == {1, 2} and not holder.change_log.wards     # released long ago
-
-    origin.crash()
-    for replica in (holder, late):
-        replica.set_peers(["r1", "r2"])
-    cluster.run(4)
-    assert people(late) == {1, 2}
-    # Sent once, as a refill: the new peer is owed the hand-me-downs too.
-    assert [sent for sent in carrying(cluster.parcels) if sent[1] == "r2"] == [
-        ("r1", "r2", [("people", 2), ("people", 1)])]
-    assert cluster.counter(REFILL_ENTRIES) == 2
-    cluster.assert_ledger()
-
-
-def test_an_origin_that_lists_fewer_peers_vouches_for_none_it_omits():
-    """r0 no longer gossips with r2, so no other peer of its own is left to
-    wait for.  Its ``delivered`` is then its whole log — true of its group,
-    not of r1's: only the ``members`` fingerprint tells r1 not to release."""
-    cluster = warmed()
-    r0, r1, r2 = cluster.replicas
-    r0.set_peers(["r0", "r1"])
-    released = cluster.counter(RELEASED_WARDS)
-    r0.apply("add_person", {"pid": 2, "country": "IN"})
-    cluster.run(1)
-    cluster.sim.run(until=cluster.sim.now + 2)
-    assert r1.change_log.wards == {"r0": {("people", 2): (r0.change_log.seq, 0)}}
-    assert r1._sync["r0"].delivered == 0 < r0.change_log.seq
-
-    cluster.run(RELAY_AFTER_ROUNDS)                         # taken over, and shipped
-    assert cluster.counter(TAKEOVER_ENTRIES) == 1
-    assert cluster.counter(RELEASED_WARDS) == released
-    assert 2 in people(r2)
-
-
 # -- (e) shared wards: a join of two owners' concurrent changes ships with its owners ------
 
 ROW = ("people", 100)
@@ -666,7 +599,7 @@ def test_trace_is_identical_under_two_hash_seeds():
     assert outputs[0].count("('people', 5)") > 1        # the faults really bit
 
 
-# -- (g) recovery, peers and the one apply entry point ------------------------------------
+# -- (g) recovery and the one apply entry point -------------------------------------------
 
 
 def test_recovered_replica_gossips_again():
@@ -685,24 +618,24 @@ def test_recovered_replica_gossips_again():
         assert 9 in replica.interpreter.state.table("people")
 
 
-def test_a_newly_added_peer_starts_fully_unsynced():
+def test_the_group_stays_as_built_through_a_crash_and_state_loss():
     cluster = Cluster(3)
-    first, second, late = cluster.replicas
-    for replica in (first, second):
-        replica.set_peers([first.node_id, second.node_id])
-    late.set_peers([])
-    first.apply("add_person", {"pid": 1, "country": "US"})
-    second.apply("add_person", {"pid": 2, "country": "US"})
-    cluster.run(4)
-    assert late.interpreter.state.table("people").rows == {}
-    confirmed = first._sync[second.node_id].confirmed
-    assert confirmed > 0
+    victim = cluster.replicas[0]
+    victim.apply("add_person", {"pid": 1, "country": "US"})
+    cluster.run(2)
+    victim.crash()
+    cluster.run(1)
+    victim.recover(lose_state=True)
+    start = len(cluster.parcels)
+    cluster.run(CONVERGE_ROUNDS)
 
     for replica in cluster.replicas:
-        replica.set_peers([node.node_id for node in cluster.replicas])
-    assert first._sync[second.node_id].confirmed == confirmed    # known peers keep theirs
-    cluster.run(4)
-    assert set(late.interpreter.state.table("people").rows) == {1, 2}
+        others = [other.node_id for other in cluster.replicas if other is not replica]
+        assert replica.peers == others and list(replica._sync) == others
+    assert sorted({(sender, destination)
+                   for _, sender, destination, _, _ in cluster.parcels[start:]}) == [
+        ("r0", "r1"), ("r0", "r2"), ("r1", "r0"), ("r1", "r2"), ("r2", "r0"), ("r2", "r1")]
+    assert all(people(replica) == {1} for replica in cluster.replicas)
     cluster.assert_ledger()
 
 
@@ -759,12 +692,12 @@ def round_stamps(cluster):
     return carried
 
 
-STAMPS = ("delivered", "members", "seen", "seq", "since")
+STAMPS = ("delivered", "seen", "seq", "since")
 
 
 def test_the_ordered_stamp_is_priced_with_the_others_and_absent_until_there_is_one():
-    """Five stamps, and ``ordered`` once there is one: six stamps of 16 B
-    fill one 96 B entry, whatever the replica count."""
+    """Four stamps, and ``ordered`` once there is one: five stamps of 16 B
+    fit one 96 B entry, whatever the replica count."""
     clusters = [Cluster(count) for count in (3, 6, 10)]
     for cluster in clusters:
         assert idle_parcel_bytes(cluster) == 24 + 96
@@ -777,8 +710,8 @@ def test_the_ordered_stamp_is_priced_with_the_others_and_absent_until_there_is_o
         cluster.assert_ledger()
 
     # A rebooted replica's log goes on from its old numbering and its parcels
-    # say where (``floor``, absent while 0): a sixth stamp, and with
-    # ``ordered`` back a seventh, which starts a second entry.
+    # say where (``floor``, absent while 0): a fifth stamp, and with
+    # ``ordered`` back a sixth, which still fits the one entry.
     small = clusters[0]
     rebooted = small.replicas[0]
     rebooted.apply("add_person", {"pid": 2, "country": "US"})
@@ -791,5 +724,5 @@ def test_the_ordered_stamp_is_priced_with_the_others_and_absent_until_there_is_o
     assert round_stamps(small) == {"r0": {(with_floor, 1)},
                                    "r1": {(with_ordered, 1)}, "r2": {(with_ordered, 1)}}
     rebooted.apply_ordered(0, "add_person", {"pid": 1})
-    assert round_stamps(small)["r0"] == {(tuple(sorted(with_floor + ("ordered",))), 2)}
+    assert round_stamps(small)["r0"] == {(tuple(sorted(with_floor + ("ordered",))), 1)}
     small.assert_ledger()

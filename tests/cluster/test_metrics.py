@@ -33,9 +33,21 @@ class TestLatencyRecorder:
 
     def test_rejects_bad_percentile(self):
         recorder = LatencyRecorder()
+        with pytest.raises(ValueError):
+            recorder.percentile(150)            # empty: still a bad argument
         recorder.record(1.0)
         with pytest.raises(ValueError):
             recorder.percentile(150)
+
+    def test_percentile_bounds_are_inclusive(self):
+        recorder = LatencyRecorder()
+        assert recorder.percentile(0) == recorder.percentile(100) == 0.0
+        with pytest.raises(ValueError):
+            recorder.percentile(-0.5)           # checked before the empty case
+        for value in (3.0, 1.0, 2.0):
+            recorder.record(value)
+        assert recorder.percentile(0) == 1.0
+        assert recorder.percentile(100) == 3.0
 
 
 class TestMetricsRegistry:

@@ -253,5 +253,26 @@ class TestFailureInjection:
         net = Network(sim)
         node = Node("n1", sim, net)
         injector = FailureInjector(sim, {"n1": node})
+        pending = sim.pending_events
         with pytest.raises(ValueError):
             injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=5.0))
+        # Rejected before anything was scheduled: no crash without its recovery.
+        assert sim.pending_events == pending
+        assert injector.crashes_injected == injector.recoveries_injected == 0
+        sim.run(until=10.0)
+        assert node.alive
+
+    def test_a_rejected_plan_leaves_the_injector_usable(self):
+        sim = Simulator()
+        net = Network(sim)
+        node = Node("n1", sim, net)
+        injector = FailureInjector(sim, {"n1": node})
+        with pytest.raises(ValueError):
+            injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=3.0))
+        injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=8.0))
+        assert injector.crashes_injected == injector.recoveries_injected == 1
+        sim.run(until=6.0)
+        assert not node.alive
+        sim.run(until=9.0)
+        assert node.alive
+        assert sim.pending_events == 0              # one crash, one recovery

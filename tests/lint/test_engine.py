@@ -178,7 +178,7 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RL001", "RL002", "RL003", "RL004",
-                     "RL005", "RL006", "RL007", "RL008"):
+                     "RL005", "RL006", "RL007"):
             assert code in out
 
 

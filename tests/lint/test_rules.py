@@ -240,44 +240,19 @@ class TestRL007MutableDefaultArgument:
         assert findings == []
 
 
-class TestRL008UnflushedCadenceQueue:
-    def test_cadence_queue_without_flush_binding_is_flagged(self):
-        findings = run_rule("RL008", """\
+class TestRetiredRules:
+    def test_a_cadence_queue_without_a_flush_lints_clean(self):
+        """RL008 is gone: ``Transport.queue`` binds a deferred flush whenever
+        the queues were empty, so a tick-driven sender cannot strand a parcel
+        and the shape RL008 flagged is no bug."""
+        assert "RL008" not in {rule.code for rule in all_rules()}
+        report = lint_source(textwrap.dedent("""\
             class GossipOperator:
                 def on_tick(self):
                     for peer in self.peers:
                         self.transport.queue(peer, "gossip", {})
-            """)
-        assert locations(findings) == [("RL008", 4)]
-
-    def test_explicit_flush_in_module_is_clean(self):
-        findings = run_rule("RL008", """\
-            class GossipOperator:
-                def on_tick(self):
-                    for peer in self.peers:
-                        self.transport.queue(peer, "gossip", {})
-                        self.transport.flush(peer)
-            """)
-        assert findings == []
-
-    def test_end_of_tick_hook_binding_is_clean(self):
-        findings = run_rule("RL008", """\
-            class EgressOperator:
-                def on_tick(self):
-                    self.node.queue(self.peer, "egress", {})
-
-            def bind(scheduler, node):
-                scheduler.end_of_tick_hooks.append(node.transport.flush)
-            """)
-        assert findings == []
-
-    def test_event_driven_class_is_clean(self):
-        findings = run_rule("RL008", """\
-            class Responder:
-                def on_request(self, message):
-                    self.node.queue(message.source, "reply", {})
-            """)
-        assert findings == []
+            """), path="src/repro/example.py")
+        assert report.findings == []
 
 
 class TestCombined:

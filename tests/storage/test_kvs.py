@@ -63,6 +63,16 @@ class TestLatticeKVS:
         sim.run(until=100.0)
         assert replica_a.value_of("cart") == replica_b.value_of("cart") == SetUnion({"apple", "banana"})
 
+    def test_a_lone_replica_has_no_peers_and_logs_nothing(self):
+        sim, net, kvs = build_kvs(shards=2, replication=1)
+        kvs.put("k", SetUnion({1}))
+        sim.run(until=100.0)                    # several gossip ticks
+        (replica,) = kvs.replicas_for("k")
+        assert replica.peers == [] and replica._sync == {}
+        assert replica._seq == 0 and replica._log == {}
+        assert net.messages_sent == 0
+        assert kvs.get("k") == SetUnion({1})
+
     def test_get_with_dead_replica_falls_back(self):
         sim, net, kvs = build_kvs(shards=1, replication=2)
         kvs.put("k", LWWRegister(1.0, "v"))
@@ -223,6 +233,29 @@ class TestResharding:
                     assert kvs.shard_for(key) == shard_index, (
                         f"{key!r} resurrected on shard {shard_index}"
                     )
+
+    def test_every_replica_is_built_knowing_its_whole_group(self):
+        """Membership is fixed at construction, for the first shards and for
+        those a reshard builds alike; a crash and a state-losing recovery
+        leave it as built."""
+        sim, net, kvs = build_kvs(shards=2, replication=3)
+        self.populate(kvs, 20)
+        kvs.reshard(3)
+        kvs.settle()                            # the moved keys reach every replica
+        rebooted = kvs.shards[2][0]
+        rebooted.crash()
+        rebooted.recover(lose_state=True)
+        kvs.settle()
+        assert [[replica.node_id for replica in shard] for shard in kvs.shards] == [
+            [f"kvs-g{shard}-s{shard}-r{index}" for index in range(3)]
+            for shard in range(3)]
+        for shard in kvs.shards:
+            for replica in shard:
+                others = [other.node_id for other in shard if other is not replica]
+                assert replica.peers == others
+                assert list(replica._sync) == others
+        for i in range(20):
+            assert kvs.get_merged(f"key-{i}") == SetUnion({i})
 
     def test_noop_and_invalid_reshard(self):
         sim, net, kvs = build_kvs(shards=4, replication=1)
