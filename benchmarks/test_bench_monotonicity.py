@@ -89,9 +89,8 @@ def test_coordination_elision_matches_analysis(benchmark):
         rows.append([name, len(decisions), free, coordinated])
         for handler, decision in decisions.items():
             if report.handlers[handler].coordination_free:
-                assert decision.mechanism in (CoordinationMechanism.NONE, CoordinationMechanism.SEALING)
+                assert decision.mechanism is CoordinationMechanism.NONE
             else:
-                assert decision.mechanism in (CoordinationMechanism.CONSENSUS_LOG,
-                                              CoordinationMechanism.TWO_PHASE_COMMIT)
+                assert decision.mechanism is CoordinationMechanism.CONSENSUS_LOG
     print_rows("E9: coordination elision per application",
                ["application", "handlers", "coordination-free", "coordinated"], rows)

@@ -283,9 +283,10 @@ def check_calm_coordination_free(history: History, env: ChaosEnv,
     rather than delaying them, so a monotone op either completes within a
     few message delays or never — any completed op whose latency exceeds
     the bound must have waited on coordination, which CALM says it never
-    needs.  Static half: the shopping-cart program's monotone handlers must
-    compile to ``NONE``/``SEALING`` and only the serializable checkout may
-    pay for consensus.
+    needs.  Static half: every shopping-cart handler is monotone and must
+    compile to ``NONE`` — the serializable checkout included — while the
+    covid program's non-monotone ``vaccinate`` must still pay for a
+    consensus log.
     """
     result = CheckResult("calm-coordination-free")
     if bound is None:
@@ -308,8 +309,7 @@ def _static_calm_failures() -> tuple[str, ...]:
     from repro.apps.shopping_cart import build_cart_program
 
     failures = []
-    decisions = decide_coordination(
-        build_cart_program(), sealable_handlers=frozenset({"sealed_checkout"}))
+    decisions = decide_coordination(build_cart_program())
     for handler in ("add_item", "remove_item", "sealed_checkout", "checkout"):
         # Every cart handler's effects are lattice merges, so CALM proves
         # the whole cart coordination-free — including the checkout the

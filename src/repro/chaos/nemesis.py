@@ -607,7 +607,7 @@ class ClockSkew(Fault):
 
     ``offset`` shifts what the node's ``clock()`` reads; ``drift`` stretches
     every timer the node arms while skewed (> 1 is a slow local clock firing
-    cadences late — gossip rounds, RPC retries, 2PC vote timeouts).  The
+    cadences late — gossip rounds, RPC retries and timeouts).  The
     target is picked by ``index`` into the sorted crashable ids at fire
     time.  Restore subtracts/divides exactly what was applied, so
     overlapping skews on one node compose and restore independently.

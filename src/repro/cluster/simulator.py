@@ -67,7 +67,9 @@ class Event:
 
         The owning simulator counts tombstones and compacts the heap when
         they dominate, so heavy cancel/re-arm churn (RPC retries, gossip
-        cadences under clock skew) cannot leak far-future stale events.
+        cadences under clock skew) cannot leak far-future stale events.  An
+        event that has already been popped (fired, or firing: a callback
+        may cancel its own event) has no owner left and counts nothing.
         """
         if not self.cancelled:
             self.cancelled = True
@@ -180,6 +182,7 @@ class Simulator:
             if event.cancelled:
                 self._cancelled -= 1
                 continue
+            event._owner = None  # off the heap: a late cancel is no tombstone
             self.now = time
             if self.tracing:
                 self._trace.append((time, event.label))
@@ -213,6 +216,7 @@ class Simulator:
                 if max_events is not None and fired >= max_events:
                     return
                 pop(queue)
+                event._owner = None  # as in step()
                 self.now = time
                 if self.tracing:
                     self._trace.append((time, event.label))

@@ -28,7 +28,6 @@ from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Network
 from repro.cluster.simulator import Simulator
 from repro.compiler.plan import DeploymentPlan
-from repro.consistency.calm import CoordinationMechanism
 from repro.consistency.paxos import PaxosReplica
 from repro.core.program import HydroProgram
 
@@ -128,9 +127,7 @@ class HydroDeployment:
         endpoint_plan = self.plan.endpoints[handler]
         token = ("req", next(self._ids))
         self.metrics.increment(f"invocations.{handler}")
-        if endpoint_plan.coordination.mechanism in (
-            CoordinationMechanism.NONE, CoordinationMechanism.SEALING
-        ) or not self.consensus:
+        if endpoint_plan.coordination_free or not self.consensus:
             self.proxy.invoke(
                 handler, args,
                 on_reply=lambda reply, t=token: self.responses.__setitem__(t, reply),

@@ -41,13 +41,12 @@ class Hydrolysis:
         topology: Optional[Topology] = None,
         candidate_nodes: Iterable[Hashable] = (),
         loads: Optional[dict[str, HandlerLoadModel]] = None,
-        sealable_handlers: Iterable[str] = (),
         objective: str = "cost",
     ) -> DeploymentPlan:
         """Compile a program into a deployment plan."""
         program.validate()
         report = analyze_program(program)
-        decisions = decide_coordination(program, report, frozenset(sealable_handlers))
+        decisions = decide_coordination(program, report)
 
         placements = {}
         candidates = list(candidate_nodes)

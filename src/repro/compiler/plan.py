@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from repro.cluster.domains import Placement
-from repro.consistency.calm import CoordinationDecision, CoordinationMechanism
+from repro.consistency.calm import CoordinationDecision
 from repro.core.facets import AvailabilitySpec, ConsistencySpec, TargetSpec
 from repro.core.monotonicity import HandlerAnalysis
 from repro.placement.ilp import ConfigurationOption
@@ -55,9 +55,6 @@ class DeploymentPlan:
 
     def coordinated_endpoints(self) -> list[str]:
         return [name for name, plan in self.endpoints.items() if not plan.coordination_free]
-
-    def coordination_free_endpoints(self) -> list[str]:
-        return [name for name, plan in self.endpoints.items() if plan.coordination_free]
 
     @property
     def total_instances(self) -> int:

@@ -1,18 +1,16 @@
-"""The consistency facet: specs, analyses and enforcement mechanisms (§7).
+"""The consistency facet: specs, analysis and enforcement mechanisms (§7).
 
 The paper's consistency story has three parts, each with a module here:
 
 * **Analysis** — :mod:`repro.consistency.calm` turns the monotonicity report
-  into per-endpoint coordination decisions (no enforcement / sealing /
-  commit protocol / consensus log), and
-  :mod:`repro.consistency.metaconsistency` checks compositions of endpoints
-  with heterogeneous consistency specs.
-* **Mechanisms** — :mod:`repro.consistency.two_phase_commit` and
-  :mod:`repro.consistency.paxos` implement the "heavyweight" coordination
-  protocols over the simulated cluster; :mod:`repro.consistency.causal`
-  implements coordination-free causal delivery with vector clocks;
-  :mod:`repro.consistency.sealing` implements the Blazes-style sealing
-  pattern used by the shopping-cart experiment.
+  into per-endpoint coordination decisions: no enforcement, or a consensus
+  log — the two mechanisms a compiled deployment runs.
+* **Mechanisms** — :mod:`repro.consistency.paxos` implements the
+  "heavyweight" consensus log over the simulated cluster;
+  :mod:`repro.consistency.causal` implements coordination-free causal
+  delivery with vector clocks; :mod:`repro.consistency.sealing` implements
+  the Blazes-style sealing pattern the shopping-cart experiment runs
+  client-side.
 * **Specs** — the level/invariant data types live in
   :mod:`repro.core.facets` and are re-exported here for convenience.
 """
@@ -20,18 +18,8 @@ The paper's consistency story has three parts, each with a module here:
 from repro.core.facets import ConsistencyLevel, ConsistencySpec, Invariant
 from repro.consistency.calm import CoordinationDecision, CoordinationMechanism, decide_coordination
 from repro.consistency.causal import CausalBroadcast, CausalMessage
-from repro.consistency.metaconsistency import (
-    CompositionReport,
-    composed_level,
-    analyze_composition,
-)
 from repro.consistency.paxos import ConsensusLog, PaxosReplica
 from repro.consistency.sealing import SealManifest, SealingCoordinator
-from repro.consistency.two_phase_commit import (
-    TransactionCoordinator,
-    TransactionParticipant,
-    TransactionOutcome,
-)
 
 __all__ = [
     "ConsistencyLevel",
@@ -42,14 +30,8 @@ __all__ = [
     "decide_coordination",
     "CausalBroadcast",
     "CausalMessage",
-    "composed_level",
-    "analyze_composition",
-    "CompositionReport",
     "ConsensusLog",
     "PaxosReplica",
     "SealManifest",
     "SealingCoordinator",
-    "TransactionCoordinator",
-    "TransactionParticipant",
-    "TransactionOutcome",
 ]

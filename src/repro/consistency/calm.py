@@ -1,16 +1,18 @@
 """CALM-driven coordination decisions.
 
 Given a program's monotonicity report and consistency facet, decide — per
-endpoint — which of the paper's three enforcement approaches (§7.2) to use:
+endpoint — which of the two mechanisms a deployment runs enforces it:
 
-1. *no enforcement* when the analysis proves the handler coordination-free;
-2. *lattice encapsulation / sealing* when a non-monotone observation can be
-   deferred behind an upward-closed threshold (the Dynamo-cart trick); or
-3. *heavyweight coordination* — a commit protocol or a consensus log —
-   when deterministic outcomes over non-monotone effects are demanded.
+1. *no enforcement* when the analysis proves the handler coordination-free
+   (CALM): the replica proxy serves it from any replica; or
+2. *a consensus log* otherwise: the handler's invocations are totally
+   ordered and fed to every replica in slot order (state machine
+   replication).
 
-The decision object also carries the reasons, so the compiler's explain
-output can show developers why an endpoint pays for coordination.
+The paper's §7.2 names a third approach, sealing; it runs client-side in
+:mod:`repro.consistency.sealing` and is no compiler decision.  The decision
+object also carries the reasons, so the compiler's explain output can show
+developers why an endpoint pays for coordination.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ class CoordinationMechanism(str, Enum):
     """How an endpoint's consistency spec is enforced."""
 
     NONE = "none"                      # coordination-free (CALM)
-    SEALING = "sealing"                # threshold/seal-based finalisation
-    TWO_PHASE_COMMIT = "2pc"           # atomic commitment across partitions
     CONSENSUS_LOG = "consensus-log"    # total order broadcast (state machine replication)
 
 
@@ -42,20 +42,14 @@ class CoordinationDecision:
 
     @property
     def coordination_free(self) -> bool:
-        return self.mechanism in (CoordinationMechanism.NONE, CoordinationMechanism.SEALING)
+        return self.mechanism is CoordinationMechanism.NONE
 
 
 def decide_coordination(
     program: HydroProgram,
     report: MonotonicityReport | None = None,
-    sealable_handlers: frozenset[str] | set[str] = frozenset(),
 ) -> dict[str, CoordinationDecision]:
-    """Choose a coordination mechanism for every handler.
-
-    ``sealable_handlers`` names endpoints the developer (or a Blazes-style
-    analysis) has identified as finalisable through sealing; for those the
-    compiler prefers sealing over heavyweight coordination.
-    """
+    """Choose a coordination mechanism for every handler."""
     if report is None:
         report = analyze_program(program)
     decisions: dict[str, CoordinationDecision] = {}
@@ -66,22 +60,11 @@ def decide_coordination(
             mechanism = CoordinationMechanism.NONE
             if not reasons:
                 reasons = ["monotone handler: CALM guarantees coordination-free determinism"]
-        elif name in sealable_handlers:
-            mechanism = CoordinationMechanism.SEALING
-            reasons.append("finalisation deferred behind an upward-closed seal threshold")
-        elif spec.level in (ConsistencyLevel.SERIALIZABLE, ConsistencyLevel.LINEARIZABLE) or spec.invariants:
-            mechanism = CoordinationMechanism.CONSENSUS_LOG
-            reasons.append("total order required across replicas")
         else:
-            mechanism = CoordinationMechanism.TWO_PHASE_COMMIT
-            reasons.append("atomic commitment across partitions is sufficient")
+            mechanism = CoordinationMechanism.CONSENSUS_LOG
+            if spec.level in (ConsistencyLevel.SERIALIZABLE, ConsistencyLevel.LINEARIZABLE) or spec.invariants:
+                reasons.append("total order required across replicas")
+            else:
+                reasons.append("non-monotone effects are ordered across replicas")
         decisions[name] = CoordinationDecision(name, mechanism, tuple(reasons))
     return decisions
-
-
-def coordination_summary(decisions: dict[str, CoordinationDecision]) -> dict[str, int]:
-    """Count endpoints per mechanism — used in compiler explain output and benches."""
-    summary: dict[str, int] = {}
-    for decision in decisions.values():
-        summary[decision.mechanism.value] = summary.get(decision.mechanism.value, 0) + 1
-    return summary

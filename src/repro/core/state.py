@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional
 
+from repro.cluster.transport import payload_digest
 from repro.core.datamodel import DataModel, EntityClass, TableDecl
 from repro.core.errors import SpecificationError
 from repro.lattices.base import Lattice
@@ -27,7 +28,8 @@ class Effect:
 
 @dataclass(frozen=True)
 class MergeRowEffect(Effect):
-    """Monotone upsert: lattice fields merge, plain fields fill if absent."""
+    """Monotone upsert: lattice fields merge, plain fields join (a default
+    loses to a set value; two set values resolve by a fixed order)."""
 
     table: str
     row: Mapping[str, Any]
@@ -119,6 +121,22 @@ def _join(current: Lattice, incoming: Lattice) -> Lattice:
     if current.leq(incoming):
         return incoming
     return current.merge(incoming)
+
+
+def _join_plain(current: Any, incoming: Any, bottom: Any) -> Any:
+    """Join of two replicas' values of a plain field, reusing an operand.
+
+    The field's default (``bottom``) and ``None`` lose to any set value;
+    two set values resolve by their structural digest, a fixed total order
+    no ``PYTHONHASHSEED`` moves.  The rule is commutative, associative and
+    idempotent, so replicas that saw the same writes hold the same value
+    whatever order the writes arrived in.
+    """
+    if incoming is None or incoming == bottom or incoming == current:
+        return current
+    if current is None or current == bottom:
+        return incoming
+    return max(current, incoming, key=payload_digest)
 
 
 #: What a change log stamps and a gossip payload carries: ``(table, key)``
@@ -260,9 +278,7 @@ class TableState:
             return
         for name in entity.lattice_fields:
             existing[name] = existing[name].merge(filled[name])
-        for name in entity.plain_fields:
-            if existing[name] is None and filled[name] is not None:
-                existing[name] = filled[name]
+        self._join_plain_fields(existing, filled)
 
     def merge_peer_row(self, key: Hashable, row: Mapping[str, Any]) -> bool:
         """Monotone upsert of a peer replica's copy of one row of this table.
@@ -288,11 +304,19 @@ class TableState:
             if joined is not current:
                 existing[name] = joined
                 inflated = True
-        for name in self.entity.plain_fields:
-            if existing[name] is None and row[name] is not None:
-                existing[name] = row[name]
-                inflated = True
-        return inflated
+        return self._join_plain_fields(existing, row) or inflated
+
+    def _join_plain_fields(self, existing: dict[str, Any], row: Mapping[str, Any]) -> bool:
+        """Join ``row``'s plain fields into ``existing``; whether any changed."""
+        entity = self.entity
+        changed = False
+        for name in entity.plain_fields:
+            current = existing[name]
+            joined = _join_plain(current, row[name], entity.field_spec(name).default)
+            if joined is not current:
+                existing[name] = joined
+                changed = True
+        return changed
 
     def merge_field(self, key: Hashable, field_name: str, value: Lattice) -> None:
         spec = self.entity.field_spec(field_name)
@@ -460,9 +484,9 @@ class ProgramState:
                       source: Optional[Hashable] = None, tag: int = 0) -> None:
         """Merge a peer replica's exported entries into this state.
 
-        Lattice fields and vars merge; plain fields and vars keep the local
-        value when present (last-writer wins is handled at a higher level by
-        consistency protocols, not by blind state merge).  ``entries`` is
+        Lattice fields and vars merge; plain fields join (``_join_plain``);
+        plain vars keep the local value when present (their writers are
+        ordered by the consensus log, not by blind state merge).  ``entries`` is
         only read.  An entry that actually inflated this state is stamped in
         the change log — under ``source``, as its ward at ``tag``, when this
         replica now holds exactly the peer's value.  A genuine merge from

@@ -11,8 +11,8 @@ CRDTs, the CALM theorem).  This package provides:
 * Counter CRDTs — grow-only and PN counters.
 * Ordering metadata — vector clocks, last-writer-wins registers,
   dominating pairs and causal (vector-clock-tagged) values.
-* Composites — pairs and labelled products of lattices, plus helpers for
-  checking monotone functions between lattices.
+* Composites — pairs and labelled products of lattices, plus a check
+  that a function between lattices is monotone on sample points.
 
 Every lattice in this package satisfies, and is property-tested for, the
 semilattice laws: associativity, commutativity and idempotence of ``merge``,
@@ -27,11 +27,7 @@ from repro.lattices.pairs import DominatingPair, PairLattice, ProductLattice
 from repro.lattices.primitives import BoolAnd, BoolOr, MaxInt, MinInt
 from repro.lattices.sets import SetUnion, TwoPhaseSet
 from repro.lattices.vector_clock import CausalValue, VectorClock
-from repro.lattices.monotone import (
-    MonotoneFunction,
-    is_monotone_on_samples,
-    monotone,
-)
+from repro.lattices.monotone import is_monotone_on_samples
 
 __all__ = [
     "BOTTOM",
@@ -54,7 +50,5 @@ __all__ = [
     "PairLattice",
     "ProductLattice",
     "DominatingPair",
-    "MonotoneFunction",
-    "monotone",
     "is_monotone_on_samples",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Simulator
+from repro.cluster import Network, NetworkConfig, Node, Simulator
 from repro.cluster.simulator import _COMPACT_MIN_TOMBSTONES
 
 
@@ -227,6 +227,60 @@ class TestCancelCompaction:
         above = trace(4 * _COMPACT_MIN_TOMBSTONES)
         # The longer run's trace starts with exactly the shorter run's trace.
         assert above[:len(below) - 1] == below[:-1]
+
+
+class TestTombstoneCount:
+    """``cancelled_pending`` counts cancelled events still on the heap —
+    never an event that has already been popped."""
+
+    @staticmethod
+    def heap_tombstones(sim):
+        return sum(event.cancelled for _, _, event in sim._queue)
+
+    def test_a_cancel_after_run_counts_nothing(self):
+        sim = Simulator()
+        fired = [sim.schedule(1.0, lambda: None), sim.schedule(2.0, lambda: None)]
+        sim.run_until_idle()
+        for event in fired:
+            event.cancel()
+        assert sim.cancelled_pending == 0
+
+    def test_a_step_then_cancel_counts_nothing(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        second = sim.schedule(2.0, lambda: None)
+        assert sim.step()
+        first.cancel()
+        second.cancel()  # still queued: a real tombstone
+        assert sim.cancelled_pending == self.heap_tombstones(sim) == 1
+
+    def test_a_callback_that_cancels_its_own_event_counts_nothing(self):
+        sim = Simulator()
+        own = []
+        own.append(sim.schedule(1.0, lambda: own[0].cancel()))
+        sim.run_until_idle()
+        assert own[0].cancelled
+        assert sim.cancelled_pending == 0
+
+    def test_a_crash_after_the_timers_fired_counts_only_live_timers(self):
+        sim = Simulator()
+        node = Node("n", sim, Network(sim, NetworkConfig()))
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            node.set_timer(delay, lambda: fired.append(sim.now))
+        sim.run_until_idle()
+        node.crash()
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.cancelled_pending == 0
+
+        node.recover()
+        node.set_timer(1.0, lambda: fired.append(sim.now))  # fires
+        node.set_timer(5.0, lambda: fired.append(sim.now))  # cancelled by the crash
+        sim.run(until=sim.now + 2.0)
+        node.crash()
+        assert sim.cancelled_pending == self.heap_tombstones(sim) == 1
+        sim.run_until_idle()
+        assert sim.cancelled_pending == 0 and fired == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestDefer:

@@ -1,9 +1,12 @@
 """End-to-end tests for the Hydrolysis compiler and simulated deployment
 (E1/E2/E6's correctness halves)."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps.collab_edit import build_collab_program
 from repro.apps.covid import build_covid_program
 from repro.apps.shopping_cart import build_cart_program
 from repro.availability.replication import FRESH_ENTRIES, LOGGED_CHANGES, ORDERED_REPLAYED
@@ -88,6 +91,18 @@ class TestCompile:
         for handler in program.handlers:
             assert handler in text
         assert "sharded by" in text
+
+    @pytest.mark.parametrize("builder, sized, digest", [
+        (build_covid_program, True, "a75dc36a5701ce64"),
+        (build_cart_program, False, "21719ca7042d9a48"),
+        (build_collab_program, False, "e560d9e86afd940c"),
+    ], ids=["covid", "cart", "collab"])
+    def test_shipped_plans_are_pinned(self, builder, sized, digest):
+        """Every shipped program's plan, byte for byte: the coordination
+        mechanisms, reasons, placements and sizing ``explain()`` shows."""
+        topo, nodes = topology()
+        plan = Hydrolysis().compile(builder(), topo, nodes, loads() if sized else None)
+        assert hashlib.sha256(plan.explain().encode()).hexdigest()[:16] == digest
 
 
 class TestDeployment:
@@ -449,8 +464,9 @@ def test_ordered_ops_converge_under_generated_faults(count, seed, steps, lose_at
 
 
 def test_the_cart_program_has_no_ordered_op_to_schedule():
-    """``sealed_checkout`` seals instead of coordinating: no consensus log is
-    deployed, so the schedule above has nothing to run over it."""
+    """Every cart handler, ``sealed_checkout`` included, is monotone: no
+    consensus log is deployed, so the schedule above has nothing to run
+    over it."""
     program = build_cart_program()
     plan = Hydrolysis().compile(program)
     assert plan.coordinated_endpoints() == []

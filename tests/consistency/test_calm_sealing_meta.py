@@ -1,44 +1,27 @@
-"""Tests for CALM coordination decisions, sealing and metaconsistency analysis."""
-
-import pytest
+"""Tests for CALM coordination decisions and client-side sealing."""
 
 from repro.apps.covid import build_covid_program
-from repro.apps.shopping_cart import build_cart_program
 from repro.consistency import (
-    ConsistencyLevel,
     CoordinationMechanism,
     SealManifest,
     SealingCoordinator,
-    analyze_composition,
-    composed_level,
     decide_coordination,
 )
-from repro.consistency.calm import coordination_summary
-from repro.consistency.metaconsistency import strengthen_to_satisfy
-from repro.core import ConsistencySpec
 from repro.lattices import SetUnion
 
 
 class TestCoordinationDecisions:
     def test_covid_program_decisions(self):
         decisions = decide_coordination(build_covid_program())
-        assert decisions["add_person"].mechanism is CoordinationMechanism.NONE
-        assert decisions["add_contact"].mechanism is CoordinationMechanism.NONE
-        assert decisions["diagnosed"].mechanism is CoordinationMechanism.NONE
-        assert decisions["vaccinate"].mechanism is CoordinationMechanism.CONSENSUS_LOG
+        assert {name: decision.mechanism for name, decision in decisions.items()} == {
+            "add_person": CoordinationMechanism.NONE,
+            "add_contact": CoordinationMechanism.NONE,
+            "trace": CoordinationMechanism.NONE,
+            "diagnosed": CoordinationMechanism.NONE,
+            "likelihood": CoordinationMechanism.NONE,
+            "vaccinate": CoordinationMechanism.CONSENSUS_LOG,
+        }
         assert not decisions["vaccinate"].coordination_free
-
-    def test_sealable_handler_prefers_sealing(self):
-        program = build_covid_program()
-        decisions = decide_coordination(program, sealable_handlers={"vaccinate"})
-        assert decisions["vaccinate"].mechanism is CoordinationMechanism.SEALING
-        assert decisions["vaccinate"].coordination_free
-
-    def test_summary_counts(self):
-        decisions = decide_coordination(build_covid_program())
-        summary = coordination_summary(decisions)
-        assert summary["none"] == 5
-        assert summary["consensus-log"] == 1
 
     def test_reasons_explain_coordination(self):
         decisions = decide_coordination(build_covid_program())
@@ -89,51 +72,3 @@ class TestSealing:
                 coordinator.observe("cart", {item})
             final_values.append(coordinator.sealed_value("cart"))
         assert final_values[0] == final_values[1] == frozenset({"a", "b", "c"})
-
-
-class TestMetaconsistency:
-    def test_composed_level_is_weakest_link(self):
-        assert composed_level(
-            [ConsistencyLevel.SERIALIZABLE, ConsistencyLevel.EVENTUAL]
-        ) is ConsistencyLevel.EVENTUAL
-        assert composed_level([ConsistencyLevel.CAUSAL]) is ConsistencyLevel.CAUSAL
-        assert composed_level([]) is ConsistencyLevel.LINEARIZABLE
-
-    def test_composition_without_calls_is_consistent(self):
-        report = analyze_composition(build_covid_program(), call_graph={})
-        assert report.is_consistent
-
-    def test_strong_endpoint_over_weak_dependency_is_flagged(self):
-        program = build_covid_program()
-        # vaccinate (serializable) internally calls likelihood (eventual default).
-        report = analyze_composition(program, call_graph={"vaccinate": ["likelihood"]})
-        assert "vaccinate" in report.violations
-        assert report.violations["vaccinate"] is ConsistencyLevel.EVENTUAL
-
-    def test_weak_endpoint_over_strong_dependency_is_fine(self):
-        program = build_covid_program()
-        report = analyze_composition(program, call_graph={"add_person": ["vaccinate"]})
-        assert "add_person" not in report.violations
-
-    def test_upgrade_suggestions_repair_violations(self):
-        program = build_covid_program()
-        call_graph = {"vaccinate": ["likelihood"]}
-        upgrades = strengthen_to_satisfy(program, call_graph)
-        assert upgrades == {"likelihood": ConsistencyLevel.SERIALIZABLE}
-        # Apply the upgrade and re-check.
-        program.consistency.override("likelihood", ConsistencySpec(ConsistencyLevel.SERIALIZABLE))
-        assert analyze_composition(program, call_graph).is_consistent
-
-    def test_cycles_terminate(self):
-        program = build_cart_program()
-        report = analyze_composition(
-            program, call_graph={"add_item": ["remove_item"], "remove_item": ["add_item"]}
-        )
-        assert report.paths  # analysis terminates and produces paths
-
-    def test_describe_mentions_paths(self):
-        program = build_covid_program()
-        report = analyze_composition(program, call_graph={"vaccinate": ["likelihood"]})
-        text = report.describe()
-        assert "vaccinate -> likelihood" in text
-        assert "VIOLATION" in text

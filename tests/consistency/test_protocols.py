@@ -1,15 +1,9 @@
-"""Tests for the coordination mechanisms: 2PC, consensus log, causal broadcast."""
+"""Tests for the coordination mechanisms: consensus log, causal broadcast."""
 
 import pytest
 
 from repro.cluster import Network, NetworkConfig, Simulator
-from repro.consistency import (
-    CausalBroadcast,
-    ConsensusLog,
-    TransactionCoordinator,
-    TransactionOutcome,
-    TransactionParticipant,
-)
+from repro.consistency import CausalBroadcast, ConsensusLog
 from repro.consistency.paxos import LEARN_REQUESTS
 
 
@@ -17,55 +11,6 @@ def make_cluster(seed=3, drop_rate=0.0):
     sim = Simulator(seed=seed)
     net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5, drop_rate=drop_rate))
     return sim, net
-
-
-class TestTwoPhaseCommit:
-    def build(self, votes):
-        sim, net = make_cluster()
-        applied = []
-        participants = []
-        for index, vote in enumerate(votes):
-            participants.append(
-                TransactionParticipant(
-                    f"p{index}", sim, net,
-                    can_commit=lambda payload, v=vote: v,
-                    apply_payload=applied.append,
-                )
-            )
-        coordinator = TransactionCoordinator("coord", sim, net)
-        return sim, coordinator, participants, applied
-
-    def test_all_yes_commits(self):
-        sim, coordinator, participants, applied = self.build([True, True, True])
-        outcomes = []
-        tid = coordinator.begin("payload", [p.node_id for p in participants],
-                                on_complete=outcomes.append)
-        sim.run_until_idle()
-        assert coordinator.outcome(tid) is TransactionOutcome.COMMITTED
-        assert outcomes == [TransactionOutcome.COMMITTED]
-        assert applied == ["payload"] * 3
-
-    def test_single_no_vote_aborts(self):
-        sim, coordinator, participants, applied = self.build([True, False, True])
-        tid = coordinator.begin("payload", [p.node_id for p in participants])
-        sim.run_until_idle()
-        assert coordinator.outcome(tid) is TransactionOutcome.ABORTED
-        assert applied == []
-
-    def test_crashed_participant_causes_abort_via_timeout(self):
-        sim, coordinator, participants, applied = self.build([True, True])
-        participants[1].crash()
-        tid = coordinator.begin("payload", [p.node_id for p in participants])
-        sim.run_until_idle()
-        assert coordinator.outcome(tid) is TransactionOutcome.ABORTED
-        assert applied == []
-
-    def test_transactions_are_independent(self):
-        sim, coordinator, participants, applied = self.build([True, True])
-        ids = [coordinator.begin(f"tx{i}", [p.node_id for p in participants]) for i in range(3)]
-        sim.run_until_idle()
-        assert all(coordinator.outcome(tid) is TransactionOutcome.COMMITTED for tid in ids)
-        assert sorted(applied) == sorted(["tx0", "tx1", "tx2"] * 2)
 
 
 class TestConsensusLog:

@@ -1,6 +1,12 @@
 """Tests for the HydroLogic data model and deferred-effect state."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.datamodel import DataModel, EntityClass, FieldSpec
 from repro.core.errors import SpecificationError
@@ -14,6 +20,7 @@ from repro.core.state import (
     MergeVarEffect,
     ProgramState,
     SendEffect,
+    _join_plain,
 )
 from repro.lattices import BoolOr, GCounter, MaxInt, SetUnion
 
@@ -253,3 +260,91 @@ class TestProgramState:
         left.merge_from(right)
         assert left.table("people").get(1)["contacts"] == SetUnion({2, 3})
         assert 4 in left.table("people")
+
+
+#: Set values of a plain field, of several types, frozensets among them
+#: (their ``repr`` and ``hash`` follow ``PYTHONHASHSEED``).
+PLAIN_VALUES = st.one_of(
+    st.text(min_size=1, max_size=3),
+    st.integers(),
+    st.frozensets(st.text(max_size=2), min_size=1, max_size=3),
+    st.tuples(st.text(max_size=2), st.integers(min_value=0, max_value=3)),
+)
+
+
+class TestPlainFieldJoin:
+    """Replicas join a plain field: its default is bottom, and two set
+    values resolve by a fixed total order, so the result never depends on
+    the order writes arrive in."""
+
+    def test_a_default_loses_to_a_set_value_in_either_order(self):
+        created_by_a_lattice_merge = ProgramState(model())
+        created_by_a_lattice_merge.apply(MergeFieldEffect("people", 1, "contacts", SetUnion({2})))
+        created_by_a_lattice_merge.apply(MergeRowEffect("people", {"pid": 1, "country": "US"}))
+        defaulted_later = ProgramState(model())
+        defaulted_later.apply(MergeRowEffect("people", {"pid": 1, "country": "US"}))
+        defaulted_later.apply(MergeRowEffect("people", {"pid": 1}))
+        for state in (created_by_a_lattice_merge, defaulted_later):
+            assert state.table("people").get(1)["country"] == "US"
+
+    def test_two_set_values_resolve_alike_on_every_replica(self):
+        writes = [MergeRowEffect("people", {"pid": 1, "country": country})
+                  for country in ("US", "DE", "FR")]
+        states = []
+        for order in (writes, writes[::-1], writes[1:] + writes[:1]):
+            state = ProgramState(model())
+            for effect in order:
+                state.apply(effect)
+            states.append(state)
+        countries = {state.table("people").get(1)["country"] for state in states}
+        assert len(countries) == 1
+        left = ProgramState(model())
+        left.apply(MergeRowEffect("people", {"pid": 1, "country": "US"}))
+        right = ProgramState(model())
+        right.apply(MergeRowEffect("people", {"pid": 1, "country": "DE"}))
+        right.apply(MergeRowEffect("people", {"pid": 1, "country": "FR"}))
+        left.merge_from(right)
+        right.merge_from(left)
+        assert {left.table("people").get(1)["country"],
+                right.table("people").get(1)["country"]} == countries
+
+    def test_a_peer_row_reports_a_plain_change_once(self):
+        state = ProgramState(model())
+        state.apply(MergeRowEffect("people", {"pid": 1}))
+        table = state.table("people")
+        peer_row = person_class().new_row(pid=1, country="US")
+        assert table.merge_peer_row(1, peer_row)
+        assert table.get(1)["country"] == "US"
+        assert not table.merge_peer_row(1, peer_row)
+        assert not table.merge_peer_row(1, person_class().new_row(pid=1))  # a default teaches nothing
+        assert table.get(1)["country"] == "US"
+
+    @settings(max_examples=300, deadline=None)
+    @given(bottom=st.sampled_from([None, ""]),
+           values=st.lists(PLAIN_VALUES, min_size=3, max_size=3), data=st.data())
+    def test_the_join_is_commutative_associative_and_idempotent(self, bottom, values, data):
+        a, b, c = (data.draw(st.sampled_from([value, bottom]), label=f"operand {index}")
+                   for index, value in enumerate(values))
+
+        def join(x, y):
+            return _join_plain(x, y, bottom)
+
+        assert join(a, b) == join(b, a)
+        assert join(join(a, b), c) == join(a, join(b, c))
+        assert join(a, a) == a
+        assert join(a, bottom) == a == join(bottom, a)
+
+    def test_the_order_of_set_values_ignores_the_hash_seed(self):
+        script = ("from repro.core.state import _join_plain\n"
+                  "values = [frozenset({'a', 'b', 'c'}), frozenset({'d', 'e'}), frozenset({'f'}),\n"
+                  "          ('x', 1), 'US', 'DE', 7, -3]\n"
+                  "print([values.index(_join_plain(x, y, None)) for x in values for y in values])\n")
+        root = Path(__file__).resolve().parents[2]
+        outputs = []
+        for seed in ("1", "31337"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, check=True)
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
