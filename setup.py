@@ -1,11 +1,16 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the ``repro`` library under ``src/``.
 
-The project is fully described by ``pyproject.toml``; this file only exists
-so that ``pip install -e .`` works in offline environments whose setuptools
-lacks ``bdist_wheel`` (legacy editable installs go through ``setup.py
-develop``).
+This file is the project's whole packaging description (there is no
+``pyproject.toml``).  ``pip install -e .`` — or, offline with a setuptools
+that lacks ``bdist_wheel``, ``python setup.py develop`` — makes ``import
+repro`` work outside the repository.  The test suite needs no install: it
+runs with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -74,15 +74,16 @@ class ReplicaProxy(Node):
 
     def _forward(self, payload: dict, tried: list[Hashable], sent_at: float,
                  on_reply: OnReply) -> None:
-        """Send the next attempt; every call after the first is a timeout's."""
-        if tried:
-            self.metrics.increment("proxy.retries")
+        """Send the next attempt; every call after the first is a timeout's,
+        and a retry only if it sends one."""
         handler = payload["handler"]
         replica = (self._choose_replica(handler, tried)
                    if len(tried) < self.max_attempts else None)
         if replica is None:
             self.metrics.increment("proxy.failures")
             return
+        if tried:
+            self.metrics.increment("proxy.retries")
         tried.append(replica)
         self.metrics.increment("proxy.forwarded")
         self.request(replica, "invoke", payload, entries=1, policy=self.attempt_policy,

@@ -6,23 +6,17 @@ Every operation enters through :meth:`ReplicaNode.apply`: a coordination-free
 one as the proxy forwards it, a coordinated one (a consensus-log slot, for
 the endpoints the compiler found non-monotone) by :meth:`~ReplicaNode.apply_ordered`.
 Replicas converge for monotone (lattice) state without coordination, the
-Anna/CALM execution model, by delta gossip:
-
-* the program state stamps every committed change, and every merged-in one
-  no peer answers for, in a :class:`~repro.core.state.ChangeLog`;
-* each round a replica sends each peer one ``gossip`` parcel ``{"entries",
-  "relayed", "since", "seq", "seen", "delivered"[, "floor"][, "ordered"]}``:
-  the rows and vars changed after ``since`` (what it already shipped to that
-  peer) and which of them it merely passes on, its own latest stamp, the
-  highest of *the peer's* stamps it holds without a gap, the lowest stamp
-  all its *other* peers confirmed of its log, and the stamp its log started
-  at (absent while 0).  Each stamp is one digest item, whatever the replica
-  count;
-* that ``seen`` is the acknowledgement, and it belongs to the receiver: a
-  replica that loses its state reports 0 again and each peer ships it
-  everything once.  There is no ack message and no periodic full round;
-* changes a peer leaves unconfirmed for ``RETRANSMIT_AFTER_ROUNDS`` rounds
-  are shipped again from its confirmed stamp, with their current values.
+Anna/CALM execution model, by the watermark protocol of
+:mod:`repro.cluster.watermark` over rows and vars, stamped in a
+:class:`~repro.core.state.ChangeLog`.  Each round a replica sends each peer
+one ``gossip`` parcel ``{"entries", "relayed", "since", "seq", "seen",
+"delivered"[, "floor"][, "ordered"]}``: a window, which of its entries the
+sender merely passes on, the acknowledgement, the lowest stamp all its
+*other* peers confirmed of its log, and the stamp its log started at (absent
+while 0).  Each stamp is one digest item, whatever the replica count.  The
+acknowledgement rides the parcel and belongs to the receiver: a replica that
+loses its state reports 0 again, and a peer that sees its confirmation fall
+ships it everything once.
 
 **A change is shipped by whoever is on the hook for it.**  A fresh window
 carries only what this replica *owns*: what it changed itself, merged into
@@ -84,6 +78,7 @@ from typing import Any, Hashable, Iterable, Mapping, Optional
 from repro.cluster.network import Message
 from repro.cluster.node import Node
 from repro.cluster.transport import digest_entries
+from repro.cluster.watermark import RETRANSMIT_AFTER_ROUNDS, PeerSync
 from repro.core.interpreter import SingleNodeInterpreter
 from repro.core.program import HydroProgram
 from repro.core.state import ChangeLog
@@ -102,10 +97,6 @@ RELEASED_WARDS = "replica.gossip.released_wards"
 #: Log slots fed to a replica outside the log's own apply call; 0 fault-free.
 ORDERED_REPLAYED = "replica.ordered.replayed"
 
-#: Rounds a peer may leave shipped changes unconfirmed before they are
-#: shipped again.  An ack rides the peer's next parcel, so it is at least
-#: one round behind; two keeps a fault-free run free of retransmissions.
-RETRANSMIT_AFTER_ROUNDS = 2
 #: Reviews a ward may wait for its release before it is taken over.  The
 #: peers' acks ride their next parcel to the origin and the origin's report
 #: of them the one after, so the release arrives for the third review; two
@@ -143,18 +134,10 @@ def answer_invoke(node: Node, message: Message, status: str, result: Any) -> Non
                                   "replica": node.node_id}, entries=1)
 
 
-@dataclass
-class _PeerSync:
-    """Gossip stamps kept about one peer; all zero is "fully unsynced"."""
+@dataclass(slots=True)
+class _PeerSync(PeerSync):
+    """The watermarks kept about one peer, its refill mark and its reports."""
 
-    #: Highest of the peer's stamps held here without a gap (reported back).
-    seen: int = 0
-    #: Highest local stamp the peer last reported holding.
-    confirmed: int = 0
-    #: Highest local stamp already shipped to the peer.
-    shipped: int = 0
-    #: Consecutive rounds that found shipped changes unconfirmed.
-    overdue: int = 0
     #: Stamps up to here were shipped before the peer lost its state.
     refill_upto: int = 0
     #: The peer's latest report about its own log: what all its peers but
@@ -163,11 +146,6 @@ class _PeerSync:
     floor: int = 0
     #: The last log slot the peer reported applying (``ordered``).
     ordered: int = -1
-
-    def refill(self) -> None:
-        """Next round, ship the peer everything again, from what it confirms."""
-        self.refill_upto = self.shipped
-        self.overdue = RETRANSMIT_AFTER_ROUNDS
 
 
 class ReplicaNode(Node):
@@ -285,22 +263,15 @@ class ReplicaNode(Node):
         metrics.increment(LOGGED_CHANGES, taken)
 
     def _parcel_for(self, peer: Hashable, sync: _PeerSync, delivered: int) -> dict:
-        since = sync.shipped
-        if sync.confirmed < sync.shipped:
-            sync.overdue += 1
-            if sync.overdue >= RETRANSMIT_AFTER_ROUNDS:
-                # The ack is overdue (lost parcel, lost ack, or a peer that
-                # lost its state): go back to what the peer confirmed.
-                since, sync.overdue = sync.confirmed, 0
-        else:
-            sync.overdue = 0
+        since = sync.due()
         # Filled in log order, so the payload is the same under every
         # PYTHONHASHSEED.
         log = self.change_log
-        theirs = log.wards.get(peer, ())
+        theirs, sources = log.wards.get(peer, ()), log.sources
         kinds: dict = {}
         relayed = []
-        for item, stamp, source in log.since(since):
+        for item, stamp in log.since(since):
+            source = sources.get(item)
             if stamp > sync.shipped:
                 if source is not None and (sync.confirmed or source != peer
                                            and item not in theirs):
@@ -331,17 +302,16 @@ class ReplicaNode(Node):
         payload = message.payload
         peer = message.source
         sync = self._sync[peer]
-        if payload["since"] <= sync.seen:
-            sync.seen = max(sync.seen, payload["seq"])
-        confirmed = payload["seen"]
-        if confirmed < sync.confirmed:
+        sync.on_window(payload["since"], payload["seq"])
+        seen = payload["seen"]
+        if seen < sync.confirmed:
             # The peer holds less than it did: it lost its state.  Next
             # round, ship it everything again (reporting 0, it is also
             # offered its own writes back).
-            sync.refill()
-        elif confirmed > sync.confirmed:
-            sync.overdue = 0
-        sync.confirmed = confirmed
+            sync.refill_upto, sync.confirmed = sync.shipped, seen
+            sync.overdue = RETRANSMIT_AFTER_ROUNDS
+        else:
+            sync.confirm(seen)
         sync.delivered = payload["delivered"]
         sync.floor = payload.get("floor", 0)
         stale, sync.ordered = sync.ordered, payload.get("ordered", -1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional
 
 from repro.cluster.transport import payload_digest
+from repro.cluster.watermark import StampLog
 from repro.core.datamodel import DataModel, EntityClass, TableDecl
 from repro.core.errors import SpecificationError
 from repro.lattices.base import Lattice
@@ -144,63 +145,47 @@ def _join_plain(current: Any, incoming: Any, bottom: Any) -> Any:
 Item = tuple[Optional[str], Hashable]
 
 
-class ChangeLog:
+class ChangeLog(StampLog):
     """Which rows and vars of one replica changed, in the order they did.
 
-    Every recorded change gets the next local sequence number; an item
-    changed again moves to the tail under its new number, so the log holds
-    one stamp per item and "everything after seq *n*" is a walk back from
-    the tail that costs what changed, not what is stored.  ``source`` is the
-    peer a change was adopted from unmodified (``None`` for a local commit
-    or a genuine merge): that peer holds the value already.  An adoption
-    also opens a *ward*, ``wards[source][item] = (tag, reviews waited)``
-    with ``tag`` the stamp the peer's own log had reached: the peer, not
-    this replica, is on the hook for delivering the change elsewhere.  A
-    peer's genuine merge into an item already logged here is no new stamp:
-    the item becomes that peer's ward too (:meth:`share`), the peer on the
-    hook for its part as the stamp's owner is for the rest.  The replication
-    layer closes wards; stamping the item again closes every one on it.
+    A :class:`~repro.cluster.watermark.StampLog` of items, plus
+    ``sources``: the peer an item's latest change was adopted from
+    unmodified (absent for a local commit or a genuine merge), which holds
+    the value already.  An adoption also opens a *ward*,
+    ``wards[source][item] = (tag, reviews waited)`` with ``tag`` the stamp
+    the peer's own log had reached: the peer, not this replica, is on the
+    hook for delivering the change elsewhere.  A peer's genuine merge into
+    an item already logged here is no new stamp: the item becomes that
+    peer's ward too (:meth:`share`), the peer on the hook for its part as the
+    stamp's owner is for the rest.  The replication layer closes wards;
+    stamping the item again closes every one on it.
     """
 
     def __init__(self, seq: int = 0) -> None:
-        #: Stamp of the latest change.  A replica that loses its state starts
-        #: its next log here, never back at 0, so a stamp its peers may have
-        #: acknowledged is not handed out twice.
-        self.seq = seq
-        #: Where the numbering started: no change stamped at or below it is
-        #: in this log (whatever a peer may remember of an earlier one).
-        self.floor = seq
-        self._stamps: dict[Item, tuple[int, Optional[Hashable]]] = {}
+        super().__init__(seq)
+        self.sources: dict[Item, Hashable] = {}
         #: Per origin, its open wards; an origin with none is not listed.
         self.wards: dict[Hashable, dict[Item, tuple[int, int]]] = {}
 
     def record(self, item: Item, source: Optional[Hashable] = None, tag: int = 0) -> None:
-        self.seq += 1
-        if self._stamps.pop(item, None) is not None and self.wards:
+        if item in self.stamps and self.wards:
             for origin in [origin for origin, wards in self.wards.items()
                            if wards.pop(item, None) is not None and not wards]:
                 del self.wards[origin]
-        self._stamps[item] = (self.seq, source)
-        if source is not None:
+        self.stamp(item)
+        if source is None:
+            self.sources.pop(item, None)
+        else:
+            self.sources[item] = source
             self.wards.setdefault(source, {})[item] = (tag, 0)
 
     def share(self, item: Item, source: Hashable, tag: int) -> bool:
         """Put ``source`` on the hook for its part of a logged item, at
         ``tag``; ``False``, and nothing done, if the item is not logged."""
-        if item not in self._stamps:
+        if item not in self.stamps:
             return False
         self.wards.setdefault(source, {})[item] = (tag, 0)
         return True
-
-    def since(self, seq: int) -> list[tuple[Item, int, Optional[Hashable]]]:
-        """``(item, stamp, source)`` of every change after ``seq``, oldest first."""
-        tail = []
-        for item, (stamp, source) in reversed(self._stamps.items()):
-            if stamp <= seq:
-                break
-            tail.append((item, stamp, source))
-        tail.reverse()
-        return tail
 
 
 class UndoJournal:

@@ -20,34 +20,26 @@ the README's mutation-protocol section for the ownership rules).
 Replication
 -----------
 
-**A write crosses each replica link once.**  A change that *enters the
-replica group* at a replica — a client ``put``, :meth:`LatticeKVS.put`, a
-reshard landing, an entry a non-peer hands over — is stamped in a small
-ordered log (one stamp per key; a key changed again moves to the tail).
-When the event that stamped it returns, each peer gets one ``gossip`` window
-``{"since": shipped, "seq": log seq, "entries": {key: current value}}``; a
-burst stamped by one event rides one window per peer.  A shard's replica
-group is fixed when :class:`LatticeKVS` builds it (a reshard builds and
-retires whole groups), and per peer the replica keeps a handful of integers
-(:class:`_PeerSync`), whatever is in flight:
-
-* the receiver merges the entries — *without* stamping them, so nothing is
-  echoed: every origin delivers its own changes to every peer itself, both
-  operands of a genuine merge have an origin doing so, and the digest tree
-  is the third-party backstop for an origin that loses its state between two
-  deliveries.  A window with ``since <= seen`` advances ``seen`` (the highest
-  of the peer's stamps held without a gap) to ``seq``; a later one waits in
-  ``ahead``.  Either way it answers at once with
-  ``gossip_ack {"seen": n, "until": None}``;
-* loss is repaired by naming the gap: on its own gossip tick a receiver still
-  holding a window in ``ahead`` sends ``{"seen": n, "until": first gap's
-  end}`` and the sender ships exactly the stamps in ``(seen, until]`` again
-  (an empty window if they were superseded — the receiver still advances);
-* tail loss is repaired by the cadence: ``confirmed < shipped`` with no ack
-  progress for ``RETRANSMIT_AFTER_ROUNDS`` ticks ships again from
-  ``confirmed``.  An idle tick sends nothing;
-* the log is trimmed at ``min(confirmed)`` on every ack: it holds what is
-  unacknowledged, not the store.
+**A write crosses each replica link once**, by the watermark protocol of
+:mod:`repro.cluster.watermark` over keys, among a replica group fixed when
+:class:`LatticeKVS` builds it (a reshard builds and retires whole groups).
+A change that *enters the group* at a replica — a client ``put``,
+:meth:`LatticeKVS.put`, a reshard landing, an entry a non-peer hands over —
+is stamped; when the event that stamped it returns, each peer gets one
+``gossip`` window ``{"since": shipped, "seq": log seq, "entries": {key:
+current value}}``, a burst stamped by one event riding one window per peer.
+The receiver merges the entries *without* stamping them, so nothing is
+echoed: every origin delivers its own changes to every peer itself, both
+operands of a genuine merge have an origin doing so, and the digest tree is
+the third-party backstop for an origin that loses its state between two
+deliveries.  It answers each window at once with ``gossip_ack {"seen": n,
+"until": None}``.  Loss is repaired by naming the gap: on its own tick a
+receiver still holding a window in ``ahead`` sends ``{"seen": n, "until":
+first gap's end}`` and the sender ships exactly the stamps in ``(seen,
+until]`` again (an empty window if they were superseded — the receiver
+still advances).  An idle tick sends nothing, and the log is trimmed at
+``min(confirmed)`` on every ack: it holds what is unacknowledged, not the
+store.
 
 State loss and silent divergence are the digest tree's job
 (:mod:`repro.storage.antientropy`): every ``full_sync_every``-th tick toward
@@ -65,7 +57,7 @@ share an envelope per destination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.metrics import MetricsRegistry
@@ -73,6 +65,7 @@ from repro.cluster.network import Message, Network
 from repro.cluster.node import Node
 from repro.cluster.simulator import Simulator
 from repro.cluster.transport import digest_entries
+from repro.cluster.watermark import PeerSync, StampLog
 from repro.lattices.base import BOTTOM, Lattice, owns_merge_result
 from repro.storage.antientropy import (
     LEAF_LEVEL,
@@ -80,36 +73,6 @@ from repro.storage.antientropy import (
     DigestTree,
 )
 from repro.storage.ring import HashRing, stable_key_bytes
-
-#: Gossip ticks a peer may leave shipped changes unconfirmed, with no ack
-#: progress, before they are shipped again from its confirmed stamp.  An ack
-#: answers its window at once, so two ticks cover a round trip of up to two
-#: gossip intervals and keep a fault-free run free of retransmissions.
-RETRANSMIT_AFTER_ROUNDS = 2
-
-#: Windows a receiver remembers past a gap.  On overflow it forgets them all:
-#: they are merged already, and the sender's go-back covers them again.
-MAX_AHEAD_WINDOWS = 8
-
-
-@dataclass(slots=True)
-class _PeerSync:
-    """What a replica keeps about one peer: a few integers, whatever is in
-    flight.  ``shipped``/``confirmed``/``overdue`` are its sender side,
-    ``seen``/``ahead`` its receiver side."""
-
-    #: Highest local stamp already shipped to the peer.
-    shipped: int = 0
-    #: Highest local stamp the peer acknowledged holding without a gap.
-    confirmed: int = 0
-    #: Consecutive ticks that found shipped changes unconfirmed.
-    overdue: int = 0
-    #: Highest of the peer's stamps held here without a gap.
-    seen: int = 0
-    #: Windows that arrived before a gap closed: ``since -> seq``.
-    ahead: dict[int, int] = field(default_factory=dict)
-    #: Gossip ticks toward the peer; schedules the digest exchanges.
-    ticks: int = 0
 
 
 class ShardNode(Node):
@@ -141,16 +104,15 @@ class ShardNode(Node):
         self.puts = 0
         self.gets = 0
         self._owned: set[Hashable] = set()
-        # The change log: key -> stamp of its latest change that entered the
-        # replica group here, in stamp order, trimmed to what some peer has
-        # yet to confirm.  ``_seq`` is the last stamp handed out; it only
-        # ever grows, so a stamp a peer confirmed is never reused.
-        self._log: dict[Hashable, int] = {}
-        self._seq = 0
+        # The change log: the keys whose latest change entered the replica
+        # group here, trimmed to what some peer has yet to confirm.
+        self.change_log = StampLog()
         # The shard's replica group, fixed here: every replica of a shard is
         # built with the same list, and no replica's list changes later.
         self.peers = [peer for peer in peers or () if peer != node_id]
-        self._sync = {peer: _PeerSync() for peer in self.peers}
+        self._sync = {peer: PeerSync() for peer in self.peers}
+        # Gossip ticks so far; schedules the digest exchanges.
+        self._ticks = 0
         self._push_bound = False
         # Anti-entropy state: the incremental digest tree over the store and
         # at most one in-flight reconciliation per peer.
@@ -177,8 +139,14 @@ class ShardNode(Node):
         entry grew — in which case the change is stamped and ships to every
         peer when the current event returns."""
         grew = self._merge_entry(key, value)
-        if grew:
-            self._stamp(key)
+        if grew and self._sync:
+            self.change_log.stamp(key)
+            # The byte-budget checker's O(Δ) ledger: one obligation per peer.
+            self.network.metrics.increment("kvs.gossip.dirty_marks",
+                                           len(self._sync))
+            if not self._push_bound:  # one push per event
+                self._push_bound = True
+                self.simulator.defer(self._push)
         return grew
 
     def _merge_entry(self, key: Hashable, value: Lattice) -> bool:
@@ -216,22 +184,6 @@ class ShardNode(Node):
         self._tree.update(key, store[key])
         return True
 
-    def _stamp(self, key: Hashable) -> None:
-        """Log ``key``'s change and bind one push to the current event."""
-        if not self._sync:
-            return
-        self._seq += 1
-        log = self._log
-        if key in log:
-            del log[key]  # one stamp per key: changed again, it moves to the tail
-        log[key] = self._seq
-        # The byte-budget checker's O(Δ) ledger: one obligation per peer.
-        self.network.metrics.increment("kvs.gossip.dirty_marks",
-                                       len(self._sync))
-        if not self._push_bound:
-            self._push_bound = True
-            self.simulator.defer(self._push)
-
     def value_of(self, key: Hashable) -> Optional[Lattice]:
         value = self.store.get(key)
         if value is not None:
@@ -247,7 +199,7 @@ class ShardNode(Node):
             self.store.pop(key, None)
             self._owned.discard(key)
             self._tree.remove(key)
-            self._log.pop(key, None)
+            self.change_log.stamps.pop(key, None)
 
     # -- message handlers ------------------------------------------------------------
 
@@ -308,14 +260,10 @@ class ShardNode(Node):
 
     # -- gossip ------------------------------------------------------------------------
     #
-    # Wire format (see the module docstring and README "Delta-state gossip"):
-    #   "gossip"     {"since": int, "seq": int, "entries": {key: lattice}}   a window
-    #                {"entries": {key: lattice}}            a one-shot parcel
-    #   "gossip_ack" {"seen": int, "until": int | None}
     # A window is priced by its entries; ``since``/``seq`` and an ack's
-    # ``seen``/``until`` ride the message header.  A one-shot parcel (digest
-    # repair) carries no stamps and earns no ack: if one is lost the next
-    # exchange finds the same divergence.
+    # ``seen``/``until`` ride the message header.  A one-shot parcel
+    # ``{"entries": {key: lattice}}`` (digest repair) carries no stamps and
+    # earns no ack: if one is lost the next exchange finds the same divergence.
 
     def _push(self) -> None:
         """The first shipment: what the event that just returned stamped."""
@@ -323,72 +271,56 @@ class ShardNode(Node):
         if not self.alive:
             return  # the next tick after recovery ships since=shipped
         for peer, sync in self._sync.items():
-            if sync.shipped < self._seq:
+            if sync.shipped < self.change_log.seq:
                 self._ship_window(peer, sync, sync.shipped)
 
-    def _ship_window(self, peer: Hashable, sync: _PeerSync, since: int,
+    def _ship_window(self, peer: Hashable, sync: PeerSync, since: int,
                      until: Optional[int] = None) -> None:
         """Queue the changes stamped in ``(since, until]`` — to the log's
         tail when ``until`` is None — with their current values."""
-        log = self._log
-        seq = self._seq if until is None else until
-        keys = []
-        fresh = 0
-        for key in reversed(log):
-            stamp = log[key]
-            if stamp <= since:
-                break
-            if stamp <= seq:
-                keys.append(key)
-                fresh += stamp > sync.shipped
+        seq = self.change_log.seq if until is None else until
+        stamped = self.change_log.since(since, seq)
         # Change order, so the payload is the same under every PYTHONHASHSEED.
         store = self.store
-        entries = {key: store[key] for key in reversed(keys)}
+        entries = {key: store[key] for key, _ in stamped}
         # Payload values alias live store entries; give up in-place
         # ownership so they are copy-on-write from now on and the in-flight
         # message keeps reflecting state at send time.
-        self._owned.difference_update(keys)
+        self._owned.difference_update(entries)
+        shipped = sync.shipped
+        fresh = sum([stamp > shipped for _, stamp in stamped])
         metrics = self.network.metrics
         if fresh:
             metrics.increment("kvs.gossip.fresh_entries", fresh)
-        if len(keys) > fresh:
+        if len(entries) > fresh:
             metrics.increment("kvs.gossip.retransmit_entries",
-                              len(keys) - fresh)
-        if seq > sync.shipped:
+                              len(entries) - fresh)
+        if seq > shipped:
             sync.shipped = seq
         self.queue(peer, "gossip",
                    {"since": since, "seq": seq, "entries": entries},
                    entries=len(entries))
 
     def _gossip_tick(self) -> None:
+        """One gossip tick toward every peer; idle, it sends nothing."""
         if not self.alive:
             return
+        self._ticks += 1
         for peer, sync in self._sync.items():
-            self._tick_peer(peer, sync)
+            if self._ticks % self.full_sync_every == 0:
+                # O(1) probe when converged, O(divergence) repair when not.
+                self._start_anti_entropy(peer)
+            if sync.ahead:
+                # A gap that outlived a round is a loss, not a reordering.
+                self.queue(peer, "gossip_ack",
+                           {"seen": sync.seen, "until": min(sync.ahead)})
+            since = sync.due()
+            if since < self.change_log.seq:
+                self._ship_window(peer, sync, since)
             # The cadence flush: a tick called outside an event (tests do)
             # still ships before it returns.
             self.transport.flush(peer)
         self._arm_gossip()
-
-    def _tick_peer(self, peer: Hashable, sync: _PeerSync) -> None:
-        """One gossip tick toward ``peer``; idle, it sends nothing."""
-        sync.ticks += 1
-        if sync.ticks % self.full_sync_every == 0:
-            # O(1) probe when converged, O(divergence) repair when not.
-            self._start_anti_entropy(peer)
-        if sync.ahead:
-            # A gap that outlived a round is a loss, not a reordering.
-            self.queue(peer, "gossip_ack",
-                       {"seen": sync.seen, "until": min(sync.ahead)})
-        since = sync.shipped
-        if sync.confirmed < sync.shipped:
-            sync.overdue += 1
-            if sync.overdue >= RETRANSMIT_AFTER_ROUNDS:
-                # The ack is overdue (lost window or lost ack): go back to
-                # what the peer confirmed.
-                since, sync.overdue = sync.confirmed, 0
-        if since < self._seq:
-            self._ship_window(peer, sync, since)
 
     def _on_gossip(self, message: Message) -> None:
         payload = message.payload
@@ -400,48 +332,20 @@ class ShardNode(Node):
         if since is None:
             return  # a one-shot parcel
         sync = self._sync[message.source]
-        if since <= sync.seen:
-            sync.seen = max(sync.seen, payload["seq"])
-            ahead = sync.ahead
-            while ahead and (first := min(ahead)) <= sync.seen:
-                sync.seen = max(sync.seen, ahead.pop(first))
-        else:
-            if len(sync.ahead) >= MAX_AHEAD_WINDOWS:
-                sync.ahead.clear()
-            sync.ahead[since] = max(payload["seq"], sync.ahead.get(since, 0))
+        sync.on_window(since, payload["seq"])
         self.queue(message.source, "gossip_ack",
                    {"seen": sync.seen, "until": None})
 
     def _on_gossip_ack(self, message: Message) -> None:
         sync = self._sync[message.source]
         seen, until = message.payload["seen"], message.payload["until"]
-        if seen > sync.confirmed:
-            sync.confirmed, sync.overdue = seen, 0
-            self._trim_log()
+        if sync.confirm(seen):
+            self.change_log.trim(self._sync.values())
         if until is not None:
             # The peer holds a later window but not (seen, until]: fill
             # exactly that — empty if every stamp in it was superseded or
             # lost with our state, so the peer advances all the same.
             self._ship_window(message.source, sync, seen, until)
-
-    def _trim_log(self) -> None:
-        """Forget what every peer confirmed: the log holds what is
-        unacknowledged, not the store."""
-        log = self._log
-        floor = min([sync.confirmed for sync in self._sync.values()])
-        if floor >= self._seq:
-            # ``clear`` also releases the table: a dict keeps the slots of
-            # deleted keys until its next resize, and every walk of a log
-            # drained key by key (a preload's, say) would cross them all.
-            log.clear()
-            return
-        confirmed = []
-        for key, stamp in log.items():
-            if stamp > floor:
-                break
-            confirmed.append(key)
-        for key in confirmed:
-            del log[key]
 
     # -- anti-entropy ------------------------------------------------------------------
     #
@@ -638,11 +542,12 @@ class ShardNode(Node):
         self._ae_sessions.clear()
         # The log's entries are lost and nothing is owed from it: refilling
         # is the digest tree's job.  Its numbering and each ``seen`` carry
-        # on, so no stamp is reused and no peer has to start over; so do the
-        # tick counts, which keep the digest exchanges on schedule.
-        self._log.clear()
+        # on, so no stamp is reused and no peer has to start over; so does
+        # the tick count, which keeps the digest exchanges on schedule.
+        seq = self.change_log.seq
+        self.change_log = StampLog(seq)
         for sync in self._sync.values():
-            sync.confirmed = sync.shipped = self._seq
+            sync.confirmed = sync.shipped = seq
             sync.overdue = 0
             sync.ahead.clear()
 

@@ -25,7 +25,14 @@ from repro.availability.replication import (
     TAKEOVER_ENTRIES,
     parcel_entries,
 )
-from repro.cluster import DelayMatrix, Network, NetworkConfig, Simulator, TransportConfig
+from repro.cluster import (
+    DelayMatrix,
+    Message,
+    Network,
+    NetworkConfig,
+    Simulator,
+    TransportConfig,
+)
 from repro.core.state import ProgramState
 
 ROUND = 10.0
@@ -365,6 +372,29 @@ def test_recovery_with_state_kept_only_retransmits_the_gap():
     assert cluster.counter(RETRANSMIT_ENTRIES) > 0
 
 
+def test_parcels_delivered_out_of_order_cost_no_go_back():
+    """The later parcel waits in ``ahead``; the earlier one, arriving late,
+    connects it, and ``seen`` reaches both without a re-shipment."""
+    cluster = Cluster(2)
+    r0, r1 = cluster.replicas
+    for pid in (1, 2):
+        r0.apply("add_person", {"pid": pid, "country": "US"})
+        r0.push_gossip()
+    first, second = [payload for _, _, _, payload, _ in cluster.parcels]
+    assert [(p["since"], p["seq"]) for p in (first, second)] == [(0, 1), (1, 2)]
+    sync = r1._sync["r0"]
+
+    def deliver(payload):
+        r1._on_gossip(Message(source="r0", destination="r1", mailbox="gossip",
+                              payload=payload, sent_at=cluster.sim.now, message_id=0))
+
+    deliver(second)
+    assert (sync.seen, sync.ahead) == (0, {1: 2})
+    deliver(first)
+    assert (sync.seen, sync.ahead) == (2, {})
+    assert people(r1) == {1, 2}
+
+
 # -- (d) who is on the hook for a change: release, take-over, floor, hand-me-downs ----------
 
 
@@ -565,7 +595,7 @@ def test_a_shared_ward_closes_only_once_each_origin_has_delivered():
     assert not r2.change_log.wards
     # Released, not taken over: r2's stamp is still the adoption from r0.
     # (r2's own acks of r1's part were late too, so r0 and r3 took it over.)
-    assert [source for item, _, source in r2.change_log.since(0) if item == ROW] == ["r0"]
+    assert r2.change_log.sources[ROW] == "r0"
 
 
 # -- (f) the logical-message trace does not depend on PYTHONHASHSEED -----------------------

@@ -121,6 +121,9 @@ class TestProxyBookkeeping:
         sim.run(until=500.0)
         assert replies == []
         assert proxy.metrics.counter("proxy.forwarded") == proxy.max_attempts
+        # One send and three retries: the last timeout sends nothing.
+        assert proxy.metrics.counter("proxy.retries") == (
+            proxy.metrics.counter("proxy.forwarded") - 1)
         assert proxy.metrics.counter("proxy.failures") == 1
         assert net.metrics.keyed_counters("transport.rpc_timeouts_to") == {
             "replica-0": 2, "replica-1": 1, "replica-2": 1}

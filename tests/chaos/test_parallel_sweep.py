@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.chaos import ChaosConfig, fast_config, standard_schedule, sweep
 from repro.chaos.nemesis import DropSpike, LatencySpike, PartitionStorm
-from repro.storage.kvs import ShardNode
+from repro.cluster.watermark import StampLog
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -38,7 +38,7 @@ BUG_DEMO_SCHEDULE = [
 def skip_dirty_marking(monkeypatch):
     """Simulate the bug the delta protocol must never regress into: a
     replica's own changes are not stamped, so no window ever carries them."""
-    monkeypatch.setattr(ShardNode, "_stamp", lambda self, key: None)
+    monkeypatch.setattr(StampLog, "stamp", lambda self, item: None)
 
 
 def outcome_dicts(report):

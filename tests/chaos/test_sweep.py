@@ -31,14 +31,14 @@ from repro.chaos import (
     standard_schedule,
     sweep,
 )
-from repro.storage.kvs import ShardNode
+from repro.cluster.watermark import StampLog
 
 
 @pytest.fixture
 def skip_dirty_marking(monkeypatch):
     """Simulate the bug the delta protocol must never regress into: a
     replica's own changes are not stamped, so no window ever carries them."""
-    monkeypatch.setattr(ShardNode, "_stamp", lambda self, key: None)
+    monkeypatch.setattr(StampLog, "stamp", lambda self, item: None)
 
 
 #: Schedule + config for the bug demo: anti-entropy disabled so only the

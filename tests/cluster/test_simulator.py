@@ -1,7 +1,13 @@
 """Unit tests for the discrete-event simulator core."""
 
-import pytest
+from functools import partial
 
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+import repro.cluster.simulator as simulator
 from repro.cluster import Network, NetworkConfig, Node, Simulator
 from repro.cluster.simulator import _COMPACT_MIN_TOMBSTONES
 
@@ -391,3 +397,164 @@ class TestLazyLabels:
         assert sim.trace == [(2.0, "lazy-label")]
         assert event.label == "lazy-label"
         assert "label='lazy-label'" in repr(event)
+
+
+# -- the heap against a from-scratch oracle ----------------------------------------------
+
+DELAY = st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0])
+#: What an event does when it fires: nothing, cancel ``count`` of the events
+#: still pending from the ``first`` on (in scheduling order) or itself,
+#: schedule one, or defer work.
+ACTION = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("cancel"), st.integers(0, 3), st.integers(1, 3)),
+    st.just(("cancel_self",)),
+    st.tuples(st.just("schedule"), DELAY),
+    st.just(("defer",)),
+)
+
+
+class HeapOracle:
+    """The simulator from scratch: a dict of live entries, the earliest fired
+    by ``min``, and a list of deferred work.  An event's key is its
+    scheduling sequence."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.live = {}          # sequence -> time
+        self.actions = []       # sequence -> action
+        self.deferred = []
+        self.log = []           # sequences fired and ("deferred", key) drained, in order
+
+    def schedule(self, delay, action):
+        self.live[len(self.actions)] = self.now + delay
+        self.actions.append(action)
+
+    def cancel(self, key):
+        self.live.pop(key, None)
+
+    def drain(self):
+        while self.deferred:
+            self.log.append(("deferred", self.deferred.pop(0)))
+
+    def fire_next(self, until=None):
+        if not self.live:
+            return False
+        key = min(self.live, key=lambda seq: (self.live[seq], seq))
+        if until is not None and self.live[key] > until:
+            return False
+        self.now = self.live.pop(key)
+        self.log.append(key)
+        kind, *arg = self.actions[key]
+        if kind == "cancel" and self.live:
+            first, count = arg
+            pending = sorted(self.live)
+            for victim in pending[first % len(pending):][:count]:
+                self.cancel(victim)
+        elif kind == "schedule":
+            self.schedule(arg[0], ("none",))
+        elif kind == "defer":
+            self.deferred.append(key)
+        self.drain()
+        return True
+
+    def step(self):
+        self.drain()
+        return self.fire_next()
+
+    def run(self, until=None):
+        self.drain()
+        while self.fire_next(until):
+            pass
+        if until is not None and self.live and until > self.now:
+            self.now = until
+
+
+class SimulatorHeapMachine(RuleBasedStateMachine):
+    """``schedule`` / ``cancel`` (in callbacks, and after firing) /
+    ``defer`` / ``step`` / ``run(until=...)`` with compaction kicking in at
+    two tombstones, held to :class:`HeapOracle` after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.compact_at = simulator._COMPACT_MIN_TOMBSTONES
+        simulator._COMPACT_MIN_TOMBSTONES = 2
+        self.sim = Simulator()
+        self.oracle = HeapOracle()
+        self.events = []        # key -> Event
+        self.actions = []       # key -> action
+        self.log = []
+        self.fired = set()
+        self.latest = 0.0
+
+    def teardown(self):
+        simulator._COMPACT_MIN_TOMBSTONES = self.compact_at
+
+    def schedule_real(self, delay, action):
+        key = len(self.events)
+        self.actions.append(action)
+        self.events.append(self.sim.schedule(delay, partial(self.fire, key)))
+
+    def fire(self, key):
+        self.log.append(key)
+        self.fired.add(key)
+        kind, *arg = self.actions[key]
+        pending = [event for index, event in enumerate(self.events)
+                   if index not in self.fired and not event.cancelled]
+        if kind == "cancel" and pending:
+            # A cancel of several while running is what makes tombstones
+            # dominate and compact the heap under ``run``'s feet.
+            first, count = arg
+            for event in pending[first % len(pending):][:count]:
+                event.cancel()
+        elif kind == "cancel_self":
+            self.events[key].cancel()
+        elif kind == "schedule":
+            self.schedule_real(arg[0], ("none",))
+        elif kind == "defer":
+            self.sim.defer(partial(self.log.append, ("deferred", key)))
+
+    @rule(delay=DELAY, action=ACTION)
+    def schedule(self, delay, action):
+        self.schedule_real(delay, action)
+        self.oracle.schedule(delay, action)
+
+    @precondition(lambda self: self.events)
+    @rule(index=st.integers(0, 15))
+    def cancel(self, index):
+        self.events[index % len(self.events)].cancel()
+        self.oracle.cancel(index % len(self.oracle.actions))
+
+    @rule()
+    def defer(self):
+        self.sim.defer(partial(self.log.append, ("deferred", "outside")))
+        self.oracle.deferred.append("outside")
+
+    @rule()
+    def step(self):
+        assert self.sim.step() == self.oracle.step()
+
+    @rule(ahead=st.sampled_from([None, 0.0, 0.5, 1.0, 3.0]))
+    def run(self, ahead):
+        until = None if ahead is None else self.sim.now + ahead
+        self.sim.run(until=until)
+        self.oracle.run(until=until)
+
+    @invariant()
+    def the_heap_is_the_oracle(self):
+        sim, oracle, heap = self.sim, self.oracle, self.sim._queue
+        assert self.log == oracle.log
+        assert sim.now == oracle.now >= self.latest
+        self.latest = sim.now
+        assert sorted((time, seq) for time, seq, event in heap if not event.cancelled) == (
+            sorted((time, seq) for seq, time in oracle.live.items()))
+        assert all(heap[(index - 1) // 2][:2] <= heap[index][:2]
+                   for index in range(1, len(heap)))
+        assert sim.cancelled_pending == sum(event.cancelled for _, _, event in heap)
+        assert sim.pending_events == (len(oracle.live) + sim.cancelled_pending
+                                      + len(oracle.deferred))
+
+
+SimulatorHeapMachine.TestCase.settings = settings(
+    max_examples=300, stateful_step_count=40, deadline=None)
+TestSimulatorHeapMachine = SimulatorHeapMachine.TestCase

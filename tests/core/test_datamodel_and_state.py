@@ -182,10 +182,14 @@ class TestProgramState:
             log.record(item)
         log.record(("people", 3), source="peer")
         assert log.seq == 5
-        assert log.since(0) == [(("people", 2), 2, None), ((None, "n"), 3, None),
-                                (("people", 1), 4, None), (("people", 3), 5, "peer")]
+        assert log.since(0) == [(("people", 2), 2), ((None, "n"), 3),
+                                (("people", 1), 4), (("people", 3), 5)]
+        assert log.sources == {("people", 3): "peer"}
         assert log.since(3) == log.since(0)[2:]
+        assert log.since(1, 3) == log.since(0)[:2]
         assert log.since(5) == []
+        log.record(("people", 3))                       # changed here: no source now
+        assert log.sources == {}
         assert ChangeLog(seq=7).seq == 7 == ChangeLog(seq=7).floor and log.floor == 0
 
     def test_change_log_opens_a_ward_per_adoption_and_any_new_stamp_closes_it(self):
@@ -212,8 +216,9 @@ class TestProgramState:
         # Row 1 merged beyond the peer's copy (it must go back to the peer),
         # row 2 taught nothing, row 4 and the var were adopted as they came —
         # and are the peer's wards, at the stamp its parcel carried.
-        assert log.since(0) == [(("people", 1), 1, None), (("people", 4), 2, "right"),
-                                ((None, "total_diagnoses"), 3, "right")]
+        assert log.since(0) == [(("people", 1), 1), (("people", 4), 2),
+                                ((None, "total_diagnoses"), 3)]
+        assert log.sources == {("people", 4): "right", (None, "total_diagnoses"): "right"}
         assert log.wards == {"right": {("people", 4): (7, 0),
                                        (None, "total_diagnoses"): (7, 0)}}
         left.merge_entries(right.export(), source="right")
@@ -231,7 +236,8 @@ class TestProgramState:
         peer.apply(MergeRowEffect("people", {"pid": 1, "contacts": SetUnion({3})}))
         peer.apply(MergeRowEffect("people", {"pid": 4, "contacts": SetUnion({5})}))
         left.merge_entries(peer.export(), source="a", tag=3)
-        assert log.since(0) == [(("people", 1), 1, None), (("people", 4), 2, "a")]
+        assert log.since(0) == [(("people", 1), 1), (("people", 4), 2)]
+        assert log.sources == {("people", 4): "a"}
         assert log.wards == {"a": {("people", 1): (3, 0), ("people", 4): (3, 0)}}
 
         other = ProgramState(model())
@@ -244,12 +250,12 @@ class TestProgramState:
         # anything merged into an item the log does not hold.
         other.apply(MergeRowEffect("people", {"pid": 4, "contacts": SetUnion({7})}))
         left.merge_entries(other.export())
-        assert log.since(2) == [(("people", 4), 3, None)]
+        assert log.since(2) == [(("people", 4), 3)] and ("people", 4) not in log.sources
         assert log.wards == {"a": {("people", 1): (3, 0)}}      # the new stamp closed both
         left.apply(MergeRowEffect("people", {"pid": 9, "contacts": SetUnion({1})}))
         other.apply(MergeRowEffect("people", {"pid": 9, "contacts": SetUnion({2})}))
         left.merge_entries({("people", 9): other.export()[("people", 9)]}, source="b", tag=9)
-        assert log.since(3) == [(("people", 9), 4, None)]
+        assert log.since(3) == [(("people", 9), 4)] and ("people", 9) not in log.sources
 
     def test_merge_from_other_replica_converges(self):
         left = ProgramState(model())

@@ -233,9 +233,8 @@ def test_accepted_trial_equals_plain_application(seed_ops, ops):
     touched = [(None, {"merge_var": "high", "assign_var": "budget"}[op[0]])
                if op[0].endswith("_var") else ("items", op[1]) for op in ops]
     latest = {item: stamp for stamp, item in enumerate(touched, start=1)}
-    logged = [(item, stamp) for item, stamp, _ in log.since(0)]
     assert log.seq == len(ops)
-    assert logged == sorted(latest.items(), key=lambda pair: pair[1])
+    assert log.since(0) == sorted(latest.items(), key=lambda pair: pair[1])
 
 
 # -- (iii) snapshots are isolated in both directions -----------------------------------
@@ -307,7 +306,7 @@ def test_merge_logs_only_what_inflated(seed_ops, peer_ops):
         changed |= {(name, key) for key, row in table.rows.items() if row != was.get(key)}
     changed |= {(None, name) for name, value in receiver.state.vars.items()
                 if value != before.vars[name]}
-    assert {item for item, _, _ in log.since(0)} == changed
+    assert {item for item, _ in log.since(0)} == changed
     # Merging the same entries again is a no-op and logs nothing.
     stamp = log.seq
     receiver.state.merge_entries(peer.state.export(), source="peer")

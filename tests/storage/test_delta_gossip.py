@@ -20,10 +20,11 @@ from repro.cluster import (
     TransportConfig,
     wire_size,
 )
+from repro.cluster.watermark import RETRANSMIT_AFTER_ROUNDS
 from repro.lattices import GCounter, SetUnion
 from repro.storage import LatticeKVS
 from repro.storage.antientropy import DigestTree
-from repro.storage.kvs import RETRANSMIT_AFTER_ROUNDS, ShardNode
+from repro.storage.kvs import ShardNode
 
 
 def build_kvs(shards=2, replication=3, seed=7, drop_rate=0.0,
@@ -191,7 +192,7 @@ class TestDeltaGossipRobustness:
         assert net.bytes_sent - before == wire_size(1)
         sim.run(until=sim.now + 5.0)  # only the retransmission's ack arrives
         assert (sync.confirmed, sync.shipped, sync.overdue) == (1, 1, 0)
-        assert replica_a._log == {}
+        assert replica_a.change_log.stamps == {}
         before = net.bytes_sent
         replica_a._gossip_tick()
         assert net.bytes_sent == before  # nothing unconfirmed, nothing stamped
@@ -230,8 +231,8 @@ class TestDeltaGossipRobustness:
         kvs.settle(2000.0)
         assert_replicas_converged(kvs)
         for replica in kvs.shards[0]:
-            assert replica._log == {}, f"log never drained on {replica.node_id}"
-            assert all(sync.confirmed == sync.shipped == replica._seq
+            assert replica.change_log.stamps == {}, f"log never drained on {replica.node_id}"
+            assert all(sync.confirmed == sync.shipped == replica.change_log.seq
                        for sync in replica._sync.values())
         before = net.bytes_sent
         kvs.settle(1000.0)
@@ -249,13 +250,13 @@ class TestDeltaGossipRobustness:
         for index in range(50):
             replica_a.merge_local(f"k-{index % 10}", SetUnion({index}))
             replica_a._gossip_tick()
-            assert len(replica_a._log) <= 10
+            assert len(replica_a.change_log.stamps) <= 10
             assert (sync.confirmed, sync.ahead) == (0, {})
             assert sync.overdue < RETRANSMIT_AFTER_ROUNDS
         replica_b.recover()
         kvs.settle(100.0)
         assert_replicas_converged(kvs)
-        assert replica_a._log == {} and sync.confirmed == sync.shipped == 50
+        assert replica_a.change_log.stamps == {} and sync.confirmed == sync.shipped == 50
 
     def test_high_rtt_sustained_writes_ship_o_delta_not_o_store(self):
         """Under continuous writes on a high-RTT link, windows still awaiting
@@ -459,10 +460,11 @@ class Shard:
         joined = self.join()
         for replica in self.replicas:
             assert replica.store == joined, replica.node_id
-            assert replica._log == {}, (replica.node_id, replica._log)
+            log = replica.change_log.stamps
+            assert log == {}, (replica.node_id, log)
             assert replica._tree == DigestTree.from_store(replica.store)
             for peer, sync in replica._sync.items():
-                assert sync.confirmed == sync.shipped == replica._seq, (
+                assert sync.confirmed == sync.shipped == replica.change_log.seq, (
                     replica.node_id, peer, sync)
                 assert (sync.overdue, sync.ahead) == (0, {}), (
                     replica.node_id, peer, sync)
@@ -514,10 +516,10 @@ class TestWatermarkProtocol:
         everyone, the log gives its table back."""
         shard = Shard(3)
         shard.put(0, *(f"k-{index}" for index in range(5000)), element=1)
-        assert sys.getsizeof(shard.replicas[0]._log) > 100 * sys.getsizeof({})
+        assert sys.getsizeof(shard.replicas[0].change_log.stamps) > 100 * sys.getsizeof({})
         shard.run(ROUND)
-        assert shard.replicas[0]._log == {}
-        assert sys.getsizeof(shard.replicas[0]._log) == sys.getsizeof({})
+        assert shard.replicas[0].change_log.stamps == {}
+        assert sys.getsizeof(shard.replicas[0].change_log.stamps) == sys.getsizeof({})
         shard.assert_settled()
 
     def test_windows_delivered_out_of_order_cost_no_retransmission(self):
@@ -607,7 +609,7 @@ class TestWatermarkProtocol:
         shard.run(4 * ROUND)
         assert sorted(window[:2] for window in shard.windows()) == [
             ("r0", "r1"), ("r0", "r2"), ("r1", "r0"), ("r1", "r2")]
-        assert shard.replicas[2]._seq == 0
+        assert shard.replicas[2].change_log.seq == 0
         shard.assert_settled()
 
     def test_stamps_carry_on_across_a_state_losing_recovery(self):
@@ -619,7 +621,7 @@ class TestWatermarkProtocol:
         shard.run(ROUND)
         shard.replicas[0].crash()
         shard.replicas[0].recover(lose_state=True)
-        assert shard.replicas[0]._seq == 3
+        assert shard.replicas[0].change_log.seq == 3
         shard.run(ROUND)  # the digest exchange it opened refills it
         assert shard.replicas[0].store == shard.replicas[1].store
         sent = len(shard.sent)
@@ -737,4 +739,4 @@ def test_replicas_converge_and_the_protocol_drains(count, seed, jitter, steps,
         assert shard.counter("retransmit_entries") == 0
         assert shard.counter("fresh_entries") == shard.counter("dirty_marks") == (
             (count - 1) * shard.changes)
-        assert shard.changes == sum(replica._seq for replica in shard.replicas)
+        assert shard.changes == sum(replica.change_log.seq for replica in shard.replicas)

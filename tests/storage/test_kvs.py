@@ -69,7 +69,7 @@ class TestLatticeKVS:
         sim.run(until=100.0)                    # several gossip ticks
         (replica,) = kvs.replicas_for("k")
         assert replica.peers == [] and replica._sync == {}
-        assert replica._seq == 0 and replica._log == {}
+        assert replica.change_log.seq == 0 and replica.change_log.stamps == {}
         assert net.messages_sent == 0
         assert kvs.get("k") == SetUnion({1})
 

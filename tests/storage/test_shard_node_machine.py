@@ -37,7 +37,7 @@ class ShardNodeMachine(RuleBasedStateMachine):
                               replication_factor=2,
                               gossip_interval=GOSSIP_INTERVAL,
                               full_sync_every=FULL_SYNC_EVERY)
-        #: node id -> the highest ``_seq`` seen, for every replica ever built.
+        #: node id -> the highest log ``seq`` seen, for every replica ever built.
         self.seqs = {}
         self.note_seqs()
 
@@ -49,7 +49,7 @@ class ShardNodeMachine(RuleBasedStateMachine):
     def note_seqs(self):
         for replica in self.kvs.all_nodes():
             self.seqs[replica.node_id] = max(self.seqs.get(replica.node_id, 0),
-                                             replica._seq)
+                                             replica.change_log.seq)
 
     @rule(key=KEYS, element=st.integers(0, 5))
     def put(self, key, element):
@@ -100,12 +100,12 @@ class ShardNodeMachine(RuleBasedStateMachine):
                 continue
             assert replica._tree == DigestTree.from_store(replica.store), replica.node_id
             assert replica._owned <= replica.store.keys(), replica.node_id
-            assert replica._log.keys() <= replica.store.keys(), replica.node_id
+            assert replica.change_log.stamps.keys() <= replica.store.keys(), replica.node_id
 
     @invariant()
     def stamps_never_run_backwards(self):
         for replica in self.kvs.all_nodes():
-            assert replica._seq >= self.seqs.get(replica.node_id, 0), replica.node_id
+            assert replica.change_log.seq >= self.seqs.get(replica.node_id, 0), replica.node_id
         self.note_seqs()
 
 
