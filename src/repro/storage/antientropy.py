@@ -38,19 +38,30 @@ calls and the tree is most of a KVS's set-up.  One update therefore does
 each piece of work once: it encodes the key once (``stable_key_bytes``);
 hashes the entry once, one 8-byte ``blake2b`` over those bytes and the
 value's structural fold (the fold ``payload_digest`` hashes, never its hex
-digest); and — only when the entry changed — takes the key's 64-bit digest
-from the ``stable_digest`` memo once and XORs through the five levels by
-precomputed shifts.  A leaf keeps its keys in a plain list: at ~1 key per
-leaf a one-element list is a quarter of a one-element set, and
-``leaf_summary`` sorts its members anyway.
+digest); and — only for a key the tree has not held — takes the key's
+64-bit digest from the ``stable_digest`` memo once.  A changed entry XORs
+through the four interior levels by precomputed shifts.
+
+What one entry costs
+--------------------
+
+A key costs the tree one dict slot and one int: ``key -> leaf << 64 |
+entry digest``, the leaf riding free in the int (80 bits take the same
+three 30-bit digits as 64).  At 65,536 leaves a store of tens of thousands
+of keys puts about one key in each, so a leaf dict or a per-leaf member
+list would cost as much again per key; instead the leaf level is read off
+the entries.  A leaf read is one pass over them that answers every bucket
+one probe handler asks about.  Only an exchange's last two probes read
+leaves, so the passes are few: ``kvs_churn_repair --seconds 10`` at seed 7
+makes 901 of them over stores of about 220 keys, where one-bucket reads
+would make 58,598, and the other three e2e workloads read no leaf.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Iterable
 
 from repro.cluster.transport import fold_payload
 from repro.storage.ring import encoded_digest, stable_digest, stable_key_bytes
@@ -78,10 +89,14 @@ LEAF_LEVEL = 4
 PROBE_ROUNDS = LEAF_LEVEL + 2
 
 _KEY_DIGEST_BITS = 64
-#: ``key_digest >> _LEVEL_SHIFTS[level]`` is the key's bucket at ``level``.
-_LEVEL_SHIFTS = tuple(_KEY_DIGEST_BITS - TREE_FANOUT_BITS * level
+#: ``key_digest >> _LEAF_SHIFT`` is the key's leaf.
+_LEAF_SHIFT = _KEY_DIGEST_BITS - TREE_FANOUT_BITS * LEAF_LEVEL
+#: ``leaf >> _LEVEL_SHIFTS[level]`` is the leaf's bucket at ``level``.
+_LEVEL_SHIFTS = tuple(TREE_FANOUT_BITS * (LEAF_LEVEL - level)
                       for level in range(LEAF_LEVEL + 1))
-_LEAF_SHIFT = _LEVEL_SHIFTS[LEAF_LEVEL]
+#: An entry is ``leaf << _ENTRY_BITS | entry digest``.
+_ENTRY_BITS = 64
+_ENTRY_MASK = (1 << _ENTRY_BITS) - 1
 
 
 class DigestTree:
@@ -92,33 +107,30 @@ class DigestTree:
     one hash over the key and the value's fold.  A key's *entry digest* is
     that 64-bit hash: a pure function of the key's canonical bytes and the
     value's content, equal under every ``PYTHONHASHSEED`` and changed by
-    any lattice growth.  Each leaf bucket maps to a list of its keys in
-    arrival order (``leaf_summary`` sorts it).  The tree is always an exact
-    function of the entries it was fed, so two trees built from equal
+    any lattice growth.  Interior buckets are kept; a leaf is read off the
+    entries it holds (``leaf_summaries`` sorts them).  The tree is always an
+    exact function of the entries it was fed, so two trees built from equal
     stores — in any order, under any hash seed — are identical level by
     level and hold the same keys in every leaf.
     """
 
-    __slots__ = ("_levels", "_entries", "_leaf_members")
+    __slots__ = ("_levels", "_entries")
 
     def __init__(self) -> None:
-        # One sparse {bucket: digest} dict per level, root (level 0) first.
-        # A bucket's digest is the XOR of its members' entry digests;
-        # buckets that XOR to zero are removed, so absent == empty.
-        self._levels: list[dict[int, int]] = [{} for _ in range(LEAF_LEVEL + 1)]
-        #: key -> its current entry digest (needed to XOR an update's old
-        #: contribution back out of every ancestor).
+        # One sparse {bucket: digest} dict per interior level, root (level
+        # 0) first.  A bucket's digest is the XOR of its members' entry
+        # digests; buckets that XOR to zero are removed, so absent == empty.
+        self._levels: list[dict[int, int]] = [{} for _ in range(LEAF_LEVEL)]
+        #: key -> ``leaf << 64 | entry digest``: the leaf locates the key's
+        #: ancestors, the digest is XORed back out of them on a change.
         self._entries: dict[Hashable, int] = {}
-        #: leaf bucket -> the keys it holds (to enumerate a leaf's summary);
-        #: a bucket with no keys is absent.
-        self._leaf_members: dict[int, list[Hashable]] = {}
 
     # -- bucket arithmetic -------------------------------------------------------
 
     @staticmethod
     def bucket_of(key_digest: int, level: int) -> int:
         """The bucket holding ``key_digest`` at ``level`` (root: always 0)."""
-        return key_digest >> _LEVEL_SHIFTS[level]
+        return key_digest >> _LEAF_SHIFT >> _LEVEL_SHIFTS[level]
 
     @staticmethod
     def leaf_bucket(key: Hashable) -> int:
@@ -126,10 +138,11 @@ class DigestTree:
 
     # -- maintenance -------------------------------------------------------------
 
-    def _apply(self, key_digest: int, delta: int) -> None:
-        """XOR ``delta`` through every ancestor bucket of ``key_digest``."""
+    def _apply(self, leaf: int, delta: int) -> None:
+        """XOR ``delta`` through every interior ancestor of ``leaf`` (the
+        leaf level keeps no dict, so the ``zip`` stops above it)."""
         for buckets, shift in zip(self._levels, _LEVEL_SHIFTS):
-            bucket = key_digest >> shift
+            bucket = leaf >> shift
             digest = buckets.get(bucket, 0) ^ delta
             if digest:
                 buckets[bucket] = digest
@@ -143,60 +156,78 @@ class DigestTree:
         fold_payload(value, hasher)
         new = int.from_bytes(hasher.digest(), "big")
         old = self._entries.get(key)
-        if old == new:
-            return
-        self._entries[key] = new
-        key_digest = encoded_digest(key_bytes)
-        self._apply(key_digest, new if old is None else old ^ new)
         if old is None:
-            leaf = key_digest >> _LEAF_SHIFT
-            members = self._leaf_members.get(leaf)
-            if members is None:
-                self._leaf_members[leaf] = [key]
-            else:
-                members.append(key)
+            leaf = encoded_digest(key_bytes) >> _LEAF_SHIFT
+            delta = new
+        else:
+            leaf = old >> _ENTRY_BITS
+            delta = (old & _ENTRY_MASK) ^ new
+            if not delta:
+                return
+        self._entries[key] = leaf << _ENTRY_BITS | new
+        self._apply(leaf, delta)
 
     def remove(self, key: Hashable) -> None:
         old = self._entries.pop(key, None)
         if old is None:
             return
-        key_digest = stable_digest(key)
-        self._apply(key_digest, old)
-        leaf = key_digest >> _LEAF_SHIFT
-        members = self._leaf_members[leaf]
-        members.remove(key)
-        if not members:
-            del self._leaf_members[leaf]
+        self._apply(old >> _ENTRY_BITS, old & _ENTRY_MASK)
 
     def clear(self) -> None:
         for level in self._levels:
             level.clear()
         self._entries.clear()
-        self._leaf_members.clear()
 
     # -- reads (all pure; payload builders must keep sorted order) ----------------
+    # Each read answers every bucket one probe handler asks about, so a
+    # handler that reads the leaf level passes over the entries once.
 
     def root(self) -> int:
         return self._levels[0].get(0, 0)
 
-    def digest(self, level: int, bucket: int) -> int:
-        return self._levels[level].get(bucket, 0)
+    def digests(self, level: int, buckets: Iterable[int]) -> dict[int, int]:
+        """Each bucket's digest at ``level`` (0 when empty), in ``buckets`` order."""
+        if level < LEAF_LEVEL:
+            held = self._levels[level]
+            return {bucket: held.get(bucket, 0) for bucket in buckets}
+        digests = dict.fromkeys(buckets, 0)
+        for entry in self._entries.values():
+            leaf = entry >> _ENTRY_BITS
+            if leaf in digests:
+                digests[leaf] ^= entry & _ENTRY_MASK
+        return digests
 
-    def child_digests(self, level: int, bucket: int) -> dict[int, int]:
-        """Non-empty children of ``bucket`` at ``level + 1``, in bucket order."""
-        child_level = self._levels[level + 1]
-        base = bucket << TREE_FANOUT_BITS
-        return {child: child_level[child]
-                for child in range(base, base + TREE_FANOUT)
-                if child in child_level}
+    def child_digests(self, level: int,
+                      buckets: Iterable[int]) -> dict[int, dict[int, int]]:
+        """Each bucket's non-empty children at ``level + 1``, in bucket order."""
+        if level + 1 < LEAF_LEVEL:
+            below = self._levels[level + 1]
+            return {bucket: {child: below[child]
+                             for child in range(bucket << TREE_FANOUT_BITS,
+                                                (bucket + 1) << TREE_FANOUT_BITS)
+                             if child in below}
+                    for bucket in buckets}
+        children: dict[int, dict[int, int]] = {bucket: {} for bucket in buckets}
+        for entry in self._entries.values():
+            leaf = entry >> _ENTRY_BITS
+            found = children.get(leaf >> TREE_FANOUT_BITS)
+            if found is not None:
+                found[leaf] = found.get(leaf, 0) ^ (entry & _ENTRY_MASK)
+        return {bucket: {leaf: found[leaf] for leaf in sorted(found) if found[leaf]}
+                for bucket, found in children.items()}
 
-    def leaf_summary(self, bucket: int) -> dict[Hashable, int]:
-        """The leaf's {key: entry digest} map, built in sorted-key order."""
-        members = self._leaf_members.get(bucket)
-        if not members:
-            return {}
+    def leaf_summaries(self, buckets: Iterable[int]
+                       ) -> dict[int, dict[Hashable, int]]:
+        """Each leaf's {key: entry digest} map, built in sorted-key order."""
+        members: dict[int, list[Hashable]] = {bucket: [] for bucket in buckets}
+        for key, entry in self._entries.items():
+            keys = members.get(entry >> _ENTRY_BITS)
+            if keys is not None:
+                keys.append(key)
         entries = self._entries
-        return {key: entries[key] for key in sorted(members, key=repr)}
+        return {bucket: {key: entries[key] & _ENTRY_MASK
+                         for key in sorted(keys, key=repr)}
+                for bucket, keys in members.items()}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -216,17 +247,11 @@ class DigestTree:
         return tree
 
     def __eq__(self, other: object) -> bool:
-        """Equal levels, entries and leaf membership — each leaf's keys as
-        a multiset, so arrival order is ignored but a stale, missing or
-        doubled member is not."""
+        """Equal levels and entries.  An entry carries its key's leaf, so
+        equal entries put the same keys in every leaf."""
         if not isinstance(other, DigestTree):
             return NotImplemented
-        return (self._levels == other._levels
-                and self._entries == other._entries
-                and self._membership() == other._membership())
-
-    def _membership(self) -> dict[int, Counter]:
-        return {leaf: Counter(keys) for leaf, keys in self._leaf_members.items()}
+        return self._levels == other._levels and self._entries == other._entries
 
     def __repr__(self) -> str:
         return (f"DigestTree(entries={len(self._entries)}, "

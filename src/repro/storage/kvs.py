@@ -406,8 +406,9 @@ class ShardNode(Node):
             return
         if level < LEAF_LEVEL:
             next_buckets: dict[int, int] = {}
+            my_children = self._tree.child_digests(level, diff)
             for bucket in diff:
-                mine = self._tree.child_digests(level, bucket)
+                mine = my_children[bucket]
                 theirs = payload["children"].get(bucket, {})
                 # Pre-filter here: only children whose digests already
                 # disagree get probed, so a bucket diverging in one child
@@ -429,8 +430,9 @@ class ShardNode(Node):
         peer = session.peer
         to_send: dict[Hashable, Lattice] = {}
         to_pull: list[Hashable] = []
+        summaries = self._tree.leaf_summaries(diff)
         for bucket in diff:
-            mine = self._tree.leaf_summary(bucket)
+            mine = summaries[bucket]
             theirs = leaves.get(bucket, {})
             for key, digest in mine.items():
                 # Keys the peer is missing or holds with different content.
@@ -482,20 +484,20 @@ class ShardNode(Node):
         payload = message.payload
         level = payload["level"]
         tree = self._tree
+        mine = tree.digests(level, payload["buckets"])
         diff = [bucket for bucket, digest in payload["buckets"].items()
-                if tree.digest(level, bucket) != digest]
+                if mine[bucket] != digest]
         if not diff:
             self.reply(message, "ae_probe_reply", {"level": level, "diff": []})
             return
         if level < LEAF_LEVEL:
-            children = {bucket: tree.child_digests(level, bucket)
-                        for bucket in diff}
+            children = tree.child_digests(level, diff)
             count = len(diff) + sum(len(c) for c in children.values())
             self.reply(message, "ae_probe_reply",
                        {"level": level, "diff": diff, "children": children},
                        entries=digest_entries(count))
         else:
-            leaves = {bucket: tree.leaf_summary(bucket) for bucket in diff}
+            leaves = tree.leaf_summaries(diff)
             count = len(diff) + sum(len(s) for s in leaves.values())
             self.reply(message, "ae_probe_reply",
                        {"level": level, "diff": diff, "leaves": leaves},
