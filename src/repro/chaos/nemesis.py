@@ -37,6 +37,7 @@ from repro.cluster import (
     Simulator,
     Topology,
 )
+from repro.cluster.metrics import LinkObservatory
 from repro.cluster.node import Node
 from repro.storage import LatticeKVS
 
@@ -69,6 +70,10 @@ class ChaosEnv:
         self.seed = seed
         self.simulator = simulator or Simulator(seed=seed)
         self.network = network or Network(self.simulator, network_config)
+        # Diagnosis reads the link observatory: attach one before any
+        # traffic, unless the caller's network already has its own.
+        if self.network.observatory is None:
+            self.network.observatory = LinkObservatory()
         self.kvs = kvs
         self.topology = Topology()
         self.injector = FailureInjector(self.simulator, {}, self.topology)

@@ -96,45 +96,55 @@ class LinkObservatory:
     This is strictly end-to-end data: everything here is observable from
     message sends and arrivals alone, never from simulator or nemesis
     internals — which is what entitles :mod:`repro.chaos.diagnosis` to use
-    it as evidence.
+    it as evidence.  Its reader attaches it (``network.observatory =
+    LinkObservatory()``, as ``ChaosEnv`` does): a network with none files
+    no window, so the table costs nothing where nothing reads it.
     """
 
     def __init__(self, bucket_width: float = 20.0) -> None:
         if bucket_width <= 0:
             raise ValueError(f"bucket_width must be positive, got {bucket_width}")
         self.bucket_width = bucket_width
-        self._stats: defaultdict[tuple[Hashable, Hashable, int],
-                                 LinkWindowStats] = defaultdict(LinkWindowStats)
+        #: bucket -> (source, destination) -> stats: a bucket's window is
+        #: one lookup, and no window holds its bucket in its key.
+        self._buckets: dict[int, dict[tuple[Hashable, Hashable],
+                                      LinkWindowStats]] = {}
 
     def window_of(self, source: Hashable, destination: Hashable,
                   sent_at: float) -> LinkWindowStats:
         """The window a message sent on this link at ``sent_at`` is counted
         in, created on first use.  The network resolves it once per send and
         updates it directly: at the send, then at the delivery or drop."""
-        return self._stats[
-            (source, destination, int(sent_at // self.bucket_width))]
+        bucket = int(sent_at // self.bucket_width)
+        windows = self._buckets.get(bucket)
+        if windows is None:
+            windows = self._buckets[bucket] = {}
+        stat = windows.get((source, destination))
+        if stat is None:
+            stat = windows[(source, destination)] = LinkWindowStats()
+        return stat
 
     # -- views -------------------------------------------------------------------
 
     def buckets(self) -> list[int]:
         """All bucket indices with any observation, ascending."""
-        return sorted({bucket for _, _, bucket in self._stats})
+        return sorted(self._buckets)
 
     def links(self) -> list[tuple[Hashable, Hashable]]:
         """All observed directed links, sorted for stable iteration."""
-        return sorted({(src, dst) for src, dst, _ in self._stats},
+        return sorted({link for windows in self._buckets.values()
+                       for link in windows},
                       key=lambda link: (str(link[0]), str(link[1])))
 
     def window(self, bucket: int) -> dict[tuple[Hashable, Hashable], LinkWindowStats]:
         """Per-link stats for one bucket (links with observations only)."""
-        return {(src, dst): stat
-                for (src, dst, b), stat in self._stats.items() if b == bucket}
+        return dict(self._buckets.get(bucket, {}))
 
     def bucket_span(self, bucket: int) -> tuple[float, float]:
         return (bucket * self.bucket_width, (bucket + 1) * self.bucket_width)
 
     def __len__(self) -> int:
-        return len(self._stats)
+        return sum(map(len, self._buckets.values()))
 
 
 class MetricsRegistry:

@@ -303,7 +303,7 @@ class Network:
     def __init__(self, simulator: Simulator, config: NetworkConfig | None = None,
                  transport=None, metrics=None) -> None:
         # Imported here: transport.py sizes envelopes via this module.
-        from repro.cluster.metrics import LinkObservatory, MetricsRegistry
+        from repro.cluster.metrics import MetricsRegistry
         from repro.cluster.transport import TransportConfig
 
         self.simulator = simulator
@@ -339,9 +339,13 @@ class Network:
         #: is off (with the model on, every delivery is recorded).
         self.record_delivery_latency = False
         #: Windowed per-link observations (sends, drops, delivery latency),
-        #: maintained under the same gate as the latency recorder — the raw
+        #: filed under the same gate as the latency recorder — the raw
         #: material :mod:`repro.chaos.diagnosis` runs tomography over.
-        self.observatory = LinkObservatory()
+        #: ``None`` until its reader attaches a
+        #: :class:`~repro.cluster.metrics.LinkObservatory` (``ChaosEnv``
+        #: does): its table grows with run length on a priced network, and
+        #: nothing else reads it.
+        self.observatory = None
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -585,10 +589,12 @@ class Network:
                 link = self._links[(source, destination)] = _Link(
                     self._nics[source], self._nics[destination])
         if link is not None or self.record_delivery_latency:
-            window = self.observatory.window_of(source, destination,
-                                                message.sent_at)
-            window.sent_messages += 1
-            window.sent_bytes += size_bytes
+            observatory = self.observatory
+            if observatory is not None:
+                window = observatory.window_of(source, destination,
+                                               message.sent_at)
+                window.sent_messages += 1
+                window.sent_bytes += size_bytes
         drop_rate = self.drop_rate if self._degradations else config.drop_rate
         if ((self._partitions and not self.is_reachable(source, destination))
                 or (drop_rate and simulator.rng.random() < drop_rate)):
@@ -780,14 +786,16 @@ class Network:
     def _deliver(self, message: Message, link: Optional[_Link],
                  window) -> None:
         # The byte ledger resolves what the send charged (``link``); the
-        # latency recorder and the observatory follow what is configured
-        # *now* — the model may have been switched since the send.
+        # latency recorder and an attached observatory follow what is
+        # configured *now* — the model may have been switched since the send.
         config = self.config
-        if not (config.bandwidth is not None or config.delay_matrix is not None
-                or config.nic_bandwidth is not None or self._nic_overrides
-                or self.record_delivery_latency):
+        observed = (config.bandwidth is not None
+                    or config.delay_matrix is not None
+                    or config.nic_bandwidth is not None or self._nic_overrides
+                    or self.record_delivery_latency)
+        if not observed:
             window = None
-        elif window is None:
+        elif window is None and self.observatory is not None:
             window = self.observatory.window_of(
                 message.source, message.destination, message.sent_at)
         handler = self._handlers.get(message.destination)
@@ -799,11 +807,12 @@ class Network:
         if link is not None:
             link.delivered_bytes += message.size_bytes
             link.in_flight_bytes -= message.size_bytes
-        if window is not None:
+        if observed:
             latency = self.simulator.now - message.sent_at
             self.metrics.record_latency("net.delivery", latency)
-            window.delivered_messages += 1
-            window.latency_total += latency
-            if latency > window.latency_max:
-                window.latency_max = latency
+            if window is not None:
+                window.delivered_messages += 1
+                window.latency_total += latency
+                if latency > window.latency_max:
+                    window.latency_max = latency
         handler(message)

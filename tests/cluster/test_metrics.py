@@ -1,8 +1,10 @@
-"""Tests for the metrics registry and latency recorder."""
+"""Tests for the metrics registry, latency recorder and link observatory."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import LatencyRecorder, MetricsRegistry
+from repro.cluster.metrics import LinkObservatory
 
 
 class TestLatencyRecorder:
@@ -85,3 +87,43 @@ class TestMetricsRegistry:
         metrics.increment("x")
         metrics.reset()
         assert metrics.counter("x") == 0
+
+
+#: One observation: a link's endpoints, a send time and the bytes it sent.
+OBSERVATIONS = st.lists(st.tuples(
+    st.sampled_from(["a", "b", 3, ("c", 1)]), st.sampled_from(["a", "b", 3]),
+    st.floats(0.0, 200.0, allow_nan=False), st.integers(1, 500)),
+    max_size=60)
+
+
+class TestLinkObservatory:
+    @given(st.sampled_from([1.0, 7.5, 20.0]), OBSERVATIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_views_agree_with_a_flat_table(self, width, observations):
+        """Windows stored by bucket read back exactly as one flat
+        ``(source, destination, bucket)`` table would give them, each
+        bucket's links in the order they were first filed."""
+        observatory = LinkObservatory(width)
+        flat = {}
+        for source, destination, sent_at, size in observations:
+            window = observatory.window_of(source, destination, sent_at)
+            window.sent_messages += 1
+            window.sent_bytes += size
+            key = (source, destination, int(sent_at // width))
+            messages, sent = flat.get(key, (0, 0))
+            flat[key] = (messages + 1, sent + size)
+        assert observatory.buckets() == sorted({b for _, _, b in flat})
+        assert observatory.links() == sorted(
+            {(source, destination) for source, destination, _ in flat},
+            key=lambda link: (str(link[0]), str(link[1])))
+        assert len(observatory) == len(flat)
+        for bucket in observatory.buckets() + [-1, 10_000]:
+            expected = {(source, destination): counts
+                        for (source, destination, b), counts in flat.items()
+                        if b == bucket}
+            window = observatory.window(bucket)
+            assert list(window) == list(expected)
+            assert {link: (stat.sent_messages, stat.sent_bytes)
+                    for link, stat in window.items()} == expected
+            window.clear()  # a copy: the observatory keeps its windows
+        assert len(observatory) == len(flat)

@@ -28,6 +28,7 @@ from repro.cluster import (
     Simulator,
     wire_size,
 )
+from repro.cluster.metrics import LinkObservatory
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -330,6 +331,7 @@ class TestModelSwitchedMidFlight:
 
     def test_sent_unpriced_delivered_priced_charges_nothing(self):
         sim, net, arrivals = self.build()
+        net.observatory = LinkObservatory()
         net.send("a", "b", "inbox", "x", size_bytes=120)
         net.config.bandwidth = 1000.0  # priced while the message is in flight
         sim.run_until_idle()
@@ -357,6 +359,7 @@ class TestModelSwitchedMidFlight:
 
     def test_mid_flight_drop_resolves_only_what_its_send_charged(self):
         sim, net, arrivals = self.build(bandwidth=1000.0)
+        net.observatory = LinkObservatory()
         net.send("a", "b", "inbox", "priced", size_bytes=120)
         net.config.bandwidth = None
         net.send("c", "b", "inbox", "unpriced", size_bytes=77)

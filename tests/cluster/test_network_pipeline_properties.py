@@ -20,6 +20,7 @@ from dataclasses import astuple
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import DelayMatrix, Network, NetworkConfig, Simulator
+from repro.cluster.metrics import LinkObservatory
 
 NODES = ("a", "b", "c", "d")
 #: ``d`` has no domain: its links fall back to the config defaults.
@@ -264,6 +265,7 @@ class World:
         self.network = Network(self.simulator, NetworkConfig(
             delay_matrix=self.matrix,
             **{name: value for name, value in config.items() if name != "seed"}))
+        self.network.observatory = LinkObservatory()
         assert self.network.observatory.bucket_width == BUCKET_WIDTH
         self.oracle = Oracle(config)
         self.arrivals = []
