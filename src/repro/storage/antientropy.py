@@ -38,9 +38,9 @@ calls and the tree is most of a KVS's set-up.  One update therefore does
 each piece of work once: it encodes the key once (``stable_key_bytes``);
 hashes the entry once, one 8-byte ``blake2b`` over those bytes and the
 value's structural fold (the fold ``payload_digest`` hashes, never its hex
-digest); and — only for a key the tree has not held — takes the key's
-64-bit digest from the ``stable_digest`` memo once.  A changed entry XORs
-through the four interior levels by precomputed shifts.
+digest); and — only for a key the tree has not held — computes the key's
+64-bit ``stable_digest`` from those bytes once (``encoded_digest``).  A
+changed entry XORs through the four interior levels by precomputed shifts.
 
 What one entry costs
 --------------------
@@ -102,7 +102,7 @@ _ENTRY_MASK = (1 << _ENTRY_BITS) - 1
 class DigestTree:
     """An incrementally-maintained hash tree over one replica's store.
 
-    ``update``/``remove`` cost one key encoding, at most one memo lookup
+    ``update``/``remove`` cost one key encoding, at most one key digest
     and O(``LEAF_LEVEL``) dict operations per call, plus — for ``update`` —
     one hash over the key and the value's fold.  A key's *entry digest* is
     that 64-bit hash: a pure function of the key's canonical bytes and the

@@ -5,7 +5,9 @@ under any ``PYTHONHASHSEED``, maps a key to the same shard — otherwise two
 clients of the same cluster disagree about where a key lives and the KVS
 silently partitions.  Python's builtin ``hash`` is salted per process, so
 this module derives routing tokens from ``blake2b`` over a canonical byte
-encoding of the key instead.
+encoding of the key instead.  A digest is a pure function of those bytes,
+computed on every call: the module keeps no process-wide state, so what a
+process hashed earlier changes neither a digest nor the memory it holds.
 
 The ring places ``vnodes`` virtual nodes (tokens) per physical node on a
 64-bit circle; a key is owned by the first virtual node clockwise of the
@@ -19,12 +21,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from collections import OrderedDict
 from typing import Hashable, Iterable, Sequence
 
 __all__ = [
     "HashRing",
-    "digest_cache_stats",
     "encoded_digest",
     "stable_digest",
     "stable_key_bytes",
@@ -67,48 +67,27 @@ def stable_key_bytes(key: Hashable) -> bytes:
     )
 
 
-#: blake2 memo, keyed by the *canonical payload bytes* (never by the key
-#: object: ``1 == True == 1.0`` under dict equality, yet each has a distinct
-#: canonical encoding — object-keyed caching would conflate them).  Evicted
-#: LRU-style one entry at a time — a wholesale clear at the cap thrashed at
-#: 50k-key stores, where every digest-tree rebuild or routing sweep re-hashed
-#: the world — and the cached value is a pure function of the payload, so
-#: hits, misses and evictions return identical digests under every
-#: ``PYTHONHASHSEED``.  Recency order depends only on the call sequence,
-#: which the simulator already keeps deterministic.
-_digest_cache: OrderedDict[bytes, int] = OrderedDict()
-_DIGEST_CACHE_MAX = 65536
-#: Hit/miss ledger since process start (regression tests pin the hit rate
-#: on churn loops larger than the old wholesale-clearing cache's cap).
-_digest_cache_stats = {"hits": 0, "misses": 0}
-
-
 def digest_cache_stats() -> dict[str, int]:
-    """A snapshot of the memo's hit/miss counters (testing/diagnostics)."""
-    return dict(_digest_cache_stats)
+    """Always ``{"hits": 0, "misses": 0}``: there is no digest memo.
+
+    Kept only for the e2e benchmark's ``storage.ring.digest_cache_hit_rate``
+    metric, which now reads null; ROADMAP 1(d) deletes both together.
+    """
+    return {"hits": 0, "misses": 0}
 
 
-def stable_digest(key: Hashable, salt: bytes = b"") -> int:
+def stable_digest(key: Hashable) -> int:
     """A 64-bit digest of ``key`` that is identical across processes."""
-    return encoded_digest(salt + stable_key_bytes(key))
+    return encoded_digest(stable_key_bytes(key))
 
 
 def encoded_digest(payload: bytes) -> int:
-    """:func:`stable_digest` of an already-encoded key (``salt +
-    stable_key_bytes(key)``), through the same memo — for a caller that
-    needs the key's bytes as well and should not encode it twice."""
-    digest = _digest_cache.get(payload)
-    if digest is None:
-        _digest_cache_stats["misses"] += 1
-        while len(_digest_cache) >= _DIGEST_CACHE_MAX:
-            _digest_cache.popitem(last=False)
-        digest = _digest_cache[payload] = int.from_bytes(
-            hashlib.blake2b(payload, digest_size=_DIGEST_BYTES).digest(), "big"
-        )
-    else:
-        _digest_cache_stats["hits"] += 1
-        _digest_cache.move_to_end(payload)
-    return digest
+    """:func:`stable_digest` of an already-encoded key (the bytes of
+    :func:`stable_key_bytes`) — for a caller that needs the key's bytes as
+    well and should not encode it twice."""
+    return int.from_bytes(
+        hashlib.blake2b(payload, digest_size=_DIGEST_BYTES).digest(), "big"
+    )
 
 
 class HashRing:
@@ -193,8 +172,12 @@ class HashRing:
         under membership changes, which makes it the right candidate order
         for replica placement as well as shard routing.
         """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         if not self._entries:
             raise LookupError("cannot route on an empty ring")
+        if not count:
+            return []
         start = bisect.bisect_right(self._tokens, stable_digest(key))
         chosen: list[Hashable] = []
         seen: set[Hashable] = set()

@@ -180,8 +180,6 @@ class TestDigestTree:
         Counts bytes, reads no clock."""
         keys = [f"k{i:06d}" for i in range(20_000)]
         values = [LWWRegister(i, i) for i in range(len(keys))]
-        for key in keys:
-            stable_digest(key)  # the memo is the ring's, not the tree's
         tracemalloc.start()
         try:
             tree = DigestTree()
