@@ -4,7 +4,7 @@ A *fault* is a frozen dataclass describing one adversity (a partition storm,
 a crash, a latency spike, a live reshard) anchored at a simulated time; a
 *schedule* is a plain list of faults.  The :class:`Nemesis` arms a schedule
 against a :class:`ChaosEnv`, firing each fault through the public cluster
-APIs (``Network.partition``/``heal``, ``FailureInjector``,
+APIs (``Network.partition``/``heal``, ``Node.crash``/``recover``,
 ``LatticeKVS.reshard``) so protocols are stressed exactly the way a real
 outage would stress them.
 
@@ -31,7 +31,6 @@ from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from repro.cluster import (
     FailureDomain,
-    FailureInjector,
     Network,
     NetworkConfig,
     Simulator,
@@ -52,7 +51,7 @@ class _ActiveSkew:
 
 
 class ChaosEnv:
-    """Everything a fault can touch: simulator, network, KVS, injector.
+    """Everything a fault can touch: simulator, network, KVS, crashable nodes.
 
     Also the scenario's black box recorder: fault activations
     (:attr:`fault_log`) and state-losing recoveries
@@ -76,7 +75,9 @@ class ChaosEnv:
             self.network.observatory = LinkObservatory()
         self.kvs = kvs
         self.topology = Topology()
-        self.injector = FailureInjector(self.simulator, {}, self.topology)
+        #: Crash-fault targets by id: the KVS replicas plus registered
+        #: workload nodes, rebuilt by :meth:`refresh_crashable`.
+        self.crashable: dict[Hashable, Node] = {}
         self.fault_log: list[tuple[float, str]] = []
         self.lose_state_events: list[tuple[float, Hashable]] = []
         #: Ground-truth nemesis footprint, appended by each degrading fault
@@ -96,13 +97,13 @@ class ChaosEnv:
         #: with it.
         self.max_timer_drift = 1.0
         self._extra_crashable: dict[Hashable, Node] = {}
-        #: Workload client nodes, kept *out* of the injector: clients are
+        #: Workload client nodes, kept *out* of ``crashable``: clients are
         #: only ever targeted by :class:`CrashClient`, never by
         #: :class:`CrashReplica` (whose ``pool="all"`` index arithmetic
         #: must not shift when a workload registers its clients).
         self.clients: dict[Hashable, Node] = {}
         if kvs is not None:
-            self.refresh_injector()
+            self.refresh_crashable()
 
     # -- node registry -----------------------------------------------------------
 
@@ -110,30 +111,29 @@ class ChaosEnv:
         """Expose workload-owned nodes (Paxos, causal) to crash faults."""
         for node in nodes:
             self._extra_crashable[node.node_id] = node
-        self.refresh_injector()
+        self.refresh_crashable()
 
     def register_clients(self, clients: Sequence[Node]) -> None:
         """Expose workload client nodes to :class:`CrashClient` faults."""
         for client in clients:
             self.clients[client.node_id] = client
 
-    def refresh_injector(self) -> None:
-        """Rebuild the injector's node map and topology from live state.
+    def refresh_crashable(self) -> None:
+        """Rebuild :attr:`crashable` and the topology from live state.
 
         Called after a reshard: new replica generations must become
         crashable and removed ones must stop being recover targets.
         """
-        self.injector.nodes.clear()
+        self.crashable.clear()
         if self.kvs is not None:
             for node in self.kvs.all_nodes():
-                self.injector.nodes[node.node_id] = node
+                self.crashable[node.node_id] = node
                 self.topology.place(node.node_id, az=node.domain)
-        for node_id, node in self._extra_crashable.items():
-            self.injector.nodes[node_id] = node
+        self.crashable.update(self._extra_crashable)
 
     def crashable_ids(self) -> list[Hashable]:
         """Crash-fault targets, sorted for seed- and hashseed-stable picks."""
-        return sorted(self.injector.nodes, key=str)
+        return sorted(self.crashable, key=str)
 
     def partitionable_ids(self) -> list[Hashable]:
         """Every registered node (replicas, clients, protocol nodes), sorted."""
@@ -171,7 +171,7 @@ class ChaosEnv:
         if len(active) == len(self._clock_skews):
             return
         self._clock_skews = active
-        node = self.injector.nodes.get(skew.node_id)
+        node = self.crashable.get(skew.node_id)
         if node is not None:  # a reshard may have retired the node
             node.clock_offset -= skew.offset
             node.timer_drift /= skew.drift
@@ -180,9 +180,10 @@ class ChaosEnv:
                      detail: str) -> Optional[str]:
         """Retire a crash: the line to log, or ``None`` for a node a reshard
         retired while it was down (it stays down rather than turn ghost)."""
-        if node_id not in self.injector.nodes:
+        node = self.crashable.get(node_id)
+        if node is None:
             return None
-        self.injector.recover_now(node_id, lose_state=lose_state)
+        node.recover(lose_state=lose_state)
         if lose_state:
             self.lose_state_events.append((self.simulator.now, node_id))
         return f"recover {node_id} ({detail})"
@@ -207,13 +208,13 @@ class ChaosEnv:
         """
         self.network.heal_all()
         self.network.restore_all()
-        self.refresh_injector()
+        self.refresh_crashable()
         for skew in self._clock_skews:  # each removal rebinds the list
             self.remove_clock_skew(skew)
         for node_id in self.crashable_ids():
-            node = self.injector.nodes[node_id]
+            node = self.crashable[node_id]
             if not node.alive:
-                self.injector.recover_now(node_id, lose_state=False)
+                node.recover(lose_state=False)
         for client_id in self.client_ids():
             client = self.clients[client_id]
             if not client.alive:
@@ -414,13 +415,13 @@ class CrashReplica(Fault):
         return env.crashable_ids()
 
     def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
-        env.refresh_injector()
+        env.refresh_crashable()
         node_id = _pick(self._targets(env), self.index)
         if node_id is None:
             return ()
         lose_state = self.lose_state and self.pool == "kvs"
         detail = f"lose_state={lose_state}"
-        env.injector.crash_now(node_id)
+        env.crashable[node_id].crash()
         return [Applied(f"crash {node_id} ({detail})", ("node", node_id),
                         partial(env.recover_node, node_id, lose_state, detail),
                         f"recover-{node_id}")]
@@ -467,9 +468,10 @@ class CrashClient(Fault):
 
 @dataclass(frozen=True)
 class DomainOutage(Fault):
-    """Crash every node of one failure-domain instance, then recover it.
+    """Crash every node of one availability zone, then recover it.
 
-    Recovery goes through the same retirement guard as
+    Every crashable member of the zone goes down when the fault fires,
+    like :class:`CrashReplica`'s target.  Recovery goes through the same retirement guard as
     :class:`CrashReplica`: a node a reshard retired while the domain was
     down stays down, instead of being resurrected into a ghost replica
     gossiping at its likewise-retired peers forever.
@@ -482,17 +484,20 @@ class DomainOutage(Fault):
     span = property(lambda self: self.downtime)
 
     def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
-        env.refresh_injector()
-        plans = env.injector.crash_domain(
-            FailureDomain.AVAILABILITY_ZONE, self.domain, at=env.simulator.now)
+        env.refresh_crashable()
+        down = [node_id for node_id in env.topology.nodes_in(
+                    FailureDomain.AVAILABILITY_ZONE, self.domain)
+                if node_id in env.crashable]
+        for node_id in down:
+            env.crashable[node_id].crash()
         detail = f"outage {self.domain}"
         # One log line for the domain, then one footprint and one
         # retirement per node it took down.
-        return [Applied(f"{detail}: {len(plans)} nodes")] + [
-            Applied(None, ("node", plan.node_id),
-                    partial(env.recover_node, plan.node_id, False, detail),
-                    f"outage-recover-{plan.node_id}")
-            for plan in plans]
+        return [Applied(f"{detail}: {len(down)} nodes")] + [
+            Applied(None, ("node", node_id),
+                    partial(env.recover_node, node_id, False, detail),
+                    f"outage-recover-{node_id}")
+            for node_id in down]
 
 
 @dataclass(frozen=True)
@@ -627,15 +632,15 @@ class ClockSkew(Fault):
     span = property(lambda self: self.duration)
 
     def apply(self, env: ChaosEnv, firing: int) -> Sequence[Applied]:
-        env.refresh_injector()
+        env.refresh_crashable()
         node_id = _pick(env.crashable_ids(), self.index)
         if node_id is None:
             return ()
-        skew = env.apply_clock_skew(env.injector.nodes[node_id],
+        skew = env.apply_clock_skew(env.crashable[node_id],
                                     self.offset, self.drift)
 
         def restore() -> str:
-            env.refresh_injector()
+            env.refresh_crashable()
             env.remove_clock_skew(skew)
             return f"clock-skew {node_id} restored"
 
@@ -658,7 +663,7 @@ class ReshardUnderFire(Fault):
         if env.kvs is None:
             return ()
         report = env.kvs.reshard(self.new_shard_count)
-        env.refresh_injector()
+        env.refresh_crashable()
         # Nothing to retire: a reshard is growth, not a degradation.
         return [Applied(f"reshard {report!r}", subject=None, retire=None)]
 

@@ -3,7 +3,7 @@
 The scenario lifecycle is Jepsen's, compressed into simulated time:
 
 1. build a deterministic environment from the seed (simulator, network,
-   sharded/replicated KVS, failure injector);
+   sharded/replicated KVS, crashable-node registry);
 2. start the history-recording workloads and arm the nemesis schedule;
 3. run until every workload plan and fault window has elapsed;
 4. *final-read phase*: heal all partitions, restore link behaviour,
@@ -166,7 +166,7 @@ def build_env(seed: int, config: ChaosConfig) -> ChaosEnv:
                          full_sync_every=config.full_sync_every,
                          placement=locality_aware_domain if config.geo
                          else None)
-    env.refresh_injector()
+    env.refresh_crashable()
     return env
 
 

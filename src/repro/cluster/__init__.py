@@ -11,8 +11,8 @@ discrete-event simulator with
 * a network with configurable per-link delay distributions, drop rates,
   duplication, partitions, and an optional bandwidth/queueing model with
   locality-aware delay matrices (:class:`Network`, :class:`DelayMatrix`),
-* failure domains (VM / rack / AZ / region) and crash/recovery injection
-  (:mod:`repro.cluster.failure`), and
+* failure domains (VM / rack / AZ / region) and per-node crash/recovery
+  (:meth:`Node.crash`, :meth:`Node.recover`), and
 * metrics collection (latency histograms, message counts, billing units).
 
 Determinism: all randomness flows through a seeded :class:`random.Random`
@@ -44,7 +44,6 @@ from repro.cluster.transport import (
 )
 from repro.cluster.node import Node
 from repro.cluster.domains import FailureDomain, Placement, Topology
-from repro.cluster.failure import CrashPlan, FailureInjector
 from repro.cluster.metrics import LatencyRecorder, MetricsRegistry
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "FailureDomain",
     "Topology",
     "Placement",
-    "FailureInjector",
-    "CrashPlan",
     "MetricsRegistry",
     "LatencyRecorder",
     "wire_size",

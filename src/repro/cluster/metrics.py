@@ -2,8 +2,10 @@
 
 The target facet optimizes latency distributions, billing cost and message
 budgets, and the adaptive runtime needs monitoring hooks (§2.2).  This
-module provides a small registry of named counters, gauges and latency
-recorders that nodes and protocols write into and that benchmarks read out.
+module provides a small registry of named counters, keyed counter families
+and latency recorders that nodes and protocols write into and that
+benchmarks read out, plus the windowed per-link :class:`LinkObservatory`
+that chaos diagnosis reads.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable
 
 
 @dataclass
@@ -32,10 +34,6 @@ class LatencyRecorder:
     @property
     def mean(self) -> float:
         return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
 
     def percentile(self, p: float) -> float:
         """Return the ``p``-th percentile (0-100) by nearest-rank; 0.0 while
@@ -74,12 +72,6 @@ class LinkWindowStats:
         if not self.delivered_messages:
             return 0.0
         return self.latency_total / self.delivered_messages
-
-    @property
-    def drop_fraction(self) -> float:
-        if not self.sent_messages:
-            return 0.0
-        return self.dropped_messages / self.sent_messages
 
 
 class LinkObservatory:
@@ -130,12 +122,6 @@ class LinkObservatory:
         """All bucket indices with any observation, ascending."""
         return sorted(self._buckets)
 
-    def links(self) -> list[tuple[Hashable, Hashable]]:
-        """All observed directed links, sorted for stable iteration."""
-        return sorted({link for windows in self._buckets.values()
-                       for link in windows},
-                      key=lambda link: (str(link[0]), str(link[1])))
-
     def window(self, bucket: int) -> dict[tuple[Hashable, Hashable], LinkWindowStats]:
         """Per-link stats for one bucket (links with observations only)."""
         return dict(self._buckets.get(bucket, {}))
@@ -148,14 +134,13 @@ class LinkObservatory:
 
 
 class MetricsRegistry:
-    """A named collection of counters, gauges and latency recorders."""
+    """A named collection of counters, keyed counters and latency recorders."""
 
     def __init__(self) -> None:
         #: The live counter table: per-envelope paths add into it directly
         #: (``counts[name] += n``); ``increment`` is the same add behind a
         #: call.  Read through ``counter``/``counters``, which create nothing.
         self.counts: defaultdict[str, float] = defaultdict(float)
-        self._gauges: dict[str, float] = {}
         self._latencies: defaultdict[str, LatencyRecorder] = defaultdict(
             LatencyRecorder)
         self._keyed: dict[str, dict[Hashable, float]] = {}
@@ -187,14 +172,6 @@ class MetricsRegistry:
     def keyed_counters(self, name: str) -> dict[Hashable, float]:
         return dict(self._keyed.get(name, {}))
 
-    # -- gauges -----------------------------------------------------------------
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
-
     # -- latencies --------------------------------------------------------------
 
     def record_latency(self, name: str, latency: float) -> None:
@@ -207,23 +184,3 @@ class MetricsRegistry:
 
     def counters(self) -> dict[str, float]:
         return dict(self.counts)
-
-    def snapshot(self) -> dict[str, object]:
-        """A flat dict summary suitable for printing in benchmark reports."""
-        summary: dict[str, object] = {}
-        for name, value in sorted(self.counts.items()):
-            summary[f"counter.{name}"] = value
-        for name, value in sorted(self._gauges.items()):
-            summary[f"gauge.{name}"] = value
-        for name, recorder in sorted(self._latencies.items()):
-            summary[f"latency.{name}.count"] = recorder.count
-            summary[f"latency.{name}.mean"] = round(recorder.mean, 4)
-            summary[f"latency.{name}.p50"] = round(recorder.p50, 4)
-            summary[f"latency.{name}.p99"] = round(recorder.p99, 4)
-        return summary
-
-    def reset(self) -> None:
-        self.counts.clear()
-        self._gauges.clear()
-        self._latencies.clear()
-        self._keyed.clear()

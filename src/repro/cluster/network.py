@@ -12,11 +12,11 @@ Bytes take time: when :attr:`NetworkConfig.bandwidth` (or a
 pair models a FIFO transmission queue — a message's delivery time is its
 queueing delay behind earlier messages on the same link, plus its
 serialization time (``size_bytes / bandwidth``), plus the sampled
-propagation delay.  When :attr:`NetworkConfig.nic_bandwidth` (or a
-per-node override) additionally prices a node's NIC, the message first
-serializes through the sender's shared *uplink* queue and finally through
-the receiver's shared *downlink* queue — so a same-instant fan-out to N
-peers contends at the source instead of enjoying N free parallel links:
+propagation delay.  When :attr:`NetworkConfig.nic_bandwidth` additionally
+prices every node's NIC, the message first serializes through the sender's
+shared *uplink* queue and finally through the receiver's shared *downlink*
+queue — so a same-instant fan-out to N peers contends at the source instead
+of enjoying N free parallel links:
 
     delivery = NIC wait + NIC serialization + link queue wait
                + link serialization + propagation delay
@@ -55,6 +55,13 @@ def wire_size(entry_count: int) -> int:
     window of 3 changed keys from a digest repair of 5000.
     """
     return WIRE_HEADER_BYTES + WIRE_ENTRY_BYTES * entry_count
+
+
+def _require(ok: bool, name: str, value: Any, rule: str) -> None:
+    """Refuse a config number where it is written, naming its field: a
+    zero or negative rate or delay would otherwise break the first send."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -100,14 +107,20 @@ class LinkSpec:
     delay: Optional[float] = None
     bandwidth: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        delay, bandwidth = self.delay, self.bandwidth
+        _require(delay is None or delay >= 0, "delay", delay, ">= 0 or None")
+        _require(bandwidth is None or bandwidth > 0, "bandwidth", bandwidth,
+                 "> 0 or None")
+
 
 class DelayMatrix:
     """A locality-aware inter-domain link matrix (IDMS-style, Wang et al.).
 
-    Generalizes the ``same_domain_delay`` fast path: instead of one
-    same/other split, every *(source domain, destination domain)* pair may
-    carry its own propagation delay and bandwidth — intra-AZ links fast and
-    fat, cross-region links slow and thin.  Lookups are exact ordered
+    Every *(source domain, destination domain)* pair may carry its own
+    propagation delay and bandwidth — intra-AZ links fast and fat,
+    cross-region links slow and thin; a same-domain pair is just the entry
+    whose two domains are equal.  Lookups are exact ordered
     pairs; ``set_link(..., symmetric=True)`` (the default) installs both
     directions at once, and asymmetric routes (a saturated uplink, say)
     just set each direction separately.
@@ -174,22 +187,25 @@ class NetworkConfig:
     ``base_delay`` and ``jitter`` define a uniform delay in
     ``[base_delay, base_delay + jitter]``; ``drop_rate`` and
     ``duplicate_rate`` are independent Bernoulli probabilities applied per
-    message.  ``same_domain_delay`` is used instead of ``base_delay`` when
-    both endpoints share a failure domain (e.g. two replicas in one AZ).
+    message.
 
     ``bandwidth`` turns the transmission model on: each ``(src, dst)`` link
     transmits at most that many bytes per tick through a FIFO queue, so a
     message's delivery time grows with its size and with the backlog ahead
     of it.  ``delay_matrix`` refines both delay and bandwidth per failure-
-    domain pair.  Both default to off, which keeps the pre-model network —
-    and its event traces — byte-identical.
+    domain pair (a same-domain fast path is its diagonal).  Both default to
+    off, which keeps the pre-model network — and its event traces —
+    byte-identical.
+
+    Construction refuses a number the first send could not price: delays
+    and jitter must be >= 0, the two rates probabilities in [0, 1], and each
+    bandwidth > 0 or ``None``.
     """
 
     base_delay: float = 1.0
     jitter: float = 0.5
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
-    same_domain_delay: Optional[float] = None
     #: Bytes per tick a link transmits; ``None`` means infinite (model off).
     bandwidth: Optional[float] = None
     #: Per-domain-pair delay/bandwidth overrides; ``None`` means none.
@@ -198,9 +214,20 @@ class NetworkConfig:
     #: (per ``(src, dst)`` pair), this queue is shared by *all* of a node's
     #: links: outbound messages serialize through the sender's uplink
     #: before the per-link pipe, and through the receiver's downlink after
-    #: it.  ``None`` means infinite (NIC stage off); per-node overrides via
-    #: :meth:`Network.set_nic_bandwidth`.
+    #: it.  Every NIC is priced by this one rate; ``None`` means infinite
+    #: (NIC stage off).
     nic_bandwidth: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("base_delay", "jitter"):
+            value = getattr(self, name)
+            _require(value >= 0, name, value, ">= 0")
+        for name in ("drop_rate", "duplicate_rate"):
+            value = getattr(self, name)
+            _require(0 <= value <= 1, name, value, "in [0, 1]")
+        for name in ("bandwidth", "nic_bandwidth"):
+            value = getattr(self, name)
+            _require(value is None or value > 0, name, value, "> 0 or None")
 
 
 @dataclass(slots=True)
@@ -267,12 +294,11 @@ class _Fifo:
 
 @dataclass(slots=True, eq=False)
 class _Nic:
-    """One node's shared NIC: its two FIFOs and the per-node bandwidth
-    override (``None``: :attr:`NetworkConfig.nic_bandwidth` prices it)."""
+    """One node's shared NIC: its two FIFOs, both priced by
+    :attr:`NetworkConfig.nic_bandwidth`."""
 
     uplink: _Fifo = field(default_factory=_Fifo)
     downlink: _Fifo = field(default_factory=_Fifo)
-    bandwidth: Optional[float] = None
 
 
 @dataclass(slots=True, eq=False)
@@ -313,14 +339,12 @@ class Network:
         self._handlers: dict[Hashable, Callable[[Message], None]] = {}
         self._partitions: list[Partition] = []
         self._next_message_id = 0
-        self._same_domain: dict[Hashable, Hashable] = {}
+        self._domain_of: dict[Hashable, Hashable] = {}
         # Transmission model state, untouched while the model is off: one
         # record per directed link a priced send used and one per node's
-        # NIC (``_nic_overrides`` counts the NIC records that carry a
-        # bandwidth override — any one of them turns the model on).
+        # NIC.
         self._links: dict[tuple[Hashable, Hashable], _Link] = {}
         self._nics: defaultdict[Hashable, _Nic] = defaultdict(_Nic)
-        self._nic_overrides = 0
         # Every active link degradation, in arming order.  The send path
         # never walks it: ``_refold`` folds it into a few floats whenever
         # it changes.
@@ -368,12 +392,12 @@ class Network:
 
     def set_domain(self, node_id: Hashable, domain: Hashable) -> None:
         """Record the failure domain of a node for locality-aware delays."""
-        self._same_domain[node_id] = domain
+        self._domain_of[node_id] = domain
 
     def domains(self) -> dict[Hashable, Hashable]:
         """A copy of the node → failure-domain map (diagnosis reads this to
         price each link's expected latency under a :class:`DelayMatrix`)."""
-        return dict(self._same_domain)
+        return dict(self._domain_of)
 
     # -- link degradations ---------------------------------------------------------
 
@@ -475,33 +499,6 @@ class Network:
 
     # -- shared NIC queues -------------------------------------------------------
 
-    def set_nic_bandwidth(self, node_id: Hashable,
-                          bandwidth: Optional[float]) -> None:
-        """Override one node's NIC bandwidth (bytes/tick).
-
-        ``None`` removes the override, falling back to
-        :attr:`NetworkConfig.nic_bandwidth` — there is no per-node way to
-        force a NIC *unpriced* while the config default prices it, because
-        an infinitely fast NIC on one node would make fleet-wide contention
-        results incomparable.
-        """
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError(f"nic bandwidth must be positive, got {bandwidth}")
-        nic = self._nics[node_id]
-        self._nic_overrides += (bandwidth is not None) - (nic.bandwidth is not None)
-        nic.bandwidth = bandwidth
-
-    def nic_bandwidth_of(self, node_id: Hashable) -> Optional[float]:
-        """The node's configured NIC bytes/tick before congestion squeezes;
-        ``None`` when its NIC is unpriced (the stage is skipped)."""
-        return self._rates(None, self._nics.get(node_id), None)[1]
-
-    def effective_nic_bandwidth(self, node_id: Hashable) -> Optional[float]:
-        """The node's current NIC bytes/tick after congestion squeezes —
-        congestion throttles shared NICs exactly like per-link pipes."""
-        squeeze, bandwidth, _, _ = self._rates(None, self._nics.get(node_id), None)
-        return None if bandwidth is None else bandwidth / squeeze
-
     def nic_backlog(self, node_id: Hashable, *,
                     downlink: bool = False) -> float:
         """Ticks until the node's NIC finishes its queued serializations
@@ -583,7 +580,7 @@ class Network:
         # (``None``: this send charged no ledger), never look it up again.
         link = window = None
         if (config.bandwidth is not None or config.delay_matrix is not None
-                or config.nic_bandwidth is not None or self._nic_overrides):
+                or config.nic_bandwidth is not None):
             link = self._links.get((source, destination))
             if link is None:
                 link = self._links[(source, destination)] = _Link(
@@ -662,8 +659,8 @@ class Network:
                             destination: Hashable) -> Optional[float]:
         """The link's current bytes/tick after matrix overrides and
         congestion squeezes; ``None`` when the link is unpriced."""
-        squeeze, _, bandwidth, _ = self._rates(
-            self._matrix_entry(source, destination), None, None)
+        squeeze, _, bandwidth = self._rates(
+            self._matrix_entry(source, destination))
         return None if bandwidth is None else bandwidth / squeeze
 
     def _matrix_entry(self, source: Hashable,
@@ -673,26 +670,20 @@ class Network:
         matrix = self.config.delay_matrix
         if matrix is None:
             return None
-        domain_of = self._same_domain.get
+        domain_of = self._domain_of.get
         return matrix.link(domain_of(source), domain_of(destination))
 
-    def _rates(self, spec: Optional[LinkSpec], source_nic: Optional[_Nic],
-               destination_nic: Optional[_Nic]) -> tuple:
-        """The bandwidth pricing rules, in one place: ``(squeeze, uplink,
-        link, downlink)`` — the congestion product dividing every stage's
-        bytes/tick, then each stage's configured bytes/tick (``None``:
-        unpriced).  A matrix entry overrides the config's ``bandwidth``,
-        a NIC record's override its ``nic_bandwidth``."""
+    def _rates(self, spec: Optional[LinkSpec]) -> tuple:
+        """The bandwidth pricing rules, in one place: ``(squeeze, nic,
+        link)`` — the congestion product dividing every stage's bytes/tick,
+        then the NICs' and the link's configured bytes/tick (``None``:
+        unpriced).  A matrix entry overrides the config's ``bandwidth``;
+        every NIC is priced by its ``nic_bandwidth``."""
         config = self.config
         bandwidth = config.bandwidth
         if spec is not None and spec.bandwidth is not None:
             bandwidth = spec.bandwidth
-        uplink = downlink = config.nic_bandwidth
-        if source_nic is not None and source_nic.bandwidth is not None:
-            uplink = source_nic.bandwidth
-        if destination_nic is not None and destination_nic.bandwidth is not None:
-            downlink = destination_nic.bandwidth
-        return self.bandwidth_squeeze, uplink, bandwidth, downlink
+        return self.bandwidth_squeeze, config.nic_bandwidth, bandwidth
 
     def _transmit(self, size: int, link: _Link, spec: Optional[LinkSpec],
                   source_factor: float,
@@ -710,15 +701,13 @@ class Network:
         """
         link.enqueued_bytes += size
         link.in_flight_bytes += size
-        squeeze, uplink, bandwidth, downlink = self._rates(
-            spec, link.source_nic, link.destination_nic)
+        squeeze, nic, bandwidth = self._rates(spec)
         now = finish = self.simulator.now
         queue_wait = nic_wait = serialization = 0.0
         for fifo, rate, first_factor, second_factor in (
-                (link.source_nic.uplink, uplink, source_factor, 1.0),
+                (link.source_nic.uplink, nic, source_factor, 1.0),
                 (link, bandwidth, source_factor, destination_factor),
-                (link.destination_nic.downlink, downlink, 1.0,
-                 destination_factor)):
+                (link.destination_nic.downlink, nic, 1.0, destination_factor)):
             if rate is None:
                 continue
             stage = size / (rate / squeeze) * first_factor * second_factor
@@ -749,10 +738,6 @@ class Network:
         source = message.source
         destination = message.destination
         base = config.base_delay
-        if config.same_domain_delay is not None:
-            domain = self._same_domain.get(source)
-            if domain is not None and domain == self._same_domain.get(destination):
-                base = config.same_domain_delay
         stretch = source_factor = destination_factor = 1.0
         if self._degradations:
             # A fabric factor stretches whichever delay prices the link and
@@ -791,7 +776,7 @@ class Network:
         config = self.config
         observed = (config.bandwidth is not None
                     or config.delay_matrix is not None
-                    or config.nic_bandwidth is not None or self._nic_overrides
+                    or config.nic_bandwidth is not None
                     or self.record_delivery_latency)
         if not observed:
             window = None

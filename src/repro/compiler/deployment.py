@@ -166,18 +166,5 @@ class HydroDeployment:
         return int(self.network.metrics.counter(
             "transport.logical_messages_sent"))
 
-    def envelopes_sent(self) -> int:
-        """Physical envelopes shipped (the wire-level message count)."""
-        return self.network.messages_sent
-
-    def delivery_latency(self):
-        """Per-message delivery latency recorder (p50/p99 over every
-        delivered message).  Populated whenever the network's bandwidth
-        model is on — delivery then includes serialization and
-        link-queueing time, the E2 ablation's latency counterpart to
-        :meth:`messages_sent` — or when ``network.record_delivery_latency``
-        is set explicitly for a model-off run."""
-        return self.network.metrics.latency("net.delivery")
-
     def replica_states(self):
         return {node_id: replica.interpreter for node_id, replica in self.replicas.items()}

@@ -92,8 +92,6 @@ class TestGeoEnvironment:
         # Shard 0 lives in region 0 (az-0, az-1): intra-region pricing.
         assert env.network.effective_bandwidth(*link) == pytest.approx(
             INTRA_REGION_BANDWIDTH)
-        assert env.network.effective_nic_bandwidth(
-            replicas[0].node_id) == pytest.approx(GEO_NIC_BANDWIDTH)
 
     def test_nodes_outside_the_matrix_fall_back_to_base_pricing(self):
         """Workload clients carry no geo AZ, so their links fall back to

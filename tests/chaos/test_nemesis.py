@@ -43,7 +43,7 @@ def assert_pristine(env):
     assert network._partitions == []
     assert network.slowed_nodes() == {}
     assert network.bandwidth_squeeze == 1.0
-    nodes = ([env.injector.nodes[node_id] for node_id in env.crashable_ids()]
+    nodes = ([env.crashable[node_id] for node_id in env.crashable_ids()]
              + [env.clients[node_id] for node_id in env.client_ids()])
     assert all(node.alive for node in nodes)
     assert all(node.timer_drift == pytest.approx(1.0) for node in nodes)
@@ -100,7 +100,7 @@ class TestOneDriverRetiresEveryFault:
             "Congestion": lambda: network.bandwidth_squeeze,
             "SlowNode": lambda: network.node_delay_factor(
                 env.partitionable_ids()[0]),
-            "ClockSkew": lambda: env.injector.nodes[
+            "ClockSkew": lambda: env.crashable[
                 env.crashable_ids()[0]].timer_drift,
         }[kind]()
 
@@ -141,7 +141,7 @@ class TestOneDriverRetiresEveryFault:
                     ReshardUnderFire(at=10.0, new_shard_count=1)]
         Nemesis(env, schedule).start()
         env.simulator.run(until=40.0)
-        assert victim not in env.injector.nodes
+        assert victim not in env.crashable
         assert_pristine(env)
         # The retirement ran and found its target gone: nothing logged.
         assert not any(text.startswith("recover")
@@ -387,9 +387,9 @@ class TestCrashReplica:
         fault = CrashReplica(at=5.0, index=1, downtime=30.0, lose_state=True)
         Nemesis(env, [fault]).start()
         env.simulator.run(until=10.0)
-        assert not env.injector.nodes[target].alive
+        assert not env.crashable[target].alive
         env.simulator.run(until=40.0)
-        assert env.injector.nodes[target].alive
+        assert env.crashable[target].alive
         assert env.lose_state_events == [(35.0, target)]
 
     def test_lose_state_ignored_outside_kvs_pool(self):
@@ -420,7 +420,7 @@ class TestCrashReplica:
         env.simulator.run(until=60.0)
         assert len(env.kvs.shards) == 1
         live_ids = {node.node_id for node in env.kvs.all_nodes()}
-        assert set(env.injector.nodes) >= live_ids
+        assert set(env.crashable) >= live_ids
 
 
 class TestSpikes:
@@ -536,7 +536,7 @@ class TestSlowNode:
 class TestClockSkew:
     def target_node(self, env, index=0):
         ids = env.crashable_ids()
-        return env.injector.nodes[ids[index % len(ids)]]
+        return env.crashable[ids[index % len(ids)]]
 
     def test_skews_clock_and_timers_then_restores(self):
         env, _ = build()
@@ -610,18 +610,33 @@ class TestClockSkew:
 
 
 class TestReshardUnderFire:
-    def test_reshard_fires_and_refreshes_injector(self):
+    def test_reshard_fires_and_refreshes_crashable(self):
         env, _ = build()
         for i in range(20):
             env.kvs.put(f"k-{i}", SetUnion({i}))
         Nemesis(env, [ReshardUnderFire(at=5.0, new_shard_count=4)]).start()
         env.simulator.run(until=10.0)
         assert env.kvs.shard_count == 4
-        assert set(env.injector.nodes) == {
+        assert set(env.crashable) == {
             node.node_id for node in env.kvs.all_nodes()}
 
 
 class TestDomainOutage:
+    def test_outage_is_down_when_it_fires(self):
+        """Once ``apply`` returns, every crashable node of the zone is down
+        and no other node is: the outage crashes at fire time, not in
+        same-instant events scheduled behind it."""
+        env, _ = build(replication=2)
+        members = {node.node_id for node in env.kvs.all_nodes()
+                   if node.domain == "az-1"}
+        assert members
+        applied = DomainOutage(at=0.0, domain="az-1").apply(env, 0)
+        assert {node.node_id for node in env.kvs.all_nodes()
+                if not node.alive} == members
+        # One log line for the zone, one footprint per member.
+        assert {item.subject for item in applied[1:]} == {
+            ("node", node_id) for node_id in members}
+
     def test_outage_crashes_whole_domain_then_recovers(self):
         env, _ = build(replication=2)
         az1 = [node for node in env.kvs.all_nodes() if node.domain == "az-1"]

@@ -8,12 +8,11 @@ from repro.cluster.metrics import LinkObservatory
 
 
 class TestLatencyRecorder:
-    def test_mean_and_max(self):
+    def test_mean_and_count(self):
         recorder = LatencyRecorder()
         for value in [1.0, 2.0, 3.0]:
             recorder.record(value)
         assert recorder.mean == pytest.approx(2.0)
-        assert recorder.maximum == pytest.approx(3.0)
         assert recorder.count == 3
 
     def test_percentiles(self):
@@ -60,33 +59,11 @@ class TestMetricsRegistry:
         assert metrics.counter("requests") == 5
         assert metrics.counter("missing") == 0
 
-    def test_gauges_overwrite(self):
-        metrics = MetricsRegistry()
-        metrics.set_gauge("replicas", 3)
-        metrics.set_gauge("replicas", 5)
-        assert metrics.gauge("replicas") == 5
-
     def test_latency_by_name(self):
         metrics = MetricsRegistry()
         metrics.record_latency("handler", 10.0)
         metrics.record_latency("handler", 20.0)
         assert metrics.latency("handler").count == 2
-
-    def test_snapshot_flattens_everything(self):
-        metrics = MetricsRegistry()
-        metrics.increment("msgs", 2)
-        metrics.set_gauge("nodes", 4)
-        metrics.record_latency("op", 1.5)
-        snap = metrics.snapshot()
-        assert snap["counter.msgs"] == 2
-        assert snap["gauge.nodes"] == 4
-        assert snap["latency.op.count"] == 1
-
-    def test_reset_clears_all(self):
-        metrics = MetricsRegistry()
-        metrics.increment("x")
-        metrics.reset()
-        assert metrics.counter("x") == 0
 
 
 #: One observation: a link's endpoints, a send time and the bytes it sent.
@@ -113,9 +90,6 @@ class TestLinkObservatory:
             messages, sent = flat.get(key, (0, 0))
             flat[key] = (messages + 1, sent + size)
         assert observatory.buckets() == sorted({b for _, _, b in flat})
-        assert observatory.links() == sorted(
-            {(source, destination) for source, destination, _ in flat},
-            key=lambda link: (str(link[0]), str(link[1])))
         assert len(observatory) == len(flat)
         for bucket in observatory.buckets() + [-1, 10_000]:
             expected = {(source, destination): counts

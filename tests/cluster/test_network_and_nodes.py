@@ -1,11 +1,9 @@
-"""Tests for the simulated network, nodes, failure domains and injection."""
+"""Tests for the simulated network, nodes and failure domains."""
 
 import pytest
 
 from repro.cluster import (
-    CrashPlan,
     FailureDomain,
-    FailureInjector,
     Network,
     NetworkConfig,
     Node,
@@ -221,58 +219,3 @@ class TestTopologyAndPlacement:
         domain = topo.domain_of("unknown", FailureDomain.AVAILABILITY_ZONE)
         assert domain == (FailureDomain.AVAILABILITY_ZONE, "unknown")
 
-
-class TestFailureInjection:
-    def test_crash_plan_and_recovery(self):
-        sim = Simulator()
-        net = Network(sim, NetworkConfig(base_delay=0.5, jitter=0.0))
-        node = Node("n1", sim, net)
-        injector = FailureInjector(sim, {"n1": node})
-        injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=10.0))
-        sim.run(until=6.0)
-        assert not node.alive
-        sim.run(until=11.0)
-        assert node.alive
-
-    def test_crash_domain_takes_out_all_members(self):
-        sim = Simulator()
-        net = Network(sim)
-        topo = Topology()
-        nodes = {}
-        for name, az in [("n1", "az-a"), ("n2", "az-a"), ("n3", "az-b")]:
-            nodes[name] = Node(name, sim, net, domain=az)
-            topo.place(name, az=az)
-        injector = FailureInjector(sim, nodes, topo)
-        injector.crash_domain(FailureDomain.AVAILABILITY_ZONE, "az-a", at=1.0)
-        sim.run_until_idle()
-        assert sorted(injector.dead_nodes()) == ["n1", "n2"]
-        assert injector.alive_nodes() == ["n3"]
-
-    def test_invalid_recovery_time_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        node = Node("n1", sim, net)
-        injector = FailureInjector(sim, {"n1": node})
-        pending = sim.pending_events
-        with pytest.raises(ValueError):
-            injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=5.0))
-        # Rejected before anything was scheduled: no crash without its recovery.
-        assert sim.pending_events == pending
-        assert injector.crashes_injected == injector.recoveries_injected == 0
-        sim.run(until=10.0)
-        assert node.alive
-
-    def test_a_rejected_plan_leaves_the_injector_usable(self):
-        sim = Simulator()
-        net = Network(sim)
-        node = Node("n1", sim, net)
-        injector = FailureInjector(sim, {"n1": node})
-        with pytest.raises(ValueError):
-            injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=3.0))
-        injector.apply(CrashPlan("n1", crash_at=5.0, recover_at=8.0))
-        assert injector.crashes_injected == injector.recoveries_injected == 1
-        sim.run(until=6.0)
-        assert not node.alive
-        sim.run(until=9.0)
-        assert node.alive
-        assert sim.pending_events == 0              # one crash, one recovery

@@ -1,8 +1,7 @@
 """The shared-NIC stage of the transmission model: fan-out is not free.
 
-Pins the tentpole's contract: with ``NetworkConfig.nic_bandwidth`` (or a
-per-node override) priced, every outbound message serializes through the
-sender's shared *uplink* FIFO before its per-link pipe, and through the
+Pins the NIC stage's contract: with ``NetworkConfig.nic_bandwidth`` priced,
+every outbound message serializes through the sender's shared *uplink* FIFO before its per-link pipe, and through the
 receiver's shared *downlink* FIFO after it — so a same-instant fan-out to
 N peers contends at the source instead of enjoying N free parallel links,
 and an incast toward one receiver queues at its downlink.  Also pins the
@@ -71,20 +70,21 @@ class TestUplinkContention:
         assert nic_wait == pytest.approx(stage)  # waited out the first uplink
 
     def test_incast_contends_at_receiver_downlink(self):
-        """Three senders, one receiver, only the receiver's NIC priced:
-        each sender's uplink is free, but deliveries still serialize
-        through the shared downlink queue."""
+        """Three senders, one receiver: each sender's uplink is its own, so
+        the three uplink passes overlap, but deliveries still serialize
+        through the receiver's shared downlink queue."""
         sim, net, nodes, arrivals = build(
-            NetworkConfig(base_delay=1.0, jitter=0.0))
-        net.set_nic_bandwidth("d", 100.0)
+            NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
         for sender in ("a", "b", "c"):
             nodes[sender].send("d", "inbox", sender, entries=1)
         sim.run_until_idle()
         stage = PROBE / 100.0
         times = {payload: at for _, payload, at in arrivals}
-        assert times["a"] == pytest.approx(1.0 + 1 * stage)
-        assert times["b"] == pytest.approx(1.0 + 2 * stage)
-        assert times["c"] == pytest.approx(1.0 + 3 * stage)
+        # One uplink pass each (in parallel), then (k-1) downlink slots of
+        # wait before the k-th message's own downlink pass.
+        assert times["a"] == pytest.approx(1.0 + 2 * stage)
+        assert times["b"] == pytest.approx(1.0 + 3 * stage)
+        assert times["c"] == pytest.approx(1.0 + 4 * stage)
 
     def test_nic_backlog_accessors_track_both_directions(self):
         sim, net, nodes, _ = build(
@@ -146,34 +146,53 @@ class TestPipelineOrdering:
         assert net.max_transmission_delay == pytest.approx(3 * stage)
 
 
-class TestNicConfiguration:
-    def test_per_node_override_beats_config_default(self):
-        sim, net, nodes, _ = build(
-            NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
-        net.set_nic_bandwidth("a", 50.0)
-        assert net.nic_bandwidth_of("a") == 50.0
-        assert net.nic_bandwidth_of("b") == 100.0
-        net.set_nic_bandwidth("a", None)  # back to the config default
-        assert net.nic_bandwidth_of("a") == 100.0
+#: One bad number per validated field, and the field the error must name.
+#: Each used to be accepted and to break (or silently skew) a later send.
+INVALID_NUMBERS = {
+    "base_delay": lambda: NetworkConfig(base_delay=-5.0),
+    "jitter": lambda: NetworkConfig(jitter=-0.5),
+    "drop_rate": lambda: NetworkConfig(drop_rate=1.5),
+    "duplicate_rate": lambda: NetworkConfig(duplicate_rate=-0.1),
+    "bandwidth": lambda: NetworkConfig(bandwidth=0.0),
+    "nic_bandwidth": lambda: NetworkConfig(nic_bandwidth=-50.0),
+    "LinkSpec.delay": lambda: DelayMatrix().set_link("x", "y", delay=-1.0),
+    "LinkSpec.bandwidth":
+        lambda: DelayMatrix().set_link("x", "y", bandwidth=-1.0),
+}
 
-    def test_invalid_nic_bandwidth_rejected(self):
-        sim, net, nodes, _ = build(NetworkConfig())
-        with pytest.raises(ValueError):
-            net.set_nic_bandwidth("a", 0.0)
-        with pytest.raises(ValueError):
-            net.set_nic_bandwidth("a", -5.0)
+
+class TestNicConfiguration:
+    @pytest.mark.parametrize("case", sorted(INVALID_NUMBERS))
+    def test_invalid_config_numbers_rejected(self, case):
+        field = case.split(".")[-1]
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            INVALID_NUMBERS[case]()
+
+    def test_boundary_config_numbers_accepted(self):
+        NetworkConfig(base_delay=0.0, jitter=0.0, drop_rate=1.0,
+                      duplicate_rate=0.0, bandwidth=None, nic_bandwidth=None)
+        DelayMatrix().set_link("x", "y", delay=0.0, bandwidth=None)
 
     def test_congestion_squeezes_throttle_nics_too(self):
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
         squeeze = net.degrade(squeeze=4.0)
-        assert net.effective_nic_bandwidth("a") == pytest.approx(25.0)
+        squeezed = nodes["a"].send("b", "inbox", "x", entries=1)
+        # Up and down, each at 100 / 4 bytes per tick.
+        assert squeezed.transmission == (0.0, pytest.approx(2 * PROBE / 25.0),
+                                         0.0)
+        sim.run_until_idle()
         net.restore(squeeze)
-        assert net.effective_nic_bandwidth("a") == pytest.approx(100.0)
-        # A node with no NIC price anywhere stays unpriced under squeezes.
-        only_link = Network(Simulator(seed=1), NetworkConfig(bandwidth=10.0))
-        only_link.degrade(squeeze=4.0)
-        assert only_link.effective_nic_bandwidth("a") is None
+        message = nodes["a"].send("b", "inbox", "y", entries=1)
+        assert message.transmission == (0.0, pytest.approx(2 * PROBE / 100.0),
+                                        0.0)
+        # With no NIC price, a squeeze leaves the NIC stages unpriced.
+        sim, net, nodes, _ = build(
+            NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=10.0))
+        net.degrade(squeeze=4.0)
+        nodes["a"].send("b", "inbox", "x", entries=1)
+        assert net.nic_backlog("a") == 0.0
+        assert net.nic_backlog("b", downlink=True) == 0.0
 
 
 class TestExactlyOnceComposition:

@@ -8,7 +8,7 @@ own dicts and a twin of the simulator's RNG, and folds every ledger out of
 that log on demand.  After every step of a random sequence — sends and
 same-instant fan-outs, degradations (squeezes, fabric spikes, slow-node
 factors, drop floors) armed and retired by handle, stale and wholesale
-restores, NIC overrides, matrix entries, partitions, drop rates, nodes
+restores, NIC rate switches, matrix entries, partitions, drop rates, nodes
 leaving and rejoining — the two must agree *exactly* (``==`` on floats: the
 model's float operation order is part of its contract).
 """
@@ -38,7 +38,6 @@ CONFIGS = st.fixed_dictionaries({
     "base_delay": st.sampled_from([0.0, 1.0, 2.5]),
     "jitter": st.sampled_from([0.0, 0.5]),
     "duplicate_rate": st.sampled_from([0.0, 0.3]),
-    "same_domain_delay": st.sampled_from([None, 0.2]),
     "bandwidth": RATES,
     "nic_bandwidth": RATES,
 })
@@ -56,7 +55,7 @@ STEPS = st.one_of(
     st.tuples(st.just("restore"), INDEX),
     st.tuples(st.just("restore_again"), INDEX),
     st.tuples(st.just("restore_all")),
-    st.tuples(st.just("nic"), NODE, RATES),
+    st.tuples(st.just("nic"), RATES),
     st.tuples(st.just("matrix"), DOMAIN, DOMAIN,
               st.sampled_from([None, 0.1, 4.0]), RATES),
     st.tuples(st.just("partition"), st.sets(NODE, min_size=1, max_size=2),
@@ -84,7 +83,6 @@ class Oracle:
         self.rng = random.Random(config["seed"])  # the simulator's twin
         self.matrix = {}       # (source domain, destination domain) -> (delay, bw)
         self.degradations = []   # active ``Degraded`` records, in arming order
-        self.nic = {}          # node -> override
         self.cuts = []         # (group_a, group_b, oneway)
         self.present = set(NODES)
         self.drop_rate = 0.0
@@ -139,13 +137,12 @@ class Oracle:
             (source_domain, destination_domain), (None, None))
         bandwidth = (config["bandwidth"] if entry_bandwidth is None
                      else entry_bandwidth)
-        uplink = self.nic.get(source, config["nic_bandwidth"])
-        downlink = self.nic.get(destination, config["nic_bandwidth"])
+        nic = config["nic_bandwidth"]
 
         finish = now
         nic_wait = queue_wait = serialization = 0.0
-        if uplink is not None:
-            stage = size / (uplink / squeeze) * source_factor
+        if nic is not None:
+            stage = size / (nic / squeeze) * source_factor
             start = max(finish, self.up.get(source, 0.0))
             nic_wait += start - finish
             finish = self.up[source] = start + stage
@@ -157,8 +154,8 @@ class Oracle:
             queue_wait += start - finish
             finish = self.pipe[link] = start + stage
             serialization += stage
-        if downlink is not None:
-            stage = size / (downlink / squeeze) * destination_factor
+        if nic is not None:
+            stage = size / (nic / squeeze) * destination_factor
             start = max(finish, self.down.get(destination, 0.0))
             nic_wait += start - finish
             finish = self.down[destination] = start + stage
@@ -166,10 +163,6 @@ class Oracle:
         self.high_water = max(self.high_water, finish - now)
 
         base = config["base_delay"]
-        if (config["same_domain_delay"] is not None
-                and source_domain is not None
-                and source_domain == destination_domain):
-            base = config["same_domain_delay"]
         if entry_delay is not None:
             base = entry_delay
         jitter = (config["jitter"] * stretch * self.rng.random()
@@ -323,11 +316,7 @@ class World:
             self.handles = []
             oracle.degradations = []
         elif kind == "nic":
-            network.set_nic_bandwidth(*args)
-            if args[1] is None:
-                oracle.nic.pop(args[0], None)
-            else:
-                oracle.nic[args[0]] = args[1]
+            network.config.nic_bandwidth = oracle.config["nic_bandwidth"] = args[0]
         elif kind == "matrix":
             source_domain, destination_domain, delay, bandwidth = args
             self.matrix.set_link(source_domain, destination_domain, delay=delay,
@@ -408,7 +397,7 @@ FIFO_STEPS = st.one_of(
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 3.0, 30.0])),
     st.tuples(st.just("squeeze"), FACTORS),
     st.tuples(st.just("restore"), INDEX),
-    st.tuples(st.just("nic"), NODE, st.sampled_from([64.0, 500.0])),
+    st.tuples(st.just("nic"), st.sampled_from([64.0, 500.0])),
     st.tuples(st.just("partition"), st.sets(NODE, min_size=1, max_size=2),
               st.booleans()),
     st.tuples(st.just("heal"), INDEX),

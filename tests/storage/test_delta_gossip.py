@@ -302,31 +302,27 @@ class TestDeltaGossipRobustness:
 
 
 class TestRecoverDuringPartition:
-    """Audit for FailureInjector.recover_now(lose_state=True): a replica
+    """Audit for ``Node.recover(lose_state=True)``: a replica
     recovered with lost state must rejoin delta gossip — its own writes
     must be stamped and shipped to peers, and digest-tree anti-entropy must
     refill it — even when the recovery happens while a partition is still
     unhealed and every message in between is lost."""
 
     def test_lose_state_recovery_during_unhealed_partition_heals_after(self):
-        from repro.cluster import FailureInjector
-
         sim, net, kvs = build_kvs(shards=1, replication=2,
                                   full_sync_every=5)
         replica_a, replica_b = kvs.shards[0]
-        injector = FailureInjector(
-            sim, {replica.node_id: replica for replica in kvs.shards[0]})
         for index in range(30):
             kvs.put(f"k-{index}", SetUnion({index}))
         kvs.settle(400.0)
         assert_replicas_converged(kvs)
 
         partition = net.partition({replica_a.node_id}, {replica_b.node_id})
-        injector.crash_now(replica_b.node_id)
+        replica_b.crash()
         sim.run(until=sim.now + 40.0)
         # Recover with lost state while the partition is still up: every
         # refill message from A is dropped until the heal.
-        injector.recover_now(replica_b.node_id, lose_state=True)
+        replica_b.recover(lose_state=True)
         assert replica_b.store == {}
         # B also takes fresh writes of its own while still partitioned.
         for index in range(30, 40):
