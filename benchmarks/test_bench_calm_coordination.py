@@ -6,6 +6,8 @@ latency than the same operations forced through a consensus log, while
 still converging to the same state on every replica.
 """
 
+import dataclasses
+
 import pytest
 
 from conftest import print_rows
@@ -29,7 +31,7 @@ def build_deployment(force_coordination: bool, seed: int = 3):
         # Re-declare the handlers as non-monotone by the cheapest route available
         # to an ablation: force coordination decisions through the compiler by
         # marking their effects ASSIGN-equivalent is invasive, so instead we
-        # compile normally and then rewrite the plan's coordination choice below.
+        # compile normally and then rewrite the plan's coordination verdict below.
     topology = Topology()
     nodes = []
     for az in range(3):
@@ -39,13 +41,11 @@ def build_deployment(force_coordination: bool, seed: int = 3):
     compiler = Hydrolysis()
     plan = compiler.compile(program, topology, nodes)
     if force_coordination:
-        from repro.consistency.calm import CoordinationDecision, CoordinationMechanism
-
         for handler in ("add_person", "add_contact"):
             endpoint = plan.endpoints[handler]
-            endpoint.coordination = CoordinationDecision(
-                handler, CoordinationMechanism.CONSENSUS_LOG, ("ablation: coordination forced",)
-            )
+            endpoint.analysis = dataclasses.replace(
+                endpoint.analysis, coordination_free=False,
+                reasons=("ablation: coordination forced",))
     simulator = Simulator(seed=seed)
     network = Network(simulator, NetworkConfig(base_delay=1.0, jitter=0.5))
     deployment = compiler.deploy(program, plan, simulator, network)

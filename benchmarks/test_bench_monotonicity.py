@@ -13,7 +13,7 @@ from conftest import print_rows
 from repro.apps.covid import build_covid_program
 from repro.apps.shopping_cart import build_cart_program
 from repro.apps.collab_edit import build_collab_program
-from repro.consistency import CoordinationMechanism, decide_coordination
+from repro.consistency import CoordinationMechanism
 from repro.core import (
     EffectKind,
     EffectSpec,
@@ -76,21 +76,20 @@ def test_coordination_elision_matches_analysis(benchmark):
         results = {}
         for builder in (build_covid_program, build_cart_program, build_collab_program):
             program = builder()
-            report = analyze_program(program)
-            decisions = decide_coordination(program, report)
-            results[program.name] = (report, decisions)
+            results[program.name] = analyze_program(program)
         return results
 
     results = benchmark(run)
     rows = []
-    for name, (report, decisions) in results.items():
-        free = sum(1 for d in decisions.values() if d.coordination_free)
-        coordinated = len(decisions) - free
-        rows.append([name, len(decisions), free, coordinated])
-        for handler, decision in decisions.items():
-            if report.handlers[handler].coordination_free:
-                assert decision.mechanism is CoordinationMechanism.NONE
+    for name, report in results.items():
+        analyses = report.handlers
+        free = sum(1 for analysis in analyses.values() if analysis.coordination_free)
+        coordinated = len(analyses) - free
+        rows.append([name, len(analyses), free, coordinated])
+        for analysis in analyses.values():
+            if analysis.coordination_free:
+                assert analysis.mechanism is CoordinationMechanism.NONE
             else:
-                assert decision.mechanism is CoordinationMechanism.CONSENSUS_LOG
+                assert analysis.mechanism is CoordinationMechanism.CONSENSUS_LOG
     print_rows("E9: coordination elision per application",
                ["application", "handlers", "coordination-free", "coordinated"], rows)

@@ -12,7 +12,6 @@ Run with:  python examples/quickstart.py
 
 from repro.apps.covid import build_covid_program
 from repro.cluster import Network, NetworkConfig, Simulator
-from repro.consistency import decide_coordination
 from repro.core import InvariantViolation, SingleNodeInterpreter, analyze_program
 from repro.lattices import SetUnion
 from repro.storage import LatticeKVS
@@ -81,8 +80,8 @@ def main() -> None:
     print(report.describe())
 
     print("\n=== Coordination decisions (the consistency facet, compiled) ===")
-    for name, decision in sorted(decide_coordination(program, report).items()):
-        print(f"  {name:<12} -> {decision.mechanism.value}")
+    for name, analysis in sorted(report.handlers.items()):
+        print(f"  {name:<12} -> {analysis.mechanism.value}")
 
     print("\n=== Deterministic sharding: live reshard of the lattice KVS ===")
     resharding_scenario()

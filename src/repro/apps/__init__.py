@@ -10,13 +10,12 @@
 """
 
 from repro.apps.covid import SequentialCovidTracker, build_covid_program
-from repro.apps.shopping_cart import SequentialCart, build_cart_program
+from repro.apps.shopping_cart import build_cart_program
 from repro.apps.collab_edit import build_collab_program
 
 __all__ = [
     "SequentialCovidTracker",
     "build_covid_program",
-    "SequentialCart",
     "build_cart_program",
     "build_collab_program",
 ]

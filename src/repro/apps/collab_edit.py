@@ -10,35 +10,10 @@ set, so replicas converge without coordination.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
-
 from repro.core.datamodel import FieldSpec
 from repro.core.handlers import EffectKind, EffectSpec
 from repro.core.program import HydroProgram
 from repro.lattices import SetUnion
-
-
-def position_between(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-    """Generate a dense position identifier strictly between two others.
-
-    Positions are tuples of integers compared lexicographically (a simplified
-    Logoot).  ``left`` and ``right`` may be empty tuples meaning the document
-    start/end sentinels.
-    """
-    left_t = tuple(left)
-    right_t = tuple(right) if right else ()
-    if right_t and not left_t < right_t:
-        raise ValueError(f"left position {left_t} must sort before right {right_t}")
-    candidate = left_t + (1,)
-    if not right_t or candidate < right_t:
-        return candidate
-    # Descend until a gap opens up.
-    prefix = list(left_t)
-    prefix.append(0)
-    while tuple(prefix) >= right_t:
-        prefix.append(0)
-    prefix[-1] += 1
-    return tuple(prefix)
 
 
 def build_collab_program() -> HydroProgram:

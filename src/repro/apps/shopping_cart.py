@@ -17,36 +17,11 @@ are provided for the E3 experiment:
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
 from repro.core.datamodel import FieldSpec
 from repro.core.facets import ConsistencyLevel, ConsistencySpec, Invariant
 from repro.core.handlers import EffectKind, EffectSpec
 from repro.core.program import HydroProgram
 from repro.lattices import BoolOr, SetUnion, TwoPhaseSet
-
-
-class SequentialCart:
-    """A single-node, sequential cart: the semantics baseline."""
-
-    def __init__(self) -> None:
-        self.items: dict[Hashable, set] = {}
-        self.checked_out: dict[Hashable, frozenset] = {}
-
-    def add_item(self, session: Hashable, item: Hashable) -> None:
-        if session in self.checked_out:
-            return
-        self.items.setdefault(session, set()).add(item)
-
-    def remove_item(self, session: Hashable, item: Hashable) -> None:
-        if session in self.checked_out:
-            return
-        self.items.setdefault(session, set()).discard(item)
-
-    def checkout(self, session: Hashable) -> frozenset:
-        final = frozenset(self.items.get(session, set()))
-        self.checked_out[session] = final
-        return final
 
 
 def build_cart_program() -> HydroProgram:

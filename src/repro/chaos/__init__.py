@@ -78,7 +78,6 @@ from repro.chaos.scenario import (
     fast_config,
     geo_config,
     run_scenario,
-    thorough_config,
 )
 from repro.chaos.sweep import (
     SeedFailure,
@@ -122,7 +121,7 @@ __all__ = [
     "state_digest", "summarize",
     # scenarios & sweeps
     "ChaosConfig", "ScenarioResult", "run_scenario", "build_env",
-    "fast_config", "geo_config", "thorough_config", "ALL_WORKLOADS",
+    "fast_config", "geo_config", "ALL_WORKLOADS",
     "sweep", "replay", "shrink", "standard_schedule", "repro_snippet",
     "SweepReport", "SeedFailure",
 ]

@@ -36,7 +36,7 @@ from typing import Hashable, Iterable, Optional
 
 from repro.chaos.history import History, Op
 from repro.chaos.nemesis import ChaosEnv
-from repro.consistency.calm import CoordinationMechanism, decide_coordination
+from repro.core.monotonicity import CoordinationMechanism, analyze_program
 from repro.lattices import VectorClock
 from repro.lattices.base import Lattice
 from repro.storage.antientropy import PROBE_ROUNDS, DigestTree
@@ -309,18 +309,18 @@ def _static_calm_failures() -> tuple[str, ...]:
     from repro.apps.shopping_cart import build_cart_program
 
     failures = []
-    decisions = decide_coordination(build_cart_program())
+    cart = analyze_program(build_cart_program()).handlers
     for handler in ("add_item", "remove_item", "sealed_checkout", "checkout"):
         # Every cart handler's effects are lattice merges, so CALM proves
         # the whole cart coordination-free — including the checkout the
         # developer over-specified as serializable.
-        if not decisions[handler].coordination_free:
+        if not cart[handler].coordination_free:
             failures.append(
                 f"CALM cross-check: monotone handler {handler!r} assigned "
-                f"{decisions[handler].mechanism.value}")
+                f"{cart[handler].mechanism.value}")
     # The contrast case: the covid app's non-monotone vaccinate endpoint
     # must still pay for a consensus log (pinned by the consistency tests).
-    covid = decide_coordination(build_covid_program())
+    covid = analyze_program(build_covid_program()).handlers
     if covid["vaccinate"].mechanism is not CoordinationMechanism.CONSENSUS_LOG:
         failures.append(
             "CALM cross-check: non-monotone vaccinate should require a "

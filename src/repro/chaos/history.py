@@ -153,9 +153,6 @@ class History:
     def actions(self) -> set[str]:
         return {op.action for op in self.ops}
 
-    def to_dicts(self) -> list[dict]:
-        return [op.to_dict() for op in self.ops]
-
     def __len__(self) -> int:
         return len(self.ops)
 

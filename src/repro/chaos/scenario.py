@@ -58,6 +58,13 @@ from repro.storage import LatticeKVS
 #: All workload names, in start order.
 ALL_WORKLOADS = ("kvs", "cart", "causal", "paxos")
 
+#: Post-heal quiescence horizon.  Must cover ``full_sync_every`` gossip
+#: rounds plus a full digest-tree reconciliation — probe recursion down to
+#: the leaves and the repair round's delivery (the bounded-staleness
+#: checker's judgement horizon) — or a state-losing recovery cannot be
+#: healed by anti-entropy before the convergence checker looks.
+SETTLE_AFTER_HEAL = 600.0
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -65,33 +72,14 @@ class ChaosConfig:
 
     shards: int = 2
     replication: int = 2
-    vnodes: int = 16
     gossip_interval: float = 20.0
     full_sync_every: int = 10
-    base_delay: float = 1.0
-    jitter: float = 0.5
-    drop_rate: float = 0.0
     #: Per-link bandwidth (bytes/tick) for the transmission model.  The
     #: chaos profile turns the model on — generously, so serialization is
     #: negligible until a ``Congestion`` fault squeezes it — while the
     #: Network's own default stays off.  ``None`` disables the model (the
     #: pre-model, byte-identical network).
     link_bandwidth: Optional[float] = 4096.0
-    kvs_clients: int = 2
-    kvs_keys: int = 6
-    kvs_ops: int = 24
-    cart_sessions: int = 2
-    cart_ops: int = 10
-    causal_nodes: int = 3
-    causal_broadcasts: int = 5
-    paxos_replicas: int = 3
-    paxos_proposals: int = 6
-    #: Post-heal quiescence horizon.  Must cover ``full_sync_every`` gossip
-    #: rounds plus a full digest-tree reconciliation — probe recursion down
-    #: to the leaves and the repair round's delivery (the bounded-staleness
-    #: checker's judgement horizon) — or a state-losing recovery cannot be
-    #: healed by anti-entropy before the convergence checker looks.
-    settle_after_heal: float = 600.0
     #: Runtime sanitizer: digest every payload at ``queue()`` time and
     #: verify it at flush — mutation-after-queue raises
     #: :class:`~repro.cluster.transport.PayloadMutationError` naming the
@@ -108,16 +96,14 @@ class ChaosConfig:
     #: ``DomainOutage``/``Congestion``/``PartitionStorm`` interact with
     #: locality (cross-region links are slow and thin; a shard's quorum
     #: lives inside one region).  Workload clients stay in the ``default``
-    #: domain and fall back to ``base_delay``/``link_bandwidth``.
+    #: domain and fall back to the base delay and ``link_bandwidth``.
     geo: bool = False
     #: Per-node shared NIC bandwidth (bytes/tick); ``None`` leaves the NIC
     #: stage off (byte-identical to the pre-NIC network).
     nic_bandwidth: Optional[float] = None
 
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig(base_delay=self.base_delay, jitter=self.jitter,
-                             drop_rate=self.drop_rate,
-                             bandwidth=self.link_bandwidth,
+        return NetworkConfig(bandwidth=self.link_bandwidth,
                              delay_matrix=geo_delay_matrix() if self.geo
                              else None,
                              nic_bandwidth=self.nic_bandwidth)
@@ -162,7 +148,7 @@ def build_env(seed: int, config: ChaosConfig) -> ChaosEnv:
                          shard_count=config.shards,
                          replication_factor=config.replication,
                          gossip_interval=config.gossip_interval,
-                         vnodes=config.vnodes,
+                         vnodes=16,
                          full_sync_every=config.full_sync_every,
                          placement=locality_aware_domain if config.geo
                          else None)
@@ -190,18 +176,13 @@ def run_scenario(seed: int, schedule: Sequence[Fault],
 
     active = {}
     if "kvs" in workloads:
-        active["kvs"] = KVSWorkload(env, history, clients=config.kvs_clients,
-                                    keys=config.kvs_keys,
-                                    ops_per_client=config.kvs_ops)
+        active["kvs"] = KVSWorkload(env, history)
     if "cart" in workloads:
-        active["cart"] = CartWorkload(env, history, sessions=config.cart_sessions,
-                                      ops_per_session=config.cart_ops)
+        active["cart"] = CartWorkload(env, history)
     if "causal" in workloads:
-        active["causal"] = CausalWorkload(env, history, nodes=config.causal_nodes,
-                                          broadcasts_per_node=config.causal_broadcasts)
+        active["causal"] = CausalWorkload(env, history)
     if "paxos" in workloads:
-        active["paxos"] = PaxosWorkload(env, history, replicas=config.paxos_replicas,
-                                        proposals=config.paxos_proposals)
+        active["paxos"] = PaxosWorkload(env, history)
     for workload in active.values():
         workload.start()
 
@@ -212,7 +193,7 @@ def run_scenario(seed: int, schedule: Sequence[Fault],
                   [workload.end_time() for workload in active.values()]) + 5.0
     env.simulator.run(until=horizon)
     env.heal_everything()
-    env.simulator.run(until=env.simulator.now + config.settle_after_heal)
+    env.simulator.run(until=env.simulator.now + SETTLE_AFTER_HEAL)
 
     diagnosis = diagnose(env, history)
     suite: list[tuple[str, object]] = [
@@ -265,9 +246,3 @@ def geo_config() -> ChaosConfig:
     locality-aware replica placement, and shared NIC queues at every node."""
     return replace(ChaosConfig(), geo=True, nic_bandwidth=GEO_NIC_BANDWIDTH)
 
-
-def thorough_config() -> ChaosConfig:
-    """A heavier profile for local soak runs."""
-    return replace(ChaosConfig(), shards=3, replication=3, kvs_ops=60,
-                   cart_ops=20, causal_broadcasts=10, paxos_proposals=12,
-                   settle_after_heal=800.0)

@@ -145,7 +145,7 @@ class CartWorkload:
     """
 
     def __init__(self, env: ChaosEnv, history: History, *, sessions: int = 2,
-                 ops_per_session: int = 12, interval: float = 7.0,
+                 ops_per_session: int = 10, interval: float = 7.0,
                  start: float = 8.0) -> None:
         self.env = env
         self.history = history

@@ -166,9 +166,6 @@ class MetricsRegistry:
         family = self._keyed.setdefault(name, {})
         family[key] = family.get(key, 0.0) + amount
 
-    def keyed_counter(self, name: str, key: Hashable) -> float:
-        return self._keyed.get(name, {}).get(key, 0.0)
-
     def keyed_counters(self, name: str) -> dict[Hashable, float]:
         return dict(self._keyed.get(name, {}))
 

@@ -2,10 +2,10 @@
 
 ``compile`` runs the full pipeline over a program:
 
-1. monotonicity / CALM analysis (program semantics + consistency facets);
-2. coordination decisions per endpoint;
-3. replica placement against the availability facet and a cluster topology;
-4. machine sizing against the target facet: the cheapest option per
+1. monotonicity / CALM analysis (program semantics + consistency facets),
+   which decides each endpoint's coordination mechanism;
+2. replica placement against the availability facet and a cluster topology;
+3. machine sizing against the target facet: the cheapest option per
    handler under the chosen objective; a handler no configuration can serve
    fails the compile with a :class:`~repro.core.errors.NotDeployableError`
    naming it, instead of silently producing a broken plan.
@@ -22,7 +22,6 @@ from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.simulator import Simulator
 from repro.compiler.deployment import HydroDeployment
 from repro.compiler.plan import DeploymentPlan, EndpointPlan
-from repro.consistency.calm import decide_coordination
 from repro.core.monotonicity import analyze_program
 from repro.core.program import HydroProgram
 from repro.placement.cost_models import HandlerLoadModel
@@ -46,7 +45,6 @@ class Hydrolysis:
         """Compile a program into a deployment plan."""
         program.validate()
         report = analyze_program(program)
-        decisions = decide_coordination(program, report)
 
         placements = {}
         candidates = list(candidate_nodes)
@@ -64,7 +62,6 @@ class Hydrolysis:
             plan.endpoints[name] = EndpointPlan(
                 handler=name,
                 analysis=report.handlers[name],
-                coordination=decisions[name],
                 consistency=program.consistency_for(name),
                 availability=program.availability_for(name),
                 target=program.target_for(name),

@@ -1,11 +1,12 @@
 """Lowering HydroLogic query plans to Hydroflow operator graphs (§8).
 
-Query plans are small relational-algebra trees (scan / select / project /
-join / distinct / recurse).  ``lower_query_plan`` translates a plan into a
-:class:`~repro.hydroflow.graph.FlowGraph`; recursive plans become cyclic
-graphs whose fixpoint the tick scheduler computes.  Two ready-made lowerings
-of the paper's transitive-closure query — naive and semi-naive — support the
-E10 optimizer ablation.
+Query plans are small, non-recursive relational-algebra trees (scan /
+select / project / join / distinct).  ``lower_query_plan`` translates a
+plan into an acyclic :class:`~repro.hydroflow.graph.FlowGraph`.  Recursion
+is lowered only by ``lower_transitive_closure``: its two ready-made cyclic
+lowerings of the paper's transitive-closure query — naive and semi-naive —
+leave the fixpoint to the tick scheduler and support the E10 optimizer
+ablation.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class QueryPlan:
 
     kinds: ``scan`` (leaf over a named source), ``select`` (predicate),
     ``project`` (mapping function), ``join`` (two children with key
-    functions), ``distinct``, and ``recurse`` (a recursive union whose
-    ``recursive_step`` builds the inductive case from the plan's own output).
+    functions) and ``distinct``.  There is no recursive kind; recursion is
+    lowered only by :func:`lower_transitive_closure`.
     """
 
     kind: str

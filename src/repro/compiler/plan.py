@@ -1,10 +1,10 @@
 """Deployment plans: the compiler's output before instantiation.
 
 A :class:`DeploymentPlan` records, per endpoint, everything later stages
-need: the monotonicity verdict, the coordination mechanism chosen by the
-CALM analysis, the replica placement chosen for the availability facet, and
-the machine configuration chosen by the target-facet optimizer (the
-cheapest option per handler).  Plans are plain data so they can be
+need: the CALM analysis (the monotonicity verdict and the coordination
+mechanism it implies), the replica placement chosen for the availability
+facet, and the machine configuration chosen by the target-facet optimizer
+(the cheapest option per handler).  Plans are plain data so they can be
 explained to developers and compared in tests.
 """
 
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
-from repro.cluster.domains import Placement
-from repro.consistency.calm import CoordinationDecision
 from repro.core.facets import AvailabilitySpec, ConsistencySpec, TargetSpec
 from repro.core.monotonicity import HandlerAnalysis
 from repro.placement.ilp import ConfigurationOption
@@ -26,7 +24,6 @@ class EndpointPlan:
 
     handler: str
     analysis: HandlerAnalysis
-    coordination: CoordinationDecision
     consistency: ConsistencySpec
     availability: AvailabilitySpec
     target: TargetSpec
@@ -35,7 +32,7 @@ class EndpointPlan:
 
     @property
     def coordination_free(self) -> bool:
-        return self.coordination.coordination_free
+        return self.analysis.coordination_free
 
     @property
     def replica_count(self) -> int:
@@ -83,12 +80,12 @@ class DeploymentPlan:
             )
             lines.append(
                 f"  {name}: {plan.analysis.verdict.value}, "
-                f"coordination={plan.coordination.mechanism.value}, "
+                f"coordination={plan.analysis.mechanism.value}, "
                 f"replicas={plan.replica_count} "
                 f"({plan.availability.failures} failures @ {plan.availability.domain.value}), "
                 f"machines={machine}"
             )
-            for reason in plan.coordination.reasons:
+            for reason in plan.analysis.reasons:
                 lines.append(f"      - {reason}")
         if self.table_partitioning:
             lines.append("  table partitioning:")

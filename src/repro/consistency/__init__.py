@@ -2,9 +2,9 @@
 
 The paper's consistency story has three parts, each with a module here:
 
-* **Analysis** — :mod:`repro.consistency.calm` turns the monotonicity report
-  into per-endpoint coordination decisions: no enforcement, or a consensus
-  log — the two mechanisms a compiled deployment runs.
+* **Analysis** — :mod:`repro.core.monotonicity` gives every endpoint one
+  verdict whose :class:`CoordinationMechanism` is no enforcement or a
+  consensus log — the two mechanisms a compiled deployment runs.
 * **Mechanisms** — :mod:`repro.consistency.paxos` implements the
   "heavyweight" consensus log over the simulated cluster;
   :mod:`repro.consistency.causal` implements coordination-free causal
@@ -12,11 +12,12 @@ The paper's consistency story has three parts, each with a module here:
   the Blazes-style sealing pattern the shopping-cart experiment runs
   client-side.
 * **Specs** — the level/invariant data types live in
-  :mod:`repro.core.facets` and are re-exported here for convenience.
+  :mod:`repro.core.facets` and are re-exported here for convenience, as
+  is :class:`CoordinationMechanism`.
 """
 
 from repro.core.facets import ConsistencyLevel, ConsistencySpec, Invariant
-from repro.consistency.calm import CoordinationDecision, CoordinationMechanism, decide_coordination
+from repro.core.monotonicity import CoordinationMechanism
 from repro.consistency.causal import CausalBroadcast, CausalMessage
 from repro.consistency.paxos import ConsensusLog, PaxosReplica
 from repro.consistency.sealing import SealManifest, SealingCoordinator
@@ -26,8 +27,6 @@ __all__ = [
     "ConsistencySpec",
     "Invariant",
     "CoordinationMechanism",
-    "CoordinationDecision",
-    "decide_coordination",
     "CausalBroadcast",
     "CausalMessage",
     "ConsensusLog",

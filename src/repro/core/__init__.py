@@ -22,7 +22,6 @@ and coordination are added by the Hydrolysis compiler
 
 from repro.core.datamodel import DataModel, EntityClass, FieldSpec, TableDecl, VarDecl
 from repro.core.errors import (
-    ConsistencyViolation,
     EffectViolation,
     HydroLogicError,
     InvariantViolation,
@@ -50,7 +49,6 @@ __all__ = [
     "HydroLogicError",
     "EffectViolation",
     "InvariantViolation",
-    "ConsistencyViolation",
     "UnknownHandlerError",
     "ConsistencyLevel",
     "ConsistencySpec",

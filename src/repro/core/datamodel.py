@@ -77,9 +77,6 @@ class EntityClass:
             raise SpecificationError(f"class {self.name!r} has no field {name!r}")
         return spec
 
-    def field_names(self) -> list[str]:
-        return list(self._specs)
-
     def new_row(self, **values: Any) -> dict[str, Any]:
         """Build a row dict with defaults filled in and values validated."""
         specs = self._specs
@@ -188,9 +185,6 @@ class DataModel:
         if name not in self.vars:
             raise SpecificationError(f"unknown var {name!r}")
         return self.vars[name]
-
-    def has_table(self, name: str) -> bool:
-        return name in self.tables
 
     def has_var(self, name: str) -> bool:
         return name in self.vars

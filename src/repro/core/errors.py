@@ -28,13 +28,5 @@ class InvariantViolation(HydroLogicError):
     """An application-centric consistency invariant evaluated to False."""
 
 
-class ConsistencyViolation(HydroLogicError):
-    """A consistency protocol detected an unserviceable request.
-
-    Raised, for example, when a serializable handler cannot acquire the
-    coordination it needs (quorum unavailable) within the configured bounds.
-    """
-
-
 class NotDeployableError(HydroLogicError):
     """The target facet's constraints cannot be met by any deployment."""

@@ -59,20 +59,6 @@ class ConsistencySpec:
     level: ConsistencyLevel = ConsistencyLevel.EVENTUAL
     invariants: tuple[Invariant, ...] = ()
 
-    @property
-    def requires_coordination(self) -> bool:
-        """True when the level (or any invariant) demands global coordination.
-
-        Invariants over non-monotone state need a total order to be checkable
-        at commit time, so any invariant conservatively implies coordination;
-        the CALM analysis refines this per handler (a monotone handler can
-        keep invariants coordination-free).
-        """
-        return self.level in COORDINATED_LEVELS or bool(self.invariants)
-
-    def with_invariant(self, invariant: Invariant) -> "ConsistencySpec":
-        return ConsistencySpec(self.level, self.invariants + (invariant,))
-
 
 @dataclass(frozen=True)
 class AvailabilitySpec:

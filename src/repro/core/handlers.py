@@ -105,15 +105,6 @@ class Handler:
     def declares(self, kind: EffectKind, target: str) -> bool:
         return any(spec.kind == kind and spec.target == target for spec in self.effects)
 
-    def declared_targets(self, kind: EffectKind) -> set[str]:
-        return {spec.target for spec in self.effects if spec.kind == kind}
-
-    @property
-    def has_non_monotone_effects(self) -> bool:
-        return any(
-            spec.kind in (EffectKind.ASSIGN, EffectKind.DELETE) for spec in self.effects
-        )
-
 
 class StateView:
     """Read-only access to program state, handed to queries and handlers.

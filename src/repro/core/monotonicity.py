@@ -6,16 +6,17 @@ tractable by construction: handlers declare their effects, queries declare
 their monotonicity, and state cells are either lattice-typed (merges are
 monotone) or plain (assignments are not).  The analysis classifies every
 handler and query, explains *why* non-monotone ones are non-monotone, and
-feeds the compiler's decision of which endpoints need coordination.
+decides per endpoint which of the two mechanisms a deployment runs enforces
+its consistency facet: none when the handler is coordination-free (CALM),
+a consensus log otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
-from repro.core.facets import ConsistencyLevel
+from repro.core.facets import COORDINATED_LEVELS, ConsistencyLevel
 from repro.core.handlers import EffectKind, Handler, Query
 from repro.core.program import HydroProgram
 
@@ -27,9 +28,21 @@ class MonotonicityVerdict(str, Enum):
     NON_MONOTONE = "non-monotone"
 
 
+class CoordinationMechanism(str, Enum):
+    """How an endpoint's consistency spec is enforced."""
+
+    NONE = "none"                      # coordination-free (CALM): the replica proxy
+    CONSENSUS_LOG = "consensus-log"    # total order broadcast (state machine replication)
+
+
 @dataclass(frozen=True)
 class HandlerAnalysis:
-    """Verdict plus human-readable reasons for one handler."""
+    """The compiler's one coordination verdict for a handler, with its reasons.
+
+    ``reasons`` explain both the monotonicity verdict and the mechanism, so
+    the compiler's explain output can show why an endpoint pays for
+    coordination.
+    """
 
     handler: str
     verdict: MonotonicityVerdict
@@ -39,6 +52,12 @@ class HandlerAnalysis:
     @property
     def is_monotone(self) -> bool:
         return self.verdict is MonotonicityVerdict.MONOTONE
+
+    @property
+    def mechanism(self) -> CoordinationMechanism:
+        if self.coordination_free:
+            return CoordinationMechanism.NONE
+        return CoordinationMechanism.CONSENSUS_LOG
 
 
 @dataclass(frozen=True)
@@ -55,15 +74,6 @@ class MonotonicityReport:
     handlers: dict[str, HandlerAnalysis] = field(default_factory=dict)
     queries: dict[str, QueryAnalysis] = field(default_factory=dict)
 
-    def monotone_handlers(self) -> list[str]:
-        return [name for name, a in self.handlers.items() if a.is_monotone]
-
-    def non_monotone_handlers(self) -> list[str]:
-        return [name for name, a in self.handlers.items() if not a.is_monotone]
-
-    def coordination_free_handlers(self) -> list[str]:
-        return [name for name, a in self.handlers.items() if a.coordination_free]
-
     def coordinated_handlers(self) -> list[str]:
         return [name for name, a in self.handlers.items() if not a.coordination_free]
 
@@ -77,28 +87,43 @@ class MonotonicityReport:
         return "\n".join(lines)
 
 
-def analyze_query(program: HydroProgram, query: Query) -> QueryAnalysis:
-    """A query is monotone iff it is declared monotone and so are the queries it reads."""
+def non_monotone_queries(program: HydroProgram) -> set[str]:
+    """Every query that is non-monotone: declared so, or reading one that is.
+
+    A least fixpoint over ``reads``, so the taint reaches through any depth
+    of nesting and terminates on recursive queries and cycles.
+    """
+    tainted = {name for name, query in program.queries.items() if not query.monotone}
+    while True:
+        grown = {name for name, query in program.queries.items()
+                 if tainted.intersection(query.reads)} - tainted
+        if not grown:
+            return tainted
+        tainted |= grown
+
+
+def analyze_query(query: Query, non_monotone: set[str]) -> QueryAnalysis:
+    """A query is monotone iff it is declared monotone and reads no non-monotone query."""
     reasons: list[str] = []
     if not query.monotone:
         reasons.append("declared non-monotone")
     for read in query.reads:
-        nested = program.queries.get(read)
-        if nested is not None and not nested.monotone:
+        if read in non_monotone:
             reasons.append(f"depends on non-monotone query {read!r}")
     verdict = MonotonicityVerdict.MONOTONE if not reasons else MonotonicityVerdict.NON_MONOTONE
     return QueryAnalysis(query.name, verdict, tuple(reasons))
 
 
-def analyze_handler(program: HydroProgram, handler: Handler) -> HandlerAnalysis:
+def analyze_handler(program: HydroProgram, handler: Handler,
+                    non_monotone: set[str]) -> HandlerAnalysis:
     """Classify one handler and decide whether it can run coordination-free.
 
     A handler is monotone when every state effect is a lattice merge and
-    every query it uses is monotone.  Sends do not affect monotonicity (they
-    are asynchronous merges into mailboxes).  Coordination is needed when
-    the handler is non-monotone *or* its consistency spec demands a
-    coordinated level or carries invariants over state that other handlers
-    also write non-monotonically.
+    every query it uses is monotone (``non_monotone`` names the queries
+    that are not).  Sends do not affect monotonicity (they are asynchronous
+    merges into mailboxes).  Coordination is needed when the handler is
+    non-monotone *and* its consistency spec demands a coordinated level or
+    carries invariants.
     """
     reasons: list[str] = []
 
@@ -115,11 +140,8 @@ def analyze_handler(program: HydroProgram, handler: Handler) -> HandlerAnalysis:
                 )
 
     for query_name in handler.queries:
-        query = program.queries.get(query_name)
-        if query is not None:
-            query_analysis = analyze_query(program, query)
-            if query_analysis.verdict is MonotonicityVerdict.NON_MONOTONE:
-                reasons.append(f"uses non-monotone query {query_name!r}")
+        if query_name in non_monotone:
+            reasons.append(f"uses non-monotone query {query_name!r}")
 
     verdict = MonotonicityVerdict.MONOTONE if not reasons else MonotonicityVerdict.NON_MONOTONE
 
@@ -131,27 +153,31 @@ def analyze_handler(program: HydroProgram, handler: Handler) -> HandlerAnalysis:
     # accept nondeterminism and also run coordination-free.
     consistency = program.consistency_for(handler.name)
     coordination_free = True
-    coordination_reasons = list(reasons)
     if verdict is MonotonicityVerdict.NON_MONOTONE:
-        if consistency.level in (
-            ConsistencyLevel.SEQUENTIAL,
-            ConsistencyLevel.SERIALIZABLE,
-            ConsistencyLevel.LINEARIZABLE,
-        ):
+        if consistency.level in COORDINATED_LEVELS:
             coordination_free = False
-            coordination_reasons.append(
+            reasons.append(
                 f"consistency level {consistency.level.value} over non-monotone effects"
             )
         if consistency.invariants:
             coordination_free = False
-            coordination_reasons.append(
+            reasons.append(
                 "application invariants over non-monotone state require coordination"
             )
+
+    if coordination_free:
+        if not reasons:
+            reasons.append("monotone handler: CALM guarantees coordination-free determinism")
+    elif (consistency.level in (ConsistencyLevel.SERIALIZABLE, ConsistencyLevel.LINEARIZABLE)
+          or consistency.invariants):
+        reasons.append("total order required across replicas")
+    else:
+        reasons.append("non-monotone effects are ordered across replicas")
 
     return HandlerAnalysis(
         handler=handler.name,
         verdict=verdict,
-        reasons=tuple(coordination_reasons),
+        reasons=tuple(reasons),
         coordination_free=coordination_free,
     )
 
@@ -159,8 +185,9 @@ def analyze_handler(program: HydroProgram, handler: Handler) -> HandlerAnalysis:
 def analyze_program(program: HydroProgram) -> MonotonicityReport:
     """Analyze every query and handler of a program."""
     report = MonotonicityReport()
+    non_monotone = non_monotone_queries(program)
     for query in program.queries.values():
-        report.queries[query.name] = analyze_query(program, query)
+        report.queries[query.name] = analyze_query(query, non_monotone)
     for handler in program.handlers.values():
-        report.handlers[handler.name] = analyze_handler(program, handler)
+        report.handlers[handler.name] = analyze_handler(program, handler, non_monotone)
     return report

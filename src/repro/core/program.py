@@ -116,9 +116,6 @@ class HydroProgram:
 
     # -- facets -----------------------------------------------------------------------
 
-    def set_default_consistency(self, spec: ConsistencySpec) -> None:
-        self.consistency.set_default(spec)
-
     def set_default_availability(self, spec: AvailabilitySpec) -> None:
         self.availability.set_default(spec)
 

@@ -28,20 +28,12 @@ from repro.hydroflow.operators import (
     HashJoinOperator,
     FoldOperator,
     DifferenceOperator,
-    InspectOperator,
     SinkOperator,
 )
 from repro.hydroflow.lattice_ops import (
     LatticeMergeOperator,
     LatticeThresholdOperator,
     LatticeMapOperator,
-)
-from repro.hydroflow.network_ops import (
-    EgressOperator,
-    IngressOperator,
-    bind_egress_to_node,
-    broadcast_address,
-    hash_address,
 )
 from repro.hydroflow.reactive import ReactiveCell, ReactiveGraph
 from repro.hydroflow.scheduler import TickResult, TickScheduler
@@ -59,16 +51,10 @@ __all__ = [
     "HashJoinOperator",
     "FoldOperator",
     "DifferenceOperator",
-    "InspectOperator",
     "SinkOperator",
     "LatticeMergeOperator",
     "LatticeThresholdOperator",
     "LatticeMapOperator",
-    "IngressOperator",
-    "EgressOperator",
-    "bind_egress_to_node",
-    "broadcast_address",
-    "hash_address",
     "ReactiveCell",
     "ReactiveGraph",
     "TickScheduler",

@@ -89,10 +89,6 @@ class FlowGraph:
         """All input ports fed by ``operator_name``'s output."""
         return [edge.target for edge in self._edges if edge.source == operator_name]
 
-    def upstream_operators(self, operator_name: str) -> list[str]:
-        """Names of operators feeding any input port of ``operator_name``."""
-        return [edge.source for edge in self._edges if edge.target.operator == operator_name]
-
     def edges(self) -> list[Edge]:
         return list(self._edges)
 

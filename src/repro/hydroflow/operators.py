@@ -118,25 +118,6 @@ class UnionOperator(Operator):
         return list(batch)
 
 
-class InspectOperator(Operator):
-    """Passes items through unchanged while invoking a side-effecting probe.
-
-    This is the monitoring hook the paper's runtime inserts for adaptive
-    reoptimization: the probe typically records counts into a
-    :class:`~repro.cluster.metrics.MetricsRegistry`.
-    """
-
-    def __init__(self, name: str, probe: Callable[[Any], None]) -> None:
-        super().__init__(name)
-        self.probe = probe
-
-    def process(self, port: str, batch: list[Any]) -> list[Any]:
-        self.items_processed += len(batch)
-        for item in batch:
-            self.probe(item)
-        return list(batch)
-
-
 class DistinctOperator(Operator):
     """Suppresses duplicates; set semantics over the stream.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.hydroflow.graph import FlowGraph, Port
 from repro.hydroflow.operators import (
@@ -32,7 +32,6 @@ from repro.hydroflow.operators import (
     SinkOperator,
     SourceOperator,
 )
-from repro.hydroflow.network_ops import IngressOperator
 
 
 @dataclass
@@ -72,10 +71,6 @@ class TickScheduler:
         self.graph = graph
         self.max_rounds = max_rounds
         self.tick_count = 0
-        #: Callbacks run after every operator's ``end_of_tick`` — the seam
-        #: where a hosting node's transport is flushed so the tick's egress
-        #: output ships as batched envelopes (see ``bind_egress_to_node``).
-        self.end_of_tick_hooks: list[Callable[[], None]] = []
         self._strata = self._assign_strata()
         self._max_stratum = max(self._strata.values(), default=0)
         # Indexes for the ready-queue dispatch loop.  Everything the hot
@@ -108,9 +103,9 @@ class TickScheduler:
             for names in self._members
         ]
         self._operators: list[Operator] = list(graph.operators())
-        self._feeders: list[Operator] = [
+        self._sources: list[SourceOperator] = [
             operator for operator in self._operators
-            if isinstance(operator, (SourceOperator, IngressOperator))
+            if isinstance(operator, SourceOperator)
         ]
         self._ready: list[deque[Port]] = [
             deque() for _ in range(self._max_stratum + 1)
@@ -153,13 +148,13 @@ class TickScheduler:
     # -- tick execution ---------------------------------------------------------
 
     def run_tick(self) -> TickResult:
-        """Run one tick: drain sources/ingresses, run strata to flush fixpoint."""
+        """Run one tick: drain sources, run strata to flush fixpoint."""
         self.tick_count += 1
         total_items = 0
         total_rounds = 0
 
-        # Seed buffers from sources and ingress queues.
-        for operator in self._feeders:
+        # Seed buffers from the sources.
+        for operator in self._sources:
             if operator.has_pending:
                 self._emit(operator.name, operator.drain())
 
@@ -189,8 +184,6 @@ class TickScheduler:
 
         for operator in self._operators:
             operator.end_of_tick()
-        for hook in self.end_of_tick_hooks:
-            hook()
 
         return TickResult(
             tick=self.tick_count,
@@ -198,9 +191,6 @@ class TickScheduler:
             items_moved=total_items,
             strata=self._max_stratum + 1,
         )
-
-    def run_ticks(self, count: int) -> list[TickResult]:
-        return [self.run_tick() for _ in range(count)]
 
     # -- internals --------------------------------------------------------------
 

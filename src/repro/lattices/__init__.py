@@ -19,7 +19,7 @@ semilattice laws: associativity, commutativity and idempotence of ``merge``,
 and the induced partial order ``a <= a.merge(b)``.
 """
 
-from repro.lattices.base import BOTTOM, Lattice, bottom_of, is_lattice_value, join_all
+from repro.lattices.base import BOTTOM, Lattice, join_all
 from repro.lattices.counters import GCounter, PNCounter
 from repro.lattices.lww import LWWRegister
 from repro.lattices.maps import MapLattice
@@ -32,8 +32,6 @@ from repro.lattices.monotone import is_monotone_on_samples
 __all__ = [
     "BOTTOM",
     "Lattice",
-    "bottom_of",
-    "is_lattice_value",
     "join_all",
     "BoolAnd",
     "BoolOr",

@@ -130,21 +130,6 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-def is_lattice_value(value: object) -> bool:
-    """Return True if ``value`` participates in the lattice protocol."""
-    return isinstance(value, (Lattice, _Bottom))
-
-
-def bottom_of(lattice_type: type[L]) -> L:
-    """Return the bottom element of ``lattice_type``.
-
-    Raises :class:`TypeError` if the argument is not a lattice class.
-    """
-    if not (isinstance(lattice_type, type) and issubclass(lattice_type, Lattice)):
-        raise TypeError(f"{lattice_type!r} is not a Lattice subclass")
-    return lattice_type.bottom()
-
-
 def owns_merge_result(merged: object, left: object, right: object) -> bool:
     """True iff ``merged`` came out of ``left.merge(right)`` freshly allocated.
 

@@ -103,9 +103,6 @@ class ActorSystem:
     def is_waiting(self, actor_id: Hashable) -> bool:
         return actor_id in self._waiting
 
-    def actor_ids(self) -> list[Hashable]:
-        return list(self._state)
-
 
 def lift_actor_class(actor_class: ActorClass) -> HydroProgram:
     """Lift an actor class into a HydroLogic program.

@@ -175,12 +175,6 @@ class MPICluster:
 
     # -- all-to-all -------------------------------------------------------------------
 
-    def allgather(self, values: Sequence[Any], entries: int = 1) -> list[list[Any]]:
-        """Every rank ends up with the full gathered array."""
-        gathered = self.gather(values, entries=entries)
-        self.bcast(gathered, entries=entries * self.size)
-        return [gathered for _ in range(self.size)]
-
     def allreduce(self, values: Sequence[Any], op: Callable[[Any, Any], Any],
                   entries: int = 1, algorithm: str = "naive") -> list[Any]:
         result, _ = self.reduce(values, op, entries=entries, algorithm=algorithm)

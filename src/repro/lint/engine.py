@@ -62,12 +62,6 @@ class ModuleContext:
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
 
 class Rule:
     """One contract check.  Subclasses set the metadata and implement

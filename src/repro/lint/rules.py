@@ -22,7 +22,7 @@ miss is still backstopped by the runtime sanitizers and the chaos sweep.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.lint.engine import ModuleContext, Rule, register
 from repro.lint.findings import Finding
@@ -385,11 +385,3 @@ class MutableDefaultArgument(Rule):
         return (isinstance(expr, ast.Call)
                 and isinstance(expr.func, ast.Name)
                 and expr.func.id in self._FACTORIES)
-
-
-def rule_table() -> Iterator[tuple[str, str, str]]:
-    """(code, name, summary) rows for ``--list-rules`` and the README."""
-    from repro.lint.engine import all_rules
-
-    for rule in all_rules():
-        yield rule.code, rule.name, rule.summary

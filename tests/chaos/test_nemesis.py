@@ -426,13 +426,14 @@ class TestCrashReplica:
 class TestSpikes:
     def test_latency_spike_restores_and_tracks_max(self):
         env, config = build()
+        pristine = config.network_config()
         Nemesis(env, [LatencySpike(at=5.0, duration=10.0, factor=4.0)]).start()
         env.simulator.run(until=7.0)
         assert env.network.delay_factor == 4.0
         env.simulator.run(until=20.0)
         assert env.network.delay_factor == 1.0
         assert env.network.max_link_delay == pytest.approx(
-            (config.base_delay + config.jitter) * 4)
+            (pristine.base_delay + pristine.jitter) * 4)
 
     def test_drop_spike_restores(self):
         env, config = build()
@@ -440,7 +441,7 @@ class TestSpikes:
         env.simulator.run(until=7.0)
         assert env.network.drop_rate == 0.9
         env.simulator.run(until=20.0)
-        assert env.network.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.network_config().drop_rate
 
     def test_overlapping_latency_spikes_compose_and_fully_restore(self):
         """A spike's restore must not re-impose another spike's degraded
@@ -455,8 +456,7 @@ class TestSpikes:
         assert env.network.delay_factor == 6.0
         env.simulator.run(until=80.0)  # both ended: pristine again
         assert env.network.delay_factor == 1.0
-        assert env.network.config.base_delay == config.base_delay
-        assert env.network.config.jitter == config.jitter
+        assert env.network.config == config.network_config()
 
     def test_overlapping_drop_spikes_take_max_and_fully_restore(self):
         env, config = build()
@@ -468,7 +468,7 @@ class TestSpikes:
         env.simulator.run(until=55.0)
         assert env.network.drop_rate == 0.6  # 0.3-spike gone, max holds
         env.simulator.run(until=80.0)
-        assert env.network.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.network_config().drop_rate
 
 
 class TestSlowNode:
@@ -756,5 +756,5 @@ class TestHealEverything:
         assert any(not node.alive for node in env.kvs.all_nodes())
         env.heal_everything()
         assert env.network._partitions == []
-        assert env.network.drop_rate == config.drop_rate
+        assert env.network.drop_rate == config.network_config().drop_rate
         assert all(node.alive for node in env.kvs.all_nodes())

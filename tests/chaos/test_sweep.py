@@ -100,7 +100,7 @@ class TestInjectedBugDemo:
 
     def test_failure_artifact_carries_its_config(self, skip_dirty_marking):
         """The JSON artifact must record the config the failure was found
-        under — replaying a thorough-config failure under fast_config()
+        under — replaying a failure under a config other than its own
         would produce a meaningless verdict."""
         report = sweep(range(3), BUG_DEMO_SCHEDULE, config=BUG_DEMO_CONFIG,
                        workloads=("kvs",), shrink_failures=False)

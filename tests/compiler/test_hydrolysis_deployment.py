@@ -12,7 +12,7 @@ from repro.apps.shopping_cart import build_cart_program
 from repro.availability.replication import FRESH_ENTRIES, LOGGED_CHANGES, ORDERED_REPLAYED
 from repro.cluster import Network, NetworkConfig, Simulator, Topology
 from repro.compiler import Hydrolysis
-from repro.consistency.calm import CoordinationMechanism
+from repro.consistency import CoordinationMechanism
 from repro.consistency.paxos import LEARN_REQUESTS
 from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
@@ -53,7 +53,7 @@ class TestCompile:
         topo, nodes = topology()
         plan = Hydrolysis().compile(program, topo, nodes, loads())
         assert plan.coordinated_endpoints() == ["vaccinate"]
-        assert plan.endpoint("add_contact").coordination.mechanism is CoordinationMechanism.NONE
+        assert plan.endpoint("add_contact").analysis.mechanism is CoordinationMechanism.NONE
 
     def test_plan_respects_availability_facet(self):
         program = build_covid_program()

@@ -5,14 +5,14 @@ from repro.consistency import (
     CoordinationMechanism,
     SealManifest,
     SealingCoordinator,
-    decide_coordination,
 )
+from repro.core import analyze_program
 from repro.lattices import SetUnion
 
 
 class TestCoordinationDecisions:
     def test_covid_program_decisions(self):
-        decisions = decide_coordination(build_covid_program())
+        decisions = analyze_program(build_covid_program()).handlers
         assert {name: decision.mechanism for name, decision in decisions.items()} == {
             "add_person": CoordinationMechanism.NONE,
             "add_contact": CoordinationMechanism.NONE,
@@ -24,7 +24,7 @@ class TestCoordinationDecisions:
         assert not decisions["vaccinate"].coordination_free
 
     def test_reasons_explain_coordination(self):
-        decisions = decide_coordination(build_covid_program())
+        decisions = analyze_program(build_covid_program()).handlers
         text = " ".join(decisions["vaccinate"].reasons)
         assert "vaccine_count" in text or "serializable" in text
 

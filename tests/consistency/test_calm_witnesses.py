@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.covid import build_covid_program
 from repro.cluster import Topology
 from repro.compiler import Hydrolysis
-from repro.consistency import CoordinationMechanism, decide_coordination
+from repro.consistency import CoordinationMechanism
 from repro.core import (
     ConsistencyLevel,
     ConsistencySpec,
@@ -21,6 +21,7 @@ from repro.core import (
     EffectSpec,
     HydroProgram,
     SingleNodeInterpreter,
+    analyze_program,
 )
 
 PIDS = st.integers(min_value=0, max_value=4)
@@ -37,8 +38,8 @@ READS = ("trace", "likelihood")
 
 
 def mechanisms(program):
-    return {name: decision.mechanism
-            for name, decision in decide_coordination(program).items()}
+    return {name: analysis.mechanism
+            for name, analysis in analyze_program(program).handlers.items()}
 
 
 def test_vaccinate_without_the_log_gives_one_dose_twice():
@@ -111,9 +112,9 @@ def sequential_register():
 
 def test_a_non_monotone_handler_without_invariants_goes_through_the_log():
     program = sequential_register()
-    decision = decide_coordination(program)["set_cell"]
-    assert decision.mechanism is CoordinationMechanism.CONSENSUS_LOG
-    assert "non-monotone effects are ordered across replicas" in decision.reasons
+    analysis = analyze_program(program).handlers["set_cell"]
+    assert analysis.mechanism is CoordinationMechanism.CONSENSUS_LOG
+    assert "non-monotone effects are ordered across replicas" in analysis.reasons
 
     topology = Topology()
     nodes = [f"node-{az}" for az in range(3)]

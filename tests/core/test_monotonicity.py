@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.covid import build_covid_program
 from repro.apps.shopping_cart import build_cart_program
+from repro.consistency import CoordinationMechanism
 from repro.core import (
     ConsistencyLevel,
     ConsistencySpec,
@@ -129,6 +130,56 @@ class TestHandlerClassification:
         text = report.describe()
         for handler in build_corpus_program().handlers:
             assert handler in text
+
+
+def build_nested_query_program():
+    """``c`` is declared non-monotone, ``b`` reads ``c`` and ``a`` reads ``b``;
+    ``loop`` is recursive through ``b``, ``closure`` only through itself."""
+    program = HydroProgram("nested")
+    program.add_class("Row", fields=[FieldSpec("k", int), FieldSpec("vals", lattice=SetUnion)], key="k")
+    program.add_table("rows", "Row")
+    program.add_query("c", lambda view: view.count("rows") % 2 == 0, reads=["rows"], monotone=False)
+    program.add_query("b", lambda view: view.query("c"), reads=["c"])
+    program.add_query("a", lambda view: view.query("b"), reads=["b"])
+    program.add_query("loop", lambda view: None, reads=["loop", "b"], recursive=True)
+    program.add_query("closure", lambda view: None, reads=["closure", "rows"], recursive=True)
+    program.add_handler(
+        "merge_using_a",
+        lambda ctx, k, v: ctx.merge_field("rows", k, "vals", SetUnion({v})),
+        params=["k", "v"],
+        effects=[EffectSpec(EffectKind.MERGE, "rows")],
+        reads=["rows"],
+        queries=["a"],
+        consistency=ConsistencySpec(ConsistencyLevel.SERIALIZABLE),
+    )
+    return program
+
+
+class TestTransitiveQueryVerdicts:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return analyze_program(build_nested_query_program())
+
+    def test_non_monotonicity_reaches_through_every_read(self, report):
+        verdicts = {name: analysis.verdict for name, analysis in report.queries.items()}
+        assert verdicts == {
+            "c": MonotonicityVerdict.NON_MONOTONE,
+            "b": MonotonicityVerdict.NON_MONOTONE,
+            "a": MonotonicityVerdict.NON_MONOTONE,
+            "loop": MonotonicityVerdict.NON_MONOTONE,
+            "closure": MonotonicityVerdict.MONOTONE,
+        }
+        assert report.queries["a"].reasons == ("depends on non-monotone query 'b'",)
+
+    def test_a_serializable_handler_over_a_nested_query_is_coordinated(self, report):
+        analysis = report.handlers["merge_using_a"]
+        assert not analysis.is_monotone
+        assert analysis.mechanism is CoordinationMechanism.CONSENSUS_LOG
+        assert analysis.reasons == (
+            "uses non-monotone query 'a'",
+            "consistency level serializable over non-monotone effects",
+            "total order required across replicas",
+        )
 
 
 class TestCovidAnalysis:
