@@ -6,12 +6,15 @@ implemented as nodes (or as components owned by a node).  Nodes can crash —
 after which they ignore all traffic and timers — and recover, optionally
 losing their volatile state.
 
-Every node owns a :class:`~repro.cluster.transport.Transport` binding it to
-the network.  All outbound traffic is typed — the sender declares how many
-entries a payload carries and the transport prices it via ``wire_size`` —
-and the batched/RPC helpers (:meth:`Node.queue`, :meth:`Node.request`,
-:meth:`Node.reply`, :meth:`Node.forward`) are the substrate every protocol
-in the tree builds on.
+Every node owns a :class:`~repro.cluster.transport.Transport`, its network
+endpoint: the network delivers everything addressed to the node to
+:meth:`Transport.deliver`, which checks liveness and calls the mailbox
+handler registered with :meth:`Node.on`.  All outbound traffic is typed —
+the sender declares how many entries a payload carries and the transport
+prices it via ``wire_size`` — and the batched/RPC helpers
+(:meth:`Node.queue`, :meth:`Node.request`, :meth:`Node.reply`,
+:meth:`Node.forward`) are the substrate every protocol in the tree builds
+on.
 """
 
 from __future__ import annotations
@@ -20,11 +23,7 @@ from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message, Network
 from repro.cluster.simulator import Event, Label, Simulator
-from repro.cluster.transport import (
-    TRANSPORT_MAILBOX,
-    RpcPolicy,
-    Transport,
-)
+from repro.cluster.transport import RpcPolicy, Transport
 
 
 class Node:
@@ -47,20 +46,19 @@ class Node:
         #: fire early/late by that factor (a fast/slow local clock).
         self.clock_offset = 0.0
         self.timer_drift = 1.0
-        self._handlers: dict[str, Callable[[Message], None]] = {}
         self._timers: list[Event] = []
-        self.transport = Transport(network, node_id, owner=self)
-        network.register(node_id, self._on_message)
+        self.transport = Transport(network, node_id, self)
+        network.register(node_id, self.transport.deliver)
         network.set_domain(node_id, domain)
 
     # -- handler registration ---------------------------------------------------
 
     def on(self, mailbox: str, handler: Callable[[Message], None]) -> None:
         """Register ``handler`` for messages addressed to ``mailbox``."""
-        self._handlers[mailbox] = handler
+        self.transport.handlers[mailbox] = handler
 
     def handler_for(self, mailbox: str) -> Optional[Callable[[Message], None]]:
-        return self._handlers.get(mailbox)
+        return self.transport.handlers.get(mailbox)
 
     # -- messaging --------------------------------------------------------------
 
@@ -115,20 +113,6 @@ class Node:
             return
         self.transport.forward(message, destination, entries=entries)
 
-    def dispatch(self, message: Message) -> None:
-        """Route a logical message to its mailbox handler (transport hook)."""
-        handler = self._handlers.get(message.mailbox)
-        if handler is not None:
-            handler(message)
-
-    def _on_message(self, message: Message) -> None:
-        if not self.alive:
-            return
-        if message.mailbox == TRANSPORT_MAILBOX:
-            self.transport.deliver(message)
-            return
-        self.dispatch(message)
-
     # -- clock ------------------------------------------------------------------
 
     def clock(self) -> float:
@@ -155,7 +139,9 @@ class Node:
         self._timers.append(event)
         if len(self._timers) > 256:
             # Prune spent timers (fired: time <= now; or cancelled) so a
-            # long-lived node — every RPC arms a timeout — stays O(live).
+            # long-lived node that re-arms a cadence (a gossip tick every
+            # round) stays O(live).  RPC timeouts never land here: the
+            # transport puts them straight on the heap.
             now = self.simulator.now
             self._timers = [timer for timer in self._timers
                             if not timer.cancelled and timer.time > now]

@@ -65,17 +65,20 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so the run loop skips it when popped.
 
-        The owning simulator counts tombstones and compacts the heap when
-        they dominate, so heavy cancel/re-arm churn (RPC retries, gossip
-        cadences under clock skew) cannot leak far-future stale events.  An
-        event that has already been popped (fired, or firing: a callback
-        may cancel its own event) has no owner left and counts nothing.
+        The event counts its tombstone on the owning simulator, which
+        compacts the heap once tombstones dominate it, so heavy
+        cancel/re-arm churn (RPC retries, gossip cadences under clock skew)
+        cannot leak far-future stale events.  An event that has already
+        been popped (fired, or firing: a callback may cancel its own event)
+        has no owner left and counts nothing.
         """
         if not self.cancelled:
             self.cancelled = True
             owner = self._owner
             if owner is not None:
-                owner._note_cancelled()
+                owner._cancelled += 1
+                if owner._cancelled >= _COMPACT_MIN_TOMBSTONES:
+                    owner._compact()
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
@@ -142,8 +145,9 @@ class Simulator:
         """Cancel ``event`` (equivalent to ``event.cancel()``)."""
         event.cancel()
 
-    def _note_cancelled(self) -> None:
-        """Tombstone accounting; compact the heap when garbage dominates.
+    def _compact(self) -> None:
+        """Rebuild the heap without tombstones once they make up over half
+        of it (:meth:`Event.cancel` calls this from the tombstone floor up).
 
         Without this, a workload that constantly re-arms long-deadline
         timers (every RPC retry, every drift-stretched gossip tick) grows
@@ -154,9 +158,7 @@ class Simulator:
         ``(time, sequence)`` order, so the observable event trace is
         byte-identical with or without it.
         """
-        self._cancelled += 1
-        if (self._cancelled >= _COMPACT_MIN_TOMBSTONES
-                and self._cancelled * 2 > len(self._queue)):
+        if self._cancelled * 2 > len(self._queue):
             # Compact IN PLACE: the run loops hold a local reference to the
             # queue list, so rebinding ``self._queue`` to a fresh list would
             # strand every event scheduled after the compaction in a list

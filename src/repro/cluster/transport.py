@@ -19,6 +19,10 @@ module is the single seam between protocol code and the network:
   capped retries and duplicate suppression on both sides; replies are
   dispatched to an ordinary reply mailbox, so protocol handlers keep their
   shape.
+* **Delivery** — a transport belongs to its node and is that node's network
+  endpoint: the node registers :meth:`Transport.deliver` with the network,
+  and ``deliver`` checks liveness, unpacks envelopes and calls the mailbox
+  handler in one pass.
 
 Determinism contract (the chaos harness relies on it): queues are plain
 lists, flush iterates destinations in sorted-``repr`` order, and no code
@@ -272,22 +276,21 @@ class _InboundRequest:
 
 
 class Transport:
-    """One node's binding to the network: batching, sizing, RPC.
+    """One node's network endpoint: batching, sizing, RPC, delivery.
 
     ``owner`` is the hosting :class:`~repro.cluster.node.Node` (duck-typed:
-    ``alive``, ``timer_drift``, ``dispatch``).  A transport can run
-    standalone (owner ``None``) for tests, in which case timeouts are not
-    drift-stretched and liveness gating is skipped.
+    ``alive``, ``timer_drift``); a crashed owner sends and receives
+    nothing, and its RPC timeouts stretch with its clock drift.
     """
 
-    def __init__(self, network: Network, node_id: Hashable,
-                 owner: Any = None,
-                 config: Optional[TransportConfig] = None) -> None:
+    def __init__(self, network: Network, node_id: Hashable, owner: Any) -> None:
         self.network = network
         self.node_id = node_id
         self.owner = owner
-        self.config = config or network.transport_config
+        self.config = network.transport_config
         self.metrics = network.metrics
+        #: mailbox -> handler, filled by ``Node.on``; :meth:`deliver` calls it.
+        self.handlers: dict[str, Callable[[Message], None]] = {}
         self._queues: dict[Hashable, list[Parcel]] = {}
         #: Per-destination queue-time payload digests, parallel to
         #: ``_queues`` (only populated while ``config.sanitize`` is on).
@@ -327,12 +330,16 @@ class Transport:
         parcel = _parcel if _parcel is not None else Parcel(mailbox, payload, entries)
         config = self.config
         if not config.batching:
-            self._ship(destination, [parcel])
+            self._send(self.node_id, destination, TRANSPORT_MAILBOX,
+                       Envelope((parcel,)), (parcel,))
             return
-        if not self._queues:
+        queues = self._queues
+        if not queues:
             # First parcel since a flush emptied the queues: defer the next.
             self.network.simulator.defer(self.flush)
-        self._queues.setdefault(destination, []).append(parcel)
+            queues[destination] = [parcel]
+        else:
+            queues.setdefault(destination, []).append(parcel)
         if config.sanitize:
             self._queue_digests.setdefault(destination, []).append(
                 payload_digest(parcel.payload))
@@ -343,43 +350,40 @@ class Transport:
         Crashed owners ship nothing: their queues are dropped, matching
         fail-stop send semantics.
         """
-        if self.owner is not None and not self.owner.alive:
-            if destination is None:
-                self._queues.clear()
-                self._queue_digests.clear()
-            else:
-                self._queues.pop(destination, None)
-                self._queue_digests.pop(destination, None)
-            return
-        if destination is not None:
+        if destination is None:
+            queues, self._queues = self._queues, {}
+            digest_map, self._queue_digests = self._queue_digests, {}
+        else:
             parcels = self._queues.pop(destination, None)
-            digests = self._queue_digests.pop(destination, None)
-            if parcels:
-                self._ship(destination, parcels, digests)
+            queues = {destination: parcels} if parcels else {}
+            digest_map = {destination: self._queue_digests.pop(destination, None)}
+        if not self.owner.alive:
             return
-        queues, self._queues = self._queues, {}
-        digest_map, self._queue_digests = self._queue_digests, {}
         # Sorted, never hash order — and reversed under the perturb-order
         # sanitizer, which any correct caller must be indifferent to.  (One
         # destination, the common flush, has only one order.)
+        config = self.config
         order = queues if len(queues) == 1 else sorted(
-            queues, key=repr, reverse=self.config.perturb_order)
+            queues, key=repr, reverse=config.perturb_order)
         for dest in order:
-            self._ship(dest, queues[dest], digest_map.get(dest))
+            parcels = queues[dest]
+            if config.sanitize:
+                self._check_unmutated(dest, parcels, digest_map.get(dest))
+            self._send(self.node_id, dest, TRANSPORT_MAILBOX,
+                       Envelope(tuple(parcels)), parcels)
 
-    def _ship(self, destination: Hashable, parcels: list[Parcel],
-              digests: Optional[list[str]] = None) -> None:
-        if self.config.sanitize and digests:
-            for parcel, queued_digest in zip(parcels, digests):
-                if payload_digest(parcel.payload) != queued_digest:
-                    raise PayloadMutationError(
-                        f"payload of parcel {parcel.mailbox!r} "
-                        f"{self.node_id!r}->{destination!r} (entries="
-                        f"{parcel.entries}, rpc_id={parcel.rpc_id}) was "
-                        "mutated after queue(); the transport owns queued "
-                        "payloads — snapshot before queueing instead")
-        self._send(self.node_id, destination, TRANSPORT_MAILBOX,
-                   Envelope(tuple(parcels)), parcels)
+    def _check_unmutated(self, destination: Hashable, parcels: list[Parcel],
+                         digests: Optional[list[str]]) -> None:
+        """The sanitizer's flush-time pass: re-digest each payload and
+        compare it with the digest taken when it was queued."""
+        for parcel, queued_digest in zip(parcels, digests or ()):
+            if payload_digest(parcel.payload) != queued_digest:
+                raise PayloadMutationError(
+                    f"payload of parcel {parcel.mailbox!r} "
+                    f"{self.node_id!r}->{destination!r} (entries="
+                    f"{parcel.entries}, rpc_id={parcel.rpc_id}) was "
+                    "mutated after queue(); the transport owns queued "
+                    "payloads — snapshot before queueing instead")
 
     def _send(self, source: Hashable, destination: Hashable, mailbox: str,
               payload: Any, parcels) -> Message:
@@ -389,19 +393,19 @@ class Transport:
         on it — with the bandwidth model on the batching economy shows up
         as amortized serialization ticks, not just saved header bytes."""
         mailbox_stats = self.mailbox_stats
-        entries = 0
+        entries = logical = 0
         for parcel in parcels:
-            stats = mailbox_stats.get(parcel.mailbox)
-            if stats is None:
+            try:
+                stats = mailbox_stats[parcel.mailbox]
+            except KeyError:
                 stats = mailbox_stats[parcel.mailbox] = {
                     "messages": 0, "entries": 0}
             stats["messages"] += 1
             stats["entries"] += parcel.entries
             entries += parcel.entries
-        size = wire_size(entries)
+            logical += 1
         message = self.network.send(source, destination, mailbox, payload,
-                                    size_bytes=size)
-        logical = len(parcels)
+                                    wire_size(entries))
         self.logical_messages_sent += logical
         counts = self.metrics.counts
         counts["transport.logical_messages_sent"] += logical
@@ -437,14 +441,13 @@ class Transport:
         """
         policy = policy or self.config.rpc
         rpc_id = next(self._rpc_ids)
-        parcel = Parcel(mailbox, payload, entries, rpc_id=rpc_id,
-                        rpc_kind="request", reply_to=self.node_id)
-        pending = _PendingRequest(parcel, destination, policy,
-                                  on_reply=on_reply, on_timeout=on_timeout)
+        parcel = Parcel(mailbox, payload, entries, rpc_id, "request",
+                        self.node_id)
+        pending = _PendingRequest(parcel, destination, policy, 1, None,
+                                  on_reply, on_timeout)
         self._pending[rpc_id] = pending
-        self.metrics.increment("transport.rpc_requests")
-        self.metrics.increment_keyed("transport.rpc_requests_to", destination)
-        self.queue(destination, mailbox, payload, entries, _parcel=parcel)
+        self.metrics.counts["transport.rpc_requests"] += 1
+        self.queue(destination, mailbox, payload, entries, parcel)
         self._arm_timer(pending)
         return rpc_id
 
@@ -455,11 +458,9 @@ class Transport:
         # ``pending.timer``, and a cycle would park every finished request
         # on the garbage collector.
         rpc_id = pending.parcel.rpc_id
-        timeout = pending.policy.timeout
-        if self.owner is not None:
-            timeout *= self.owner.timer_drift
         pending.timer = self.network.simulator.schedule(
-            timeout, partial(self._on_rpc_timeout, rpc_id),
+            pending.policy.timeout * self.owner.timer_drift,
+            partial(self._on_rpc_timeout, rpc_id),
             partial("rpc-timeout@{}#{}".format, self.node_id, rpc_id))
 
     def _on_rpc_timeout(self, rpc_id: int) -> None:
@@ -476,8 +477,6 @@ class Transport:
             return
         pending.attempts += 1
         self.metrics.increment("transport.rpc_retries")
-        self.metrics.increment_keyed("transport.rpc_retries_to",
-                                     pending.destination)
         self.queue(pending.destination, pending.parcel.mailbox,
                    pending.parcel.payload, pending.parcel.entries,
                    _parcel=pending.parcel)
@@ -496,16 +495,15 @@ class Transport:
         and the late reply refreshes the duplicate-suppression memo so a
         retried request re-serves it.
         """
-        inbound: Optional[_InboundRequest] = getattr(request, "rpc_state", None)
-        if inbound is not None and inbound.parcel.rpc_kind == "request":
-            parcel = Parcel(mailbox, payload, entries,
-                            rpc_id=inbound.parcel.rpc_id, rpc_kind="reply")
+        inbound: Optional[_InboundRequest] = request.rpc_state
+        if inbound is not None:
+            asked = inbound.parcel
+            parcel = Parcel(mailbox, payload, entries, asked.rpc_id, "reply")
             inbound.reply = parcel
-            memo_key = (inbound.parcel.reply_to, inbound.parcel.rpc_id)
+            memo_key = (asked.reply_to, asked.rpc_id)
             if memo_key in self._served:
                 self._served[memo_key] = parcel
-            self.queue(inbound.parcel.reply_to, mailbox, payload, entries,
-                       _parcel=parcel)
+            self.queue(asked.reply_to, mailbox, payload, entries, parcel)
         else:
             self.queue(request.source, mailbox, payload, entries)
 
@@ -519,8 +517,8 @@ class Transport:
         is billed by ``entries`` — declare the payload's cost, exactly as
         the original sender did.
         """
-        inbound: Optional[_InboundRequest] = getattr(request, "rpc_state", None)
-        if inbound is not None and inbound.parcel.rpc_kind == "request":
+        inbound: Optional[_InboundRequest] = request.rpc_state
+        if inbound is not None:
             inbound.forwarded = True
             self.queue(destination, inbound.parcel.mailbox,
                        inbound.parcel.payload, inbound.parcel.entries,
@@ -537,71 +535,74 @@ class Transport:
     # -- receiving ----------------------------------------------------------------
 
     def deliver(self, message: Message) -> None:
-        """Unpack an envelope and dispatch each parcel (called by the node).
+        """The node's network endpoint: every message addressed to it.
 
-        The owner's liveness is re-checked between parcels: if an earlier
-        parcel's handler crashed the node, the remaining parcels are lost —
-        exactly what fail-stop delivery would have done to the equivalent
-        stand-alone messages.
+        A raw message (``Node.send``, the plain leg of a ``forward``) goes
+        straight to its mailbox handler.  An envelope is unpacked here into
+        one logical :class:`Message` per parcel.  An RPC reply settles its
+        pending request first, and a duplicate or late one is suppressed.
+        An RPC request is checked against the served memo first, and a
+        duplicate re-serves the memoized reply without re-running the
+        handler.  The owner's liveness is checked before every parcel: if
+        an earlier parcel's handler crashed the node, the remaining parcels
+        are lost — exactly what fail-stop delivery would have done to the
+        equivalent stand-alone messages.
         """
+        owner = self.owner
+        handlers = self.handlers
+        if message.mailbox != TRANSPORT_MAILBOX:
+            if owner.alive:
+                handler = handlers.get(message.mailbox)
+                if handler is not None:
+                    handler(message)
+            return
+        counts = self.metrics.counts
+        served = self._served
         for parcel in message.payload.parcels:
-            if self.owner is not None and not self.owner.alive:
+            if not owner.alive:
                 return
-            if parcel.rpc_kind == "reply":
-                self._deliver_reply(message, parcel)
-            elif parcel.rpc_kind == "request":
-                self._deliver_request(message, parcel)
-            else:
-                self._dispatch(self._logical_message(message, parcel))
-
-    def _logical_message(self, physical: Message, parcel: Parcel) -> Message:
-        return Message(source=physical.source, destination=self.node_id,
-                       mailbox=parcel.mailbox, payload=parcel.payload,
-                       sent_at=physical.sent_at,
-                       message_id=next(self._logical_ids))
-
-    def _dispatch(self, message: Message) -> None:
-        if self.owner is not None:
-            self.owner.dispatch(message)
-
-    def _deliver_reply(self, physical: Message, parcel: Parcel) -> None:
-        pending = self._pending.pop(parcel.rpc_id, None)
-        if pending is None:
-            # Duplicate or late reply: the request was already answered
-            # (or abandoned); suppress instead of re-running handlers.
-            self.metrics.increment("transport.rpc_duplicate_replies")
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
-        self._dispatch(self._logical_message(physical, parcel))
-        if pending.on_reply is not None:
-            pending.on_reply(parcel.payload)
-
-    def _deliver_request(self, physical: Message, parcel: Parcel) -> None:
-        memo_key = (parcel.reply_to, parcel.rpc_id)
-        if memo_key in self._served:
-            # Duplicate request (a retry): do not re-run the handler; if a
-            # reply was served, re-send it — its first copy may have been
-            # the thing that got lost.
-            self.metrics.increment("transport.rpc_duplicate_requests")
-            served = self._served[memo_key]
-            if served is not None:
-                self.queue(parcel.reply_to, served.mailbox, served.payload,
-                           served.entries, _parcel=served)
-            return
-        logical = self._logical_message(physical, parcel)
-        inbound = _InboundRequest(parcel)
-        # The responder state rides along out-of-band so deferred replies
-        # (handler answers after dispatch returns) work.
-        logical.rpc_state = inbound
-        self._dispatch(logical)
-        if not inbound.forwarded:
-            # Memoize even when the reply is still None: the handler ran,
-            # so a duplicate must not re-run it; a deferred reply refreshes
-            # this entry when it is eventually sent (see reply()).
-            self._served[memo_key] = inbound.reply
-            while len(self._served) > self.config.dedup_window:
-                self._served.popitem(last=False)
+            kind = parcel.rpc_kind
+            if kind == "reply":
+                pending = self._pending.pop(parcel.rpc_id, None)
+                if pending is None:
+                    # The request was already answered (or abandoned):
+                    # suppress instead of re-running handlers.
+                    counts["transport.rpc_duplicate_replies"] += 1
+                    continue
+                if pending.timer is not None:
+                    pending.timer.cancel()
+            elif kind == "request":
+                memo_key = (parcel.reply_to, parcel.rpc_id)
+                if memo_key in served:
+                    # A retry: do not re-run the handler; if a reply was
+                    # served, re-send it — its first copy may have been the
+                    # thing that got lost.
+                    counts["transport.rpc_duplicate_requests"] += 1
+                    reply = served[memo_key]
+                    if reply is not None:
+                        self.queue(parcel.reply_to, reply.mailbox,
+                                   reply.payload, reply.entries, reply)
+                    continue
+            logical = Message(message.source, self.node_id, parcel.mailbox,
+                              parcel.payload, message.sent_at,
+                              next(self._logical_ids))
+            if kind == "request":
+                # The responder state rides along out-of-band so a deferred
+                # reply (sent after the handler returns) still routes.
+                logical.rpc_state = inbound = _InboundRequest(parcel)
+            handler = handlers.get(parcel.mailbox)
+            if handler is not None:
+                handler(logical)
+            if kind == "reply":
+                if pending.on_reply is not None:
+                    pending.on_reply(parcel.payload)
+            elif kind == "request" and not inbound.forwarded:
+                # Memoize even when the reply is still None: the handler
+                # ran, so a duplicate must not re-run it; a deferred reply
+                # refreshes this entry when it is sent (see reply()).
+                served[memo_key] = inbound.reply
+                while len(served) > self.config.dedup_window:
+                    served.popitem(last=False)
 
     # -- failure hooks ------------------------------------------------------------
 

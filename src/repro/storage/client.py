@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message
@@ -46,10 +47,13 @@ class KVSClient(Node):
         self.session_reads = MapLattice()
         self.pending_gets: dict[int, Callable[[Optional[Lattice]], None]] = {}
         #: Completions: only the newest ``TransportConfig.dedup_window`` per
-        #: table, not one entry per op ever issued.  The oldest is evicted
-        #: *after* the insert, so a subclass reading ``completed_gets[id]``
-        #: right after the reply handler always finds it.
+        #: table, not one entry per op ever issued.  Each table keeps its
+        #: insertion order in a deque, so evicting the oldest never scans a
+        #: drained dict's dead slots.  The oldest is evicted *after* the
+        #: insert, so a subclass reading ``completed_gets[id]`` right after
+        #: the reply handler always finds it.
         self.completed_gets: dict[int, Optional[Lattice]] = {}
+        self._completed_order: deque[int] = deque()
         self.acked_puts: set[int] = set()
         self._acked_order: deque[int] = deque()
         #: Session epoch.  A crash+lose-state recovery is a *new* session
@@ -77,13 +81,21 @@ class KVSClient(Node):
 
     def get(self, key: Hashable,
             callback: Optional[Callable[[Optional[Lattice]], None]] = None) -> int:
-        """Asynchronously read ``key``; the reply is merged with session writes."""
+        """Asynchronously read ``key``; the reply is merged with session writes.
+
+        ``callback`` gets the merged value.  If the RPC gives up (every
+        attempt timed out) it is released uncalled: no answer is not
+        "key absent".
+        """
         request_id = next(self._ids)
+        on_timeout = None
         if callback is not None:
             self.pending_gets[request_id] = callback
+            on_timeout = partial(self.pending_gets.pop, request_id, None)
         replica = self.kvs.pick_replica(key)
         self.request(replica.node_id, "get",
-                     {"key": key, "request_id": request_id})
+                     {"key": key, "request_id": request_id},
+                     on_timeout=on_timeout)
         return request_id
 
     # -- replies -------------------------------------------------------------------
@@ -94,17 +106,17 @@ class KVSClient(Node):
         own = self.session_writes.get(key)
         if own is not None:
             value = own if value is None else value.merge(own)
-        seen = self.session_reads.get(key)
-        if seen is not None:
-            value = seen if value is None else value.merge(seen)
+        reads = self.session_reads
         if value is not None:
-            # Colliding cache entries are merged immutably by insert_into,
-            # so results already returned to callers are never mutated.
-            self.session_reads.insert_into(key, value)
-        completed = self.completed_gets
-        completed[request_id] = value
-        while len(completed) > self.transport.config.dedup_window:
-            del completed[next(iter(completed))]
+            # The one join with what this session read before.  insert_into
+            # merges a colliding entry immutably, so results already
+            # returned to callers are never mutated.
+            reads.insert_into(key, value)
+        value = reads.get(key)
+        self.completed_gets[request_id] = value
+        self._completed_order.append(request_id)
+        while len(self._completed_order) > self.transport.config.dedup_window:
+            self.completed_gets.pop(self._completed_order.popleft(), None)
         callback = self.pending_gets.pop(request_id, None)
         if callback is not None:
             callback(value)
@@ -132,6 +144,7 @@ class KVSClient(Node):
         self.session_reads = MapLattice()
         self.pending_gets.clear()
         self.completed_gets.clear()
+        self._completed_order.clear()
         self.acked_puts.clear()
         self._acked_order.clear()
         self.incarnation += 1

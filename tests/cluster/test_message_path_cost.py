@@ -1,0 +1,50 @@
+"""A host-cost gate that reads no clock: Python calls per RPC round trip.
+
+Wall time on a shared runner spreads by tens of percent; the number of
+calls the interpreter makes for one ``Node.request`` → ``reply`` round
+trip does not.  The gate counts every profiled call — Python functions and
+the builtins they call — so a helper hop put back on the message path
+(a second liveness check, a second handler lookup, a wrapper that only
+forwards) fails it on any host.
+
+The calls are summed over the raw ``Profile.getstats()`` entries, not
+``pstats.Stats.total_calls``: pstats keys a function by ``(file, line,
+name)``, and every dataclass ``__init__`` is ``<string>:2(__init__)``, so
+those entries collide and the pstats total varies from run to run.
+"""
+
+import cProfile
+
+from repro.cluster import Network, NetworkConfig, Node, Simulator
+
+ROUND_TRIPS = 500
+#: The path reads 68.0 calls per round trip on Python 3.11, this harness's
+#: own calls included; the ceiling leaves 5 calls of headroom.
+CALLS_PER_ROUND_TRIP_CEILING = 73.0
+
+
+def calls_per_round_trip(round_trips: int = ROUND_TRIPS) -> float:
+    sim = Simulator(seed=3)
+    net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5))
+    client = Node("client", sim, net)
+    server = Node("server", sim, net)
+    server.on("ping", lambda message: server.reply(message, "pong",
+                                                   message.payload))
+    answered = []
+
+    def on_reply(payload) -> None:
+        answered.append(payload)
+        if len(answered) < round_trips:
+            client.request("server", "ping", len(answered), on_reply=on_reply)
+
+    profile = cProfile.Profile()
+    profile.enable()
+    client.request("server", "ping", 0, on_reply=on_reply)
+    sim.run_until_idle()
+    profile.disable()
+    assert answered == list(range(round_trips))
+    return sum(entry.callcount for entry in profile.getstats()) / round_trips
+
+
+def test_rpc_round_trip_stays_under_its_call_ceiling():
+    assert calls_per_round_trip() <= CALLS_PER_ROUND_TRIP_CEILING

@@ -23,7 +23,6 @@ from repro.cluster import (
     Node,
     RpcPolicy,
     Simulator,
-    Transport,
     TransportConfig,
     WIRE_ENTRY_BYTES,
     WIRE_HEADER_BYTES,
@@ -484,16 +483,17 @@ class TestRpc:
         sim.run_until_idle()
         assert got == ["payload"]
 
-    def test_standalone_transport_without_owner(self):
+    def test_node_transport_reaches_a_raw_registered_peer(self):
         sim = Simulator(seed=3)
         net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
         received = []
         net.register("peer", received.append)
-        transport = Transport(net, "solo")
+        transport = Node("solo", sim, net).transport
         transport.queue("peer", "inbox", "raw", entries=1)
         transport.flush()
         sim.run_until_idle()
         assert len(received) == 1  # the envelope arrived
+        assert received[0].payload.parcels[0].payload == "raw"
 
 
 class TestObservationEquivalence:

@@ -365,3 +365,37 @@ class TestKVSClient:
         assert sum(client.put_acknowledged(i) for i in puts) == window
         client.reset_state()
         assert client.completed_gets == {} and client.acked_puts == set()
+
+    def test_completed_gets_hold_the_newest_window_after_three_windows(self):
+        """After 3 x ``dedup_window`` gets the table holds exactly the last
+        window's results, oldest first, and its eviction order holds
+        nothing else — no slot per get ever issued."""
+        import dataclasses
+
+        sim, net, kvs = build_kvs(shards=1, replication=1)
+        window = 8
+        client = KVSClient("client-1", sim, net, kvs)
+        client.transport.config = dataclasses.replace(
+            client.transport.config, dedup_window=window)
+        kvs.put("k", SetUnion({"v"}))
+        gets = [client.get("k") for _ in range(3 * window)]
+        sim.run(until=200.0)
+        assert list(client.completed_gets) == gets[-window:]
+        assert list(client._completed_order) == gets[-window:]
+        assert all(client.result_of(g) == SetUnion({"v"}) for g in gets[-window:])
+        assert all(client.result_of(g) is None for g in gets[:-window])
+
+    def test_get_abandoned_by_its_rpc_releases_the_callback_uncalled(self):
+        """A get whose every attempt times out leaves nothing behind, and
+        its callback is not told "absent" — no answer is not a miss."""
+        sim, net, kvs = build_kvs(shards=1, replication=1)
+        client = KVSClient("client-1", sim, net, kvs)
+        net.partition(["client-1"], [replica.node_id
+                                     for replica in kvs.replicas_for("k")])
+        results = []
+        client.get("k", callback=results.append)
+        sim.run(until=200.0)
+        assert client.transport.pending_requests == 0
+        assert net.metrics.counter("transport.rpc_timeouts") == 1
+        assert client.pending_gets == {}
+        assert results == []
