@@ -47,7 +47,8 @@ class LogShippingPrimary(Node):
         self.log.append(record)
         for standby in self.standbys:
             self.queue(standby, "log_record", record, entries=1)
-        answer_invoke(self, message, *run_call(self.interpreter, handler, args))
+        answer_invoke(self, message, *run_call(self.interpreter, handler, args,
+                                               self.network.metrics))
 
 
 class LogShippingStandby(Node):
@@ -83,7 +84,8 @@ class LogShippingStandby(Node):
         replayed = 0
         for index in sorted(self.records):
             record = self.records[index]
-            run_call(self.interpreter, record.handler, record.args)
+            run_call(self.interpreter, record.handler, record.args,
+                     self.network.metrics)
             replayed += 1
         return replayed
 
@@ -92,4 +94,5 @@ class LogShippingStandby(Node):
             return  # not serving yet; the proxy will retry elsewhere
         payload = message.payload
         answer_invoke(self, message,
-                      *run_call(self.interpreter, payload["handler"], payload["args"]))
+                      *run_call(self.interpreter, payload["handler"], payload["args"],
+                                self.network.metrics))

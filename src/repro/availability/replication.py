@@ -75,6 +75,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Hashable, Iterable, Mapping, Optional
 
+from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Message
 from repro.cluster.node import Node
 from repro.cluster.transport import digest_entries
@@ -96,6 +97,10 @@ TAKEOVER_ENTRIES = "replica.gossip.takeover_entries"
 RELEASED_WARDS = "replica.gossip.released_wards"
 #: Log slots fed to a replica outside the log's own apply call; 0 fault-free.
 ORDERED_REPLAYED = "replica.ordered.replayed"
+#: Sends to a mailbox outside the program (``SendEffect``s that left the
+#: interpreter's outbox).  No deployment routes them anywhere; each call's
+#: are drained and counted here so a replica's memory stays flat in run length.
+EXTERNAL_SENDS = "replica.external_sends"
 
 #: Reviews a ward may wait for its release before it is taken over.  The
 #: peers' acks ride their next parcel to the origin and the origin's report
@@ -117,11 +122,14 @@ RESULT_KEY = {"ok": "value", "rejected": "detail"}
 
 
 def run_call(interpreter: SingleNodeInterpreter, handler: str, args: dict,
-             log_effects: bool = True) -> tuple[str, Any]:
+             metrics: MetricsRegistry, log_effects: bool = True) -> tuple[str, Any]:
     """Run one invocation as its own tick: ``("ok", value)`` or
-    ``("rejected", detail)``."""
+    ``("rejected", detail)``.  The tick's external sends are drained into
+    ``metrics`` under :data:`EXTERNAL_SENDS`."""
     request = interpreter.call(handler, **args)
     outcome = interpreter.run_tick(log_effects)
+    if interpreter.outbox:
+        metrics.increment(EXTERNAL_SENDS, len(interpreter.drain_outbox()))
     if request in outcome.rejected:
         return "rejected", outcome.rejected[request]
     return "ok", outcome.responses.get(request)
@@ -185,7 +193,8 @@ class ReplicaNode(Node):
         """Run one invocation as its own tick (:func:`run_call`), counting
         what it logged."""
         before = self.change_log.seq
-        result = run_call(self.interpreter, handler, args, log_effects)
+        result = run_call(self.interpreter, handler, args, self.network.metrics,
+                          log_effects)
         self.network.metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
         return result
 

@@ -31,7 +31,6 @@ from repro.core.state import (
     MergeRowEffect,
     MergeVarEffect,
     ProgramState,
-    ResponseEffect,
     SendEffect,
 )
 from repro.lattices.base import Lattice
@@ -177,19 +176,15 @@ class HandlerContext:
         self,
         handler: Handler,
         view: StateView,
-        request_id: Hashable,
         udfs: Mapping[str, UDF] | None = None,
         udf_memo: dict | None = None,
-        enforce_effects: bool = True,
     ) -> None:
         self.handler = handler
         self.view = view
-        self.request_id = request_id
         self.effects: list[Effect] = []
         self.response: Any = None
         self._udfs = dict(udfs or {})
         self._udf_memo = udf_memo if udf_memo is not None else {}
-        self._enforce = enforce_effects
 
     # -- reads (delegate to the snapshot view) -----------------------------------
 
@@ -246,7 +241,6 @@ class HandlerContext:
 
     def respond(self, value: Any) -> None:
         self.response = value
-        self.effects.append(ResponseEffect(self.request_id, value))
 
     # -- UDF invocation ------------------------------------------------------------
 
@@ -267,8 +261,6 @@ class HandlerContext:
     # -- enforcement ----------------------------------------------------------------
 
     def _check(self, kind: EffectKind, target: str) -> None:
-        if not self._enforce:
-            return
         if not self.handler.declares(kind, target):
             raise EffectViolation(
                 f"handler {self.handler.name!r} performed undeclared effect "

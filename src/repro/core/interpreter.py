@@ -32,7 +32,6 @@ from repro.core.program import HydroProgram
 from repro.core.state import (
     Effect,
     ProgramState,
-    ResponseEffect,
     SendEffect,
     UndoJournal,
 )
@@ -54,21 +53,17 @@ class TickOutcome:
     tick: int
     responses: dict[Hashable, Any] = field(default_factory=dict)
     rejected: dict[Hashable, str] = field(default_factory=dict)
-    outbox: list[SendEffect] = field(default_factory=list)
     handlers_run: int = 0
-    effects_applied: int = 0
 
 
 class SingleNodeInterpreter:
     """Reference executor for a :class:`HydroProgram` on one logical node."""
 
-    def __init__(self, program: HydroProgram, node_id: Hashable = "local",
-                 enforce_effects: bool = True) -> None:
+    def __init__(self, program: HydroProgram, node_id: Hashable = "local") -> None:
         program.validate()
         self.program = program
         self.node_id = node_id
         self.state = ProgramState(program.datamodel)
-        self.enforce_effects = enforce_effects
         self.tick_number = 0
         self._request_counter = itertools.count()
         self._mailboxes: dict[str, list[Request]] = {}
@@ -157,10 +152,8 @@ class SingleNodeInterpreter:
             context = HandlerContext(
                 handler=handler,
                 view=tick_view,
-                request_id=request.request_id,
                 udfs=self.program.udfs,
                 udf_memo=udf_memo,
-                enforce_effects=self.enforce_effects,
             )
             handler.body(context, **request.args)
             executed.append((request, context))
@@ -172,7 +165,7 @@ class SingleNodeInterpreter:
             state_effects = [
                 effect
                 for effect in context.effects
-                if not isinstance(effect, (SendEffect, ResponseEffect))
+                if not isinstance(effect, SendEffect)
             ]
             sends = [effect for effect in context.effects if isinstance(effect, SendEffect)]
             spec = self.program.consistency_for(request.handler)
@@ -201,14 +194,12 @@ class SingleNodeInterpreter:
                 self.state.apply_all(state_effects)
             if log_effects:
                 self.state.log_effects(state_effects)
-            outcome.effects_applied += len(state_effects)
             outcome.responses[request.request_id] = context.response
             for send in sends:
                 if send.destination is None and send.mailbox in self.program.handlers:
                     self._pending_local_sends.append(send)
                 else:
                     self.outbox.append(send)
-                    outcome.outbox.append(send)
 
         return outcome
 

@@ -89,25 +89,12 @@ class SendEffect(Effect):
     destination: Optional[Hashable] = None
 
 
-@dataclass(frozen=True)
-class ResponseEffect(Effect):
-    """The handler's reply to its caller (the implicit <response> mailbox)."""
-
-    request_id: Hashable
-    value: Any
-
-
-MONOTONE_EFFECTS = (MergeRowEffect, MergeFieldEffect, MergeVarEffect)
-NON_MONOTONE_EFFECTS = (AssignFieldEffect, AssignVarEffect, DeleteRowEffect)
-
-
 # -- state -----------------------------------------------------------------------
 #
-# Ownership rule for everything below: a lattice value stored in a row or a
-# var is never mutated in place.  Fields and vars are only ever *rebound*, to
-# the result of the immutable ``merge`` (never ``merge_into``) or to a value a
-# peer or handler handed over.  That is what lets tick reads and gossip
-# payloads share lattice objects instead of copying them.
+# Lattice values are immutable, so a row field or var is only ever *rebound*:
+# to the result of ``merge`` or to a value a peer or handler handed over.
+# That is what lets tick reads and gossip payloads share lattice objects
+# instead of copying them.
 
 
 def _join(current: Lattice, incoming: Lattice) -> Lattice:
@@ -396,7 +383,7 @@ class ProgramState:
             if journal is not None:
                 journal.note_var(effect.var)
             self.vars[effect.var] = effect.value
-        elif isinstance(effect, (SendEffect, ResponseEffect)):
+        elif isinstance(effect, SendEffect):
             raise SpecificationError(
                 f"{type(effect).__name__} is a communication effect, not a state change"
             )

@@ -20,52 +20,40 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.lattices.base import BOTTOM, Lattice, owns_merge_result
+from repro.lattices.base import BOTTOM, Lattice
 from repro.hydroflow.operators import Operator
 
 
-def _accumulate(state: Any, owned: bool, item: Lattice) -> tuple[Any, bool, bool]:
-    """One step of an owned in-place lattice fold.
+def _accumulate(state: Any, item: Lattice) -> tuple[Any, bool]:
+    """One step of a lattice fold: ``(new_state, grew)``.
 
-    Returns ``(new_state, owned, grew)``.  For types with a fast ``leq``
-    override, growth is detected without allocating and the state is
-    mutated via ``merge_into`` once the fold holds a privately allocated
-    accumulator; types still on the base merge-derived ``leq`` get a single
+    For types with a fast ``leq`` override, a no-op item is detected without
+    allocating; types still on the base merge-derived ``leq`` get a single
     merge-then-compare instead (paying the fallback ``leq`` *and* the merge
-    would double the work).  ``item`` and the initial state are never
-    mutated.
+    would double the work).
     """
     if isinstance(state, Lattice):
         if type(item).leq is not Lattice.leq:
             if item.leq(state):
-                return state, owned, False
+                return state, False
         else:
             merged = state.merge(item)
             if merged == state:
-                return state, owned, False
-            return merged, owns_merge_result(merged, state, item), True
+                return state, False
+            return merged, True
     elif item.is_bottom():  # state is BOTTOM, a bottom item cannot grow it
-        return state, owned, False
-    if owned:
-        return state.merge_into(item), True, True
-    merged = state.merge(item)
-    return merged, owns_merge_result(merged, state, item), True
+        return state, False
+    return state.merge(item), True
 
 
 class LatticeMergeOperator(Operator):
-    """Accumulates arriving lattice values into a single growing state.
-
-    The accumulator grows in place (O(item) per arrival, not O(state));
-    emitting the state hands the reference downstream, so ownership is
-    relinquished on every emission and the next merge copies first.
-    """
+    """Accumulates arriving lattice values into a single growing state."""
 
     def __init__(self, name: str, initial: Lattice | None = None, persistent: bool = True) -> None:
         super().__init__(name)
         self.persistent = persistent
         self._initial = initial
-        self._state: Any = initial if initial is not None else BOTTOM
-        self._owned = False
+        self.state: Any = initial if initial is not None else BOTTOM
 
     def process(self, port: str, batch: list[Any]) -> list[Any]:
         self.items_processed += len(batch)
@@ -75,24 +63,13 @@ class LatticeMergeOperator(Operator):
                 raise TypeError(
                     f"lattice merge {self.name!r} received non-lattice item {item!r}"
                 )
-            self._state, self._owned, step_grew = _accumulate(
-                self._state, self._owned, item)
+            self.state, step_grew = _accumulate(self.state, item)
             grew = grew or step_grew
-        if grew:
-            self._owned = False
-            return [self._state]
-        return []
-
-    @property
-    def state(self) -> Any:
-        # The reference escapes; future merges must copy-on-write.
-        self._owned = False
-        return self._state
+        return [self.state] if grew else []
 
     def end_of_tick(self) -> None:
         if not self.persistent:
-            self._state = self._initial if self._initial is not None else BOTTOM
-            self._owned = False
+            self.state = self._initial if self._initial is not None else BOTTOM
 
 
 class LatticeMapOperator(Operator):
@@ -132,8 +109,7 @@ class LatticeThresholdOperator(Operator):
         super().__init__(name)
         self.predicate = predicate
         self.emit = emit or (lambda state: state)
-        self._state: Any = initial if initial is not None else BOTTOM
-        self._owned = False
+        self.state: Any = initial if initial is not None else BOTTOM
         self.fired = False
 
     def process(self, port: str, batch: list[Any]) -> list[Any]:
@@ -143,18 +119,11 @@ class LatticeThresholdOperator(Operator):
                 raise TypeError(
                     f"threshold {self.name!r} received non-lattice item {item!r}"
                 )
-            self._state, self._owned, _ = _accumulate(self._state, self._owned, item)
-        if not self.fired and self.predicate(self._state):
+            self.state, _ = _accumulate(self.state, item)
+        if not self.fired and self.predicate(self.state):
             self.fired = True
-            self._owned = False  # the emitted reference escapes
-            return [self.emit(self._state)]
+            return [self.emit(self.state)]
         return []
-
-    @property
-    def state(self) -> Any:
-        # The reference escapes; future merges must copy-on-write.
-        self._owned = False
-        return self._state
 
     def end_of_tick(self) -> None:
         """Threshold state persists across ticks; firing is once per lifetime."""

@@ -5,7 +5,8 @@ streams of changes to individual mutable values — alongside dataflow over
 collections and lattices (§2.3, §8.1).  :class:`ReactiveCell` is a mutable
 value with observers; :class:`ReactiveGraph` wires derived cells whose
 values are recomputed (glitch-free, in topological order) when their inputs
-change.  HydroLogic ``var`` state compiles to reactive cells.
+change.  Nothing compiles to them yet: HydroLogic ``var`` state lives in
+the interpreter's :class:`~repro.core.state.ProgramState`.
 """
 
 from __future__ import annotations

@@ -31,24 +31,6 @@ class Lattice(ABC):
     def merge(self: L, other: L) -> L:
         """Return the least upper bound of ``self`` and ``other``."""
 
-    def merge_into(self: L, other: L) -> L:
-        """Merge ``other`` into ``self``, mutating ``self`` where possible.
-
-        Opt-in hot-path variant of :meth:`merge` with the same result value
-        but different ownership rules: the receiver may be mutated in place
-        and the return value may be ``self``, so callers must (a) own the
-        receiver exclusively — no other holder may observe it mid-merge or
-        after — and (b) always rebind to the return value.  ``other`` is
-        never mutated, but the receiver may end up aliasing ``other``'s
-        *nested* components; implementations therefore only mutate state
-        that an immutable :meth:`merge` of the same type would have freshly
-        allocated, and merge shared leaf values immutably.
-
-        The default falls back to the immutable :meth:`merge`, so every
-        lattice type supports the protocol.
-        """
-        return self.merge(other)
-
     @classmethod
     @abstractmethod
     def bottom(cls: type[L]) -> L:
@@ -130,38 +112,13 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-def owns_merge_result(merged: object, left: object, right: object) -> bool:
-    """True iff ``merged`` came out of ``left.merge(right)`` freshly allocated.
-
-    The in-place fold pattern (``join_all``, the hydroflow lattice
-    accumulators, the KVS entry merge) may only call :meth:`Lattice.merge_into`
-    on a value it exclusively owns.  A merge result is owned exactly when it
-    is a new object — not :data:`BOTTOM` (or an idempotence shortcut)
-    handing back one of the operands, which other holders may still share.
-    This is the single definition of that rule; every owned fold uses it.
-    """
-    return merged is not left and merged is not right
-
-
 def join_all(values: Iterable[L], *, start: L | None = None) -> L | _Bottom:
     """Merge an iterable of lattice values into their least upper bound.
 
     ``start`` seeds the fold; when omitted the fold starts from the
     polymorphic :data:`BOTTOM`, so an empty iterable yields ``BOTTOM``.
-
-    The fold accumulates in place once it holds a value it exclusively owns:
-    the first real merge allocates a private accumulator, and every later
-    step uses :meth:`Lattice.merge_into` on it.  Neither ``start`` nor any
-    input value is ever mutated, so callers see immutable-fold semantics at
-    O(inputs) instead of O(inputs x accumulator-size) cost.
     """
     accumulator: L | _Bottom = start if start is not None else BOTTOM
-    owned = False
     for value in values:
-        if owned:
-            accumulator = accumulator.merge_into(value)
-        else:
-            merged = accumulator.merge(value)
-            owned = owns_merge_result(merged, accumulator, value)
-            accumulator = merged
+        accumulator = accumulator.merge(value)
     return accumulator

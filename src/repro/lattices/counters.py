@@ -36,14 +36,6 @@ class GCounter(Lattice):
             merged[replica] = max(merged.get(replica, 0), count)
         return GCounter(merged)
 
-    def merge_into(self, other: "GCounter") -> "GCounter":
-        """Pointwise-max ``other`` into this counter's own dict, in place."""
-        counts = self.counts
-        for replica, count in other.counts.items():
-            if count > counts.get(replica, 0):
-                counts[replica] = count
-        return self
-
     def leq(self, other: "GCounter") -> bool:
         if not isinstance(other, GCounter):
             return super().leq(other)
@@ -101,17 +93,6 @@ class PNCounter(Lattice):
             self.positive.merge(other.positive),
             self.negative.merge(other.negative),
         )
-
-    def merge_into(self, other: "PNCounter") -> "PNCounter":
-        """In-place merge of both components.
-
-        Mutates the nested GCounters, so the caller must own the whole
-        subtree — which any prior immutable :meth:`merge` guarantees, since
-        it allocates both components afresh.
-        """
-        self.positive = self.positive.merge_into(other.positive)
-        self.negative = self.negative.merge_into(other.negative)
-        return self
 
     def leq(self, other: "PNCounter") -> bool:
         if not isinstance(other, PNCounter):

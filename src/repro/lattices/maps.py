@@ -59,20 +59,6 @@ class MapLattice(Lattice):
             merged[key] = value if current is None else current.merge(value)
         return MapLattice._from_validated(merged)
 
-    def merge_into(self, other: "MapLattice") -> "MapLattice":
-        """Merge ``other`` into this map's own dict (see :meth:`Lattice.merge_into`).
-
-        Only the receiver's top-level dict is mutated; colliding values are
-        merged immutably, so leaf lattice objects shared with other holders
-        are never written through.
-        """
-        entries = self.entries
-        for key, value in other.entries.items():
-            current = entries.get(key)
-            entries[key] = value if current is None else current.merge(value)
-        self._hash = None
-        return self
-
     @classmethod
     def bottom(cls) -> "MapLattice":
         return cls()
@@ -86,20 +72,6 @@ class MapLattice(Lattice):
         current = merged.get(key)
         merged[key] = value if current is None else current.merge(value)
         return MapLattice._from_validated(merged)
-
-    def insert_into(self, key: Hashable, value: Lattice) -> "MapLattice":
-        """In-place :meth:`insert`: merge ``value`` into ``key``'s entry here.
-
-        Same ownership rules as :meth:`merge_into` — the caller must own
-        this map exclusively.  The colliding value (if any) is merged
-        immutably, so the previous value object is left intact for anyone
-        still holding it.
-        """
-        _check_value(key, value)
-        current = self.entries.get(key)
-        self.entries[key] = value if current is None else current.merge(value)
-        self._hash = None
-        return self
 
     def leq(self, other: "MapLattice") -> bool:
         if not isinstance(other, MapLattice):
@@ -140,10 +112,7 @@ class MapLattice(Lattice):
 
     def __hash__(self) -> int:
         # Cached: computing it walks every entry, and hash consumers (dedup
-        # tables, dict keys) call it repeatedly on the same value.  In-place
-        # mutation via merge_into/insert_into invalidates the cache; mutating
-        # a map after sharing it as a dict key is an ownership violation and
-        # stays undefined, exactly as for any mutable Python object.
+        # tables, dict keys) call it repeatedly on the same value.
         cached = self._hash
         if cached is None:
             cached = self._hash = hash(("MapLattice", frozenset(self.entries.items())))

@@ -16,52 +16,20 @@ from repro.lattices.base import Lattice
 
 
 class SetUnion(Lattice):
-    """Grow-only set lattice under union; bottom is the empty set.
+    """Grow-only set lattice under union; bottom is the empty set."""
 
-    Internally a plain mutable ``set`` so :meth:`merge_into` can grow it in
-    O(delta); the frozen view needed for hashing is computed lazily and
-    cached until the next in-place mutation.
-    """
-
-    __slots__ = ("_elements", "_frozen")
+    __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[Hashable] = ()) -> None:
-        self._elements: set = set(elements)
-        self._frozen: frozenset | None = None
-
-    @classmethod
-    def _adopt(cls, elements: set) -> "SetUnion":
-        """Wrap an already-built set without copying (caller hands it over)."""
-        lattice = object.__new__(cls)
-        lattice._elements = elements
-        lattice._frozen = None
-        return lattice
-
-    @property
-    def elements(self) -> frozenset:
-        """A frozen view of the elements (cached until the next mutation).
-
-        Immutable and hashable, exactly as when it was a stored frozenset —
-        holders are insulated from later in-place merges.
-        """
-        frozen = self._frozen
-        if frozen is None:
-            frozen = self._frozen = frozenset(self._elements)
-        return frozen
+        self.elements: frozenset = frozenset(elements)
 
     def merge(self, other: "SetUnion") -> "SetUnion":
-        return SetUnion._adopt(self._elements | other._elements)
-
-    def merge_into(self, other: "SetUnion") -> "SetUnion":
-        """Union ``other`` into this set's own storage (caller must own it)."""
-        self._elements |= other._elements
-        self._frozen = None
-        return self
+        return SetUnion(self.elements | other.elements)
 
     def leq(self, other: "SetUnion") -> bool:
         if not isinstance(other, SetUnion):
             return super().leq(other)
-        return self._elements <= other._elements
+        return self.elements <= other.elements
 
     @classmethod
     def bottom(cls) -> "SetUnion":
@@ -69,28 +37,28 @@ class SetUnion(Lattice):
 
     def add(self, element: Hashable) -> "SetUnion":
         """Return a new set with ``element`` merged in (monotone insert)."""
-        return SetUnion._adopt(self._elements | {element})
+        return SetUnion(self.elements | {element})
 
     def contains(self, element: Hashable) -> bool:
-        return element in self._elements
+        return element in self.elements
 
     def __contains__(self, element: Hashable) -> bool:
-        return element in self._elements
+        return element in self.elements
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._elements)
+        return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SetUnion) and self._elements == other._elements
+        return isinstance(other, SetUnion) and self.elements == other.elements
 
     def __hash__(self) -> int:
         return hash(("SetUnion", self.elements))
 
     def __repr__(self) -> str:
-        return f"SetUnion({sorted(map(repr, self._elements))})"
+        return f"SetUnion({sorted(map(repr, self.elements))})"
 
 
 class TwoPhaseSet(Lattice):
@@ -98,62 +66,25 @@ class TwoPhaseSet(Lattice):
 
     Membership is "added and not removed"; removal wins permanently, which
     keeps the merge a simple pair-wise union and therefore a lattice join.
-    Like :class:`SetUnion`, both components are plain mutable sets so
-    :meth:`merge_into` is O(delta), with the frozen views for hashing
-    computed lazily.
     """
 
-    __slots__ = ("_added", "_removed", "_frozen")
+    __slots__ = ("added", "removed")
 
     def __init__(
         self,
         added: Iterable[Hashable] = (),
         removed: Iterable[Hashable] = (),
     ) -> None:
-        self._added: set = set(added)
-        self._removed: set = set(removed)
-        self._frozen: tuple[frozenset, frozenset] | None = None
-
-    @classmethod
-    def _adopt(cls, added: set, removed: set) -> "TwoPhaseSet":
-        """Wrap already-built sets without copying (caller hands them over)."""
-        lattice = object.__new__(cls)
-        lattice._added = added
-        lattice._removed = removed
-        lattice._frozen = None
-        return lattice
-
-    def _frozen_views(self) -> tuple[frozenset, frozenset]:
-        frozen = self._frozen
-        if frozen is None:
-            frozen = self._frozen = (frozenset(self._added), frozenset(self._removed))
-        return frozen
-
-    @property
-    def added(self) -> frozenset:
-        """A frozen view of the added component (cached until mutation)."""
-        return self._frozen_views()[0]
-
-    @property
-    def removed(self) -> frozenset:
-        """A frozen view of the removed component (cached until mutation)."""
-        return self._frozen_views()[1]
+        self.added: frozenset = frozenset(added)
+        self.removed: frozenset = frozenset(removed)
 
     def merge(self, other: "TwoPhaseSet") -> "TwoPhaseSet":
-        return TwoPhaseSet._adopt(self._added | other._added,
-                                  self._removed | other._removed)
-
-    def merge_into(self, other: "TwoPhaseSet") -> "TwoPhaseSet":
-        """Union both components into this set's own storage, in place."""
-        self._added |= other._added
-        self._removed |= other._removed
-        self._frozen = None
-        return self
+        return TwoPhaseSet(self.added | other.added, self.removed | other.removed)
 
     def leq(self, other: "TwoPhaseSet") -> bool:
         if not isinstance(other, TwoPhaseSet):
             return super().leq(other)
-        return self._added <= other._added and self._removed <= other._removed
+        return self.added <= other.added and self.removed <= other.removed
 
     @classmethod
     def bottom(cls) -> "TwoPhaseSet":
@@ -161,7 +92,7 @@ class TwoPhaseSet(Lattice):
 
     def add(self, element: Hashable) -> "TwoPhaseSet":
         """Return a new set with ``element`` in the added component."""
-        return TwoPhaseSet._adopt(self._added | {element}, set(self._removed))
+        return TwoPhaseSet(self.added | {element}, self.removed)
 
     def remove(self, element: Hashable) -> "TwoPhaseSet":
         """Return a new set with ``element`` tombstoned.
@@ -169,35 +100,34 @@ class TwoPhaseSet(Lattice):
         Removing an element that was never added is allowed; the tombstone
         simply pre-empts any future add.
         """
-        return TwoPhaseSet._adopt(set(self._added), self._removed | {element})
+        return TwoPhaseSet(self.added, self.removed | {element})
 
     @property
     def live(self) -> AbstractSet[Hashable]:
         """The currently visible membership: added minus removed."""
-        return self._added - self._removed
+        return self.added - self.removed
 
     def contains(self, element: Hashable) -> bool:
-        return element in self._added and element not in self._removed
+        return element in self.added and element not in self.removed
 
     def __contains__(self, element: Hashable) -> bool:
-        return element in self._added and element not in self._removed
+        return element in self.added and element not in self.removed
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self.live)
 
     def __len__(self) -> int:
-        return len(self._added - self._removed)
+        return len(self.added - self.removed)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TwoPhaseSet)
-            and self._added == other._added
-            and self._removed == other._removed
+            and self.added == other.added
+            and self.removed == other.removed
         )
 
     def __hash__(self) -> int:
-        frozen = self._frozen_views()
-        return hash(("TwoPhaseSet", frozen[0], frozen[1]))
+        return hash(("TwoPhaseSet", self.added, self.removed))
 
     def __repr__(self) -> str:
-        return f"TwoPhaseSet(added={sorted(map(repr, self._added))}, removed={sorted(map(repr, self._removed))})"
+        return f"TwoPhaseSet(added={sorted(map(repr, self.added))}, removed={sorted(map(repr, self.removed))})"

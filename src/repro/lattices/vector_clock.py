@@ -37,18 +37,6 @@ class VectorClock(Lattice):
             merged[node] = max(merged.get(node, 0), tick)
         return VectorClock(merged)
 
-    def merge_into(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise-max ``other`` into this clock's own dict, in place.
-
-        ``other.clocks`` holds only positive ticks, so the no-zero-entries
-        invariant survives mutation.
-        """
-        clocks = self.clocks
-        for node, tick in other.clocks.items():
-            if tick > clocks.get(node, 0):
-                clocks[node] = tick
-        return self
-
     def leq(self, other: "VectorClock") -> bool:
         if not isinstance(other, VectorClock):
             return super().leq(other)

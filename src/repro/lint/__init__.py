@@ -2,9 +2,8 @@
 
 Five PRs of infrastructure accumulated a set of *prose* contracts —
 "never route by builtin ``hash()``", "never call ``Network.send`` from
-protocol code", "always rebind ``merge_into`` results", "never iterate a
-set into the event schedule" — each enforced only by documentation and a
-handful of spot tests.  This package turns them into machine-checked
+protocol code", "never iterate a set into the event schedule" — each
+enforced only by documentation and a handful of spot tests.  This package turns them into machine-checked
 rules: a static pass that names the offending ``file:line`` *before* a
 25-seed chaos sweep ever runs, in the spirit of shifting from "something
 broke" to "which component broke".

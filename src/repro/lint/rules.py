@@ -14,9 +14,11 @@ miss is still backstopped by the runtime sanitizers and the chaos sweep.
 | RL002 | never call ``Network.send`` directly outside ``cluster/``       |
 | RL003 | never pass a literal ``size_bytes=`` outside ``cluster/``       |
 | RL004 | never iterate an unsorted set into sends/schedules/trace labels |
-| RL005 | always rebind the result of ``merge_into``                      |
 | RL006 | no wall-clock/RNG module imports inside ``repro.chaos``         |
 | RL007 | no mutable default arguments (lattice/operator aliasing hazard) |
+
+RL005 retired with in-place lattice merging (lattice values are now
+immutable); its code is not reused.
 """
 
 from __future__ import annotations
@@ -276,36 +278,6 @@ def _is_unsorted_setlike(expr: ast.AST) -> bool:
 
 
 @register
-class MergeIntoResultDropped(Rule):
-    """RL005: the result of ``merge_into`` discarded instead of rebound.
-
-    ``merge_into`` is *opt-in* in-place: lattice types without a fast path
-    fall back to returning a fresh merged object, so dropping the return
-    value silently loses the merge on exactly those types.  The README
-    ownership rule is "always rebind"; an expression statement whose value
-    is a bare ``x.merge_into(...)`` call is therefore always wrong (or a
-    test deliberately pinning in-place behaviour — suppress with a reason).
-    """
-
-    code = "RL005"
-    name = "merge-into-result-dropped"
-    summary = ("always rebind merge_into results — the in-place path is "
-               "opt-in and the fallback returns a new object")
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "merge_into"):
-                yield self.finding(
-                    ctx, node,
-                    "merge_into result discarded; types without an in-place "
-                    "fast path return a new object, so this merge is lost — "
-                    "rebind: x = x.merge_into(other)")
-
-
-@register
 class NondeterminismInChaos(Rule):
     """RL006: wall-clock/RNG modules imported inside ``repro.chaos``.
 
@@ -350,9 +322,9 @@ class MutableDefaultArgument(Rule):
     """RL007: a mutable default argument.
 
     One list/dict/set is created at ``def`` time and shared by every call
-    — on lattice and operator classes that default means cross-instance
-    state aliasing, the exact ownership bug the ``merge_into`` rules exist
-    to prevent.  Use ``None`` plus an in-body default.
+    — on lattice and operator classes that default means state aliased
+    across instances, so one instance's growth shows up in every other.
+    Use ``None`` plus an in-body default.
     """
 
     code = "RL007"

@@ -60,7 +60,7 @@ would make 58,598, and the other three e2e workloads read no leaf.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
 from repro.cluster.transport import fold_payload
@@ -271,7 +271,3 @@ class AntiEntropySession:
     """
 
     peer: Hashable
-    started_at: float
-    level: int = 0
-    #: Diagnostic trail: probes answered so far (root probe counts).
-    probes: int = field(default=1)

@@ -34,7 +34,6 @@ from typing import Any, Callable, Hashable, Optional
 from repro.cluster.network import Message
 from repro.cluster.node import Node
 from repro.lattices.base import Lattice
-from repro.lattices.maps import MapLattice
 
 
 class KVSClient(Node):
@@ -43,8 +42,8 @@ class KVSClient(Node):
     def __init__(self, node_id, simulator, network, kvs, domain="client") -> None:
         super().__init__(node_id, simulator, network, domain)
         self.kvs = kvs
-        self.session_writes = MapLattice()
-        self.session_reads = MapLattice()
+        self.session_writes: dict[Hashable, Lattice] = {}
+        self.session_reads: dict[Hashable, Lattice] = {}
         self.pending_gets: dict[int, Callable[[Optional[Lattice]], None]] = {}
         #: Completions: only the newest ``TransportConfig.dedup_window`` per
         #: table, not one entry per op ever issued.  Each table keeps its
@@ -69,10 +68,9 @@ class KVSClient(Node):
     def put(self, key: Hashable, value: Lattice) -> int:
         """Asynchronously merge ``value`` into ``key``; returns a request id."""
         request_id = next(self._ids)
-        # The session cache is private to this client, so it grows in place;
-        # a colliding value is merged immutably, keeping any previously
-        # returned read results intact.
-        self.session_writes.insert_into(key, value)
+        writes = self.session_writes
+        current = writes.get(key)
+        writes[key] = value if current is None else current.merge(value)
         replica = self.kvs.pick_replica(key)
         self.request(replica.node_id, "put",
                      {"key": key, "value": value, "request_id": request_id},
@@ -108,11 +106,13 @@ class KVSClient(Node):
             value = own if value is None else value.merge(own)
         reads = self.session_reads
         if value is not None:
-            # The one join with what this session read before.  insert_into
-            # merges a colliding entry immutably, so results already
-            # returned to callers are never mutated.
-            reads.insert_into(key, value)
-        value = reads.get(key)
+            # The one join with what this session read before.
+            current = reads.get(key)
+            if current is not None:
+                value = current.merge(value)
+            reads[key] = value
+        else:
+            value = reads.get(key)
         self.completed_gets[request_id] = value
         self._completed_order.append(request_id)
         while len(self._completed_order) > self.transport.config.dedup_window:
@@ -140,8 +140,8 @@ class KVSClient(Node):
         smuggle the old frontier into the new session and fabricate
         guarantees the store never made across the crash boundary.
         """
-        self.session_writes = MapLattice()
-        self.session_reads = MapLattice()
+        self.session_writes = {}
+        self.session_reads = {}
         self.pending_gets.clear()
         self.completed_gets.clear()
         self._completed_order.clear()

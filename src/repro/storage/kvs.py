@@ -14,8 +14,8 @@ Because routing goes through the ring rather than Python's salted builtin
 shard count while moving only the keys whose ring ownership changed.
 
 Writes are O(delta), not O(store): each replica holds a plain mutable dict
-and merges arriving values entry-wise (in place once it owns the entry — see
-the README's mutation-protocol section for the ownership rules).
+and rebinds an entry to the merge of its value and the arriving one; the
+lattice values themselves are immutable.
 
 Replication
 -----------
@@ -66,7 +66,7 @@ from repro.cluster.node import Node
 from repro.cluster.simulator import Simulator
 from repro.cluster.transport import digest_entries
 from repro.cluster.watermark import PeerSync, StampLog
-from repro.lattices.base import BOTTOM, Lattice, owns_merge_result
+from repro.lattices.base import BOTTOM, Lattice
 from repro.storage.antientropy import (
     LEAF_LEVEL,
     AntiEntropySession,
@@ -78,13 +78,11 @@ from repro.storage.ring import HashRing, stable_key_bytes
 class ShardNode(Node):
     """One replica of one shard: a mutable dict of keys to lattice values.
 
-    ``store`` is a plain dict merged entry-wise in place, so a put costs
-    O(changed entry) instead of the O(store) copy an immutable map would
-    take.  ``_owned`` tracks which stored value objects this replica
-    allocated itself and may therefore mutate via ``merge_into``; any value
-    whose reference escapes (get replies, gossip payloads, ``value_of``)
-    leaves the owned set and is copied on its next local merge, preserving
-    snapshot semantics for in-flight messages and external holders.
+    ``store`` is a plain dict whose entries are rebound to merge results,
+    so a put costs O(changed entry) instead of the O(store) copy an
+    immutable map would take.  Stored values are immutable lattice points:
+    a get reply or gossip payload may share one with the store and still
+    reflects state at send time.
     """
 
     def __init__(self, node_id, simulator, network, domain="default",
@@ -103,7 +101,6 @@ class ShardNode(Node):
         self.ownership: Optional[Callable[[Hashable], list[Hashable]]] = None
         self.puts = 0
         self.gets = 0
-        self._owned: set[Hashable] = set()
         # The change log: the keys whose latest change entered the replica
         # group here, trimmed to what some peer has yet to confirm.
         self.change_log = StampLog()
@@ -150,54 +147,34 @@ class ShardNode(Node):
         return grew
 
     def _merge_entry(self, key: Hashable, value: Lattice) -> bool:
-        """Merge ``value`` into ``key``'s entry in place; True if it grew."""
+        """Merge ``value`` into ``key``'s entry; True if it grew."""
         store = self.store
         current = store.get(key)
         if current is None:
-            # The caller (client, network payload) may still hold this
-            # object: not ours to mutate until a copying merge happens.
-            store[key] = value
-            self._owned.discard(key)
+            merged = value
         elif type(value).leq is not Lattice.leq:
             # The type has an allocation-free leq: detect no-op merges
-            # cheaply, then merge in place once the entry is owned.
+            # cheaply before allocating the merge.
             if value.leq(current):
                 return False
-            if key in self._owned:
-                store[key] = current.merge_into(value)
-            else:
-                merged = current.merge(value)
-                store[key] = merged
-                if owns_merge_result(merged, current, value):
-                    self._owned.add(key)
+            merged = current.merge(value)
         else:
             # Fallback leq would itself merge, so merge once and compare —
             # the seed cost — rather than paying for the merge twice.
             merged = current.merge(value)
             if merged == current:
                 return False
-            store[key] = merged
-            if owns_merge_result(merged, current, value):
-                self._owned.add(key)
-            else:
-                self._owned.discard(key)
-        self._tree.update(key, store[key])
+        store[key] = merged
+        self._tree.update(key, merged)
         return True
 
     def value_of(self, key: Hashable) -> Optional[Lattice]:
-        value = self.store.get(key)
-        if value is not None:
-            # The reference escapes this replica: relinquish in-place
-            # ownership so a later local merge copies instead of mutating
-            # an object the caller may still be holding.
-            self._owned.discard(key)
-        return value
+        return self.store.get(key)
 
     def drop_keys(self, keys: set[Hashable]) -> None:
         """Administratively remove keys (resharding handoff, not a lattice op)."""
         for key in keys:
             self.store.pop(key, None)
-            self._owned.discard(key)
             self._tree.remove(key)
             self.change_log.stamps.pop(key, None)
 
@@ -283,10 +260,6 @@ class ShardNode(Node):
         # Change order, so the payload is the same under every PYTHONHASHSEED.
         store = self.store
         entries = {key: store[key] for key, _ in stamped}
-        # Payload values alias live store entries; give up in-place
-        # ownership so they are copy-on-write from now on and the in-flight
-        # message keeps reflecting state at send time.
-        self._owned.difference_update(entries)
         shipped = sync.shipped
         fresh = sum([stamp > shipped for _, stamp in stamped])
         metrics = self.network.metrics
@@ -376,14 +349,13 @@ class ShardNode(Node):
             # finish rather than racing two sessions against one peer.
             self.network.metrics.increment("kvs.antientropy.skipped")
             return
-        session = AntiEntropySession(peer=peer, started_at=self.simulator.now)
+        session = AntiEntropySession(peer=peer)
         self._ae_sessions[peer] = session
         self.network.metrics.increment("kvs.antientropy.rounds")
         self._ae_send_probe(session, 0, {0: self._tree.root()})
 
     def _ae_send_probe(self, session: AntiEntropySession, level: int,
                        buckets: dict[int, int]) -> None:
-        session.level = level
         self.request(
             session.peer, "ae_probe", {"level": level, "buckets": buckets},
             entries=digest_entries(len(buckets)),
@@ -394,7 +366,6 @@ class ShardNode(Node):
     def _on_ae_probe_reply(self, session: AntiEntropySession, payload: Any) -> None:
         if self._ae_sessions.get(session.peer) is not session:
             return  # superseded by recovery/reshard; a late reply is void
-        session.probes += 1
         diff = payload["diff"]
         level = payload["level"]
         if not diff:
@@ -446,7 +417,6 @@ class ShardNode(Node):
         if to_send:
             self.network.metrics.increment("kvs.antientropy.repair_entries",
                                            len(to_send))
-            self._owned.difference_update(to_send)
             self.queue(peer, "gossip", {"entries": to_send},
                        entries=len(to_send))
         if to_pull:
@@ -506,7 +476,7 @@ class ShardNode(Node):
     def _on_ae_pull(self, message: Message) -> None:
         entries: dict[Hashable, Lattice] = {}
         for key in message.payload["keys"]:
-            value = self.value_of(key)  # relinquishes ownership: it escapes
+            value = self.value_of(key)
             if value is not None:
                 entries[key] = value
         self.reply(message, "ae_pull_reply", {"entries": entries},
@@ -539,7 +509,6 @@ class ShardNode(Node):
             self.network.metrics.increment("kvs.antientropy.lost_entries",
                                            len(self.store))
         self.store = {}
-        self._owned.clear()
         self._tree.clear()
         self._ae_sessions.clear()
         # The log's entries are lost and nothing is owed from it: refilling

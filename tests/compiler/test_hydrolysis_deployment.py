@@ -9,7 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from repro.apps.collab_edit import build_collab_program
 from repro.apps.covid import build_covid_program
 from repro.apps.shopping_cart import build_cart_program
-from repro.availability.replication import FRESH_ENTRIES, LOGGED_CHANGES, ORDERED_REPLAYED
+from repro.availability.replication import (
+    EXTERNAL_SENDS,
+    FRESH_ENTRIES,
+    LOGGED_CHANGES,
+    ORDERED_REPLAYED,
+)
 from repro.cluster import Network, NetworkConfig, Simulator, Topology
 from repro.compiler import Hydrolysis
 from repro.consistency import CoordinationMechanism
@@ -183,6 +188,23 @@ class TestDeployment:
         for replica in survivors:
             assert replica.interpreter.state.table("people").get(1)["vaccinated"].value
         assert deployment.response(token) == {"status": "ok", "value": "OK"}
+
+    def test_replicas_keep_no_external_sends(self):
+        """Each ``diagnosed`` call's alerts leave the replica that ran it:
+        they are counted, and none stays behind in an interpreter outbox."""
+        program, plan, deployment = self.build_deployment()
+        for pid in range(6):
+            deployment.invoke("add_person", pid=pid)
+        for pid in range(5):
+            deployment.invoke("add_contact", id1=pid, id2=pid + 1)
+        deployment.settle(1000.0)
+        tokens = [deployment.invoke("diagnosed", pid=0) for _ in range(20)]
+        deployment.settle(1000.0)
+        assert [deployment.response(token)["value"] for token in tokens] == [
+            [1, 2, 3, 4, 5]] * 20
+        assert all(not replica.interpreter.outbox
+                   for replica in deployment.replicas.values())
+        assert deployment.network.metrics.counter(EXTERNAL_SENDS) == 100
 
 
 # -- an ordered op is delivered, and replayed, by the log that ordered it ------------------

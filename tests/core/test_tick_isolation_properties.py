@@ -122,7 +122,7 @@ def seeded_interpreter(seed_ops, seen=None):
 
 def effects_of(interp, ops):
     """The effect records a handler emitting ``ops`` would leave behind."""
-    ctx = HandlerContext(interp.program.handlers["batch"], interp.view(), "r")
+    ctx = HandlerContext(interp.program.handlers["batch"], interp.view())
     for op in ops:
         emit(ctx, op)
     return ctx.effects

@@ -73,6 +73,14 @@ class TestMapLattice:
     def test_rejects_non_lattice_values(self):
         with pytest.raises(TypeError):
             MapLattice({"k": 42})
+        with pytest.raises(TypeError):
+            MapLattice().insert("k", 42)
+
+    def test_equal_maps_hash_equal(self):
+        a = MapLattice({"x": MaxInt(1), "y": SetUnion({1})})
+        b = MapLattice({"y": SetUnion({1}), "x": MaxInt(1)})
+        assert a == b and hash(a) == hash(b)
+        assert hash(a.merge(MapLattice({"z": MaxInt(2)}))) != hash(a)
 
     def test_contains_and_get(self):
         m = MapLattice({"k": MaxInt(1)})

@@ -3,25 +3,35 @@
 The CALM theorem's guarantees rest entirely on merge being associative,
 commutative and idempotent, and on updates being inflationary in the induced
 order.  Hypothesis generates arbitrary lattice points per type and checks
-the laws hold for all of them.
+the laws hold for all of them.  Lattice values are immutable: ``merge`` and
+``join_all`` leave every operand as it was, which is what lets state, tick
+reads and in-flight messages share one lattice object.
 """
+
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lattices import (
+    BOTTOM,
     BoolAnd,
     BoolOr,
+    CausalValue,
+    DominatingPair,
     GCounter,
     LWWRegister,
     MapLattice,
     MaxInt,
     MinInt,
     PNCounter,
+    PairLattice,
+    ProductLattice,
     SetUnion,
     TwoPhaseSet,
     VectorClock,
     is_monotone_on_samples,
+    join_all,
 )
 
 REPLICAS = ["r1", "r2", "r3"]
@@ -66,6 +76,23 @@ any_lattice_triple = st.one_of(
     *[st.tuples(strategy, strategy, strategy) for _, strategy in ALL_STRATEGIES]
 )
 
+#: The composites, nested over the types above; only the ``leq``,
+#: immutability and ``join_all`` properties below run over them.
+COMPOSITE_STRATEGIES = [
+    ("PairLattice", st.builds(PairLattice, max_int, set_union)),
+    ("ProductLattice", st.fixed_dictionaries(
+        {}, optional={"count": max_int, "seen": set_union}).map(ProductLattice)),
+    ("DominatingPair", st.builds(DominatingPair, vector_clock, set_union)),
+    ("CausalValue", st.builds(CausalValue, vector_clock, set_union)),
+    ("MapLattice[SetUnion]", st.dictionaries(
+        st.sampled_from(["x", "y"]), set_union, max_size=2).map(MapLattice)),
+]
+
+every_type_triple = st.one_of(
+    *[st.tuples(strategy, strategy, strategy)
+      for _, strategy in ALL_STRATEGIES + COMPOSITE_STRATEGIES]
+)
+
 
 @given(any_lattice_triple)
 @settings(max_examples=300)
@@ -104,6 +131,53 @@ def test_bottom_is_identity(triple):
     bottom = type(a).bottom()
     assert bottom.merge(a) == a
     assert a.merge(bottom) == a
+
+
+@given(every_type_triple)
+@settings(max_examples=300)
+def test_fast_leq_agrees_with_merge_order(triple):
+    """Every ``leq`` override answers exactly ``a.merge(b) == b``."""
+    a, b, _ = triple
+    assert a.leq(b) == (a.merge(b) == b)
+
+
+# -- immutability ------------------------------------------------------------------
+
+
+@given(every_type_triple)
+@settings(max_examples=300)
+def test_merge_leaves_both_operands_unchanged(triple):
+    a, b, _ = triple
+    a_before, b_before = copy.deepcopy(a), copy.deepcopy(b)
+    a_hash, b_hash = hash(a), hash(b)
+    a.merge(b)
+    b.merge(a)
+    assert (a, b) == (a_before, b_before)
+    assert (hash(a), hash(b)) == (a_hash, b_hash)
+
+
+@given(every_type_triple)
+@settings(max_examples=200)
+def test_join_all_is_a_fold_that_mutates_no_input(triple):
+    a, b, c = triple
+    before = copy.deepcopy(triple)
+    assert join_all([a, b, c]) == a.merge(b).merge(c)
+    assert triple == before
+
+
+@given(every_type_triple)
+@settings(max_examples=200)
+def test_join_all_with_start_leaves_start_unchanged(triple):
+    a, b, _ = triple
+    start_before = copy.deepcopy(a)
+    assert join_all([b], start=a) == a.merge(b)
+    assert a == start_before
+    assert join_all([], start=a) is a
+
+
+def test_join_all_of_nothing_is_bottom():
+    assert join_all([]) is BOTTOM
+    assert join_all([SetUnion({1})]) == SetUnion({1})
 
 
 @given(st.lists(set_union, min_size=2, max_size=6))

@@ -176,24 +176,6 @@ class TestRL004UnsortedIterationIntoSchedule:
         assert findings == []
 
 
-class TestRL005MergeIntoResultDropped:
-    def test_bare_merge_into_statement_is_flagged(self):
-        findings = run_rule("RL005", """\
-            def absorb(acc, delta):
-                acc.merge_into(delta)
-                return acc
-            """)
-        assert locations(findings) == [("RL005", 2)]
-
-    def test_rebound_and_returned_results_are_clean(self):
-        findings = run_rule("RL005", """\
-            def absorb(acc, delta):
-                acc = acc.merge_into(delta)
-                return acc.merge_into(delta)
-            """)
-        assert findings == []
-
-
 class TestRL006NondeterminismInChaos:
     def test_random_import_in_chaos_module_is_flagged(self):
         findings = run_rule("RL006", """\

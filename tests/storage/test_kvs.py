@@ -98,8 +98,8 @@ class TestLatticeKVS:
     def test_gossip_sends_snapshot_not_live_store(self):
         """Regression: an in-flight gossip window must not observe writes
         made after it was sent.  The payload aliases the stored value
-        object, so the later local merge must copy-on-write rather than
-        mutate it in place."""
+        object, so the later local merge must rebind the entry to a new
+        value rather than mutate that object."""
         sim, net, kvs = build_kvs(shards=1, replication=2, seed=11)
         replica_a, replica_b = kvs.shards[0]
         windows = []
@@ -110,7 +110,7 @@ class TestLatticeKVS:
             deliver(message)
 
         replica_b.on("gossip", recording)
-        # Two merges so the stored value is replica-owned (in-place eligible).
+        # Two merges, so the stored value is one the replica allocated.
         replica_a.merge_local("k", SetUnion({"before"}))
         replica_a.merge_local("k", SetUnion({"before", "also-before"}))
         # Fire a gossip round explicitly; the window is now in flight.

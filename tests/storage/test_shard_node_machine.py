@@ -99,7 +99,6 @@ class ShardNodeMachine(RuleBasedStateMachine):
             if not replica.alive:
                 continue
             assert replica._tree == DigestTree.from_store(replica.store), replica.node_id
-            assert replica._owned <= replica.store.keys(), replica.node_id
             assert replica.change_log.stamps.keys() <= replica.store.keys(), replica.node_id
 
     @invariant()
