@@ -137,6 +137,9 @@ class PaxosReplica(Node):
         if slot in self.chosen:
             return
         self.chosen[slot] = value
+        # A chosen slot never counts acks again (``_on_accept_ack`` ignores
+        # it), so its ack set goes now rather than living as long as the log.
+        self._ack_counts.pop(slot, None)
         self.next_slot = max(self.next_slot, slot + 1)
         callback = self._pending_callbacks.pop(slot, None)
         if callback is not None:

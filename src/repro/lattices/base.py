@@ -10,9 +10,17 @@ to coordination-free distributed execution.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, TypeVar
+from typing import Hashable, Mapping, TypeVar
 
 L = TypeVar("L", bound="Lattice")
+
+
+def sorted_mapping_repr(mapping: Mapping[Hashable, object]) -> str:
+    """``repr`` of ``mapping``'s entries in ``repr(key)`` order, never in
+    insertion order: the canonical body of a map-shaped lattice's ``repr``."""
+    body = ", ".join(f"{key!r}: {value!r}" for key, value in sorted(
+        mapping.items(), key=lambda item: repr(item[0])))
+    return f"{{{body}}}"
 
 
 class Lattice(ABC):
@@ -23,6 +31,15 @@ class Lattice(ABC):
     mutates its operands.  Equality and hashing are defined on the wrapped
     value so that lattice points can be used as dictionary keys and compared
     structurally in tests.
+
+    ``repr`` is canonical: equal values print alike and unequal values print
+    differently.  The structural fold behind ``payload_digest`` and every
+    ``DigestTree`` entry digest hashes a slotted lattice's ``repr``, so a
+    ``repr`` that follows insertion order or omits a compared field makes
+    equal replicas look divergent to anti-entropy, or hides a real
+    difference from it.  (Leaves keep their own ``repr``: ``1`` and ``1.0``
+    are equal but print differently, so a value mixing the two is outside
+    the contract.)
     """
 
     __slots__ = ()
@@ -111,14 +128,3 @@ class _Bottom:
 #: Polymorphic bottom element: merges with any lattice value to that value.
 BOTTOM = _Bottom()
 
-
-def join_all(values: Iterable[L], *, start: L | None = None) -> L | _Bottom:
-    """Merge an iterable of lattice values into their least upper bound.
-
-    ``start`` seeds the fold; when omitted the fold starts from the
-    polymorphic :data:`BOTTOM`, so an empty iterable yields ``BOTTOM``.
-    """
-    accumulator: L | _Bottom = start if start is not None else BOTTOM
-    for value in values:
-        accumulator = accumulator.merge(value)
-    return accumulator

@@ -80,5 +80,9 @@ class LWWRegister(Lattice):
         return hash(("LWWRegister", self.timestamp, value_hash, self.tiebreak))
 
     def __repr__(self) -> str:
-        return f"LWWRegister(t={self.timestamp}, value={self.value!r})"
+        # The tiebreak is part of equality, so it prints.  An empty one
+        # prints nothing: a register written without one keeps the short
+        # form that pinned trace and benchmark digests hash.
+        tiebreak = "" if self.tiebreak == "" else f", tiebreak={self.tiebreak!r}"
+        return f"LWWRegister(t={self.timestamp}, value={self.value!r}{tiebreak})"
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator, Mapping
 
-from repro.lattices.base import Lattice
+from repro.lattices.base import Lattice, sorted_mapping_repr
 
 
 def _check_value(key: Hashable, value: object) -> None:
@@ -119,6 +119,4 @@ class MapLattice(Lattice):
         return cached
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{key!r}: {value!r}" for key, value in sorted(
-            self.entries.items(), key=lambda item: repr(item[0])))
-        return f"MapLattice({{{body}}})"
+        return f"MapLattice({sorted_mapping_repr(self.entries)})"

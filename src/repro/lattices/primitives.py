@@ -1,9 +1,8 @@
-"""Primitive scalar lattices: booleans under OR/AND and numbers under max/min.
+"""Primitive scalar lattices: booleans under OR and numbers under max.
 
-These are the smallest useful lattices and the building blocks for larger
-composites.  ``MaxInt``/``MinInt`` accept any totally ordered numeric value
-(ints and floats), matching the paper's use of counters, timestamps and
-thresholds as lattice points.
+``BoolOr`` holds the paper's monotone flags (``covid``, ``vaccinated``);
+``MaxInt`` accepts any totally ordered numeric value (ints and floats), so
+it serves as a max-counter or max-timestamp lattice.
 """
 
 from __future__ import annotations
@@ -52,43 +51,6 @@ class BoolOr(Lattice):
         return f"BoolOr({self.value})"
 
 
-class BoolAnd(Lattice):
-    """Boolean lattice under logical AND; bottom is True.
-
-    The dual of :class:`BoolOr`; useful for "all replicas agree" style
-    threshold conditions.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool = True) -> None:
-        self.value = bool(value)
-
-    def merge(self, other: "BoolAnd") -> "BoolAnd":
-        return BoolAnd(self.value and other.value)
-
-    def leq(self, other: "BoolAnd") -> bool:
-        if not isinstance(other, BoolAnd):
-            return super().leq(other)
-        return (not other.value) or self.value
-
-    @classmethod
-    def bottom(cls) -> "BoolAnd":
-        return cls(True)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BoolAnd) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("BoolAnd", self.value))
-
-    def __bool__(self) -> bool:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"BoolAnd({self.value})"
-
-
 class MaxInt(Lattice):
     """Numeric lattice under ``max``; bottom is negative infinity.
 
@@ -125,35 +87,3 @@ class MaxInt(Lattice):
     def __repr__(self) -> str:
         return f"MaxInt({self.value})"
 
-
-class MinInt(Lattice):
-    """Numeric lattice under ``min``; bottom is positive infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Number = float("inf")) -> None:
-        self.value = value
-
-    def merge(self, other: "MinInt") -> "MinInt":
-        return MinInt(self.value if self.value <= other.value else other.value)
-
-    def leq(self, other: "MinInt") -> bool:
-        if not isinstance(other, MinInt):
-            return super().leq(other)
-        return self.value >= other.value
-
-    @classmethod
-    def bottom(cls) -> "MinInt":
-        return cls(float("inf"))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MinInt) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("MinInt", self.value))
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __repr__(self) -> str:
-        return f"MinInt({self.value})"

@@ -73,7 +73,7 @@ PINNED_DIGESTS = {
     "tuple": "42b72e0875cce588389f7e17e5b6b309",
     "dataclass": "d8df265ccf5b5a84d8df7764a6f21b55",
     "plain": "015f378b12a352347354a4818bac786d",
-    "lww": "74f208ef435ce27c4552f0f18f1fe454",
+    "lww": "b437862eed819e67b0567403b2bce00a",
     "setunion": "f5562b3cce95cc354cdb53b44fc27e42",
     "map": "26f55dd94fa348a65a13ccdd3ce0ad84",
     "cycle": "9187009bf0033467ba0865addb8645e2",

@@ -69,6 +69,18 @@ class TestConsensusLog:
         sim.run_until_idle()
         assert chosen == [(0, "x")]
 
+    def test_leader_drops_the_ack_set_of_a_chosen_slot(self):
+        """Ack sets are leader bookkeeping for undecided slots: once a slot
+        is chosen nothing reads its set, so it must not outlive the choice."""
+        sim, log, applied = self.build()
+        for value in range(200):
+            log.append(value)
+        sim.run(until=1000.0)
+        leader = log.leader
+        assert len(leader.chosen) == 200
+        assert leader._ack_counts == {}
+        assert all(replica._ack_counts == {} for replica in log.replicas.values())
+
 
     def missed_two(self):
         """r2 slept through slots 1 and 2 of four and cannot apply the last."""

@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.cluster import payload_digest
 from repro.lattices import (
     GCounter,
     LWWRegister,
     MapLattice,
     MaxInt,
-    PNCounter,
     SetUnion,
     TwoPhaseSet,
 )
+from repro.lattices.base import sorted_mapping_repr
 
 
 class TestSetUnion:
@@ -32,6 +33,10 @@ class TestSetUnion:
 
     def test_bottom_is_empty(self):
         assert len(SetUnion.bottom()) == 0
+
+    def test_repr_sorts_elements_by_their_repr(self):
+        assert repr(SetUnion([10, 2])) == "SetUnion(['10', '2'])"
+        assert repr(SetUnion({1}).add(9)) == repr(SetUnion({9}).add(1))
 
 
 class TestTwoPhaseSet:
@@ -55,6 +60,11 @@ class TestTwoPhaseSet:
     def test_live_membership(self):
         s = TwoPhaseSet().add(1).add(2).remove(1)
         assert s.live == {2}
+
+    def test_repr_sorts_both_components(self):
+        tp = TwoPhaseSet({3, 1}, {2})
+        assert repr(tp) == "TwoPhaseSet(added=['1', '3'], removed=['2'])"
+        assert repr(tp) == repr(TwoPhaseSet().add(3).add(1).merge(TwoPhaseSet((), {2})))
 
 
 class TestMapLattice:
@@ -87,6 +97,15 @@ class TestMapLattice:
         assert "k" in m
         assert m.get("missing") is None
 
+    def test_repr_sorts_keys_whatever_the_insertion_order(self):
+        a = MapLattice({"y": MaxInt(2), "x": MaxInt(1)})
+        b = MapLattice({"x": MaxInt(1)}).insert("y", MaxInt(2))
+        assert repr(a) == repr(b) == "MapLattice({'x': MaxInt(1), 'y': MaxInt(2)})"
+
+    def test_sorted_mapping_repr_orders_entries_by_key_repr(self):
+        assert sorted_mapping_repr({}) == "{}"
+        assert sorted_mapping_repr({2: "b", "a": 1, 10: None}) == "{'a': 1, 10: None, 2: 'b'}"
+
 
 class TestCounters:
     def test_gcounter_value_sums_replicas(self):
@@ -104,24 +123,19 @@ class TestCounters:
         with pytest.raises(ValueError):
             GCounter({"r1": -2})
 
-    def test_pncounter_net_value(self):
-        counter = PNCounter().increment("r1", 10).decrement("r2", 3)
-        assert counter.value == 7
+    def test_gcounter_zero_entries_are_normalised_away(self):
+        assert GCounter({"r1": 0}).counts == {}
+        assert GCounter().increment("r1", 0) == GCounter()
+        assert repr(GCounter({"c": 2, "a": 0, "b": 1})) == "GCounter({'b': 1, 'c': 2})"
 
-    def test_pncounter_merge_is_componentwise(self):
-        a = PNCounter().increment("r1", 5)
-        b = PNCounter().decrement("r1", 2)
-        merged = a.merge(b)
-        assert merged.value == 3
-
-    def test_pncounter_concurrent_decrements_both_count(self):
-        base = PNCounter().increment("shared", 10)
-        left = base.decrement("r1", 4)
-        right = base.decrement("r2", 4)
-        merged = left.merge(right)
-        # Both decrements survive the merge: this is exactly why a
-        # non-negativity invariant needs coordination.
-        assert merged.value == 2
+    def test_gcounter_merge_orders_print_and_digest_alike(self):
+        """Counters once printed their slots in insertion order, so equal
+        counters merged in opposite orders digested apart."""
+        ab = GCounter({"a": 1}).merge(GCounter({"b": 1}))
+        ba = GCounter({"b": 1}).merge(GCounter({"a": 1}))
+        assert ab == ba
+        assert repr(ab) == repr(ba) == "GCounter({'a': 1, 'b': 1})"
+        assert payload_digest(ab) == payload_digest(ba)
 
 
 class TestLWWRegister:
@@ -140,6 +154,18 @@ class TestLWWRegister:
         b = LWWRegister(1.0, "b", "node-b")
         assert a.merge(b) == b.merge(a)
         assert a.merge(b).value == "b"  # larger tiebreak wins
+
+    def test_repr_prints_a_set_tiebreak_only(self):
+        assert repr(LWWRegister(5, "x")) == "LWWRegister(t=5, value='x')"
+        assert repr(LWWRegister(5, "x", "a")) == "LWWRegister(t=5, value='x', tiebreak='a')"
+
+    def test_tiebreak_separates_digests(self):
+        """Registers once printed no tiebreak, so two writes that differ only
+        in it were unequal yet digested alike."""
+        a = LWWRegister(5, "x", "a")
+        b = LWWRegister(5, "x", "b")
+        assert a != b
+        assert payload_digest(a) != payload_digest(b)
 
     def test_bottom_loses_to_any_write(self):
         assert LWWRegister.bottom().merge(LWWRegister(0.0, "x")).value == "x"

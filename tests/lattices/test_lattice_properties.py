@@ -3,36 +3,33 @@
 The CALM theorem's guarantees rest entirely on merge being associative,
 commutative and idempotent, and on updates being inflationary in the induced
 order.  Hypothesis generates arbitrary lattice points per type and checks
-the laws hold for all of them.  Lattice values are immutable: ``merge`` and
-``join_all`` leave every operand as it was, which is what lets state, tick
-reads and in-flight messages share one lattice object.
+the laws hold for all of them.  Lattice values are immutable: ``merge``
+leaves every operand as it was, which is what lets state, tick reads and
+in-flight messages share one lattice object.  And a value's digest is a
+function of the value alone, which is what lets anti-entropy tell equal
+replicas from divergent ones.
 """
 
 import copy
+from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import payload_digest
 from repro.lattices import (
-    BOTTOM,
-    BoolAnd,
     BoolOr,
-    CausalValue,
-    DominatingPair,
     GCounter,
     LWWRegister,
     MapLattice,
     MaxInt,
-    MinInt,
-    PNCounter,
-    PairLattice,
-    ProductLattice,
     SetUnion,
     TwoPhaseSet,
     VectorClock,
     is_monotone_on_samples,
-    join_all,
 )
+from repro.storage.antientropy import DigestTree
 
 REPLICAS = ["r1", "r2", "r3"]
 
@@ -40,16 +37,13 @@ REPLICAS = ["r1", "r2", "r3"]
 # -- strategies ------------------------------------------------------------------
 
 bool_or = st.booleans().map(BoolOr)
-bool_and = st.booleans().map(BoolAnd)
 max_int = st.integers(min_value=-1000, max_value=1000).map(MaxInt)
-min_int = st.integers(min_value=-1000, max_value=1000).map(MinInt)
 set_union = st.frozensets(st.integers(min_value=0, max_value=20), max_size=6).map(SetUnion)
 two_phase = st.tuples(
     st.frozensets(st.integers(min_value=0, max_value=10), max_size=5),
     st.frozensets(st.integers(min_value=0, max_value=10), max_size=5),
 ).map(lambda pair: TwoPhaseSet(pair[0], pair[1]))
 gcounter = st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 50), max_size=3).map(GCounter)
-pncounter = st.tuples(gcounter, gcounter).map(lambda pair: PNCounter(pair[0], pair[1]))
 vector_clock = st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 20), max_size=3).map(VectorClock)
 lww = st.tuples(
     st.integers(0, 100), st.integers(-5, 5), st.sampled_from(REPLICAS)
@@ -60,94 +54,111 @@ map_lattice = st.dictionaries(
 
 ALL_STRATEGIES = [
     ("BoolOr", bool_or),
-    ("BoolAnd", bool_and),
     ("MaxInt", max_int),
-    ("MinInt", min_int),
     ("SetUnion", set_union),
     ("TwoPhaseSet", two_phase),
     ("GCounter", gcounter),
-    ("PNCounter", pncounter),
     ("VectorClock", vector_clock),
     ("LWWRegister", lww),
     ("MapLattice", map_lattice),
 ]
 
-any_lattice_triple = st.one_of(
-    *[st.tuples(strategy, strategy, strategy) for _, strategy in ALL_STRATEGIES]
-)
-
-#: The composites, nested over the types above; only the ``leq``,
-#: immutability and ``join_all`` properties below run over them.
-COMPOSITE_STRATEGIES = [
-    ("PairLattice", st.builds(PairLattice, max_int, set_union)),
-    ("ProductLattice", st.fixed_dictionaries(
-        {}, optional={"count": max_int, "seen": set_union}).map(ProductLattice)),
-    ("DominatingPair", st.builds(DominatingPair, vector_clock, set_union)),
-    ("CausalValue", st.builds(CausalValue, vector_clock, set_union)),
+#: A map of sets, nested over the types above; only the ``leq`` and
+#: immutability properties below run over it too.
+NESTED_STRATEGIES = [
     ("MapLattice[SetUnion]", st.dictionaries(
         st.sampled_from(["x", "y"]), set_union, max_size=2).map(MapLattice)),
 ]
 
-every_type_triple = st.one_of(
-    *[st.tuples(strategy, strategy, strategy)
-      for _, strategy in ALL_STRATEGIES + COMPOSITE_STRATEGIES]
-)
+
+def per_type(strategies):
+    """Run a property once per lattice type, each on its own generated
+    triples, so every type gets the full example budget and a failure
+    names the type it broke."""
+    return pytest.mark.parametrize(
+        "triples", [st.tuples(strategy, strategy, strategy)
+                    for _, strategy in strategies],
+        ids=[name for name, _ in strategies])
 
 
-@given(any_lattice_triple)
-@settings(max_examples=300)
-def test_merge_is_associative(triple):
-    a, b, c = triple
+each_type = per_type(ALL_STRATEGIES)
+each_type_and_nested = per_type(ALL_STRATEGIES + NESTED_STRATEGIES)
+
+
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_is_associative(triples, data):
+    a, b, c = data.draw(triples)
     assert a.merge(b).merge(c) == a.merge(b.merge(c))
 
 
-@given(any_lattice_triple)
-@settings(max_examples=300)
-def test_merge_is_commutative(triple):
-    a, b, _ = triple
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_is_commutative(triples, data):
+    a, b, _ = data.draw(triples)
     assert a.merge(b) == b.merge(a)
 
 
-@given(any_lattice_triple)
-@settings(max_examples=300)
-def test_merge_is_idempotent(triple):
-    a, _, _ = triple
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_is_idempotent(triples, data):
+    a, _, _ = data.draw(triples)
     assert a.merge(a) == a
 
 
-@given(any_lattice_triple)
-@settings(max_examples=300)
-def test_merge_is_inflationary(triple):
-    a, b, _ = triple
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_is_inflationary(triples, data):
+    a, b, _ = data.draw(triples)
     merged = a.merge(b)
     assert a.leq(merged)
     assert b.leq(merged)
 
 
-@given(any_lattice_triple)
-@settings(max_examples=200)
-def test_bottom_is_identity(triple):
-    a, _, _ = triple
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_is_the_least_upper_bound(triples, data):
+    """``a.merge(b)`` precedes every upper bound of ``a`` and ``b``; each
+    upper bound ``u`` equals ``u.merge(a).merge(b)``, so drawing ``c`` and
+    joining ``a`` and ``b`` into it reaches all of them."""
+    a, b, c = data.draw(triples)
+    upper = c.merge(a).merge(b)
+    assert a.merge(b).leq(upper)
+    assert c.leq(upper)
+
+
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_bottom_is_identity(triples, data):
+    a, _, _ = data.draw(triples)
     bottom = type(a).bottom()
     assert bottom.merge(a) == a
     assert a.merge(bottom) == a
 
 
-@given(every_type_triple)
-@settings(max_examples=300)
-def test_fast_leq_agrees_with_merge_order(triple):
+@each_type_and_nested
+@given(data=st.data())
+@settings(max_examples=100)
+def test_fast_leq_agrees_with_merge_order(triples, data):
     """Every ``leq`` override answers exactly ``a.merge(b) == b``."""
-    a, b, _ = triple
+    a, b, _ = data.draw(triples)
     assert a.leq(b) == (a.merge(b) == b)
 
 
 # -- immutability ------------------------------------------------------------------
 
 
-@given(every_type_triple)
-@settings(max_examples=300)
-def test_merge_leaves_both_operands_unchanged(triple):
-    a, b, _ = triple
+@each_type_and_nested
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_leaves_both_operands_unchanged(triples, data):
+    a, b, _ = data.draw(triples)
     a_before, b_before = copy.deepcopy(a), copy.deepcopy(b)
     a_hash, b_hash = hash(a), hash(b)
     a.merge(b)
@@ -156,28 +167,48 @@ def test_merge_leaves_both_operands_unchanged(triple):
     assert (hash(a), hash(b)) == (a_hash, b_hash)
 
 
-@given(every_type_triple)
-@settings(max_examples=200)
-def test_join_all_is_a_fold_that_mutates_no_input(triple):
-    a, b, c = triple
+@each_type_and_nested
+@given(data=st.data())
+@settings(max_examples=100)
+def test_a_fold_of_merges_mutates_no_input(triples, data):
+    triple = data.draw(triples)
     before = copy.deepcopy(triple)
-    assert join_all([a, b, c]) == a.merge(b).merge(c)
+    reduce(lambda acc, value: acc.merge(value), triple)
     assert triple == before
 
 
-@given(every_type_triple)
-@settings(max_examples=200)
-def test_join_all_with_start_leaves_start_unchanged(triple):
-    a, b, _ = triple
-    start_before = copy.deepcopy(a)
-    assert join_all([b], start=a) == a.merge(b)
-    assert a == start_before
-    assert join_all([], start=a) is a
+# -- digests -----------------------------------------------------------------------
 
 
-def test_join_all_of_nothing_is_bottom():
-    assert join_all([]) is BOTTOM
-    assert join_all([SetUnion({1})]) == SetUnion({1})
+def entry_tree(value):
+    """A one-key ``DigestTree``: equal trees mean equal entry digests."""
+    return DigestTree.from_store({"k": value})
+
+
+def assert_digests_follow_equality(a, b):
+    assert (a == b) == (payload_digest(a) == payload_digest(b))
+    assert entry_tree(a.merge(b)) == entry_tree(b.merge(a))
+
+
+@each_type
+@given(data=st.data())
+@settings(max_examples=100)
+def test_equal_values_have_equal_digests(triples, data):
+    """Digests hash ``repr``, so ``repr`` must be canonical: two values
+    digest alike exactly when they are equal, whatever order their entries
+    were inserted in, and both merge orders give one entry digest."""
+    assert_digests_follow_equality(*data.draw(triples)[:2])
+
+
+@pytest.mark.parametrize("a, b", [
+    (GCounter({"r1": 1}), GCounter({"r2": 1})),
+    (VectorClock({"r1": 1}), VectorClock({"r2": 1})),
+    (LWWRegister(5.0, 1, "r1"), LWWRegister(5.0, 1, "r2")),
+], ids=["GCounter", "VectorClock", "LWWRegister"])
+def test_equal_values_have_equal_digests_where_repr_once_was_not_canonical(a, b):
+    """Counters and clocks once printed in insertion order, and registers
+    once omitted the tiebreak."""
+    assert_digests_follow_equality(a, b)
 
 
 @given(st.lists(set_union, min_size=2, max_size=6))

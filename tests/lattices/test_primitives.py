@@ -1,8 +1,6 @@
 """Unit tests for primitive scalar lattices."""
 
-import pytest
-
-from repro.lattices import BOTTOM, BoolAnd, BoolOr, MaxInt, MinInt, join_all
+from repro.lattices import BOTTOM, BoolOr, MaxInt
 
 
 class TestBoolOr:
@@ -25,17 +23,6 @@ class TestBoolOr:
         assert (BoolOr(False) | BoolOr(True)) == BoolOr(True)
 
 
-class TestBoolAnd:
-    def test_bottom_is_true(self):
-        assert BoolAnd.bottom().value is True
-
-    def test_merge_is_and(self):
-        assert BoolAnd(True).merge(BoolAnd(False)).value is False
-
-    def test_false_dominates_true(self):
-        assert BoolAnd(True).leq(BoolAnd(False))
-
-
 class TestMaxInt:
     def test_bottom_is_negative_infinity(self):
         assert MaxInt.bottom().value == float("-inf")
@@ -56,34 +43,13 @@ class TestMaxInt:
         assert int(MaxInt(42)) == 42
 
 
-class TestMinInt:
-    def test_bottom_is_positive_infinity(self):
-        assert MinInt.bottom().value == float("inf")
-
-    def test_merge_keeps_min(self):
-        assert MinInt(3).merge(MinInt(7)) == MinInt(3)
-
-    def test_order_is_reversed(self):
-        # In the MinInt lattice, smaller numbers are "larger" lattice points.
-        assert MinInt(7).leq(MinInt(3))
-
-
-class TestBottomAndJoinAll:
+class TestBottom:
     def test_polymorphic_bottom_merges_to_other(self):
         assert BOTTOM.merge(MaxInt(5)) == MaxInt(5)
 
     def test_bottom_equals_typed_bottoms(self):
         assert BOTTOM == MaxInt.bottom()
         assert BOTTOM == BoolOr.bottom()
-
-    def test_join_all_of_empty_is_bottom(self):
-        assert join_all([]) == BOTTOM
-
-    def test_join_all_folds(self):
-        assert join_all([MaxInt(1), MaxInt(9), MaxInt(4)]) == MaxInt(9)
-
-    def test_join_all_with_start(self):
-        assert join_all([MaxInt(1)], start=MaxInt(10)) == MaxInt(10)
 
     def test_comparison_across_types_not_supported(self):
         assert MaxInt(1).__le__(BoolOr(True)) is NotImplemented

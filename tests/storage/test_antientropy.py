@@ -22,7 +22,16 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
-from repro.lattices import GCounter, LWWRegister, SetUnion
+from repro.lattices import (
+    BoolOr,
+    GCounter,
+    LWWRegister,
+    MapLattice,
+    MaxInt,
+    SetUnion,
+    TwoPhaseSet,
+    VectorClock,
+)
 from repro.storage import LatticeKVS
 from repro.storage.antientropy import (
     LEAF_LEVEL,
@@ -50,6 +59,20 @@ def assert_replicas_converged(kvs):
             values = [replica.store.get(key) for replica in shard]
             assert all(value == values[0] for value in values), (
                 f"replicas diverge on {key!r}: {values}")
+
+
+#: Per lattice type, two updates of one key for two replicas to merge in
+#: opposite orders; a counter, clock or map builds its entries in that order.
+SPLIT_UPDATES = [
+    (BoolOr(True), BoolOr(False)),
+    (MaxInt(3), MaxInt(5)),
+    (SetUnion({1}), SetUnion({2})),
+    (TwoPhaseSet({1}, ()), TwoPhaseSet({2}, {1})),
+    (GCounter({"a": 1}), GCounter({"b": 1})),
+    (VectorClock({"a": 1}), VectorClock({"b": 1})),
+    (LWWRegister(5.0, "x", "a"), LWWRegister(5.0, "x", "b")),
+    (MapLattice({"x": SetUnion({1})}), MapLattice({"y": MaxInt(2)})),
+]
 
 
 class TestDigestTree:
@@ -458,6 +481,25 @@ class TestAntiEntropyLifecycle:
         kvs.settle(500.0)
         assert_replicas_converged(kvs)
         assert len(replica_b.store) == 20
+
+    @pytest.mark.parametrize("mine, theirs", SPLIT_UPDATES,
+                             ids=[type(mine).__name__ for mine, _ in SPLIT_UPDATES])
+    def test_values_merged_in_either_order_digest_alike(self, mine, theirs):
+        """Replicas that merge different updates of one key end up with
+        equal values built in opposite orders — a counter's slots or a map's
+        keys inserted the other way round.  Their entry digests must match,
+        or every anti-entropy round sees a phantom difference and re-ships
+        the key forever."""
+        sim, net, kvs = build_kvs(seed=1, full_sync_every=2, gossip_interval=10.0)
+        replica_a, replica_b = kvs.shards[0]
+        replica_a.merge_local("k", mine)
+        replica_b.merge_local("k", theirs)
+        sim.run(until=505.0)  # to t=500, and the rounds started then answer
+        assert replica_a.store["k"] == replica_b.store["k"] == mine.merge(theirs)
+        rounds = net.metrics.counter("kvs.antientropy.rounds")
+        assert rounds > 0
+        assert net.metrics.counter("kvs.antientropy.converged_rounds") == rounds
+        assert net.metrics.counter("kvs.antientropy.repair_entries") == 0
 
     def test_converged_rounds_cost_one_probe(self):
         """The converged-round counter proves idle rounds stop at the root:

@@ -7,6 +7,10 @@ re-export is not a use).  Dunders are called by the interpreter and
 ``@register``-decorated lint rules by the engine, so both are exempt.  A
 word match is a floor, not a proof: a name that shares its spelling with
 another, or occurs only in a comment, still passes.
+
+A lattice type must also be used by something other than the lattice
+package and its own tests: every ``Lattice`` subclass under
+``src/repro/lattices/`` is named in some ``.py`` file outside both.
 """
 
 import ast
@@ -16,6 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+LATTICES = ROOT / "src" / "repro" / "lattices"
 
 
 def definition_spans() -> dict[str, list[tuple[Path, int, int]]]:
@@ -43,3 +48,20 @@ def test_every_src_definition_has_a_caller():
                            for where, first, last in spans[name]):
                     called.add(name)
     assert sorted(spans.keys() - called) == []
+
+
+def test_every_lattice_type_has_a_user_outside_the_lattice_package():
+    lattice_types = {
+        node.name
+        for path in LATTICES.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", None) == "Lattice" for base in node.bases)}
+    assert lattice_types, "no Lattice subclass found: is LATTICES stale?"
+    own = (LATTICES, ROOT / "tests" / "lattices")
+    used = set()
+    for path in (path for tree in TREES for path in (ROOT / tree).rglob("*.py")):
+        if path.name != "__init__.py" and not any(
+                path.is_relative_to(directory) for directory in own):
+            used.update(re.findall(r"\w+", path.read_text()))
+    assert sorted(lattice_types - used) == []
