@@ -26,7 +26,23 @@ def random_graph(nodes: int, edges: int, seed: int = 13):
     return sorted(out)
 
 
-@pytest.mark.parametrize("nodes,edges", [(30, 60), (80, 160), (150, 300)])
+# (paths, fixpoint rounds, items moved, join inputs) per strategy.  The
+# counts are deterministic: a scheduler change that moves one has changed
+# the evaluation, not just its speed.
+EXPECTED = {
+    (30, 60): {"naive": (554, 30, 6_022, 1_674), "semi-naive": (554, 28, 3_348, 614)},
+    (80, 160): {"naive": (4_365, 36, 50_187, 13_718),
+                "semi-naive": (4_365, 34, 27_436, 4_525)},
+    (150, 300): {"naive": (12_281, 63, 132_727, 36_402),
+                 "semi-naive": (12_281, 61, 72_804, 12_581)},
+}
+
+
+def counts(paths, stats):
+    return len(paths), stats["rounds"], stats["items_moved"], stats["join_inputs"]
+
+
+@pytest.mark.parametrize("nodes,edges", sorted(EXPECTED))
 def test_semi_naive_vs_naive_transitive_closure(benchmark, nodes, edges):
     graph = random_graph(nodes, edges)
     semi_paths, semi_stats = benchmark.pedantic(
@@ -47,6 +63,8 @@ def test_semi_naive_vs_naive_transitive_closure(benchmark, nodes, edges):
     )
     assert semi_stats["join_inputs"] <= naive_stats["join_inputs"]
     assert semi_stats["items_moved"] < naive_stats["items_moved"]
+    assert {"naive": counts(naive_paths, naive_stats),
+            "semi-naive": counts(semi_paths, semi_stats)} == EXPECTED[(nodes, edges)]
 
 
 def test_predicate_pushdown_cost_reduction(benchmark):

@@ -6,7 +6,8 @@ The package mirrors the paper's architecture:
 * :mod:`repro.core` — HydroLogic, the declarative PACT intermediate
   representation (program semantics, availability, consistency and target
   facets) plus its single-node transducer interpreter.
-* :mod:`repro.hydroflow` — the single-node dataflow/lattice/reactive runtime.
+* :mod:`repro.hydroflow` — the single-node dataflow runtime lowered queries
+  run on.
 * :mod:`repro.compiler` — Hydrolysis: lowering, optimization, deployment
   planning and simulated deployment.
 * :mod:`repro.lifting` — Hydraulic: lifting actors, futures, MPI collectives

@@ -125,21 +125,21 @@ def lower_query_plan(plan: QueryPlan, graph_name: str = "query") -> tuple[FlowGr
         if node.kind == "distinct":
             upstream = build(node.child)
             name = f"distinct_{index}"
-            graph.add(DistinctOperator(name, persistent=True))
+            graph.add(DistinctOperator(name))
             graph.connect(upstream, name)
             return name
         if node.kind == "join":
             left = build(node.left)
             right = build(node.right)
             name = f"join_{index}"
-            graph.add(HashJoinOperator(name, node.left_key, node.right_key, persistent=True))
+            graph.add(HashJoinOperator(name, node.left_key, node.right_key))
             graph.connect(left, name, port="left")
             graph.connect(right, name, port="right")
             return name
         raise ValueError(f"cannot lower plan node of kind {node.kind!r}")
 
     output = build(plan)
-    graph.add(SinkOperator("result", persistent=True))
+    graph.add(SinkOperator("result"))
     graph.connect(output, "result")
     return graph, "result"
 
@@ -152,9 +152,9 @@ def lower_transitive_closure(strategy: str = "semi-naive") -> tuple[FlowGraph, s
 
     ``strategy`` selects the evaluation plan:
 
-    * ``"semi-naive"`` — only *newly discovered* paths (the output of a
-      persistent distinct) re-enter the join, so each derivation is made
-      once.  This is the plan the optimizer chooses.
+    * ``"semi-naive"`` — only *newly discovered* paths (the output of the
+      distinct) re-enter the join, so each derivation is made once.  This
+      is the plan the optimizer chooses.
     * ``"naive"`` — every known path re-enters the join on every round (the
       textbook naive fixpoint), implemented by re-injecting the full path
       set each round without novelty filtering on the loop edge.
@@ -163,15 +163,14 @@ def lower_transitive_closure(strategy: str = "semi-naive") -> tuple[FlowGraph, s
         raise ValueError(f"unknown strategy {strategy!r}")
     graph = FlowGraph(f"transitive_closure_{strategy}")
     graph.add(SourceOperator("edges"))
-    graph.add(DistinctOperator("paths", persistent=True))
+    graph.add(DistinctOperator("paths"))
     graph.add(HashJoinOperator(
         "extend",
         left_key=lambda path: path[1],
         right_key=lambda edge: edge[0],
-        persistent=True,
     ))
     graph.add(MapOperator("compose", lambda match: (match[1][0], match[2][1])))
-    graph.add(SinkOperator("result", persistent=True))
+    graph.add(SinkOperator("result"))
     graph.connect("edges", "paths")
     graph.connect("edges", "extend", port="right")
     graph.connect("extend", "compose")

@@ -74,9 +74,66 @@ class TestLowering:
         scheduler.run_tick()
         assert sorted(scheduler.collected(sink)) == [1, 2, 3]
 
+    def test_distinct_over_table_rows(self):
+        """HydroLogic rows are dicts; distinct dedupes them by content and
+        emits the row itself, also where the optimizer pushed a select
+        below it."""
+        predicate = lambda row: row["pid"] > 0
+        plan = QueryPlan.select(QueryPlan.distinct(QueryPlan.scan("people")), predicate)
+        optimized, report = optimize_plan(plan)
+        assert report.fired("predicate-below-distinct")
+        for candidate in (QueryPlan.distinct(QueryPlan.scan("people")), plan, optimized):
+            graph, sink = lower_query_plan(candidate)
+            scheduler = TickScheduler(graph)
+            scheduler.push("people", [{"pid": 1}, {"pid": 1}])
+            scheduler.run_tick()
+            scheduler.push("people", [{"pid": 1}])
+            scheduler.run_tick()
+            assert scheduler.collected(sink) == [{"pid": 1}]
+
     def test_unknown_plan_kind_rejected(self):
         with pytest.raises(ValueError):
             lower_query_plan(QueryPlan("mystery"))
+
+    def test_graph_name_and_sink(self):
+        graph, sink = lower_query_plan(QueryPlan.scan("items"), graph_name="q1")
+        assert graph.name == "q1"
+        assert sink == "result"
+        assert graph.operator_names() == ["items", "result"]
+
+    def test_self_join_on_a_shared_scan(self):
+        plan = QueryPlan.project(
+            QueryPlan.join(
+                QueryPlan.scan("edges"), QueryPlan.scan("edges"),
+                left_key=lambda e: e[1], right_key=lambda e: e[0],
+            ),
+            lambda match: (match[1][0], match[2][1]),
+        )
+        graph, sink = lower_query_plan(plan)
+        scheduler = TickScheduler(graph)
+        scheduler.push("edges", [(1, 2), (2, 3), (3, 4)])
+        scheduler.run_tick()
+        assert sorted(scheduler.collected(sink)) == [(1, 3), (2, 4)]
+
+    def test_lowered_plan_is_a_maintained_view(self):
+        """Pushing more rows in a later tick emits only the new results."""
+        plan = QueryPlan.distinct(QueryPlan.project(QueryPlan.scan("people"), lambda row: row["city"]))
+        graph, sink = lower_query_plan(plan)
+        scheduler = TickScheduler(graph)
+        scheduler.push("people", [{"city": "Oslo"}, {"city": "Rome"}])
+        scheduler.run_tick()
+        scheduler.push("people", [{"city": "Rome"}, {"city": "Lima"}])
+        scheduler.run_tick()
+        assert scheduler.collected(sink) == ["Oslo", "Rome", "Lima"]
+
+    def test_plan_sources_and_children(self):
+        people, orders = QueryPlan.scan("people"), QueryPlan.scan("orders")
+        join = QueryPlan.join(people, orders, left_key=lambda p: p, right_key=lambda o: o)
+        plan = QueryPlan.distinct(join)
+        assert plan.children() == [join]
+        assert join.children() == [people, orders]
+        assert plan.sources() == {"people", "orders"}
+        assert people.sources() == {"people"}
 
 
 class TestTransitiveClosureStrategies:
@@ -85,6 +142,27 @@ class TestTransitiveClosureStrategies:
         edges = chain_edges(6) + [(2, 5)]
         paths, _ = evaluate_transitive_closure(edges, strategy)
         assert paths == expected_closure(edges)
+
+    @pytest.mark.parametrize("strategy", ["naive", "semi-naive"])
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 2), (2, 3), (3, 1)],
+            [(1, 2), (1, 3), (2, 4), (3, 4)],
+            [(1, 2), (3, 4)],
+            [(1, 1)],
+        ],
+        ids=["cycle", "diamond", "disconnected", "self-loop"],
+    )
+    def test_strategies_agree_on_graph_shapes(self, edges, strategy):
+        paths, _ = evaluate_transitive_closure(edges, strategy)
+        assert paths == expected_closure(edges)
+
+    @pytest.mark.parametrize("strategy", ["naive", "semi-naive"])
+    def test_no_edges_means_no_work(self, strategy):
+        paths, stats = evaluate_transitive_closure([], strategy)
+        assert paths == set()
+        assert stats == {"rounds": 0, "items_moved": 0, "join_inputs": 0}
 
     def test_semi_naive_does_less_join_work(self):
         edges = chain_edges(30)

@@ -10,7 +10,10 @@ another, or occurs only in a comment, still passes.
 
 A lattice type must also be used by something other than the lattice
 package and its own tests: every ``Lattice`` subclass under
-``src/repro/lattices/`` is named in some ``.py`` file outside both.
+``src/repro/lattices/`` is named in some ``.py`` file outside both.  The
+same holds for a Hydroflow operator: every ``Operator`` subclass under
+``src/repro/hydroflow/`` is named outside that package and
+``tests/hydroflow/`` (in practice, by the lowering that emits it).
 """
 
 import ast
@@ -21,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 LATTICES = ROOT / "src" / "repro" / "lattices"
+HYDROFLOW = ROOT / "src" / "repro" / "hydroflow"
 
 
 def definition_spans() -> dict[str, list[tuple[Path, int, int]]]:
@@ -50,18 +54,27 @@ def test_every_src_definition_has_a_caller():
     assert sorted(spans.keys() - called) == []
 
 
-def test_every_lattice_type_has_a_user_outside_the_lattice_package():
-    lattice_types = {
+def unused_subclasses(package: Path, base: str, own_tests: Path) -> list[str]:
+    """Direct subclasses of ``base`` defined in ``package`` that no ``.py``
+    file outside ``package`` and ``own_tests`` names."""
+    subclasses = {
         node.name
-        for path in LATTICES.glob("*.py")
+        for path in package.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
-        and any(getattr(base, "id", None) == "Lattice" for base in node.bases)}
-    assert lattice_types, "no Lattice subclass found: is LATTICES stale?"
-    own = (LATTICES, ROOT / "tests" / "lattices")
+        and any(getattr(b, "id", None) == base for b in node.bases)}
+    assert subclasses, f"no {base} subclass found: is {package} stale?"
     used = set()
     for path in (path for tree in TREES for path in (ROOT / tree).rglob("*.py")):
         if path.name != "__init__.py" and not any(
-                path.is_relative_to(directory) for directory in own):
+                path.is_relative_to(directory) for directory in (package, own_tests)):
             used.update(re.findall(r"\w+", path.read_text()))
-    assert sorted(lattice_types - used) == []
+    return sorted(subclasses - used)
+
+
+def test_every_lattice_type_has_a_user_outside_the_lattice_package():
+    assert unused_subclasses(LATTICES, "Lattice", ROOT / "tests" / "lattices") == []
+
+
+def test_every_hydroflow_operator_is_emitted_outside_the_hydroflow_package():
+    assert unused_subclasses(HYDROFLOW, "Operator", ROOT / "tests" / "hydroflow") == []
