@@ -34,7 +34,6 @@ from repro.cluster.network import (
 )
 from repro.cluster.transport import (
     TRANSPORT_MAILBOX,
-    Envelope,
     Parcel,
     PayloadMutationError,
     RpcPolicy,
@@ -69,7 +68,6 @@ __all__ = [
     "PayloadMutationError",
     "payload_digest",
     "Parcel",
-    "Envelope",
     "RpcPolicy",
     "TRANSPORT_MAILBOX",
 ]

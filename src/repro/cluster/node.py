@@ -9,10 +9,11 @@ losing their volatile state.
 Every node owns a :class:`~repro.cluster.transport.Transport`, its network
 endpoint: the network delivers everything addressed to the node to
 :meth:`Transport.deliver`, which checks liveness and calls the mailbox
-handler registered with :meth:`Node.on`.  All outbound traffic is typed —
-the sender declares how many entries a payload carries and the transport
-prices it via ``wire_size`` — and the batched/RPC helpers
-(:meth:`Node.queue`, :meth:`Node.request`, :meth:`Node.reply`,
+handler registered with :meth:`Node.on`.  A node emits and accepts one wire
+form, a tuple of typed parcels under ``TRANSPORT_MAILBOX``: the sender
+declares how many entries a payload carries and the transport prices it via
+``wire_size``.  :meth:`Node.send` ships one parcel at once; the batched/RPC
+helpers (:meth:`Node.queue`, :meth:`Node.request`, :meth:`Node.reply`,
 :meth:`Node.forward`) are the substrate every protocol in the tree builds
 on.
 """
@@ -23,7 +24,7 @@ from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message, Network
 from repro.cluster.simulator import Event, Label, Simulator
-from repro.cluster.transport import RpcPolicy, Transport
+from repro.cluster.transport import Parcel, RpcPolicy, Transport
 
 
 class Node:
@@ -66,13 +67,14 @@ class Node:
              entries: int = 1) -> Optional[Message]:
         """Send one message immediately (unbatched); crashed nodes send nothing.
 
-        ``entries`` declares the payload's key/value entry count; the wire
-        cost is ``wire_size(entries)``.
+        The message is one parcel on the wire; ``entries`` declares the
+        payload's key/value entry count, and the wire cost is
+        ``wire_size(entries)``.
         """
         if not self.alive:
             return None
-        return self.transport.send_now(destination, mailbox, payload,
-                                       entries=entries)
+        return self.transport._send(destination,
+                                    (Parcel(mailbox, payload, entries),))
 
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0) -> None:
@@ -102,16 +104,12 @@ class Node:
             return
         self.transport.reply(message, mailbox, payload, entries)
 
-    def forward(self, message: Message, destination: Hashable,
-                entries: int = 0) -> None:
-        """Relay ``message`` onward, preserving its reply routing.
-
-        ``entries`` only prices the relay leg of a plain (non-RPC) message;
-        an RPC request re-ships its original typed parcel.
-        """
+    def forward(self, message: Message, destination: Hashable) -> None:
+        """Relay the RPC request ``message`` onward, preserving its reply
+        routing (see :meth:`Transport.forward`)."""
         if not self.alive:
             return
-        self.transport.forward(message, destination, entries=entries)
+        self.transport.forward(message, destination)
 
     # -- clock ------------------------------------------------------------------
 

@@ -8,21 +8,24 @@ module is the single seam between protocol code and the network:
   many key/value entries its payload carries; its cost on the wire always
   comes from :func:`~repro.cluster.network.wire_size`, never from a hardcoded
   byte constant.
+* **One wire form** — every network message a node emits or accepts is a
+  tuple of parcels under :data:`TRANSPORT_MAILBOX`, paying
+  ``WIRE_HEADER_BYTES`` once however many parcels it carries.
 * **Per-destination batching** — parcels queued to the same peer within one
-  event (its callback and whatever that defers) ride a single
-  :class:`Envelope`, paying ``WIRE_HEADER_BYTES`` once.  The flush is a
-  *deferred callback* (:meth:`Simulator.defer`), never an event: it runs when
-  the event that queued the parcels returns, so batching never delays
-  delivery and **between two events nothing is queued unsent**.  Protocol
-  cadences (gossip ticks, end-of-tick) can also :meth:`Transport.flush`.
+  event (its callback and whatever that defers) ride one network message.
+  The flush is a *deferred callback* (:meth:`Simulator.defer`), never an
+  event: it runs when the event that queued the parcels returns, so
+  batching never delays delivery and **between two events nothing is
+  queued unsent**.  Protocol cadences (gossip ticks, end-of-tick) can also
+  :meth:`Transport.flush`.
 * **RPC** — :meth:`Transport.request` gives request/reply with timeouts,
   capped retries and duplicate suppression on both sides; replies are
   dispatched to an ordinary reply mailbox, so protocol handlers keep their
   shape.
 * **Delivery** — a transport belongs to its node and is that node's network
   endpoint: the node registers :meth:`Transport.deliver` with the network,
-  and ``deliver`` checks liveness, unpacks envelopes and calls the mailbox
-  handler in one pass.
+  and ``deliver`` checks liveness, unpacks the parcels and calls each
+  mailbox handler in one pass.
 
 Determinism contract (the chaos harness relies on it): queues are plain
 lists, flush iterates destinations in sorted-``repr`` order, and no code
@@ -49,8 +52,8 @@ from repro.cluster.network import (
     wire_size,
 )
 
-#: The network-level mailbox that carries transport envelopes.  Logical
-#: mailboxes live inside the envelope's parcels.
+#: The network-level mailbox of every message between nodes; its payload
+#: is a tuple of parcels, and logical mailboxes live inside the parcels.
 TRANSPORT_MAILBOX = "__transport__"
 
 #: Modelled wire cost of one digest item in an anti-entropy control message
@@ -90,20 +93,6 @@ class Parcel:
     rpc_id: Optional[int] = None
     rpc_kind: Optional[str] = None  # "request" | "reply" | None
     reply_to: Optional[Hashable] = None  # requester node id (requests only)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Envelope:
-    """The physical wire unit: one or more parcels to one destination.
-
-    An envelope pays ``WIRE_HEADER_BYTES`` exactly once, however many
-    parcels it coalesces — that is the whole batching economy.
-    """
-
-    parcels: tuple[Parcel, ...]
-
-    def __len__(self) -> int:
-        return len(self.parcels)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,31 +296,20 @@ class Transport:
 
     # -- sending ------------------------------------------------------------------
 
-    def send_now(self, destination: Hashable, mailbox: str, payload: Any,
-                 entries: int = 1) -> Message:
-        """Ship one logical message immediately, unframed and unbatched.
-
-        This is the path behind :meth:`Node.send`: the message travels under
-        its own mailbox (no envelope), so raw ``network.register`` handlers
-        and tests observe it directly.
-        """
-        return self._send(self.node_id, destination, mailbox, payload,
-                          (Parcel(mailbox, payload, entries),))
-
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0, _parcel: Optional[Parcel] = None) -> None:
         """Queue a parcel for ``destination``; it ships when the current
         event's callback returns (a deferred :meth:`flush`, not an event).
 
         Parcels queued to the same destination before the flush coalesce
-        into one envelope.  The payload must not be mutated after queueing
-        (ownership passes to the transport — the batch is the snapshot).
+        into one network message.  The payload must not be mutated after
+        queueing (ownership passes to the transport — the batch is the
+        snapshot).
         """
         parcel = _parcel if _parcel is not None else Parcel(mailbox, payload, entries)
         config = self.config
         if not config.batching:
-            self._send(self.node_id, destination, TRANSPORT_MAILBOX,
-                       Envelope((parcel,)), (parcel,))
+            self._send(destination, (parcel,))
             return
         queues = self._queues
         if not queues:
@@ -369,8 +347,7 @@ class Transport:
             parcels = queues[dest]
             if config.sanitize:
                 self._check_unmutated(dest, parcels, digest_map.get(dest))
-            self._send(self.node_id, dest, TRANSPORT_MAILBOX,
-                       Envelope(tuple(parcels)), parcels)
+            self._send(dest, tuple(parcels))
 
     def _check_unmutated(self, destination: Hashable, parcels: list[Parcel],
                          digests: Optional[list[str]]) -> None:
@@ -385,9 +362,9 @@ class Transport:
                     "mutated after queue(); the transport owns queued "
                     "payloads — snapshot before queueing instead")
 
-    def _send(self, source: Hashable, destination: Hashable, mailbox: str,
-              payload: Any, parcels) -> Message:
-        """Put ``parcels`` on the wire as one physical message and account
+    def _send(self, destination: Hashable,
+              parcels: tuple[Parcel, ...]) -> Message:
+        """Put ``parcels`` on the wire as one network message and account
         it in one pass: per-mailbox logical counts, the envelope (one header
         however many parcels) and the transmission cost the network stamped
         on it — with the bandwidth model on the batching economy shows up
@@ -404,7 +381,8 @@ class Transport:
             stats["entries"] += parcel.entries
             entries += parcel.entries
             logical += 1
-        message = self.network.send(source, destination, mailbox, payload,
+        message = self.network.send(self.node_id, destination,
+                                    TRANSPORT_MAILBOX, parcels,
                                     wire_size(entries))
         self.logical_messages_sent += logical
         counts = self.metrics.counts
@@ -507,39 +485,31 @@ class Transport:
         else:
             self.queue(request.source, mailbox, payload, entries)
 
-    def forward(self, request: Message, destination: Hashable,
-                entries: int = 0) -> None:
-        """Relay ``request`` onward, preserving its reply routing.
+    def forward(self, request: Message, destination: Hashable) -> None:
+        """Relay the RPC ``request`` onward, preserving its reply routing.
 
-        The eventual responder answers straight to the original requester;
-        the forwarder memoizes nothing, so a retried request is re-forwarded
-        rather than suppressed.  For a plain (non-RPC) message the relay leg
-        is billed by ``entries`` — declare the payload's cost, exactly as
-        the original sender did.
+        The original typed parcel is re-shipped, so the eventual responder
+        answers straight to the original requester; the forwarder memoizes
+        nothing, so a retried request is re-forwarded rather than
+        suppressed.  Only an RPC request can be forwarded: a plain message
+        carries no requester to answer, so it raises :class:`TypeError`.
         """
         inbound: Optional[_InboundRequest] = request.rpc_state
-        if inbound is not None:
-            inbound.forwarded = True
-            self.queue(destination, inbound.parcel.mailbox,
-                       inbound.parcel.payload, inbound.parcel.entries,
-                       _parcel=inbound.parcel)
-        else:
-            # Plain message: impersonate the source so any reply still
-            # reaches the originator (the pre-transport relay idiom — a
-            # queued parcel cannot spoof its sender, so this leg ships raw
-            # but is still accounted like any other logical message).
-            self._send(request.source, destination, request.mailbox,
-                       request.payload,
-                       (Parcel(request.mailbox, request.payload, entries),))
+        if inbound is None:
+            raise TypeError(
+                f"forward needs an RPC request; {request.mailbox!r} from "
+                f"{request.source!r} is a plain message")
+        inbound.forwarded = True
+        self.queue(destination, inbound.parcel.mailbox, inbound.parcel.payload,
+                   inbound.parcel.entries, _parcel=inbound.parcel)
 
     # -- receiving ----------------------------------------------------------------
 
     def deliver(self, message: Message) -> None:
         """The node's network endpoint: every message addressed to it.
 
-        A raw message (``Node.send``, the plain leg of a ``forward``) goes
-        straight to its mailbox handler.  An envelope is unpacked here into
-        one logical :class:`Message` per parcel.  An RPC reply settles its
+        The message's payload, a tuple of parcels, is unpacked here into one
+        logical :class:`Message` per parcel.  An RPC reply settles its
         pending request first, and a duplicate or late one is suppressed.
         An RPC request is checked against the served memo first, and a
         duplicate re-serves the memoized reply without re-running the
@@ -550,15 +520,9 @@ class Transport:
         """
         owner = self.owner
         handlers = self.handlers
-        if message.mailbox != TRANSPORT_MAILBOX:
-            if owner.alive:
-                handler = handlers.get(message.mailbox)
-                if handler is not None:
-                    handler(message)
-            return
         counts = self.metrics.counts
         served = self._served
-        for parcel in message.payload.parcels:
+        for parcel in message.payload:
             if not owner.alive:
                 return
             kind = parcel.rpc_kind

@@ -13,6 +13,12 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 
+def _row_marker(item: Any) -> Hashable:
+    """A hashable stand-in for ``item``: a HydroLogic row is a dict, so it
+    is remembered by its sorted items; anything else is its own marker."""
+    return tuple(sorted(item.items())) if isinstance(item, dict) else item
+
+
 class Operator(ABC):
     """Base class: a named transformer from input batches to an output batch."""
 
@@ -81,8 +87,8 @@ class FilterOperator(Operator):
 class DistinctOperator(Operator):
     """Suppresses duplicates across ticks: a grow-only materialised set.
 
-    A HydroLogic row is a dict, so a dict is remembered by its sorted
-    items; the row itself is what flows on.
+    A dict row is remembered by its :func:`_row_marker`; the row itself is
+    what flows on.
     """
 
     def __init__(self, name: str) -> None:
@@ -93,7 +99,7 @@ class DistinctOperator(Operator):
         self.items_processed += len(batch)
         fresh: list[Any] = []
         for item in batch:
-            marker = tuple(sorted(item.items())) if isinstance(item, dict) else item
+            marker = _row_marker(item)
             if marker not in self._seen:
                 self._seen.add(marker)
                 fresh.append(item)
@@ -103,7 +109,8 @@ class DistinctOperator(Operator):
 class HashJoinOperator(Operator):
     """Symmetric hash join on key functions over ``left`` and ``right`` ports.
 
-    Emits ``(key, left_item, right_item)`` for every matching pair, once.
+    Emits ``(key, left_item, right_item)`` for every matching pair, once
+    across ticks: a match is remembered by its items' :func:`_row_marker`.
     The join is pipelined: each arriving item probes the opposite side's
     table immediately, so recursive queries through a join make progress
     within a tick's fixpoint loop.
@@ -144,17 +151,14 @@ class HashJoinOperator(Operator):
             raise ValueError(f"join {self.name!r} has no port {port!r}")
         return self._dedupe(output)
 
-    def _dedupe(self, pairs: list[Any]) -> list[Any]:
+    def _dedupe(self, matches: list[Any]) -> list[Any]:
         fresh = []
-        for pair in pairs:
-            try:
-                if pair in self._emitted:
-                    continue
-                self._emitted.add(pair)
-            except TypeError:
-                # Unhashable payloads fall back to emitting every match.
-                pass
-            fresh.append(pair)
+        for match in matches:
+            key, left, right = match
+            marker = (key, _row_marker(left), _row_marker(right))
+            if marker not in self._emitted:
+                self._emitted.add(marker)
+                fresh.append(match)
         return fresh
 
 

@@ -202,8 +202,8 @@ class UnsortedIterationIntoSchedule(Rule):
                "the trace otherwise)")
 
     #: Calls that feed the event schedule or the wire.
-    _SINKS = {"send", "send_now", "queue", "broadcast", "request", "reply",
-              "forward", "schedule", "schedule_at", "set_timer"}
+    _SINKS = {"send", "queue", "broadcast", "request", "reply", "forward",
+              "schedule", "schedule_at", "set_timer"}
     #: Calls whose output is the trace itself.
     _TRACE_SINKS = {"log_fault", "trace", "record"}
 

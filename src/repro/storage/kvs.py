@@ -60,7 +60,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Message, Network
 from repro.cluster.node import Node
 from repro.cluster.simulator import Simulator
@@ -152,18 +151,12 @@ class ShardNode(Node):
         current = store.get(key)
         if current is None:
             merged = value
-        elif type(value).leq is not Lattice.leq:
-            # The type has an allocation-free leq: detect no-op merges
-            # cheaply before allocating the merge.
-            if value.leq(current):
-                return False
-            merged = current.merge(value)
+        elif value.leq(current):
+            # Every lattice type's ``leq`` allocates nothing: a no-op merge
+            # is caught before the merge is allocated.
+            return False
         else:
-            # Fallback leq would itself merge, so merge once and compare —
-            # the seed cost — rather than paying for the merge twice.
             merged = current.merge(value)
-            if merged == current:
-                return False
         store[key] = merged
         self._tree.update(key, merged)
         return True
@@ -544,12 +537,11 @@ class ReshardReport:
 
 
 class LatticeKVS:
-    """The cluster-level KVS: shard routing, replica management, metrics."""
+    """The cluster-level KVS: shard routing and replica management."""
 
     def __init__(self, simulator: Simulator, network: Network,
                  shard_count: int = 4, replication_factor: int = 1,
                  gossip_interval: Optional[float] = 25.0,
-                 metrics: MetricsRegistry | None = None,
                  vnodes: int = 64,
                  full_sync_every: int = 10,
                  placement=None) -> None:
@@ -566,7 +558,6 @@ class LatticeKVS:
         self.placement = placement
         self.gossip_interval = gossip_interval
         self.full_sync_every = full_sync_every
-        self.metrics = metrics or MetricsRegistry()
         self.ring = HashRing(vnodes=vnodes)
         self.shards: list[list[ShardNode]] = []
         self._replica_cycle: list[itertools.cycle] = []
@@ -635,17 +626,14 @@ class LatticeKVS:
     def put(self, key: Hashable, value: Lattice) -> None:
         """Merge ``value`` into ``key`` at one replica, which ships it to its peers."""
         self.pick_replica(key).merge_local(key, value)
-        self.metrics.increment("kvs.puts")
 
     def get(self, key: Hashable) -> Optional[Lattice]:
         """Read ``key`` from one (possibly stale) replica."""
-        self.metrics.increment("kvs.gets")
         replica = self.pick_replica(key)
         return replica.value_of(key)
 
     def get_merged(self, key: Hashable) -> Optional[Lattice]:
         """Read ``key`` merged across all replicas of its shard (strongest read)."""
-        self.metrics.increment("kvs.gets")
         merged: Any = BOTTOM
         found = False
         for replica in self.replicas_for(key):
@@ -732,7 +720,6 @@ class LatticeKVS:
             self.shards = self.shards[:new_shard_count]
             self._replica_cycle = self._replica_cycle[:new_shard_count]
 
-        self.metrics.increment("kvs.reshards")
         return ReshardReport(old_shard_count, new_shard_count, moved, total)
 
     # -- reporting --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.chaos import (
     geo_config,
     run_scenario,
 )
+from repro.cluster import TRANSPORT_MAILBOX, Parcel
 from repro.placement import (
     GEO_AZS,
     geo_delay_matrix,
@@ -131,7 +132,7 @@ class TestGeoEnvironment:
         env.network.degrade(squeeze=2.0)
         env.network.degrade(delay_factor=3.0, node=receiver.node_id)
         probe = env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
-            sender.node_id, receiver.node_id, "probe", "x",
+            sender.node_id, receiver.node_id, TRANSPORT_MAILBOX, (),
             size_bytes=8192)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
         queue_wait, serialization, nic_wait = probe.transmission
         # uplink:   8192 / (8192/2)     = 2
@@ -152,7 +153,8 @@ class TestGeoEnvironment:
             env.simulator.now))
         start = env.simulator.now
         env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
-            replicas[0].node_id, replicas[1].node_id, "probe", "x",
+            replicas[0].node_id, replicas[1].node_id, TRANSPORT_MAILBOX,
+            (Parcel("probe", "x"),),
             size_bytes=0)  # repro-lint: disable=RL003 -- zero-size probe isolates propagation delay
         env.simulator.run(until=start + 20.0)
         # Intra-region delay 1.5 stretched 4x, plus jitter in [0, jitter].
@@ -197,7 +199,7 @@ class TestGeoByteConservation:
         shard0 = env.kvs.shards[0]
         for i in range(5):
             env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the ledger itself
-                shard0[0].node_id, shard0[1].node_id, "probe", f"tail-{i}",
+                shard0[0].node_id, shard0[1].node_id, TRANSPORT_MAILBOX, (),
                 size_bytes=408)  # repro-lint: disable=RL003 -- fixed-size probe keeps the ledger arithmetic exact
         assert check_link_byte_conservation(env).ok
         stats = env.network.link_byte_stats()

@@ -24,6 +24,7 @@ from repro.chaos import (
     standard_schedule,
 )
 from repro.chaos.nemesis import FAULT_KINDS
+from repro.cluster import TRANSPORT_MAILBOX
 from repro.lattices import SetUnion
 
 
@@ -319,7 +320,7 @@ class TestCongestion:
         env.network.degrade(squeeze=5.0)
         env.network.degrade(delay_factor=3.0, node=receiver.node_id)
         probe = env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
-            sender.node_id, receiver.node_id, "probe", "x",
+            sender.node_id, receiver.node_id, TRANSPORT_MAILBOX, (),
             size_bytes=400)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
         queue_wait, serialization, nic_wait = probe.transmission
         # 400 B at (200/5) B/tick, times the endpoint factor 3.

@@ -173,9 +173,11 @@ class TestDelayMatrix:
         arrivals = []
         for name, domain in (("a1", "az-a"), ("a2", "az-a"), ("b1", "az-b"),
                              ("c1", "az-c")):
-            node = Node(name, sim, net, domain=domain)
-            node.on("inbox", lambda msg, name=name: arrivals.append(
+            # Bare endpoints: a node accepts only parcel tuples, and these
+            # raw probes measure the link model itself.
+            net.register(name, lambda msg, name=name: arrivals.append(
                 (name, msg.payload, sim.now)))
+            net.set_domain(name, domain)
         return sim, net, arrivals
 
     def test_intra_domain_fast_path_and_inter_domain_rtt(self):

@@ -2,7 +2,8 @@
 
 Three contract families:
 
-* **Typed envelopes** — wire cost always derives from declared entry
+* **One wire form** — every node message is a tuple of typed parcels
+  under ``TRANSPORT_MAILBOX``; wire cost always derives from declared entry
   counts; ``Network.send`` has no size default, and ``Node.send`` takes no
   raw ``size_bytes``.
 * **Batching** — parcels queued to one destination by one event share an
@@ -21,8 +22,10 @@ from repro.cluster import (
     Network,
     NetworkConfig,
     Node,
+    Parcel,
     RpcPolicy,
     Simulator,
+    TRANSPORT_MAILBOX,
     TransportConfig,
     WIRE_ENTRY_BYTES,
     WIRE_HEADER_BYTES,
@@ -470,30 +473,34 @@ class TestRpc:
         sim.run_until_idle()
         assert got == ["ok", "boom"]
 
-    def test_forward_of_plain_message_bills_declared_entries(self):
+    def test_forward_of_a_plain_message_raises(self):
+        """Only an RPC request names a requester to answer; a plain message
+        has nothing to forward, and the refusal ships nothing."""
         sim, net, a, b = build_pair()
-        c = Node("c", sim, net)
+        Node("c", sim, net)
         got = []
-        c.on("bulk", lambda msg: got.append(msg.payload))
-        b.on("bulk", lambda msg: b.forward(msg, "c", entries=3))
+        b.on("bulk", got.append)
         a.send("b", "bulk", "payload", entries=3)
-        before = net.bytes_sent
-        sim.run(until=1.5)  # b has relayed by now
-        assert net.bytes_sent - before == wire_size(3)
         sim.run_until_idle()
-        assert got == ["payload"]
+        sent = net.messages_sent
+        with pytest.raises(TypeError, match="RPC request"):
+            b.forward(got[0], "c")
+        sim.run_until_idle()
+        assert net.messages_sent == sent
 
-    def test_node_transport_reaches_a_raw_registered_peer(self):
+    def test_node_send_reaches_a_bare_endpoint_as_one_parcel(self):
         sim = Simulator(seed=3)
         net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
         received = []
         net.register("peer", received.append)
-        transport = Node("solo", sim, net).transport
-        transport.queue("peer", "inbox", "raw", entries=1)
-        transport.flush()
+        Node("solo", sim, net).send("peer", "inbox", "raw", entries=3)
         sim.run_until_idle()
-        assert len(received) == 1  # the envelope arrived
-        assert received[0].payload.parcels[0].payload == "raw"
+        [message] = received
+        assert message.mailbox == TRANSPORT_MAILBOX
+        assert message.payload == (Parcel("inbox", "raw", 3),)
+        assert message.size_bytes == net.bytes_sent == wire_size(3)
+        assert net.messages_sent == 1
+        assert net.metrics.counter("transport.envelopes_sent") == 1
 
 
 class TestObservationEquivalence:
@@ -558,7 +565,7 @@ class TestSerializationTicks:
         return build_pair(config=NetworkConfig(base_delay=1.0, jitter=0.0,
                                                bandwidth=bandwidth))
 
-    def test_send_now_ledgers_serialization(self):
+    def test_node_send_ledgers_serialization(self):
         sim, net, a, b = self.bandwidth_pair()
         a.send("b", "inbox", "x", entries=4)
         expected = wire_size(4) / 100.0

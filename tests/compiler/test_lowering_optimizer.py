@@ -58,6 +58,24 @@ class TestLowering:
         scheduler.run_tick()
         assert scheduler.collected(sink) == [(1, "book")]
 
+    def test_join_over_table_rows_emits_each_match_once(self):
+        """A row that arrives again, in the same tick or a later one, adds
+        no second copy of its match: the join keys dict rows by content."""
+        plan = QueryPlan.join(
+            QueryPlan.scan("people"),
+            QueryPlan.scan("orders"),
+            left_key=lambda p: p["pid"],
+            right_key=lambda o: o["pid"],
+        )
+        graph, sink = lower_query_plan(plan)
+        scheduler = TickScheduler(graph)
+        scheduler.push("people", [{"pid": 1}, {"pid": 1}])
+        scheduler.push("orders", [{"pid": 1, "item": "book"}])
+        scheduler.run_tick()
+        scheduler.push("people", [{"pid": 1}])
+        scheduler.run_tick()
+        assert scheduler.collected(sink) == [(1, {"pid": 1}, {"pid": 1, "item": "book"})]
+
     def test_shared_scan_sources_are_reused(self):
         plan = QueryPlan.join(
             QueryPlan.scan("edges"), QueryPlan.scan("edges"),
