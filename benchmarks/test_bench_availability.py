@@ -1,16 +1,15 @@
 """E6 — the availability facet (§6): surviving f failures per failure domain.
 
 Regenerates the facet's contract: a deployment compiled for f=2 across AZs
-keeps serving through a full-AZ outage, an unreplicated deployment does not,
-and the log-shipping alternative recovers state on failover at lower
-steady-state replica cost.
+keeps serving through a full-AZ outage, and an unreplicated deployment does
+not.
 """
 
 import pytest
 
 from conftest import print_rows
 from repro.apps.covid import build_covid_program
-from repro.availability import LogShippingPrimary, LogShippingStandby, ReplicaNode, ReplicaProxy
+from repro.availability import ReplicaNode, ReplicaProxy
 from repro.cluster import Network, NetworkConfig, Simulator
 
 
@@ -57,37 +56,3 @@ def test_availability_under_az_failures(benchmark, replicas, crashes):
         assert availability == 1.0
     else:
         assert availability < 1.0
-
-
-def test_log_shipping_failover(benchmark):
-    def run():
-        simulator = Simulator(seed=9)
-        network = Network(simulator, NetworkConfig(base_delay=1.0, jitter=0.0))
-        program = build_covid_program(vaccine_count=100)
-        standby = LogShippingStandby("standby", simulator, network, program, domain="az-b")
-        primary = LogShippingPrimary("primary", simulator, network, program,
-                                     standbys=["standby"], domain="az-a")
-        proxy = ReplicaProxy("proxy", simulator, network, retry_timeout=20.0)
-        for handler in program.handlers:
-            proxy.register_endpoint(handler, ["primary"])
-        for pid in range(25):
-            proxy.invoke("add_person", {"pid": pid})
-        simulator.run(until=1000.0)
-        primary.crash()
-        replayed = standby.promote()
-        for handler in program.handlers:
-            proxy.register_endpoint(handler, ["standby"])
-        replies = []
-        proxy.invoke("trace", {"pid": 0}, on_reply=replies.append)
-        simulator.run(until=2000.0)
-        served_after_failover = [reply["status"] for reply in replies] == ["ok"]
-        return replayed, served_after_failover, standby.interpreter.view().count("people")
-
-    replayed, served, people = benchmark(run)
-    print_rows(
-        "E6: log-shipping failover (1 primary + 1 standby)",
-        ["records replayed", "served after failover", "people recovered"],
-        [[replayed, served, people]],
-    )
-    assert served
-    assert people == 25

@@ -2,8 +2,9 @@
 
 Regenerates the integer-programming formulation of §9.1 on the COVID
 application's handlers: the optimizer finds allocations that satisfy every
-latency/cost constraint at lower cost than the greedy sizing rule, and the
-autoscaler re-solves as the workload shifts by orders of magnitude.
+latency/cost constraint at lower cost than the greedy sizing rule.
+``examples/autoscaling.py`` re-solves the same handlers as the workload
+shifts by orders of magnitude.
 """
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from conftest import print_rows
 from repro.core.facets import TargetSpec
 from repro.placement import (
-    Autoscaler,
     DeploymentProblem,
     HandlerLoadModel,
     greedy_solve,
@@ -56,24 +56,3 @@ def test_ilp_vs_greedy(benchmark, rate_scale):
         ],
     )
     assert ilp_solution.total_hourly_cost <= greedy_solution.total_hourly_cost + 1e-9
-
-
-def test_autoscaler_tracks_order_of_magnitude_swings(benchmark):
-    def run():
-        scaler = Autoscaler(problem(1.0), drift_tolerance=0.5)
-        low = scaler.current_solution.total_instances
-        surge = scaler.observe({name: rate.request_rate_rps * 10
-                                for name, rate in problem(1.0).loads.items()})
-        high = surge.total_instances
-        calm = scaler.observe({name: rate.request_rate_rps * 0.1
-                               for name, rate in problem(1.0).loads.items()})
-        return low, high, calm.total_instances, scaler.replan_count
-
-    low, high, back_down, replans = benchmark(run)
-    print_rows(
-        "E5: autoscaling across a 100x workload swing",
-        ["phase", "total instances"],
-        [["baseline", low], ["10x surge", high], ["0.1x quiet", back_down]],
-    )
-    assert high > low >= back_down
-    assert replans == 2

@@ -75,7 +75,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Hashable, Iterable, Mapping, Optional
 
-from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Message
 from repro.cluster.node import Node
 from repro.cluster.transport import digest_entries
@@ -119,27 +118,6 @@ def parcel_entries(parcel: Mapping[str, Any]) -> int:
 
 #: The key an :meth:`ReplicaNode.apply` result travels under, by status.
 RESULT_KEY = {"ok": "value", "rejected": "detail"}
-
-
-def run_call(interpreter: SingleNodeInterpreter, handler: str, args: dict,
-             metrics: MetricsRegistry, log_effects: bool = True) -> tuple[str, Any]:
-    """Run one invocation as its own tick: ``("ok", value)`` or
-    ``("rejected", detail)``.  The tick's external sends are drained into
-    ``metrics`` under :data:`EXTERNAL_SENDS`."""
-    request = interpreter.call(handler, **args)
-    outcome = interpreter.run_tick(log_effects)
-    if interpreter.outbox:
-        metrics.increment(EXTERNAL_SENDS, len(interpreter.drain_outbox()))
-    if request in outcome.rejected:
-        return "rejected", outcome.rejected[request]
-    return "ok", outcome.responses.get(request)
-
-
-def answer_invoke(node: Node, message: Message, status: str, result: Any) -> None:
-    """Answer a proxy's ``invoke`` over RPC: ``{"status", RESULT_KEY[status]:
-    result, "replica"}``."""
-    node.reply(message, "reply", {"status": status, RESULT_KEY[status]: result,
-                                  "replica": node.node_id}, entries=1)
 
 
 @dataclass(slots=True)
@@ -190,18 +168,28 @@ class ReplicaNode(Node):
     # -- request handling -----------------------------------------------------------
 
     def apply(self, handler: str, args: dict, log_effects: bool = True) -> tuple[str, Any]:
-        """Run one invocation as its own tick (:func:`run_call`), counting
-        what it logged."""
+        """Run one invocation as its own tick: ``("ok", value)`` or
+        ``("rejected", detail)``.  The tick's external sends are drained and
+        counted under :data:`EXTERNAL_SENDS`, what it logged under
+        :data:`LOGGED_CHANGES`."""
+        interpreter, metrics = self.interpreter, self.network.metrics
         before = self.change_log.seq
-        result = run_call(self.interpreter, handler, args, self.network.metrics,
-                          log_effects)
-        self.network.metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
-        return result
+        request = interpreter.call(handler, **args)
+        outcome = interpreter.run_tick(log_effects)
+        if interpreter.outbox:
+            metrics.increment(EXTERNAL_SENDS, len(interpreter.drain_outbox()))
+        metrics.increment(LOGGED_CHANGES, self.change_log.seq - before)
+        if request in outcome.rejected:
+            return "rejected", outcome.rejected[request]
+        return "ok", outcome.responses.get(request)
 
     def _on_invoke(self, message: Message) -> None:
-        """Apply a client operation locally and reply to the proxy."""
+        """Apply a client operation locally and answer the proxy over RPC:
+        ``{"status", RESULT_KEY[status]: result, "replica"}``."""
         payload = message.payload
-        answer_invoke(self, message, *self.apply(payload["handler"], payload["args"]))
+        status, result = self.apply(payload["handler"], payload["args"])
+        self.reply(message, "reply", {"status": status, RESULT_KEY[status]: result,
+                                      "replica": self.node_id}, entries=1)
 
     def apply_ordered(self, slot: int, handler: str, args: dict):
         """Apply a consensus-log slot, unstamped.  Any slot but the next is

@@ -126,7 +126,6 @@ class HydroDeployment:
         """
         endpoint_plan = self.plan.endpoints[handler]
         token = ("req", next(self._ids))
-        self.metrics.increment(f"invocations.{handler}")
         if endpoint_plan.coordination_free or not self.consensus:
             self.proxy.invoke(
                 handler, args,

@@ -68,8 +68,6 @@ class Hydrolysis:
                 replicas=list(placements[name].replicas) if name in placements else [],
                 machine_configuration=machine_configurations.get(name),
             )
-        for table in program.datamodel.tables:
-            plan.table_partitioning[table] = program.datamodel.partition_key(table)
         return plan
 
     # -- deployment --------------------------------------------------------------------

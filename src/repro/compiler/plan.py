@@ -45,7 +45,6 @@ class DeploymentPlan:
 
     program_name: str
     endpoints: dict[str, EndpointPlan] = field(default_factory=dict)
-    table_partitioning: dict[str, str] = field(default_factory=dict)
 
     def endpoint(self, handler: str) -> EndpointPlan:
         return self.endpoints[handler]
@@ -87,8 +86,4 @@ class DeploymentPlan:
             )
             for reason in plan.analysis.reasons:
                 lines.append(f"      - {reason}")
-        if self.table_partitioning:
-            lines.append("  table partitioning:")
-            for table, attribute in sorted(self.table_partitioning.items()):
-                lines.append(f"      {table} sharded by {attribute}")
         return "\n".join(lines)

@@ -192,11 +192,6 @@ class DataModel:
     def state_names(self) -> list[str]:
         return list(self.tables) + list(self.vars)
 
-    def partition_key(self, table_name: str) -> str:
-        """The attribute used to shard a table: partition hint or the key."""
-        entity = self.table(table_name).entity
-        return entity.partition_by or entity.key
-
     def describe(self) -> str:
         lines = ["DataModel:"]
         for name, decl in self.tables.items():

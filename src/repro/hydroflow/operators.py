@@ -14,9 +14,16 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 
 
 def _row_marker(item: Any) -> Hashable:
-    """A hashable stand-in for ``item``: a HydroLogic row is a dict, so it
-    is remembered by its sorted items; anything else is its own marker."""
-    return tuple(sorted(item.items())) if isinstance(item, dict) else item
+    """A hashable stand-in for ``item``, frozen all the way down: a dict (a
+    HydroLogic row) becomes its sorted items, a list or tuple a tuple, a set
+    a frozenset; anything else is its own marker."""
+    if isinstance(item, dict):
+        return tuple(sorted((key, _row_marker(value)) for key, value in item.items()))
+    if isinstance(item, (list, tuple)):
+        return tuple(_row_marker(value) for value in item)
+    if isinstance(item, (set, frozenset)):
+        return frozenset(_row_marker(value) for value in item)
+    return item
 
 
 class Operator(ABC):

@@ -11,14 +11,14 @@ miss is still backstopped by the runtime sanitizers and the chaos sweep.
 | code  | contract |
 |-------|----------|
 | RL001 | never route/order by builtin ``hash()`` (salted per process)    |
-| RL002 | never call ``Network.send`` directly outside ``cluster/``       |
-| RL003 | never pass a literal ``size_bytes=`` outside ``cluster/``       |
+| RL002 | no ``Network.send`` call or ``size_bytes=`` outside ``cluster/`` |
 | RL004 | never iterate an unsorted set into sends/schedules/trace labels |
 | RL006 | no wall-clock/RNG module imports inside ``repro.chaos``         |
 | RL007 | no mutable default arguments (lattice/operator aliasing hazard) |
 
-RL005 retired with in-place lattice merging (lattice values are now
-immutable); its code is not reused.
+The literal-``size_bytes=`` rule folded into RL002, since only
+``Network.send`` takes ``size_bytes``; RL005 retired with in-place lattice
+merging (lattice values are now immutable).  Neither code is reused.
 """
 
 from __future__ import annotations
@@ -105,19 +105,25 @@ class BuiltinHashRouting(Rule):
 
 @register
 class DirectNetworkSend(Rule):
-    """RL002: ``Network.send`` called from protocol code.
+    """RL002: ``Network.send`` called, or a byte cost declared, from protocol code.
 
     All protocol traffic must flow through a node's transport
     (``send``/``queue``/``request``/``reply``/``forward``) so batching,
-    RPC dedup and the byte ledger stay honest.  Flagged on ``.send(...)``
+    RPC dedup and the byte ledger stay honest, and the transport prices
+    every payload from its entry count via ``wire_size`` — with the
+    bandwidth model on, a hand-declared size under-pays *time*, not just
+    the byte ledger.  Flagged outside the ``cluster/`` layer: ``.send(...)``
     where the receiver is syntactically a network (``net``, ``network``,
-    ``self.network``, ``env.network``, ...) outside the ``cluster/`` layer.
+    ``self.network``, ``env.network``, ...), and any call passing
+    ``size_bytes=``, which only ``Network.send`` takes.  A call that does
+    both is one finding, at the call's line.
     """
 
     code = "RL002"
     name = "direct-network-send"
-    summary = ("protocol code must not call Network.send directly — go "
-               "through the node's Transport (cluster/ is exempt)")
+    summary = ("protocol code must not call Network.send or declare "
+               "size_bytes= — go through the node's Transport, which "
+               "prices entries (cluster/ is exempt)")
 
     _RECEIVERS = {"net", "network"}
 
@@ -125,59 +131,23 @@ class DirectNetworkSend(Rule):
         if _in_cluster_layer(ctx):
             return
         for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "send"):
-                continue
-            receiver = _terminal_name(node.func.value)
-            if receiver in self._RECEIVERS or receiver.endswith("_network"):
-                yield self.finding(
-                    ctx, node,
-                    "direct Network.send bypasses the transport layer "
-                    "(batching, RPC dedup, typed sizing); send via the "
-                    "owning node's transport instead")
-
-
-@register
-class LiteralSizeBytes(Rule):
-    """RL003: a literal ``size_bytes=`` declares a byte cost by hand.
-
-    Payload sizes must be derived from entry counts via ``wire_size`` —
-    with the bandwidth model on, an undersized payload under-pays *time*,
-    not just the byte ledger.  Any ``size_bytes=`` whose value is a
-    numeric literal (or pure-literal arithmetic) is flagged outside the
-    ``cluster/`` layer; ``size_bytes=wire_size(n)`` or a computed variable
-    passes.
-    """
-
-    code = "RL003"
-    name = "literal-size-bytes"
-    summary = ("never pass a literal size_bytes= — declare an entry count "
-               "and let wire_size() price the payload (cluster/ is exempt)")
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if _in_cluster_layer(ctx):
-            return
-        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            for keyword in node.keywords:
-                if keyword.arg == "size_bytes" and _is_literal_number(keyword.value):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "send":
+                receiver = _terminal_name(node.func.value)
+                if receiver in self._RECEIVERS or receiver.endswith("_network"):
                     yield self.finding(
-                        ctx, keyword.value,
-                        "literal size_bytes hardcodes a wire cost that will "
-                        "not scale with the payload; declare entries= and "
-                        "let wire_size() price it")
-
-
-def _is_literal_number(expr: ast.AST) -> bool:
-    if isinstance(expr, ast.Constant):
-        return isinstance(expr.value, (int, float)) and not isinstance(expr.value, bool)
-    if isinstance(expr, ast.UnaryOp):
-        return _is_literal_number(expr.operand)
-    if isinstance(expr, ast.BinOp):
-        return _is_literal_number(expr.left) and _is_literal_number(expr.right)
-    return False
+                        ctx, node,
+                        "direct Network.send bypasses the transport layer "
+                        "(batching, RPC dedup, typed sizing); send via the "
+                        "owning node's transport instead")
+                    continue
+            if any(keyword.arg == "size_bytes" for keyword in node.keywords):
+                yield self.finding(
+                    ctx, node,
+                    "size_bytes= hand-declares a wire cost that will not "
+                    "scale with the payload; send via the owning node's "
+                    "transport with entries= and let wire_size() price it")
 
 
 @register

@@ -8,9 +8,7 @@ constraint is met while minimising total machine count (or total cost).
 
 No constraint or objective term spans two handlers, so the program is
 solved exactly by taking the cheapest option per handler; a greedy
-baseline serves the E5 ablation, and an
-:class:`~repro.placement.autoscaler.Autoscaler` re-solves the program as
-the observed workload drifts (the adaptive reoptimization loop of §9.2).
+baseline serves the E5 ablation.
 """
 
 from repro.placement.geo import (
@@ -24,7 +22,6 @@ from repro.placement.machines import MachineType, DEFAULT_CATALOG
 from repro.placement.cost_models import HandlerLoadModel, PerformanceModel
 from repro.placement.ilp import DeploymentProblem, DeploymentSolution, solve_deployment
 from repro.placement.greedy import greedy_solve
-from repro.placement.autoscaler import Autoscaler
 from repro.placement.replicas import placement_summary, plan_placements, ring_spread
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "DeploymentSolution",
     "solve_deployment",
     "greedy_solve",
-    "Autoscaler",
     "plan_placements",
     "ring_spread",
     "placement_summary",

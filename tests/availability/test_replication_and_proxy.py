@@ -1,14 +1,9 @@
-"""Tests for replicated execution, the client proxy and log shipping."""
+"""Tests for replicated execution and the client proxy."""
 
 import pytest
 
 from repro.apps.covid import build_covid_program
-from repro.availability import (
-    LogShippingPrimary,
-    LogShippingStandby,
-    ReplicaNode,
-    ReplicaProxy,
-)
+from repro.availability import ReplicaNode, ReplicaProxy
 from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
 from repro.cluster.transport import _PendingRequest
 
@@ -63,6 +58,21 @@ class TestReplicatedExecution:
         assert "replica-0" not in {reply["replica"] for reply in replies}
         assert proxy.metrics.counter("proxy.retries") == 4     # the four sent to replica-0
         assert proxy.availability() == 1.0
+
+    def test_a_rejected_op_answers_the_invariants_detail(self):
+        sim, net, program, replicas, proxy = build_replicated_deployment(
+            replica_count=1, gossip_interval=None)
+        replies = []
+        for pid in range(11):
+            proxy.invoke("add_person", {"pid": pid})
+        sim.run(until=100.0)
+        for pid in range(11):                   # one more than the ten vaccines
+            proxy.invoke("vaccinate", {"pid": pid}, on_reply=replies.append)
+        sim.run(until=200.0)
+        assert [reply["status"] for reply in replies] == ["ok"] * 10 + ["rejected"]
+        assert "value" not in replies[-1]
+        assert "vaccine_count_non_negative" in replies[-1]["detail"]
+        assert replies[-1]["replica"] == "replica-0"
 
     def test_unregistered_endpoint_rejected(self):
         sim, net, program, replicas, proxy = build_replicated_deployment()
@@ -216,56 +226,3 @@ class TestSharedGossipPayloads:
         for replica in replicas.values():
             assert set(self.people(replica).get(1)["contacts"]) == {2, 3}
         assert set(adopted) == {2}
-
-
-class TestLogShipping:
-    def build(self, seed=13):
-        sim = Simulator(seed=seed)
-        net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
-        program = build_covid_program(vaccine_count=5)
-        standby = LogShippingStandby("standby", sim, net, program, domain="az-b")
-        primary = LogShippingPrimary("primary", sim, net, program,
-                                     standbys=["standby"], domain="az-a")
-        proxy = ReplicaProxy("proxy", sim, net, retry_timeout=20.0)
-        for handler in program.handlers:
-            proxy.register_endpoint(handler, ["primary"])
-        return sim, program, primary, standby, proxy
-
-    def test_log_records_shipped(self):
-        sim, program, primary, standby, proxy = self.build()
-        for pid in range(5):
-            proxy.invoke("add_person", {"pid": pid})
-        sim.run(until=200.0)
-        assert standby.log_length == 5
-        assert len(primary.log) == 5
-
-    def test_promotion_replays_log_and_serves(self):
-        sim, program, primary, standby, proxy = self.build()
-        for pid in range(4):
-            proxy.invoke("add_person", {"pid": pid})
-        proxy.invoke("add_contact", {"id1": 0, "id2": 1})
-        sim.run(until=300.0)
-        primary.crash()
-        replayed = standby.promote()
-        assert replayed == 5
-        assert standby.interpreter.view().count("people") == 4
-        # Redirect traffic to the standby and keep serving.
-        for handler in program.handlers:
-            proxy.register_endpoint(handler, ["standby"])
-        replies = []
-        proxy.invoke("trace", {"pid": 0}, on_reply=replies.append)
-        sim.run(until=600.0)
-        assert replies == [{"status": "ok", "value": [1], "replica": "standby"}]
-
-    def test_a_rejected_op_answers_the_invariants_detail(self):
-        sim, program, primary, standby, proxy = self.build()
-        replies = []
-        for pid in range(6):
-            proxy.invoke("add_person", {"pid": pid})
-        sim.run(until=100.0)
-        for pid in range(6):                    # one more than the five vaccines
-            proxy.invoke("vaccinate", {"pid": pid}, on_reply=replies.append)
-        sim.run(until=200.0)
-        assert [reply["status"] for reply in replies] == ["ok"] * 5 + ["rejected"]
-        assert "value" not in replies[-1]
-        assert "vaccine_count_non_negative" in replies[-1]["detail"]

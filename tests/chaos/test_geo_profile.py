@@ -133,7 +133,7 @@ class TestGeoEnvironment:
         env.network.degrade(delay_factor=3.0, node=receiver.node_id)
         probe = env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             sender.node_id, receiver.node_id, TRANSPORT_MAILBOX, (),
-            size_bytes=8192)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
+            size_bytes=8192)
         queue_wait, serialization, nic_wait = probe.transmission
         # uplink:   8192 / (8192/2)     = 2
         # link:     8192 / (8192/2) * 3 = 6   (intra-region pipe, slow dst)
@@ -155,7 +155,7 @@ class TestGeoEnvironment:
         env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             replicas[0].node_id, replicas[1].node_id, TRANSPORT_MAILBOX,
             (Parcel("probe", "x"),),
-            size_bytes=0)  # repro-lint: disable=RL003 -- zero-size probe isolates propagation delay
+            size_bytes=0)
         env.simulator.run(until=start + 20.0)
         # Intra-region delay 1.5 stretched 4x, plus jitter in [0, jitter].
         assert arrivals
@@ -200,7 +200,7 @@ class TestGeoByteConservation:
         for i in range(5):
             env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the ledger itself
                 shard0[0].node_id, shard0[1].node_id, TRANSPORT_MAILBOX, (),
-                size_bytes=408)  # repro-lint: disable=RL003 -- fixed-size probe keeps the ledger arithmetic exact
+                size_bytes=408)
         assert check_link_byte_conservation(env).ok
         stats = env.network.link_byte_stats()
         assert any(stat["in_flight_bytes"] > 0 for stat in stats.values())

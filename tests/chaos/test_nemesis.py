@@ -321,7 +321,7 @@ class TestCongestion:
         env.network.degrade(delay_factor=3.0, node=receiver.node_id)
         probe = env.network.send(  # repro-lint: disable=RL002 -- raw probe: this test measures the link model itself
             sender.node_id, receiver.node_id, TRANSPORT_MAILBOX, (),
-            size_bytes=400)  # repro-lint: disable=RL003 -- fixed-size probe pins the serialization arithmetic
+            size_bytes=400)
         queue_wait, serialization, nic_wait = probe.transmission
         # 400 B at (200/5) B/tick, times the endpoint factor 3.
         assert serialization == pytest.approx(400 / 40.0 * 3.0)

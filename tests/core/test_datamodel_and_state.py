@@ -88,9 +88,9 @@ class TestDataModel:
         with pytest.raises(SpecificationError):
             dm.add_var("vaccine_count")
 
-    def test_partition_key_prefers_hint(self):
+    def test_describe_shows_the_partition_hint(self):
         dm = model()
-        assert dm.partition_key("people") == "country"
+        assert "key=pid partition=country" in dm.describe()
 
     def test_unknown_lookups_raise(self):
         dm = model()

@@ -118,6 +118,20 @@ class TestBasicPipeline:
         assert out[0] is first
         assert dedup.process("in", [{"b": 2, "a": 1}]) == []
 
+    @pytest.mark.parametrize("row, twin", [
+        ({"a": [1]}, {"a": [1]}),
+        ({"a": {1, 2}}, {"a": {2, 1}}),
+        ({"a": {"x": 1, "y": 2}}, {"a": {"y": 2, "x": 1}}),
+        ({"a": [{"b": 1}]}, {"a": [{"b": 1}]}),
+        ((1, {"a": 1}), (1, {"a": 1})),
+    ], ids=["list", "set", "nested-dict", "list-of-dicts", "tuple-holding-dict"])
+    def test_distinct_keys_collection_valued_rows_by_content(self, row, twin):
+        """A row is frozen all the way down, so a collection inside it is
+        remembered by content too."""
+        dedup = DistinctOperator("dedup")
+        assert dedup.process("in", [row, twin]) == [row]
+        assert dedup.process("in", [twin]) == []
+
     def test_items_processed_counts_duplicates(self):
         dedup = DistinctOperator("dedup")
         dedup.process("in", [1, 1, 2])
@@ -265,6 +279,25 @@ class TestJoin:
         scheduler.run_tick()
         assert scheduler.collected("out") == [
             (1, {"pid": 1}, {"pid": 1, "item": "book"}),
+        ]
+
+    @pytest.mark.parametrize("left_value, right_value", [
+        ([2, 3], {"x"}),
+        ({"home": [1]}, ({"n": 1},)),
+        ({2, 3}, [[1], [2]]),
+    ], ids=["list-and-set", "dict-and-tuple-of-dicts", "set-and-nested-list"])
+    def test_join_emits_a_collection_valued_match_once_across_ticks(
+            self, left_value, right_value):
+        _, scheduler = self.build_join(
+            left_key=lambda row: row["pid"], right_key=lambda row: row["pid"]
+        )
+        scheduler.push("l", [{"pid": 1, "v": left_value}])
+        scheduler.push("r", [{"pid": 1, "w": right_value}])
+        scheduler.run_tick()
+        scheduler.push("l", [{"pid": 1, "v": left_value}])
+        scheduler.run_tick()
+        assert scheduler.collected("out") == [
+            (1, {"pid": 1, "v": left_value}, {"pid": 1, "w": right_value}),
         ]
 
     def test_join_rejects_unknown_port(self):

@@ -8,6 +8,8 @@ starts crying wolf on good code fails here before it fails the tree.
 
 import textwrap
 
+import pytest
+
 from repro.lint import lint_source
 from repro.lint.engine import all_rules
 
@@ -90,37 +92,25 @@ class TestRL002DirectNetworkSend:
             """, path="src/repro/storage/kvs.py")
         assert findings == []
 
-
-class TestRL003LiteralSizeBytes:
-    def test_literal_size_bytes_is_flagged(self):
-        findings = run_rule("RL003", """\
-            def announce(node, peer):
-                node.send(peer, "hello", "hi", size_bytes=1024)
+    @pytest.mark.parametrize("size", [
+        "1024", "24 + 96 * 3", "wire_size(entries)", "size",
+    ], ids=["literal", "literal-arithmetic", "wire-size", "variable"])
+    def test_size_bytes_on_any_call_is_flagged_at_the_calls_line(self, size):
+        findings = run_rule("RL002", f"""\
+            def announce(node, peer, entries, size):
+                node.send(peer, "hello", "hi",
+                          size_bytes={size})
             """)
-        assert locations(findings) == [("RL003", 2)]
+        assert locations(findings) == [("RL002", 2)]
 
-    def test_literal_arithmetic_is_flagged(self):
-        findings = run_rule("RL003", """\
-            def announce(node, peer):
-                node.send(peer, "hello", "hi", size_bytes=24 + 96 * 3)
-            """)
-        assert locations(findings) == [("RL003", 2)]
-
-    def test_wire_size_derived_cost_is_clean(self):
-        findings = run_rule("RL003", """\
-            from repro.cluster import wire_size
-
-            def announce(node, peer, entries):
-                node.send(peer, "hello", "hi", size_bytes=wire_size(entries))
-            """)
-        assert findings == []
-
-    def test_cluster_layer_is_exempt(self):
-        findings = run_rule("RL003", """\
-            def probe(net):
-                net.send("a", "b", "probe", "x", size_bytes=400)
-            """, path="tests/cluster/test_network_link_model.py")
-        assert findings == []
+    def test_one_suppression_covers_a_multi_line_probe(self):
+        report = lint_source(textwrap.dedent("""\
+            def probe(env):
+                env.network.send(  # repro-lint: disable=RL002 -- raw probe
+                    "a", "b", "probe", (),
+                    size_bytes=400)
+            """), path="tests/chaos/test_probe.py")
+        assert report.findings == []
 
 
 class TestRL004UnsortedIterationIntoSchedule:
@@ -245,5 +235,5 @@ class TestCombined:
                     self.network.send(self.node_id, peer, "mb", payload,
                                       size_bytes=512)
             """), path="src/repro/storage/kvs.py")
-        assert sorted({finding.code for finding in report.findings}) == [
-            "RL002", "RL003", "RL004"]
+        assert sorted(finding.code for finding in report.findings) == [
+            "RL002", "RL004"]

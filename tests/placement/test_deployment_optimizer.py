@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import NotDeployableError
 from repro.core.facets import TargetSpec
 from repro.placement import (
-    Autoscaler,
     DeploymentProblem,
     HandlerLoadModel,
     MachineType,
@@ -197,33 +196,3 @@ def test_src_imports_nothing_outside_the_standard_library():
         [sys.executable, "-c", script], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "[]"
-
-
-class TestAutoscaler:
-    def test_no_replan_within_tolerance(self):
-        scaler = Autoscaler(covid_like_problem(), drift_tolerance=0.5)
-        assert scaler.observe({"add_person": 210.0}) is None
-        assert scaler.replan_count == 0
-
-    def test_replan_on_large_drift_scales_up(self):
-        scaler = Autoscaler(covid_like_problem(), drift_tolerance=0.5)
-        before = scaler.current_solution.total_instances
-        new_solution = scaler.observe({"add_contact": 4000.0})
-        assert new_solution is not None
-        assert scaler.replan_count == 1
-        assert new_solution.total_instances > before
-
-    def test_scale_down_when_load_drops(self):
-        scaler = Autoscaler(covid_like_problem(rate_scale=10.0), drift_tolerance=0.5)
-        before = scaler.current_solution.total_instances
-        new_solution = scaler.observe(
-            {name: 1.0 for name in covid_like_problem().loads}
-        )
-        assert new_solution is not None
-        assert new_solution.total_instances < before
-
-    def test_instance_history_tracks_replans(self):
-        scaler = Autoscaler(covid_like_problem(), drift_tolerance=0.2)
-        scaler.observe({"add_person": 2000.0})
-        scaler.observe({"add_person": 50.0})
-        assert len(scaler.instance_history()) == scaler.replan_count + 1

@@ -13,7 +13,10 @@ package and its own tests: every ``Lattice`` subclass under
 ``src/repro/lattices/`` is named in some ``.py`` file outside both.  The
 same holds for a Hydroflow operator: every ``Operator`` subclass under
 ``src/repro/hydroflow/`` is named outside that package and
-``tests/hydroflow/`` (in practice, by the lowering that emits it).
+``tests/hydroflow/`` (in practice, by the lowering that emits it).  And
+every ``Node`` subclass under ``src/repro/availability/`` is named by some
+``src/`` file outside that package: an availability mechanism stays only
+while the deployment code builds it.
 """
 
 import ast
@@ -25,6 +28,7 @@ TREES = ("src", "tests", "benchmarks", "examples")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 LATTICES = ROOT / "src" / "repro" / "lattices"
 HYDROFLOW = ROOT / "src" / "repro" / "hydroflow"
+AVAILABILITY = ROOT / "src" / "repro" / "availability"
 
 
 def definition_spans() -> dict[str, list[tuple[Path, int, int]]]:
@@ -54,9 +58,10 @@ def test_every_src_definition_has_a_caller():
     assert sorted(spans.keys() - called) == []
 
 
-def unused_subclasses(package: Path, base: str, own_tests: Path) -> list[str]:
+def unused_subclasses(package: Path, base: str, own_tests: Path,
+                      trees: tuple[str, ...] = TREES) -> list[str]:
     """Direct subclasses of ``base`` defined in ``package`` that no ``.py``
-    file outside ``package`` and ``own_tests`` names."""
+    file under ``trees`` outside ``package`` and ``own_tests`` names."""
     subclasses = {
         node.name
         for path in package.glob("*.py")
@@ -65,7 +70,7 @@ def unused_subclasses(package: Path, base: str, own_tests: Path) -> list[str]:
         and any(getattr(b, "id", None) == base for b in node.bases)}
     assert subclasses, f"no {base} subclass found: is {package} stale?"
     used = set()
-    for path in (path for tree in TREES for path in (ROOT / tree).rglob("*.py")):
+    for path in (path for tree in trees for path in (ROOT / tree).rglob("*.py")):
         if path.name != "__init__.py" and not any(
                 path.is_relative_to(directory) for directory in (package, own_tests)):
             used.update(re.findall(r"\w+", path.read_text()))
@@ -78,3 +83,8 @@ def test_every_lattice_type_has_a_user_outside_the_lattice_package():
 
 def test_every_hydroflow_operator_is_emitted_outside_the_hydroflow_package():
     assert unused_subclasses(HYDROFLOW, "Operator", ROOT / "tests" / "hydroflow") == []
+
+
+def test_every_availability_node_is_built_outside_the_availability_package():
+    assert unused_subclasses(AVAILABILITY, "Node", ROOT / "tests" / "availability",
+                             trees=("src",)) == []
