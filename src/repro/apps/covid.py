@@ -138,7 +138,7 @@ def build_covid_program(
     # The contact relation as adjacency: pid -> that person's contact set.
     # A named view, so one tick builds it once however many traces it serves.
     def contact_graph(view):
-        return {row["pid"]: row["contacts"] for row in view.scan("people")}
+        return {row["pid"]: row["contacts"] for row in view.rows("people")}
 
     program.add_query("contact_graph", contact_graph, reads=["people"], monotone=True)
 

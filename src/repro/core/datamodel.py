@@ -40,6 +40,32 @@ class FieldSpec:
         return self.default
 
 
+class Row(dict):
+    """A row of a table: a ``dict`` that nothing writes once it is built.
+
+    Its ``repr``, ``==`` and structural digest are a plain dict's; every
+    mutator raises ``TypeError``.  So a stored row is shared, never copied,
+    by handler reads, snapshots, gossip payloads and the undo journal, and
+    a write builds the new row (:meth:`replace`) and rebinds the table's
+    entry, as a lattice value is rebound to the result of ``merge``.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a stored row is read-only: record an effect to change it")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple:
+        return Row, (dict(self),)
+
+    def replace(self, changes: Mapping[str, Any]) -> "Row":
+        """A new row: this one with ``changes`` written over it."""
+        return Row(self, **changes)
+
+
 @dataclass(frozen=True)
 class EntityClass:
     """A persistent class, e.g. ``Person`` in the paper's running example."""
@@ -77,8 +103,8 @@ class EntityClass:
             raise SpecificationError(f"class {self.name!r} has no field {name!r}")
         return spec
 
-    def new_row(self, **values: Any) -> dict[str, Any]:
-        """Build a row dict with defaults filled in and values validated."""
+    def new_row(self, **values: Any) -> Row:
+        """Build a row with defaults filled in and values validated."""
         specs = self._specs
         if not values.keys() <= specs.keys():
             raise SpecificationError(
@@ -92,7 +118,7 @@ class EntityClass:
                 row[spec.name] = spec.initial_value()
         if row[self.key] is None:
             raise SpecificationError(f"class {self.name!r} row is missing its key {self.key!r}")
-        return row
+        return Row(row)
 
     def _coerce(self, spec: FieldSpec, value: Any) -> Any:
         if spec.lattice is not None and not isinstance(value, Lattice):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
+from repro.core.datamodel import Row
 from repro.core.errors import EffectViolation, SpecificationError
 from repro.core.state import (
     AssignFieldEffect,
@@ -109,8 +109,10 @@ class StateView:
     """Read-only access to program state, handed to queries and handlers.
 
     During a tick it wraps the interpreter's live state, which no effect
-    touches until every body has run (see ``run_tick``); nothing it returns
-    lets a caller write through to a row.
+    touches until every body has run (see ``run_tick``).  It hands out the
+    stored rows themselves, uncopied: a :class:`~repro.core.datamodel.Row`
+    refuses every write, and an effect rebinds a row rather than editing it,
+    so a row read during a tick keeps its pre-tick value after the tick.
     """
 
     def __init__(
@@ -124,20 +126,11 @@ class StateView:
 
     # -- table reads ------------------------------------------------------------
 
-    def rows(self, table: str) -> list[dict[str, Any]]:
-        return [dict(row) for row in self._state.table(table)]
+    def rows(self, table: str) -> list[Row]:
+        return list(self._state.table(table))
 
-    def row(self, table: str, key: Hashable) -> Optional[dict[str, Any]]:
-        found = self._state.table(table).get(key)
-        return dict(found) if found is not None else None
-
-    def scan(self, table: str) -> Iterator[Mapping[str, Any]]:
-        """Iterate a table's rows read-only, without copying them.
-
-        For queries that read a column or two of every row; ``rows`` is for
-        callers that want dicts of their own.
-        """
-        return map(MappingProxyType, self._state.table(table))
+    def row(self, table: str, key: Hashable) -> Optional[Row]:
+        return self._state.table(table).get(key)
 
     def has_key(self, table: str, key: Hashable) -> bool:
         return key in self._state.table(table)
@@ -188,10 +181,10 @@ class HandlerContext:
 
     # -- reads (delegate to the snapshot view) -----------------------------------
 
-    def rows(self, table: str) -> list[dict[str, Any]]:
+    def rows(self, table: str) -> list[Row]:
         return self.view.rows(table)
 
-    def row(self, table: str, key: Hashable) -> Optional[dict[str, Any]]:
+    def row(self, table: str, key: Hashable) -> Optional[Row]:
         return self.view.row(table, key)
 
     def has_key(self, table: str, key: Hashable) -> bool:

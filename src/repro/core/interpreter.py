@@ -140,8 +140,8 @@ class SingleNodeInterpreter:
         # The pre-tick state *is* the tick's snapshot (§3.1: mutations are
         # deferred to end of tick).  Bodies can only record effects through
         # their context, every body runs before the first ``apply`` below,
-        # ``StateView`` hands out row copies, and state never mutates a
-        # lattice value in place — so reading ``self.state`` directly is
+        # and a stored row or lattice value is never written, only rebound
+        # (a ``Row`` refuses writes) — so reading ``self.state`` directly is
         # indistinguishable from reading a copy of it.
         tick_view = StateView(self.state, self.program.queries)
         udf_memo: dict = {}

@@ -14,7 +14,7 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional
 
 from repro.cluster.transport import payload_digest
 from repro.cluster.watermark import StampLog
-from repro.core.datamodel import DataModel, EntityClass, TableDecl
+from repro.core.datamodel import DataModel, EntityClass, Row, TableDecl
 from repro.core.errors import SpecificationError
 from repro.lattices.base import Lattice
 
@@ -91,10 +91,11 @@ class SendEffect(Effect):
 
 # -- state -----------------------------------------------------------------------
 #
-# Lattice values are immutable, so a row field or var is only ever *rebound*:
-# to the result of ``merge`` or to a value a peer or handler handed over.
-# That is what lets tick reads and gossip payloads share lattice objects
-# instead of copying them.
+# Lattice values and rows are immutable, so a row field or var is only ever
+# *rebound*: to the result of ``merge`` or to a value a peer or handler handed
+# over, and a row to a new :class:`~repro.core.datamodel.Row` holding it.
+# That is what lets tick reads, snapshots, gossip payloads and the undo
+# journal share rows and lattice objects instead of copying them.
 
 
 def _join(current: Lattice, incoming: Lattice) -> Lattice:
@@ -179,22 +180,19 @@ class UndoJournal:
     """First-touch pre-images of the rows and vars a batch of effects changes.
 
     ``ProgramState.apply`` records into it before each change; ``rollback``
-    puts the state back exactly (row order included), at a cost proportional
-    to the batch, not to the state.
+    puts the state back exactly (the same row objects, in the same order), at
+    a cost proportional to the batch, not to the state.  A pre-image is the
+    row itself (``None`` for an absent one): a write rebinds, never edits it.
     """
-
-    _ABSENT = object()
 
     def __init__(self, state: "ProgramState") -> None:
         self._state = state
-        self._rows: dict[tuple["TableState", Hashable], Any] = {}
+        self._rows: dict[tuple["TableState", Hashable], Optional[Row]] = {}
         self._row_order: dict["TableState", list[Hashable]] = {}
         self._vars: dict[str, Any] = {}
 
     def note_row(self, table: "TableState", key: Hashable, deleting: bool = False) -> None:
-        row = table.rows.get(key)
-        if (table, key) not in self._rows:
-            self._rows[table, key] = self._ABSENT if row is None else dict(row)
+        row = self._rows.setdefault((table, key), table.rows.get(key))
         if deleting and row is not None and table not in self._row_order:
             # Putting a deleted row back would move it to the end of the table.
             self._row_order[table] = list(table.rows)
@@ -204,7 +202,7 @@ class UndoJournal:
 
     def rollback(self) -> None:
         for (table, key), before in self._rows.items():
-            if before is self._ABSENT:
+            if before is None:
                 table.rows.pop(key, None)
             else:
                 table.rows[key] = before
@@ -214,17 +212,21 @@ class UndoJournal:
 
 
 class TableState:
-    """Rows of one table, keyed by the entity key."""
+    """Rows of one table, keyed by the entity key.
+
+    A stored :class:`~repro.core.datamodel.Row` is never written: every
+    write builds the new row and rebinds ``rows[key]``.
+    """
 
     def __init__(self, decl: TableDecl) -> None:
         self.decl = decl
-        self.rows: dict[Hashable, dict[str, Any]] = {}
+        self.rows: dict[Hashable, Row] = {}
 
     @property
     def entity(self) -> EntityClass:
         return self.decl.entity
 
-    def get(self, key: Hashable) -> Optional[dict[str, Any]]:
+    def get(self, key: Hashable) -> Optional[Row]:
         return self.rows.get(key)
 
     def __contains__(self, key: Hashable) -> bool:
@@ -233,7 +235,7 @@ class TableState:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
+    def __iter__(self) -> Iterator[Row]:
         return iter(self.rows.values())
 
     def keys(self) -> Iterable[Hashable]:
@@ -241,75 +243,59 @@ class TableState:
 
     def merge_row(self, row: Mapping[str, Any]) -> None:
         """Monotone upsert of a handler-supplied row (MergeRowEffect)."""
-        entity = self.entity
-        filled = entity.new_row(**dict(row))
-        key = filled[entity.key]
-        existing = self.rows.get(key)
-        if existing is None:
-            self.rows[key] = filled
-            return
-        for name in entity.lattice_fields:
-            existing[name] = existing[name].merge(filled[name])
-        self._join_plain_fields(existing, filled)
+        filled = self.entity.new_row(**row)
+        self.merge_peer_row(filled[self.entity.key], filled)
 
-    def merge_peer_row(self, key: Hashable, row: Mapping[str, Any]) -> bool:
-        """Monotone upsert of a peer replica's copy of one row of this table.
+    def merge_peer_row(self, key: Hashable, row: Row) -> bool:
+        """Join a complete row of this entity into the one at ``key``.
 
-        Returns whether the row taught this replica anything.  A peer row is
-        a complete, validated row of this entity, so it is not rebuilt, and
-        its lattice values are shared, never copied (the ownership rule
-        above).  ``row`` is only read: it belongs to a gossip payload, so an
-        unseen row's dict is copied, not kept.
+        Returns whether it taught this replica anything.  The join is
+        fieldwise, ``_join`` for lattice fields and ``_join_plain`` for plain
+        ones, and keeps the stored row when nothing inflated.  ``row`` (a
+        handler's, built by ``new_row``, or a peer's from a gossip payload) is
+        not rebuilt, and an unseen one is stored as is: rows are immutable.
         """
         existing = self.rows.get(key)
         if existing is None:
-            self.rows[key] = dict(row)
+            self.rows[key] = row
             return True
         if existing == row:
             # Nothing to learn.  For a converged row this is a pointer
             # comparison per field: dict equality tests identity first.
             return False
-        inflated = False
-        for name in self.entity.lattice_fields:
+        entity = self.entity
+        changed = {}
+        for name in entity.lattice_fields:
             current = existing[name]
             joined = _join(current, row[name])
             if joined is not current:
-                existing[name] = joined
-                inflated = True
-        return self._join_plain_fields(existing, row) or inflated
-
-    def _join_plain_fields(self, existing: dict[str, Any], row: Mapping[str, Any]) -> bool:
-        """Join ``row``'s plain fields into ``existing``; whether any changed."""
-        entity = self.entity
-        changed = False
+                changed[name] = joined
         for name in entity.plain_fields:
             current = existing[name]
             joined = _join_plain(current, row[name], entity.field_spec(name).default)
             if joined is not current:
-                existing[name] = joined
-                changed = True
-        return changed
+                changed[name] = joined
+        if not changed:
+            return False
+        self.rows[key] = existing.replace(changed)
+        return True
 
     def merge_field(self, key: Hashable, field_name: str, value: Lattice) -> None:
-        spec = self.entity.field_spec(field_name)
-        if not spec.is_lattice:
+        if not self.entity.field_spec(field_name).is_lattice:
             raise SpecificationError(
                 f"field {field_name!r} of table {self.decl.name!r} is not lattice-typed; "
                 "use an assign effect instead"
             )
-        row = self.rows.get(key)
-        if row is None:
-            row = self.entity.new_row(**{self.entity.key: key})
-            self.rows[key] = row
-        row[field_name] = row[field_name].merge(value)
+        row = self._row_or_default(key)
+        self.rows[key] = row.replace({field_name: row[field_name].merge(value)})
 
     def assign_field(self, key: Hashable, field_name: str, value: Any) -> None:
         self.entity.field_spec(field_name)
+        self.rows[key] = self._row_or_default(key).replace({field_name: value})
+
+    def _row_or_default(self, key: Hashable) -> Row:
         row = self.rows.get(key)
-        if row is None:
-            row = self.entity.new_row(**{self.entity.key: key})
-            self.rows[key] = row
-        row[field_name] = value
+        return self.entity.new_row(**{self.entity.key: key}) if row is None else row
 
     def delete(self, key: Hashable) -> None:
         self.rows.pop(key, None)
@@ -414,17 +400,17 @@ class ProgramState:
                 log.record((effect.table, effect.key))
 
     def snapshot(self) -> "ProgramState":
-        """An isolated copy by structural sharing: O(rows), no value copies.
+        """An isolated copy by structural sharing: one shallow dict per table.
 
-        Applying effects to either side never shows on the other — rows are
-        separate dicts and lattice values are only ever rebound (the
-        ownership rule above) — so the copy can share every field value.
-        Nothing in ``src/`` calls it since gossip ships deltas; the end-to-end
-        benchmark's traced roll-up still counts calls to it.
+        Applying effects to either side never shows on the other — rows and
+        lattice values are only ever rebound (the rule above) — so the copy
+        shares every row.  Nothing in ``src/`` calls it since gossip ships
+        deltas; the end-to-end benchmark's traced roll-up still counts calls
+        to it.
         """
         clone = ProgramState(self.datamodel)
         for name, table in self.tables.items():
-            clone.tables[name].rows = {key: dict(row) for key, row in table.rows.items()}
+            clone.tables[name].rows = dict(table.rows)
         clone.vars = dict(self.vars)
         return clone
 
@@ -433,9 +419,9 @@ class ProgramState:
     def export(self, items: Optional[Iterable[Item]] = None) -> dict[Item, Any]:
         """The gossip entries for ``items`` (default: the whole state).
 
-        Rows are copied as dicts (a payload must not change once it is handed
-        to the transport), lattice values are shared; an item whose row has
-        since been deleted is left out.  Entries keep the order of ``items``.
+        Rows are shared: they are immutable, so a payload handed to the
+        transport never changes.  An item whose row has since been deleted is
+        left out.  Entries keep the order of ``items``.
         """
         if items is None:
             items = [(name, key) for name, table in self.tables.items()
@@ -449,7 +435,7 @@ class ProgramState:
             else:
                 row = self.table(name).rows.get(key)
                 if row is not None:
-                    entries[item] = dict(row)
+                    entries[item] = row
         return entries
 
     def merge_entries(self, entries: Mapping[Item, Any],

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
 from repro.core.datamodel import FieldSpec
+from repro.core.facets import ConsistencyLevel, ConsistencySpec
 from repro.core.handlers import EffectKind, EffectSpec
 from repro.core.program import HydroProgram
 
@@ -110,9 +111,12 @@ def lift_actor_class(actor_class: ActorClass) -> HydroProgram:
     The lifted program keeps per-actor state in an ``actors`` table row
     (``state`` is a plain, assign-only field — actor state updates are
     arbitrary and therefore non-monotone) plus a ``waiting`` field recording
-    a suspended continuation's mailbox.
+    a suspended continuation's mailbox.  An actor runs its methods one at a
+    time, so every lifted handler is ``serializable``: deployed, it goes
+    through the consensus log, and no replica's update is lost to another's.
     """
     program = HydroProgram(f"lifted_actor_{actor_class.name}")
+    program.consistency.set_default(ConsistencySpec(ConsistencyLevel.SERIALIZABLE))
     program.add_class(
         "Actor",
         fields=[

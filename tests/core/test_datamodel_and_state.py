@@ -1,6 +1,8 @@
 """Tests for the HydroLogic data model and deferred-effect state."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.datamodel import DataModel, EntityClass, FieldSpec
+from repro.cluster.transport import payload_digest
+from repro.core import (
+    ConsistencyLevel,
+    ConsistencySpec,
+    EffectKind,
+    EffectSpec,
+    HydroProgram,
+    Invariant,
+    SingleNodeInterpreter,
+)
+from repro.core.datamodel import DataModel, EntityClass, FieldSpec, Row
 from repro.core.errors import SpecificationError
 from repro.core.state import (
     AssignFieldEffect,
@@ -354,3 +366,112 @@ class TestPlainFieldJoin:
                                     capture_output=True, text=True, check=True)
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+# -- a stored row is a value: shared, never written ---------------------------------------
+
+
+def people_program():
+    """``write_through`` writes into the row a read handed it; ``shuffle``
+    inflates, deletes and creates rows, then breaks ``budget >= 0``."""
+    program = HydroProgram("rows")
+    program.datamodel.add_class(person_class())
+    program.add_table("people", "Person")
+    program.add_var("budget", initial=1)
+    everything = [EffectSpec(kind, target) for kind in (EffectKind.MERGE, EffectKind.ASSIGN,
+                                                         EffectKind.DELETE)
+                  for target in ("people", "budget")]
+
+    def add(ctx, pid):
+        ctx.merge_row("people", pid=pid, contacts=SetUnion({pid}))
+
+    def write_through(ctx, via):
+        row = ctx.row("people", 1) if via == "row" else ctx.rows("people")[0]
+        row["country"] = "XX"
+
+    def shuffle(ctx):
+        ctx.merge_field("people", 2, "contacts", SetUnion({9}))
+        ctx.delete_row("people", 1)
+        ctx.merge_row("people", pid=4)
+        ctx.assign_field("people", 3, "country", "NZ")
+        ctx.assign_var("budget", -1)
+
+    program.add_handler("add", add, params=["pid"], effects=everything)
+    program.add_handler("write_through", write_through, params=["via"], reads=["people"])
+    program.add_handler(
+        "shuffle", shuffle, effects=everything,
+        consistency=ConsistencySpec(
+            ConsistencyLevel.SERIALIZABLE,
+            invariants=(Invariant("budget", lambda view: view.var("budget") >= 0),)))
+    return program
+
+
+def seeded(pids=(1, 2, 3)):
+    interp = SingleNodeInterpreter(people_program())
+    for pid in pids:
+        interp.call("add", pid=pid)
+    interp.run_tick()
+    return interp
+
+
+def stored(interp):
+    return list(interp.state.table("people").rows.items())
+
+
+class TestRowContract:
+    @pytest.mark.parametrize("via", ["row", "rows"])
+    def test_a_handler_cannot_write_into_a_row_it_read(self, via):
+        interp = seeded()
+        before = stored(interp)
+        interp.call("write_through", via=via)
+        with pytest.raises(TypeError, match="read-only"):
+            interp.run_tick()
+        after = stored(interp)
+        assert after == before
+        assert all(now is then for (_, now), (_, then) in zip(after, before))
+
+    def test_every_mutator_of_a_row_raises(self):
+        row = person_class().new_row(pid=1)
+        for write in (lambda: row.__setitem__("country", "US"), lambda: row.__delitem__("pid"),
+                      row.clear, lambda: row.pop("pid"), row.popitem,
+                      lambda: row.setdefault("x", 1), lambda: row.update(country="US")):
+            with pytest.raises(TypeError):
+                write()
+        with pytest.raises(TypeError):
+            row |= {"country": "US"}
+        assert row == {"pid": 1, "country": "", "contacts": SetUnion(), "covid": BoolOr()}
+
+    def test_a_row_prints_compares_and_digests_as_its_dict(self):
+        row = person_class().new_row(pid=1, country="US", contacts=SetUnion({2}))
+        plain = dict(row)
+        assert type(row) is Row and type(plain) is dict
+        assert repr(row) == repr(plain) and row == plain
+        assert payload_digest(row) == payload_digest(plain)
+        assert copy.deepcopy(row) == row and type(copy.deepcopy(row)) is Row
+        assert pickle.loads(pickle.dumps(row)) == row
+        replaced = row.replace({"country": "DE"})
+        assert replaced["country"] == "DE" and row["country"] == "US"
+        assert type(replaced) is Row
+
+    def test_export_and_an_unseen_peer_row_share_the_row(self):
+        sender, receiver = seeded().state, seeded(pids=()).state
+        entries = sender.export([("people", 1), ("people", 2)])
+        assert entries["people", 1] is sender.table("people").get(1)
+        receiver.merge_entries(entries, source="sender")
+        assert receiver.table("people").get(1) is sender.table("people").get(1)
+        # A join that teaches nothing keeps the stored row; one that does rebinds it.
+        kept = receiver.table("people").get(2)
+        assert not receiver.table("people").merge_peer_row(2, person_class().new_row(pid=2))
+        assert receiver.table("people").get(2) is kept
+        assert receiver.table("people").merge_peer_row(2, person_class().new_row(pid=2, country="US"))
+        assert receiver.table("people").get(2) is not kept
+        assert kept["country"] == ""
+
+    def test_a_rejected_trial_leaves_the_same_rows_in_the_same_order(self):
+        interp = seeded()
+        before = stored(interp)
+        request = interp.call("shuffle")
+        assert request in interp.run_tick().rejected
+        after = stored(interp)
+        assert [key for key, _ in after] == [1, 2, 3]
+        assert all(now is then for (_, now), (_, then) in zip(after, before))

@@ -1,9 +1,10 @@
 """Property tests: the copy-free interpreter keeps the copying one's guarantees.
 
 ``run_tick`` reads the live state, trials invariants in place behind an undo
-journal, and ``ProgramState.snapshot`` and the gossip payloads of
-``ProgramState.export`` share values structurally.  The oracle for all of
-them is ``copy.deepcopy`` — which lives only here.
+journal that keeps the rows it displaced, and ``ProgramState.snapshot``, the
+gossip payloads of ``ProgramState.export`` and handler reads share the
+stored rows themselves, which are immutable.  The oracle for all of them is
+``copy.deepcopy`` — which lives only here.
 """
 
 import copy
@@ -64,7 +65,6 @@ def emit(ctx, op):
 def observe(view):
     """Everything a handler can read, as plain comparable data."""
     return (view.rows("items"), view.keys("items"), view.count("items"),
-            [dict(row) for row in view.scan("items")],
             view.var("budget"), view.var("high"), view.query("tag_count"))
 
 
@@ -88,7 +88,7 @@ def build_program(seen):
     program.add_var("budget", initial=3)
     program.add_var("high", lattice=MaxInt)
     program.add_query(
-        "tag_count", lambda view: sum(len(row["tags"]) for row in view.scan("items")),
+        "tag_count", lambda view: sum(len(row["tags"]) for row in view.rows("items")),
         reads=["items"])
 
     def body(ctx, ops):
@@ -272,10 +272,8 @@ def test_gossip_payload_is_isolated_from_sender_and_receiver(
     payload = sender.state.export()
     shipped = copy.deepcopy(payload)
     for (table, key), value in payload.items():
-        if table is not None:       # row dicts are the payload's, values are shared
-            live = sender.state.table(table).get(key)
-            assert value is not live
-            assert all(value[name] is live[name] for name in value)
+        if table is not None:       # rows are immutable, so they are shared
+            assert value is sender.state.table(table).get(key)
 
     # The sender moves on; what it handed to the transport does not.
     sender.state.apply_all(effects_of(sender, sender_ops))

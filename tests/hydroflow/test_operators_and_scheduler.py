@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.datamodel import Row
+
 from repro.hydroflow import (
     DistinctOperator,
     FilterOperator,
@@ -124,7 +126,9 @@ class TestBasicPipeline:
         ({"a": {"x": 1, "y": 2}}, {"a": {"y": 2, "x": 1}}),
         ({"a": [{"b": 1}]}, {"a": [{"b": 1}]}),
         ((1, {"a": 1}), (1, {"a": 1})),
-    ], ids=["list", "set", "nested-dict", "list-of-dicts", "tuple-holding-dict"])
+        (Row({"a": [1], "b": {2}}), {"b": {2}, "a": [1]}),
+    ], ids=["list", "set", "nested-dict", "list-of-dicts", "tuple-holding-dict",
+            "read-only-row"])
     def test_distinct_keys_collection_valued_rows_by_content(self, row, twin):
         """A row is frozen all the way down, so a collection inside it is
         remembered by content too."""

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cluster import Network, NetworkConfig, Simulator, Topology
+from repro.compiler import Hydrolysis
 from repro.core import SingleNodeInterpreter, analyze_program
 from repro.lifting import ActorClass, ActorSystem, FutureRuntime, lift_actor_class
 from repro.lifting.actors import Receive
@@ -138,6 +140,43 @@ class TestLiftedActors:
         interp.call_and_run("m", actor_id="w1", kwargs={"msg": "x"})
         assert interp.call_and_run("resume", actor_id="w1", mailbox="otherbox", payload="y") is None
         assert interp.view().row("actors", "w1")["waiting"] == "mybox"
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_a_deployed_burst_loses_no_deposit(self, seed):
+        """Nine deposits and three overdrafts fired at one instant at the
+        actor compiled onto three AZs reply, and leave every replica, as the
+        native actor does.  Run coordination-free, replicas served them
+        concurrently and the plain ``state`` field kept one replica's
+        balance: four deposits were lost and every replica ended at 150."""
+        burst = [("deposit", 10)] * 9 + [("withdraw", 150)] * 3
+        system = ActorSystem()
+        system.register(counter_actor_class())
+        system.spawn("Account", actor_id="acct", balance=100)
+        native = [system.send("acct", method, amount=amount) for method, amount in burst]
+        assert native[8:] == [190, 40, "insufficient", "insufficient"]
+
+        topo = Topology()
+        nodes = []
+        for az in range(3):
+            for index in range(2):
+                nodes.append(f"node-{az}-{index}")
+                topo.place(nodes[-1], az=f"az-{az}", vm=f"vm-{az}-{index}")
+        program = lift_actor_class(counter_actor_class())
+        compiler = Hydrolysis()
+        plan = compiler.compile(program, topo, nodes)
+        simulator = Simulator(seed=seed)
+        deployment = compiler.deploy(program, plan, simulator,
+                                     Network(simulator, NetworkConfig(base_delay=1.0, jitter=0.5)))
+        deployment.invoke("spawn", actor_id="acct", init_kwargs={"balance": 100})
+        deployment.settle()
+        tokens = [deployment.invoke(method, actor_id="acct", kwargs={"amount": amount})
+                  for method, amount in burst]
+        deployment.settle()
+        assert [deployment.response(token)["value"] for token in tokens] == native
+        assert [replica.interpreter.view().row("actors", "acct")["state"]
+                for replica in deployment.replicas.values()] == (
+            [system.state_of("acct")] * len(deployment.replicas))
+        assert sorted(plan.coordinated_endpoints()) == sorted(program.handlers)
 
     def test_method_on_unspawned_actor_returns_none(self):
         lifted = lift_actor_class(counter_actor_class())
