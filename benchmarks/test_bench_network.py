@@ -61,7 +61,7 @@ def run_tier(bandwidth) -> dict:
     net.config.bandwidth = bandwidth
     net.record_delivery_latency = True  # the model-off tier records too
     recorder = net.metrics.latency("net.delivery")
-    recorder.samples.clear()
+    del recorder.samples[:]
     bytes_before = net.bytes_sent
     envelopes_before = net.messages_sent
     start = sim.now
@@ -141,7 +141,7 @@ def run_geo_placement(policy) -> dict:
     net.config.nic_bandwidth = GEO_NIC_BANDWIDTH
     net.record_delivery_latency = True
     recorder = net.metrics.latency("net.delivery")
-    recorder.samples.clear()
+    del recorder.samples[:]
     bytes_before = net.bytes_sent
     start = sim.now
     for index in range(MEASURED_PUTS):

@@ -11,16 +11,25 @@ that chaos diagnosis reads.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable
+from functools import partial
+from typing import Hashable, MutableSequence
 
 
 @dataclass
 class LatencyRecorder:
-    """Collects latency samples and reports percentiles."""
+    """Collects latency samples and reports percentiles.
 
-    samples: list[float] = field(default_factory=list)
+    ``samples`` holds every sample in arrival order, packed as C doubles
+    (``array('d')``, 8 bytes each, where a list costs a pointer plus a
+    float object): a long run's ``net.delivery`` recorder keeps one per
+    delivered envelope.  It slices and sorts like a list; compare it as
+    ``list(samples)``.
+    """
+
+    samples: MutableSequence[float] = field(default_factory=partial(array, "d"))
 
     def record(self, latency: float) -> None:
         if latency < 0:

@@ -159,14 +159,17 @@ class Node:
         self.transport.on_crash()
 
     def recover(self, lose_state: bool = False) -> None:
-        """Recover a crashed node.
+        """Recover a crashed node; a live node is left as it is.
 
         ``lose_state`` is a hook for subclasses that hold volatile state —
         the base class has none, but overriding implementations (KVS
         replicas, consensus participants) use it to model disk vs memory.
-        Messages that arrived while crashed stay lost, matching fail-stop
-        semantics.
+        A node that never crashed lost nothing, so it keeps its state and
+        timers whatever ``lose_state`` says.  Messages that arrived while
+        crashed stay lost, matching fail-stop semantics.
         """
+        if self.alive:
+            return
         self.alive = True
         if lose_state:
             self.reset_state()

@@ -23,14 +23,35 @@ def sorted_mapping_repr(mapping: Mapping[Hashable, object]) -> str:
     return f"{{{body}}}"
 
 
+def max_counts(mine: dict, theirs: dict) -> dict:
+    """Pointwise max of two count maps that omit zero counts: ``mine``
+    itself when ``theirs`` adds nothing, ``theirs`` itself when it is at
+    least ``mine`` everywhere, else a new dict.  Decided in one pass."""
+    merged = None
+    covered = 0  # keys of ``mine`` whose count ``theirs`` matches or beats
+    for key, count in theirs.items():
+        held = mine.get(key, 0)
+        if count > held:
+            if merged is None:
+                merged = dict(mine)
+            merged[key] = count
+        if count >= held > 0:
+            covered += 1
+    if merged is None:
+        return mine
+    return theirs if covered == len(mine) else merged
+
+
 class Lattice(ABC):
     """Abstract join-semilattice.
 
     Subclasses must implement :meth:`merge` and :meth:`bottom`, and should be
-    immutable value objects: ``merge`` returns a *new* lattice value and never
-    mutates its operands.  Equality and hashing are defined on the wrapped
-    value so that lattice points can be used as dictionary keys and compared
-    structurally in tests.
+    immutable value objects: ``merge`` never mutates its operands, and it
+    returns an operand when it already is the join, ``self`` on a tie, so
+    only a genuinely concurrent join allocates.  Nothing may rely on
+    ``merge`` returning a fresh object.  Equality and hashing are defined on
+    the wrapped value so that lattice points can be used as dictionary keys
+    and compared structurally in tests.
 
     ``repr`` is canonical: equal values print alike and unequal values print
     differently.  The structural fold behind ``payload_digest`` and every
@@ -46,7 +67,9 @@ class Lattice(ABC):
 
     @abstractmethod
     def merge(self: L, other: L) -> L:
-        """Return the least upper bound of ``self`` and ``other``."""
+        """Return the least upper bound of ``self`` and ``other``: ``self``
+        when ``other`` precedes it (a tie included), ``other`` when it
+        strictly follows ``self``, else a new value."""
 
     @classmethod
     @abstractmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro.lattices.base import Lattice, sorted_mapping_repr
+from repro.lattices.base import Lattice, max_counts, sorted_mapping_repr
 
 
 class GCounter(Lattice):
@@ -32,10 +32,10 @@ class GCounter(Lattice):
         }
 
     def merge(self, other: "GCounter") -> "GCounter":
-        merged = dict(self.counts)
-        for replica, count in other.counts.items():
-            merged[replica] = max(merged.get(replica, 0), count)
-        return GCounter(merged)
+        counts = max_counts(self.counts, other.counts)
+        if counts is self.counts:
+            return self
+        return other if counts is other.counts else GCounter(counts)
 
     def leq(self, other: "GCounter") -> bool:
         if not isinstance(other, GCounter):

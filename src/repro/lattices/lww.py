@@ -47,9 +47,7 @@ class LWWRegister(Lattice):
                 or repr(self.value) >= repr(other.value))
 
     def merge(self, other: "LWWRegister") -> "LWWRegister":
-        if self._at_least(other):
-            return LWWRegister(self.timestamp, self.value, self.tiebreak)
-        return LWWRegister(other.timestamp, other.value, other.tiebreak)
+        return self if self._at_least(other) else other
 
     def leq(self, other: "LWWRegister") -> bool:
         if not isinstance(other, LWWRegister):

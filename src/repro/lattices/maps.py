@@ -53,10 +53,32 @@ class MapLattice(Lattice):
         return lattice
 
     def merge(self, other: "MapLattice") -> "MapLattice":
-        merged = dict(self.entries)
+        mine = self.entries
+        merged = None
+        # ``other`` is the whole join iff every key of ``self`` is one where
+        # ``other``'s value is the join (``adopted``) or an equal of
+        # ``self``'s (checked among ``kept``, only once ``other`` added
+        # something).
+        adopted, kept = 0, []
         for key, value in other.entries.items():
-            current = merged.get(key)
-            merged[key] = value if current is None else current.merge(value)
+            current = mine.get(key)
+            if current is None:
+                joined = value
+            else:
+                joined = current.merge(value)
+                if joined is value:
+                    adopted += 1
+                elif joined is current:
+                    kept.append((current, value))
+            if joined is not current:
+                if merged is None:
+                    merged = dict(mine)
+                merged[key] = joined
+        if merged is None:
+            return self
+        if adopted + len(kept) == len(mine) and all(
+                current.leq(value) for current, value in kept):
+            return other
         return MapLattice._from_validated(merged)
 
     @classmethod

@@ -27,7 +27,7 @@ class BoolOr(Lattice):
         self.value = bool(value)
 
     def merge(self, other: "BoolOr") -> "BoolOr":
-        return BoolOr(self.value or other.value)
+        return self if self.value or not other.value else other
 
     def leq(self, other: "BoolOr") -> bool:
         if not isinstance(other, BoolOr):
@@ -64,7 +64,7 @@ class MaxInt(Lattice):
         self.value = value
 
     def merge(self, other: "MaxInt") -> "MaxInt":
-        return MaxInt(self.value if self.value >= other.value else other.value)
+        return self if self.value >= other.value else other
 
     def leq(self, other: "MaxInt") -> bool:
         if not isinstance(other, MaxInt):

@@ -24,7 +24,12 @@ class SetUnion(Lattice):
         self.elements: frozenset = frozenset(elements)
 
     def merge(self, other: "SetUnion") -> "SetUnion":
-        return SetUnion(self.elements | other.elements)
+        mine, theirs = self.elements, other.elements
+        if theirs <= mine:
+            return self
+        if mine <= theirs:
+            return other
+        return SetUnion(mine | theirs)
 
     def leq(self, other: "SetUnion") -> bool:
         if not isinstance(other, SetUnion):
@@ -79,6 +84,10 @@ class TwoPhaseSet(Lattice):
         self.removed: frozenset = frozenset(removed)
 
     def merge(self, other: "TwoPhaseSet") -> "TwoPhaseSet":
+        if other.added <= self.added and other.removed <= self.removed:
+            return self
+        if self.added <= other.added and self.removed <= other.removed:
+            return other
         return TwoPhaseSet(self.added | other.added, self.removed | other.removed)
 
     def leq(self, other: "TwoPhaseSet") -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro.lattices.base import Lattice, sorted_mapping_repr
+from repro.lattices.base import Lattice, max_counts, sorted_mapping_repr
 
 
 class VectorClock(Lattice):
@@ -32,10 +32,10 @@ class VectorClock(Lattice):
         }
 
     def merge(self, other: "VectorClock") -> "VectorClock":
-        merged = dict(self.clocks)
-        for node, tick in other.clocks.items():
-            merged[node] = max(merged.get(node, 0), tick)
-        return VectorClock(merged)
+        clocks = max_counts(self.clocks, other.clocks)
+        if clocks is self.clocks:
+            return self
+        return other if clocks is other.clocks else VectorClock(clocks)
 
     def leq(self, other: "VectorClock") -> bool:
         if not isinstance(other, VectorClock):

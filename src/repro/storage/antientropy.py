@@ -25,9 +25,11 @@ bucket digest is a pure function of the store's contents — never of
 insertion order, iteration order or ``PYTHONHASHSEED`` — which is the chaos
 harness's determinism contract for anything that feeds network payloads.
 
-Empty buckets are *absent* (digest 0): a bucket whose members cancel out of
-the dict entirely, so "no keys in range" and "range never touched" are the
-same observable state on both sides of an exchange.
+Each interior level is a flat list with one int per bucket (1, 16, 256
+and 4,096 of them), and an empty bucket holds 0: "no keys in range",
+"members cancelled out" and "range never touched" are the same observable
+state on both sides of an exchange.  A bucket outside a level's range,
+negative ones included, reads as empty too.
 
 What one update costs
 ---------------------
@@ -40,7 +42,8 @@ hashes the entry once, one 8-byte ``blake2b`` over those bytes and the
 value's structural fold (the fold ``payload_digest`` hashes, never its hex
 digest); and — only for a key the tree has not held — computes the key's
 64-bit ``stable_digest`` from those bytes once (``encoded_digest``).  A
-changed entry XORs through the four interior levels by precomputed shifts.
+changed entry XORs through the four interior levels by precomputed shifts,
+one ``^=`` into a list slot per level.
 
 What one entry costs
 --------------------
@@ -103,7 +106,7 @@ class DigestTree:
     """An incrementally-maintained hash tree over one replica's store.
 
     ``update``/``remove`` cost one key encoding, at most one key digest
-    and O(``LEAF_LEVEL``) dict operations per call, plus — for ``update`` —
+    and one list-slot XOR per interior level, plus — for ``update`` —
     one hash over the key and the value's fold.  A key's *entry digest* is
     that 64-bit hash: a pure function of the key's canonical bytes and the
     value's content, equal under every ``PYTHONHASHSEED`` and changed by
@@ -117,10 +120,11 @@ class DigestTree:
     __slots__ = ("_levels", "_entries")
 
     def __init__(self) -> None:
-        # One sparse {bucket: digest} dict per interior level, root (level
-        # 0) first.  A bucket's digest is the XOR of its members' entry
-        # digests; buckets that XOR to zero are removed, so absent == empty.
-        self._levels: list[dict[int, int]] = [{} for _ in range(LEAF_LEVEL)]
+        # One list of ``TREE_FANOUT ** level`` bucket digests per interior
+        # level, root (level 0) first.  A bucket's digest is the XOR of its
+        # members' entry digests; 0 is empty.
+        self._levels: list[list[int]] = [[0] * (TREE_FANOUT ** level)
+                                         for level in range(LEAF_LEVEL)]
         #: key -> ``leaf << 64 | entry digest``: the leaf locates the key's
         #: ancestors, the digest is XORed back out of them on a change.
         self._entries: dict[Hashable, int] = {}
@@ -140,14 +144,9 @@ class DigestTree:
 
     def _apply(self, leaf: int, delta: int) -> None:
         """XOR ``delta`` through every interior ancestor of ``leaf`` (the
-        leaf level keeps no dict, so the ``zip`` stops above it)."""
+        leaf level keeps no list, so the ``zip`` stops above it)."""
         for buckets, shift in zip(self._levels, _LEVEL_SHIFTS):
-            bucket = leaf >> shift
-            digest = buckets.get(bucket, 0) ^ delta
-            if digest:
-                buckets[bucket] = digest
-            else:
-                buckets.pop(bucket, None)
+            buckets[leaf >> shift] ^= delta
 
     def update(self, key: Hashable, value: Any) -> None:
         """Record ``key``'s (new) value; O(depth) on top of one entry hash."""
@@ -175,7 +174,7 @@ class DigestTree:
 
     def clear(self) -> None:
         for level in self._levels:
-            level.clear()
+            level[:] = [0] * len(level)
         self._entries.clear()
 
     # -- reads (all pure; payload builders must keep sorted order) ----------------
@@ -183,13 +182,16 @@ class DigestTree:
     # handler that reads the leaf level passes over the entries once.
 
     def root(self) -> int:
-        return self._levels[0].get(0, 0)
+        return self._levels[0][0]
 
     def digests(self, level: int, buckets: Iterable[int]) -> dict[int, int]:
-        """Each bucket's digest at ``level`` (0 when empty), in ``buckets`` order."""
+        """Each bucket's digest at ``level`` (0 when empty or out of the
+        level's range), in ``buckets`` order."""
         if level < LEAF_LEVEL:
             held = self._levels[level]
-            return {bucket: held.get(bucket, 0) for bucket in buckets}
+            size = len(held)
+            return {bucket: held[bucket] if 0 <= bucket < size else 0
+                    for bucket in buckets}
         digests = dict.fromkeys(buckets, 0)
         for entry in self._entries.values():
             leaf = entry >> _ENTRY_BITS
@@ -202,11 +204,14 @@ class DigestTree:
         """Each bucket's non-empty children at ``level + 1``, in bucket order."""
         if level + 1 < LEAF_LEVEL:
             below = self._levels[level + 1]
-            return {bucket: {child: below[child]
-                             for child in range(bucket << TREE_FANOUT_BITS,
-                                                (bucket + 1) << TREE_FANOUT_BITS)
-                             if child in below}
-                    for bucket in buckets}
+            size = len(below)
+            children = {}
+            for bucket in buckets:
+                first = bucket << TREE_FANOUT_BITS
+                span = below[first:first + TREE_FANOUT] if 0 <= first < size else ()
+                children[bucket] = {child: digest for child, digest
+                                    in enumerate(span, first) if digest}
+            return children
         children: dict[int, dict[int, int]] = {bucket: {} for bucket in buckets}
         for entry in self._entries.values():
             leaf = entry >> _ENTRY_BITS

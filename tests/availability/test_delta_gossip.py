@@ -445,7 +445,8 @@ def test_wards_of_an_origin_that_lost_its_state_are_taken_over_at_once():
     cluster.sim.run(until=cluster.sim.now + 2)              # r1 and r2 hold it, as r0's wards
     tag = r0.change_log.seq
     assert r1.change_log.wards == r2.change_log.wards == {"r0": {("people", 2): (tag, 0)}}
-    r0.recover(lose_state=True)                             # rebooted in place
+    r0.crash()                                              # rebooted in place
+    r0.recover(lose_state=True)
     assert r0.change_log.floor == tag and people(r0) == set()
 
     # Review 1 comes before r0's next parcel; review 2 has read its floor.
@@ -471,11 +472,13 @@ def test_a_rebooted_origin_cannot_vouch_for_what_it_lost():
     # forgets the row, r0 is back and confirms r2's empty window over (0, 1].
     r1.crash()
     cluster.net.partition(["r1"], ["r2"], oneway=True)
+    r2.crash()
     r2.recover(lose_state=True)
     r0.recover()
     cluster.sim.run(until=35)
     r1.recover()
-    cluster.sim.run(until=42)                               # r2: "r0 confirmed 1", floor 1
+    # r2's tick, re-armed at its reboot, lands its next parcel by 44:
+    cluster.sim.run(until=44)                               # r2: "r0 confirmed 1", floor 1
     assert r1._sync["r2"].delivered == 1 == r1._sync["r2"].floor
     r2.crash()                                              # and is gone for good
 
@@ -567,7 +570,8 @@ def test_a_shared_ward_is_taken_over_at_once_when_one_origin_lost_its_state():
     cluster.run(1)
     cluster.sim.run(until=cluster.sim.now + 2)
     assert r2.change_log.wards.keys() == {"r0", "r1"}
-    r1.recover(lose_state=True)                             # rebooted in place
+    r1.crash()                                              # rebooted in place
+    r1.recover(lose_state=True)
 
     # Review 1 comes before r1's next parcel; review 2 has read its floor
     # and takes the item over at r0, r2 and r3 — before r0's part is due.
@@ -696,6 +700,7 @@ def test_every_entry_point_goes_through_apply():
                      ("vaccinate", {"log_effects": False}), ("trace", {})]
     assert set(replica.interpreter.state.table("people").rows) == {1, 2}
     assert replica.handler_for("ordered") is None       # the log is the only way in
+    replica.crash()
     replica.recover(lose_state=True)
     assert replica.ordered_upto == -1                   # volatile: a replay starts at slot 0
 
@@ -746,6 +751,7 @@ def test_the_ordered_stamp_is_priced_with_the_others_and_absent_until_there_is_o
     rebooted = small.replicas[0]
     rebooted.apply("add_person", {"pid": 2, "country": "US"})
     small.run(4)
+    rebooted.crash()
     rebooted.recover(lose_state=True)
     small.run(4)
     with_ordered = tuple(sorted(STAMPS + ("ordered",)))

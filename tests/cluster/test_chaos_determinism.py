@@ -93,7 +93,7 @@ parts += [f"{link!r} {sorted(stat.items())!r}"
 for bucket in observatory.buckets():
     parts += [f"{bucket} {link!r} {astuple(stat)!r}"
               for link, stat in sorted(observatory.window(bucket).items(), key=repr)]
-parts.append(repr(network.metrics.latency("net.delivery").samples))
+parts.append(repr(list(network.metrics.latency("net.delivery").samples)))
 counters = network.metrics.counters()
 # The pin predates the registry dropping ``transport.bytes_sent``, its copy of
 # the network's own byte count: fold that count back in under the old name.

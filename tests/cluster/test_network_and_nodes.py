@@ -11,6 +11,11 @@ from repro.cluster import (
     Simulator,
     Topology,
 )
+from repro.apps.covid import build_covid_program
+from repro.compiler import Hydrolysis
+from repro.lattices import SetUnion
+from repro.storage import LatticeKVS
+from repro.storage.antientropy import DigestTree
 
 
 def build_pair(config=None):
@@ -184,6 +189,53 @@ class TestNodeLifecycle:
         b.crash()
         sim.run_until_idle()
         assert fired == []
+
+
+def armed_timers(node):
+    now = node.simulator.now
+    return [timer for timer in node._timers
+            if not timer.cancelled and timer.time > now]
+
+
+class TestRecoverOnALiveNode:
+    """``recover`` undoes a crash; on a node that never crashed it changes
+    nothing, whatever ``lose_state`` says: the node lost nothing."""
+
+    def test_a_live_covid_replica_keeps_its_rows_and_timers(self):
+        sim = Simulator(seed=3)
+        net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5))
+        topology = Topology()
+        sites = [f"node-{index}" for index in range(3)]
+        for index, site in enumerate(sites):
+            topology.place(site, az=f"az-{index}", vm=f"vm-{index}")
+        program = build_covid_program()
+        plan = Hydrolysis().compile(program, topology, sites)
+        deployment = Hydrolysis().deploy(program, plan, sim, net)
+        deployment.invoke("add_person", pid=1, country="fr")
+        deployment.settle(30.0)
+        for replica in deployment.replicas.values():
+            rows = dict(replica.interpreter.state.table("people").rows)
+            timers = armed_timers(replica)
+            assert len(rows) == 1 and timers
+            replica.recover(lose_state=True)
+            assert replica.interpreter.state.table("people").rows == rows
+            assert armed_timers(replica) == timers
+
+    def test_a_live_kvs_replica_keeps_its_store_and_timers(self):
+        sim = Simulator(seed=3)
+        net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.5))
+        kvs = LatticeKVS(sim, net, shard_count=1, replication_factor=3)
+        for index in range(5):
+            kvs.put(f"k{index}", SetUnion({index}))
+        kvs.settle(100.0)
+        for replica in kvs.shards[0]:
+            store = dict(replica.store)
+            timers = armed_timers(replica)
+            assert len(store) == 5 and timers
+            replica.recover(lose_state=True)
+            assert replica.store == store
+            assert armed_timers(replica) == timers
+            assert replica._tree == DigestTree.from_store(store)
 
 
 class TestTopologyAndPlacement:

@@ -343,7 +343,7 @@ class TestModelSwitchedMidFlight:
                    for stat in net.link_byte_stats().values())
         # The latency recorder and the observatory follow the delivery-time
         # gate: the delivery is observed, in the window of its send time.
-        assert net.metrics.latency("net.delivery").samples == [5.0]
+        assert list(net.metrics.latency("net.delivery").samples) == [5.0]
         window = net.observatory.window(0)[("a", "b")]
         assert (window.sent_messages, window.delivered_messages) == (0, 1)
 

@@ -372,7 +372,7 @@ class World:
                     for bucket in observatory.buckets()
                     for link, stat in observatory.window(bucket).items()}
         assert observed == oracle.windows()
-        assert network.metrics.latency("net.delivery").samples == oracle.latencies()
+        assert list(network.metrics.latency("net.delivery").samples) == oracle.latencies()
 
 
 @given(CONFIGS, st.lists(STEPS, min_size=10, max_size=60))

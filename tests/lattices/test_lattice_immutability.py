@@ -2,8 +2,9 @@
 
 For every lattice type, three hand-picked points (overlapping, concurrent
 and ordered combinations) pin what ``tests/lattices/test_lattice_properties.py``
-checks over generated points: ``merge`` returns new values, leaves every
-operand and its hash as it was, and still satisfies the semilattice laws.
+checks over generated points: ``merge`` leaves every operand and its hash
+as it was (it may return one of them, never a value written through) and
+still satisfies the semilattice laws.
 The update helpers (``add``, ``insert``, ``increment``, ``advance`` ...)
 return new values too, which is what lets state, tick reads, client caches
 and in-flight messages share one lattice object.

@@ -151,6 +151,60 @@ def test_fast_leq_agrees_with_merge_order(triples, data):
     assert a.leq(b) == (a.merge(b) == b)
 
 
+# -- sharing -----------------------------------------------------------------------
+
+
+def _pointwise_max(a, b):
+    return {key: max(a.get(key, 0), b.get(key, 0)) for key in {*a, *b}}
+
+
+def _reference_map_join(a, b):
+    return MapLattice({key: reference_join(a[key], b[key]) if key in a and key in b
+                       else a[key] if key in a else b[key]
+                       for key in {*a.keys(), *b.keys()}})
+
+
+#: Each type's join, built from scratch without calling ``merge``.
+REFERENCE_JOINS = {
+    BoolOr: lambda a, b: BoolOr(a.value or b.value),
+    MaxInt: lambda a, b: MaxInt(max(a.value, b.value)),
+    SetUnion: lambda a, b: SetUnion(a.elements | b.elements),
+    TwoPhaseSet: lambda a, b: TwoPhaseSet(a.added | b.added,
+                                          a.removed | b.removed),
+    GCounter: lambda a, b: GCounter(_pointwise_max(a.counts, b.counts)),
+    VectorClock: lambda a, b: VectorClock(_pointwise_max(a.clocks, b.clocks)),
+    LWWRegister: lambda a, b: max((b, a), key=lambda register: (
+        register.timestamp, str(register.tiebreak), repr(register.value))),
+    MapLattice: _reference_map_join,
+}
+
+
+def reference_join(a, b):
+    return REFERENCE_JOINS[type(a)](a, b)
+
+
+@each_type_and_nested
+@given(data=st.data())
+@settings(max_examples=100)
+def test_merge_returns_the_operand_that_already_is_the_join(triples, data):
+    """``a.merge(b)`` is ``a`` when ``b`` precedes it (ties included) and
+    ``b`` when it strictly follows ``a``; whatever it returns equals a
+    from-scratch join and leaves both operands as they were.  Besides the
+    drawn pair, each ordered and tied pairing of it is checked."""
+    a, b, _ = data.draw(triples)
+    joined = a.merge(b)
+    pairs = [(a, b), (b, a), (a, joined), (joined, a), (a, copy.deepcopy(a))]
+    for left, right in pairs:
+        before = copy.deepcopy((left, right))
+        result = left.merge(right)
+        if right.leq(left):
+            assert result is left
+        elif left.leq(right):
+            assert result is right
+        assert result == reference_join(left, right)
+        assert (left, right) == before
+
+
 # -- immutability ------------------------------------------------------------------
 
 

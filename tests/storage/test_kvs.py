@@ -125,6 +125,32 @@ class TestLatticeKVS:
         assert replica_b.value_of("k") == replica_a.value_of("k")
 
 
+class TestWritesShareOneValue:
+    def test_replicas_and_the_writers_session_hold_one_object_per_key(self):
+        """A join returns the operand that already is the join, so a write
+        that supersedes a key's value leaves every replica and the writing
+        client's session table holding the written object itself: N keys
+        are N objects, not one copy per holder.  Counts ids, reads no
+        clock."""
+        keys = [f"key-{index}" for index in range(40)]
+        sim, net, kvs = build_kvs(shards=2, replication=3)
+        for key in keys:
+            kvs.put(key, LWWRegister(1.0, "old", "writer"))
+        kvs.settle(100.0)
+        client = KVSClient("client-1", sim, net, kvs)
+        for key in keys:
+            client.put(key, LWWRegister(1.5, "mid", "writer"))
+            client.put(key, LWWRegister(2.0, "new", "writer"))
+        kvs.settle(100.0)
+        holders = {key: [replica.store[key] for replica in kvs.replicas_for(key)]
+                   + [client.session_writes[key]] for key in keys}
+        assert all(len(values) == 4 and values[0] == LWWRegister(2.0, "new", "writer")
+                   for values in holders.values())
+        assert all(len(set(map(id, values))) == 1 for values in holders.values())
+        assert len({id(value) for values in holders.values()
+                    for value in values}) == len(keys)
+
+
 class TestResharding:
     def populate(self, kvs, count=200):
         for i in range(count):
