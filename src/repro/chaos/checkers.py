@@ -372,7 +372,7 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
     repair = metrics.counter("kvs.antientropy.repair_entries")
     lost = metrics.counter("kvs.antientropy.lost_entries")
     # Push + pull per replica pair: a lost entry may be shipped once in
-    # each direction by concurrent sessions on both sides.
+    # each direction by concurrent exchanges on both sides.
     repair_budget = marks + 2 * kvs.replication_factor * lost
     if repair > repair_budget:
         result.failures.append(
@@ -383,7 +383,7 @@ def check_gossip_byte_budget(env: ChaosEnv) -> CheckResult:
     for replica in kvs.all_nodes():
         if not replica.alive:
             continue
-        if replica._tree != DigestTree.from_store(replica.store):
+        if replica.tree != DigestTree.from_store(replica.store):
             result.failures.append(
                 f"{replica.node_id}: digest tree diverged from its store — "
                 f"the incremental maintenance missed an update")

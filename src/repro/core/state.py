@@ -95,21 +95,9 @@ class SendEffect(Effect):
 # *rebound*: to the result of ``merge`` or to a value a peer or handler handed
 # over, and a row to a new :class:`~repro.core.datamodel.Row` holding it.
 # That is what lets tick reads, snapshots, gossip payloads and the undo
-# journal share rows and lattice objects instead of copying them.
-
-
-def _join(current: Lattice, incoming: Lattice) -> Lattice:
-    """Least upper bound of two replicas' values, reusing an operand if it can.
-
-    Converged replicas end up holding the *same* objects (a dominated side
-    adopts the other's value), so steady-state gossip costs an ``is`` test
-    per field; ``merge`` allocates only for genuinely concurrent values.
-    """
-    if incoming is current or incoming.leq(current):
-        return current
-    if current.leq(incoming):
-        return incoming
-    return current.merge(incoming)
+# journal share rows and lattice objects instead of copying them: ``merge``
+# returns an operand that already is the join, so converged replicas end up
+# holding the same objects and only a concurrent join allocates.
 
 
 def _join_plain(current: Any, incoming: Any, bottom: Any) -> Any:
@@ -250,7 +238,7 @@ class TableState:
         """Join a complete row of this entity into the one at ``key``.
 
         Returns whether it taught this replica anything.  The join is
-        fieldwise, ``_join`` for lattice fields and ``_join_plain`` for plain
+        fieldwise, ``merge`` for lattice fields and ``_join_plain`` for plain
         ones, and keeps the stored row when nothing inflated.  ``row`` (a
         handler's, built by ``new_row``, or a peer's from a gossip payload) is
         not rebuilt, and an unseen one is stored as is: rows are immutable.
@@ -267,7 +255,7 @@ class TableState:
         changed = {}
         for name in entity.lattice_fields:
             current = existing[name]
-            joined = _join(current, row[name])
+            joined = current.merge(row[name])
             if joined is not current:
                 changed[name] = joined
         for name in entity.plain_fields:
@@ -456,7 +444,7 @@ class ProgramState:
             if name is None:
                 current = self.vars[key]
                 if self.datamodel.var(key).is_lattice:
-                    merged = _join(current, value)
+                    merged = current.merge(value)
                 else:
                     merged = value if current is None else current
                 if merged is current:

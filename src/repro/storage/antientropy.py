@@ -1,15 +1,27 @@
-"""Merkle-style digest trees for O(divergence) anti-entropy.
+"""Digest-tree anti-entropy: O(divergence) repair between replicas.
 
-The delta-gossip protocol's loss backstop used to be a periodic *full-store*
-sync: every ``full_sync_every``-th gossip round to every peer shipped the
-whole store, so steady-state repair traffic grew O(store x peers) even when
-replicas were already identical.  This module replaces that with digest-tree
-reconciliation: each :class:`~repro.storage.kvs.ShardNode` maintains a
-:class:`DigestTree` over its store — a fixed-depth hash tree bucketed by the
-same canonical ``stable_digest`` ranges the :class:`~repro.storage.ring.HashRing`
-routes by — and an anti-entropy round exchanges the *root* digest (O(1) when
-converged), recursing only into mismatching ranges and shipping only the
-keys that actually differ.
+Each :class:`~repro.storage.kvs.ShardNode` keeps a :class:`DigestTree` over
+its store — a fixed-depth hash tree bucketed by the same canonical
+``stable_digest`` ranges the :class:`~repro.storage.ring.HashRing` routes by
+— and its :class:`AntiEntropy` compares that tree with a peer's over the
+wire: the root digest first (O(1) when converged), recursing only into
+mismatching ranges and shipping only the keys that differ.
+
+The exchange
+------------
+
+The initiator drives one RPC chain per peer, at most one in flight.  Each
+``ae_probe`` carries one level's disagreeing bucket digests; the peer
+answers with the buckets that differ on its side too and, for those, its
+children's digests, or at the leaf level its members' entry digests.  At
+the leaves the initiator pushes the keys the peer lacks or holds
+differently as a one-shot unstamped ``gossip`` parcel, and pulls the keys it
+lacks with ``ae_pull``; the message shapes are in README's "Wire format".
+An exchange ends with its last reply, or aborts when an RPC times out; a
+crash drops its pending RPCs with the transport, which then suppresses a
+late reply as a duplicate, so recovery only forgets which peers were busy.
+Payload maps are built in bucket order (digests) and ``repr`` order (keys),
+so the trace is the same under every ``PYTHONHASHSEED``.
 
 Tree shape
 ----------
@@ -63,14 +75,15 @@ would make 58,598, and the other three e2e workloads read no leaf.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
-from repro.cluster.transport import fold_payload
+from repro.cluster.network import Message
+from repro.cluster.node import Node
+from repro.cluster.transport import digest_entries, fold_payload
 from repro.storage.ring import encoded_digest, stable_digest, stable_key_bytes
 
 __all__ = [
-    "AntiEntropySession",
+    "AntiEntropy",
     "DigestTree",
     "LEAF_LEVEL",
     "PROBE_ROUNDS",
@@ -263,16 +276,133 @@ class DigestTree:
                 f"root={self.root():#018x})")
 
 
-@dataclass(slots=True)
-class AntiEntropySession:
-    """One in-flight digest reconciliation with one peer (initiator side).
+class AntiEntropy:
+    """One replica's digest exchanges with its peers, both sides of them.
 
-    A :class:`~repro.storage.kvs.ShardNode` keeps at most one session per
-    peer; the cadence tick that would start a second one skips instead.  The
-    session dies with its RPC (timeout aborts it) and with its node (crash
-    clears pending RPCs; ``recover`` drops every session), so a dead
-    exchange can never wedge the cadence — the next anti-entropy round
-    simply starts over from the root.
+    The replica hands over its ``tree``, a ``value_of(key)`` lookup and
+    ``take(key, value)``, the merge of a peer's entry, and calls
+    :meth:`start` on its cadence.  ``in_flight`` holds the peers this
+    replica has an exchange open with.
     """
 
-    peer: Hashable
+    __slots__ = ("node", "tree", "value_of", "take", "in_flight")
+
+    def __init__(self, node: Node, tree: DigestTree,
+                 value_of: Callable[[Hashable], Any],
+                 take: Callable[[Hashable, Any], None]) -> None:
+        self.node = node
+        self.tree = tree
+        self.value_of = value_of
+        self.take = take
+        self.in_flight: set[Hashable] = set()
+        node.on("ae_probe", self._on_probe)
+        node.on("ae_pull", self._on_pull)
+
+    def start(self, peer: Hashable) -> None:
+        """Open an exchange with ``peer`` unless one is still open."""
+        metrics = self.node.network.metrics
+        if peer in self.in_flight:
+            # The previous exchange is still recursing (slow link); let it
+            # finish rather than racing two against one peer.
+            metrics.increment("kvs.antientropy.skipped")
+            return
+        self.in_flight.add(peer)
+        metrics.increment("kvs.antientropy.rounds")
+        self._probe(peer, 0, {0: self.tree.root()})
+
+    def _request(self, peer: Hashable, mailbox: str, payload: dict,
+                 count: int, on_reply: Callable[[Hashable, Any], None]) -> None:
+        self.node.request(peer, mailbox, payload, entries=digest_entries(count),
+                          on_reply=lambda reply: on_reply(peer, reply),
+                          on_timeout=lambda: self._end(peer, aborted=True))
+
+    def _probe(self, peer: Hashable, level: int, buckets: dict[int, int]) -> None:
+        self._request(peer, "ae_probe", {"level": level, "buckets": buckets},
+                      len(buckets), self._on_probe_reply)
+
+    def _end(self, peer: Hashable, aborted: bool = False) -> None:
+        # An aborted exchange never wedges the cadence: the next one starts
+        # over from the root.
+        self.in_flight.discard(peer)
+        if aborted:
+            self.node.network.metrics.increment("kvs.antientropy.aborted")
+
+    def _on_probe_reply(self, peer: Hashable, payload: dict) -> None:
+        diff, level = payload["diff"], payload["level"]
+        if not diff:
+            if level == 0:
+                # Root digests matched: the replicas are provably identical
+                # and this round cost one digest each way.
+                self.node.network.metrics.increment(
+                    "kvs.antientropy.converged_rounds")
+            self._end(peer)
+        elif level == LEAF_LEVEL:
+            self._reconcile(peer, diff, payload["leaves"])
+        else:
+            mine, theirs = self.tree.child_digests(level, diff), payload["children"]
+            # Only children whose digests disagree are probed, so a bucket
+            # diverging in one child recurses into exactly that child.
+            probe = {}
+            for bucket in diff:
+                own, other = mine[bucket], theirs.get(bucket, {})
+                for child in sorted(own.keys() | other.keys()):
+                    if own.get(child, 0) != other.get(child, 0):
+                        probe[child] = own.get(child, 0)
+            if probe:
+                self._probe(peer, level + 1, probe)
+            else:
+                # Concurrent gossip healed the mismatch between probes.
+                self._end(peer)
+
+    def _reconcile(self, peer: Hashable, diff: list[int], leaves: dict) -> None:
+        push: dict[Hashable, Any] = {}
+        pull: list[Hashable] = []
+        mine = self.tree.leaf_summaries(diff)
+        for bucket in diff:
+            own, other = mine[bucket], leaves.get(bucket, {})
+            # A key held differently on both sides is pushed and pulled:
+            # each side may hold lattice state the other lacks.
+            for key, digest in own.items():
+                if other.get(key) != digest:
+                    push[key] = self.value_of(key)
+            pull.extend(key for key, digest in other.items()
+                        if own.get(key) != digest)
+        if push:
+            self.node.network.metrics.increment("kvs.antientropy.repair_entries",
+                                                len(push))
+            self.node.queue(peer, "gossip", {"entries": push}, entries=len(push))
+        if pull:
+            self._request(peer, "ae_pull", {"keys": pull}, len(pull),
+                          self._on_pull_reply)
+        else:
+            self._end(peer)
+
+    def _on_pull_reply(self, peer: Hashable, payload: dict) -> None:
+        entries = payload["entries"]
+        self.node.network.metrics.increment("kvs.antientropy.repair_entries",
+                                            len(entries))
+        for key, value in entries.items():
+            self.take(key, value)
+        self._end(peer)
+
+    def _on_probe(self, message: Message) -> None:
+        level, theirs = message.payload["level"], message.payload["buckets"]
+        tree = self.tree
+        mine = tree.digests(level, theirs)
+        diff = [bucket for bucket, digest in theirs.items() if mine[bucket] != digest]
+        reply: dict[str, Any] = {"level": level, "diff": diff}
+        count = len(diff)
+        if diff:
+            if level < LEAF_LEVEL:
+                below = reply["children"] = tree.child_digests(level, diff)
+            else:
+                below = reply["leaves"] = tree.leaf_summaries(diff)
+            count += sum(map(len, below.values()))
+        self.node.reply(message, "ae_probe_reply", reply,
+                        entries=digest_entries(count))
+
+    def _on_pull(self, message: Message) -> None:
+        entries = {key: value for key in message.payload["keys"]
+                   if (value := self.value_of(key)) is not None}
+        self.node.reply(message, "ae_pull_reply", {"entries": entries},
+                        entries=len(entries))

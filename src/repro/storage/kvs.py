@@ -41,12 +41,10 @@ still advances).  An idle tick sends nothing, and the log is trimmed at
 ``min(confirmed)`` on every ack: it holds what is unacknowledged, not the
 store.
 
-State loss and silent divergence are the digest tree's job
-(:mod:`repro.storage.antientropy`): every ``full_sync_every``-th tick toward
-a peer — and at once after a state-losing recovery — a replica exchanges the
-root digest (O(1) when identical), recurses only into mismatching key ranges
-via the RPC runtime, and ships only the keys that differ, as a one-shot
-unstamped parcel.  No path ships a whole store.
+State loss and silent divergence are the digest exchange's job
+(:mod:`repro.storage.antientropy`), every ``full_sync_every``-th tick toward
+a peer and at once after a state-losing recovery; it ships only the keys
+that differ.  No path ships a whole store.
 
 All traffic flows through the node's :class:`~repro.cluster.transport.Transport`:
 puts and gets are transport RPCs (timeouts, capped retries, duplicate
@@ -63,14 +61,9 @@ from typing import Any, Callable, Hashable, Optional
 from repro.cluster.network import Message, Network
 from repro.cluster.node import Node
 from repro.cluster.simulator import Simulator
-from repro.cluster.transport import digest_entries
 from repro.cluster.watermark import PeerSync, StampLog
 from repro.lattices.base import BOTTOM, Lattice
-from repro.storage.antientropy import (
-    LEAF_LEVEL,
-    AntiEntropySession,
-    DigestTree,
-)
+from repro.storage.antientropy import AntiEntropy, DigestTree
 from repro.storage.ring import HashRing, stable_key_bytes
 
 
@@ -110,17 +103,16 @@ class ShardNode(Node):
         # Gossip ticks so far; schedules the digest exchanges.
         self._ticks = 0
         self._push_bound = False
-        # Anti-entropy state: the incremental digest tree over the store and
-        # at most one in-flight reconciliation per peer.
-        self._tree = DigestTree()
-        self._ae_sessions: dict[Hashable, AntiEntropySession] = {}
+        #: The digest tree over ``store``, fed by every store mutation.
+        self.tree = DigestTree()
         self.on("put", self._on_put)
         self.on("get", self._on_get)
         self.on("replicate", self._on_replicate)
         self.on("gossip", self._on_gossip)
         self.on("gossip_ack", self._on_gossip_ack)
-        self.on("ae_probe", self._on_ae_probe)
-        self.on("ae_pull", self._on_ae_pull)
+        self.anti_entropy = AntiEntropy(
+            self, self.tree, self.value_of,
+            lambda key, value: self._take(key, value, self._merge_entry))
         self._arm_gossip()
 
     def _arm_gossip(self) -> None:
@@ -147,18 +139,12 @@ class ShardNode(Node):
 
     def _merge_entry(self, key: Hashable, value: Lattice) -> bool:
         """Merge ``value`` into ``key``'s entry; True if it grew."""
-        store = self.store
-        current = store.get(key)
-        if current is None:
-            merged = value
-        elif value.leq(current):
-            # Every lattice type's ``leq`` allocates nothing: a no-op merge
-            # is caught before the merge is allocated.
+        current = self.store.get(key)
+        merged = value if current is None else current.merge(value)
+        if merged is current:  # ``merge`` returns ``self`` when nothing grew
             return False
-        else:
-            merged = current.merge(value)
-        store[key] = merged
-        self._tree.update(key, merged)
+        self.store[key] = merged
+        self.tree.update(key, merged)
         return True
 
     def value_of(self, key: Hashable) -> Optional[Lattice]:
@@ -168,7 +154,7 @@ class ShardNode(Node):
         """Administratively remove keys (resharding handoff, not a lattice op)."""
         for key in keys:
             self.store.pop(key, None)
-            self._tree.remove(key)
+            self.tree.remove(key)
             self.change_log.stamps.pop(key, None)
 
     # -- message handlers ------------------------------------------------------------
@@ -232,8 +218,8 @@ class ShardNode(Node):
     #
     # A window is priced by its entries; ``since``/``seq`` and an ack's
     # ``seen``/``until`` ride the message header.  A one-shot parcel
-    # ``{"entries": {key: lattice}}`` (digest repair) carries no stamps and
-    # earns no ack: if one is lost the next exchange finds the same divergence.
+    # (digest repair) carries no stamps and earns no ack: if one is lost the
+    # next exchange finds the same divergence.
 
     def _push(self) -> None:
         """The first shipment: what the event that just returned stamped."""
@@ -275,7 +261,7 @@ class ShardNode(Node):
         for peer, sync in self._sync.items():
             if self._ticks % self.full_sync_every == 0:
                 # O(1) probe when converged, O(divergence) repair when not.
-                self._start_anti_entropy(peer)
+                self.anti_entropy.start(peer)
             if sync.ahead:
                 # A gap that outlived a round is a loss, not a reordering.
                 self.queue(peer, "gossip_ack",
@@ -313,168 +299,6 @@ class ShardNode(Node):
             # lost with our state, so the peer advances all the same.
             self._ship_window(message.source, sync, seen, until)
 
-    # -- anti-entropy ------------------------------------------------------------------
-    #
-    # Digest-tree reconciliation (see :mod:`repro.storage.antientropy`):
-    #
-    #   request "ae_probe"  {"level": L, "buckets": {bucket: digest}}
-    #   reply               {"level": L, "diff": [bucket, ...]}           converged
-    #                       {"level": L, "diff": [...],
-    #                        "children": {bucket: {child: digest}}}       interior
-    #                       {"level": LEAF, "diff": [...],
-    #                        "leaves": {bucket: {key: entry_digest}}}     leaf
-    #   request "ae_pull"   {"keys": [key, ...]}
-    #   reply               {"entries": {key: lattice}}
-    #
-    # The initiator probes level by level, recursing only into buckets whose
-    # digests differ; at the leaves it ships keys the peer is missing or
-    # holds differently as a one-shot gossip parcel, and pulls keys it lacks
-    # with "ae_pull".  Digest payloads
-    # are priced honestly via ``digest_entries`` (16 bytes per digest on the
-    # wire).  All payload maps are built in sorted order — bucket order for
-    # digests, repr order for keys — so the event trace is identical under
-    # every PYTHONHASHSEED.
-
-    def _start_anti_entropy(self, peer: Hashable) -> None:
-        """Begin a digest reconciliation with ``peer`` (at most one in flight)."""
-        if peer in self._ae_sessions:
-            # The previous exchange is still recursing (slow link); let it
-            # finish rather than racing two sessions against one peer.
-            self.network.metrics.increment("kvs.antientropy.skipped")
-            return
-        session = AntiEntropySession(peer=peer)
-        self._ae_sessions[peer] = session
-        self.network.metrics.increment("kvs.antientropy.rounds")
-        self._ae_send_probe(session, 0, {0: self._tree.root()})
-
-    def _ae_send_probe(self, session: AntiEntropySession, level: int,
-                       buckets: dict[int, int]) -> None:
-        self.request(
-            session.peer, "ae_probe", {"level": level, "buckets": buckets},
-            entries=digest_entries(len(buckets)),
-            on_reply=lambda payload: self._on_ae_probe_reply(session, payload),
-            on_timeout=lambda: self._ae_abort(session),
-        )
-
-    def _on_ae_probe_reply(self, session: AntiEntropySession, payload: Any) -> None:
-        if self._ae_sessions.get(session.peer) is not session:
-            return  # superseded by recovery/reshard; a late reply is void
-        diff = payload["diff"]
-        level = payload["level"]
-        if not diff:
-            if level == 0:
-                # Root digests matched: the replicas are provably identical
-                # and this round cost one digest each way.
-                self.network.metrics.increment("kvs.antientropy.converged_rounds")
-            self._ae_finish(session)
-            return
-        if level < LEAF_LEVEL:
-            next_buckets: dict[int, int] = {}
-            my_children = self._tree.child_digests(level, diff)
-            for bucket in diff:
-                mine = my_children[bucket]
-                theirs = payload["children"].get(bucket, {})
-                # Pre-filter here: only children whose digests already
-                # disagree get probed, so a bucket diverging in one child
-                # recurses into exactly that child.
-                for child in sorted(set(mine) | set(theirs)):
-                    if mine.get(child, 0) != theirs.get(child, 0):
-                        next_buckets[child] = mine.get(child, 0)
-            if next_buckets:
-                self._ae_send_probe(session, level + 1, next_buckets)
-            else:
-                # The parents' mismatch resolved itself between probes
-                # (concurrent gossip healed it); nothing left to chase.
-                self._ae_finish(session)
-            return
-        self._ae_reconcile_leaves(session, diff, payload["leaves"])
-
-    def _ae_reconcile_leaves(self, session: AntiEntropySession,
-                             diff: list[int], leaves: dict) -> None:
-        peer = session.peer
-        to_send: dict[Hashable, Lattice] = {}
-        to_pull: list[Hashable] = []
-        summaries = self._tree.leaf_summaries(diff)
-        for bucket in diff:
-            mine = summaries[bucket]
-            theirs = leaves.get(bucket, {})
-            for key, digest in mine.items():
-                # Keys the peer is missing or holds with different content.
-                # A differing digest also lands in ``to_pull`` below: both
-                # sides may hold lattice state the other lacks.
-                if theirs.get(key) != digest and key in self.store:
-                    to_send[key] = self.store[key]
-            for key, digest in theirs.items():
-                if mine.get(key) != digest:
-                    to_pull.append(key)
-        if to_send:
-            self.network.metrics.increment("kvs.antientropy.repair_entries",
-                                           len(to_send))
-            self.queue(peer, "gossip", {"entries": to_send},
-                       entries=len(to_send))
-        if to_pull:
-            self.request(
-                peer, "ae_pull", {"keys": to_pull},
-                entries=digest_entries(len(to_pull)),
-                on_reply=lambda payload: self._on_ae_pull_reply(session, payload),
-                on_timeout=lambda: self._ae_abort(session),
-            )
-        else:
-            self._ae_finish(session)
-
-    def _on_ae_pull_reply(self, session: AntiEntropySession, payload: Any) -> None:
-        if self._ae_sessions.get(session.peer) is not session:
-            return
-        entries = payload["entries"]
-        self.network.metrics.increment("kvs.antientropy.repair_entries",
-                                       len(entries))
-        for key, value in entries.items():
-            self._take(key, value, self._merge_entry)
-        self._ae_finish(session)
-
-    def _ae_finish(self, session: AntiEntropySession) -> None:
-        if self._ae_sessions.get(session.peer) is session:
-            del self._ae_sessions[session.peer]
-
-    def _ae_abort(self, session: AntiEntropySession) -> None:
-        if self._ae_sessions.get(session.peer) is session:
-            del self._ae_sessions[session.peer]
-            self.network.metrics.increment("kvs.antientropy.aborted")
-        # The next cadence tick starts over from the root — an aborted
-        # exchange never wedges anti-entropy.
-
-    def _on_ae_probe(self, message: Message) -> None:
-        payload = message.payload
-        level = payload["level"]
-        tree = self._tree
-        mine = tree.digests(level, payload["buckets"])
-        diff = [bucket for bucket, digest in payload["buckets"].items()
-                if mine[bucket] != digest]
-        if not diff:
-            self.reply(message, "ae_probe_reply", {"level": level, "diff": []})
-            return
-        if level < LEAF_LEVEL:
-            children = tree.child_digests(level, diff)
-            count = len(diff) + sum(len(c) for c in children.values())
-            self.reply(message, "ae_probe_reply",
-                       {"level": level, "diff": diff, "children": children},
-                       entries=digest_entries(count))
-        else:
-            leaves = tree.leaf_summaries(diff)
-            count = len(diff) + sum(len(s) for s in leaves.values())
-            self.reply(message, "ae_probe_reply",
-                       {"level": level, "diff": diff, "leaves": leaves},
-                       entries=digest_entries(count))
-
-    def _on_ae_pull(self, message: Message) -> None:
-        entries: dict[Hashable, Lattice] = {}
-        for key in message.payload["keys"]:
-            value = self.value_of(key)
-            if value is not None:
-                entries[key] = value
-        self.reply(message, "ae_pull_reply", {"entries": entries},
-                   entries=len(entries))
-
     def recover(self, lose_state: bool = False) -> None:
         """Recover and re-arm the gossip timer that :meth:`Node.crash` cancelled.
 
@@ -482,18 +306,17 @@ class ShardNode(Node):
         ticks again could diverge permanently once a window to it or from it
         is dropped.  A replica that comes back empty says so at once: it
         opens a digest exchange with its first peer instead of serving
-        nothing until the cadence's next one.
+        nothing until the cadence's next one.  A live replica lost nothing
+        and is left as it is.
         """
-        was_down = not self.alive
+        if self.alive:
+            return
         super().recover(lose_state)
-        if was_down:
-            # In-flight reconciliations died with the crash (their RPC
-            # timers were cancelled); drop the sessions so the next cadence
-            # tick can start fresh instead of waiting on a ghost.
-            self._ae_sessions.clear()
-            self._arm_gossip()
+        # The crash dropped every open exchange's RPCs with the transport.
+        self.anti_entropy.in_flight.clear()
+        self._arm_gossip()
         if lose_state and self.peers:
-            self._start_anti_entropy(self.peers[0])
+            self.anti_entropy.start(self.peers[0])
 
     def reset_state(self) -> None:
         if self.store:
@@ -502,8 +325,7 @@ class ShardNode(Node):
             self.network.metrics.increment("kvs.antientropy.lost_entries",
                                            len(self.store))
         self.store = {}
-        self._tree.clear()
-        self._ae_sessions.clear()
+        self.tree.clear()
         # The log's entries are lost and nothing is owed from it: refilling
         # is the digest tree's job.  Its numbering and each ``seen`` carry
         # on, so no stamp is reused and no peer has to start over; so does

@@ -235,7 +235,7 @@ class TestRecoverOnALiveNode:
             replica.recover(lose_state=True)
             assert replica.store == store
             assert armed_timers(replica) == timers
-            assert replica._tree == DigestTree.from_store(store)
+            assert replica.tree == DigestTree.from_store(store)
 
 
 class TestTopologyAndPlacement:

@@ -425,7 +425,7 @@ class TestAntiEntropyLifecycle:
         replica_b.crash()
         replica_b.recover(lose_state=True)
         assert replica_b.store == {}
-        assert len(replica_b._tree) == 0
+        assert len(replica_b.tree) == 0
         # full_sync_every * gossip_interval covers the worst-case wait for
         # the next anti-entropy round; the rest covers the recursion legs.
         kvs.settle(5 * 20.0 + 200.0)
@@ -468,20 +468,20 @@ class TestAntiEntropyLifecycle:
         kvs.settle(200.0)
         survivor = kvs.shards[0][0]
         old_store = set(survivor.store)
-        old_leaves = survivor._tree.digests(
+        old_leaves = survivor.tree.digests(
             LEAF_LEVEL, map(DigestTree.leaf_bucket, old_store))
         kvs.reshard(4)
         kvs.settle(200.0)
         moved = old_store - set(survivor.store)
         assert moved, "reshard moved nothing; the test needs more keys"
         moved_buckets = {DigestTree.leaf_bucket(key) for key in moved}
-        new_leaves = survivor._tree.digests(LEAF_LEVEL, old_leaves)
+        new_leaves = survivor.tree.digests(LEAF_LEVEL, old_leaves)
         for bucket, digest in old_leaves.items():
             if bucket not in moved_buckets:
                 assert new_leaves[bucket] == digest, bucket
         # And the incrementally-updated trees all match their stores.
         for replica in kvs.all_nodes():
-            assert replica._tree == DigestTree.from_store(replica.store)
+            assert replica.tree == DigestTree.from_store(replica.store)
 
     def test_trees_stay_pure_through_gossip_and_reshard(self):
         """The purity oracle holds after a full workload: concurrent
@@ -498,10 +498,10 @@ class TestAntiEntropyLifecycle:
         kvs.settle(800.0)
         assert_replicas_converged(kvs)
         for replica in kvs.all_nodes():
-            assert replica._tree == DigestTree.from_store(replica.store)
+            assert replica.tree == DigestTree.from_store(replica.store)
 
     def test_dead_peer_aborts_sessions_without_wedging(self):
-        """Probes to a crashed peer time out and abort the session; the
+        """Probes to a crashed peer time out and abort the exchange; the
         cadence keeps starting fresh exchanges instead of wedging behind a
         ghost, and the eventual recovery converges."""
         sim, net, kvs = build_kvs(full_sync_every=2)
@@ -512,11 +512,75 @@ class TestAntiEntropyLifecycle:
         replica_b.crash()
         kvs.settle(500.0)
         assert net.metrics.counter("kvs.antientropy.aborted") > 0
-        assert len(replica_a._ae_sessions) <= 1
+        assert replica_a.anti_entropy.in_flight <= {replica_b.node_id}
         replica_b.recover(lose_state=True)
         kvs.settle(500.0)
         assert_replicas_converged(kvs)
         assert len(replica_b.store) == 20
+
+    def test_a_live_replica_that_recovers_opens_no_exchange(self):
+        """``recover(lose_state=True)`` on a replica that never crashed
+        leaves it as it is: it lost nothing, so it asks its peers nothing."""
+        sim, net, kvs = build_kvs(replication=3, gossip_interval=None)
+        for index in range(20):
+            kvs.put(f"k-{index}", SetUnion({index}))
+        kvs.settle(50.0)
+        sent = net.messages_sent
+        kvs.shards[0][1].recover(lose_state=True)
+        kvs.settle(50.0)
+        assert net.metrics.counter("kvs.antientropy.rounds") == 0
+        assert net.messages_sent == sent
+
+    def test_a_reply_to_an_exchange_lost_in_a_crash_is_void(self):
+        """A replica that crashes with a probe in flight and comes back
+        empty opens a new exchange with the same peer at once.  The old one
+        died with the crash: the transport dropped its pending RPC, so its
+        reply lands as a duplicate and changes nothing, and the new exchange
+        alone refills the store — never two exchanges with one peer."""
+        sim = Simulator(seed=7)
+        net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
+        kvs = LatticeKVS(sim, net, shard_count=1, replication_factor=2,
+                         gossip_interval=None)
+        replica_a, replica_b = kvs.shards[0]
+        for index in range(30):
+            kvs.put(f"k-{index}", SetUnion({index}))
+        kvs.settle(50.0)
+        metrics = net.metrics
+        for _ in range(2):  # the old exchange, then the new one
+            replica_a.crash()
+            replica_a.recover(lose_state=True)
+            sim.run(until=sim.now)  # its root probe leaves; no time passes
+        assert metrics.counter("kvs.antientropy.rounds") == 2
+
+        def observed():
+            counters = {name: metrics.counter(name) for name in (
+                "kvs.antientropy.rounds", "kvs.antientropy.skipped",
+                "kvs.antientropy.aborted", "kvs.antientropy.converged_rounds",
+                "kvs.antientropy.repair_entries")}
+            return (dict(replica_a.store), net.messages_sent,
+                    replica_a.transport.pending_requests, counters)
+
+        def duplicates():
+            return metrics.counter("transport.rpc_duplicate_replies")
+
+        def step():
+            stepped = sim.step()
+            # A's only requests are its exchange's probes and pulls.
+            assert replica_a.transport.pending_requests <= 1
+            assert replica_b.transport.pending_requests == 0
+            return stepped
+
+        while not duplicates():
+            before = observed()
+            assert step()
+        assert duplicates() == 1
+        assert observed() == before
+        while step():  # no cadence: the simulator goes idle
+            pass
+        assert replica_a.store == replica_b.store and len(replica_a.store) == 30
+        assert duplicates() == 1
+        assert metrics.counter("kvs.antientropy.rounds") == 2
+        assert metrics.counter("kvs.antientropy.aborted") == 0
 
     @pytest.mark.parametrize("mine, theirs", SPLIT_UPDATES,
                              ids=[type(mine).__name__ for mine, _ in SPLIT_UPDATES])

@@ -458,7 +458,7 @@ class Shard:
             assert replica.store == joined, replica.node_id
             log = replica.change_log.stamps
             assert log == {}, (replica.node_id, log)
-            assert replica._tree == DigestTree.from_store(replica.store)
+            assert replica.tree == DigestTree.from_store(replica.store)
             for peer, sync in replica._sync.items():
                 assert sync.confirmed == sync.shipped == replica.change_log.seq, (
                     replica.node_id, peer, sync)

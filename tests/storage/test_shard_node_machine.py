@@ -98,7 +98,7 @@ class ShardNodeMachine(RuleBasedStateMachine):
         for replica in self.kvs.all_nodes():
             if not replica.alive:
                 continue
-            assert replica._tree == DigestTree.from_store(replica.store), replica.node_id
+            assert replica.tree == DigestTree.from_store(replica.store), replica.node_id
             assert replica.change_log.stamps.keys() <= replica.store.keys(), replica.node_id
 
     @invariant()
