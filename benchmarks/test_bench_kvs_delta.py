@@ -16,12 +16,17 @@ so the perf trajectory is tracked across PRs:
   full-store sync — idle repair bytes at 5k/50k-key converged stores (the
   O(store) → O(1) cut), divergence-proportional repair bytes, and the
   repair traffic + reconvergence time after a state-losing crash.
+* **Entry hashes per replicated put**: the digest-tree entries hashed
+  (value folds, counted under ``cProfile``) per client put at replication
+  3: one, because the other two replicas reuse the entry the shared value
+  remembers (three when every replica hashed it).
 
 The baselines these replaced are frozen in the repo-root ``BENCH_kvs.json``:
 the seed's immutable ``MapLattice.insert`` put (in-place is 122x its puts/s
 at 5k keys) and full-store snapshot gossip (99.5x delta's bytes at 5k keys).
 """
 
+import cProfile
 import gc
 import itertools
 import tracemalloc
@@ -30,8 +35,10 @@ import pytest
 
 from conftest import emit_bench, print_rows
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
-from repro.lattices import GCounter, SetUnion
-from repro.storage import LatticeKVS
+from repro.cluster.transport import fold_payload
+from repro.lattices import GCounter, LWWRegister, SetUnion
+from repro.storage import KVSClient, LatticeKVS
+from repro.storage import antientropy
 from repro.storage.kvs import ShardNode
 
 PUTS_PER_ROUND = 100
@@ -287,6 +294,41 @@ def test_anti_entropy_lose_state_repair():
     assert repair < 4 * wire_size(store_size)
 
 
+REPLICATED_PUTS = 500
+
+
+def test_entry_hashes_per_replicated_put():
+    """Client puts into a settled 1-shard, 3-replica KVS, half of them
+    superseding an earlier put: each value's digest-tree entry is hashed by
+    one replica and reused by the other two."""
+    simulator = Simulator(seed=5)
+    network = Network(simulator, NetworkConfig(base_delay=1.0, jitter=0.5))
+    kvs = LatticeKVS(simulator, network, shard_count=1, replication_factor=3,
+                     gossip_interval=20.0)
+    kvs.settle(50.0)
+    client = KVSClient("bench-client", simulator, network, kvs)
+    profile = cProfile.Profile()
+    profile.enable()
+    for index in range(REPLICATED_PUTS):
+        client.put(f"key-{index % (REPLICATED_PUTS // 2)}",
+                   LWWRegister(float(index), index, "writer"))
+    kvs.settle(300.0)
+    profile.disable()
+    hashes = sum(call.callcount for entry in profile.getstats()
+                 if getattr(entry.code, "co_filename", "") == antientropy.__file__
+                 for call in entry.calls or ()
+                 if call.code is fold_payload.__code__)
+    per_put = hashes / REPLICATED_PUTS
+    RESULTS["entry_hashes_per_replicated_put"] = per_put
+    print_rows(
+        f"E13: digest-tree entry hashes per put, {REPLICATED_PUTS} client "
+        "puts at replication 3",
+        ["puts", "entry hashes", "per put"],
+        [[REPLICATED_PUTS, hashes, f"{per_put:.2f}"]],
+    )
+    assert per_put <= 1.0
+
+
 def test_zz_acceptance_and_emit_json():
     """Checks the PR's acceptance numbers and writes ``benchmarks/out/BENCH_kvs.json``.
 
@@ -300,6 +342,8 @@ def test_zz_acceptance_and_emit_json():
         "put_alloc_bytes": RESULTS["put_alloc_bytes"],
         "gossip_bytes_per_round": RESULTS["gossip_bytes_per_round"],
         "anti_entropy": RESULTS["anti_entropy"],
+        "entry_hashes_per_replicated_put":
+            RESULTS.get("entry_hashes_per_replicated_put"),
     }
     emit_bench("kvs", summary)
 

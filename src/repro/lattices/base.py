@@ -61,9 +61,18 @@ class Lattice(ABC):
     difference from it.  (Leaves keep their own ``repr``: ``1`` and ``1.0``
     are equal but print differently, so a value mixing the two is outside
     the contract.)
+
+    Two slots, ``_tree_key`` and ``_tree_entry``, are the only attributes
+    written after construction: the last key a ``DigestTree`` entered the
+    value under and that entry's int (the key's leaf and the entry
+    digest), so the other replicas that store the same object reuse the
+    entry instead of hashing the key and folding the value again.  The
+    memo is a pure function of the key and of content that never changes;
+    no ``merge``, ``==``, ``hash`` or ``repr`` reads it, and a value that
+    was never entered leaves both slots unset.
     """
 
-    __slots__ = ()
+    __slots__ = ("_tree_key", "_tree_entry")
 
     @abstractmethod
     def merge(self: L, other: L) -> L:

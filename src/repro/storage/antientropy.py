@@ -48,28 +48,39 @@ What one update costs
 
 Every replica of every shard feeds every store write through
 :meth:`DigestTree.update`, so an 80k-key preload at replication 3 is 240k
-calls and the tree is most of a KVS's set-up.  One update therefore does
-each piece of work once: it encodes the key once (``stable_key_bytes``);
-hashes the entry once, one 8-byte ``blake2b`` over those bytes and the
-value's structural fold (the fold ``payload_digest`` hashes, never its hex
-digest); and — only for a key the tree has not held — computes the key's
-64-bit ``stable_digest`` from those bytes once (``encoded_digest``).  A
-changed entry XORs through the four interior levels by precomputed shifts,
-one ``^=`` into a list slot per level.
+calls and the tree is most of a KVS's set-up.  The replicas of a key store
+one shared, immutable value object, so the entry is hashed once per write,
+not once per replica: a tree that hashes a lattice value's entry writes
+the key and the entry's int into the value (``Lattice._tree_key`` /
+``_tree_entry``), and a tree that then enters the same object under the
+same key — the same key object, or an equal ``str`` — takes that int as
+it is.  Any other key, ``1`` for a value entered under ``True`` say, is
+hashed afresh: equal keys of different types encode differently.  An
+entry hashed afresh costs one key encoding (``stable_key_bytes``); one
+8-byte ``blake2b`` over those bytes and the value's structural fold (the
+fold ``payload_digest`` hashes, never its hex digest); and — only for a
+key the tree has not held — the key's 64-bit ``stable_digest`` from those
+bytes (``encoded_digest``).  A changed entry XORs into the four interior
+levels, one ``^=`` into a list slot per level, unrolled.  At
+``kvs_geo_mixed``'s set-up (seed 7) 160,000 of the 240,000 updates take
+the value's entry and fold nothing.
 
 What one entry costs
 --------------------
 
 A key costs the tree one dict slot and one int: ``key -> leaf << 64 |
 entry digest``, the leaf riding free in the int (80 bits take the same
-three 30-bit digits as 64).  At 65,536 leaves a store of tens of thousands
-of keys puts about one key in each, so a leaf dict or a per-leaf member
-list would cost as much again per key; instead the leaf level is read off
-the entries.  A leaf read is one pass over them that answers every bucket
-one probe handler asks about.  Only an exchange's last two probes read
-leaves, so the passes are few: ``kvs_churn_repair --seconds 10`` at seed 7
-makes 901 of them over stores of about 220 keys, where one-bucket reads
-would make 58,598, and the other three e2e workloads read no leaf.
+three 30-bit digits as 64).  The int is the one the value remembers, so
+the replicas holding one value share it: a replicated write allocates one
+entry int, not one per replica.  At 65,536 leaves a store of tens of
+thousands of keys puts about one key in each, so a leaf dict or a
+per-leaf member list would cost as much again per key; instead the leaf
+level is read off the entries.  A leaf read is one pass over them that
+answers every bucket one probe handler asks about.  Only an exchange's
+last two probes read leaves, so the passes are few: ``kvs_churn_repair
+--seconds 10`` at seed 7 makes 901 of them over stores of about 220 keys,
+where one-bucket reads would make 58,598, and the other three e2e
+workloads read no leaf.
 """
 
 from __future__ import annotations
@@ -80,6 +91,7 @@ from typing import Any, Callable, Hashable, Iterable
 from repro.cluster.network import Message
 from repro.cluster.node import Node
 from repro.cluster.transport import digest_entries, fold_payload
+from repro.lattices.base import Lattice
 from repro.storage.ring import encoded_digest, stable_digest, stable_key_bytes
 
 __all__ = [
@@ -113,21 +125,42 @@ _LEVEL_SHIFTS = tuple(TREE_FANOUT_BITS * (LEAF_LEVEL - level)
 #: An entry is ``leaf << _ENTRY_BITS | entry digest``.
 _ENTRY_BITS = 64
 _ENTRY_MASK = (1 << _ENTRY_BITS) - 1
+#: Levels 1-3's shifts, for ``_apply``'s unrolled XOR (level 0 is one
+#: bucket; the unpacking fails at import if ``LEAF_LEVEL`` is not 4).
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = _LEVEL_SHIFTS[1:LEAF_LEVEL]
+#: ``update``'s stand-in for a value no tree has entered (``None`` is a key).
+_NOT_ENTERED = object()
+
+
+def _entry(key: Hashable, value: Any, old: int | None) -> int:
+    """``key``'s entry for ``value``, hashed from scratch: ``leaf << 64 |
+    entry digest``.  The leaf comes from ``old``, the key's current entry,
+    when there is one; otherwise from the key's ``stable_digest``."""
+    key_bytes = stable_key_bytes(key)
+    hasher = hashlib.blake2b(key_bytes, digest_size=8)
+    fold_payload(value, hasher)
+    if old is None:
+        leaf = encoded_digest(key_bytes) >> _LEAF_SHIFT
+    else:
+        leaf = old >> _ENTRY_BITS
+    return leaf << _ENTRY_BITS | int.from_bytes(hasher.digest(), "big")
 
 
 class DigestTree:
     """An incrementally-maintained hash tree over one replica's store.
 
-    ``update``/``remove`` cost one key encoding, at most one key digest
-    and one list-slot XOR per interior level, plus — for ``update`` —
-    one hash over the key and the value's fold.  A key's *entry digest* is
-    that 64-bit hash: a pure function of the key's canonical bytes and the
-    value's content, equal under every ``PYTHONHASHSEED`` and changed by
-    any lattice growth.  Interior buckets are kept; a leaf is read off the
-    entries it holds (``leaf_summaries`` sorts them).  The tree is always an
-    exact function of the entries it was fed, so two trees built from equal
-    stores — in any order, under any hash seed — are identical level by
-    level and hold the same keys in every leaf.
+    ``update``/``remove`` cost one list-slot XOR per interior level;
+    ``update`` of a value no tree has entered under the key adds one key
+    encoding, at most one key digest and one hash over the key and the
+    value's fold (the module text has the memo that skips them).  A key's
+    *entry digest* is that 64-bit hash: a pure function of the key's
+    canonical bytes and the value's content, equal under every
+    ``PYTHONHASHSEED`` and changed by any lattice growth.  Interior
+    buckets are kept; a leaf is read off the entries it holds
+    (``leaf_summaries`` sorts them).  The tree is always an exact function
+    of the entries it was fed, so two trees built from equal stores — in
+    any order, under any hash seed — are identical level by level and hold
+    the same keys in every leaf.
     """
 
     __slots__ = ("_levels", "_entries")
@@ -156,28 +189,38 @@ class DigestTree:
     # -- maintenance -------------------------------------------------------------
 
     def _apply(self, leaf: int, delta: int) -> None:
-        """XOR ``delta`` through every interior ancestor of ``leaf`` (the
-        leaf level keeps no list, so the ``zip`` stops above it)."""
-        for buckets, shift in zip(self._levels, _LEVEL_SHIFTS):
-            buckets[leaf >> shift] ^= delta
+        """XOR ``delta`` into every interior ancestor of ``leaf``, one
+        ``^=`` per level (the leaf level keeps no list)."""
+        root, level1, level2, level3 = self._levels
+        root[0] ^= delta
+        level1[leaf >> _SHIFT_1] ^= delta
+        level2[leaf >> _SHIFT_2] ^= delta
+        level3[leaf >> _SHIFT_3] ^= delta
 
     def update(self, key: Hashable, value: Any) -> None:
-        """Record ``key``'s (new) value; O(depth) on top of one entry hash."""
-        key_bytes = stable_key_bytes(key)
-        hasher = hashlib.blake2b(key_bytes, digest_size=8)
-        fold_payload(value, hasher)
-        new = int.from_bytes(hasher.digest(), "big")
+        """Record ``key``'s (new) value; O(depth) on top of one entry hash,
+        or none when ``value`` was already entered under this key."""
         old = self._entries.get(key)
-        if old is None:
-            leaf = encoded_digest(key_bytes) >> _LEAF_SHIFT
-            delta = new
+        entered = getattr(value, "_tree_key", _NOT_ENTERED)
+        if entered is key or (type(key) is str and type(entered) is str
+                              and entered == key):
+            entry = value._tree_entry
         else:
-            leaf = old >> _ENTRY_BITS
-            delta = (old & _ENTRY_MASK) ^ new
+            entry = _entry(key, value, old)
+            # Only a lattice value has the slots and the immutability that
+            # make the memo safe; anything else is hashed every time.
+            if isinstance(value, Lattice):
+                value._tree_key = key
+                value._tree_entry = entry
+        if old is None:
+            delta = entry & _ENTRY_MASK
+        else:
+            # Same key, same leaf: the leaf bits cancel.
+            delta = old ^ entry
             if not delta:
                 return
-        self._entries[key] = leaf << _ENTRY_BITS | new
-        self._apply(leaf, delta)
+        self._entries[key] = entry
+        self._apply(entry >> _ENTRY_BITS, delta)
 
     def remove(self, key: Hashable) -> None:
         old = self._entries.pop(key, None)
@@ -261,7 +304,10 @@ class DigestTree:
         """
         tree = cls()
         for key in sorted(store, key=repr):
-            tree.update(key, store[key])
+            # Every entry from scratch: the memo ``update`` reuses is what
+            # this oracle checks, so it is never read (nor written) here.
+            entry = tree._entries[key] = _entry(key, store[key], None)
+            tree._apply(entry >> _ENTRY_BITS, entry & _ENTRY_MASK)
         return tree
 
     def __eq__(self, other: object) -> bool:
@@ -300,14 +346,12 @@ class AntiEntropy:
 
     def start(self, peer: Hashable) -> None:
         """Open an exchange with ``peer`` unless one is still open."""
-        metrics = self.node.network.metrics
         if peer in self.in_flight:
             # The previous exchange is still recursing (slow link); let it
             # finish rather than racing two against one peer.
-            metrics.increment("kvs.antientropy.skipped")
             return
         self.in_flight.add(peer)
-        metrics.increment("kvs.antientropy.rounds")
+        self.node.network.metrics.increment("kvs.antientropy.rounds")
         self._probe(peer, 0, {0: self.tree.root()})
 
     def _request(self, peer: Hashable, mailbox: str, payload: dict,

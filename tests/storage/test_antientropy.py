@@ -62,18 +62,23 @@ def assert_replicas_converged(kvs):
                 f"replicas diverge on {key!r}: {values}")
 
 
-#: Per lattice type, two updates of one key for two replicas to merge in
-#: opposite orders; a counter, clock or map builds its entries in that order.
-SPLIT_UPDATES = [
-    (BoolOr(True), BoolOr(False)),
-    (MaxInt(3), MaxInt(5)),
-    (SetUnion({1}), SetUnion({2})),
-    (TwoPhaseSet({1}, ()), TwoPhaseSet({2}, {1})),
-    (GCounter({"a": 1}), GCounter({"b": 1})),
-    (VectorClock({"a": 1}), VectorClock({"b": 1})),
-    (LWWRegister(5.0, "x", "a"), LWWRegister(5.0, "x", "b")),
-    (MapLattice({"x": SetUnion({1})}), MapLattice({"y": MaxInt(2)})),
-]
+def split_updates():
+    """Per lattice type, two updates of one key for two replicas to merge in
+    opposite orders; a counter, clock or map builds its entries in that
+    order.  Fresh objects on every call."""
+    return [
+        (BoolOr(True), BoolOr(False)),
+        (MaxInt(3), MaxInt(5)),
+        (SetUnion({1}), SetUnion({2})),
+        (TwoPhaseSet({1}, ()), TwoPhaseSet({2}, {1})),
+        (GCounter({"a": 1}), GCounter({"b": 1})),
+        (VectorClock({"a": 1}), VectorClock({"b": 1})),
+        (LWWRegister(5.0, "x", "a"), LWWRegister(5.0, "x", "b")),
+        (MapLattice({"x": SetUnion({1})}), MapLattice({"y": MaxInt(2)})),
+    ]
+
+
+SPLIT_UPDATES = split_updates()
 
 
 class TestDigestTree:
@@ -250,6 +255,71 @@ class TestDigestTree:
         assert held / len(keys) <= 83, held / len(keys)
 
 
+class TestEntryMemo:
+    """A value remembers the last key a tree entered it under and that
+    entry, so a replica storing the same object reuses the entry.  The memo
+    must never stand in for a different key, and the ``from_store`` oracle
+    must never lean on it."""
+
+    def test_the_oracle_never_reads_the_memo(self):
+        store = {f"k-{i}": SetUnion({i}) for i in range(20)}
+        tree = DigestTree()
+        for key, value in store.items():
+            tree.update(key, value)
+        assert tree == DigestTree.from_store(store)
+        planted = store["k-3"]
+        planted._tree_entry ^= 1  # a wrong entry digest, same leaf
+        fooled = DigestTree()
+        for key, value in store.items():
+            fooled.update(key, value)
+        assert fooled != DigestTree.from_store(store)
+        assert DigestTree.from_store(store) == tree
+        # Nor does the oracle write one.
+        fresh = SetUnion({99})
+        DigestTree.from_store({"k": fresh})
+        assert not hasattr(fresh, "_tree_key")
+
+    def test_equal_keys_of_other_types_are_hashed_afresh(self):
+        """``1``, ``1.0`` and ``True`` are equal, and so are ``(1,)`` and
+        ``(True,)``, but each encodes and routes differently."""
+        value = LWWRegister(3.0, "v", "w")
+        for key in (1, 1.0, True, (1,), (True,), 1, (True,)):
+            tree = DigestTree()
+            tree.update(key, value)
+            assert tree == DigestTree.from_store({key: value}), key
+            assert value._tree_key is key
+
+    def test_equal_str_keys_share_one_entry(self):
+        first, second = "".join(["cart", "-7"]), "".join(["cart-", "7"])
+        assert first == second and first is not second
+        value = SetUnion({1, 2})
+        one, two = DigestTree(), DigestTree()
+        one.update(first, value)
+        two.update(second, value)
+        assert two._entries[second] is one._entries[first]
+        assert two == DigestTree.from_store({second: value})
+
+    @pytest.mark.parametrize("index", range(len(SPLIT_UPDATES)),
+                             ids=[type(a).__name__ for a, _ in SPLIT_UPDATES])
+    def test_merge_neither_reads_nor_writes_the_memo(self, index):
+        """An unset memo slot raises on read, so a merge that read it would
+        fail; a planted memo survives every merge unchanged, and a join that
+        allocates starts without one."""
+        first, second = split_updates()[index]
+        joins = [first.merge(second), second.merge(first), first.merge(first)]
+        for value in (first, second, *joins):
+            assert not hasattr(value, "_tree_key")
+            assert not hasattr(value, "_tree_entry")
+        key, entry = object(), 1 << 70
+        for value in (first, second):
+            value._tree_key, value._tree_entry = key, entry
+        for joined in (first.merge(second), second.merge(first)):
+            planted = joined is first or joined is second
+            assert hasattr(joined, "_tree_key") == planted
+        for value in (first, second):
+            assert value._tree_key is key and value._tree_entry is entry
+
+
 # Keys mix str, int, tuple and bool — but no int, bare or in a tuple, equals
 # a bool (``1 == True``): a store is a dict, so two such keys are one entry,
 # yet their canonical encodings route them to different buckets.
@@ -301,6 +371,16 @@ class DigestTreeMachine(RuleBasedStateMachine):
     def rewrite_same_value(self, data):
         key = data.draw(st.sampled_from(sorted(self.store, key=repr)))
         self.tree.update(key, self.store[key])
+
+    @precondition(lambda self: self.store)
+    @rule(data=st.data(), key=_KEYS)
+    def reenter_under_another_key(self, data, key):
+        """A value object already digested under one key, entered under
+        another: its memo names the first key, so it must not be reused."""
+        held = data.draw(st.sampled_from(sorted(self.store, key=repr)))
+        value = self.store[held]
+        self.store[key] = value
+        self.tree.update(key, value)
 
     @rule(key=_KEYS)
     def remove(self, key):
@@ -554,8 +634,8 @@ class TestAntiEntropyLifecycle:
 
         def observed():
             counters = {name: metrics.counter(name) for name in (
-                "kvs.antientropy.rounds", "kvs.antientropy.skipped",
-                "kvs.antientropy.aborted", "kvs.antientropy.converged_rounds",
+                "kvs.antientropy.rounds", "kvs.antientropy.aborted",
+                "kvs.antientropy.converged_rounds",
                 "kvs.antientropy.repair_entries")}
             return (dict(replica_a.store), net.messages_sent,
                     replica_a.transport.pending_requests, counters)
