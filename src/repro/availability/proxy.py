@@ -11,7 +11,7 @@ replica answers with ``reply``: the transport keeps the request, its timer
 and its duplicate suppression, so a reply to an attempt that already timed
 out is a duplicate like any other.  A timed-out attempt fails over to the
 next replica not yet tried, round-robin (to any once all were), until
-``max_attempts`` attempts have timed out.
+``MAX_ATTEMPTS`` attempts have timed out.
 """
 
 from __future__ import annotations
@@ -21,22 +21,24 @@ from functools import partial
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.metrics import MetricsRegistry
-from repro.cluster.node import Node
+from repro.cluster.node import DEFAULT_DOMAIN, Node
 from repro.cluster.transport import RpcPolicy
 
 OnReply = Optional[Callable[[dict], None]]
+
+#: Attempts per call, the first included, before the proxy gives up on it.
+MAX_ATTEMPTS = 4
 
 
 class ReplicaProxy(Node):
     """Routes client calls to replicas, with failover on timeout."""
 
-    def __init__(self, node_id, simulator, network, domain="default",
-                 retry_timeout: float = 30.0, max_attempts: int = 4,
+    def __init__(self, node_id, simulator, network, domain=DEFAULT_DOMAIN,
+                 retry_timeout: float = 30.0,
                  metrics: MetricsRegistry | None = None) -> None:
         super().__init__(node_id, simulator, network, domain)
         #: One attempt: the transport times it out, the proxy fails over.
         self.attempt_policy = RpcPolicy(timeout=retry_timeout, max_attempts=1)
-        self.max_attempts = max_attempts
         self.metrics = metrics or MetricsRegistry()
         self._replica_sets: dict[str, list[Hashable]] = {}
         self._round_robin: dict[str, itertools.cycle] = {}
@@ -78,7 +80,7 @@ class ReplicaProxy(Node):
         and a retry only if it sends one."""
         handler = payload["handler"]
         replica = (self._choose_replica(handler, tried)
-                   if len(tried) < self.max_attempts else None)
+                   if len(tried) < MAX_ATTEMPTS else None)
         if replica is None:
             self.metrics.increment("proxy.failures")
             return

@@ -76,7 +76,7 @@ from functools import partial
 from typing import Any, Hashable, Iterable, Mapping, Optional
 
 from repro.cluster.network import Message
-from repro.cluster.node import Node
+from repro.cluster.node import DEFAULT_DOMAIN, Node
 from repro.cluster.transport import digest_entries
 from repro.cluster.watermark import RETRANSMIT_AFTER_ROUNDS, PeerSync
 from repro.core.interpreter import SingleNodeInterpreter
@@ -142,7 +142,7 @@ class ReplicaNode(Node):
     """
 
     def __init__(self, node_id, simulator, network, program: HydroProgram,
-                 domain="default", gossip_interval: Optional[float] = 10.0,
+                 domain=DEFAULT_DOMAIN, gossip_interval: Optional[float] = 10.0,
                  peers: Iterable[Hashable] = ()) -> None:
         super().__init__(node_id, simulator, network, domain)
         self.program = program

@@ -12,10 +12,10 @@ endpoint: the network delivers everything addressed to the node to
 handler registered with :meth:`Node.on`.  A node emits and accepts one wire
 form, a tuple of typed parcels under ``TRANSPORT_MAILBOX``: the sender
 declares how many entries a payload carries and the transport prices it via
-``wire_size``.  :meth:`Node.send` ships one parcel at once; the batched/RPC
-helpers (:meth:`Node.queue`, :meth:`Node.request`, :meth:`Node.reply`,
-:meth:`Node.forward`) are the substrate every protocol in the tree builds
-on.
+``wire_size``.  There is one send path: :meth:`Node.queue` (one envelope
+per destination when the current event returns) and the RPC helpers built
+on it (:meth:`Node.request`, :meth:`Node.reply`, :meth:`Node.forward`) are
+the substrate every protocol in the tree builds on.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message, Network
 from repro.cluster.simulator import Event, Label, Simulator
-from repro.cluster.transport import Parcel, RpcPolicy, Transport
+from repro.cluster.transport import RpcPolicy, Transport
+
+#: The failure domain of a node built without one.
+DEFAULT_DOMAIN = "default"
 
 
 class Node:
@@ -35,7 +38,7 @@ class Node:
         node_id: Hashable,
         simulator: Simulator,
         network: Network,
-        domain: Hashable = "default",
+        domain: Hashable = DEFAULT_DOMAIN,
     ) -> None:
         self.node_id = node_id
         self.simulator = simulator
@@ -62,19 +65,6 @@ class Node:
         return self.transport.handlers.get(mailbox)
 
     # -- messaging --------------------------------------------------------------
-
-    def send(self, destination: Hashable, mailbox: str, payload: Any,
-             entries: int = 1) -> Optional[Message]:
-        """Send one message immediately (unbatched); crashed nodes send nothing.
-
-        The message is one parcel on the wire; ``entries`` declares the
-        payload's key/value entry count, and the wire cost is
-        ``wire_size(entries)``.
-        """
-        if not self.alive:
-            return None
-        return self.transport._send(destination,
-                                    (Parcel(mailbox, payload, entries),))
 
     def queue(self, destination: Hashable, mailbox: str, payload: Any,
               entries: int = 0) -> None:

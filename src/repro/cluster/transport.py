@@ -108,14 +108,16 @@ class RpcPolicy:
         return self.timeout * (self.max_attempts - 1)
 
 
+#: Served-request memo size per node (duplicate suppression window).
+DEDUP_WINDOW = 1024
+
+
 @dataclass(slots=True)
 class TransportConfig:
     """Per-network default transport behaviour (nodes inherit it)."""
 
     batching: bool = True
     rpc: RpcPolicy = field(default_factory=RpcPolicy)
-    #: Served-request memo size per node (duplicate suppression window).
-    dedup_window: int = 1024
     #: Runtime sanitizer: payloads handed to ``queue``/``reply`` are
     #: digested at queue time and re-digested at flush; a mismatch raises
     #: :class:`PayloadMutationError` naming the parcel.  Pure observation —
@@ -565,7 +567,7 @@ class Transport:
                 # ran, so a duplicate must not re-run it; a deferred reply
                 # refreshes this entry when it is sent (see reply()).
                 served[memo_key] = inbound.reply
-                while len(served) > self.config.dedup_window:
+                while len(served) > DEDUP_WINDOW:
                     served.popitem(last=False)
 
     # -- failure hooks ------------------------------------------------------------

@@ -4,12 +4,15 @@ A :class:`HydroDeployment` turns a :class:`~repro.compiler.plan.DeploymentPlan`
 into running simulated infrastructure:
 
 * one :class:`~repro.availability.replication.ReplicaNode` per node named in
-  the plan's placements, each hosting a full program replica that converges
-  through gossip;
+  the plan's placements, in the zone the plan records for it (a plan
+  compiled without a topology records none: the ``Node`` default), each
+  hosting a full program replica that converges through gossip;
 * a :class:`~repro.availability.proxy.ReplicaProxy` fronting every endpoint;
-* for endpoints whose plan demands coordination, a consensus log whose
-  entries are handler invocations fed to every replica in slot order (state
-  machine replication), and replayed to a replica that missed some.
+* for endpoints whose plan demands coordination, a
+  :class:`~repro.consistency.paxos.ConsensusLog` with a log node beside each
+  replica, whose entries are handler invocations fed to every replica in
+  slot order (state machine replication), and replayed to a replica that
+  missed some.
 
 The deployment exposes ``invoke`` for clients and enough metrics (message
 counts, latencies, availability) for the E2/E6/E11 benchmarks to compare
@@ -26,43 +29,38 @@ from repro.availability.proxy import ReplicaProxy
 from repro.availability.replication import ORDERED_REPLAYED, RESULT_KEY, ReplicaNode
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.network import Network
+from repro.cluster.node import DEFAULT_DOMAIN
 from repro.cluster.simulator import Simulator
 from repro.compiler.plan import DeploymentPlan
-from repro.consistency.paxos import PaxosReplica
+from repro.consistency.paxos import ConsensusLog, PaxosReplica
 from repro.core.program import HydroProgram
+
+#: Ticks between two gossip rounds of every program replica.
+GOSSIP_INTERVAL = 10.0
 
 
 class HydroDeployment:
     """A running (simulated) deployment of one HydroLogic program."""
 
     def __init__(self, program: HydroProgram, plan: DeploymentPlan,
-                 simulator: Simulator, network: Network,
-                 metrics: MetricsRegistry | None = None,
-                 gossip_interval: float = 10.0) -> None:
+                 simulator: Simulator, network: Network) -> None:
         self.program = program
         self.plan = plan
         self.simulator = simulator
         self.network = network
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._ids = itertools.count()
         self.responses: dict[Hashable, Any] = {}
 
         # One program replica per distinct node named anywhere in the plan.
-        replica_ids: list[Hashable] = []
-        domains: dict[Hashable, Hashable] = {}
-        for endpoint_plan in plan.endpoints.values():
-            for index, node_id in enumerate(endpoint_plan.replicas):
-                if node_id not in replica_ids:
-                    replica_ids.append(node_id)
-                    domains[node_id] = f"az-{index}"
-        if not replica_ids:
-            replica_ids = ["replica-0"]
-            domains["replica-0"] = "az-0"
+        replica_ids = list(dict.fromkeys(
+            node_id for endpoint_plan in plan.endpoints.values()
+            for node_id in endpoint_plan.replicas)) or ["replica-0"]
         self.replica_ids = replica_ids
         self.replicas: dict[Hashable, ReplicaNode] = {
             node_id: ReplicaNode(node_id, simulator, network, program,
-                                 domain=domains[node_id],
-                                 gossip_interval=gossip_interval, peers=replica_ids)
+                                 domain=plan.zones.get(node_id, DEFAULT_DOMAIN),
+                                 gossip_interval=GOSSIP_INTERVAL, peers=replica_ids)
             for node_id in replica_ids
         }
 
@@ -72,23 +70,24 @@ class HydroDeployment:
             replicas = endpoint_plan.replicas or replica_ids
             self.proxy.register_endpoint(handler, list(replicas))
 
-        # Consensus log for coordinated endpoints (one log shared by all of them).
+        # Consensus log for coordinated endpoints (one log shared by all of
+        # them): replica ``n``'s log node is ``n-log``, in ``n``'s zone.
+        self.log: Optional[ConsensusLog] = None
         self.consensus: dict[Hashable, PaxosReplica] = {}
         if plan.coordinated_endpoints():
-            for index, node_id in enumerate(replica_ids):
-                paxos_id = f"{node_id}-log"
-                self.consensus[node_id] = PaxosReplica(
-                    paxos_id, simulator, network,
-                    peers=[f"{peer}-log" for peer in replica_ids],
-                    domain=domains[node_id],
-                    apply_entry=partial(self._feed, node_id),
-                    is_leader=(index == 0),
-                )
+            log_ids = {f"{node_id}-log": node_id for node_id in replica_ids}
+            self.log = ConsensusLog(
+                simulator, network, list(log_ids),
+                apply_entry=lambda log_id, slot, _value: self._feed(log_ids[log_id], slot),
+                domains={log_id: self.replicas[node_id].domain
+                         for log_id, node_id in log_ids.items()})
+            for log_id, node_id in log_ids.items():
+                self.consensus[node_id] = self.log.replicas[log_id]
                 self.replicas[node_id].catch_up = partial(self._catch_up, node_id)
 
     # -- coordinated application -------------------------------------------------------
 
-    def _feed(self, node_id: Hashable, applying: int = -1, _value: Any = None) -> None:
+    def _feed(self, node_id: Hashable, applying: int = -1) -> None:
         """Feed a replica, in order, every slot its log has applied and it
         has not — the log's apply hook (for slot ``applying``), and its replay."""
         replica, log = self.replicas[node_id], self.consensus[node_id]
@@ -111,10 +110,7 @@ class HydroDeployment:
 
     @property
     def consensus_leader(self) -> Optional[PaxosReplica]:
-        for replica in self.consensus.values():
-            if replica.is_leader and replica.alive:
-                return replica
-        return None
+        return self.log.leader if self.log is not None else None
 
     # -- client API ----------------------------------------------------------------------
 

@@ -4,7 +4,8 @@
 
 1. monotonicity / CALM analysis (program semantics + consistency facets),
    which decides each endpoint's coordination mechanism;
-2. replica placement against the availability facet and a cluster topology;
+2. replica placement against the availability facet and a cluster topology,
+   recording each placed node's availability zone for the deployment;
 3. machine sizing against the target facet: the cheapest option per
    handler under the chosen objective; a handler no configuration can serve
    fails the compile with a :class:`~repro.core.errors.NotDeployableError`
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
-from repro.cluster.domains import Topology
+from repro.cluster.domains import FailureDomain, Topology
 from repro.cluster.network import Network, NetworkConfig
 from repro.cluster.simulator import Simulator
 from repro.compiler.deployment import HydroDeployment
@@ -59,15 +60,17 @@ class Hydrolysis:
 
         plan = DeploymentPlan(program_name=program.name)
         for name in program.handlers:
+            replicas = list(placements[name].replicas) if name in placements else []
             plan.endpoints[name] = EndpointPlan(
                 handler=name,
                 analysis=report.handlers[name],
-                consistency=program.consistency_for(name),
                 availability=program.availability_for(name),
-                target=program.target_for(name),
-                replicas=list(placements[name].replicas) if name in placements else [],
+                replicas=replicas,
                 machine_configuration=machine_configurations.get(name),
             )
+            for node_id in replicas:
+                plan.zones[node_id] = topology.domain_of(
+                    node_id, FailureDomain.AVAILABILITY_ZONE)
         return plan
 
     # -- deployment --------------------------------------------------------------------
@@ -78,10 +81,8 @@ class Hydrolysis:
         plan: DeploymentPlan,
         simulator: Optional[Simulator] = None,
         network: Optional[Network] = None,
-        gossip_interval: float = 10.0,
     ) -> HydroDeployment:
         """Instantiate a compiled plan on a (simulated) cluster."""
         simulator = simulator or Simulator(seed=42)
         network = network or Network(simulator, NetworkConfig(base_delay=1.0, jitter=0.5))
-        return HydroDeployment(program, plan, simulator, network,
-                               gossip_interval=gossip_interval)
+        return HydroDeployment(program, plan, simulator, network)

@@ -4,8 +4,10 @@ A :class:`DeploymentPlan` records, per endpoint, everything later stages
 need: the CALM analysis (the monotonicity verdict and the coordination
 mechanism it implies), the replica placement chosen for the availability
 facet, and the machine configuration chosen by the target-facet optimizer
-(the cheapest option per handler).  Plans are plain data so they can be
-explained to developers and compared in tests.
+(the cheapest option per handler); program-wide, each placed node's
+availability zone in the compile's topology.  The consistency and target
+facets reach the plan only through what they decided.  Plans are plain
+data so they can be explained to developers and compared in tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
-from repro.core.facets import AvailabilitySpec, ConsistencySpec, TargetSpec
+from repro.core.facets import AvailabilitySpec
 from repro.core.monotonicity import HandlerAnalysis
 from repro.placement.ilp import ConfigurationOption
 
@@ -24,9 +26,7 @@ class EndpointPlan:
 
     handler: str
     analysis: HandlerAnalysis
-    consistency: ConsistencySpec
     availability: AvailabilitySpec
-    target: TargetSpec
     replicas: list[Hashable] = field(default_factory=list)
     machine_configuration: Optional[ConfigurationOption] = None
 
@@ -45,6 +45,8 @@ class DeploymentPlan:
 
     program_name: str
     endpoints: dict[str, EndpointPlan] = field(default_factory=dict)
+    #: Placed node -> its availability zone in the compile's topology.
+    zones: dict[Hashable, Hashable] = field(default_factory=dict)
 
     def endpoint(self, handler: str) -> EndpointPlan:
         return self.endpoints[handler]

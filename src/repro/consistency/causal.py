@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.cluster.network import Message
-from repro.cluster.node import Node
+from repro.cluster.node import DEFAULT_DOMAIN, Node
 from repro.lattices import VectorClock
 
 
@@ -32,7 +32,7 @@ class CausalBroadcast(Node):
     """A node participating in causal broadcast."""
 
     def __init__(self, node_id, simulator, network, peers: list[Hashable],
-                 domain="default",
+                 domain=DEFAULT_DOMAIN,
                  deliver: Callable[[CausalMessage], None] | None = None) -> None:
         super().__init__(node_id, simulator, network, domain)
         self.peers = [peer for peer in peers if peer != node_id]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message
-from repro.cluster.node import Node
+from repro.cluster.node import DEFAULT_DOMAIN, Node
 
 #: ``network.metrics`` counter of ``learn`` requests sent; 0 fault-free.
 LEARN_REQUESTS = "paxos.learn_requests"
@@ -50,7 +50,7 @@ class PaxosReplica(Node):
     """One consensus participant: proposer (when leader), acceptor and learner."""
 
     def __init__(self, node_id, simulator, network, peers: list[Hashable],
-                 domain="default", apply_entry: Callable[[int, Any], None] | None = None,
+                 domain=DEFAULT_DOMAIN, apply_entry: Callable[[int, Any], None] | None = None,
                  is_leader: bool = False) -> None:
         super().__init__(node_id, simulator, network, domain)
         self.peers = [peer for peer in peers if peer != node_id]
@@ -244,7 +244,7 @@ class ConsensusLog:
                 simulator,
                 network,
                 peers=list(replica_ids),
-                domain=domains.get(replica_id, "default"),
+                domain=domains.get(replica_id, DEFAULT_DOMAIN),
                 apply_entry=apply_fn,
                 is_leader=(index == 0),
             )

@@ -5,11 +5,15 @@ optional per-handler overrides, mirroring the ``availability:`` /
 ``consistency`` / ``target:`` blocks of Figure 3.  Facets are pure data —
 the Hydrolysis compiler reads them to choose replication degree,
 coordination mechanisms and machine placement; the runtimes enforce them.
+
+Every value a facet accepts has a mechanism behind it: under ``eventual``
+a non-monotone handler runs coordination-free, and the three stronger
+levels put it on the deployment's consensus log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Generic, Mapping, Optional, TypeVar
 
@@ -20,19 +24,9 @@ class ConsistencyLevel(str, Enum):
     """History-based consistency/isolation levels, weakest to strongest."""
 
     EVENTUAL = "eventual"
-    CAUSAL = "causal"
-    SNAPSHOT = "snapshot"
     SEQUENTIAL = "sequential"
     SERIALIZABLE = "serializable"
     LINEARIZABLE = "linearizable"
-
-
-#: Levels that require cross-replica coordination on the write path.
-COORDINATED_LEVELS = {
-    ConsistencyLevel.SEQUENTIAL,
-    ConsistencyLevel.SERIALIZABLE,
-    ConsistencyLevel.LINEARIZABLE,
-}
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,6 @@ class TargetSpec:
     latency_ms: Optional[float] = 100.0
     cost_units: Optional[float] = 0.01
     processor: str = "cpu"
-    min_throughput_rps: Optional[float] = None
     max_machines: Optional[int] = None
 
     def merged_over(self, default: "TargetSpec") -> "TargetSpec":
@@ -89,11 +82,6 @@ class TargetSpec:
             latency_ms=self.latency_ms if self.latency_ms is not None else default.latency_ms,
             cost_units=self.cost_units if self.cost_units is not None else default.cost_units,
             processor=self.processor or default.processor,
-            min_throughput_rps=(
-                self.min_throughput_rps
-                if self.min_throughput_rps is not None
-                else default.min_throughput_rps
-            ),
             max_machines=self.max_machines if self.max_machines is not None else default.max_machines,
         )
 

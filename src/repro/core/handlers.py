@@ -43,7 +43,6 @@ class EffectKind(str, Enum):
     ASSIGN = "assign"        # non-monotone overwrite
     DELETE = "delete"        # non-monotone removal
     SEND = "send"            # asynchronous message
-    READ = "read"            # snapshot read (used for dataflow analysis)
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,10 @@ class Query:
 
 @dataclass
 class UDF:
-    """A black-box function (§3.1): possibly stateful, memoized once per tick."""
+    """A black-box function (§3.1), memoized once per tick."""
 
     name: str
     fn: Callable[..., Any]
-    stateful: bool = False
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
         return self.fn(*args, **kwargs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.facets import COORDINATED_LEVELS, ConsistencyLevel
+from repro.core.facets import ConsistencyLevel
 from repro.core.handlers import EffectKind, Handler, Query
 from repro.core.program import HydroProgram
 
@@ -154,7 +154,7 @@ def analyze_handler(program: HydroProgram, handler: Handler,
     consistency = program.consistency_for(handler.name)
     coordination_free = True
     if verdict is MonotonicityVerdict.NON_MONOTONE:
-        if consistency.level in COORDINATED_LEVELS:
+        if consistency.level is not ConsistencyLevel.EVENTUAL:
             coordination_free = False
             reasons.append(
                 f"consistency level {consistency.level.value} over non-monotone effects"

@@ -72,10 +72,10 @@ class HydroProgram:
         self.queries[name] = query
         return query
 
-    def add_udf(self, name: str, fn: Callable[..., Any], stateful: bool = False) -> UDF:
+    def add_udf(self, name: str, fn: Callable[..., Any]) -> UDF:
         if name in self.udfs:
             raise SpecificationError(f"UDF {name!r} already declared")
-        udf = UDF(name, fn, stateful)
+        udf = UDF(name, fn)
         self.udfs[name] = udf
         return udf
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional, Sequence
 
 from repro.cluster.network import Message, Network
-from repro.cluster.node import Node
+from repro.cluster.node import DEFAULT_DOMAIN, Node
 from repro.cluster.simulator import Simulator
 from repro.core.datamodel import FieldSpec
 from repro.core.handlers import EffectKind, EffectSpec
@@ -32,7 +32,7 @@ from repro.lattices import BoolOr, MapLattice, SetUnion
 class MPIAgent(Node):
     """One MPI rank: stores received chunks and participates in tree collectives."""
 
-    def __init__(self, node_id, simulator, network, rank: int, domain="default") -> None:
+    def __init__(self, node_id, simulator, network, rank: int, domain=DEFAULT_DOMAIN) -> None:
         super().__init__(node_id, simulator, network, domain)
         self.rank = rank
         self.received: list[Any] = []
@@ -49,8 +49,8 @@ class MPIAgent(Node):
         value, children_map = payload["value"], payload["children"]
         self.received.append(value)
         for child in children_map.get(self.rank, ()):  # our direct children
-            self.send(f"agent-{child}", "relay", {"value": value, "children": children_map},
-                      entries=payload.get("entries", 1))
+            self.queue(f"agent-{child}", "relay", {"value": value, "children": children_map},
+                       entries=payload.get("entries", 1))
 
 
 class MPICluster:
@@ -97,13 +97,13 @@ class MPICluster:
         root.received.append(value)
         if algorithm == "naive":
             for agent in self.agents[1:]:
-                root.send(agent.node_id, "data", value, entries=entries)
+                root.queue(agent.node_id, "data", value, entries=entries)
         elif algorithm == "tree":
             children = self._binomial_children()
             for child in children[0]:
-                root.send(f"agent-{child}", "relay",
-                          {"value": value, "children": children, "entries": entries},
-                          entries=entries)
+                root.queue(f"agent-{child}", "relay",
+                           {"value": value, "children": children, "entries": entries},
+                           entries=entries)
         else:
             raise ValueError(f"unknown broadcast algorithm {algorithm!r}")
         self._settle()
@@ -120,7 +120,7 @@ class MPICluster:
             if agent is root:
                 agent.received.append(chunk)
             else:
-                root.send(agent.node_id, "data", chunk, entries=entries)
+                root.queue(agent.node_id, "data", chunk, entries=entries)
         self._settle()
         return {"messages": self.network.messages_sent - before}
 
@@ -135,7 +135,7 @@ class MPICluster:
             if agent is root:
                 root.received.append((rank, values[rank]))
             else:
-                agent.send(root.node_id, "data", (rank, values[rank]), entries=entries)
+                agent.queue(root.node_id, "data", (rank, values[rank]), entries=entries)
         self._settle()
         gathered = sorted(
             (item for item in root.received if isinstance(item, tuple)), key=lambda p: p[0]
@@ -161,9 +161,9 @@ class MPICluster:
                 for rank in range(0, self.size, stride * 2):
                     partner = rank + stride
                     if partner < self.size:
-                        self.agents[partner].send(self.agents[rank].node_id, "data",
-                                                  ("partial", current[partner]),
-                                                  entries=entries)
+                        self.agents[partner].queue(self.agents[rank].node_id, "data",
+                                                   ("partial", current[partner]),
+                                                   entries=entries)
                         current[rank] = op(current[rank], current[partner])
                 stride *= 2
             self._settle()
@@ -190,9 +190,9 @@ class MPICluster:
                 if sender == receiver:
                     self.agents[receiver].received.append((sender, matrix[sender][receiver]))
                 else:
-                    self.agents[sender].send(self.agents[receiver].node_id, "data",
-                                             (sender, matrix[sender][receiver]),
-                                             entries=entries)
+                    self.agents[sender].queue(self.agents[receiver].node_id, "data",
+                                              (sender, matrix[sender][receiver]),
+                                              entries=entries)
         self._settle()
         output = []
         for receiver in range(self.size):

@@ -108,9 +108,9 @@ class DirectNetworkSend(Rule):
     """RL002: ``Network.send`` called, or a byte cost declared, from protocol code.
 
     All protocol traffic must flow through a node's transport
-    (``send``/``queue``/``request``/``reply``/``forward``) so batching,
-    RPC dedup and the byte ledger stay honest, and the transport prices
-    every payload from its entry count via ``wire_size`` — with the
+    (``queue``/``request``/``reply``/``forward``) so batching, RPC dedup
+    and the byte ledger stay honest, and the transport prices every
+    payload from its entry count via ``wire_size`` — with the
     bandwidth model on, a hand-declared size under-pays *time*, not just
     the byte ledger.  Flagged outside the ``cluster/`` layer: ``.send(...)``
     where the receiver is syntactically a network (``net``, ``network``,

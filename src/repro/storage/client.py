@@ -33,6 +33,7 @@ from typing import Any, Callable, Hashable, Optional
 
 from repro.cluster.network import Message
 from repro.cluster.node import Node
+from repro.cluster.transport import DEDUP_WINDOW
 from repro.lattices.base import Lattice
 
 
@@ -45,12 +46,13 @@ class KVSClient(Node):
         self.session_writes: dict[Hashable, Lattice] = {}
         self.session_reads: dict[Hashable, Lattice] = {}
         self.pending_gets: dict[int, Callable[[Optional[Lattice]], None]] = {}
-        #: Completions: only the newest ``TransportConfig.dedup_window`` per
-        #: table, not one entry per op ever issued.  Each table keeps its
-        #: insertion order in a deque, so evicting the oldest never scans a
-        #: drained dict's dead slots.  The oldest is evicted *after* the
-        #: insert, so a subclass reading ``completed_gets[id]`` right after
-        #: the reply handler always finds it.
+        #: Completions: only the newest ``DEDUP_WINDOW`` (the transport's
+        #: memo size) per table, not one entry per op ever issued.  Each
+        #: table keeps its insertion order in a deque, so evicting the
+        #: oldest never scans a drained dict's dead slots.  The oldest is
+        #: evicted *after* the insert, so a subclass reading
+        #: ``completed_gets[id]`` right after the reply handler always
+        #: finds it.
         self.completed_gets: dict[int, Optional[Lattice]] = {}
         self._completed_order: deque[int] = deque()
         self.acked_puts: set[int] = set()
@@ -115,7 +117,7 @@ class KVSClient(Node):
             value = reads.get(key)
         self.completed_gets[request_id] = value
         self._completed_order.append(request_id)
-        while len(self._completed_order) > self.transport.config.dedup_window:
+        while len(self._completed_order) > DEDUP_WINDOW:
             self.completed_gets.pop(self._completed_order.popleft(), None)
         callback = self.pending_gets.pop(request_id, None)
         if callback is not None:
@@ -125,7 +127,7 @@ class KVSClient(Node):
         request_id = message.payload["request_id"]
         self.acked_puts.add(request_id)
         self._acked_order.append(request_id)
-        while len(self._acked_order) > self.transport.config.dedup_window:
+        while len(self._acked_order) > DEDUP_WINDOW:
             self.acked_puts.discard(self._acked_order.popleft())
 
     # -- failure ----------------------------------------------------------------------

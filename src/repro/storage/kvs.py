@@ -56,10 +56,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 from repro.cluster.network import Message, Network
-from repro.cluster.node import Node
+from repro.cluster.node import DEFAULT_DOMAIN, Node
 from repro.cluster.simulator import Simulator
 from repro.cluster.watermark import PeerSync, StampLog
 from repro.lattices.base import BOTTOM, Lattice
@@ -77,7 +77,7 @@ class ShardNode(Node):
     reflects state at send time.
     """
 
-    def __init__(self, node_id, simulator, network, domain="default",
+    def __init__(self, node_id, simulator, network, domain=DEFAULT_DOMAIN,
                  peers: list[Hashable] | None = None,
                  gossip_interval: Optional[float] = None,
                  full_sync_every: int = 10) -> None:
@@ -85,12 +85,13 @@ class ShardNode(Node):
         self.store: dict[Hashable, Lattice] = {}
         self.gossip_interval = gossip_interval
         self.full_sync_every = max(1, full_sync_every)
-        # Routing-table hook, set by LatticeKVS: key -> current owner
-        # replica ids.  After a reshard, traffic that still arrives here
-        # for a key this replica no longer owns (in-flight puts, stale
-        # gossip) is forwarded instead of stored, so an acked write can
-        # never strand on a shard reads no longer visit.
-        self.ownership: Optional[Callable[[Hashable], list[Hashable]]] = None
+        # The store this replica serves in, and its replica group there;
+        # both set by LatticeKVS.  After a reshard, traffic that still
+        # arrives here for a key the ring routes to another group
+        # (in-flight puts, stale gossip) is forwarded instead of stored, so
+        # an acked write can never strand on a shard reads no longer visit.
+        self.kvs: Optional[LatticeKVS] = None
+        self.group: list[ShardNode] = []
         self.puts = 0
         self.gets = 0
         # The change log: the keys whose latest change entered the replica
@@ -159,12 +160,16 @@ class ShardNode(Node):
 
     # -- message handlers ------------------------------------------------------------
 
-    def _misrouted(self, key: Hashable) -> Optional[list[Hashable]]:
-        """The key's current owners, iff this replica is not one of them."""
-        if self.ownership is None:
+    def _misrouted(self, key: Hashable) -> Optional[list[ShardNode]]:
+        """The key's current replica group, iff this replica is not in it.
+
+        A group is fixed when it is built, so it is this replica's own
+        group exactly when it is the same list; a retired group is in no
+        routing table any more, so its replicas forward everything."""
+        if self.kvs is None:
             return None
-        owners = self.ownership(key)
-        return None if self.node_id in owners else owners
+        owners = self.kvs.replicas_for(key)
+        return None if owners is self.group else owners
 
     def _take(self, key: Hashable, value: Lattice, merge) -> None:
         """``merge`` an arriving entry — unless a reshard moved the key away:
@@ -175,8 +180,8 @@ class ShardNode(Node):
             merge(key, value)
         else:
             for owner in owners:
-                self.queue(owner, "replicate", {"key": key, "value": value},
-                           entries=1)
+                self.queue(owner.node_id, "replicate",
+                           {"key": key, "value": value}, entries=1)
 
     def _on_put(self, message: Message) -> None:
         payload = message.payload
@@ -189,7 +194,7 @@ class ShardNode(Node):
             # durably stored the value — acking here and forwarding
             # best-effort could acknowledge a write every replica then
             # drops.
-            self.forward(message, owners[0])
+            self.forward(message, owners[0].node_id)
             return
         self.merge_local(key, value)
         self.reply(message, "put_ack",
@@ -409,14 +414,10 @@ class LatticeKVS:
                                 domain=domain, peers=replica_ids,
                                 gossip_interval=self.gossip_interval,
                                 full_sync_every=self.full_sync_every)
-            replica.ownership = self._owners_of
+            replica.kvs, replica.group = self, replicas
             replicas.append(replica)
         self.shards.append(replicas)
         self._replica_cycle.append(itertools.cycle(range(self.replication_factor)))
-
-    def _owners_of(self, key: Hashable) -> list[Hashable]:
-        """Current owner replica ids for ``key`` (the replicas' routing table)."""
-        return [replica.node_id for replica in self.shards[self.shard_for(key)]]
 
     # -- routing ------------------------------------------------------------------------
 

@@ -692,9 +692,9 @@ def test_every_entry_point_goes_through_apply():
     assert replica.apply_ordered(1, "vaccinate", {"pid": 2})[0] == "rejected"
     assert replica.ordered_upto == 1                    # a rejected op consumed its slot
     assert replica.change_log.seq == logged             # and an ordered op stamps nothing
-    cluster.replicas[1].send(replica.node_id, "invoke",
-                             {"handler": "trace", "args": {"pid": 1}},
-                             entries=1)
+    cluster.replicas[1].queue(replica.node_id, "invoke",
+                              {"handler": "trace", "args": {"pid": 1}},
+                              entries=1)
     cluster.run(1)
     assert calls == [("add_person", {"log_effects": False}),
                      ("vaccinate", {"log_effects": False}), ("trace", {})]

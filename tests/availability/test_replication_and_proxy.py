@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.covid import build_covid_program
 from repro.availability import ReplicaNode, ReplicaProxy
+from repro.availability.proxy import MAX_ATTEMPTS
 from repro.cluster import Network, NetworkConfig, Simulator, TransportConfig
 from repro.cluster.transport import _PendingRequest
 
@@ -130,7 +131,7 @@ class TestProxyBookkeeping:
         proxy.invoke("add_person", {"pid": 1}, on_reply=replies.append)
         sim.run(until=500.0)
         assert replies == []
-        assert proxy.metrics.counter("proxy.forwarded") == proxy.max_attempts
+        assert proxy.metrics.counter("proxy.forwarded") == MAX_ATTEMPTS
         # One send and three retries: the last timeout sends nothing.
         assert proxy.metrics.counter("proxy.retries") == (
             proxy.metrics.counter("proxy.forwarded") - 1)

@@ -189,7 +189,7 @@ class TestGeoByteConservation:
             receiver = replicas[(step + 1) % len(replicas)]
             env.simulator.schedule(
                 2.0 * step,
-                lambda s=sender, r=receiver, i=step: s.send(
+                lambda s=sender, r=receiver, i=step: s.queue(
                     r.node_id, "probe", i, entries=4),
                 label=f"geo-probe-{step}")
         env.simulator.run(until=80.0)  # all fault windows resolved
@@ -222,7 +222,7 @@ class TestGeoByteConservation:
             sender, receiver = replicas[step % 2], replicas[(step + 1) % 2]
             env.simulator.schedule(
                 0.5 * step,
-                lambda s=sender, r=receiver, i=step: s.send(
+                lambda s=sender, r=receiver, i=step: s.queue(
                     r.node_id, "probe", i, entries=4),
                 label=f"switch-probe-{step}")
         env.simulator.run(until=3.2)
@@ -240,7 +240,7 @@ class TestGeoByteConservation:
         env = build_env(1, geo_config())
         replicas = env.kvs.shards[0]
         for i in range(5):
-            replicas[0].send(replicas[1].node_id, "probe", i, entries=2)
+            replicas[0].queue(replicas[1].node_id, "probe", i, entries=2)
         env.simulator.run(until=30.0)
         links = env.network._links
         assert links

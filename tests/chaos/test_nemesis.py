@@ -308,7 +308,7 @@ class TestCongestion:
         Nemesis(env, [Congestion(at=0.0, duration=100.0, factor=10.0)]).start()
         env.simulator.run(until=1.0)
         start = env.simulator.now
-        sender.send(receiver.node_id, "probe", "x", entries=10)
+        sender.queue(receiver.node_id, "probe", "x", entries=10)
         env.simulator.run(until=start + 200.0)
         # wire_size(10)=984 B at 20 B/tick -> ~49 ticks serialization.
         assert arrivals and arrivals[0] - start >= 40.0
@@ -375,7 +375,7 @@ class TestCongestion:
         replicas[1].on("probe", lambda msg: arrivals.append(env.simulator.now))
         env.simulator.run(until=5.0)
         start = env.simulator.now
-        replicas[0].send(replicas[1].node_id, "probe", "x", entries=100)
+        replicas[0].queue(replicas[1].node_id, "probe", "x", entries=100)
         env.simulator.run(until=start + 50.0)
         # Unpriced bytes take no time: only base delay + jitter.
         assert arrivals and arrivals[0] - start <= 1.5
@@ -528,7 +528,7 @@ class TestSlowNode:
         arrived = []
         receiver.on("probe", lambda msg: arrived.append(env.simulator.now))
         start = env.simulator.now
-        sender.send(receiver.node_id, "probe", "x")
+        sender.queue(receiver.node_id, "probe", "x")
         env.simulator.run(until=start + 200.0)
         # base_delay 1.0 x factor 50 — far beyond the pristine worst case.
         assert arrived and arrived[0] - start >= 50.0

@@ -10,6 +10,7 @@ from repro.cluster import (
     Placement,
     Simulator,
     Topology,
+    TransportConfig,
 )
 from repro.apps.covid import build_covid_program
 from repro.compiler import Hydrolysis
@@ -19,8 +20,11 @@ from repro.storage.antientropy import DigestTree
 
 
 def build_pair(config=None):
+    """Two nodes on a network whose transport ships each queued parcel at
+    once in an envelope of its own, so every ``queue`` is one message."""
     sim = Simulator(seed=1)
-    net = Network(sim, config or NetworkConfig(base_delay=1.0, jitter=0.0))
+    net = Network(sim, config or NetworkConfig(base_delay=1.0, jitter=0.0),
+                  transport=TransportConfig(batching=False))
     received = []
     a = Node("a", sim, net)
     b = Node("b", sim, net)
@@ -31,7 +35,7 @@ def build_pair(config=None):
 class TestNetworkDelivery:
     def test_message_delivered_after_delay(self):
         sim, net, a, b, received = build_pair()
-        a.send("b", "inbox", "hello")
+        a.queue("b", "inbox", "hello")
         assert received == []
         sim.run_until_idle()
         assert received == ["hello"]
@@ -40,7 +44,7 @@ class TestNetworkDelivery:
     def test_drop_rate_one_drops_everything(self):
         sim, net, a, b, received = build_pair(NetworkConfig(drop_rate=1.0))
         for i in range(10):
-            a.send("b", "inbox", i)
+            a.queue("b", "inbox", i)
         sim.run_until_idle()
         assert received == []
         assert net.messages_dropped == 10
@@ -49,24 +53,24 @@ class TestNetworkDelivery:
         sim, net, a, b, received = build_pair(
             NetworkConfig(base_delay=1.0, jitter=0.0, duplicate_rate=1.0)
         )
-        a.send("b", "inbox", "x")
+        a.queue("b", "inbox", "x")
         sim.run_until_idle()
         assert received == ["x", "x"]
 
     def test_partition_blocks_and_heal_restores(self):
         sim, net, a, b, received = build_pair()
         part = net.partition({"a"}, {"b"})
-        a.send("b", "inbox", "lost")
+        a.queue("b", "inbox", "lost")
         sim.run_until_idle()
         assert received == []
         net.heal(part)
-        a.send("b", "inbox", "found")
+        a.queue("b", "inbox", "found")
         sim.run_until_idle()
         assert received == ["found"]
 
     def test_unknown_destination_counts_as_dropped(self):
         sim, net, a, b, received = build_pair()
-        a.send("ghost", "inbox", "x")
+        a.queue("ghost", "inbox", "x")
         sim.run_until_idle()
         assert net.messages_dropped == 1
 
@@ -78,8 +82,8 @@ class TestNetworkDelivery:
         for name in ("b", "c"):
             node = Node(name, sim, net)
             node.on("inbox", lambda msg, name=name: got[name].append(msg.payload))
-        a.send("b", "inbox", "hi")
-        a.send("c", "inbox", "hi")
+        a.queue("b", "inbox", "hi")
+        a.queue("c", "inbox", "hi")
         sim.run_until_idle()
         assert got == {"b": ["hi"], "c": ["hi"]}
 
@@ -99,7 +103,7 @@ class TestPartitionSemantics:
         part = net.partition({"a"}, {"b"})
         net.heal(part)
         net.heal(part)  # second heal of the same handle is a no-op
-        a.send("b", "inbox", "ok")
+        a.queue("b", "inbox", "ok")
         sim.run_until_idle()
         assert received == ["ok"]
 
@@ -148,11 +152,11 @@ class TestPartitionSemantics:
         a = Node("a", sim, net)
         bridge = Node("bridge", sim, net)
         b = Node("b", sim, net)
-        bridge.on("relay", lambda msg: bridge.send("b", "inbox", msg.payload))
+        bridge.on("relay", lambda msg: bridge.queue("b", "inbox", msg.payload))
         b.on("inbox", got.append)
         net.partition({"a", "bridge"}, {"b", "bridge"})
-        a.send("b", "inbox", "direct")    # dropped by the cut
-        a.send("bridge", "relay", "via")  # relayed around it
+        a.queue("b", "inbox", "direct")    # dropped by the cut
+        a.queue("bridge", "relay", "via")  # relayed around it
         sim.run_until_idle()
         assert [msg.payload for msg in got] == ["via"]
 
@@ -161,24 +165,25 @@ class TestNodeLifecycle:
     def test_crashed_node_ignores_messages(self):
         sim, net, a, b, received = build_pair()
         b.crash()
-        a.send("b", "inbox", "while-down")
+        a.queue("b", "inbox", "while-down")
         sim.run_until_idle()
         assert received == []
 
     def test_crashed_node_does_not_send(self):
         sim, net, a, b, received = build_pair()
         a.crash()
-        assert a.send("b", "inbox", "x") is None
+        a.queue("b", "inbox", "x")
         sim.run_until_idle()
         assert received == []
+        assert net.messages_sent == 0
 
     def test_recovered_node_processes_new_messages(self):
         sim, net, a, b, received = build_pair()
         b.crash()
-        a.send("b", "inbox", "lost")
+        a.queue("b", "inbox", "lost")
         sim.run_until_idle()
         b.recover()
-        a.send("b", "inbox", "after")
+        a.queue("b", "inbox", "after")
         sim.run_until_idle()
         assert received == ["after"]
 

@@ -29,6 +29,7 @@ from repro.cluster import (
     wire_size,
 )
 from repro.cluster.metrics import LinkObservatory
+from probes import ship
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -53,8 +54,8 @@ class TestSerializationTime:
         size effect from queueing)."""
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        nodes["a"].send("b", "inbox", "small", entries=1)
-        nodes["a"].send("c", "inbox", "large", entries=10)
+        ship(nodes["a"], "b", "small", entries=1)
+        ship(nodes["a"], "c", "large", entries=10)
         sim.run_until_idle()
         times = {payload: at for _, payload, at in arrivals}
         assert times["small"] == pytest.approx(1.0 + wire_size(1) / 100.0)
@@ -67,7 +68,7 @@ class TestSerializationTime:
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
         for i in range(4):
-            nodes["a"].send("b", "inbox", i, entries=1)
+            ship(nodes["a"], "b", i, entries=1)
         sim.run_until_idle()
         serialization = wire_size(1) / 100.0
         assert [payload for _, payload, _ in arrivals] == [0, 1, 2, 3]
@@ -80,9 +81,9 @@ class TestSerializationTime:
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=50.0))
         net.degrade(squeeze=4.0)  # effective 12.5 B/tick
-        nodes["a"].send("b", "inbox", "big", entries=20)
-        nodes["a"].send("b", "inbox", "tiny", entries=0)
-        nodes["a"].send("b", "inbox", "mid", entries=3)
+        ship(nodes["a"], "b", "big", entries=20)
+        ship(nodes["a"], "b", "tiny", entries=0)
+        ship(nodes["a"], "b", "mid", entries=3)
         sim.run_until_idle()
         assert [payload for _, payload, _ in arrivals] == ["big", "tiny", "mid"]
         big_at = arrivals[0][2]
@@ -92,8 +93,8 @@ class TestSerializationTime:
     def test_link_queues_are_independent_per_src_dst_pair(self):
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=10.0))
-        nodes["a"].send("b", "inbox", "slow-link", entries=10)
-        nodes["c"].send("b", "inbox", "other-link", entries=1)
+        ship(nodes["a"], "b", "slow-link", entries=10)
+        ship(nodes["c"], "b", "other-link", entries=1)
         sim.run_until_idle()
         times = {payload: at for _, payload, at in arrivals}
         # c->b does not wait behind a->b's 98.4-tick transmission.
@@ -102,7 +103,7 @@ class TestSerializationTime:
     def test_backlog_drains_at_link_rate(self):
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
-        nodes["a"].send("b", "inbox", "x", entries=10)
+        ship(nodes["a"], "b", "x", entries=10)
         assert net.link_backlog("a", "b") == pytest.approx(wire_size(10) / 100.0)
         assert net.link_backlog("a", "c") == 0.0
         sim.run_until_idle()
@@ -112,8 +113,8 @@ class TestSerializationTime:
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
         assert net.max_transmission_delay == 0.0
-        nodes["a"].send("b", "inbox", "x", entries=5)
-        nodes["a"].send("b", "inbox", "y", entries=5)  # queues behind x
+        ship(nodes["a"], "b", "x", entries=5)
+        ship(nodes["a"], "b", "y", entries=5)  # queues behind x
         serialization = wire_size(5) / 100.0
         assert net.max_transmission_delay == pytest.approx(2 * serialization)
 
@@ -146,7 +147,7 @@ class TestCongestionAndSlowNodes:
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=100.0))
         net.degrade(delay_factor=4.0, node="b")
-        nodes["a"].send("b", "inbox", "x", entries=1)
+        ship(nodes["a"], "b", "x", entries=1)
         sim.run_until_idle()
         # Propagation 1.0 x 4 plus serialization 1.2 x 4.
         assert arrivals[0][2] == pytest.approx(4.0 * (1.0 + wire_size(1) / 100.0))
@@ -222,7 +223,7 @@ class TestDelayMatrix:
         a = Node("a", sim, net, domain="az-a")
         b = Node("b", sim, net, domain="az-b")
         b.on("inbox", lambda msg: arrivals.append(sim.now))
-        a.send("b", "inbox", "x", entries=50)
+        ship(a, "b", "x", entries=50)
         sim.run_until_idle()
         assert arrivals == [pytest.approx(5.0)]
 
@@ -240,13 +241,13 @@ class TestByteConservation:
         b.on("inbox", lambda msg: None)
         rng = random.Random(13)
         for i in range(60):
-            a.send("b", "inbox", i, entries=rng.randrange(0, 8))
+            ship(a, "b", i, entries=rng.randrange(0, 8))
         part = net.partition({"a"}, {"b"})
         for i in range(10):
-            a.send("b", "inbox", f"cut-{i}", entries=2)
+            ship(a, "b", f"cut-{i}", entries=2)
         net.heal(part)
         for i in range(10):
-            a.send("ghost", "inbox", f"ghost-{i}", entries=1)
+            ship(a, "ghost", f"ghost-{i}", entries=1)
         sim.run_until_idle()
         stats = net.link_byte_stats()
         assert stats  # the model was on, so the ledger exists
@@ -261,7 +262,7 @@ class TestByteConservation:
         a = Node("a", sim, net)
         b = Node("b", sim, net)
         b.on("inbox", lambda msg: None)
-        a.send("b", "inbox", "x", entries=3)
+        ship(a, "b", "x", entries=3)
         net.partition({"a"}, {"b"})  # cut while the message is in flight
         sim.run_until_idle()
         stat = net.link_byte_stats()[("a", "b")]
@@ -281,7 +282,7 @@ class TestByteConservation:
         b = Node("b", sim, net)
         b.on("inbox", lambda msg: None)
         net.partition({"a"}, {"b"})
-        a.send("b", "inbox", "x", entries=3)
+        ship(a, "b", "x", entries=3)
         stat = net.link_byte_stats()[("a", "b")]  # before any event runs
         assert stat["enqueued_bytes"] == stat["dropped_bytes"] == wire_size(3)
         assert stat["in_flight_bytes"] == 0
@@ -295,7 +296,7 @@ class TestByteConservation:
         a = Node("a", sim, net)
         b = Node("b", sim, net)
         b.on("inbox", lambda msg: None)
-        a.send("b", "inbox", "x", entries=3)
+        ship(a, "b", "x", entries=3)
         stat = net.link_byte_stats()[("a", "b")]
         assert stat["in_flight_bytes"] == wire_size(3)
         assert stat["enqueued_bytes"] == (stat["delivered_bytes"]
@@ -390,11 +391,11 @@ class TestTransmissionReadback:
         a = Node("a", sim, net)
         b = Node("b", sim, net)
         b.on("inbox", lambda msg: None)
-        sent = a.send("b", "inbox", "x", entries=1)
+        sent = ship(a, "b", "x", entries=1)
         assert sent.transmission == (
             0.0, pytest.approx(wire_size(1) / 100.0), 0.0)
         net.partition({"a"}, {"b"})
-        dropped = a.send("b", "inbox", "y", entries=1)  # same instant
+        dropped = ship(a, "b", "y", entries=1)  # same instant
         assert dropped.transmission == (0.0, 0.0, 0.0)
 
     def test_drop_lottery_send_carries_no_transmission_cost(self):
@@ -403,7 +404,7 @@ class TestTransmissionReadback:
                                          drop_rate=1.0, bandwidth=100.0))
         a = Node("a", sim, net)
         Node("b", sim, net).on("inbox", lambda msg: None)
-        assert a.send("b", "inbox", "x", entries=1).transmission == (
+        assert ship(a, "b", "x", entries=1).transmission == (
             0.0, 0.0, 0.0)
 
 
@@ -413,7 +414,7 @@ class TestModelOffEquivalence:
     def test_no_ledger_no_transmission_state(self):
         sim, net, nodes, arrivals = build(NetworkConfig(base_delay=1.0,
                                                         jitter=0.0))
-        sent = nodes["a"].send("b", "inbox", "x", entries=500)
+        sent = ship(nodes["a"], "b", "x", entries=500)
         sim.run_until_idle()
         assert arrivals[0][2] == pytest.approx(1.0)  # size cost no time
         assert net.link_byte_stats() == {}
@@ -428,7 +429,7 @@ class TestModelOffEquivalence:
             NetworkConfig(base_delay=1.0, jitter=2.0, drop_rate=0.25))
         sends = 40
         for i in range(sends):
-            nodes["a"].send("b", "inbox", i, entries=i % 5)
+            ship(nodes["a"], "b", i, entries=i % 5)
         expected = []
         twin = random.Random(1)  # the simulator's seed
         for i in range(sends):

@@ -20,6 +20,7 @@ from repro.cluster import (
     Simulator,
     wire_size,
 )
+from probes import ship
 
 #: wire_size(1): the probe size most tests use — one entry plus header.
 PROBE = wire_size(1)  # 120 bytes
@@ -46,7 +47,7 @@ class TestUplinkContention:
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
         for peer in ("b", "c", "d"):
-            nodes["a"].send(peer, "inbox", peer, entries=1)
+            ship(nodes["a"], peer, peer, entries=1)
         sim.run_until_idle()
         stage = PROBE / 100.0  # 1.2 ticks up, 1.2 ticks down
         times = {payload: at for _, payload, at in arrivals}
@@ -59,8 +60,8 @@ class TestUplinkContention:
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
         stage = PROBE / 100.0
-        first = nodes["a"].send("b", "inbox", "x", entries=1)
-        second = nodes["a"].send("c", "inbox", "y", entries=1)
+        first = ship(nodes["a"], "b", "x", entries=1)
+        second = ship(nodes["a"], "c", "y", entries=1)
         queue_wait, serialization, nic_wait = first.transmission
         assert (queue_wait, serialization, nic_wait) == (
             0.0, pytest.approx(2 * stage), 0.0)
@@ -76,7 +77,7 @@ class TestUplinkContention:
         sim, net, nodes, arrivals = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
         for sender in ("a", "b", "c"):
-            nodes[sender].send("d", "inbox", sender, entries=1)
+            ship(nodes[sender], "d", sender, entries=1)
         sim.run_until_idle()
         stage = PROBE / 100.0
         times = {payload: at for _, payload, at in arrivals}
@@ -89,8 +90,8 @@ class TestUplinkContention:
     def test_nic_backlog_accessors_track_both_directions(self):
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
-        nodes["a"].send("b", "inbox", "x", entries=1)
-        nodes["a"].send("c", "inbox", "y", entries=1)
+        ship(nodes["a"], "b", "x", entries=1)
+        ship(nodes["a"], "c", "y", entries=1)
         stage = PROBE / 100.0
         assert net.nic_backlog("a") == pytest.approx(2 * stage)
         # Each downlink only holds its own message, queued behind the uplink.
@@ -111,8 +112,8 @@ class TestPipelineOrdering:
                           nic_bandwidth=120.0))
         up = PROBE / 120.0    # 1 tick per NIC pass
         pipe = PROBE / 60.0   # 2 ticks per link pass
-        first = nodes["a"].send("b", "inbox", "x", entries=1)
-        second = nodes["a"].send("b", "inbox", "y", entries=1)
+        first = ship(nodes["a"], "b", "x", entries=1)
+        second = ship(nodes["a"], "b", "y", entries=1)
         sim.run_until_idle()
         assert first.transmission == (
             0.0, pytest.approx(2 * up + pipe), 0.0)
@@ -132,15 +133,15 @@ class TestPipelineOrdering:
         transmission tuple is the link-only one with nic_wait pinned 0."""
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=60.0))
-        message = nodes["a"].send("b", "inbox", "x", entries=1)
+        message = ship(nodes["a"], "b", "x", entries=1)
         assert message.transmission == (0.0, pytest.approx(PROBE / 60.0), 0.0)
         assert net.nic_backlog("a") == 0.0
 
     def test_max_transmission_delay_includes_nic_stages(self):
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
-        nodes["a"].send("b", "inbox", "x", entries=1)
-        nodes["a"].send("c", "inbox", "y", entries=1)
+        ship(nodes["a"], "b", "x", entries=1)
+        ship(nodes["a"], "c", "y", entries=1)
         stage = PROBE / 100.0
         # Second message: one uplink slot of wait + up + down serialization.
         assert net.max_transmission_delay == pytest.approx(3 * stage)
@@ -177,20 +178,20 @@ class TestNicConfiguration:
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, nic_bandwidth=100.0))
         squeeze = net.degrade(squeeze=4.0)
-        squeezed = nodes["a"].send("b", "inbox", "x", entries=1)
+        squeezed = ship(nodes["a"], "b", "x", entries=1)
         # Up and down, each at 100 / 4 bytes per tick.
         assert squeezed.transmission == (0.0, pytest.approx(2 * PROBE / 25.0),
                                          0.0)
         sim.run_until_idle()
         net.restore(squeeze)
-        message = nodes["a"].send("b", "inbox", "y", entries=1)
+        message = ship(nodes["a"], "b", "y", entries=1)
         assert message.transmission == (0.0, pytest.approx(2 * PROBE / 100.0),
                                         0.0)
         # With no NIC price, a squeeze leaves the NIC stages unpriced.
         sim, net, nodes, _ = build(
             NetworkConfig(base_delay=1.0, jitter=0.0, bandwidth=10.0))
         net.degrade(squeeze=4.0)
-        nodes["a"].send("b", "inbox", "x", entries=1)
+        ship(nodes["a"], "b", "x", entries=1)
         assert net.nic_backlog("a") == 0.0
         assert net.nic_backlog("b", downlink=True) == 0.0
 
@@ -218,7 +219,7 @@ class TestExactlyOnceComposition:
         sim, net, a, b, arrivals = self.geo_net()
         net.degrade(delay_factor=3.0, node="a")
         net.degrade(squeeze=2.0)
-        message = a.send("b", "inbox", "x", entries=1)
+        message = ship(a, "b", "x", entries=1)
         sim.run_until_idle()
         # uplink:   120 / (120/2) * 3         = 6   (sender factor once)
         # link:     120 / (60/2)  * 3 * 1     = 12  (both endpoint factors)
@@ -232,7 +233,7 @@ class TestExactlyOnceComposition:
     def test_slow_receiver_skips_the_uplink_factor(self):
         sim, net, a, b, arrivals = self.geo_net()
         net.degrade(delay_factor=3.0, node="b")
-        message = a.send("b", "inbox", "x", entries=1)
+        message = ship(a, "b", "x", entries=1)
         sim.run_until_idle()
         # uplink: 120/120 = 1; link: 120/60 * 3 = 6; downlink: 120/120 * 3 = 3
         assert message.transmission == (0.0, pytest.approx(10.0), 0.0)
@@ -244,8 +245,8 @@ class TestExactlyOnceComposition:
         factor shows up in the stage costs it inherits, not squared."""
         sim, net, a, b, arrivals = self.geo_net()
         net.degrade(delay_factor=2.0, node="a")
-        first = a.send("b", "inbox", "x", entries=1)
-        second = a.send("b", "inbox", "y", entries=1)
+        first = ship(a, "b", "x", entries=1)
+        second = ship(a, "b", "y", entries=1)
         sim.run_until_idle()
         # Per message: uplink 120/120*2 = 2; link 120/60*2 = 4; down 1.
         assert first.transmission == (0.0, pytest.approx(7.0), 0.0)

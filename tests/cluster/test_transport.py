@@ -51,21 +51,24 @@ class TestTypedSizing:
     def test_send_prices_by_entry_count(self):
         sim, net, a, b = build_pair()
         before = net.bytes_sent
-        a.send("b", "inbox", "x", entries=7)
+        a.queue("b", "inbox", "x", entries=7)
+        sim.run_until_idle()
         assert net.bytes_sent - before == wire_size(7)
 
     def test_zero_entry_message_costs_one_header(self):
         sim, net, a, b = build_pair()
         before = net.bytes_sent
-        a.send("b", "inbox", "ack", entries=0)
+        a.queue("b", "inbox", "ack", entries=0)
+        sim.run_until_idle()
         assert net.bytes_sent - before == WIRE_HEADER_BYTES
 
     def test_node_send_has_no_raw_size_override(self):
-        """The PR-4 migration seam is closed: senders declare entries, and
-        only ``Network.send`` itself still takes bytes."""
+        """Senders declare entries, and only ``Network.send`` itself takes
+        bytes."""
         sim, net, a, b = build_pair()
         with pytest.raises(TypeError):
-            a.send("b", "inbox", "x", size_bytes=999)
+            a.queue("b", "inbox", "x", size_bytes=999)
+        sim.run_until_idle()
         assert net.bytes_sent == 0
 
 
@@ -480,7 +483,7 @@ class TestRpc:
         Node("c", sim, net)
         got = []
         b.on("bulk", got.append)
-        a.send("b", "bulk", "payload", entries=3)
+        a.queue("b", "bulk", "payload", entries=3)
         sim.run_until_idle()
         sent = net.messages_sent
         with pytest.raises(TypeError, match="RPC request"):
@@ -493,7 +496,7 @@ class TestRpc:
         net = Network(sim, NetworkConfig(base_delay=1.0, jitter=0.0))
         received = []
         net.register("peer", received.append)
-        Node("solo", sim, net).send("peer", "inbox", "raw", entries=3)
+        Node("solo", sim, net).queue("peer", "inbox", "raw", entries=3)
         sim.run_until_idle()
         [message] = received
         assert message.mailbox == TRANSPORT_MAILBOX
@@ -561,13 +564,15 @@ class TestObservationEquivalence:
 class TestSerializationTicks:
     """With the bandwidth model on, the transport ledgers transmission time."""
 
-    def bandwidth_pair(self, bandwidth=100.0):
-        return build_pair(config=NetworkConfig(base_delay=1.0, jitter=0.0,
+    def bandwidth_pair(self, bandwidth=100.0, batching=True):
+        return build_pair(batching=batching,
+                          config=NetworkConfig(base_delay=1.0, jitter=0.0,
                                                bandwidth=bandwidth))
 
     def test_node_send_ledgers_serialization(self):
         sim, net, a, b = self.bandwidth_pair()
-        a.send("b", "inbox", "x", entries=4)
+        a.queue("b", "inbox", "x", entries=4)
+        sim.run_until_idle()
         expected = wire_size(4) / 100.0
         assert net.metrics.counter("transport.serialization_ticks") == \
             pytest.approx(expected)
@@ -582,9 +587,9 @@ class TestSerializationTicks:
         sim_b.run_until_idle()
         batched = net_b.metrics.counter("transport.serialization_ticks")
 
-        sim_u, net_u, a_u, _ = self.bandwidth_pair()
+        sim_u, net_u, a_u, _ = self.bandwidth_pair(batching=False)
         for i in range(10):
-            a_u.send("b", "inbox", i, entries=1)
+            a_u.queue("b", "inbox", i, entries=1)
         sim_u.run_until_idle()
         unbatched = net_u.metrics.counter("transport.serialization_ticks")
 
@@ -595,15 +600,15 @@ class TestSerializationTicks:
             9 * WIRE_HEADER_BYTES / 100.0)
 
     def test_queue_wait_ledgered_separately(self):
-        sim, net, a, b = self.bandwidth_pair()
-        a.send("b", "inbox", "first", entries=5)
-        a.send("b", "inbox", "second", entries=5)  # waits behind first
+        sim, net, a, b = self.bandwidth_pair(batching=False)
+        a.queue("b", "inbox", "first", entries=5)
+        a.queue("b", "inbox", "second", entries=5)  # waits behind first
         assert net.metrics.counter("transport.queue_wait_ticks") == \
             pytest.approx(wire_size(5) / 100.0)
 
     def test_model_off_ledgers_nothing(self):
-        sim, net, a, b = build_pair()
-        a.send("b", "inbox", "x", entries=50)
+        sim, net, a, b = build_pair(batching=False)
+        a.queue("b", "inbox", "x", entries=50)
         for i in range(5):
             a.queue("b", "inbox", i, entries=2)
         sim.run_until_idle()

@@ -15,7 +15,7 @@ from repro.availability.replication import (
     LOGGED_CHANGES,
     ORDERED_REPLAYED,
 )
-from repro.cluster import Network, NetworkConfig, Simulator, Topology
+from repro.cluster import FailureDomain, Network, NetworkConfig, Simulator, Topology
 from repro.compiler import Hydrolysis
 from repro.consistency import CoordinationMechanism
 from repro.consistency.paxos import LEARN_REQUESTS
@@ -114,6 +114,23 @@ class TestDeployment:
         network = Network(simulator, NetworkConfig(base_delay=1.0, jitter=0.5))
         deployment = compiler.deploy(program, plan, simulator, network)
         return program, plan, deployment
+
+    def test_replicas_and_log_nodes_deploy_in_the_topologys_zones(self):
+        """Every replica, and the log node beside it, runs in the zone the
+        plan was checked against — not one the deployment makes up."""
+        program = build_covid_program(vaccine_count=5)
+        topo, nodes = topology()
+        compiler = Hydrolysis()
+        plan = compiler.compile(program, topo, nodes, loads())
+        simulator = Simulator(seed=11)
+        deployment = compiler.deploy(program, plan, simulator,
+                                     Network(simulator, NetworkConfig()))
+        assert deployment.consensus  # vaccinate is coordinated
+        for node_id in deployment.replica_ids:
+            zone = topo.domain_of(node_id, FailureDomain.AVAILABILITY_ZONE)
+            assert deployment.replicas[node_id].domain == zone
+            assert deployment.consensus[node_id].domain == zone
+            assert deployment.network.domains()[f"{node_id}-log"] == zone
 
     def test_coordination_free_requests_are_served(self):
         program, plan, deployment = self.build_deployment()

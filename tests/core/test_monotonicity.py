@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.covid import build_covid_program
 from repro.apps.shopping_cart import build_cart_program
+from repro.compiler import Hydrolysis
 from repro.consistency import CoordinationMechanism
 from repro.core import (
     ConsistencyLevel,
@@ -130,6 +131,23 @@ class TestHandlerClassification:
         text = report.describe()
         for handler in build_corpus_program().handlers:
             assert handler in text
+
+
+@pytest.mark.parametrize("level", list(ConsistencyLevel), ids=lambda level: level.value)
+def test_every_level_but_eventual_plans_a_non_monotone_handler_on_the_log(level):
+    """Each consistency level maps to a mechanism the deployment runs: an
+    assignment is ordered through the consensus log at every level except
+    ``eventual``, which runs it coordination-free."""
+    program = HydroProgram("levels")
+    program.add_var("cell", initial=None)
+    program.add_handler(
+        "assign", lambda ctx, v: ctx.assign_var("cell", v), params=["v"],
+        effects=[EffectSpec(EffectKind.ASSIGN, "cell")],
+        consistency=ConsistencySpec(level))
+    plan = Hydrolysis().compile(program)
+    expected = (CoordinationMechanism.NONE if level is ConsistencyLevel.EVENTUAL
+                else CoordinationMechanism.CONSENSUS_LOG)
+    assert plan.endpoint("assign").analysis.mechanism is expected
 
 
 def build_nested_query_program():

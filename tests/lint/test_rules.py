@@ -88,7 +88,7 @@ class TestRL002DirectNetworkSend:
     def test_node_transport_send_is_clean(self):
         findings = run_rule("RL002", """\
             def gossip(self, peer, payload):
-                self.node.send(peer, "gossip", payload, entries=3)
+                self.node.queue(peer, "gossip", payload, entries=3)
             """, path="src/repro/storage/kvs.py")
         assert findings == []
 
@@ -151,7 +151,7 @@ class TestRL004UnsortedIterationIntoSchedule:
                 for peer in sorted(set(peers)):
                     node.queue(peer, "mb", "hi")
                 for key in sorted(stores.keys()):
-                    node.send(key, "mb", "x")
+                    node.queue(key, "mb", "x")
             """)
         assert findings == []
 

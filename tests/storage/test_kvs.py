@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import Network, NetworkConfig, Simulator
 from repro.lattices import GCounter, LWWRegister, SetUnion
 from repro.storage import KVSClient, LatticeKVS
+from repro.storage import client as client_module
 
 
 def build_kvs(shards=4, replication=2, seed=5):
@@ -357,16 +358,16 @@ class TestKVSClient:
         sim.run(until=200.0)
         assert results == [None]
 
-    def test_session_tables_keep_only_the_newest_dedup_window_completions(self):
+    def test_session_tables_keep_only_the_newest_dedup_window_completions(
+            self, monkeypatch):
         """A long session must not hold one entry per op it ever issued:
-        each table keeps the newest ``dedup_window`` completions, evicting
+        each table keeps the newest ``DEDUP_WINDOW`` completions, evicting
         the oldest *after* the insert so a subclass reading
         ``completed_gets[request_id]`` right after the reply handler (the
         bench and chaos clients do) always finds it."""
-        import dataclasses
-
         sim, net, kvs = build_kvs(shards=1, replication=1)
         window = 8
+        monkeypatch.setattr(client_module, "DEDUP_WINDOW", window)
         seen_at_reply = []
 
         class ReadingClient(KVSClient):
@@ -376,8 +377,6 @@ class TestKVSClient:
                 seen_at_reply.append(request_id in self.completed_gets)
 
         client = ReadingClient("client-1", sim, net, kvs)
-        client.transport.config = dataclasses.replace(
-            client.transport.config, dedup_window=window)
         puts = [client.put(f"k{i}", SetUnion({i})) for i in range(20)]
         sim.run(until=100.0)
         gets = [client.get(f"k{i}") for i in range(20)]
@@ -392,17 +391,15 @@ class TestKVSClient:
         client.reset_state()
         assert client.completed_gets == {} and client.acked_puts == set()
 
-    def test_completed_gets_hold_the_newest_window_after_three_windows(self):
-        """After 3 x ``dedup_window`` gets the table holds exactly the last
+    def test_completed_gets_hold_the_newest_window_after_three_windows(
+            self, monkeypatch):
+        """After 3 x ``DEDUP_WINDOW`` gets the table holds exactly the last
         window's results, oldest first, and its eviction order holds
         nothing else — no slot per get ever issued."""
-        import dataclasses
-
         sim, net, kvs = build_kvs(shards=1, replication=1)
         window = 8
+        monkeypatch.setattr(client_module, "DEDUP_WINDOW", window)
         client = KVSClient("client-1", sim, net, kvs)
-        client.transport.config = dataclasses.replace(
-            client.transport.config, dedup_window=window)
         kvs.put("k", SetUnion({"v"}))
         gets = [client.get("k") for _ in range(3 * window)]
         sim.run(until=200.0)
