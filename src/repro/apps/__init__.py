@@ -4,7 +4,8 @@
   a COVID-19 contact-tracing backend, provided both as sequential Python
   (the Figure 2 baseline) and as a lifted :class:`HydroProgram`.
 * :mod:`repro.apps.shopping_cart` — the Dynamo shopping-cart example used in
-  §7.2's discussion of consistency placement and sealing.
+  §7.2's discussion of consistency placement (its sealed checkout is
+  ``examples/shopping_cart_sealing.py``).
 * :mod:`repro.apps.collab_edit` — a grow-only collaborative editing/tagging
   service in the spirit of the monotone design patterns of §1.2.
 """

@@ -150,8 +150,7 @@ def build_covid_program(
         sources = graph if start_pid is None else (start_pid,)
         return {(source, dest) for source in sources for dest in _reachable(graph, source)}
 
-    program.add_query("transitive", transitive, reads=["people", "contact_graph"],
-                      monotone=True, recursive=True)
+    program.add_query("transitive", transitive, reads=["people", "contact_graph"], monotone=True)
 
     # on add_person(pid): monotone merge into people.
     def add_person(ctx, pid, country=""):

@@ -5,14 +5,15 @@ The cart is the canonical "coordination-free except for sealing" workload:
 adds and removes during a shopping session are order-insensitive (a
 two-phase-set lattice per cart), and the only step that needs care is
 *checkout*, which must capture a final, agreed cart.  Two checkout designs
-are provided for the E3 experiment:
+are compared in the E3 experiment:
 
 * ``checkout`` with serializable consistency — the heavyweight baseline that
   coordinates every checkout across replicas; and
 * client-side *sealing*: the client ships a manifest summarising the final
   cart, and each replica finalises unilaterally once its local state matches
-  the manifest (Conway's trick, systematised by Blazes).  The sealing
-  machinery itself lives in :mod:`repro.consistency.sealing`.
+  the manifest (Conway's trick, systematised by Blazes).  No deployment
+  builds it: ``examples/shopping_cart_sealing.py`` runs it beside the
+  serializable checkout.
 """
 
 from __future__ import annotations

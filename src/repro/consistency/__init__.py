@@ -8,9 +8,7 @@ The paper's consistency story has three parts, each with a module here:
 * **Mechanisms** — :mod:`repro.consistency.paxos` implements the
   "heavyweight" consensus log over the simulated cluster;
   :mod:`repro.consistency.causal` implements coordination-free causal
-  delivery with vector clocks; :mod:`repro.consistency.sealing` implements
-  the Blazes-style sealing pattern the shopping-cart experiment runs
-  client-side.
+  delivery with vector clocks.
 * **Specs** — the level/invariant data types live in
   :mod:`repro.core.facets` and are re-exported here for convenience, as
   is :class:`CoordinationMechanism`.
@@ -20,7 +18,6 @@ from repro.core.facets import ConsistencyLevel, ConsistencySpec, Invariant
 from repro.core.monotonicity import CoordinationMechanism
 from repro.consistency.causal import CausalBroadcast, CausalMessage
 from repro.consistency.paxos import ConsensusLog, PaxosReplica
-from repro.consistency.sealing import SealManifest, SealingCoordinator
 
 __all__ = [
     "ConsistencyLevel",
@@ -31,6 +28,4 @@ __all__ = [
     "CausalMessage",
     "ConsensusLog",
     "PaxosReplica",
-    "SealManifest",
-    "SealingCoordinator",
 ]

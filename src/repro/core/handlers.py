@@ -61,15 +61,13 @@ class Query:
     """A named, referenceable query over the snapshot (like a SQL view).
 
     ``reads`` lists the tables/vars/queries the query depends on;
-    ``monotone`` declares whether its output grows with its inputs
-    (recursive monotone queries like transitive closure set both flags).
+    ``monotone`` declares whether its output grows with its inputs.
     """
 
     name: str
     fn: Callable[..., Any]
     reads: tuple[str, ...] = ()
     monotone: bool = True
-    recursive: bool = False
 
     def evaluate(self, view: "StateView", *args: Any, **kwargs: Any) -> Any:
         return self.fn(view, *args, **kwargs)

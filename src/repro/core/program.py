@@ -64,11 +64,10 @@ class HydroProgram:
         fn: Callable[..., Any],
         reads: Iterable[str] = (),
         monotone: bool = True,
-        recursive: bool = False,
     ) -> Query:
         if name in self.queries:
             raise SpecificationError(f"query {name!r} already declared")
-        query = Query(name, fn, tuple(reads), monotone, recursive)
+        query = Query(name, fn, tuple(reads), monotone)
         self.queries[name] = query
         return query
 
@@ -185,10 +184,6 @@ class HydroProgram:
         if self.queries:
             lines.append("Queries:")
             for query in self.queries.values():
-                flags = []
-                if query.monotone:
-                    flags.append("monotone")
-                if query.recursive:
-                    flags.append("recursive")
-                lines.append(f"  query {query.name} [{', '.join(flags) or 'opaque'}]")
+                flag = "monotone" if query.monotone else "opaque"
+                lines.append(f"  query {query.name} [{flag}]")
         return "\n".join(lines)

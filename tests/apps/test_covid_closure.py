@@ -1,14 +1,12 @@
 """Differential tests for the COVID tracker's demand-driven ``transitive`` query.
 
 The query used to be a naive fixpoint over edge pairs; that definition is
-kept here as the oracle, next to the sequential baseline's ``trace`` and the
-compiler's semi-naive Hydroflow lowering.
+kept here as the oracle, next to the sequential baseline's ``trace``.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.covid import SequentialCovidTracker, build_covid_program
-from repro.compiler.lowering import evaluate_transitive_closure
 from repro.core import SingleNodeInterpreter
 from repro.core.state import MergeRowEffect
 from repro.lattices import SetUnion
@@ -58,14 +56,12 @@ def sequential(graph):
 
 @given(GRAPHS)
 @settings(max_examples=300, deadline=None)
-def test_transitive_matches_naive_sequential_and_semi_naive(graph):
+def test_transitive_matches_naive_and_sequential(graph):
     view = lifted(graph).view()
     tracker = sequential(graph)
     closure = view.query("transitive")
 
     assert closure == naive_transitive(view)
-    edges = [(pid, contact) for pid, contacts in graph.items() for contact in contacts]
-    assert closure == evaluate_transitive_closure(edges, "semi-naive")[0]
 
     for pid in range(10):
         from_pid = view.query("transitive", pid)

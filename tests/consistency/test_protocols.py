@@ -62,6 +62,26 @@ class TestConsensusLog:
         assert "after-failover" in surviving
         assert log.chosen_values("r2") == surviving
 
+    def test_new_leader_re_proposes_a_slot_only_it_accepted(self):
+        """Slot 0 reached r1 alone and was never chosen: r1's acks to the
+        leader are cut and r2 is unreachable.  After the leader crashes, r1's
+        campaign must re-propose slot 0 before the next append takes slot 1,
+        or no replica can apply past the hole."""
+        sim, log, applied = self.build()
+        net = log.replicas["r0"].network
+        net.partition({"r1"}, {"r0"}, oneway=True)
+        net.partition({"r0"}, {"r2"})
+        log.append("a")
+        sim.run_until_idle()
+        assert 0 in log.replicas["r1"].accepted and log.replicas["r0"].chosen == {}
+        log.replicas["r0"].crash()
+        net.heal_all()
+        log.elect("r1")
+        sim.run_until_idle()
+        log.append("b")
+        sim.run_until_idle()
+        assert applied["r1"] == applied["r2"] == [(0, "a"), (1, "b")]
+
     def test_callback_fires_when_chosen(self):
         sim, log, applied = self.build()
         chosen = []

@@ -159,8 +159,8 @@ def build_nested_query_program():
     program.add_query("c", lambda view: view.count("rows") % 2 == 0, reads=["rows"], monotone=False)
     program.add_query("b", lambda view: view.query("c"), reads=["c"])
     program.add_query("a", lambda view: view.query("b"), reads=["b"])
-    program.add_query("loop", lambda view: None, reads=["loop", "b"], recursive=True)
-    program.add_query("closure", lambda view: None, reads=["closure", "rows"], recursive=True)
+    program.add_query("loop", lambda view: None, reads=["loop", "b"])
+    program.add_query("closure", lambda view: None, reads=["closure", "rows"])
     program.add_handler(
         "merge_using_a",
         lambda ctx, k, v: ctx.merge_field("rows", k, "vals", SetUnion({v})),

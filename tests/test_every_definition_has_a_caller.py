@@ -10,10 +10,7 @@ another, or occurs only in a comment, still passes.
 
 A lattice type must also be used by something other than the lattice
 package and its own tests: every ``Lattice`` subclass under
-``src/repro/lattices/`` is named in some ``.py`` file outside both.  The
-same holds for a Hydroflow operator: every ``Operator`` subclass under
-``src/repro/hydroflow/`` is named outside that package and
-``tests/hydroflow/`` (in practice, by the lowering that emits it).  And
+``src/repro/lattices/`` is named in some ``.py`` file outside both.  And
 every ``Node`` subclass under ``src/repro/availability/`` is named by some
 ``src/`` file outside that package: an availability mechanism stays only
 while the deployment code builds it.
@@ -27,7 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 LATTICES = ROOT / "src" / "repro" / "lattices"
-HYDROFLOW = ROOT / "src" / "repro" / "hydroflow"
 AVAILABILITY = ROOT / "src" / "repro" / "availability"
 
 
@@ -79,10 +75,6 @@ def unused_subclasses(package: Path, base: str, own_tests: Path,
 
 def test_every_lattice_type_has_a_user_outside_the_lattice_package():
     assert unused_subclasses(LATTICES, "Lattice", ROOT / "tests" / "lattices") == []
-
-
-def test_every_hydroflow_operator_is_emitted_outside_the_hydroflow_package():
-    assert unused_subclasses(HYDROFLOW, "Operator", ROOT / "tests" / "hydroflow") == []
 
 
 def test_every_availability_node_is_built_outside_the_availability_package():
