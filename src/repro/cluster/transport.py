@@ -36,9 +36,9 @@ path iterates a set — the event trace is byte-identical under every
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
-from collections import OrderedDict
+from _blake2 import blake2b
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Hashable, Optional
@@ -152,7 +152,7 @@ def payload_digest(payload: Any) -> str:
     back to ``repr``.  Two digests of an *unchanged* object are equal;
     any in-place mutation of a folded container or attribute changes it.
     """
-    hasher = hashlib.blake2b(digest_size=16)
+    hasher = blake2b(digest_size=16)
     fold_payload(payload, hasher)
     return hasher.hexdigest()
 
@@ -287,7 +287,11 @@ class Transport:
         #: ``_queues`` (only populated while ``config.sanitize`` is on).
         self._queue_digests: dict[Hashable, list[str]] = {}
         self._pending: dict[int, _PendingRequest] = {}
-        self._served: OrderedDict[tuple, Optional[Parcel]] = OrderedDict()
+        #: The served memo: the newest ``DEDUP_WINDOW`` requests' replies,
+        #: with their keys in arrival order in ``_served_order`` (the
+        #: oldest is evicted first, as the client's completion tables do).
+        self._served: dict[tuple, Optional[Parcel]] = {}
+        self._served_order: deque[tuple] = deque()
         self._rpc_ids = itertools.count()
         self._logical_ids = itertools.count()
         # This node's share of what the registry's ``transport.*`` counters
@@ -524,6 +528,7 @@ class Transport:
         handlers = self.handlers
         counts = self.metrics.counts
         served = self._served
+        served_order = self._served_order
         for parcel in message.payload:
             if not owner.alive:
                 return
@@ -567,8 +572,9 @@ class Transport:
                 # ran, so a duplicate must not re-run it; a deferred reply
                 # refreshes this entry when it is sent (see reply()).
                 served[memo_key] = inbound.reply
-                while len(served) > DEDUP_WINDOW:
-                    served.popitem(last=False)
+                served_order.append(memo_key)
+                if len(served_order) > DEDUP_WINDOW:
+                    del served[served_order.popleft()]
 
     # -- failure hooks ------------------------------------------------------------
 
@@ -582,6 +588,7 @@ class Transport:
                 pending.timer.cancel()
         self._pending.clear()
         self._served.clear()
+        self._served_order.clear()
 
     # -- introspection ------------------------------------------------------------
 

@@ -60,10 +60,11 @@ entry hashed afresh costs one key encoding (``stable_key_bytes``); one
 8-byte ``blake2b`` over those bytes and the value's structural fold (the
 fold ``payload_digest`` hashes, never its hex digest); and — only for a
 key the tree has not held — the key's 64-bit ``stable_digest`` from those
-bytes (``encoded_digest``).  A changed entry XORs into the four interior
-levels, one ``^=`` into a list slot per level, unrolled.  At
-``kvs_geo_mixed``'s set-up (seed 7) 160,000 of the 240,000 updates take
-the value's entry and fold nothing.
+bytes (``encoded_digest``).  Both are the interpreter's builtin
+``blake2b`` (``_blake2``), so no process loads OpenSSL.  A changed entry
+XORs into the four interior levels, one ``^=`` into a list slot per
+level, unrolled.  At ``kvs_geo_mixed``'s set-up (seed 7) 160,000 of the
+240,000 updates take the value's entry and fold nothing.
 
 What one entry costs
 --------------------
@@ -85,7 +86,7 @@ workloads read no leaf.
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.cluster.network import Message
@@ -137,7 +138,7 @@ def _entry(key: Hashable, value: Any, old: int | None) -> int:
     entry digest``.  The leaf comes from ``old``, the key's current entry,
     when there is one; otherwise from the key's ``stable_digest``."""
     key_bytes = stable_key_bytes(key)
-    hasher = hashlib.blake2b(key_bytes, digest_size=8)
+    hasher = blake2b(key_bytes, digest_size=8)
     fold_payload(value, hasher)
     if old is None:
         leaf = encoded_digest(key_bytes) >> _LEAF_SHIFT

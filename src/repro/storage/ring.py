@@ -8,6 +8,8 @@ this module derives routing tokens from ``blake2b`` over a canonical byte
 encoding of the key instead.  A digest is a pure function of those bytes,
 computed on every call: the module keeps no process-wide state, so what a
 process hashed earlier changes neither a digest nor the memory it holds.
+``blake2b`` is the interpreter's builtin (``_blake2``, the function
+``hashlib.blake2b`` returns), so no process loads OpenSSL for it.
 
 The ring places ``vnodes`` virtual nodes (tokens) per physical node on a
 64-bit circle; a key is owned by the first virtual node clockwise of the
@@ -20,7 +22,7 @@ fall between the new node's tokens and their predecessors, roughly
 from __future__ import annotations
 
 import bisect
-import hashlib
+from _blake2 import blake2b
 from typing import Hashable, Iterable, Sequence
 
 __all__ = [
@@ -86,7 +88,7 @@ def encoded_digest(payload: bytes) -> int:
     :func:`stable_key_bytes`) — for a caller that needs the key's bytes as
     well and should not encode it twice."""
     return int.from_bytes(
-        hashlib.blake2b(payload, digest_size=_DIGEST_BYTES).digest(), "big"
+        blake2b(payload, digest_size=_DIGEST_BYTES).digest(), "big"
     )
 
 
@@ -116,7 +118,7 @@ class HashRing:
         chunk = 0
         while len(tokens) < self.vnodes:
             width = min(self.vnodes - len(tokens), 8)
-            digest = hashlib.blake2b(
+            digest = blake2b(
                 b"vnode:" + str(chunk).encode("ascii") + b":" + encoded,
                 digest_size=_DIGEST_BYTES * width,
             ).digest()

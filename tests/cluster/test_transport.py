@@ -31,6 +31,7 @@ from repro.cluster import (
     WIRE_HEADER_BYTES,
     wire_size,
 )
+from repro.cluster.transport import DEDUP_WINDOW
 
 
 def build_pair(batching=True, config=None, seed=1):
@@ -455,6 +456,55 @@ class TestRpc:
         assert handled == ["defer"]
         assert replies == ["late"]
         assert net.metrics.counter("transport.rpc_duplicate_requests") == 1
+
+    def test_served_memo_keeps_the_newest_window(self):
+        """After 3 x DEDUP_WINDOW requests the responder's memo holds
+        exactly the newest DEDUP_WINDOW; a retry of a kept request re-serves
+        its reply, a retry of an evicted one re-runs the handler."""
+        sim, net, a, b = build_pair()
+        handled = []
+
+        def handler(msg):
+            handled.append(msg.payload)
+            b.reply(msg, "echo_reply", msg.payload)
+        b.on("echo", handler)
+        for n in range(3 * DEDUP_WINDOW):
+            a.request("b", "echo", n)
+        sim.run_until_idle()
+        newest = [("a", n) for n in range(2 * DEDUP_WINDOW, 3 * DEDUP_WINDOW)]
+        assert list(b.transport._served) == newest
+        assert list(b.transport._served_order) == newest
+        assert handled == list(range(3 * DEDUP_WINDOW))
+
+        def retry(rpc_id):
+            net.send("a", "b", TRANSPORT_MAILBOX,
+                     (Parcel("echo", rpc_id, 0, rpc_id, "request", "a"),),
+                     wire_size(0))
+            sim.run_until_idle()
+
+        kept = 3 * DEDUP_WINDOW - 1
+        retry(kept)
+        assert len(handled) == 3 * DEDUP_WINDOW  # not re-run
+        assert net.metrics.counter("transport.rpc_duplicate_requests") == 1
+        # The re-served reply reaches a, which has nothing pending for it.
+        assert net.metrics.counter("transport.rpc_duplicate_replies") == 1
+
+        retry(0)  # evicted: the handler runs again and is memoized newest
+        assert handled[-1] == 0 and len(handled) == 3 * DEDUP_WINDOW + 1
+        assert net.metrics.counter("transport.rpc_duplicate_requests") == 1
+        assert list(b.transport._served) == newest[1:] + [("a", 0)]
+        assert list(b.transport._served_order) == newest[1:] + [("a", 0)]
+
+        # A crash forgets the memo and its order; the next window refills.
+        b.crash()
+        b.recover()
+        assert b.transport._served == {} and not b.transport._served_order
+        first = a.request("b", "echo", "after")
+        for n in range(DEDUP_WINDOW):
+            a.request("b", "echo", n)
+        sim.run_until_idle()
+        assert list(b.transport._served) == [
+            ("a", rpc_id) for rpc_id in range(first + 1, first + 1 + DEDUP_WINDOW)]
 
     def test_crash_mid_envelope_stops_delivery_of_later_parcels(self):
         """Fail-stop parity with unbatched delivery: if an earlier parcel's

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import Network, NetworkConfig, Simulator
+from repro.cluster.transport import DEDUP_WINDOW
 from repro.lattices import GCounter, LWWRegister, SetUnion
 from repro.storage import KVSClient, LatticeKVS
 from repro.storage import client as client_module
@@ -407,6 +408,29 @@ class TestKVSClient:
         assert list(client._completed_order) == gets[-window:]
         assert all(client.result_of(g) == SetUnion({"v"}) for g in gets[-window:])
         assert all(client.result_of(g) is None for g in gets[:-window])
+
+    def test_session_caches_grow_with_keys_touched_not_run_length(self):
+        """2,000 mixed puts and gets over 20 keys: the session caches hold
+        one value per key touched (live state), and the completion tables
+        stay within the transport's ``DEDUP_WINDOW``."""
+        sim, net, kvs = build_kvs(shards=2, replication=2)
+        client = KVSClient("client-1", sim, net, kvs)
+        for op in range(2000):
+            key = f"k{op // 2 % 20}"  # a put, then a get, of each key
+            if op % 2:
+                client.get(key)
+            else:
+                client.put(key, LWWRegister(op, op))
+            if op % 100 == 99:
+                sim.run(until=sim.now + 50.0)
+        sim.run(until=sim.now + 200.0)
+        assert len(client.session_writes) == 20
+        assert len(client.session_reads) <= 20
+        assert len(client.completed_gets) <= DEDUP_WINDOW
+        assert len(client.acked_puts) <= DEDUP_WINDOW
+        # Every op completed: none is pending, none timed out.
+        assert client.transport.pending_requests == 0
+        assert net.metrics.counter("transport.rpc_timeouts") == 0
 
     def test_get_abandoned_by_its_rpc_releases_the_callback_uncalled(self):
         """A get whose every attempt times out leaves nothing behind, and
