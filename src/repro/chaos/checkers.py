@@ -468,7 +468,7 @@ def staleness_bound(env: ChaosEnv, full_sync_every: int,
     cadence late.  Unlike the old full-store sync, which arrived in a
     single (congested) envelope, a digest reconciliation is a *recursion*:
     up to ``PROBE_ROUNDS`` request/reply round trips down the tree (root
-    probe through leaf pull) before the repair entries make their own
+    probe through the final pull) before the repair entries make their own
     one-way trip.  Each leg is priced by the worst link delay plus the
     queueing model's observed worst transmission; the whole exchange adds
     ``(2 * PROBE_ROUNDS + 1)`` legs on top of the cadence horizon.  The

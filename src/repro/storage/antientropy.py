@@ -12,11 +12,17 @@ The exchange
 
 The initiator drives one RPC chain per peer, at most one in flight.  Each
 ``ae_probe`` carries one level's disagreeing bucket digests; the peer
-answers with the buckets that differ on its side too and, for those, its
-children's digests, or at the leaf level its members' entry digests.  At
-the leaves the initiator pushes the keys the peer lacks or holds
-differently as a one-shot unstamped ``gossip`` parcel, and pulls the keys it
-lacks with ``ae_pull``; the message shapes are in README's "Wire format".
+answers with the buckets that differ on its side too and, for each, its
+children's digests, or its members' ``{key: entry digest}`` map when the
+bucket is a leaf or the probe's digest for it is 0 (the initiator holds it
+empty).  A bucket settles by keys in the reply that finds it: one answered
+by its members, or one the peer holds empty (no children), and the
+initiator pushes the keys the peer lacks or holds differently as a one-shot
+unstamped ``gossip`` parcel right away.  The keys it lacks or holds
+differently collect on the way down and ride the chain's one ``ae_pull``,
+sent when no bucket is left to probe, so an exchange is at most
+``PROBE_ROUNDS`` round trips and a lost store is refilled in two (a root
+probe, then one pull); the message shapes are in README's "Wire format".
 An exchange ends with its last reply, or aborts when an RPC times out; a
 crash drops its pending RPCs with the transport, which then suppresses a
 late reply as a duplicate, so recovery only forgets which peers were busy.
@@ -76,12 +82,13 @@ the replicas holding one value share it: a replicated write allocates one
 entry int, not one per replica.  At 65,536 leaves a store of tens of
 thousands of keys puts about one key in each, so a leaf dict or a
 per-leaf member list would cost as much again per key; instead the leaf
-level is read off the entries.  A leaf read is one pass over them that
-answers every bucket one probe handler asks about.  Only an exchange's
-last two probes read leaves, so the passes are few: ``kvs_churn_repair
---seconds 10`` at seed 7 makes 901 of them over stores of about 220 keys,
-where one-bucket reads would make 58,598, and the other three e2e
-workloads read no leaf.
+level and every bucket's members are read off the entries.  A leaf or
+members read is one pass over them that answers every bucket one probe
+handler asks about.  Only an exchange's last two probes and the buckets it
+settles by keys read entries, so the passes are few: ``kvs_churn_repair
+--seconds 10`` at seed 7 makes 817 of them over stores of about 240 keys,
+where one-bucket reads would make 1,887, and the other three e2e workloads
+read no leaf.
 """
 
 from __future__ import annotations
@@ -113,8 +120,9 @@ TREE_FANOUT = 1 << TREE_FANOUT_BITS
 LEAF_LEVEL = 4
 
 #: Worst-case request/reply round trips one reconciliation needs: one probe
-#: per level (root included) plus the final leaf pull.  The bounded-staleness
-#: horizon is derived from this (see ``repro.chaos.checkers.staleness_bound``).
+#: per level (root included) plus the chain's one final pull.  The
+#: bounded-staleness horizon is derived from this (see
+#: ``repro.chaos.checkers.staleness_bound``).
 PROBE_ROUNDS = LEAF_LEVEL + 2
 
 _KEY_DIGEST_BITS = 64
@@ -157,8 +165,8 @@ class DigestTree:
     *entry digest* is that 64-bit hash: a pure function of the key's
     canonical bytes and the value's content, equal under every
     ``PYTHONHASHSEED`` and changed by any lattice growth.  Interior
-    buckets are kept; a leaf is read off the entries it holds
-    (``leaf_summaries`` sorts them).  The tree is always an exact function
+    buckets are kept; a leaf, and any bucket's members, are read off the
+    entries (``members`` sorts them).  The tree is always an exact function
     of the entries it was fed, so two trees built from equal stores — in
     any order, under any hash seed — are identical level by level and hold
     the same keys in every leaf.
@@ -278,18 +286,20 @@ class DigestTree:
         return {bucket: {leaf: found[leaf] for leaf in sorted(found) if found[leaf]}
                 for bucket, found in children.items()}
 
-    def leaf_summaries(self, buckets: Iterable[int]
-                       ) -> dict[int, dict[Hashable, int]]:
-        """Each leaf's {key: entry digest} map, built in sorted-key order."""
-        members: dict[int, list[Hashable]] = {bucket: [] for bucket in buckets}
+    def members(self, level: int, buckets: Iterable[int]
+                ) -> dict[int, dict[Hashable, int]]:
+        """Each bucket's {key: entry digest} map at ``level``, built in
+        sorted-key order: one pass over the entries at any level."""
+        shift = _ENTRY_BITS + _LEVEL_SHIFTS[level]
+        grouped: dict[int, list[Hashable]] = {bucket: [] for bucket in buckets}
         for key, entry in self._entries.items():
-            keys = members.get(entry >> _ENTRY_BITS)
+            keys = grouped.get(entry >> shift)
             if keys is not None:
                 keys.append(key)
         entries = self._entries
         return {bucket: {key: entries[key] & _ENTRY_MASK
                          for key in sorted(keys, key=repr)}
-                for bucket, keys in members.items()}
+                for bucket, keys in grouped.items()}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -353,17 +363,21 @@ class AntiEntropy:
             return
         self.in_flight.add(peer)
         self.node.network.metrics.increment("kvs.antientropy.rounds")
-        self._probe(peer, 0, {0: self.tree.root()})
+        self._probe(peer, 0, {0: self.tree.root()}, [])
 
     def _request(self, peer: Hashable, mailbox: str, payload: dict,
-                 count: int, on_reply: Callable[[Hashable, Any], None]) -> None:
+                 count: int, on_reply: Callable[[Any], None]) -> None:
         self.node.request(peer, mailbox, payload, entries=digest_entries(count),
-                          on_reply=lambda reply: on_reply(peer, reply),
+                          on_reply=on_reply,
                           on_timeout=lambda: self._end(peer, aborted=True))
 
-    def _probe(self, peer: Hashable, level: int, buckets: dict[int, int]) -> None:
+    def _probe(self, peer: Hashable, level: int, buckets: dict[int, int],
+               pull: list[Hashable]) -> None:
+        # ``pull`` collects the keys to fetch on the way down; the chain's
+        # one ``ae_pull`` fetches them all when no bucket is left to probe.
         self._request(peer, "ae_probe", {"level": level, "buckets": buckets},
-                      len(buckets), self._on_probe_reply)
+                      len(buckets),
+                      lambda reply: self._on_probe_reply(peer, reply, pull))
 
     def _end(self, peer: Hashable, aborted: bool = False) -> None:
         # An aborted exchange never wedges the cadence: the next one starts
@@ -372,39 +386,51 @@ class AntiEntropy:
         if aborted:
             self.node.network.metrics.increment("kvs.antientropy.aborted")
 
-    def _on_probe_reply(self, peer: Hashable, payload: dict) -> None:
+    def _on_probe_reply(self, peer: Hashable, payload: dict,
+                        pull: list[Hashable]) -> None:
         diff, level = payload["diff"], payload["level"]
-        if not diff:
-            if level == 0:
-                # Root digests matched: the replicas are provably identical
-                # and this round cost one digest each way.
-                self.node.network.metrics.increment(
-                    "kvs.antientropy.converged_rounds")
-            self._end(peer)
-        elif level == LEAF_LEVEL:
-            self._reconcile(peer, diff, payload["leaves"])
-        else:
-            mine, theirs = self.tree.child_digests(level, diff), payload["children"]
-            # Only children whose digests disagree are probed, so a bucket
-            # diverging in one child recurses into exactly that child.
-            probe = {}
-            for bucket in diff:
-                own, other = mine[bucket], theirs.get(bucket, {})
+        if not diff and level == 0:
+            # Root digests matched: the replicas are provably identical and
+            # this round cost one digest each way.
+            self.node.network.metrics.increment(
+                "kvs.antientropy.converged_rounds")
+        children = payload.get("children", {})
+        # A bucket with no children here was answered by its keys (a leaf,
+        # or one this side holds empty) or is empty on the peer's side:
+        # either way its keys settle it now.
+        settle = [bucket for bucket in diff if not children.get(bucket)]
+        if settle:
+            self._reconcile(peer, level, settle, payload.get("keys", {}), pull)
+        # Only children whose digests disagree are probed, so a bucket
+        # diverging in one child recurses into exactly that child.
+        descend = [bucket for bucket in diff if children.get(bucket)]
+        probe = {}
+        if descend:
+            mine = self.tree.child_digests(level, descend)
+            for bucket in descend:
+                own, other = mine[bucket], children[bucket]
                 for child in sorted(own.keys() | other.keys()):
                     if own.get(child, 0) != other.get(child, 0):
                         probe[child] = own.get(child, 0)
-            if probe:
-                self._probe(peer, level + 1, probe)
-            else:
-                # Concurrent gossip healed the mismatch between probes.
-                self._end(peer)
+        if probe:
+            self._probe(peer, level + 1, probe, pull)
+        elif pull:
+            self._request(peer, "ae_pull", {"keys": pull}, len(pull),
+                          lambda reply: self._on_pull_reply(peer, reply))
+        else:
+            # Converged, settled by pushes alone, or concurrent gossip
+            # healed the mismatch between probes.
+            self._end(peer)
 
-    def _reconcile(self, peer: Hashable, diff: list[int], leaves: dict) -> None:
+    def _reconcile(self, peer: Hashable, level: int, buckets: list[int],
+                   theirs: dict[int, dict[Hashable, int]],
+                   pull: list[Hashable]) -> None:
+        """Push the keys of ``buckets`` the peer lacks or holds differently
+        now; add those this side lacks or holds differently to ``pull``."""
         push: dict[Hashable, Any] = {}
-        pull: list[Hashable] = []
-        mine = self.tree.leaf_summaries(diff)
-        for bucket in diff:
-            own, other = mine[bucket], leaves.get(bucket, {})
+        mine = self.tree.members(level, buckets)
+        for bucket in buckets:
+            own, other = mine[bucket], theirs.get(bucket, {})
             # A key held differently on both sides is pushed and pulled:
             # each side may hold lattice state the other lacks.
             for key, digest in own.items():
@@ -416,11 +442,6 @@ class AntiEntropy:
             self.node.network.metrics.increment("kvs.antientropy.repair_entries",
                                                 len(push))
             self.node.queue(peer, "gossip", {"entries": push}, entries=len(push))
-        if pull:
-            self._request(peer, "ae_pull", {"keys": pull}, len(pull),
-                          self._on_pull_reply)
-        else:
-            self._end(peer)
 
     def _on_pull_reply(self, peer: Hashable, payload: dict) -> None:
         entries = payload["entries"]
@@ -437,12 +458,19 @@ class AntiEntropy:
         diff = [bucket for bucket, digest in theirs.items() if mine[bucket] != digest]
         reply: dict[str, Any] = {"level": level, "diff": diff}
         count = len(diff)
-        if diff:
-            if level < LEAF_LEVEL:
-                below = reply["children"] = tree.child_digests(level, diff)
-            else:
-                below = reply["leaves"] = tree.leaf_summaries(diff)
-            count += sum(map(len, below.values()))
+        # A leaf, or a bucket the prober holds empty, is answered by its
+        # keys; any other differing bucket by its children's digests.
+        if level < LEAF_LEVEL:
+            settle = [bucket for bucket in diff if not theirs[bucket]]
+            descend = [bucket for bucket in diff if theirs[bucket]]
+            if descend:
+                below = reply["children"] = tree.child_digests(level, descend)
+                count += sum(map(len, below.values()))
+        else:
+            settle = diff
+        if settle:
+            keys = reply["keys"] = tree.members(level, settle)
+            count += sum(map(len, keys.values()))
         self.node.reply(message, "ae_probe_reply", reply,
                         entries=digest_entries(count))
 

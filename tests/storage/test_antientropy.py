@@ -23,6 +23,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import Network, NetworkConfig, Simulator, wire_size
+from repro.cluster.transport import digest_entries
 from repro.lattices import (
     BoolOr,
     GCounter,
@@ -160,12 +161,12 @@ class TestDigestTree:
         grouped = {}
         for key in keys:
             grouped.setdefault(DigestTree.leaf_bucket(key), []).append(key)
-        summaries = tree.leaf_summaries(grouped)
+        summaries = tree.members(LEAF_LEVEL, grouped)
         leaf_digests = tree.digests(LEAF_LEVEL, grouped)
         for bucket, members in grouped.items():
             summary = summaries[bucket]
             assert list(summary) == sorted(members, key=repr)
-            assert tree.leaf_summaries([bucket]) == {bucket: summary}
+            assert tree.members(LEAF_LEVEL, [bucket]) == {bucket: summary}
             folded = 0
             for digest in summary.values():
                 folded ^= digest
@@ -178,13 +179,14 @@ class TestDigestTree:
                 for bucket in sorted(grouped) if bucket // TREE_FANOUT == parent}
         empty = next(bucket for bucket in range(TREE_FANOUT ** LEAF_LEVEL)
                      if bucket not in grouped)
-        assert tree.leaf_summaries([empty]) == {empty: {}}
+        assert tree.members(LEAF_LEVEL, [empty]) == {empty: {}}
         assert tree.digests(LEAF_LEVEL, [empty]) == {empty: 0}
 
     def test_buckets_outside_a_level_read_empty(self):
         """A probe may name any bucket: one past a level's end, or a
         negative one that a list index would wrap to the level's tail,
-        reads as empty at every level, as an untouched bucket does."""
+        reads as empty at every level, digests and members alike, as an
+        untouched bucket does."""
         leaves = TREE_FANOUT ** LEAF_LEVEL
         keys = (f"k-{i}" for i in itertools.count())
         # One key in the first and one in the last leaf's parent: every
@@ -203,6 +205,8 @@ class TestDigestTree:
                 assert held[0] and held[-1]
             outside = [-1, -size, size, size + 1]
             assert tree.digests(level, outside) == dict.fromkeys(outside, 0)
+            assert tree.members(level, outside) == {
+                bucket: {} for bucket in outside}
             if level < LEAF_LEVEL:
                 assert tree.child_digests(level, outside) == {
                     bucket: {} for bucket in outside}
@@ -232,7 +236,8 @@ class TestDigestTree:
             broken = DigestTree.from_store(store)
             corrupt(broken._entries)
             assert broken._levels == tree._levels
-            assert broken.leaf_summaries([leaf]) != tree.leaf_summaries([leaf])
+            assert (broken.members(LEAF_LEVEL, [leaf])
+                    != tree.members(LEAF_LEVEL, [leaf]))
             assert broken != tree
 
     def test_memory_per_key_ceiling(self):
@@ -335,7 +340,7 @@ _KEYS = st.one_of(
 class DigestTreeMachine(RuleBasedStateMachine):
     """Any interleaving of updates, removals, re-inserts and clears leaves
     the tree equal to a from-scratch rebuild of a shadow store, with exact
-    leaf summaries and every parent the XOR of its children."""
+    members at every level and every parent the XOR of its children."""
 
     def __init__(self):
         super().__init__()
@@ -406,25 +411,29 @@ class DigestTreeMachine(RuleBasedStateMachine):
         assert len(self.tree) == len(self.store)
 
     @invariant()
-    def leaf_summaries_are_brute_force_groupings(self):
+    def members_are_brute_force_groupings(self):
+        """At every level, root to leaf, a bucket's members are exactly the
+        keys whose digest prefix names it, in ``repr`` order, and their
+        entry digests XOR to the bucket's digest."""
         rebuilt = DigestTree.from_store(self.store)
-        grouped = {}
-        for key in self.store:
-            grouped.setdefault(stable_digest(key) >> 48, set()).add(key)
-        summaries = self.tree.leaf_summaries(grouped)
-        assert summaries == rebuilt.leaf_summaries(grouped)
-        leaf_digests = self.tree.digests(LEAF_LEVEL, grouped)
-        for bucket, keys in grouped.items():
-            summary = summaries[bucket]
-            assert list(summary) == sorted(keys, key=repr)
-            folded = 0
-            for digest in summary.values():
-                folded ^= digest
-            assert leaf_digests[bucket] == folded
-        parents = {bucket >> 4 for bucket in grouped}
+        for level in range(LEAF_LEVEL + 1):
+            grouped = {}
+            for key in self.store:
+                grouped.setdefault(stable_digest(key) >> 64 - 4 * level,
+                                   set()).add(key)
+            members = self.tree.members(level, grouped)
+            assert members == rebuilt.members(level, grouped)
+            digests = self.tree.digests(level, grouped)
+            for bucket, keys in grouped.items():
+                assert list(members[bucket]) == sorted(keys, key=repr)
+                folded = 0
+                for digest in members[bucket].values():
+                    folded ^= digest
+                assert digests[bucket] == folded, (level, bucket)
+        leaves = {stable_digest(key) >> 48 for key in self.store}
         assert {leaf for children in self.tree.child_digests(
-                    LEAF_LEVEL - 1, parents).values()
-                for leaf in children} == set(grouped)
+                    LEAF_LEVEL - 1, {leaf >> 4 for leaf in leaves}).values()
+                for leaf in children} == leaves
 
     @invariant()
     def parents_are_xor_of_children(self):
@@ -697,3 +706,129 @@ class TestAntiEntropyLifecycle:
         assert (net.metrics.counter("kvs.antientropy.converged_rounds")
                 > converged_before)
         assert net.metrics.counter("kvs.antientropy.repair_entries") == repairs_before
+
+
+def settled_pair(keys=120):
+    """Two converged replicas of one shard and no cadence: an exchange runs
+    only when a test opens it, and the simulator goes idle after it."""
+    sim, net, kvs = build_kvs(gossip_interval=None)
+    for index in range(keys):
+        kvs.put(f"k-{index}", SetUnion({index}))
+    kvs.settle(50.0)
+    replica_a, replica_b = kvs.shards[0]
+    assert replica_a.store == replica_b.store and len(replica_a.store) == keys
+    return sim, net, kvs
+
+
+def run_exchange(sim, initiator, responder):
+    """Step ``sim`` until idle, checking that the exchange never has two
+    RPCs in flight.  Returns the most the initiator had at once and
+    ``sent(replica, mailbox)``: the messages a replica sent to a mailbox
+    meanwhile and the entries they were priced at (a digest or a pulled
+    key is ``digest_entries``' share of one)."""
+    before = {replica: {mailbox: dict(stats) for mailbox, stats
+                        in replica.transport.mailbox_stats.items()}
+              for replica in (initiator, responder)}
+    most = 0
+    while sim.step():
+        most = max(most, initiator.transport.pending_requests)
+        assert responder.transport.pending_requests == 0
+    assert not initiator.anti_entropy.in_flight
+
+    def sent(replica, mailbox):
+        now = replica.transport.mailbox_stats.get(mailbox, {})
+        then = before[replica].get(mailbox, {})
+        return tuple(now.get(field, 0) - then.get(field, 0)
+                     for field in ("messages", "entries"))
+
+    return most, sent
+
+
+def top_bucket(key):
+    return DigestTree.bucket_of(stable_digest(key), 1)
+
+
+class TestEmptySideSettlesByKeys:
+    """A bucket one side holds empty is settled by its keys in the reply
+    that finds it, not probed down to the leaves: pulls ride the chain's one
+    final ``ae_pull`` and pushes leave at once.  Counts only, no clock."""
+
+    def test_a_replica_that_lost_its_store_refills_in_one_probe_and_one_pull(self):
+        sim, net, kvs = settled_pair()
+        replica_a, replica_b = kvs.shards[0]
+        replica_b.crash()
+        replica_b.recover(lose_state=True)  # opens an exchange with A
+        most, sent = run_exchange(sim, replica_b, replica_a)
+        assert most == 1
+        assert replica_b.store == replica_a.store
+        assert sent(replica_b, "ae_probe") == (1, 1)  # the root digest, 0
+        assert sent(replica_b, "ae_pull") == (1, digest_entries(120))
+        assert sent(replica_b, "gossip") == (0, 0)  # it has nothing to push
+        # The reply names every key: one digest per key plus the bucket.
+        assert sent(replica_a, "ae_probe_reply") == (1, digest_entries(121))
+        assert net.metrics.counter("kvs.antientropy.repair_entries") == 120
+        # A root that differed is no converged round.
+        assert net.metrics.counter("kvs.antientropy.rounds") == 1
+        assert net.metrics.counter("kvs.antientropy.converged_rounds") == 0
+
+    def test_an_exchange_toward_a_peer_that_lost_its_store_pushes_at_once(self):
+        sim, net, kvs = settled_pair()
+        replica_a, replica_b = kvs.shards[0]
+        replica_b.reset_state()  # lost, with no exchange of its own
+        replica_a.anti_entropy.start(replica_b.node_id)
+        most, sent = run_exchange(sim, replica_a, replica_b)
+        assert most == 1
+        assert replica_b.store == replica_a.store
+        assert sent(replica_a, "ae_probe") == (1, 1)
+        assert sent(replica_a, "ae_pull") == (0, 0)
+        assert sent(replica_a, "gossip") == (1, 120)
+        # The peer answered its one differing bucket with no children.
+        assert sent(replica_b, "ae_probe_reply") == (1, 1)
+        assert net.metrics.counter("kvs.antientropy.repair_entries") == 120
+
+    def test_a_bucket_the_initiator_holds_empty_is_answered_by_keys(self):
+        """Below the root too: the initiator probes a top-level bucket it
+        holds empty with digest 0, and the peer answers it by its keys, so
+        the exchange is two probes and one pull, not a walk to the leaves."""
+        sim, net, kvs = settled_pair()
+        replica_a, replica_b = kvs.shards[0]
+        lacked = top_bucket("k-0")
+        dropped = {key for key in replica_a.store if top_bucket(key) == lacked}
+        replica_a.drop_keys(dropped)
+        replica_a.anti_entropy.start(replica_b.node_id)
+        most, sent = run_exchange(sim, replica_a, replica_b)
+        assert most == 1
+        assert replica_a.store == replica_b.store and len(replica_a.store) == 120
+        assert sent(replica_a, "ae_probe") == (2, 2)  # the root, then one 0
+        assert sent(replica_a, "ae_pull") == (1, digest_entries(len(dropped)))
+        assert sent(replica_a, "gossip") == (0, 0)
+
+    def test_a_mixed_exchange_sends_one_pull_within_probe_rounds(self):
+        """The initiator holds one top-level bucket empty, the peer another,
+        and a third diverges in one key: the empty buckets settle at level
+        1 while the third recurses to its leaf, and the keys pulled on the
+        way down ride the one ``ae_pull`` at the end."""
+        sim, net, kvs = settled_pair()
+        replica_a, replica_b = kvs.shards[0]
+        by_bucket = {}
+        for key in sorted(replica_a.store):
+            by_bucket.setdefault(top_bucket(key), []).append(key)
+        lacked, missing, diverged = sorted(by_bucket)[:3]
+        replica_a.drop_keys(set(by_bucket[lacked]))
+        replica_b.drop_keys(set(by_bucket[missing]))
+        deep = by_bucket[diverged][0]
+        replica_a._merge_entry(deep, SetUnion({"a-only"}))
+        replica_b._merge_entry(deep, SetUnion({"b-only"}))
+        joined = replica_a.store[deep].merge(replica_b.store[deep])
+        replica_a.anti_entropy.start(replica_b.node_id)
+        most, sent = run_exchange(sim, replica_a, replica_b)
+        assert most == 1
+        probes, _ = sent(replica_a, "ae_probe")
+        pulls, pulled = sent(replica_a, "ae_pull")
+        assert pulls == 1
+        assert pulled == digest_entries(len(by_bucket[lacked]) + 1)
+        assert probes == LEAF_LEVEL + 1 and probes + pulls <= PROBE_ROUNDS
+        # One push at level 1 (the bucket B lacks), one at the leaf.
+        assert sent(replica_a, "gossip") == (2, len(by_bucket[missing]) + 1)
+        assert replica_a.store == replica_b.store and len(replica_a.store) == 120
+        assert replica_a.store[deep] == joined
